@@ -1,12 +1,10 @@
 """Array-backend × batch-size throughput matrix on the largest instance.
 
 Times the engine's fused forward+backward pass — the same protocol as the
-engine-vs-interpreter benchmark — through every *available* array backend
-(``repro.xp.available_backends()`` plus the ``numpy:float32`` throughput
-policy) over a batch-size grid, and rewrites ``BENCH_backend.json``.
-Committing the file each PR accumulates the backend matrix's trajectory in
-version history; on hosts with CuPy/Torch the grid grows extra rows for
-free.
+engine-vs-interpreter benchmark — through both NumPy dtype policies
+(``numpy`` and the ``numpy:float32`` throughput policy) over a batch-size
+grid, and rewrites ``BENCH_backend.json``.  Committing the file each PR
+accumulates the backend matrix's trajectory in version history.
 
 The NumPy row doubles as the abstraction's no-regression gate: at the
 engine benchmark's batch size it must stay within a few percent of the
@@ -50,12 +48,8 @@ def backend_min_ratio() -> float:
     return float(os.environ.get("REPRO_BENCH_BACKEND_MIN_RATIO", "0.95"))
 
 
-def _specs():
-    """Backend specs the matrix covers on this host."""
-    specs = list(xp.available_backends())
-    if "numpy" in specs:
-        specs.insert(specs.index("numpy") + 1, "numpy:float32")
-    return specs
+#: Backend specs the matrix covers.
+SPECS = ("numpy", "numpy:float32")
 
 
 @pytest.mark.benchmark(group="backend-matrix")
@@ -73,7 +67,7 @@ def test_backend_matrix(benchmark, largest_instance):
 
     def run_grid():
         rows = []
-        for spec in _specs():
+        for spec in SPECS:
             backend = xp.get_backend(spec)
             for batch in backend_batch_grid():
                 probabilities = backend.from_numpy(
@@ -105,7 +99,7 @@ def test_backend_matrix(benchmark, largest_instance):
         "clauses": formula.num_clauses,
         "compiled_ops": program.num_ops,
         "passes_timed": passes,
-        "available_backends": xp.available_backends(),
+        "backends": list(SPECS),
         "grid": grid,
     }
 

@@ -99,16 +99,16 @@ def native_min_speedup() -> float:
 
 @pytest.fixture(scope="session", autouse=True)
 def warm_native_kernels():
-    """Bring the native kernel tier up once, before any timed region.
+    """Bring the native C tier up once, before any timed region.
 
-    The C build / Numba JIT is a one-time process cost; paying it inside a
+    The C build is a one-time process cost; paying it inside a
     benchmark's first timed pass would corrupt that contender's numbers.  It
     is reported separately (``repro.native.compile_seconds``) where the
     cold-start accounting wants it.
     """
     from repro import native
 
-    native.kernels_for(None)  # auto: build the best tier, or silently none
+    native.kernels_for(None)  # auto: build the C tier, or silently none
 
 
 def store_min_speedup() -> float:

@@ -8,9 +8,13 @@ Public API surface: the most common entry points are re-exported here.
 * :class:`repro.SamplerConfig` — hyper-parameters (lr=10, 5 iterations, ...)
 * :mod:`repro.engine` — the compiled levelized execution engine behind the
   differentiable circuit core (``SamplerConfig(backend=...)`` selects it)
-* :mod:`repro.xp` — the pluggable array-backend layer (NumPy reference,
-  best-effort CuPy/Torch; ``SamplerConfig(array_backend=...)``,
-  ``REPRO_ARRAY_BACKEND`` or ``--array-backend`` selects it)
+* :mod:`repro.xp` — the array-backend layer (NumPy, with a ``float64``
+  reference and a ``numpy:float32`` throughput policy;
+  ``SamplerConfig(array_backend=...)``, ``REPRO_ARRAY_BACKEND`` or
+  ``--array-backend`` selects it)
+* :mod:`repro.native` — the on-demand C tier for the hot loops
+  (``SamplerConfig(kernel=...)``, ``REPRO_NATIVE`` or ``--kernel`` selects
+  ``auto``/``native``/``python``)
 * :mod:`repro.baselines` — UniGen/CMSGen/QuickSampler/DiffSampler-style baselines
 * :mod:`repro.instances` — synthetic benchmark-instance generators (Table II families)
 * :mod:`repro.eval` — throughput harness and table/figure builders
@@ -33,7 +37,6 @@ from repro.gpu import Device, DeviceKind, get_device
 from repro.xp import (
     ArrayBackend,
     active_backend,
-    available_backends,
     clear_caches,
     get_backend,
     use_backend,
@@ -62,7 +65,6 @@ __all__ = [
     "get_device",
     "ArrayBackend",
     "active_backend",
-    "available_backends",
     "clear_caches",
     "get_backend",
     "use_backend",

@@ -53,6 +53,17 @@ from repro.eval.report import render_rows
 from repro.gpu.device import get_device
 from repro.instances.registry import REGISTRY, get_instance
 from repro.io.solutions_io import write_solutions_file
+from repro.native import MODES as KERNEL_MODES
+
+
+def _array_backend_spec(text: str) -> str:
+    """argparse ``type=`` for ``--array-backend``: reject bad specs with exit 2."""
+    from repro.xp import validate_spec
+
+    try:
+        return validate_spec(text)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -79,18 +90,18 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="evaluation backend: compiled levelized engine (default) "
                              "or the legacy per-gate autodiff interpreter")
     sample.add_argument("--array-backend", default=None, metavar="SPEC",
-                        help="array backend the hot loops run on: 'numpy' (default), "
-                             "'numpy:float32', 'cupy', 'torch', ... — overrides the "
+                        type=_array_backend_spec,
+                        help="array backend the hot loops run on: 'numpy' (default) "
+                             "or 'numpy:float32' — overrides the "
                              "REPRO_ARRAY_BACKEND environment variable and the config "
                              "(precedence: env < config < CLI)")
-    sample.add_argument("--kernel", default=None,
-                        choices=["auto", "native", "python", "off", "cext", "numba"],
+    sample.add_argument("--kernel", default=None, choices=KERNEL_MODES,
                         help="native kernel mode for the hot loops: 'auto' "
-                             "(best available tier, silently none), 'native' "
-                             "(require a tier), 'python'/'off' (pure "
-                             "NumPy/Python), or a specific tier — overrides "
-                             "the REPRO_NATIVE environment variable and the "
-                             "config (precedence: env < config < CLI)")
+                             "(the C tier when it builds, silently none), "
+                             "'native' (require the C tier) or 'python'/'off' "
+                             "(pure NumPy/Python) — overrides the REPRO_NATIVE "
+                             "environment variable and the config (precedence: "
+                             "env < config < CLI)")
     sample.add_argument("-o", "--output", default=None,
                         help="write solutions (signed-literal lines) to this file")
     sample.add_argument("--project", action="append", type=int, default=None,
@@ -136,10 +147,10 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("-w", "--workers", type=int, default=0,
                        help="worker processes (0 = run inline in this process, the default)")
     serve.add_argument("--array-backend", default=None, metavar="SPEC",
+                       type=_array_backend_spec,
                        help="array backend each worker pins at startup "
                             "(job configs may still override per job)")
-    serve.add_argument("--kernel", default=None,
-                       choices=["auto", "native", "python", "off", "cext", "numba"],
+    serve.add_argument("--kernel", default=None, choices=KERNEL_MODES,
                        help="native kernel mode each worker pins at startup "
                             "(job configs may still override per job)")
     serve.add_argument("--cache-entries", type=int, default=8,
@@ -215,10 +226,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="run the original rescan-everything reference "
                                 "implementation instead of the indexed fast "
                                 "path (identical output, for benchmarking)")
-    transform.add_argument("--kernel", default=None,
-                           choices=["auto", "native", "python", "off", "cext", "numba"],
-                           help="native kernel mode for the complement-scan "
-                                "fast path (see 'sample --kernel')")
     transform.add_argument("--trace", default=None, metavar="FILE",
                            help="record a telemetry trace of the transform to "
                                 "this JSONL file (inspect with 'repro-sat obs')")
@@ -291,8 +298,8 @@ def _command_sample(arguments: argparse.Namespace) -> int:
         store_dir=arguments.store_dir,
         telemetry=arguments.trace,
     )
-    # The kernel scope also covers the transform inside the pipeline (the
-    # sampler re-applies config.kernel around its own runs).
+    # The kernel scope covers the whole pipeline (the sampler also
+    # re-applies config.kernel around its own runs).
     with use_kernel(arguments.kernel):
         result = sample_cnf(
             formula, num_solutions=arguments.num_solutions, config=config, task=task
@@ -329,10 +336,20 @@ def _command_serve(arguments: argparse.Namespace) -> int:
         write_metrics_json,
         write_metrics_prometheus,
     )
-    from repro.serve import JobJournal, SamplingService, load_manifest, plan_resume
+    from repro.serve import (
+        JobJournal,
+        ManifestError,
+        SamplingService,
+        load_manifest,
+        plan_resume,
+    )
     from repro.serve.journal import JOURNAL_NAME
 
-    jobs = load_manifest(arguments.manifest)
+    try:
+        jobs = load_manifest(arguments.manifest)
+    except ManifestError as error:
+        print(f"repro-sat: error: {error}", file=sys.stderr)
+        return 2
     cache_bytes = int(arguments.cache_mb * 1024 * 1024) if arguments.cache_mb else None
     output_dir = Path(arguments.output_dir) if arguments.output_dir else None
     if arguments.resume is not None:
@@ -520,10 +537,9 @@ def _command_serve(arguments: argparse.Namespace) -> int:
 
 def _command_transform(arguments: argparse.Namespace) -> int:
     from repro import obs
-    from repro.native import use_kernel
 
     formula = load_formula(Path(arguments.cnf))
-    with obs.trace_scope(arguments.trace), use_kernel(arguments.kernel):
+    with obs.trace_scope(arguments.trace):
         result = transform_cnf(
             formula,
             simplify_expressions=not arguments.no_simplify,

@@ -15,7 +15,7 @@ from repro.cnf.kernel import (
     resolve_backend,
     resolve_native_kernels,
 )
-from repro.xp import backend_for, to_numpy
+from repro.xp import backend_for
 
 
 class CNF:
@@ -216,12 +216,10 @@ class CNF:
         means the caller's column convention is off by one, so it is rejected
         rather than silently truncated.
 
-        Returns ``(matrix, array_backend)``.  Evaluation follows the
-        *input's* residency (:func:`repro.xp.backend_for`): host inputs stay
-        host-side and get NumPy results regardless of which array backend is
-        active — so metrics, baselines and other un-migrated host consumers
-        are unaffected by ``REPRO_ARRAY_BACKEND`` — while device-resident
-        inputs are evaluated on the active backend without a host round-trip.
+        Returns ``(matrix, array_backend)``.  Evaluation runs on
+        :func:`repro.xp.backend_for`, the ``float64`` NumPy reference, so
+        metrics, baselines and other host consumers are unaffected by
+        ``REPRO_ARRAY_BACKEND``.
         """
         xpb = backend_for(assignments)
         matrix = xpb.asarray(assignments, dtype=xpb.bool_dtype)
@@ -248,21 +246,20 @@ class CNF:
         Column ``j`` of ``assignments`` holds the value of variable ``j + 1``.
         Returns a boolean vector of length ``batch`` that is ``True`` where all
         clauses are satisfied.  ``backend`` selects the implementation
-        (``"compiled"``, ``"packed"``, the compiled-C/Numba ``"native"`` or
-        the clause-loop ``"reference"``); ``None`` uses
+        (``"compiled"``, ``"packed"``, the compiled-C ``"native"`` or the
+        clause-loop ``"reference"``); ``None`` uses
         :func:`repro.cnf.kernel.default_backend`.  All backends are
-        bitwise-identical.  Like ``"reference"``, the ``"native"`` kernel runs
-        host-side and returns a NumPy result.
+        bitwise-identical.
         """
         matrix, xpb = self._check_assignment_matrix(assignments)
         backend = resolve_backend(backend)
         if backend == "reference":
-            # The clause loop is a host-side reference implementation.
-            return self._evaluate_batch_reference(np.asarray(to_numpy(matrix)))
+            # The clause loop is the reference implementation.
+            return self._evaluate_batch_reference(matrix)
         plan = self.evaluation_plan()
         if backend == "native":
             kernels = resolve_native_kernels()
-            return kernels.cnf_evaluate(plan, np.asarray(to_numpy(matrix)))
+            return kernels.cnf_evaluate(plan, matrix)
         if backend == "packed":
             return plan.evaluate_packed(matrix, xpb)
         return plan.evaluate(matrix, xpb)
@@ -279,14 +276,10 @@ class CNF:
         matrix, xpb = self._check_assignment_matrix(assignments)
         backend = resolve_backend(backend)
         if backend == "reference":
-            return self._unsatisfied_clause_counts_reference(
-                np.asarray(to_numpy(matrix))
-            )
+            return self._unsatisfied_clause_counts_reference(matrix)
         if backend == "native":
             kernels = resolve_native_kernels()
-            return kernels.cnf_unsatisfied_counts(
-                self.evaluation_plan(), np.asarray(to_numpy(matrix))
-            )
+            return kernels.cnf_unsatisfied_counts(self.evaluation_plan(), matrix)
         return self.evaluation_plan().unsatisfied_counts(matrix, xpb)
 
     def _evaluate_batch_reference(self, assignments: np.ndarray) -> np.ndarray:

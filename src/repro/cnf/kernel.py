@@ -37,14 +37,11 @@ implementation survives as the ``"reference"`` backend;
 ``REPRO_CNF_BACKEND`` environment variable) selects which implementation
 :meth:`CNF.evaluate_batch` uses.
 
-The fused kernels execute on the active *array backend*
-(:mod:`repro.xp`): plan compilation stays host-side NumPy, while the plan's
-index arrays are uploaded once per backend (memoised on the plan) so the
-evaluation itself runs where the assignments live — NumPy bitwise-identical
-to the seed, CuPy/Torch best-effort.  Note the two "backend" axes are
-orthogonal: this module's ``backend`` strings pick the *kernel
-implementation* ("compiled"/"packed"/"reference"); :mod:`repro.xp` picks the
-*array runtime* it executes on.
+The fused kernels execute through the *array backend* protocol
+(:mod:`repro.xp`), bitwise-identical to the seed.  Note the two "backend"
+axes are orthogonal: this module's ``backend`` strings pick the *kernel
+implementation* ("compiled"/"packed"/"reference"/"native"); :mod:`repro.xp`
+picks the array runtime's dtype policy.
 """
 
 from __future__ import annotations
@@ -56,7 +53,7 @@ from typing import TYPE_CHECKING, Dict, Optional, Tuple
 import numpy as np
 
 from repro.utils.weakcache import OwnerRegistry
-from repro.xp import ArrayBackend, backend_for, get_backend
+from repro.xp import ArrayBackend, backend_for
 from repro import obs
 
 _PLAN_COMPILES = obs.counter(
@@ -110,22 +107,18 @@ def resolve_native_kernels():
 
     An explicitly requested native CNF backend fails loudly — with
     :class:`~repro.xp.backend.BackendUnavailableError` — when native kernels
-    are disabled (``REPRO_NATIVE=off``) or no tier can be brought up,
-    mirroring how explicitly requested array backends fail.
+    are disabled (``REPRO_NATIVE=off``) or the C tier cannot be brought up.
     """
     from repro import native
     from repro.xp.backend import BackendUnavailableError
 
-    mode = native.resolve_mode(None)
-    if mode == "python":
+    if native.resolve_mode(None) == "python":
         raise BackendUnavailableError(
             'CNF backend "native" requested but native kernels are disabled '
             f"(mode 'python' via ${native.NATIVE_ENV_VAR} or "
             "repro.native.set_default_mode)"
         )
-    # A tier-specific default mode keeps selecting that tier; "auto" hardens
-    # to "native" so the explicit backend request fails loudly if unavailable.
-    return native.kernels_for("native" if mode == "auto" else mode)
+    return native.kernels_for("native")
 
 
 @dataclass(frozen=True)
@@ -149,22 +142,16 @@ class CNFEvalPlan:
     width_groups: Tuple[Tuple[int, int, int], ...]
     #: Number of empty clauses (each one falsifies every assignment).
     num_empty: int
-    #: Per-array-backend uploads of the index arrays (keyed by cache_key).
-    _device_arrays: Dict[str, Tuple] = field(
-        default_factory=dict, repr=False, compare=False
-    )
     #: Native-kernel layouts of the index arrays (see :mod:`repro.native.kernels`).
     _native_arrays: Dict[str, object] = field(
         default_factory=dict, repr=False, compare=False
     )
 
     def __getstate__(self):
-        # The per-backend device uploads and native-kernel layouts hold
-        # ctypes/device handles that are process-local and unpicklable;
-        # serialised plans (repro.store entries, spawned workers) start with
-        # empty memos and re-upload lazily on first use.
+        # The native-kernel layouts are process-local memos; serialised plans
+        # (repro.store entries, spawned workers) start with an empty memo and
+        # rebuild it lazily on first use.
         state = dict(self.__dict__)
-        state["_device_arrays"] = {}
         state["_native_arrays"] = {}
         return state
 
@@ -177,8 +164,8 @@ class CNFEvalPlan:
     def nbytes(self) -> int:
         """Resident size of the plan's host index arrays.
 
-        Per-backend device uploads are excluded (they live on the device and
-        are dropped with the plan).  Used by byte-bounded artifact caches
+        The native-kernel layouts are excluded (they are dropped with the
+        plan).  Used by byte-bounded artifact caches
         (:mod:`repro.serve.cache`) to account for compiled state.
         """
         return int(
@@ -190,7 +177,7 @@ class CNFEvalPlan:
 
     @staticmethod
     def _resolve_xpb(assignments, xpb: Optional[ArrayBackend]) -> ArrayBackend:
-        """Default backend resolution following the *input's* residency.
+        """Default backend resolution for caller-supplied assignments.
 
         Delegates to :func:`repro.xp.backend_for` — the same rule
         :meth:`CNF._check_assignment_matrix` applies — so direct-plan
@@ -199,32 +186,12 @@ class CNFEvalPlan:
         """
         return xpb if xpb is not None else backend_for(assignments)
 
-    # -- array-backend residency --------------------------------------------------------
-    def _arrays_for(self, xpb: ArrayBackend) -> Tuple:
-        """``(literal_columns, literal_negated)`` resident on ``xpb``.
-
-        The NumPy reference uses the compiled arrays directly; other
-        backends get a one-time upload memoised per backend (dropped with
-        the plan, e.g. by :func:`clear_plan_caches`).
-        """
-        if xpb.is_numpy:
-            return self.literal_columns, self.literal_negated
-        arrays = self._device_arrays.get(xpb.cache_key)
-        if arrays is None:
-            arrays = (
-                xpb.from_numpy(self.literal_columns),
-                xpb.from_numpy(self.literal_negated),
-            )
-            self._device_arrays[xpb.cache_key] = arrays
-        return arrays
-
     # -- fused evaluation -------------------------------------------------------------
     def _gather_literal_values(self, assignments, xpb: ArrayBackend):
         """``(literals, batch)`` literal values over the transposed matrix."""
-        columns, negated = self._arrays_for(xpb)
         transposed = xpb.ascontiguousarray(assignments.T)
-        values = transposed[columns]
-        values ^= negated[:, None]
+        values = transposed[self.literal_columns]
+        values ^= self.literal_negated[:, None]
         return values
 
     def _group_blocks(self, values, batch: int):
@@ -246,8 +213,7 @@ class CNFEvalPlan:
     def evaluate(self, assignments, xpb: Optional[ArrayBackend] = None):
         """Per-row satisfaction of the whole formula (boolean kernel).
 
-        Runs on ``xpb`` (default: the active array backend); ``assignments``
-        may be a host or device array of that backend.
+        Runs on ``xpb`` (default: :func:`repro.xp.backend_for`).
         """
         xpb = self._resolve_xpb(assignments, xpb)
         batch = assignments.shape[0]
@@ -268,27 +234,17 @@ class CNFEvalPlan:
         The batch axis is packed with ``packbits``, the flat clause
         boundaries then drive one ``bitwise_or`` segmented reduction over
         ``uint8`` words; results are bitwise-identical to :meth:`evaluate`.
-        Backends without native packed support run on the NumPy reference
-        and upload the result.
         """
         xpb = self._resolve_xpb(assignments, xpb)
-        if not xpb.supports_packed:
-            # Counted by the NumPy-reference recursion below, not here.
-            host = self.evaluate_packed(
-                np.asarray(xpb.asnumpy(assignments), dtype=bool),
-                get_backend("numpy"),
-            )
-            return xpb.from_numpy(host)
         _CNF_EVALUATIONS.inc(1.0, "packed")
         batch = assignments.shape[0]
         if self.num_empty:
             return xpb.zeros(batch, dtype=xpb.bool_dtype)
         if self.reduce_offsets.size == 0:
             return xpb.ones(batch, dtype=xpb.bool_dtype)
-        columns, negated = self._arrays_for(xpb)
         packed_columns = xpb.packbits(xpb.ascontiguousarray(assignments.T), axis=1)
-        literal_words = packed_columns[columns]
-        literal_words[negated] ^= xpb.packed_ones_u8
+        literal_words = packed_columns[self.literal_columns]
+        literal_words[self.literal_negated] ^= xpb.packed_ones_u8
         clause_words = xpb.bitwise_or_reduceat(
             literal_words, self.reduce_offsets, axis=0
         )
@@ -331,8 +287,7 @@ def register_plan_owner(formula: "CNF") -> None:
 def clear_plan_caches() -> None:
     """Drop every memoised CNF evaluation plan in the process.
 
-    Complements the automatic mutation-driven invalidation and also releases
-    the plans' per-backend device uploads.  Exposed to users as
+    Complements the automatic mutation-driven invalidation.  Exposed to users as
     :func:`repro.xp.clear_caches`.
     """
     _PLAN_OWNERS.clear(lambda formula: formula.clear_evaluation_plan())

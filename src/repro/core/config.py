@@ -47,13 +47,12 @@ class SamplerConfig:
     #: instances sample a round as one vectorised step, their overshoot is
     #: that single step).
     timeout_seconds: Optional[float] = None
-    #: Array-backend spec ("numpy", "numpy:float32", "cupy", "torch", ...)
-    #: the sampler's hot loops run on.  ``None`` falls back to the device's
-    #: backend, then to the process default (``REPRO_ARRAY_BACKEND`` env or
-    #: NumPy) — precedence: environment < config < CLI (the CLI writes this
-    #: field, so it wins).
+    #: Array-backend spec ("numpy" or "numpy:float32") the sampler's hot
+    #: loops run on.  ``None`` falls back to the process default
+    #: (``REPRO_ARRAY_BACKEND`` env or NumPy) — precedence: environment <
+    #: config < CLI (the CLI writes this field, so it wins).
     array_backend: Optional[str] = None
-    #: Native kernel mode ("auto", "native", "python"/"off", "cext", "numba")
+    #: Native kernel mode ("auto", "native", "python"/"off")
     #: scoping :mod:`repro.native` for this sampler's runs.  ``None`` leaves
     #: the process default (``REPRO_NATIVE`` env or "auto") in place —
     #: precedence: environment < config < CLI (the CLI writes this field).
@@ -94,28 +93,26 @@ class SamplerConfig:
         if self.array_backend is not None:
             from repro.xp import validate_spec
 
-            # Syntax/registration check only; availability (e.g. CuPy import)
-            # is verified at resolution time with a precise error.
             validate_spec(self.array_backend)
         if self.kernel is not None:
             from repro.native import resolve_mode
 
-            # Vocabulary check only; tier availability is resolved at run
-            # time (explicit tiers then fail with a precise error).
+            # Vocabulary check only; C-tier availability is resolved at run
+            # time ("native" then fails with a precise error).
             resolve_mode(self.kernel)
 
     def resolve_array_backend(self):
         """The :class:`~repro.xp.backend.ArrayBackend` this config selects.
 
-        Precedence (weakest first): ``REPRO_ARRAY_BACKEND`` environment
-        default, ``device.array_backend``, ``array_backend`` (which the CLI
+        Precedence (weakest first): the active default (``REPRO_ARRAY_BACKEND``
+        environment variable, else NumPy), ``array_backend`` (which the CLI
         flag ``--array-backend`` writes, so the CLI wins).
         """
-        from repro.xp import get_backend
+        from repro.xp import active_backend, get_backend
 
         if self.array_backend:
             return get_backend(self.array_backend)
-        return self.device.backend()  # device spec, else the active default
+        return active_backend()
 
     def with_(self, **overrides) -> "SamplerConfig":
         """Return a copy with the given fields replaced."""

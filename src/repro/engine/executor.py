@@ -17,13 +17,10 @@ fused array statement.  Three execution modes share the one program:
 
 Every mode takes an optional ``xpb`` — an
 :class:`~repro.xp.backend.ArrayBackend` — and defaults to the process-wide
-active backend, so the same compiled program runs on NumPy (the bitwise
-reference), CuPy or Torch.  The program's index arrays stay host-side; every
-backend accepts host index arrays for gathers and scatters.  Backends
-without native ``uint64`` support (:attr:`ArrayBackend.supports_packed`
-false) execute the packed mode through the NumPy reference; its results stay
-host NumPy arrays, since uint64 words are not representable on such
-backends.
+active backend, so the same compiled program runs under the ``float64``
+reference policy or the ``numpy:float32`` throughput policy.  When the
+native C tier is available (:mod:`repro.native`), every mode runs its op
+stream there instead of the per-block array statements.
 
 ``ADD`` appearing only in XOR chains (disjoint operands) is what makes the
 ``|`` / bitwise interpretations exact — see :mod:`repro.engine.program`.
@@ -36,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.engine.program import OP_ADD, OP_MUL, OP_NOT, CompiledProgram
-from repro.xp import ArrayBackend, active_backend, backend_for, get_backend
+from repro.xp import ArrayBackend, active_backend, backend_for
 
 #: Float dtypes the native engine kernels cover.
 _NATIVE_FLOAT_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
@@ -45,15 +42,11 @@ _NATIVE_FLOAT_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
 def _native_kernels(xpb: ArrayBackend, float_mode: bool = False):
     """The native kernel set to engage for an execution on ``xpb``, or ``None``.
 
-    Native execution engages automatically when the backend is NumPy and a
-    native tier is importable (mode ``auto``); explicitly requested modes
-    (``native``/``cext``/``numba``) raise
-    :class:`~repro.xp.backend.BackendUnavailableError` when unavailable, and
-    ``python`` disables the fast path outright.  Device backends always run
-    the array-program path — their data is not host-addressable.
+    Native execution engages automatically when the C tier is available
+    (mode ``auto``); mode ``native`` raises
+    :class:`~repro.xp.backend.BackendUnavailableError` when it is not, and
+    ``python`` disables the fast path outright.
     """
-    if not xpb.is_numpy:
-        return None
     if float_mode and np.dtype(xpb.float_dtype) not in _NATIVE_FLOAT_DTYPES:
         return None
     from repro import native
@@ -134,7 +127,7 @@ def forward(
         values[: program.num_inputs] = probabilities.T[program.input_columns]
     kernels = _native_kernels(xpb, float_mode=True)
     if kernels is not None:
-        # One C/jitted pass over the flat op stream; elementwise per op, so
+        # One C pass over the flat op stream; elementwise per op, so
         # bitwise identical to the fused block path below.
         kernels.engine_forward(program, values)
         outputs = xpb.copy(values[program.output_slots].T)
@@ -256,18 +249,10 @@ def execute_packed(
 
     ``packed_inputs`` maps every cone primary input to an identically shaped
     ``uint64`` array; returns a map from every compiled net to its packed
-    vector of the same shape.  When no backend is passed, execution follows
-    the inputs' residency (:func:`repro.xp.backend_for`): host uint64 arrays
-    yield host results regardless of the active backend.  Backends without
-    native ``uint64`` (``supports_packed`` false) run this mode on the NumPy
-    reference, and the returned vectors are then host NumPy arrays (uint64
-    words cannot live on such a backend).
+    vector of the same shape.  When no backend is passed, execution defaults
+    through :func:`repro.xp.backend_for`.
     """
-    if xpb is None:
-        sample = next(iter(packed_inputs.values()), None)
-        xpb = backend_for(sample) if sample is not None else active_backend()
-    if not xpb.supports_packed:
-        xpb = get_backend("numpy")
+    xpb = xpb or backend_for(packed_inputs)
     template = None
     columns = []
     for name in program.cone_inputs:

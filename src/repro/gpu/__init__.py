@@ -1,14 +1,10 @@
 """Execution-device abstraction and GPU-memory model.
 
-A :class:`Device` is an (array backend, chunk policy) pair built on
-:mod:`repro.xp`: the backend names the substrate the fused kernels execute
-on (NumPy by default; CuPy or Torch where those runtimes exist, selected via
-``Device(array_backend=...)``, ``SamplerConfig(array_backend=...)``, the
-``REPRO_ARRAY_BACKEND`` environment variable or the CLI flag
-``--array-backend``), while the chunk policy decides how the batch splits
-into launches.  ``gpu-sim`` (one full-batch launch) and ``cpu`` (a
-per-sample loop) remain the bitwise-reference execution styles used by the
-Fig. 4 (left) GPU-vs-CPU ablation, on any backend.  The memory model
+A :class:`Device` is a chunk policy: it decides how the batch splits into
+launches.  ``gpu-sim`` (one full-batch launch) and ``cpu`` (a per-sample
+loop) are the bitwise-reference execution styles used by the Fig. 4 (left)
+GPU-vs-CPU ablation.  The array runtime the launches execute on is chosen
+separately, by ``SamplerConfig(array_backend=...)`` (:mod:`repro.xp`).  The memory model
 reproduces the Fig. 3 (right) measurement analytically from tensor shapes.
 """
 

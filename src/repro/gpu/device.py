@@ -1,19 +1,17 @@
-"""Execution devices: an array backend plus a chunk (launch) policy.
+"""Execution devices: a chunk (launch) policy.
 
 The sampler's learning problem is embarrassingly parallel across the batch —
 each candidate solution is learned independently (Section III of the paper).
-A :class:`Device` describes how that parallelism is *executed*: which
-:class:`~repro.xp.backend.ArrayBackend` the fused kernels run on (NumPy by
-default; CuPy/Torch for real accelerators) and how the batch is split into
-launches:
+A :class:`Device` describes how that parallelism is *executed*: how the
+batch is split into launches:
 
 * ``gpu-sim`` — one vectorised launch over the full ``(batch, n)`` tensor
   (the data-parallel execution model of a GPU tensor runtime);
 * ``cpu`` — the identical computation performed in per-sample chunks with a
   Python-level loop, modelling sequential per-solution execution.
 
-The two kinds reproduce the Fig. 4 (left) GPU-vs-CPU ablation on any
-backend, and their chunk spans stay bitwise-identical to the original NumPy
+The two kinds reproduce the Fig. 4 (left) GPU-vs-CPU ablation, and their
+chunk spans stay bitwise-identical to the original NumPy
 loop simulator, which keeps ``gpu-sim``/``cpu`` the reference semantics.
 
 Under the compiled engine backend (:mod:`repro.engine`), the device's
@@ -27,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Tuple
 
 
 class DeviceKind(str, Enum):
@@ -39,20 +37,16 @@ class DeviceKind(str, Enum):
 
 @dataclass(frozen=True)
 class Device:
-    """An execution device: (array backend, chunk policy).
+    """An execution device: a chunk policy.
 
     ``chunk_size`` is the number of batch elements processed per kernel
     invocation: the full batch for ``gpu-sim`` (a single launch) and 1 for
     ``cpu`` (a per-sample loop).  Intermediate values model multi-core CPUs or
-    small GPUs and are used by the scaling ablations.  ``array_backend`` is a
-    backend spec (``"numpy"``, ``"cupy"``, ``"torch:float32"`` …) naming the
-    substrate the launches execute on; ``None`` inherits the process default
-    (``REPRO_ARRAY_BACKEND`` environment variable, else NumPy).
+    small GPUs and are used by the scaling ablations.
     """
 
     kind: DeviceKind = DeviceKind.GPU_SIM
     chunk_size: int = 0  # 0 means "whole batch at once"
-    array_backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.chunk_size < 0:
@@ -60,28 +54,11 @@ class Device:
                 f"chunk_size must be non-negative (0 = whole batch), "
                 f"got {self.chunk_size}"
             )
-        if self.array_backend is not None:
-            from repro.xp import validate_spec
-
-            validate_spec(self.array_backend)
 
     @property
     def is_parallel(self) -> bool:
         """Whether the device executes the full batch per launch."""
         return self.kind == DeviceKind.GPU_SIM and self.chunk_size == 0
-
-    def backend(self):
-        """Resolve this device's :class:`~repro.xp.backend.ArrayBackend`.
-
-        Resolution is lazy so a device naming an optional runtime (CuPy,
-        Torch) can be constructed anywhere and only fails — with a precise
-        error — where a launch actually needs the backend.
-        """
-        from repro.xp import active_backend, get_backend
-
-        if self.array_backend is None:
-            return active_backend()
-        return get_backend(self.array_backend)
 
     def chunks(self, batch_size: int) -> Iterator[Tuple[int, int]]:
         """Yield ``(start, stop)`` index ranges covering ``batch_size`` samples.
@@ -107,24 +84,21 @@ class Device:
 
     def describe(self) -> str:
         """Human-readable device description used in reports."""
-        backend = f", backend={self.array_backend}" if self.array_backend else ""
         if self.is_parallel:
-            return f"gpu-sim (full-batch vectorised execution{backend})"
+            return "gpu-sim (full-batch vectorised execution)"
         if self.kind == DeviceKind.GPU_SIM:
-            return f"gpu-sim (chunked, {self.chunk_size} samples per launch{backend})"
+            return f"gpu-sim (chunked, {self.chunk_size} samples per launch)"
         per_launch = 1 if self.chunk_size == 0 else self.chunk_size
-        return f"cpu (scalar loop, {per_launch} sample(s) per step{backend})"
+        return f"cpu (scalar loop, {per_launch} sample(s) per step)"
 
 
-def get_device(
-    name: str = "gpu-sim", chunk_size: int = 0, array_backend: Optional[str] = None
-) -> Device:
+def get_device(name: str = "gpu-sim", chunk_size: int = 0) -> Device:
     """Build a device from a name (``"gpu-sim"`` / ``"gpu"`` / ``"cpu"``)."""
     normalized = name.lower().strip()
     if normalized in ("gpu", "gpu-sim", "cuda", "vectorized"):
-        return Device(DeviceKind.GPU_SIM, chunk_size, array_backend)
+        return Device(DeviceKind.GPU_SIM, chunk_size)
     if normalized in ("cpu", "scalar", "loop"):
-        return Device(DeviceKind.CPU, chunk_size, array_backend)
+        return Device(DeviceKind.CPU, chunk_size)
     raise ValueError(f"unknown device name {name!r}")
 
 

@@ -1,10 +1,9 @@
 """The C tier of :mod:`repro.native`: kernels compiled on demand with ``cc``.
 
-The hot loops NumPy cannot fuse — the CNF clause reduction, the engine's
-per-slot op dispatch and the transform's bitmask complement scan — are small,
-dependency-free C functions.  Rather than shipping a build step, the source
-below is compiled *on first use* into a shared library (``cc -O3 -fPIC
--shared``) under a per-user cache directory keyed by the source hash, then
+The hot loops NumPy cannot fuse — the CNF clause reduction and the engine's
+per-slot op dispatch — are small, dependency-free C functions.  Rather than
+shipping a build step, the source below is compiled *on first use* into a
+shared library (``cc -O3 -fPIC -shared``) under a per-user cache directory keyed by the source hash, then
 loaded with :mod:`ctypes`.  A repeat process with the same source finds the
 library on disk and pays nothing; the one-time build cost is recorded in
 :func:`repro.native.compile_seconds` so benchmarks and the serving layer can
@@ -12,8 +11,7 @@ report cold-vs-warm numbers honestly.
 
 No compiler, a failing compile, or a failing load all degrade to
 "tier unavailable" (:class:`~repro.xp.backend.BackendUnavailableError` at
-explicit request, silent fallback under ``auto``) — the same contract the
-CuPy/Torch array backends follow.
+explicit request, silent fallback under ``auto``).
 
 Kernel inventory (all operate on caller-allocated C-contiguous buffers):
 
@@ -28,10 +26,6 @@ Kernel inventory (all operate on caller-allocated C-contiguous buffers):
   contract — NumPy's ``reduceat`` uses platform-dependent reduction trees).
 * ``repro_engine_execute_bool`` / ``_packed`` — the boolean and bit-parallel
   execution modes of the same program.
-* ``repro_transform_complement_scan`` — the fast-path prelude of
-  ``find_boolean_expression`` (raw-support scan, tautology rule, width gate)
-  plus the truth-table bitmask complement check, over uint64 words instead
-  of Python big-ints.  Returns accept/reject/wide.
 """
 
 from __future__ import annotations
@@ -246,140 +240,6 @@ void repro_engine_execute_packed(uint64_t *values, int64_t lanes, int64_t nops,
         }
     }
 }
-
-/* ---------------- transform kernel (complement scan) ----------------------------- */
-/* Mirrors find_boolean_expression's fast-path prelude decision-for-decision:
-   returns 1 (accept: the group defines `variable`), 0 (reject) or -1 (raw
-   support wider than max_vars: the caller falls back to the exact
-   expression-based route).  max_vars must be <= 16 (the Python wrapper
-   guards); the truth tables then fit 1024 uint64 words on the stack.        */
-
-static const uint64_t VAR_PATTERNS[6] = {
-    0xAAAAAAAAAAAAAAAAULL, 0xCCCCCCCCCCCCCCCCULL, 0xF0F0F0F0F0F0F0F0ULL,
-    0xFF00FF00FF00FF00ULL, 0xFFFF0000FFFF0000ULL, 0xFFFFFFFF00000000ULL,
-};
-
-/* Bitmask word w of the variable at sorted-support position p: the periodic
-   pattern bit r = (r >> p) & 1, identical to truth_table._var_mask. */
-static inline uint64_t var_mask_word(int p, int64_t w)
-{
-    if (p < 6)
-        return VAR_PATTERNS[p];
-    return ((w >> (p - 6)) & 1) ? ~(uint64_t)0 : 0;
-}
-
-int32_t repro_transform_complement_scan(const int32_t *lits, const int64_t *offs,
-                                        int64_t nclauses, int32_t variable,
-                                        int32_t max_vars)
-{
-    /* 1. Raw support (sorted) + the tautology rule.  The support can only be
-       decided WIDE once it provably exceeds max_vars even after the possible
-       removal of `variable` itself, i.e. at max_vars + 2 entries. */
-    int32_t support[18];
-    int nsup = 0;
-    int keep_variable = 0;
-    for (int64_t c = 0; c < nclauses; ++c) {
-        int has_pos = 0, has_neg = 0;
-        for (int64_t k = offs[c]; k < offs[c + 1]; ++k) {
-            const int32_t lit = lits[k];
-            const int32_t v = lit < 0 ? -lit : lit;
-            if (lit == variable)
-                has_pos = 1;
-            else if (lit == -variable)
-                has_neg = 1;
-            int lo = 0, hi = nsup;
-            while (lo < hi) {
-                const int mid = (lo + hi) >> 1;
-                if (support[mid] < v)
-                    lo = mid + 1;
-                else
-                    hi = mid;
-            }
-            if (lo == nsup || support[lo] != v) {
-                if (nsup >= max_vars + 2)
-                    return -1;
-                for (int m = nsup; m > lo; --m)
-                    support[m] = support[m - 1];
-                support[lo] = v;
-                ++nsup;
-            }
-        }
-        if (has_pos && has_neg)
-            keep_variable = 1;
-    }
-    if (!keep_variable) {
-        int lo = 0, hi = nsup;
-        while (lo < hi) {
-            const int mid = (lo + hi) >> 1;
-            if (support[mid] < variable)
-                lo = mid + 1;
-            else
-                hi = mid;
-        }
-        if (lo < nsup && support[lo] == variable) {
-            for (int m = lo; m < nsup - 1; ++m)
-                support[m] = support[m + 1];
-            --nsup;
-        }
-    }
-    if (nsup > max_vars)
-        return -1;
-
-    /* 2. Truth-table bitmask complement check over uint64 words. */
-    const int n = nsup;
-    const int64_t nbits = (int64_t)1 << n;
-    const int64_t nw = nbits > 64 ? nbits >> 6 : 1;
-    const uint64_t fullw =
-        nbits >= 64 ? ~(uint64_t)0 : (((uint64_t)1 << nbits) - 1);
-    uint64_t pos_bits[1024], neg_bits[1024], rem[1024];
-    for (int64_t w = 0; w < nw; ++w) {
-        pos_bits[w] = ~(uint64_t)0;
-        neg_bits[w] = ~(uint64_t)0;
-    }
-    for (int64_t c = 0; c < nclauses; ++c) {
-        for (int side = 0; side < 2; ++side) {
-            const int32_t skip = side == 0 ? -variable : variable;
-            int present = 0;
-            for (int64_t k = offs[c]; k < offs[c + 1]; ++k)
-                if (lits[k] == skip) {
-                    present = 1;
-                    break;
-                }
-            if (!present)
-                continue;
-            for (int64_t w = 0; w < nw; ++w)
-                rem[w] = 0;
-            for (int64_t k = offs[c]; k < offs[c + 1]; ++k) {
-                const int32_t lit = lits[k];
-                if (lit == skip)
-                    continue;
-                const int32_t v = lit < 0 ? -lit : lit;
-                int lo = 0, hi = n;
-                while (lo < hi) {
-                    const int mid = (lo + hi) >> 1;
-                    if (support[mid] < v)
-                        lo = mid + 1;
-                    else
-                        hi = mid;
-                }
-                for (int64_t w = 0; w < nw; ++w) {
-                    const uint64_t mask = var_mask_word(lo, w);
-                    rem[w] |= lit > 0 ? mask : ~mask;
-                }
-            }
-            if (side == 0)
-                for (int64_t w = 0; w < nw; ++w)
-                    pos_bits[w] &= rem[w];
-            else
-                for (int64_t w = 0; w < nw; ++w)
-                    neg_bits[w] &= rem[w];
-        }
-    }
-    for (int64_t w = 0; w < nw - 1; ++w)
-        if (pos_bits[w] != ~neg_bits[w])
-            return 0;
-    return (pos_bits[nw - 1] & fullw) == (~neg_bits[nw - 1] & fullw) ? 1 : 0;
-}
 """
 
 #: Wall-clock seconds spent compiling (building the shared library); read via
@@ -451,10 +311,6 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
         p_u64, i64, i64, p_u8, p_i32, p_i32, p_i32,
     ]
     lib.repro_engine_execute_packed.restype = None
-    lib.repro_transform_complement_scan.argtypes = [
-        p_i32, p_i64, i64, ctypes.c_int32, ctypes.c_int32,
-    ]
-    lib.repro_transform_complement_scan.restype = ctypes.c_int32
     return lib
 
 

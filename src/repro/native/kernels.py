@@ -1,39 +1,31 @@
-"""Array marshalling and per-artifact caching for the native kernel tiers.
+"""Array marshalling, per-artifact caching and the C tier's kernel class.
 
-The tier modules (:mod:`repro.native.cext`, :mod:`repro.native.numba_tier`)
-expose raw kernels over flat C-contiguous buffers; this module owns everything
-above them:
+:mod:`repro.native.cext` builds and loads the raw kernels, which work over
+flat C-contiguous buffers; this module owns everything above them:
 
 * flattening compiled artifacts into the layouts the kernels consume —
   :func:`cnf_native_arrays` for a :class:`~repro.cnf.kernel.CNFEvalPlan`,
   :func:`engine_native_state` for a
   :class:`~repro.engine.program.CompiledProgram` — memoised *on the artifact*
-  so they drop with their owner exactly like the engine's block arrays and
-  the CNF plan's device uploads.  Both memos are additionally tracked in
+  so they drop with their owner exactly like the engine's block arrays.
+  Both memos are additionally tracked in
   :class:`~repro.utils.weakcache.OwnerRegistry` instances so
   :func:`repro.native.clear_caches` (folded into
   :func:`repro.xp.clear_caches`) can strip them process-wide;
-* the :class:`NativeKernels` facade the integration points call, with one
-  concrete subclass per tier.  The facade's methods take the repo's own
-  objects (plans, programs, clause groups) and host NumPy arrays, and return
-  host NumPy arrays bitwise-identical to the pure-Python reference paths
-  (gradients: within the engine's 1e-10 accumulation-order contract).
+* the :class:`NativeKernels` class the integration points call.  Its methods
+  take the repo's own objects (plans, programs) and host NumPy arrays, and
+  return host NumPy arrays bitwise-identical to the pure-Python reference
+  paths (gradients: within the engine's 1e-10 accumulation-order contract).
 """
 
 from __future__ import annotations
 
 import ctypes
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.utils.weakcache import OwnerRegistry
-
-#: Widest raw support the native complement scan handles (truth tables of
-#: 2**16 rows = 1024 uint64 words); wider ``max_vars`` requests stay on the
-#: Python big-int path so decisions never depend on the tier.
-TRANSFORM_MAX_VARS = 16
 
 #: Plans holding memoised native arrays / programs holding native states.
 _PLAN_OWNERS = OwnerRegistry()
@@ -44,7 +36,6 @@ def clear_artifact_caches() -> None:
     """Strip the native memos off every live plan and program."""
     _PLAN_OWNERS.clear(lambda plan: plan._native_arrays.clear())
     _PROGRAM_OWNERS.clear(lambda program: program.__dict__.pop("_native_state", None))
-    _SCAN_VERDICTS.clear()
 
 
 # -- CNF plan flattening ----------------------------------------------------------------
@@ -142,36 +133,6 @@ def engine_native_state(program) -> EngineNativeState:
     return state
 
 
-# -- clause-group flattening (transform complement scan) --------------------------------
-def flatten_clause_group(clauses: Sequence) -> tuple:
-    """``(literals, offsets)`` python lists of a clause group for the scan kernel.
-
-    Lists, not arrays: the scan runs thousands of times per transform on
-    groups of a few dozen literals, where ``ndarray`` construction costs more
-    than the kernel itself.  Each tier converts once, into its own layout
-    (the C tier into persistent per-thread buffers).
-    """
-    literals: list = []
-    offsets = [0]
-    for clause in clauses:
-        literals.extend(clause.literals)
-        offsets.append(len(literals))
-    return literals, offsets
-
-
-#: Memoised scan verdicts.  The stream loop re-attempts the same
-#: ``(variable, clause group)`` many times while the buffer grows around it;
-#: the pure-Python path amortises those repeats through its interned clause
-#: truth tables, so the native path must not pay full marshalling + kernel
-#: cost per repeat to stay ahead.  Verdicts are tier-independent (every tier
-#: is pinned decision-for-decision to the Python path), so one flat map
-#: serves them all.  Bounded by wholesale reset — the map is tiny (a handful
-#: of machine words per entry) and one transform rarely makes > 100k distinct
-#: attempts; cleared with the other native memos by ``clear_artifact_caches``.
-_SCAN_VERDICTS: dict = {}
-_SCAN_VERDICT_LIMIT = 1 << 18
-
-
 def _as_bool_matrix(matrix) -> np.ndarray:
     """Host C-contiguous uint8 view of a boolean assignment matrix."""
     matrix = np.asarray(matrix)
@@ -180,18 +141,46 @@ def _as_bool_matrix(matrix) -> np.ndarray:
     return np.ascontiguousarray(matrix).view(np.uint8)
 
 
-class NativeKernels:
-    """One tier's kernels behind a uniform, repo-object-level API.
+def _ptr(array: np.ndarray, ctype):
+    return array.ctypes.data_as(ctypes.POINTER(ctype))
 
-    Subclasses provide the raw per-buffer entry points (``_cnf_eval`` …);
-    every public method here does the marshalling: contiguity, dtype views,
-    scratch allocation, and the empty-formula / empty-clause special cases —
-    kept identical to :class:`~repro.cnf.kernel.CNFEvalPlan`'s fused paths.
+
+class NativeKernels:
+    """The C tier's kernels behind a repo-object-level API.
+
+    The methods take the repo's own objects (plans, programs) and host NumPy
+    arrays, do the marshalling — contiguity, dtype views, scratch allocation
+    and the empty-formula / empty-clause special cases, kept identical to
+    :class:`~repro.cnf.kernel.CNFEvalPlan`'s fused paths — and call the
+    compiled library through :mod:`ctypes`.
     """
 
-    tier = "abstract"
+    tier = "cext"
+
+    def __init__(self) -> None:
+        from repro.native import cext
+
+        self._lib = cext.load_library()
 
     # -- CNF ----------------------------------------------------------------------------
+    def _cnf_run(self, fn, plan, matrix, out, *extra) -> None:
+        """Call a CNF kernel; ``extra`` goes between the clause layout and the scratch."""
+        batch, nvars = matrix.shape
+        arrays = cnf_native_arrays(plan)
+        scratch = np.empty((nvars, (batch + 63) // 64), dtype=np.uint64)
+        fn(
+            _ptr(matrix, ctypes.c_uint8),
+            batch,
+            nvars,
+            _ptr(arrays.literal_columns, ctypes.c_int64),
+            _ptr(arrays.literal_negated, ctypes.c_uint8),
+            _ptr(arrays.clause_offsets, ctypes.c_int64),
+            arrays.num_clauses,
+            *extra,
+            _ptr(scratch, ctypes.c_uint64),
+            out.ctypes.data_as(fn.argtypes[-1]),
+        )
+
     def cnf_evaluate(self, plan, assignments) -> np.ndarray:
         """Per-row satisfaction, bitwise identical to ``plan.evaluate``."""
         matrix = _as_bool_matrix(assignments)
@@ -200,18 +189,8 @@ class NativeKernels:
             return np.zeros(batch, dtype=bool)
         if plan.reduce_offsets.size == 0:
             return np.ones(batch, dtype=bool)
-        arrays = cnf_native_arrays(plan)
-        num_words = (batch + 63) // 64
-        scratch = np.empty((matrix.shape[1], num_words), dtype=np.uint64)
         out = np.empty(batch, dtype=np.uint8)
-        self._cnf_eval(
-            matrix,
-            arrays.literal_columns,
-            arrays.literal_negated,
-            arrays.clause_offsets,
-            scratch,
-            out,
-        )
+        self._cnf_run(self._lib.repro_cnf_eval, plan, matrix, out)
         return out.view(np.bool_)
 
     def cnf_unsatisfied_counts(self, plan, assignments) -> np.ndarray:
@@ -220,146 +199,16 @@ class NativeKernels:
         batch = matrix.shape[0]
         if plan.reduce_offsets.size == 0:
             return np.full(batch, plan.num_empty, dtype=np.int64)
-        arrays = cnf_native_arrays(plan)
-        num_words = (batch + 63) // 64
-        scratch = np.empty((matrix.shape[1], num_words), dtype=np.uint64)
         out = np.empty(batch, dtype=np.int64)
-        self._cnf_unsat_counts(
-            matrix,
-            arrays.literal_columns,
-            arrays.literal_negated,
-            arrays.clause_offsets,
-            plan.num_empty,
-            scratch,
-            out,
+        self._cnf_run(
+            self._lib.repro_cnf_unsat_counts, plan, matrix, out, plan.num_empty
         )
         return out
 
     # -- engine -------------------------------------------------------------------------
-    def engine_forward(self, program, values) -> None:
-        """Run the op stream in place over the ``(slots, batch)`` float matrix."""
-        state = engine_native_state(program)
-        self._engine_forward(values, state)
-
-    def engine_backward(self, program, values, grads) -> None:
-        """Accumulate operand gradients in place (reverse op order)."""
-        state = engine_native_state(program)
-        self._engine_backward(values, grads, state)
-
-    def engine_execute_bool(self, program, values) -> None:
-        """Boolean mode in place over the ``(slots, batch)`` bool matrix."""
-        state = engine_native_state(program)
-        self._engine_execute_bool(values.view(np.uint8), state)
-
-    def engine_execute_packed(self, program, values) -> None:
-        """Bit-parallel mode in place over the ``(slots, lanes)`` uint64 matrix."""
-        state = engine_native_state(program)
-        self._engine_execute_packed(values, state)
-
-    # -- transform ----------------------------------------------------------------------
-    def complement_scan(self, variable: int, clauses: Sequence, max_vars: int) -> int:
-        """Fast-path verdict for one ``(variable, clause group)`` attempt.
-
-        Returns ``1`` (the group defines ``variable``), ``0`` (it does not)
-        or ``-1`` (raw support wider than ``max_vars``; the caller falls back
-        to the exact expression route).  ``max_vars`` must be at most
-        :data:`TRANSFORM_MAX_VARS`; the caller guards.  Verdicts are memoised
-        (see ``_SCAN_VERDICTS``) — repeat attempts on a growing stream buffer
-        cost a dict lookup, like the Python path's interned truth tables.
-        """
-        key = (
-            int(variable),
-            int(max_vars),
-            tuple(clause.literals for clause in clauses),
-        )
-        verdict = _SCAN_VERDICTS.get(key)
-        if verdict is None:
-            literals, offsets = flatten_clause_group(clauses)
-            verdict = self._complement_scan(
-                literals, offsets, int(variable), int(max_vars)
-            )
-            if len(_SCAN_VERDICTS) >= _SCAN_VERDICT_LIMIT:
-                _SCAN_VERDICTS.clear()
-            _SCAN_VERDICTS[key] = verdict
-        return verdict
-
-
-def _ptr(array: np.ndarray, ctype):
-    return array.ctypes.data_as(ctypes.POINTER(ctype))
-
-
-class CExtKernels(NativeKernels):
-    """The compiled-C tier (ctypes over the on-demand-built shared library)."""
-
-    tier = "cext"
-
-    def __init__(self) -> None:
-        import threading
-
-        from repro.native import cext
-
-        self._lib = cext.load_library()
-        # Per-thread scan scratch: one buffer pair with its ctypes pointers
-        # built once.  ``ndarray.ctypes.data_as`` costs microseconds — more
-        # than the scan kernel itself on typical groups — so per-call pointer
-        # construction would hand the win straight back to the Python path.
-        self._scan_local = threading.local()
-
-    def _scan_scratch(self, num_literals: int, num_offsets: int):
-        scratch = getattr(self._scan_local, "scratch", None)
-        if (
-            scratch is None
-            or scratch[0].shape[0] < num_literals
-            or scratch[1].shape[0] < num_offsets
-        ):
-            literals = np.empty(max(4096, num_literals), dtype=np.int32)
-            offsets = np.empty(max(1025, num_offsets), dtype=np.int64)
-            scratch = (
-                literals,
-                offsets,
-                literals.ctypes.data_as(ctypes.POINTER(ctypes.c_int32)),
-                offsets.ctypes.data_as(ctypes.POINTER(ctypes.c_int64)),
-            )
-            self._scan_local.scratch = scratch
-        return scratch
-
-    def _cnf_eval(self, matrix, cols, neg, offs, scratch, out) -> None:
-        batch, nvars = matrix.shape
-        self._lib.repro_cnf_eval(
-            _ptr(matrix, ctypes.c_uint8),
-            batch,
-            nvars,
-            _ptr(cols, ctypes.c_int64),
-            _ptr(neg, ctypes.c_uint8),
-            _ptr(offs, ctypes.c_int64),
-            offs.shape[0] - 1,
-            _ptr(scratch, ctypes.c_uint64),
-            _ptr(out, ctypes.c_uint8),
-        )
-
-    def _cnf_unsat_counts(self, matrix, cols, neg, offs, num_empty, scratch, out) -> None:
-        batch, nvars = matrix.shape
-        self._lib.repro_cnf_unsat_counts(
-            _ptr(matrix, ctypes.c_uint8),
-            batch,
-            nvars,
-            _ptr(cols, ctypes.c_int64),
-            _ptr(neg, ctypes.c_uint8),
-            _ptr(offs, ctypes.c_int64),
-            offs.shape[0] - 1,
-            num_empty,
-            _ptr(scratch, ctypes.c_uint64),
-            _ptr(out, ctypes.c_int64),
-        )
-
-    def _engine_forward(self, values, state) -> None:
-        if values.dtype == np.float64:
-            fn, ctype = self._lib.repro_engine_forward_f64, ctypes.c_double
-        else:
-            fn, ctype = self._lib.repro_engine_forward_f32, ctypes.c_float
-        fn(
-            _ptr(values, ctype),
-            values.shape[1],
+    @staticmethod
+    def _program_args(state):
+        return (
             state.num_ops,
             _ptr(state.opcodes, ctypes.c_uint8),
             _ptr(state.a_slots, ctypes.c_int32),
@@ -367,7 +216,18 @@ class CExtKernels(NativeKernels):
             _ptr(state.out_slots, ctypes.c_int32),
         )
 
-    def _engine_backward(self, values, grads, state) -> None:
+    def engine_forward(self, program, values) -> None:
+        """Run the op stream in place over the ``(slots, batch)`` float matrix."""
+        state = engine_native_state(program)
+        if values.dtype == np.float64:
+            fn, ctype = self._lib.repro_engine_forward_f64, ctypes.c_double
+        else:
+            fn, ctype = self._lib.repro_engine_forward_f32, ctypes.c_float
+        fn(_ptr(values, ctype), values.shape[1], *self._program_args(state))
+
+    def engine_backward(self, program, values, grads) -> None:
+        """Accumulate operand gradients in place (reverse op order)."""
+        state = engine_native_state(program)
         if values.dtype == np.float64:
             fn, ctype = self._lib.repro_engine_backward_f64, ctypes.c_double
         else:
@@ -376,91 +236,21 @@ class CExtKernels(NativeKernels):
             _ptr(values, ctype),
             _ptr(grads, ctype),
             values.shape[1],
-            state.num_ops,
-            _ptr(state.opcodes, ctypes.c_uint8),
-            _ptr(state.a_slots, ctypes.c_int32),
-            _ptr(state.b_slots, ctypes.c_int32),
-            _ptr(state.out_slots, ctypes.c_int32),
+            *self._program_args(state),
         )
 
-    def _engine_execute_bool(self, values, state) -> None:
+    def engine_execute_bool(self, program, values) -> None:
+        """Boolean mode in place over the ``(slots, batch)`` bool matrix."""
+        state = engine_native_state(program)
         self._lib.repro_engine_execute_bool(
-            _ptr(values, ctypes.c_uint8),
+            _ptr(values.view(np.uint8), ctypes.c_uint8),
             values.shape[1],
-            state.num_ops,
-            _ptr(state.opcodes, ctypes.c_uint8),
-            _ptr(state.a_slots, ctypes.c_int32),
-            _ptr(state.b_slots, ctypes.c_int32),
-            _ptr(state.out_slots, ctypes.c_int32),
+            *self._program_args(state),
         )
 
-    def _engine_execute_packed(self, values, state) -> None:
+    def engine_execute_packed(self, program, values) -> None:
+        """Bit-parallel mode in place over the ``(slots, lanes)`` uint64 matrix."""
+        state = engine_native_state(program)
         self._lib.repro_engine_execute_packed(
-            _ptr(values, ctypes.c_uint64),
-            values.shape[1],
-            state.num_ops,
-            _ptr(state.opcodes, ctypes.c_uint8),
-            _ptr(state.a_slots, ctypes.c_int32),
-            _ptr(state.b_slots, ctypes.c_int32),
-            _ptr(state.out_slots, ctypes.c_int32),
-        )
-
-    def _complement_scan(self, literals, offsets, variable, max_vars) -> int:
-        buffer_literals, buffer_offsets, literals_ptr, offsets_ptr = (
-            self._scan_scratch(len(literals), len(offsets))
-        )
-        buffer_literals[: len(literals)] = literals
-        buffer_offsets[: len(offsets)] = offsets
-        return int(
-            self._lib.repro_transform_complement_scan(
-                literals_ptr, offsets_ptr, len(offsets) - 1, variable, max_vars
-            )
-        )
-
-
-class NumbaKernels(NativeKernels):
-    """The Numba tier (optional dependency; jitted mirrors of the C kernels)."""
-
-    tier = "numba"
-
-    def __init__(self) -> None:
-        from repro.native import numba_tier
-
-        self._mod = numba_tier
-        numba_tier.warm_up()
-
-    def _cnf_eval(self, matrix, cols, neg, offs, scratch, out) -> None:
-        self._mod.cnf_eval(matrix, cols, neg, offs, scratch, out)
-
-    def _cnf_unsat_counts(self, matrix, cols, neg, offs, num_empty, scratch, out) -> None:
-        self._mod.cnf_unsat_counts(matrix, cols, neg, offs, num_empty, scratch, out)
-
-    def _engine_forward(self, values, state) -> None:
-        self._mod.engine_forward(
-            values, state.opcodes, state.a_slots, state.b_slots, state.out_slots
-        )
-
-    def _engine_backward(self, values, grads, state) -> None:
-        self._mod.engine_backward(
-            values, grads, state.opcodes, state.a_slots, state.b_slots, state.out_slots
-        )
-
-    def _engine_execute_bool(self, values, state) -> None:
-        self._mod.engine_execute_bool(
-            values, state.opcodes, state.a_slots, state.b_slots, state.out_slots
-        )
-
-    def _engine_execute_packed(self, values, state) -> None:
-        self._mod.engine_execute_packed(
-            values, state.opcodes, state.a_slots, state.b_slots, state.out_slots
-        )
-
-    def _complement_scan(self, literals, offsets, variable, max_vars) -> int:
-        return int(
-            self._mod.complement_scan(
-                np.array(literals, dtype=np.int32),
-                np.array(offsets, dtype=np.int64),
-                variable,
-                max_vars,
-            )
+            _ptr(values, ctypes.c_uint64), values.shape[1], *self._program_args(state)
         )

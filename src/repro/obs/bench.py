@@ -8,11 +8,10 @@ implementation; ``repro.utils.timing`` keeps its general-purpose
 
 Why these defaults:
 
-* **untimed warm-up** — one-time costs (native kernel builds / Numba JIT,
-  plan compilation, lazy imports) must land outside every timed loop; they
-  are reported separately (``repro.native.compile_seconds``,
-  ``repro_transform_stage_seconds_total{stage="native_compile"}``) where
-  they matter;
+* **untimed warm-up** — one-time costs (native kernel builds, plan
+  compilation, lazy imports) must land outside every timed loop; they
+  are reported separately (``repro.native.compile_seconds``) where they
+  matter;
 * **gc.collect() per repeat** — garbage from one contender (e.g. an
   interpreter tape allocating thousands of nodes per pass) must not be
   collected on the other contender's clock;

@@ -28,8 +28,8 @@ or JSON Lines (one job object per line).  Job object keys:
     :class:`SamplerConfig` field overrides — ``batch_size``, ``iterations``,
     ``learning_rate``, ``optimizer``, ``init_scale``, ``seed``, ``backend``,
     ``max_rounds``, ``stall_rounds``, ``timeout_seconds``,
-    ``array_backend``, and ``device`` (either a device-kind string or
-    ``{"kind", "chunk_size", "array_backend"}``).
+    ``array_backend``, ``kernel``, ``telemetry``, and ``device`` (either a
+    device-kind string or ``{"kind", "chunk_size"}``).
 ``portfolio``
     Either an integer N (N members with seeds ``seed .. seed+N-1``) or a
     list of config-override objects, one per member.
@@ -165,7 +165,6 @@ def config_to_dict(config: SamplerConfig) -> Dict[str, object]:
         "device": {
             "kind": config.device.kind.value,
             "chunk_size": config.device.chunk_size,
-            "array_backend": config.device.array_backend,
         },
     }
 
@@ -195,13 +194,12 @@ def _device_from(value: object) -> Device:
     if isinstance(value, str):
         return Device(DeviceKind(value))
     if isinstance(value, dict):
-        unknown = set(value) - {"kind", "chunk_size", "array_backend"}
+        unknown = set(value) - {"kind", "chunk_size"}
         if unknown:
             raise ManifestError(f"unknown device fields {sorted(unknown)}")
         return Device(
             DeviceKind(value.get("kind", DeviceKind.GPU_SIM.value)),
             int(value.get("chunk_size", 0)),
-            value.get("array_backend"),
         )
     raise ManifestError(f"cannot interpret {type(value).__name__} as a device")
 

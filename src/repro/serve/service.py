@@ -266,8 +266,7 @@ class SamplingService:
         default.
     kernel:
         Native kernel mode (:mod:`repro.native`: ``"auto"``, ``"native"``,
-        ``"python"``/``"off"``, ``"cext"``, ``"numba"``) each worker pins at
-        startup; job configs with a ``kernel`` field keep their own choice.
+        ``"python"``/``"off"``) each worker pins at startup; job configs with a ``kernel`` field keep their own choice.
         ``None`` leaves the process default (``REPRO_NATIVE``) in place.
     cache_entries / cache_bytes:
         Bounds of each worker's formula-keyed artifact cache (LRU over
@@ -921,7 +920,7 @@ class SamplingService:
             "transform_seconds": sum(
                 member.get("transform_seconds", 0.0) for member in members
             ),
-            # One-time native kernel build/JIT cost incurred by this job's
+            # One-time native kernel build cost incurred by this job's
             # members, and the tiers that ran — kept separate from the
             # sampling seconds so cold and warm runs stay comparable.
             "compile_seconds": sum(

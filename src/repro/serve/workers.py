@@ -210,7 +210,7 @@ def execute_task(
                 "elapsed_seconds": time.perf_counter() - start,
                 # Which native kernel tier this task's config resolves to
                 # ("python" = pure NumPy paths) and any one-time kernel
-                # build/JIT cost incurred while it ran — kept out of the
+                # build cost incurred while it ran — kept out of the
                 # sampling seconds so cold and warm runs stay comparable.
                 "kernel_tier": native.active_tier(config.kernel) or "python",
                 "compile_seconds": native.compile_seconds() - compile_before,

@@ -15,12 +15,11 @@ compiled program (the engine registers a single tape node per forward call).
 Arrays live on the *active array backend* (:func:`repro.xp.active_backend`):
 tensor data is created with the backend's ``asarray``/``zeros``/``stack`` and
 its float-dtype policy, and all arithmetic uses operators the backend's
-arrays implement natively — so the same tape runs on NumPy (the bitwise
-reference), CuPy or Torch without a code change.  The tape deliberately does
-*not* pin a backend per tensor: a graph must be built **and** backpropagated
-under the backend that created it (the samplers guarantee this by wrapping
-each run in :func:`repro.xp.use_backend`); calling ``backward()`` on a
-device graph after leaving the scope is unsupported.
+arrays implement natively — so the same tape runs under the ``float64``
+reference policy or the ``float32`` throughput policy without a code change.
+The tape deliberately does *not* pin a backend per tensor: a graph must be
+built **and** backpropagated under the backend that created it (the samplers
+guarantee this by wrapping each run in :func:`repro.xp.use_backend`).
 """
 
 from __future__ import annotations

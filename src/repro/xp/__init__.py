@@ -1,12 +1,12 @@
-"""``repro.xp`` — the pluggable array-backend layer.
+"""``repro.xp`` — the array-backend layer.
 
-One device abstraction spans the whole pipeline: the autodiff tape
+One array abstraction spans the whole pipeline: the autodiff tape
 (:mod:`repro.tensor`), the compiled levelized engine (:mod:`repro.engine`),
 the CNF evaluation kernel (:mod:`repro.cnf.kernel`) and the samplers all
 route their array work through the *active* :class:`ArrayBackend` instead of
-importing NumPy directly.  :class:`NumpyBackend` is the default and the
-bitwise reference; CuPy and Torch backends ride along best-effort and are
-auto-skipped where the runtime is missing.
+importing NumPy directly.  :class:`NumpyBackend` is the only runtime: its
+``float64`` policy is the bitwise reference and ``numpy:float32`` the
+reduced-precision throughput policy.
 
 Selection (precedence: environment < config < CLI):
 
@@ -15,10 +15,10 @@ Selection (precedence: environment < config < CLI):
 'numpy'
 >>> with xp.use_backend("numpy:float32"):          # scoped override
 ...     ...
->>> # per-sampler: SamplerConfig(array_backend="cupy") / CLI --array-backend
+>>> # per-sampler: SamplerConfig(array_backend="numpy:float32") / CLI --array-backend
 
 ``clear_caches()`` drops every memoised compiled artifact (engine programs,
-CNF evaluation plans and their per-backend device copies) — the explicit
+CNF evaluation plans and their native-kernel layouts) — the explicit
 invalidation hook that previously existed only implicitly via mutation.
 """
 
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import contextlib
 import threading
-from typing import Iterator, Optional, Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -38,13 +38,9 @@ from repro.xp.backend import (
 )
 from repro.xp.registry import (
     BACKEND_ENV_VAR,
-    available_backends,
-    backend_available,
     default_spec,
     get_backend,
     parse_spec,
-    register_backend,
-    registered_backends,
     validate_spec,
 )
 
@@ -54,13 +50,9 @@ __all__ = [
     "BackendUnavailableError",
     "NumpyBackend",
     "BACKEND_ENV_VAR",
-    "available_backends",
-    "backend_available",
     "default_spec",
     "get_backend",
     "parse_spec",
-    "register_backend",
-    "registered_backends",
     "validate_spec",
     "active_backend",
     "set_active_backend",
@@ -114,39 +106,20 @@ def use_backend(backend: Union[ArrayBackend, str]) -> Iterator[ArrayBackend]:
 
 
 def backend_for(array) -> ArrayBackend:
-    """The backend evaluation of ``array`` should run on (residency rule).
+    """The backend evaluation of caller-supplied ``array`` runs on.
 
-    Host inputs — NumPy arrays, lists, tuples — resolve the NumPy reference
-    backend even when a device backend is active, so un-migrated host-side
-    consumers are unaffected by ``REPRO_ARRAY_BACKEND``; device-resident
-    arrays resolve the active backend and stay on their device.  Every
+    Caller arrays are host arrays, so this is always the ``float64`` NumPy
+    reference, whatever dtype policy is active: host-side consumers
+    (metrics, baselines) are unaffected by ``REPRO_ARRAY_BACKEND``.  Every
     public evaluation entry point that accepts caller arrays
     (``CNF.evaluate_batch``, direct ``CNFEvalPlan`` calls, ``simulate``,
     ``complete_assignments``) defaults through this one rule.
     """
-    backend = active_backend()
-    if backend.is_numpy or isinstance(array, (np.ndarray, list, tuple)):
-        return get_backend("numpy")
-    return backend
+    return get_backend("numpy")
 
 
 def to_numpy(array) -> np.ndarray:
-    """Bring any backend's array to the host (the one blessed boundary crossing).
-
-    Duck-typed rather than routed through the active backend so host-side
-    consumers (solution dedup, reports) accept arrays from *any* backend
-    regardless of what is currently active: NumPy arrays pass through as
-    views, CuPy downloads via ``.get()``, Torch via ``.cpu().numpy()``.
-    """
-    if isinstance(array, np.ndarray):
-        return array
-    get = getattr(array, "get", None)  # CuPy
-    if callable(get):
-        return np.asarray(get())
-    cpu = getattr(array, "cpu", None)  # Torch
-    if callable(cpu):
-        detach = getattr(array, "detach", lambda: array)
-        return detach().cpu().numpy()
+    """Bring a backend array to the host (a view, never a copy, for ndarrays)."""
     return np.asarray(array)
 
 
@@ -154,12 +127,11 @@ def clear_caches() -> None:
     """Drop every memoised compiled artifact in the process.
 
     Clears the per-circuit compiled-program memos of the engine, the
-    per-formula CNF evaluation plans (including their per-backend device
-    copies) and the per-artifact native-kernel layouts
-    (:func:`repro.native.clear_caches`).  Until now these caches could only
-    be invalidated by mutating the owning circuit/formula; this is the
-    explicit hook for long-lived processes that swap backends or want to
-    release memory.
+    per-formula CNF evaluation plans and the per-artifact native-kernel
+    layouts (:func:`repro.native.clear_caches`).  Until now these caches
+    could only be invalidated by mutating the owning circuit/formula; this
+    is the explicit hook for long-lived processes that want to release
+    memory.
     """
     from repro import native
     from repro.cnf import kernel as cnf_kernel

@@ -5,28 +5,23 @@ library: the autodiff tape (:mod:`repro.tensor`), the compiled levelized
 engine (:mod:`repro.engine`), the CNF evaluation kernel
 (:mod:`repro.cnf.kernel`) and the samplers all express their array work
 against this interface instead of importing ``numpy`` directly.  Swapping the
-backend therefore swaps the device the *whole* learn-sample loop runs on —
-the property the paper's GPU throughput numbers rely on.
+backend's dtype policy therefore swaps the precision the *whole* learn-sample
+loop runs at.
 
 Design rules:
 
-* **NumPy is the reference.**  :class:`NumpyBackend` binds the real NumPy
+* **NumPy is the runtime.**  :class:`NumpyBackend` binds the real NumPy
   functions as instance attributes, so routing through the backend costs one
   attribute lookup per fused statement and the results are bitwise-identical
-  to direct ``numpy`` calls.  The equivalence test suite pins every other
-  backend against it.
-* **Best-effort accelerators.**  GPU/tensor-runtime backends (CuPy, Torch)
-  subclass this interface and may fall back to a host round-trip for ops the
-  runtime lacks (``reduceat``, bit packing); :attr:`supports_packed` tells
-  callers when the packed kernels would be emulated rather than native.
+  to direct ``numpy`` calls.
 * **Dtype policy lives here.**  :attr:`float_dtype` fixes the precision of
   the probabilistic relaxation (``float64`` reproduces the reference bitwise;
-  ``float32`` is the GPU throughput mode, validated to ~1e-5 by the policy
+  ``float32`` is the throughput mode, validated to ~1e-5 by the policy
   tests).
-* **One seeded stream per backend.**  :meth:`rng` returns a
-  :class:`BackendRNG` drawing from a host-side NumPy generator and uploading
-  via :meth:`from_numpy`, so a fixed seed produces the *same* candidate
-  stream on every backend and sampler restarts are reproducible per-backend.
+* **One seeded stream per policy.**  :meth:`rng` returns a
+  :class:`BackendRNG` drawing from a host-side NumPy generator, so a fixed
+  seed produces the *same* candidate stream under every policy and sampler
+  restarts are reproducible.
 """
 
 from __future__ import annotations
@@ -39,18 +34,16 @@ from repro.utils.rng import SeedLike, new_rng
 
 
 class BackendUnavailableError(ImportError):
-    """Raised when an optional backend's runtime cannot be imported."""
+    """Raised when an explicitly requested runtime (the native C tier) is unavailable."""
 
 
 class BackendRNG:
-    """Seeded random stream yielding arrays on a backend's device.
+    """Seeded random stream yielding arrays of a backend.
 
     Draws come from one host-side :class:`numpy.random.Generator` and are
-    uploaded through the backend's :meth:`~ArrayBackend.from_numpy`, so every
-    backend consumes an identical stream for a given seed: sampled solutions
-    can match across devices, and re-seeding reproduces a run exactly.
-    Backends may override :meth:`ArrayBackend.rng` with a device-native
-    generator when stream parity does not matter.
+    passed through the backend's :meth:`~ArrayBackend.from_numpy`, so every
+    dtype policy consumes an identical stream for a given seed, and
+    re-seeding reproduces a run exactly.
     """
 
     __slots__ = ("_backend", "host")
@@ -76,18 +69,14 @@ class BackendRNG:
 class ArrayBackend:
     """Abstract array namespace: creation, elementwise ops, reductions, RNG.
 
-    Concrete backends either bind native functions as attributes (NumPy,
-    CuPy) or override the methods (Torch).  The generic method bodies below
-    implement the exotic ops (segmented reductions, bit packing) via a host
-    round-trip so a minimal subclass is already correct, just not fast.
+    :class:`NumpyBackend` binds NumPy functions as attributes.  The generic
+    method bodies below implement the exotic ops (segmented reductions, bit
+    packing) via a host round-trip so a minimal subclass is already correct,
+    just not fast.
     """
 
-    #: Registry name of the backend ("numpy", "cupy", "torch").
+    #: Name of the backend in a spec ("numpy").
     name: str = "abstract"
-    #: True only for the NumPy reference backend (enables zero-copy fast paths).
-    is_numpy: bool = False
-    #: Whether the uint8/uint64 bit-packed kernels run natively on the device.
-    supports_packed: bool = True
 
     def __init__(self, float_dtype=None) -> None:
         self.float_dtype = np.dtype(float_dtype or np.float64)
@@ -140,7 +129,7 @@ class ArrayBackend:
         raise NotImplementedError
 
     def copy(self, array):
-        """A materialised copy (``clone`` on Torch)."""
+        """A materialised copy."""
         return array.copy()
 
     def astype(self, array, dtype):
@@ -277,8 +266,6 @@ class NumpyBackend(ArrayBackend):
     """
 
     name = "numpy"
-    is_numpy = True
-    supports_packed = True
 
     def __init__(self, float_dtype=None) -> None:
         super().__init__(float_dtype)

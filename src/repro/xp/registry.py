@@ -1,57 +1,36 @@
-"""Backend registry: named factories, spec parsing, environment default.
+"""Backend specs: parsing, validation, environment default, memoised instances.
 
-A *spec* is ``"<name>"`` or ``"<name>:<float-dtype>"`` — ``"numpy"``,
-``"numpy:float32"``, ``"cupy"``, ``"torch:float32"``.  The dtype suffix
-selects the backend's float policy (``float64`` is the bitwise reference,
-``float32`` the reduced-precision throughput mode).
+A *spec* is ``"numpy"`` or ``"numpy:<float-dtype>"`` — ``"numpy"``,
+``"numpy:float32"``.  The dtype suffix selects the backend's float policy
+(``float64`` is the bitwise reference, ``float32`` the reduced-precision
+throughput mode).
 
 Resolution precedence across the library is **environment < config < CLI**:
 
 * ``REPRO_ARRAY_BACKEND`` sets the process-wide default consulted by
   :func:`repro.xp.active_backend` when nothing was selected explicitly;
-* ``SamplerConfig(array_backend=...)`` (or ``Device(array_backend=...)``)
-  overrides the environment for one sampler;
+* ``SamplerConfig(array_backend=...)`` overrides the environment for one
+  sampler;
 * the CLI flag ``--array-backend`` writes the config field, so it wins.
-
-Third-party backends plug in with :func:`register_backend` — the factory
-receives the requested float dtype (or ``None``) and must return an
-:class:`~repro.xp.backend.ArrayBackend`; raise
-:class:`~repro.xp.backend.BackendUnavailableError` when the runtime is
-missing so :func:`available_backends` can skip it.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.xp.backend import ArrayBackend, BackendUnavailableError, NumpyBackend
+from repro.xp.backend import ArrayBackend, NumpyBackend
 
 #: Environment variable holding the process-wide default backend spec.
 BACKEND_ENV_VAR = "REPRO_ARRAY_BACKEND"
 
+#: The one array runtime a spec may name.
+BACKEND_NAME = "numpy"
+
 #: Float-dtype policies a spec suffix may name.
 FLOAT_DTYPES = ("float64", "float32")
 
-BackendFactory = Callable[[Optional[str]], ArrayBackend]
-
-_FACTORIES: Dict[str, BackendFactory] = {}
 _INSTANCES: Dict[str, ArrayBackend] = {}
-
-
-def register_backend(name: str, factory: BackendFactory) -> None:
-    """Register (or replace) a backend factory under ``name``."""
-    if not name or ":" in name:
-        raise ValueError(f"backend name must be non-empty and colon-free, got {name!r}")
-    _FACTORIES[name] = factory
-    # Drop any memoised instances of a replaced factory.
-    for spec in [s for s in _INSTANCES if s.split(":", 1)[0] == name]:
-        del _INSTANCES[spec]
-
-
-def registered_backends() -> List[str]:
-    """Names of all registered factories (including unavailable ones)."""
-    return sorted(_FACTORIES)
 
 
 def parse_spec(spec: str) -> Tuple[str, Optional[str]]:
@@ -62,9 +41,9 @@ def parse_spec(spec: str) -> Tuple[str, Optional[str]]:
     if separator and not dtype:
         raise ValueError(f"backend spec {spec!r} has an empty dtype suffix")
     dtype = dtype or None
-    if name not in _FACTORIES:
+    if name != BACKEND_NAME:
         raise ValueError(
-            f"unknown array backend {name!r}; registered: {registered_backends()}"
+            f"unknown array backend {name!r}; the only backend is {BACKEND_NAME!r}"
         )
     if dtype is not None and dtype not in FLOAT_DTYPES:
         raise ValueError(
@@ -74,73 +53,26 @@ def parse_spec(spec: str) -> Tuple[str, Optional[str]]:
 
 
 def validate_spec(spec: str) -> str:
-    """Check a spec's syntax and registration without instantiating; returns it."""
+    """Check a spec's syntax without instantiating; returns it."""
     parse_spec(spec)
     return spec
 
 
 def default_spec() -> str:
     """The process default: ``REPRO_ARRAY_BACKEND`` or ``"numpy"``."""
-    return os.environ.get(BACKEND_ENV_VAR, "numpy")
+    return os.environ.get(BACKEND_ENV_VAR, BACKEND_NAME)
 
 
 def get_backend(spec: Optional[str] = None) -> ArrayBackend:
     """Resolve a spec to a (memoised) backend instance.
 
     ``None`` resolves the environment default.  Raises ``ValueError`` for
-    malformed or unregistered specs and
-    :class:`~repro.xp.backend.BackendUnavailableError` when the named
-    runtime cannot be imported.
+    malformed specs.
     """
     spec = spec if spec is not None else default_spec()
     instance = _INSTANCES.get(spec)
     if instance is None:
-        name, dtype = parse_spec(spec)
-        instance = _FACTORIES[name](dtype)
+        _, dtype = parse_spec(spec)
+        instance = NumpyBackend(float_dtype=dtype)
         _INSTANCES[spec] = instance
     return instance
-
-
-def backend_available(name: str) -> bool:
-    """Whether the named backend instantiates on this host."""
-    try:
-        get_backend(name)
-    except (BackendUnavailableError, ValueError):
-        return False
-    return True
-
-
-def available_backends() -> List[str]:
-    """Registered backend names that instantiate on this host.
-
-    The equivalence test suite parametrises over this list, so optional
-    runtimes (CuPy, Torch) are covered exactly where they exist and skipped
-    everywhere else.
-    """
-    return [name for name in registered_backends() if backend_available(name)]
-
-
-def clear_instances() -> None:
-    """Drop memoised backend instances (tests re-registering factories)."""
-    _INSTANCES.clear()
-
-
-def _make_numpy(dtype: Optional[str]) -> ArrayBackend:
-    return NumpyBackend(float_dtype=dtype)
-
-
-def _make_cupy(dtype: Optional[str]) -> ArrayBackend:
-    from repro.xp.cupy_backend import CupyBackend
-
-    return CupyBackend(float_dtype=dtype)
-
-
-def _make_torch(dtype: Optional[str]) -> ArrayBackend:
-    from repro.xp.torch_backend import TorchBackend
-
-    return TorchBackend(float_dtype=dtype)
-
-
-register_backend("numpy", _make_numpy)
-register_backend("cupy", _make_cupy)
-register_backend("torch", _make_torch)

@@ -22,9 +22,8 @@ from repro.cnf.kernel import (
 )
 from tests.conftest import all_assignments
 
-#: Backends runnable on this host/configuration: "native" drops out when no
-#: tier can be brought up or kernels are disabled (REPRO_NATIVE=off), the
-#: same auto-skip the missing CuPy/Torch array backends get.
+#: Backends runnable on this host/configuration: "native" drops out when the
+#: C tier cannot be brought up or kernels are disabled (REPRO_NATIVE=off).
 RUNNABLE_BACKENDS = tuple(
     backend
     for backend in BACKENDS

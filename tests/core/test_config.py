@@ -29,6 +29,10 @@ class TestValidation:
             {"optimizer": "rmsprop"},
             {"timeout_seconds": 0.0},
             {"stall_rounds": 0},
+            {"kernel": "numba"},
+            {"kernel": "cext"},
+            {"array_backend": "torch"},
+            {"array_backend": "cupy"},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):

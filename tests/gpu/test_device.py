@@ -97,30 +97,3 @@ class TestChunkEdgeCases:
     def test_num_launches_counts_spans(self):
         assert Device(DeviceKind.GPU_SIM, chunk_size=40).num_launches(100) == 3
         assert Device(DeviceKind.CPU).num_launches(5) == 5
-
-
-class TestDeviceBackend:
-    def test_default_inherits_active_backend(self):
-        import repro.xp as xp
-
-        assert Device().backend() is xp.active_backend()
-
-    def test_explicit_backend_resolved_lazily(self):
-        import repro.xp as xp
-
-        device = Device(DeviceKind.GPU_SIM, array_backend="numpy:float32")
-        assert device.backend().float_dtype == np.float32
-        assert device.backend() is xp.get_backend("numpy:float32")
-
-    def test_invalid_backend_spec_rejected_at_construction(self):
-        with pytest.raises(ValueError):
-            Device(DeviceKind.GPU_SIM, array_backend="no-such-backend")
-
-    def test_get_device_accepts_array_backend(self):
-        device = get_device("gpu-sim", array_backend="numpy")
-        assert device.array_backend == "numpy"
-        assert device.backend().is_numpy
-
-    def test_describe_mentions_backend(self):
-        device = Device(DeviceKind.GPU_SIM, array_backend="numpy")
-        assert "backend=numpy" in device.describe()

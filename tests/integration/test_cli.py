@@ -57,6 +57,15 @@ class TestSampleSubcommand:
         assert output.exists()
         assert sum(1 for line in output.read_text().splitlines() if line.strip()) >= 1
 
+    @pytest.mark.parametrize(
+        "flag", [("--array-backend", "bogus"), ("--kernel", "numba")]
+    )
+    def test_bad_option_is_a_usage_error(self, fig1_path, flag):
+        completed = run_cli("sample", str(fig1_path), *flag)
+        assert completed.returncode == 2
+        assert "Traceback" not in completed.stderr
+        assert "error:" in completed.stderr and flag[1] in completed.stderr
+
 
 class TestTransformSubcommand:
     def test_transform_reports_structure(self, fig1_path, tmp_path):
@@ -136,3 +145,13 @@ class TestServeSubcommand:
         completed = run_cli("serve", str(manifest))
         assert completed.returncode != 0
         assert "exactly one of" in completed.stderr
+
+    def test_serve_unknown_manifest_key_is_a_usage_error(self, tmp_path):
+        manifest = tmp_path / "bad.json"
+        manifest.write_text('[{"instance": "or-50-10-7-UC-10", "colour": "red"}]')
+        completed = run_cli("serve", str(manifest))
+        assert completed.returncode == 2
+        assert "Traceback" not in completed.stderr
+        assert completed.stderr.strip().splitlines() == [
+            "repro-sat: error: job #0: unknown keys ['colour']"
+        ]

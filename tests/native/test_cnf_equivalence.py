@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro import native
 from repro.cnf.formula import CNF
 from repro.cnf.kernel import BACKENDS
+from tests.native.conftest import TIER
 
 
 def _random_matrix(seed: int, batch: int, num_variables: int) -> np.ndarray:
@@ -29,9 +30,9 @@ def _assert_all_backends_agree(formula: CNF, matrix: np.ndarray) -> None:
         )
 
 
-@pytest.mark.parametrize("tier", sorted(native.available_tiers()) or ["missing"])
+@pytest.mark.parametrize("tier", [TIER or "missing"])
 class TestHypothesisEquivalence:
-    """Random CNFs over every width bucket, every tier, bitwise vs reference.
+    """Random CNFs over every width bucket, bitwise vs reference.
 
     Parametrised directly (not via the ``tier`` fixture) because Hypothesis
     flags function-scoped fixtures inside ``@given`` tests.
@@ -62,7 +63,7 @@ class TestHypothesisEquivalence:
         formula = CNF(clauses, num_variables=num_variables, name="hyp-native")
         matrix = _random_matrix(seed, batch, num_variables)
         plan = formula.evaluation_plan()
-        kernels = native.kernels_for(tier)
+        kernels = native.kernels_for("native")
         result = kernels.cnf_evaluate(plan, matrix)
         counts = kernels.cnf_unsatisfied_counts(plan, matrix)
         assert result.dtype == np.bool_
@@ -150,8 +151,7 @@ class TestBackendDispatch:
     def test_native_backend_without_tiers_fails_loudly(self, monkeypatch):
         from repro.xp.backend import BackendUnavailableError
 
-        for name in native.TIERS:
-            monkeypatch.setitem(native._TIER_STATE, name, (None, f"{name} off"))
+        monkeypatch.setattr(native, "_PROBE", (None, "cext off"))
         formula = CNF([[1]], num_variables=1)
         with pytest.raises(BackendUnavailableError):
             formula.evaluate_batch(np.zeros((2, 1), dtype=bool), backend="native")

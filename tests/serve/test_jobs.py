@@ -70,6 +70,8 @@ class TestConfigRoundTrip:
             config_from_dict({"learning_rte": 1.0})
         with pytest.raises(ManifestError):
             config_from_dict({"device": {"kindd": "cpu"}})
+        with pytest.raises(ManifestError, match="unknown device fields"):
+            config_from_dict({"device": {"kind": "cpu", "array_backend": "numpy"}})
 
 
 class TestManifests:
@@ -121,6 +123,18 @@ class TestManifests:
             parse_manifest("not json at all")
         with pytest.raises(ManifestError, match="num_solutions"):
             parse_manifest(json.dumps([{"instance": "x", "num_solutions": 0}]))
+        for config in (
+            {"kernel": "numba"},
+            {"kernel": "cext"},
+            {"array_backend": "torch"},
+            {"array_backend": "cupy"},
+        ):
+            with pytest.raises(ManifestError, match="job #1"):
+                parse_manifest(
+                    json.dumps(
+                        [{"instance": "x"}, {"instance": "x", "config": config}]
+                    )
+                )
 
     def test_portfolio_validation(self):
         with pytest.raises(ManifestError, match="portfolio size"):

@@ -1,12 +1,10 @@
-"""Backend-equivalence suite: every available backend vs the NumPy reference.
+"""Backend-equivalence suite: the array-backend protocol vs the NumPy reference.
 
-Parametrised over :func:`repro.xp.available_backends`, so CuPy/Torch are
-exercised exactly on hosts that have them and skipped everywhere else.  The
-contract: engine forward passes, input gradients, boolean/packed execution,
-CNF kernel results and end-to-end sampled solutions must match the
-``NumpyBackend`` bitwise or to 1e-10 (the float tolerance absorbs
-reduction-order differences in accelerator runtimes; the NumPy backend
-itself is bitwise by construction and asserted exactly).
+Parametrised over the array runtimes (NumPy, the only one).  The contract:
+engine forward passes, input gradients, boolean/packed execution, CNF kernel
+results and end-to-end sampled solutions reached through the backend's
+``from_numpy``/``to_numpy`` boundary match the ``NumpyBackend`` reference
+bitwise.
 """
 
 from __future__ import annotations
@@ -25,9 +23,7 @@ from repro.engine.compiler import compile_circuit
 from repro.engine.executor import backward, execute_bool, execute_packed, forward
 from tests.engine.conftest import random_circuit
 
-FLOAT_TOLERANCE = 1e-10
-
-BACKENDS = xp.available_backends()
+BACKENDS = ["numpy"]
 
 
 def _numpy_reference():
@@ -40,18 +36,8 @@ def _program(seed: int = 0, num_gates: int = 40):
     return compile_circuit(circuit, list(circuit.outputs)), circuit
 
 
-def _assert_matches(candidate, reference, backend, exact: bool):
-    candidate = xp.to_numpy(candidate)
-    if exact or backend.is_numpy:
-        np.testing.assert_array_equal(candidate, reference)
-    else:
-        np.testing.assert_allclose(candidate, reference, rtol=0.0, atol=FLOAT_TOLERANCE)
-
-
-def _as_u64(array):
-    """Packed words as uint64 bit patterns (Torch carries them as int64 views)."""
-    array = xp.to_numpy(array)
-    return array.view(np.uint64) if array.dtype == np.int64 else array
+def _assert_matches(candidate, reference):
+    np.testing.assert_array_equal(xp.to_numpy(candidate), reference)
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)
@@ -62,7 +48,7 @@ class TestEngineEquivalence:
         reference, _ = forward(program, probabilities, _numpy_reference())
         backend = xp.get_backend(backend_name)
         outputs, _ = forward(program, backend.from_numpy(probabilities), backend)
-        _assert_matches(outputs, reference, backend, exact=False)
+        _assert_matches(outputs, reference)
 
     def test_backward_matches_reference(self, backend_name):
         program, _ = _program(seed=2)
@@ -74,7 +60,7 @@ class TestEngineEquivalence:
         backend = xp.get_backend(backend_name)
         _, cache = forward(program, backend.from_numpy(probabilities), backend)
         grads = backward(program, cache, backend.from_numpy(seed_grad))
-        _assert_matches(grads, reference, backend, exact=False)
+        _assert_matches(grads, reference)
 
     def test_bool_and_packed_modes_match_reference(self, backend_name):
         program, circuit = _program(seed=3)
@@ -84,7 +70,7 @@ class TestEngineEquivalence:
         backend = xp.get_backend(backend_name)
         values = execute_bool(program, backend.from_numpy(matrix), backend)
         for net in circuit.outputs:
-            _assert_matches(values[net], xp.to_numpy(reference[net]), backend, exact=True)
+            _assert_matches(values[net], xp.to_numpy(reference[net]))
         packed_inputs = {
             name: rng.integers(0, 2**63, size=4, dtype=np.uint64)
             for name in program.cone_inputs
@@ -92,9 +78,7 @@ class TestEngineEquivalence:
         packed_ref = execute_packed(program, packed_inputs, _numpy_reference())
         packed = execute_packed(program, dict(packed_inputs), backend)
         for net in circuit.outputs:
-            np.testing.assert_array_equal(
-                _as_u64(packed[net]), _as_u64(packed_ref[net])
-            )
+            _assert_matches(packed[net], packed_ref[net])
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)
@@ -127,30 +111,11 @@ class TestKernelEquivalence:
         reference_counts = plan.unsatisfied_counts(matrix, numpy_backend)
         backend = xp.get_backend(backend_name)
         device_matrix = backend.from_numpy(matrix)
-        _assert_matches(plan.evaluate(device_matrix, backend), reference, backend, True)
+        _assert_matches(plan.evaluate(device_matrix, backend), reference)
+        _assert_matches(plan.evaluate_packed(device_matrix, backend), reference)
         _assert_matches(
-            plan.evaluate_packed(device_matrix, backend), reference, backend, True
+            plan.unsatisfied_counts(device_matrix, backend), reference_counts
         )
-        _assert_matches(
-            plan.unsatisfied_counts(device_matrix, backend),
-            reference_counts,
-            backend,
-            True,
-        )
-
-    def test_plan_memoises_device_arrays_per_backend(self, backend_name):
-        formula = CNF([[1, -2], [2, 3], [-1]], num_variables=3)
-        plan = formula.evaluation_plan()
-        backend = xp.get_backend(backend_name)
-        matrix = backend.from_numpy(
-            np.random.default_rng(0).random((8, 3)) < 0.5
-        )
-        plan.evaluate(matrix, backend)
-        plan.evaluate(matrix, backend)
-        if backend.is_numpy:
-            assert plan._device_arrays == {}
-        else:
-            assert backend.cache_key in plan._device_arrays
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)
@@ -187,12 +152,10 @@ class TestPackedPrimitives:
 
     def test_uint64_words_roundtrip_as_bit_views(self, backend_name):
         backend = xp.get_backend(backend_name)
-        if not backend.supports_packed:
-            pytest.skip(f"{backend_name} has no native packed support")
         words = np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)
         device = backend.asarray(words, dtype=backend.uint64_dtype)
         inverted = backend.bitwise_xor(device, backend.packed_ones_u64)
-        np.testing.assert_array_equal(_as_u64(inverted), ~words)
+        _assert_matches(inverted, ~words)
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)
@@ -221,8 +184,7 @@ class TestSamplerEquivalence:
         # Same stream (the RNG handle is threaded through the backend), so
         # the solutions AND their insertion order must line up.
         assert matrix.shape == matrix_ref.shape
-        backend = xp.get_backend(backend_name)
-        _assert_matches(matrix, matrix_ref, backend, exact=backend.is_numpy)
+        _assert_matches(matrix, matrix_ref)
 
     def test_restarts_are_reproducible(self, backend_name, formula):
         config = SamplerConfig(batch_size=32, seed=5, max_rounds=2, array_backend=backend_name)
