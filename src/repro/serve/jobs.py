@@ -62,6 +62,8 @@ or JSON Lines (one job object per line).  Job object keys:
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -131,12 +133,43 @@ def normalize_source(source: Union[CNF, str, Path, Dict[str, str]]) -> Dict[str,
     raise TypeError(f"cannot interpret {type(source).__name__} as a formula source")
 
 
-def load_source(spec: Dict[str, str]) -> CNF:
-    """Re-materialise the formula a :func:`normalize_source` spec names."""
+def read_source(spec: Dict[str, str]) -> Tuple[str, Optional[bytes]]:
+    """Read a source spec once: ``(digest, data)``.
+
+    ``digest`` is a SHA-256 over the source's raw content, tagged by kind:
+    the file's bytes for a path, the UTF-8 text for inline DIMACS, the name
+    for a registry instance.  Equal digests mean equal formulas, so the
+    digest can stand in for a parse.  ``data`` is the file's bytes for a
+    path spec (``None`` otherwise): hand it to :func:`load_source` so a
+    parse sees exactly the bytes that were hashed, never a later edit.
+    """
+    data: Optional[bytes] = None
+    if "path" in spec:
+        data = Path(spec["path"]).read_bytes()
+        kind, content = b"path", data
+    elif "dimacs" in spec:
+        kind, content = b"dimacs", spec["dimacs"].encode("utf-8")
+    elif "instance" in spec:
+        kind, content = b"instance", spec["instance"].encode("utf-8")
+    else:
+        raise ManifestError(f"unrecognised source spec {sorted(spec)}")
+    return hashlib.sha256(kind + b"\0" + content).hexdigest(), data
+
+
+def load_source(spec: Dict[str, str], data: Optional[bytes] = None) -> CNF:
+    """Re-materialise the formula a :func:`normalize_source` spec names.
+
+    ``data`` is a path spec's already-read file bytes (see
+    :func:`read_source`); they are decoded as :meth:`Path.read_text` would
+    and the file is not read again.
+    """
     if "dimacs" in spec:
         return parse_dimacs(spec["dimacs"])
     if "path" in spec:
-        return parse_dimacs_file(Path(spec["path"]))
+        path = Path(spec["path"])
+        if data is None:
+            return parse_dimacs_file(path)
+        return parse_dimacs(io.TextIOWrapper(io.BytesIO(data)).read(), name=path.stem)
     if "instance" in spec:
         from repro.instances.registry import get_instance
 
@@ -240,9 +273,9 @@ class SamplingJob:
         if self.task is None:
             self.task = DEFAULT_TASK
 
-    def load_formula(self) -> CNF:
-        """Materialise the job's formula."""
-        return load_source(self.source)
+    def load_formula(self, data: Optional[bytes] = None) -> CNF:
+        """Materialise the job's formula (``data``: see :func:`load_source`)."""
+        return load_source(self.source, data)
 
     @classmethod
     def build(

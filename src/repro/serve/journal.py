@@ -11,13 +11,14 @@ reader does.
 
 Resume (:func:`plan_resume`) matches manifest jobs to completed journal
 records by *fingerprint* — a content hash over everything that determines
-a job's result (formula source, target, config, portfolio, workload task;
-**not** its id or retry policy) — so re-running ``repro-sat serve MANIFEST
---resume DIR`` skips the jobs that already finished with their solutions
-on disk and re-runs only the interrupted remainder.  A completed record
-only counts when the job's ``<id>.solutions`` file actually exists: the
-journal alone proves the service finished the job, the file proves the
-run's outputs survived.
+a job's result (formula source and, for a file path, the file's content;
+target, config, portfolio, workload task; **not** its id or retry
+policy) — so re-running ``repro-sat serve MANIFEST --resume DIR`` skips
+the jobs that already finished with their solutions on disk and re-runs
+only the interrupted remainder, plus any job whose ``.cnf`` file was
+edited since.  A completed record only counts when the job's
+``<id>.solutions`` file actually exists: the journal alone proves the
+service finished the job, the file proves the run's outputs survived.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.serve.jobs import SamplingJob, config_to_dict
+from repro.serve.jobs import SamplingJob, config_to_dict, read_source
 
 #: Journal file name inside a serve output directory.
 JOURNAL_NAME = "journal.jsonl"
@@ -47,12 +48,15 @@ RECORD_TYPES = (
 )
 
 
-def job_fingerprint(job: SamplingJob) -> str:
+def job_fingerprint(job: SamplingJob, source_digest: Optional[str] = None) -> str:
     """Content hash identifying a job's *result* across runs.
 
     Covers the formula source spec, target, full config, portfolio and
     workload task; excludes the job id (ids may be defaulted per run) and
-    the retry policy (retrying differently cannot change a result).
+    the retry policy (retrying differently cannot change a result).  A path
+    spec names a file whose content may change between runs, so for path
+    sources the file's content digest (:func:`~repro.serve.jobs.read_source`;
+    read here unless ``source_digest`` passes it in) is covered too.
     """
     payload = {
         "source": dict(job.source),
@@ -61,6 +65,13 @@ def job_fingerprint(job: SamplingJob) -> str:
         "portfolio": list(job.portfolio),
         "task": repr(job.task.canonical()),
     }
+    if "path" in job.source:
+        if source_digest is None:
+            try:
+                source_digest, _ = read_source(job.source)
+            except OSError:
+                pass  # an unreadable file matches no journaled completion
+        payload["content"] = source_digest
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 

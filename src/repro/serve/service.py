@@ -13,6 +13,9 @@ What the service layer adds over calling the sampler directly:
 * **request coalescing** — identical in-flight requests (same formula
   signature, config, target and portfolio) run once; followers share the
   primary's solution pool (:mod:`repro.serve.queue`);
+* **source memo** — a submit resolves its source to a signature through a
+  memo keyed by the SHA-256 of the source's raw bytes, so a warm source is
+  read and hashed but never re-parsed or re-signed;
 * **artifact affinity** — jobs are routed to a worker that already compiled
   the formula, so a hot formula never recompiles
   (:class:`~repro.serve.cache.ArtifactCache` per worker, signature-affinity
@@ -68,7 +71,7 @@ from repro.core.signatures import formula_signature
 from repro.core.solutions import SolutionSet
 from repro.core.task import SamplingTask
 from repro.serve.cache import ArtifactCache, DEFAULT_MAX_BYTES, DEFAULT_MAX_ENTRIES
-from repro.serve.jobs import SamplingJob, config_to_dict
+from repro.serve.jobs import SamplingJob, config_to_dict, read_source
 from repro.serve.journal import JobJournal, job_fingerprint
 from repro.serve.portfolio import member_configs, merge_member_solutions
 from repro.serve.queue import CoalesceTable, Dispatcher, coalesce_key
@@ -82,6 +85,7 @@ from repro.serve.workers import (
     unpack_rows,
     worker_main,
 )
+from repro.utils.weakcache import BoundedLRUCache
 from repro import obs
 
 #: Service-side job/artifact accounting.  ``repro_serve_artifacts_total`` is
@@ -113,6 +117,15 @@ _SERVE_RETRIES = obs.counter(
     "Task attempts requeued by the retry policy, by failure cause.",
     labels=("cause",),  # died / error
 )
+_SERVE_SOURCE_OPS = obs.counter(
+    "repro_serve_source_ops_total",
+    "Source-digest memo lookups at submit, by outcome.",
+    labels=("op",),  # hit / miss
+)
+
+#: Bound on the per-service source memo (raw-byte digest -> signature and
+#: width).  Entries are two short strings and an int, so this is small.
+SOURCE_MEMO_ENTRIES = 1024
 
 #: How long one blocking poll of the result queue lasts (seconds); liveness
 #: of the worker processes is re-checked between polls.
@@ -132,6 +145,8 @@ class JobResult:
     #: Merged, exactly-deduplicated unique solutions (member-index order).
     solutions: SolutionSet
     num_requested: int
+    #: Wall-clock seconds from entry to :meth:`SamplingService.submit` (so
+    #: source resolution counts) until the job was finalized.
     elapsed_seconds: float
     #: Aggregate statistics (see :meth:`SamplingService._finalize`).
     summary: Dict[str, object]
@@ -186,6 +201,7 @@ class _JobState:
     signature: str
     num_variables: int
     key: Optional[Tuple]
+    #: Monotonic time :meth:`SamplingService.submit` was entered.
     start: float
     #: Signature of the base formula (equals ``signature`` for empty deltas);
     #: lets workers derive incremental artifacts from a warm parent.
@@ -210,6 +226,8 @@ class _JobState:
     #: Detached ``serve.job`` span (``None`` when tracing is off or the job
     #: coalesced onto a primary); workers parent their task spans under it.
     span: Optional[object] = None
+    #: Journal fingerprint, computed once at submit (``None`` unjournaled).
+    fingerprint: Optional[str] = None
 
     @property
     def tasks_remaining(self) -> int:
@@ -346,6 +364,11 @@ class SamplingService:
         self._pending_inline: List[str] = []
         self._coalesce = CoalesceTable()
         self._counter = 0
+        #: Raw-byte source digest -> (signature, num_variables): lets a warm
+        #: submit skip the parse and the signature hash.
+        self._source_memo = BoundedLRUCache(
+            max_entries=SOURCE_MEMO_ENTRIES, max_bytes=None
+        )
         self._closed = False
         self._retry_policy = resolve_retry_policy(retry)
         self._supervise = supervise and num_workers > 0
@@ -468,6 +491,7 @@ class SamplingService:
         and/or a clause delta.  ``retry`` overrides the service retry
         policy for this job only.
         """
+        start = time.perf_counter()
         if self._closed:
             raise RuntimeError("the service is closed")
         if self._drain_requested:
@@ -495,26 +519,36 @@ class SamplingService:
             job_id = f"job-{self._counter}"
             self._counter += 1
 
-        formula = job.load_formula()
-        base_signature = formula_signature(formula)
-        # The artifact cache is content-addressed on the *effective*
-        # formula: two deltas reaching the same formula share one artifact,
-        # and projections/weights (which never change the formula) share
-        # the base one.
+        digest, data = read_source(job.source)
+        source_hit = False
         if job.task.is_incremental:
+            # The artifact cache is content-addressed on the *effective*
+            # formula, so a clause delta needs the parsed base formula.
+            formula = job.load_formula(data)
+            base_signature = formula_signature(formula)
             effective = job.task.apply_to(formula)
             signature = formula_signature(effective)
+            num_variables = effective.num_variables
         else:
-            effective = formula
-            signature = base_signature
-        num_variables = effective.num_variables
+            # Projections and weights never change the formula, so the
+            # source's raw-byte digest determines the artifact key.  A miss
+            # parses the very bytes that were hashed.
+            memo = self._source_memo.get(digest)
+            source_hit = memo is not None
+            _SERVE_SOURCE_OPS.inc(1.0, "hit" if source_hit else "miss")
+            if memo is None:
+                formula = job.load_formula(data)
+                memo = (formula_signature(formula), formula.num_variables)
+                self._source_memo.put(digest, memo)
+            signature, num_variables = memo
+            base_signature = signature
         state = _JobState(
             job=job,
             job_id=job_id,
             signature=signature,
             num_variables=num_variables,
             key=None,
-            start=time.perf_counter(),
+            start=start,
             base_signature=base_signature,
             project=job.task.projection_columns(num_variables) or None,
         )
@@ -525,10 +559,11 @@ class SamplingService:
         )
         self._jobs[job_id] = state
         if self._journal is not None:
+            state.fingerprint = job_fingerprint(job, digest)
             self._journal.record(
                 "submit",
                 job=job_id,
-                fingerprint=job_fingerprint(job),
+                fingerprint=state.fingerprint,
                 signature=signature,
                 num_solutions=job.num_solutions,
             )
@@ -551,6 +586,7 @@ class SamplingService:
                     "job_id": job_id,
                     "instance": str(job.source)[:120],
                     "num_solutions": job.num_solutions,
+                    "source_hit": source_hit,
                 },
                 trace_id=job_id,
             )
@@ -983,7 +1019,7 @@ class SamplingService:
         self._journal.record(
             "done",
             job=state.job_id,
-            fingerprint=job_fingerprint(state.job),
+            fingerprint=state.fingerprint,
             status=state.result.status,
             result=job_result_row(state.result),
         )

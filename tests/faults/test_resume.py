@@ -93,6 +93,24 @@ class TestPlanResume:
         pending, rows = plan_resume(jobs, tmp_path / JOURNAL_NAME, tmp_path)
         assert len(pending) == 1 and rows == [None]
 
+    def test_edited_cnf_file_is_not_resumed(self, tmp_path):
+        from repro.serve import SamplingService
+
+        cnf = tmp_path / "fig1.cnf"
+        cnf.write_text(FIG1_DIMACS)
+        job = SamplingJob.build(
+            {"path": str(cnf)}, num_solutions=4,
+            config=SamplerConfig(batch_size=32, seed=0), job_id="p",
+        )
+        with SamplingService(num_workers=0, journal=tmp_path / JOURNAL_NAME) as service:
+            assert service.result(service.submit(job)).status == "done"
+        (tmp_path / "p.solutions").write_text("0 1\n")
+        pending, rows = plan_resume([job], tmp_path / JOURNAL_NAME, tmp_path)
+        assert pending == [] and rows[0]["resumed"] is True  # unchanged file
+        cnf.write_text(FIG1_DIMACS + "1 0\n")
+        pending, rows = plan_resume([job], tmp_path / JOURNAL_NAME, tmp_path)
+        assert [index for index, _job in pending] == [0] and rows == [None]
+
 
 def run_cli(*arguments, **popen_kwargs):
     source_root = Path(__file__).resolve().parents[2] / "src"

@@ -5,13 +5,18 @@ behaviour — coalescing, portfolio cancellation, cache reuse, streaming — is
 exactly reproducible and can be asserted bitwise.
 """
 
+import time
+
 import numpy as np
 import pytest
 
-from repro.cnf.dimacs import parse_dimacs
+from repro import obs
+from repro.cnf.dimacs import DimacsError, parse_dimacs
 from repro.core.config import SamplerConfig
 from repro.core.sampler import GradientSATSampler
-from repro.serve import SamplingJob, SamplingService, parse_manifest
+from repro.core.signatures import formula_signature
+from repro.core.task import SamplingTask
+from repro.serve import SamplingJob, SamplingService, jobs, parse_manifest
 from tests.conftest import FIG1_DIMACS
 
 CONFIG = SamplerConfig(batch_size=32, seed=0)
@@ -250,3 +255,146 @@ class TestForget:
         result = service.result(b)
         assert result.coalesced_with == a
         assert result.num_unique > 0
+
+
+#: One source of each kind; the instance is a small registry formula.
+SOURCE_KINDS = ("path", "dimacs", "instance")
+
+
+def make_source(kind, tmp_path):
+    if kind == "path":
+        path = tmp_path / "fig1.cnf"
+        path.write_text(FIG1_DIMACS)
+        return {"path": str(path)}
+    if kind == "dimacs":
+        return {"dimacs": FIG1_DIMACS}
+    return {"instance": "or-50-10-7-UC-10"}
+
+
+def source_ops():
+    """The service-process ``repro_serve_source_ops_total`` series."""
+    dump = obs.registry().to_dict()
+    series = dump.get("repro_serve_source_ops_total", {}).get("series", {})
+    return {op: float(series.get(op, 0.0)) for op in ("hit", "miss")}
+
+
+@pytest.fixture
+def count_parses(monkeypatch):
+    """Count submit-side parses (calls of ``repro.serve.jobs.load_source``)."""
+    calls = []
+    original = jobs.load_source
+
+    def counting(spec, data=None):
+        calls.append(spec)
+        return original(spec, data)
+
+    monkeypatch.setattr(jobs, "load_source", counting)
+    return calls
+
+
+class TestSourceMemo:
+    def test_warm_path_submits_parse_once(self, service, tmp_path, count_parses):
+        source = make_source("path", tmp_path)
+        for seed in range(3):
+            result = service.result(
+                service.submit(source, num_solutions=4, config=CONFIG.with_(seed=seed))
+            )
+            assert result.status == "done"
+        assert len(count_parses) == 1
+
+    def test_rewritten_file_gets_the_new_signature(self, service, tmp_path):
+        source = make_source("path", tmp_path)
+        first = service.submit(source, num_solutions=8, config=CONFIG)
+        old_rows = service.result(first).solutions.to_matrix()
+        # Pin a variable the old rows disagree on, so an artifact of the old
+        # formula would produce rows the new one rejects.
+        column = next(
+            j for j in range(old_rows.shape[1]) if len(set(old_rows[:, j])) == 2
+        )
+        literal = (column + 1) if old_rows[0, column] else -(column + 1)
+        edited = parse_dimacs(FIG1_DIMACS)
+        edited.add_clause([literal])
+        (tmp_path / "fig1.cnf").write_text(
+            FIG1_DIMACS.replace("p cnf 14 21", "p cnf 14 22") + f"{literal} 0\n"
+        )
+        second = service.submit(source, num_solutions=8, config=CONFIG.with_(seed=1))
+        rows = service.result(second).solutions.to_matrix()
+        assert service._state(second).signature == formula_signature(edited)  # noqa: SLF001
+        assert service._state(second).signature != service._state(first).signature  # noqa: SLF001
+        assert not edited.evaluate_batch(old_rows).all()
+        assert rows.shape[0] > 0 and edited.evaluate_batch(rows).all()
+
+    @pytest.mark.parametrize("kind", SOURCE_KINDS)
+    def test_memo_hit_rows_match_a_fresh_memo_miss(self, service, tmp_path, kind):
+        source = make_source(kind, tmp_path)
+        service.result(service.submit(source, num_solutions=8, config=CONFIG))
+        before = source_ops()
+        hit = service.result(
+            service.submit(source, num_solutions=8, config=CONFIG.with_(seed=5))
+        )
+        assert source_ops()["hit"] == before["hit"] + 1
+        with SamplingService(num_workers=0) as fresh:
+            miss = fresh.result(
+                fresh.submit(source, num_solutions=8, config=CONFIG.with_(seed=5))
+            )
+        assert hit.solutions.to_matrix().tobytes() == miss.solutions.to_matrix().tobytes()
+
+    def test_malformed_dimacs_raises_on_every_submit(self, service, tmp_path):
+        path = tmp_path / "bad.cnf"
+        path.write_text("p cnf 2 1\n1 x 0\n")
+        for _ in range(2):
+            with pytest.raises(DimacsError):
+                service.submit(str(path), num_solutions=4, config=CONFIG)
+
+    def test_incremental_task_over_warm_path_gets_effective_signature(
+        self, service, tmp_path
+    ):
+        source = make_source("path", tmp_path)
+        service.result(service.submit(source, num_solutions=4, config=CONFIG))
+        task = SamplingTask.build(assume=(1,))
+        job_id = service.submit(source, num_solutions=4, config=CONFIG, task=task)
+        base = parse_dimacs(FIG1_DIMACS)
+        state = service._state(job_id)  # noqa: SLF001 - deliberate peek
+        assert state.base_signature == formula_signature(base)
+        assert state.signature == formula_signature(task.apply_to(base))
+        assert state.signature != state.base_signature
+        assert service.result(job_id).status == "done"
+
+    def test_hits_and_misses_are_counted(self, service, tmp_path):
+        source = make_source("path", tmp_path)
+        before = source_ops()
+        for seed in range(2):
+            service.result(
+                service.submit(source, num_solutions=4, config=CONFIG.with_(seed=seed))
+            )
+        merged = service.merged_metrics()["repro_serve_source_ops_total"]["series"]
+        assert merged["miss"] - before["miss"] == 1
+        assert merged["hit"] - before["hit"] == 1
+
+    def test_job_span_records_source_hit(self, tmp_path):
+        source = make_source("path", tmp_path)
+        trace_path = tmp_path / "trace.jsonl"
+        with SamplingService(num_workers=0, trace=str(trace_path)) as traced:
+            for seed in range(2):
+                traced.result(
+                    traced.submit(source, num_solutions=4, config=CONFIG.with_(seed=seed))
+                )
+        spans, _metrics = obs.read_trace(trace_path)
+        hits = [
+            record["attributes"]["source_hit"]
+            for record in spans
+            if record["name"] == "serve.job"
+        ]
+        assert hits == [False, True]
+
+    def test_elapsed_includes_submit_side_parse(self, service, monkeypatch):
+        original = jobs.load_source
+
+        def slow(spec, data=None):
+            time.sleep(0.05)
+            return original(spec, data)
+
+        monkeypatch.setattr(jobs, "load_source", slow)
+        result = service.result(service.submit(FIG1_DIMACS, num_solutions=4, config=CONFIG))
+        assert result.elapsed_seconds >= 0.05
+        assert result.summary["seconds"] >= 0.05

@@ -9,6 +9,7 @@ merging and streaming; reproducibility across runs is asserted on fresh
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.cnf.dimacs import parse_dimacs
 from repro.core.config import SamplerConfig
 from repro.core.sampler import GradientSATSampler
@@ -139,6 +140,43 @@ class TestSingleWorkerDeterminism:
         first = run()
         assert first.shape[0] > 0
         assert np.array_equal(first, run())
+
+
+def source_hits():
+    """Source-memo hits counted in this (the coordinator) process."""
+    series = obs.registry().to_dict().get("repro_serve_source_ops_total", {})
+    return float(series.get("series", {}).get("hit", 0.0))
+
+
+class TestPooledSourceMemo:
+    def test_memo_hit_rows_match_a_fresh_memo_miss(self, tmp_path):
+        path = tmp_path / "fig1.cnf"
+        path.write_text(FIG1_DIMACS)
+        sources = [
+            {"path": str(path)},
+            {"dimacs": FIG1_DIMACS},
+            {"instance": "or-50-10-7-UC-10"},
+        ]
+        hit_config = CONFIG.with_(seed=5)
+
+        def rows(service, job_id):
+            return service.result(job_id, timeout=TIMEOUT).solutions.to_matrix().tobytes()
+
+        with SamplingService(num_workers=1) as warm:
+            for source in sources:
+                rows(warm, warm.submit(source, num_solutions=8, config=CONFIG))
+            before = source_hits()
+            hits = [
+                rows(warm, warm.submit(source, num_solutions=8, config=hit_config))
+                for source in sources
+            ]
+            assert source_hits() == before + len(sources)
+        with SamplingService(num_workers=1) as fresh:
+            misses = [
+                rows(fresh, fresh.submit(source, num_solutions=8, config=hit_config))
+                for source in sources
+            ]
+        assert hits == misses
 
 
 class TestWorkerUnits:
