@@ -1,16 +1,17 @@
-"""Array-backend × batch-size throughput matrix on the largest instance.
+"""Float dtype policy × batch-size throughput matrix on the largest instance.
 
 Times the engine's fused forward+backward pass — the same protocol as the
-engine-vs-interpreter benchmark — through both NumPy dtype policies
-(``numpy`` and the ``numpy:float32`` throughput policy) over a batch-size
-grid, and rewrites ``BENCH_backend.json``.  Committing the file each PR
-accumulates the backend matrix's trajectory in version history.
+engine-vs-interpreter benchmark — under both dtype policies (spec ``numpy``,
+the ``float64`` reference, and ``numpy:float32``, the throughput policy:
+the inputs are cast to the spec's dtype and the engine follows it) over a
+batch-size grid, and rewrites ``BENCH_backend.json``.  Committing the file
+each PR accumulates the matrix's trajectory in version history.
 
-The NumPy row doubles as the abstraction's no-regression gate: at the
-engine benchmark's batch size it must stay within a few percent of the
-throughput recorded in ``BENCH_engine.json`` (refresh that file in the same
-run — CI does — so the comparison never crosses machines).  Lower the bar on
-noisy shared runners with ``REPRO_BENCH_BACKEND_MIN_RATIO``.
+The ``numpy`` row doubles as a no-regression gate: at the engine
+benchmark's batch size it must stay within a few percent of the throughput
+recorded in ``BENCH_engine.json`` (refresh that file in the same run — CI
+does — so the comparison never crosses machines).  Lower the bar on noisy
+shared runners with ``REPRO_BENCH_BACKEND_MIN_RATIO``.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import repro.xp as xp
 from repro.obs.bench import time_passes
 from benchmarks.conftest import engine_bench_batch
+from repro.core.config import array_dtype
 from repro.core.model import ProbabilisticCircuitModel
 from repro.core.transform import transform_cnf
 from repro.engine.executor import backward as engine_backward
@@ -44,17 +45,17 @@ def backend_batch_grid():
 
 
 def backend_min_ratio() -> float:
-    """Required NumPy-backend / BENCH_engine throughput ratio (default 5% slack)."""
+    """Required ``numpy``-spec / BENCH_engine throughput ratio (default 5% slack)."""
     return float(os.environ.get("REPRO_BENCH_BACKEND_MIN_RATIO", "0.95"))
 
 
-#: Backend specs the matrix covers.
+#: Array-backend specs (dtype policies) the matrix covers.
 SPECS = ("numpy", "numpy:float32")
 
 
 @pytest.mark.benchmark(group="backend-matrix")
 def test_backend_matrix(benchmark, largest_instance):
-    """Fused forward+backward throughput for every backend × batch size."""
+    """Fused forward+backward throughput for every dtype policy × batch size."""
     entry, formula = largest_instance
     transform = transform_cnf(formula)
     model = ProbabilisticCircuitModel.from_transform(transform, backend="engine")
@@ -68,16 +69,14 @@ def test_backend_matrix(benchmark, largest_instance):
     def run_grid():
         rows = []
         for spec in SPECS:
-            backend = xp.get_backend(spec)
+            dtype = array_dtype(spec)
             for batch in backend_batch_grid():
-                probabilities = backend.from_numpy(
-                    np.asarray(rng.random((batch, model.num_inputs)))
-                )
-                seed_grad = backend.from_numpy(np.ones((batch, model.num_outputs)))
+                probabilities = rng.random((batch, model.num_inputs)).astype(dtype)
+                seed_grad = np.ones((batch, model.num_outputs), dtype=dtype)
                 state = {}
 
                 def step():
-                    _, state["cache"] = engine_forward(program, probabilities, backend)
+                    _, state["cache"] = engine_forward(program, probabilities)
                     engine_backward(program, state["cache"], seed_grad)
 
                 seconds = time_passes(step, repeats, passes, reduce="best")
@@ -103,7 +102,7 @@ def test_backend_matrix(benchmark, largest_instance):
         "grid": grid,
     }
 
-    # No-regression gate: the NumPy backend at the engine benchmark's batch
+    # No-regression gate: the ``numpy`` spec at the engine benchmark's batch
     # size vs the (same-session) BENCH_engine.json record.
     reference_batch = engine_bench_batch()
     numpy_row = next(
@@ -151,8 +150,8 @@ def test_backend_matrix(benchmark, largest_instance):
     else:
         ratio = record["numpy_vs_engine_ratio"]
         minimum = backend_min_ratio()
-        print(f"numpy backend vs BENCH_engine reference: {ratio:.3f}x (floor {minimum})")
+        print(f"numpy spec vs BENCH_engine reference: {ratio:.3f}x (floor {minimum})")
         assert ratio >= minimum, (
-            f"routing the engine through the NumPy backend must not cost more "
-            f"than {1 - minimum:.0%} throughput, got ratio {ratio:.3f}"
+            f"the float64 policy must not cost more than {1 - minimum:.0%} "
+            f"engine throughput, got ratio {ratio:.3f}"
         )

@@ -13,7 +13,7 @@ Algorithm 1 itself on the bundled registry instances:
   non-memoised minimization — on the shared circuit substrate.
 
 Every timed pass starts genuinely cold (``clear_transform_caches`` +
-``repro.xp.clear_caches`` drop all process-level memos first), both paths
+``repro.clear_caches`` drop all process-level memos first), both paths
 are verified to produce identical transforms, and the fixed-seed NumPy
 sampler stream through both transforms is compared bit for bit before any
 timing is trusted.  Cold-vs-warm job latency through ``repro.serve`` is
@@ -64,9 +64,9 @@ STREAM_SOLUTIONS = 32
 
 def _cold(fn):
     """Run ``fn`` with every process-level transform memo dropped first."""
-    import repro.xp
+    import repro
 
-    repro.xp.clear_caches()  # also clears the transform/boolalg memos
+    repro.clear_caches()  # also clears the transform/boolalg memos
     return fn()
 
 
@@ -111,9 +111,9 @@ def _serve_cold_vs_warm(formula) -> dict:
     config = SamplerConfig(**STREAM_CONFIG)
     record = {}
     with SamplingService(num_workers=0) as service:
-        import repro.xp
+        import repro
 
-        repro.xp.clear_caches()
+        repro.clear_caches()
         with timed() as cold_timer:
             cold_result = service.result(
                 service.submit(formula, num_solutions=STREAM_SOLUTIONS, config=config)

@@ -56,9 +56,9 @@ DELTAS = {
 
 def _cold(fn):
     """Run ``fn`` with every process-level transform memo dropped first."""
-    import repro.xp
+    import repro
 
-    repro.xp.clear_caches()  # also clears the transform/boolalg memos
+    repro.clear_caches()  # also clears the transform/boolalg memos
     return fn()
 
 

@@ -8,10 +8,12 @@ Public API surface: the most common entry points are re-exported here.
 * :class:`repro.SamplerConfig` — hyper-parameters (lr=10, 5 iterations, ...)
 * :mod:`repro.engine` — the compiled levelized execution engine behind the
   differentiable circuit core (``SamplerConfig(backend=...)`` selects it)
-* :mod:`repro.xp` — the array-backend layer (NumPy, with a ``float64``
-  reference and a ``numpy:float32`` throughput policy;
+* the float dtype policy — every hot path calls NumPy directly and follows
+  the dtype of its input arrays; the samplers pick ``float64`` (the bitwise
+  reference) or ``float32`` (the throughput policy) from
   ``SamplerConfig(array_backend=...)``, ``REPRO_ARRAY_BACKEND`` or
-  ``--array-backend`` selects it)
+  ``--array-backend`` (spec ``numpy``, ``numpy:float64`` or ``numpy:float32``)
+* :func:`repro.clear_caches` — drop every memoised compiled artifact
 * :mod:`repro.native` — the on-demand C tier for the hot loops
   (``SamplerConfig(kernel=...)``, ``REPRO_NATIVE`` or ``--kernel`` selects
   ``auto``/``native``/``python``)
@@ -34,15 +36,29 @@ from repro.core import (
     transform_cnf,
 )
 from repro.gpu import Device, DeviceKind, get_device
-from repro.xp import (
-    ArrayBackend,
-    active_backend,
-    clear_caches,
-    get_backend,
-    use_backend,
-)
 
 __version__ = "1.0.0"
+
+
+def clear_caches() -> None:
+    """Drop every memoised compiled artifact in the process.
+
+    Clears the per-circuit compiled-program memos of the engine, the
+    per-formula CNF evaluation plans, the transform/boolalg memos and the
+    per-artifact native-kernel layouts.  Mutating a circuit or formula
+    already invalidates its own memos; this is the explicit hook for
+    long-lived processes that want to release memory.
+    """
+    from repro import native
+    from repro.cnf import kernel as cnf_kernel
+    from repro.core.transform import clear_transform_caches
+    from repro.engine import compiler as engine_compiler
+
+    engine_compiler.clear_program_caches()
+    cnf_kernel.clear_plan_caches()
+    clear_transform_caches()
+    native.clear_caches()
+
 
 __all__ = [
     "CNF",
@@ -63,10 +79,6 @@ __all__ = [
     "Device",
     "DeviceKind",
     "get_device",
-    "ArrayBackend",
-    "active_backend",
     "clear_caches",
-    "get_backend",
-    "use_backend",
     "__version__",
 ]

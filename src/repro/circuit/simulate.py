@@ -23,7 +23,6 @@ import numpy as np
 from repro.circuit.netlist import Circuit
 from repro.engine.compiler import compiled_program_for
 from repro.engine.executor import execute_bool, execute_packed
-from repro.xp import backend_for
 
 
 def simulate(
@@ -31,18 +30,14 @@ def simulate(
     input_matrix,
     input_order: Optional[Sequence[str]] = None,
     nets: Optional[Sequence[str]] = None,
-) -> Dict[str, object]:
+) -> Dict[str, np.ndarray]:
     """Simulate the circuit on a ``(batch, num_inputs)`` boolean matrix.
 
     ``input_order`` gives the column order (defaults to ``circuit.inputs``).
     Returns a map from net name to a boolean vector of length ``batch`` for
-    the requested ``nets`` (default: primary outputs).  Execution follows the
-    *input's* residency (:func:`repro.xp.backend_for`): host matrices yield
-    host NumPy vectors regardless of the active array backend, while
-    device-resident inputs yield device-resident nets.
+    the requested ``nets`` (default: primary outputs).
     """
-    xpb = backend_for(input_matrix)
-    input_matrix = xpb.asarray(input_matrix, dtype=xpb.bool_dtype)
+    input_matrix = np.asarray(input_matrix, dtype=np.bool_)
     if input_matrix.ndim != 2:
         raise ValueError(f"expected 2-D input matrix, got shape {input_matrix.shape}")
     order = list(input_order) if input_order is not None else list(circuit.inputs)
@@ -58,7 +53,7 @@ def simulate(
     if not wanted:
         return {}
     program = compiled_program_for(circuit, wanted, order)
-    values = execute_bool(program, input_matrix, xpb)
+    values = execute_bool(program, input_matrix)
     return {name: values[name] for name in wanted}
 
 

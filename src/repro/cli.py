@@ -46,7 +46,7 @@ from typing import List, Optional
 from repro.circuit.bench_format import write_bench
 from repro.circuit.verilog import to_verilog
 from repro.cnf.dimacs import write_dimacs_file
-from repro.core.config import SamplerConfig
+from repro.core.config import SamplerConfig, array_dtype
 from repro.core.pipeline import load_formula, sample_cnf
 from repro.core.transform import transform_cnf
 from repro.eval.report import render_rows
@@ -58,12 +58,11 @@ from repro.native import MODES as KERNEL_MODES
 
 def _array_backend_spec(text: str) -> str:
     """argparse ``type=`` for ``--array-backend``: reject bad specs with exit 2."""
-    from repro.xp import validate_spec
-
     try:
-        return validate_spec(text)
+        array_dtype(text)
     except ValueError as error:
         raise argparse.ArgumentTypeError(str(error))
+    return text
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -91,8 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
                              "or the legacy per-gate autodiff interpreter")
     sample.add_argument("--array-backend", default=None, metavar="SPEC",
                         type=_array_backend_spec,
-                        help="array backend the hot loops run on: 'numpy' (default) "
-                             "or 'numpy:float32' — overrides the "
+                        help="float dtype of the learning arrays: 'numpy' (float64, "
+                             "the default), 'numpy:float64' or 'numpy:float32' — overrides the "
                              "REPRO_ARRAY_BACKEND environment variable and the config "
                              "(precedence: env < config < CLI)")
     sample.add_argument("--kernel", default=None, choices=KERNEL_MODES,
@@ -148,7 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="worker processes (0 = run inline in this process, the default)")
     serve.add_argument("--array-backend", default=None, metavar="SPEC",
                        type=_array_backend_spec,
-                       help="array backend each worker pins at startup "
+                       help="default float dtype spec for jobs whose config names none "
                             "(job configs may still override per job)")
     serve.add_argument("--kernel", default=None, choices=KERNEL_MODES,
                        help="native kernel mode each worker pins at startup "

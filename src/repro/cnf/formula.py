@@ -15,7 +15,6 @@ from repro.cnf.kernel import (
     resolve_backend,
     resolve_native_kernels,
 )
-from repro.xp import backend_for
 
 
 class CNF:
@@ -177,7 +176,7 @@ class CNF:
         return self._plan
 
     def clear_evaluation_plan(self) -> None:
-        """Drop the memoised plan (and its per-backend device uploads)."""
+        """Drop the memoised plan."""
         self._plan = None
 
     def install_evaluation_plan(self, plan: CNFEvalPlan) -> None:
@@ -208,21 +207,15 @@ class CNF:
         state["_plan"] = None
         return state
 
-    def _check_assignment_matrix(self, assignments):
+    def _check_assignment_matrix(self, assignments) -> np.ndarray:
         """Validate and coerce a ``(batch, num_variables)`` boolean matrix.
 
         Shared by every batch-evaluation entry point: the matrix must be 2-D
         and exactly ``num_variables`` wide — a wider matrix almost always
         means the caller's column convention is off by one, so it is rejected
         rather than silently truncated.
-
-        Returns ``(matrix, array_backend)``.  Evaluation runs on
-        :func:`repro.xp.backend_for`, the ``float64`` NumPy reference, so
-        metrics, baselines and other host consumers are unaffected by
-        ``REPRO_ARRAY_BACKEND``.
         """
-        xpb = backend_for(assignments)
-        matrix = xpb.asarray(assignments, dtype=xpb.bool_dtype)
+        matrix = np.asarray(assignments, dtype=np.bool_)
         if matrix.ndim != 2:
             raise ValueError(
                 f"expected a 2-D assignment matrix, got shape {tuple(matrix.shape)}"
@@ -232,7 +225,7 @@ class CNF:
                 f"assignment matrix has {matrix.shape[1]} columns, "
                 f"but the formula has {self._num_variables} variables"
             )
-        return matrix, xpb
+        return matrix
 
     def evaluate(self, assignment: Dict[int, bool]) -> bool:
         """Evaluate the formula under a complete assignment ``{variable: bool}``."""
@@ -251,7 +244,7 @@ class CNF:
         :func:`repro.cnf.kernel.default_backend`.  All backends are
         bitwise-identical.
         """
-        matrix, xpb = self._check_assignment_matrix(assignments)
+        matrix = self._check_assignment_matrix(assignments)
         backend = resolve_backend(backend)
         if backend == "reference":
             # The clause loop is the reference implementation.
@@ -261,8 +254,8 @@ class CNF:
             kernels = resolve_native_kernels()
             return kernels.cnf_evaluate(plan, matrix)
         if backend == "packed":
-            return plan.evaluate_packed(matrix, xpb)
-        return plan.evaluate(matrix, xpb)
+            return plan.evaluate_packed(matrix)
+        return plan.evaluate(matrix)
 
     def unsatisfied_clause_counts(
         self, assignments: np.ndarray, backend: Optional[str] = None
@@ -273,14 +266,14 @@ class CNF:
         values as :meth:`evaluate_batch` (the ``"packed"`` kernel has no
         per-clause counting form, so it falls back to ``"compiled"``).
         """
-        matrix, xpb = self._check_assignment_matrix(assignments)
+        matrix = self._check_assignment_matrix(assignments)
         backend = resolve_backend(backend)
         if backend == "reference":
             return self._unsatisfied_clause_counts_reference(matrix)
         if backend == "native":
             kernels = resolve_native_kernels()
             return kernels.cnf_unsatisfied_counts(self.evaluation_plan(), matrix)
-        return self.evaluation_plan().unsatisfied_counts(matrix, xpb)
+        return self.evaluation_plan().unsatisfied_counts(matrix)
 
     def _evaluate_batch_reference(self, assignments: np.ndarray) -> np.ndarray:
         """The original clause-by-clause loop, kept as the equivalence reference."""

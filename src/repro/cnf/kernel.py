@@ -31,17 +31,16 @@ Plans are memoised per :class:`~repro.cnf.formula.CNF` via
 :meth:`~repro.cnf.formula.CNF.evaluation_plan` and invalidated whenever the
 formula mutates (``add_clause`` or a ``num_variables`` change), mirroring the
 engine's compile-once design; :func:`clear_plan_caches` (surfaced as
-:func:`repro.xp.clear_caches`) drops them explicitly.  The clause-loop
+:func:`repro.clear_caches`) drops them explicitly.  The clause-loop
 implementation survives as the ``"reference"`` backend;
 :func:`default_backend` (overridable with :func:`set_default_backend` or the
 ``REPRO_CNF_BACKEND`` environment variable) selects which implementation
 :meth:`CNF.evaluate_batch` uses.
 
-The fused kernels execute through the *array backend* protocol
-(:mod:`repro.xp`), bitwise-identical to the seed.  Note the two "backend"
-axes are orthogonal: this module's ``backend`` strings pick the *kernel
-implementation* ("compiled"/"packed"/"reference"/"native"); :mod:`repro.xp`
-picks the array runtime's dtype policy.
+This module's ``backend`` strings pick the *kernel implementation*
+("compiled"/"packed"/"reference"/"native"); all of them are boolean, so the
+sampler's float dtype policy (``SamplerConfig.array_backend``) never
+reaches them.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ from typing import TYPE_CHECKING, Dict, Optional, Tuple
 import numpy as np
 
 from repro.utils.weakcache import OwnerRegistry
-from repro.xp import ArrayBackend, backend_for
 from repro import obs
 
 _PLAN_COMPILES = obs.counter(
@@ -106,14 +104,13 @@ def resolve_native_kernels():
     """The native kernel set backing ``backend="native"`` (never ``None``).
 
     An explicitly requested native CNF backend fails loudly — with
-    :class:`~repro.xp.backend.BackendUnavailableError` — when native kernels
+    :class:`~repro.native.BackendUnavailableError` — when native kernels
     are disabled (``REPRO_NATIVE=off``) or the C tier cannot be brought up.
     """
     from repro import native
-    from repro.xp.backend import BackendUnavailableError
 
     if native.resolve_mode(None) == "python":
-        raise BackendUnavailableError(
+        raise native.BackendUnavailableError(
             'CNF backend "native" requested but native kernels are disabled '
             f"(mode 'python' via ${native.NATIVE_ENV_VAR} or "
             "repro.native.set_default_mode)"
@@ -175,21 +172,10 @@ class CNFEvalPlan:
             + self.nonempty_index.nbytes
         )
 
-    @staticmethod
-    def _resolve_xpb(assignments, xpb: Optional[ArrayBackend]) -> ArrayBackend:
-        """Default backend resolution for caller-supplied assignments.
-
-        Delegates to :func:`repro.xp.backend_for` — the same rule
-        :meth:`CNF._check_assignment_matrix` applies — so direct-plan
-        consumers (WalkSAT's unsat scan, metrics) keep working regardless of
-        ``REPRO_ARRAY_BACKEND``.  Pass ``xpb`` explicitly to override.
-        """
-        return xpb if xpb is not None else backend_for(assignments)
-
     # -- fused evaluation -------------------------------------------------------------
-    def _gather_literal_values(self, assignments, xpb: ArrayBackend):
+    def _gather_literal_values(self, assignments: np.ndarray) -> np.ndarray:
         """``(literals, batch)`` literal values over the transposed matrix."""
-        transposed = xpb.ascontiguousarray(assignments.T)
+        transposed = np.ascontiguousarray(assignments.T)
         values = transposed[self.literal_columns]
         values ^= self.literal_negated[:, None]
         return values
@@ -210,68 +196,59 @@ class CNFEvalPlan:
             satisfied = satisfied | block[:, column]
         return satisfied
 
-    def evaluate(self, assignments, xpb: Optional[ArrayBackend] = None):
-        """Per-row satisfaction of the whole formula (boolean kernel).
-
-        Runs on ``xpb`` (default: :func:`repro.xp.backend_for`).
-        """
-        xpb = self._resolve_xpb(assignments, xpb)
+    def evaluate(self, assignments: np.ndarray) -> np.ndarray:
+        """Per-row satisfaction of the whole formula (boolean kernel)."""
         batch = assignments.shape[0]
         _CNF_EVALUATIONS.inc(1.0, "bool")
         if self.num_empty:
-            return xpb.zeros(batch, dtype=xpb.bool_dtype)
+            return np.zeros(batch, dtype=np.bool_)
         if self.reduce_offsets.size == 0:
-            return xpb.ones(batch, dtype=xpb.bool_dtype)
-        values = self._gather_literal_values(assignments, xpb)
-        satisfied = xpb.ones(batch, dtype=xpb.bool_dtype)
+            return np.ones(batch, dtype=np.bool_)
+        values = self._gather_literal_values(assignments)
+        satisfied = np.ones(batch, dtype=np.bool_)
         for _, _, block in self._group_blocks(values, batch):
-            satisfied &= xpb.all(self._or_over_width(block), axis=0)
+            satisfied &= np.all(self._or_over_width(block), axis=0)
         return satisfied
 
-    def evaluate_packed(self, assignments, xpb: Optional[ArrayBackend] = None):
+    def evaluate_packed(self, assignments: np.ndarray) -> np.ndarray:
         """Per-row satisfaction via the bit-packed kernel (8 rows per byte).
 
         The batch axis is packed with ``packbits``, the flat clause
         boundaries then drive one ``bitwise_or`` segmented reduction over
         ``uint8`` words; results are bitwise-identical to :meth:`evaluate`.
         """
-        xpb = self._resolve_xpb(assignments, xpb)
         _CNF_EVALUATIONS.inc(1.0, "packed")
         batch = assignments.shape[0]
         if self.num_empty:
-            return xpb.zeros(batch, dtype=xpb.bool_dtype)
+            return np.zeros(batch, dtype=np.bool_)
         if self.reduce_offsets.size == 0:
-            return xpb.ones(batch, dtype=xpb.bool_dtype)
-        packed_columns = xpb.packbits(xpb.ascontiguousarray(assignments.T), axis=1)
+            return np.ones(batch, dtype=np.bool_)
+        packed_columns = np.packbits(np.ascontiguousarray(assignments.T), axis=1)
         literal_words = packed_columns[self.literal_columns]
-        literal_words[self.literal_negated] ^= xpb.packed_ones_u8
-        clause_words = xpb.bitwise_or_reduceat(
-            literal_words, self.reduce_offsets, axis=0
-        )
-        formula_words = xpb.bitwise_and_reduce(clause_words, axis=0)
-        return xpb.astype(xpb.unpackbits(formula_words, count=batch), xpb.bool_dtype)
+        literal_words[self.literal_negated] ^= np.uint8(0xFF)
+        clause_words = np.bitwise_or.reduceat(literal_words, self.reduce_offsets, axis=0)
+        formula_words = np.bitwise_and.reduce(clause_words, axis=0)
+        return np.unpackbits(formula_words, count=batch).astype(np.bool_)
 
-    def clause_satisfaction(self, assignments, xpb: Optional[ArrayBackend] = None):
+    def clause_satisfaction(self, assignments: np.ndarray) -> np.ndarray:
         """Full ``(batch, num_clauses)`` satisfaction matrix, empty clauses False."""
-        xpb = self._resolve_xpb(assignments, xpb)
         batch = assignments.shape[0]
-        result = xpb.zeros((batch, self.num_clauses), dtype=xpb.bool_dtype)
+        result = np.zeros((batch, self.num_clauses), dtype=np.bool_)
         if self.reduce_offsets.size:
-            values = self._gather_literal_values(assignments, xpb)
+            values = self._gather_literal_values(assignments)
             for clause_start, clause_end, block in self._group_blocks(values, batch):
                 columns = self.nonempty_index[clause_start:clause_end]
                 result[:, columns] = self._or_over_width(block).T
         return result
 
-    def unsatisfied_counts(self, assignments, xpb: Optional[ArrayBackend] = None):
+    def unsatisfied_counts(self, assignments: np.ndarray) -> np.ndarray:
         """Per-row count of falsified clauses."""
-        xpb = self._resolve_xpb(assignments, xpb)
         batch = assignments.shape[0]
-        counts = xpb.full(batch, self.num_empty, dtype=xpb.int64_dtype)
+        counts = np.full(batch, self.num_empty, dtype=np.int64)
         if self.reduce_offsets.size:
-            values = self._gather_literal_values(assignments, xpb)
+            values = self._gather_literal_values(assignments)
             for _, _, block in self._group_blocks(values, batch):
-                counts += xpb.sum(~self._or_over_width(block), axis=0)
+                counts += np.sum(~self._or_over_width(block), axis=0)
         return counts
 
 
@@ -288,7 +265,7 @@ def clear_plan_caches() -> None:
     """Drop every memoised CNF evaluation plan in the process.
 
     Complements the automatic mutation-driven invalidation.  Exposed to users as
-    :func:`repro.xp.clear_caches`.
+    :func:`repro.clear_caches`.
     """
     _PLAN_OWNERS.clear(lambda formula: formula.clear_evaluation_plan())
 

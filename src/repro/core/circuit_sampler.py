@@ -33,7 +33,7 @@ from repro.tensor.optim import make_optimizer
 from repro.tensor.tensor import Tensor
 from repro.tensor.functional import sigmoid
 from repro.native import use_kernel
-from repro.xp import use_backend
+from repro.utils.rng import new_rng
 
 
 @dataclass
@@ -100,8 +100,8 @@ class CircuitSampler:
             if not circuit.has_net(net):
                 raise ValueError(f"output target references unknown net {net!r}")
         self.output_targets: Dict[str, bool] = dict(output_targets)
-        self._xp = self.config.resolve_array_backend()
-        self._rng = self._xp.rng(self.config.seed)
+        self._dtype = self.config.float_dtype()
+        self._rng = new_rng(self.config.seed)
 
         self.model = ProbabilisticCircuitModel(
             circuit, output_nets=list(self.output_targets), backend=self.config.backend
@@ -117,7 +117,7 @@ class CircuitSampler:
     def reset_rng(self) -> None:
         """Restart the random stream from the configured seed (see
         :meth:`GradientSATSampler.reset_rng <repro.core.sampler.GradientSATSampler.reset_rng>`)."""
-        self._rng = self._xp.rng(self.config.seed)
+        self._rng = new_rng(self.config.seed)
 
     def sample(
         self,
@@ -131,7 +131,7 @@ class CircuitSampler:
         (between rounds, device chunks and GD iterations); a truthy return
         halts the run cooperatively with ``stopped_early`` set on the result.
         """
-        with use_backend(self._xp), use_kernel(self.config.kernel):
+        with use_kernel(self.config.kernel):
             return self._sample(num_solutions, should_stop)
 
     def _sample(
@@ -220,15 +220,13 @@ class CircuitSampler:
                 batch_size,
                 targets,
                 self.config,
-                lambda chunk: self._rng.normal(
-                    0.0, self.config.init_scale, size=(chunk, self.model.num_inputs)
-                ),
+                self._draw_initial_soft_inputs,
                 deadline,
                 should_stop,
             )
             return self._assemble_inputs(constrained_bits), losses, halted
-        constrained_bits = self._xp.zeros(
-            (batch_size, len(self._constrained_inputs)), dtype=self._xp.bool_dtype
+        constrained_bits = np.zeros(
+            (batch_size, len(self._constrained_inputs)), dtype=np.bool_
         )
         completed = 0
         halted = False
@@ -240,10 +238,7 @@ class CircuitSampler:
                 halted = True
                 break
             chunk = stop - start
-            soft = Tensor(
-                self._rng.normal(0.0, self.config.init_scale, size=(chunk, self.model.num_inputs)),
-                requires_grad=True,
-            )
+            soft = Tensor(self._draw_initial_soft_inputs(chunk), requires_grad=True)
             optimizer = make_optimizer(
                 [soft], self.config.optimizer, self.config.learning_rate
             )
@@ -267,12 +262,17 @@ class CircuitSampler:
                 break
         return self._assemble_inputs(constrained_bits[:completed]), losses, halted
 
+    def _draw_initial_soft_inputs(self, chunk: int) -> np.ndarray:
+        """Gaussian initialisation of ``V`` for one chunk, in the sampler's dtype."""
+        draw = self._rng.normal(
+            0.0, self.config.init_scale, size=(chunk, self.model.num_inputs)
+        )
+        return draw.astype(self._dtype, copy=False)
+
     def _assemble_inputs(self, constrained_bits):
         """Scatter learned bits and random unconstrained bits into input vectors."""
         batch_size = constrained_bits.shape[0]
-        inputs = self._xp.zeros(
-            (batch_size, len(self.input_order)), dtype=self._xp.bool_dtype
-        )
+        inputs = np.zeros((batch_size, len(self.input_order)), dtype=np.bool_)
         column_of = {name: i for i, name in enumerate(self.input_order)}
         for source, name in enumerate(self._constrained_inputs):
             inputs[:, column_of[name]] = constrained_bits[:, source]
@@ -290,7 +290,7 @@ class CircuitSampler:
             self.circuit, inputs, input_order=self.input_order,
             nets=list(self.output_targets),
         )
-        valid = self._xp.ones(inputs.shape[0], dtype=self._xp.bool_dtype)
+        valid = np.ones(inputs.shape[0], dtype=np.bool_)
         for net, target in self.output_targets.items():
             valid &= values[net] == target
         return valid

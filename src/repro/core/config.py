@@ -7,11 +7,43 @@ rate 10, 5 iterations, and a batch size chosen per instance (the paper sweeps
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
+import numpy as np
+
 from repro.gpu.device import Device, DeviceKind
 from repro.utils.validation import check_positive
+
+#: Environment variable holding the process-default array-backend spec.
+ARRAY_BACKEND_ENV_VAR = "REPRO_ARRAY_BACKEND"
+
+#: The array-backend spec vocabulary and the float dtype each spec selects:
+#: ``float64`` is the bitwise reference, ``float32`` the reduced-precision
+#: throughput policy.  NumPy is the only array runtime.
+ARRAY_BACKEND_DTYPES = {
+    "numpy": np.dtype(np.float64),
+    "numpy:float64": np.dtype(np.float64),
+    "numpy:float32": np.dtype(np.float32),
+}
+
+
+def array_dtype(spec: Optional[str] = None) -> np.dtype:
+    """The float dtype an array-backend spec selects.
+
+    ``None`` resolves the process default: ``$REPRO_ARRAY_BACKEND``, else
+    ``"numpy"``.  Raises ``ValueError`` for a spec outside
+    :data:`ARRAY_BACKEND_DTYPES`.
+    """
+    if spec is None:
+        spec = os.environ.get(ARRAY_BACKEND_ENV_VAR, "numpy")
+    dtype = ARRAY_BACKEND_DTYPES.get(spec) if isinstance(spec, str) else None
+    if dtype is None:
+        raise ValueError(
+            f"unknown array backend {spec!r}; choose from {sorted(ARRAY_BACKEND_DTYPES)}"
+        )
+    return dtype
 
 
 @dataclass(frozen=True)
@@ -47,10 +79,11 @@ class SamplerConfig:
     #: instances sample a round as one vectorised step, their overshoot is
     #: that single step).
     timeout_seconds: Optional[float] = None
-    #: Array-backend spec ("numpy" or "numpy:float32") the sampler's hot
-    #: loops run on.  ``None`` falls back to the process default
-    #: (``REPRO_ARRAY_BACKEND`` env or NumPy) — precedence: environment <
-    #: config < CLI (the CLI writes this field, so it wins).
+    #: Array-backend spec ("numpy", "numpy:float64" or "numpy:float32")
+    #: selecting the float dtype of the sampler's learning arrays.  ``None``
+    #: falls back to the process default (``REPRO_ARRAY_BACKEND`` env or
+    #: "numpy") — precedence: environment < config < CLI (the CLI writes
+    #: this field, so it wins).
     array_backend: Optional[str] = None
     #: Native kernel mode ("auto", "native", "python"/"off")
     #: scoping :mod:`repro.native` for this sampler's runs.  ``None`` leaves
@@ -91,9 +124,7 @@ class SamplerConfig:
         if self.stall_rounds is not None and self.stall_rounds <= 0:
             raise ValueError("stall_rounds must be positive or None")
         if self.array_backend is not None:
-            from repro.xp import validate_spec
-
-            validate_spec(self.array_backend)
+            array_dtype(self.array_backend)
         if self.kernel is not None:
             from repro.native import resolve_mode
 
@@ -101,18 +132,14 @@ class SamplerConfig:
             # time ("native" then fails with a precise error).
             resolve_mode(self.kernel)
 
-    def resolve_array_backend(self):
-        """The :class:`~repro.xp.backend.ArrayBackend` this config selects.
+    def float_dtype(self) -> np.dtype:
+        """The float dtype the sampler's learning arrays use.
 
-        Precedence (weakest first): the active default (``REPRO_ARRAY_BACKEND``
-        environment variable, else NumPy), ``array_backend`` (which the CLI
+        Precedence (weakest first): the ``REPRO_ARRAY_BACKEND`` environment
+        variable, else ``"numpy"``; then ``array_backend`` (which the CLI
         flag ``--array-backend`` writes, so the CLI wins).
         """
-        from repro.xp import active_backend, get_backend
-
-        if self.array_backend:
-            return get_backend(self.array_backend)
-        return active_backend()
+        return array_dtype(self.array_backend)
 
     def with_(self, **overrides) -> "SamplerConfig":
         """Return a copy with the given fields replaced."""

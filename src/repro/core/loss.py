@@ -14,7 +14,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.tensor.tensor import Tensor
+from repro.tensor.tensor import Tensor, as_tensor
 from repro.tensor.functional import l2_loss
 
 
@@ -37,12 +37,15 @@ def target_matrix(
 
 
 def regression_loss(outputs: Tensor, targets: np.ndarray) -> Tensor:
-    """The Eq. 8 loss between probabilistic outputs and 0/1 targets."""
+    """The Eq. 8 loss between probabilistic outputs and 0/1 targets.
+
+    The targets are cast to the outputs' float dtype.
+    """
     if outputs.shape != targets.shape:
         raise ValueError(
             f"output shape {outputs.shape} does not match target shape {targets.shape}"
         )
-    return l2_loss(outputs, Tensor(targets))
+    return l2_loss(outputs, as_tensor(targets, outputs))
 
 
 def per_sample_residual(outputs: np.ndarray, targets: np.ndarray) -> np.ndarray:

@@ -166,15 +166,16 @@ class ProbabilisticCircuitModel:
     def _forward_interpreter(self, probabilities: Tensor) -> Tensor:
         """Legacy reference: walk the cone gate by gate on the autodiff tape."""
         batch_size = probabilities.shape[0]
+        dtype = probabilities.data.dtype
         values: Dict[str, Tensor] = {}
         for name in self._schedule:
             gate = self.circuit.gate(name)
             if gate.gate_type == GateType.INPUT:
                 values[name] = take_column(probabilities, self._input_column[name])
             elif gate.gate_type == GateType.CONST0:
-                values[name] = full_like_batch(batch_size, 0.0)
+                values[name] = full_like_batch(batch_size, 0.0, dtype)
             elif gate.gate_type == GateType.CONST1:
-                values[name] = full_like_batch(batch_size, 1.0)
+                values[name] = full_like_batch(batch_size, 1.0, dtype)
             elif gate.gate_type == GateType.BUF:
                 values[name] = values[gate.fanins[0]]
             elif gate.gate_type == GateType.NOT:

@@ -27,13 +27,12 @@ solutions under a fixed seed.
 
 Orthogonally, ``SamplerConfig(array_backend=...)`` (or the
 ``REPRO_ARRAY_BACKEND`` environment variable, or the CLI flag) selects the
-*array backend* the whole round executes on: learning, assembly, circuit
-simulation and CNF validation all stay on that backend's device, and the
-batch crosses to the host exactly once per round, inside
-:meth:`SolutionSet.add_batch`.  Candidate streams are reproducible
-per-backend: the seeded RNG handle is threaded through the backend
-(:meth:`~repro.xp.backend.ArrayBackend.rng`), and :meth:`reset_rng` restarts
-it so a re-run reproduces a sampling run exactly.
+float dtype of the learning arrays: the sampler casts its initial draws and
+weight vectors to it once, and the GD loop follows the dtype of its input.
+Assembly, circuit simulation and CNF validation are boolean and unaffected.
+Candidate streams are reproducible: one seeded generator
+(:func:`repro.utils.rng.new_rng`) feeds every draw under every dtype, and
+:meth:`reset_rng` restarts it so a re-run reproduces a sampling run exactly.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ from repro.tensor.optim import make_optimizer
 from repro.tensor.tensor import Tensor
 from repro.tensor.functional import sigmoid
 from repro.native import use_kernel
-from repro.xp import use_backend
+from repro.utils.rng import new_rng
 from repro import obs
 
 _SAMPLER_ROUNDS = obs.counter(
@@ -170,8 +169,8 @@ class GradientSATSampler:
         self.formula = formula
         self.config = config or SamplerConfig()
         self.transform = transform if transform is not None else transform_cnf(formula)
-        self._xp = self.config.resolve_array_backend()
-        self._rng = self._xp.rng(self.config.seed)
+        self._dtype = self.config.float_dtype()
+        self._rng = new_rng(self.config.seed)
         self._constrained_inputs = self.transform.constrained_inputs()
         self._unconstrained_inputs = self.transform.unconstrained_inputs()
         # The task shapes *how* this sampler counts and draws, not *what* it
@@ -199,10 +198,9 @@ class GradientSATSampler:
         """Restart the sampler's random stream from the configured seed.
 
         After a reset, the next :meth:`sample` call reproduces a fresh
-        sampler's run exactly (per backend — the stream is threaded through
-        the array backend's seeded RNG handle).
+        sampler's run exactly.
         """
-        self._rng = self._xp.rng(self.config.seed)
+        self._rng = new_rng(self.config.seed)
 
     def sample(
         self,
@@ -222,11 +220,10 @@ class GradientSATSampler:
         (``stopped_early`` is set on the result).  ``on_round`` is invoked
         after every round's dedup with the :class:`RoundRecord` and the
         round's *new unique* solutions as a boolean matrix — the streaming
-        hook ``repro.serve`` uses to forward incremental results.  The whole
-        run executes on the configured array backend.
+        hook ``repro.serve`` uses to forward incremental results.
         """
         with obs.trace_scope(self.config.telemetry):
-            with use_backend(self._xp), use_kernel(self.config.kernel):
+            with use_kernel(self.config.kernel):
                 with obs.span("sampler.sample") as sspan:
                     result = self._sample(num_solutions, should_stop, on_round)
                     sspan.set("rounds", len(result.rounds))
@@ -280,8 +277,6 @@ class GradientSATSampler:
                 stored_before = len(solutions)
                 new_unique = solutions.add_batch(assignments, valid_mask)
                 num_generated += assignments.shape[0]
-                # One reduction per round: under device backends each .sum()
-                # is a blocking device-to-host synchronisation point.
                 round_valid = int(valid_mask.sum())
             except BaseException as exc:
                 rspan.set("error", type(exc).__name__)
@@ -342,7 +337,7 @@ class GradientSATSampler:
         iteration, returning the cumulative unique-solution count per
         iteration (index 0 is the random initialisation before any update).
         """
-        with use_backend(self._xp), use_kernel(self.config.kernel):
+        with use_kernel(self.config.kernel):
             return self._learning_curve(max_iterations, batch_size)
 
     def _learning_curve(
@@ -376,7 +371,7 @@ class GradientSATSampler:
 
     # -- internals ------------------------------------------------------------------------
     def _init_weight_vectors(self) -> None:
-        """Precompute the per-variable weight vectors on the sampler's backend.
+        """Precompute the per-variable weight vectors in the sampler's dtype.
 
         A weight ``p`` on variable ``v`` biases the sampler's *initialization*
         (never the loss): constrained inputs start their Gaussian ``V`` draw
@@ -399,36 +394,32 @@ class GradientSATSampler:
 
         bias = [logits.get(variable_of(name), 0.0) for name in self._constrained_inputs]
         if any(bias):
-            self._constrained_bias = self._xp.asarray(
-                np.asarray(bias, dtype=np.float64)[np.newaxis, :],
-                dtype=self._xp.float_dtype,
-            )
+            self._constrained_bias = np.asarray(bias, dtype=self._dtype)[np.newaxis, :]
         unconstrained = [
             probs.get(variable_of(name), 0.5) for name in self._unconstrained_inputs
         ]
         if any(probability != 0.5 for probability in unconstrained):
-            self._unconstrained_probs = self._xp.asarray(
-                np.asarray(unconstrained, dtype=np.float64),
-                dtype=self._xp.float_dtype,
-            )
+            self._unconstrained_probs = np.asarray(unconstrained, dtype=self._dtype)
         free = [
             probs.get(variable_of(name), 0.5)
             for name in self.transform.free_variables
         ]
         if any(probability != 0.5 for probability in free):
-            self._free_probs = self._xp.asarray(
-                np.asarray(free, dtype=np.float64), dtype=self._xp.float_dtype
-            )
+            self._free_probs = np.asarray(free, dtype=self._dtype)
 
-    def _draw_initial_soft_inputs(self, batch_size: int):
-        """Draw the Gaussian initialisation of ``V`` for one chunk (Eq. 6 input)."""
+    def _draw_initial_soft_inputs(self, batch_size: int) -> np.ndarray:
+        """Draw the Gaussian initialisation of ``V`` for one chunk (Eq. 6 input).
+
+        The draw (and the weight bias) is summed in ``float64`` and then cast
+        to the sampler's dtype, so every dtype consumes the same stream.
+        """
         assert self.model is not None
         draw = self._rng.normal(
             0.0, self.config.init_scale, size=(batch_size, self.model.num_inputs)
         )
         if self._constrained_bias is not None:
             draw = draw + self._constrained_bias
-        return draw
+        return draw.astype(self._dtype, copy=False)
 
     def _init_parameters(self, batch_size: int) -> Tuple[Tensor, object, np.ndarray]:
         """Initialise the trainable soft inputs, the optimizer and the target matrix."""
@@ -499,9 +490,7 @@ class GradientSATSampler:
                 deadline,
                 should_stop,
             )
-        hard = self._xp.zeros(
-            (batch_size, self.model.num_inputs), dtype=self._xp.bool_dtype
-        )
+        hard = np.zeros((batch_size, self.model.num_inputs), dtype=np.bool_)
         loss_history: List[float] = []
         completed = 0
         halted = False
@@ -524,17 +513,11 @@ class GradientSATSampler:
                 break
         return hard[:completed], loss_history, halted
 
-    def _assemble(self, constrained_bits) -> Tuple[object, object]:
-        """Build full CNF assignments from constrained-input bits and validate them.
-
-        Assembly, circuit simulation and CNF validation all run on the active
-        array backend; the returned matrices stay device-resident until the
-        dedup step downloads them.
-        """
-        xpb = self._xp
+    def _assemble(self, constrained_bits) -> Tuple[np.ndarray, np.ndarray]:
+        """Build full CNF assignments from constrained-input bits and validate them."""
         batch_size = constrained_bits.shape[0]
-        input_matrix = xpb.zeros(
-            (batch_size, len(self.transform.primary_inputs)), dtype=xpb.bool_dtype
+        input_matrix = np.zeros(
+            (batch_size, len(self.transform.primary_inputs)), dtype=np.bool_
         )
         column_of = {name: i for i, name in enumerate(self.transform.primary_inputs)}
         for source_column, name in enumerate(self._constrained_inputs):
@@ -582,8 +565,8 @@ class GradientSATSampler:
         assignments, valid_mask = self._assemble(constrained_bits)
         return assignments, valid_mask, loss_history, halted
 
-    def _random_round(self, batch_size: int) -> Tuple[object, object, List[float]]:
+    def _random_round(self, batch_size: int) -> Tuple[np.ndarray, np.ndarray, List[float]]:
         """Round for instances without constrained paths: pure random assignment."""
-        constrained_bits = self._xp.zeros((batch_size, 0), dtype=self._xp.bool_dtype)
+        constrained_bits = np.zeros((batch_size, 0), dtype=np.bool_)
         assignments, valid_mask = self._assemble(constrained_bits)
         return assignments, valid_mask, []

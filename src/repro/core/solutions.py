@@ -5,12 +5,6 @@ the sampler needs a cheap way to deduplicate millions of candidate
 assignments.  :class:`SolutionSet` keys each full assignment by its packed
 byte representation and keeps insertion order, so the first ``k`` solutions
 can be exported deterministically.
-
-The set is deliberately **host-side**: its keys are Python ``bytes`` in a
-``set``, so :meth:`add_batch` is the sampler's one blessed host-boundary
-crossing per round — candidate batches arrive from whatever array backend
-produced them (:func:`repro.xp.to_numpy` downloads device arrays; NumPy
-arrays pass through as views) and everything after the crossing is NumPy.
 """
 
 from __future__ import annotations
@@ -18,8 +12,6 @@ from __future__ import annotations
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
-
-from repro.xp import to_numpy
 
 
 class SolutionSet:
@@ -67,7 +59,7 @@ class SolutionSet:
 
     def add(self, assignment) -> bool:
         """Add one assignment; returns ``True`` when it was new."""
-        row = np.asarray(to_numpy(assignment), dtype=bool)
+        row = np.asarray(assignment, dtype=bool)
         if row.shape != (self.num_variables,):
             raise ValueError(
                 f"expected assignment of shape ({self.num_variables},), got {row.shape}"
@@ -82,21 +74,18 @@ class SolutionSet:
     def add_batch(self, assignments, mask=None) -> int:
         """Add every (optionally masked) row of a ``(batch, num_variables)`` matrix.
 
-        This is where a sampling round crosses the host boundary (exactly
-        once): ``assignments`` and ``mask`` may live on any array backend and
-        are downloaded here.  In-batch duplicates are removed with one
-        packed-row ``np.unique`` (first occurrence wins, so insertion order
-        matches row order); only the batch-unique survivors are checked
-        against the already-stored keys.  Returns the number of rows that
-        were new.
+        In-batch duplicates are removed with one packed-row ``np.unique``
+        (first occurrence wins, so insertion order matches row order); only
+        the batch-unique survivors are checked against the already-stored
+        keys.  Returns the number of rows that were new.
         """
-        assignments = np.asarray(to_numpy(assignments), dtype=bool)
+        assignments = np.asarray(assignments, dtype=bool)
         if assignments.ndim != 2 or assignments.shape[1] != self.num_variables:
             raise ValueError(
                 f"expected (batch, {self.num_variables}) matrix, got {assignments.shape}"
             )
         if mask is not None:
-            mask = np.asarray(to_numpy(mask), dtype=bool)
+            mask = np.asarray(mask, dtype=bool)
             if mask.shape != (assignments.shape[0],):
                 raise ValueError("mask length must equal the batch size")
             assignments = assignments[mask]
@@ -126,7 +115,7 @@ class SolutionSet:
     def contains(self, assignment) -> bool:
         """Whether the assignment (its projected pattern, when projected) is
         already present."""
-        row = np.asarray(to_numpy(assignment), dtype=bool)
+        row = np.asarray(assignment, dtype=bool)
         return np.packbits(self._key_columns(row)).tobytes() in self._keys
 
     def to_matrix(self, limit: Optional[int] = None) -> np.ndarray:

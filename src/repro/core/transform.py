@@ -243,8 +243,7 @@ class TransformResult:
         """Precomputed 0-based column indices for :meth:`complete_assignments`.
 
         Returns ``(input columns, defined net names, defined columns, free
-        columns)``.  Plain ``int`` lists index the backend's arrays directly
-        (list fancy-indexing).
+        columns)``, as plain ``int`` lists for list fancy-indexing.
         """
         input_columns = [
             int(name[len(VAR_PREFIX):]) - 1 for name in self.primary_inputs
@@ -271,31 +270,26 @@ class TransformResult:
         simulating the recovered circuit; free variables receive
         ``free_values`` (``(batch, len(free_variables))``) or 0.  Returns a
         ``(batch, num_variables)`` boolean matrix, column ``j`` holding
-        variable ``j + 1``.  Follows the *input's* residency
-        (:func:`repro.xp.backend_for`): host matrices yield host results;
-        device-resident batches stay on the device.
+        variable ``j + 1``.
 
         The default implementation scatters each variable group (inputs,
         defined, free) with one precomputed fancy-indexed assignment;
         ``use_fast_path=False`` runs the original per-column loop (the
         equivalence suite asserts both produce bitwise-identical matrices).
         """
-        from repro.xp import backend_for
-
-        xpb = backend_for(input_matrix)
-        input_matrix = xpb.asarray(input_matrix, dtype=xpb.bool_dtype)
+        input_matrix = np.asarray(input_matrix, dtype=np.bool_)
         batch = input_matrix.shape[0]
         if input_matrix.shape[1] != len(self.primary_inputs):
             raise ValueError(
                 f"expected {len(self.primary_inputs)} input columns, "
                 f"got {input_matrix.shape[1]}"
             )
-        full = xpb.zeros((batch, self.num_variables), dtype=xpb.bool_dtype)
+        full = np.zeros((batch, self.num_variables), dtype=np.bool_)
         if use_fast_path:
-            return self._complete_fast(xpb, full, input_matrix, free_values)
-        return self._complete_reference(xpb, full, input_matrix, free_values)
+            return self._complete_fast(full, input_matrix, free_values)
+        return self._complete_reference(full, input_matrix, free_values)
 
-    def _complete_fast(self, xpb, full, input_matrix, free_values):
+    def _complete_fast(self, full, input_matrix, free_values):
         input_columns, defined_names, defined_columns, free_columns = (
             self._completion_layout
         )
@@ -309,18 +303,16 @@ class TransformResult:
                 input_order=self.primary_inputs,
                 nets=defined_names,
             )
-            stacked = xpb.stack([values[name] for name in defined_names], axis=1)
+            stacked = np.stack([values[name] for name in defined_names], axis=1)
             full[:, defined_columns] = stacked
         if free_columns:
             if free_values is None:
-                free_values = xpb.zeros(
-                    (batch, len(free_columns)), dtype=xpb.bool_dtype
-                )
-            free_values = xpb.asarray(free_values, dtype=xpb.bool_dtype)
+                free_values = np.zeros((batch, len(free_columns)), dtype=np.bool_)
+            free_values = np.asarray(free_values, dtype=np.bool_)
             full[:, free_columns] = free_values
         return full
 
-    def _complete_reference(self, xpb, full, input_matrix, free_values):
+    def _complete_reference(self, full, input_matrix, free_values):
         """The original per-column scatter loop, kept as the test oracle."""
         batch = input_matrix.shape[0]
         for column, name in enumerate(self.primary_inputs):
@@ -341,10 +333,8 @@ class TransformResult:
 
         if self.free_variables:
             if free_values is None:
-                free_values = xpb.zeros(
-                    (batch, len(self.free_variables)), dtype=xpb.bool_dtype
-                )
-            free_values = xpb.asarray(free_values, dtype=xpb.bool_dtype)
+                free_values = np.zeros((batch, len(self.free_variables)), dtype=np.bool_)
+            free_values = np.asarray(free_values, dtype=np.bool_)
             for column, name in enumerate(self.free_variables):
                 index = int(name[len(VAR_PREFIX):])
                 full[:, index - 1] = free_values[:, column]

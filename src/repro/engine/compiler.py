@@ -329,6 +329,6 @@ def clear_program_caches() -> None:
     Complements the automatic mutation-driven invalidation: long-lived
     processes (servers, notebook sessions) can release compiled state or
     force a recompile without touching the netlists.  Exposed to users as
-    :func:`repro.xp.clear_caches`.
+    :func:`repro.clear_caches`.
     """
     _CACHE_OWNERS.clear(lambda circuit: circuit.engine_cache().clear())

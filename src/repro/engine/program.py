@@ -80,22 +80,12 @@ class ScatterPlan:
             unique_slots=ordered[starts],
         )
 
-    def scatter(self, grads, contribution, xpb=None) -> None:
-        """Accumulate ``contribution`` rows into ``grads`` at ``slots``.
-
-        ``xpb`` is the active :class:`~repro.xp.backend.ArrayBackend`; the
-        plan's index arrays stay host-side (fancy indexing with host index
-        arrays is supported by every backend) while the segmented sum runs
-        through the backend's ``add_reduceat``.
-        """
+    def scatter(self, grads, contribution) -> None:
+        """Accumulate ``contribution`` rows into ``grads`` at ``slots``."""
         if self.unique:
             grads[self.slots] += contribution
         else:
-            if xpb is None:
-                from repro.xp import active_backend
-
-                xpb = active_backend()
-            sums = xpb.add_reduceat(contribution[self.perm], self.starts, axis=0)
+            sums = np.add.reduceat(contribution[self.perm], self.starts, axis=0)
             grads[self.unique_slots] += sums
 
 

@@ -20,10 +20,10 @@ Device chunking happens here at the program level: the batch is split into
 so ``gpu-sim`` is one launch and ``cpu`` a per-sample loop — same semantics
 as the legacy Python-sliced path, same RNG consumption order.
 
-The array backend the loop runs on is resolved from the config
-(``SamplerConfig.resolve_array_backend``: environment < config < CLI) and
-activated for the duration of the batch, so the tensor-level optimizer state
-and the compiled passes live on the same device.
+The loop runs in the float dtype of the initial soft inputs: the sampler
+casts its draws to the dtype its config resolves (``float64`` reference or
+``float32`` throughput policy), and the targets, the compiled passes and the
+optimizer state follow it.
 """
 
 from __future__ import annotations
@@ -31,11 +31,12 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
+import numpy as np
+
 from repro.engine.executor import backward, forward
 from repro.engine.program import CompiledProgram
 from repro.tensor.optim import make_optimizer
-from repro.tensor.tensor import Tensor
-from repro.xp import ArrayBackend, active_backend, use_backend
+from repro.tensor.tensor import Tensor, float_array
 from repro import obs
 
 _GD_ITERATIONS = obs.counter(
@@ -47,11 +48,13 @@ if TYPE_CHECKING:  # imported lazily to keep the engine free of core imports
     from repro.core.config import SamplerConfig
 
 
-def sigmoid_embedding(soft_inputs, xpb: Optional[ArrayBackend] = None):
-    """Eq. 6: ``P = sigma(V)`` (bitwise-identical to the tensor op)."""
-    xpb = xpb or active_backend()
-    soft = xpb.asarray(soft_inputs, dtype=xpb.float_dtype)
-    return 1.0 / (1.0 + xpb.exp(-soft))
+def sigmoid_embedding(soft_inputs):
+    """Eq. 6: ``P = sigma(V)`` (bitwise-identical to the tensor op).
+
+    Runs in the float dtype of ``soft_inputs`` (``float64`` for non-float
+    input).
+    """
+    return 1.0 / (1.0 + np.exp(-float_array(soft_inputs)))
 
 
 def learn_chunk(
@@ -74,11 +77,11 @@ def learn_chunk(
     external scheduler — the portfolio scheduler of :mod:`repro.serve` in
     particular — can retire a chunk mid-flight.  Returns the thresholded
     hard bits (``V > 0``), the loss history, and whether the deadline or the
-    stop hook cut the chunk short.
+    stop hook cut the chunk short.  The chunk runs in the float dtype of
+    ``initial_soft_inputs``; ``targets`` are cast to it.
     """
-    xpb = active_backend()
     parameter = Tensor(initial_soft_inputs, requires_grad=True)
-    targets = xpb.asarray(targets, dtype=xpb.float_dtype)
+    targets = np.asarray(targets, dtype=parameter.data.dtype)
     optimizer = make_optimizer([parameter], config.optimizer, config.learning_rate)
     loss_history: List[float] = []
     halted = False
@@ -89,8 +92,8 @@ def learn_chunk(
         if should_stop is not None and should_stop():
             halted = True
             break
-        probabilities = sigmoid_embedding(parameter.data, xpb)
-        outputs, cache = forward(program, probabilities, xpb)
+        probabilities = sigmoid_embedding(parameter.data)
+        outputs, cache = forward(program, probabilities)
         difference = outputs - targets
         loss = float((difference * difference).sum())
         output_grads = difference + difference
@@ -120,14 +123,13 @@ def learn_batch(
     ``time.perf_counter`` instant) expires or ``should_stop`` returns true —
     both are polled between chunks and, inside :func:`learn_chunk`, between
     iterations — untrained chunks are dropped and the returned matrix is
-    truncated to the rows actually learned.  Returns the hard bit matrix (on
-    the configured array backend), the first chunk's loss history (the
-    round-level convergence signal), and whether the run was halted early.
+    truncated to the rows actually learned.  Returns the hard bit matrix, the
+    first chunk's loss history (the round-level convergence signal), and
+    whether the run was halted early.
     """
-    with obs.span("engine.learn_batch") as bspan, \
-            use_backend(config.resolve_array_backend()) as xpb:
+    with obs.span("engine.learn_batch") as bspan:
         bspan.set("batch_size", batch_size)
-        hard = xpb.zeros((batch_size, program.input_width), dtype=xpb.bool_dtype)
+        hard = np.zeros((batch_size, program.input_width), dtype=np.bool_)
         loss_history: List[float] = []
         completed = 0
         halted = False

@@ -3,8 +3,8 @@
 A :class:`Device` is a chunk policy: it decides how the batch splits into
 launches.  ``gpu-sim`` (one full-batch launch) and ``cpu`` (a per-sample
 loop) are the bitwise-reference execution styles used by the Fig. 4 (left)
-GPU-vs-CPU ablation.  The array runtime the launches execute on is chosen
-separately, by ``SamplerConfig(array_backend=...)`` (:mod:`repro.xp`).  The memory model
+GPU-vs-CPU ablation.  The float dtype the launches compute in is chosen
+separately, by ``SamplerConfig(array_backend=...)``.  The memory model
 reproduces the Fig. 3 (right) measurement analytically from tensor shapes.
 """
 

@@ -1,6 +1,6 @@
 """The native kernel tier for the measured hot loops (``repro.native``).
 
-After the array-backend work vectorised everything NumPy can vectorise, the
+With everything NumPy can vectorise already vectorised, the
 remaining wall-clock lives in loops NumPy cannot fuse: the CNF kernel's
 width-bucketed clause reduction and the engine executor's per-block
 dispatch.  This package provides compiled implementations of exactly those
@@ -9,13 +9,13 @@ in ``tests/native/``: small dependency-free C kernels compiled on demand
 with the system compiler and loaded via :mod:`ctypes`
 (:mod:`repro.native.cext`), reported as the ``"cext"`` tier.
 
-Mode selection mirrors :mod:`repro.xp` backend selection, with precedence
+Mode selection has the precedence
 ``environment < SamplerConfig.kernel < CLI --kernel``:
 
 * ``auto`` (default) — the C tier when it can be brought up, silently
   nothing otherwise (pure-Python/NumPy paths keep running unchanged);
-* ``native`` — the C tier, raising
-  :class:`~repro.xp.backend.BackendUnavailableError` when it is unavailable;
+* ``native`` — the C tier, raising :class:`BackendUnavailableError` when it
+  is unavailable;
 * ``python`` (alias ``off``) — disable native kernels outright.
 
 Availability is probed once per process and memoised; the one-time build
@@ -30,8 +30,12 @@ import threading
 from contextlib import contextmanager
 from typing import Iterator, Optional, Tuple
 
-from repro.xp.backend import BackendUnavailableError
 from repro.native.kernels import NativeKernels, clear_artifact_caches
+
+
+class BackendUnavailableError(ImportError):
+    """Raised when the explicitly requested native C tier is unavailable."""
+
 
 #: Environment variable selecting the default kernel mode.
 NATIVE_ENV_VAR = "REPRO_NATIVE"
@@ -106,9 +110,8 @@ def kernels_for(mode: Optional[str] = None) -> Optional[NativeKernels]:
     """The kernel set for ``mode``, or ``None`` when native execution is off.
 
     ``auto`` degrades silently to ``None`` when the C tier is unavailable;
-    ``native`` raises :class:`~repro.xp.backend.BackendUnavailableError`
-    instead, mirroring how explicitly requested array backends fail loudly
-    while defaults degrade.
+    ``native`` raises :class:`BackendUnavailableError` instead: an explicit
+    request fails loudly while the default degrades.
     """
     resolved = resolve_mode(mode)
     if resolved == "python":
@@ -148,7 +151,7 @@ def compile_seconds() -> float:
 def clear_caches() -> None:
     """Drop per-artifact native memos (flattened programs, CNF plan arrays).
 
-    Folded into :func:`repro.xp.clear_caches`; the compiled library itself
+    Folded into :func:`repro.clear_caches`; the compiled library itself
     stays loaded (it is artifact-independent).
     """
     clear_artifact_caches()

@@ -10,7 +10,7 @@ library on disk and pays nothing; the one-time build cost is recorded in
 report cold-vs-warm numbers honestly.
 
 No compiler, a failing compile, or a failing load all degrade to
-"tier unavailable" (:class:`~repro.xp.backend.BackendUnavailableError` at
+"tier unavailable" (:class:`~repro.native.BackendUnavailableError` at
 explicit request, silent fallback under ``auto``).
 
 Kernel inventory (all operate on caller-allocated C-contiguous buffers):
@@ -39,7 +39,7 @@ import time
 from pathlib import Path
 from typing import Optional
 
-from repro.xp.backend import BackendUnavailableError
+from repro.native import BackendUnavailableError
 from repro import obs
 
 _COMPILE_SECONDS_METRIC = obs.counter(
@@ -348,7 +348,7 @@ def _build_library() -> ctypes.CDLL:
 def load_library() -> ctypes.CDLL:
     """The compiled kernel library (built and memoised on first call).
 
-    Raises :class:`~repro.xp.backend.BackendUnavailableError` when the tier
+    Raises :class:`~repro.native.BackendUnavailableError` when the tier
     cannot be brought up; the failure is memoised so repeated availability
     probes stay cheap.
     """

@@ -11,7 +11,7 @@ flat C-contiguous buffers; this module owns everything above them:
   Both memos are additionally tracked in
   :class:`~repro.utils.weakcache.OwnerRegistry` instances so
   :func:`repro.native.clear_caches` (folded into
-  :func:`repro.xp.clear_caches`) can strip them process-wide;
+  :func:`repro.clear_caches`) can strip them process-wide;
 * the :class:`NativeKernels` class the integration points call.  Its methods
   take the repo's own objects (plans, programs) and host NumPy arrays, and
   return host NumPy arrays bitwise-identical to the pure-Python reference

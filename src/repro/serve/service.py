@@ -66,7 +66,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 import numpy as np
 
 from repro.cnf.formula import CNF
-from repro.core.config import SamplerConfig
+from repro.core.config import SamplerConfig, array_dtype
 from repro.core.signatures import formula_signature
 from repro.core.solutions import SolutionSet
 from repro.core.task import SamplingTask
@@ -278,10 +278,11 @@ class SamplingService:
         0 runs every task inline in this process (deterministic, no
         subprocesses); N >= 1 starts N ``spawn`` worker processes.
     array_backend:
-        Backend spec each worker pins at startup (``"numpy"``,
-        ``"numpy:float32"``, ...).  Tasks whose config names a backend keep
-        their own choice.  ``None`` leaves the workers on the process
-        default.
+        Default array-backend spec (``"numpy"``, ``"numpy:float32"``, ...)
+        for tasks whose config names none, inline and pooled alike; tasks
+        whose config names a backend keep their own choice.  ``None`` leaves
+        the process default (``REPRO_ARRAY_BACKEND``).  A bad spec raises
+        ``ValueError`` here.
     kernel:
         Native kernel mode (:mod:`repro.native`: ``"auto"``, ``"native"``,
         ``"python"``/``"off"``) each worker pins at startup; job configs with a ``kernel`` field keep their own choice.
@@ -347,6 +348,8 @@ class SamplingService:
     ) -> None:
         if num_workers < 0:
             raise ValueError(f"num_workers must be non-negative, got {num_workers}")
+        if array_backend is not None:
+            array_dtype(array_backend)  # vocabulary check
         if kernel is not None:
             from repro.native import resolve_mode
 
@@ -1102,6 +1105,7 @@ class SamplingService:
                         should_stop=lambda: state.cancelled or self._drain_requested,
                         emit=self._handle_message,
                         worker_id=0,
+                        array_backend=self.array_backend,
                     )
 
     # -- internals: worker-pool dispatch -------------------------------------------------

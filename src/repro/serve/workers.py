@@ -10,12 +10,13 @@ share:
   use;
 * the **process pool** runs :func:`worker_main` in ``spawn``-started
   subprocesses.  ``spawn`` (never ``fork``) keeps the workers safe in the
-  presence of threaded array backends and makes the pool behave identically
-  on every platform.
+  presence of threaded native libraries and makes the pool behave
+  identically on every platform.
 
-Each worker pins one :mod:`repro.xp` array backend at startup (tasks whose
-config names no backend inherit it) and owns one
-:class:`~repro.serve.cache.ArtifactCache`, so consecutive tasks on the same
+Tasks whose config names no array backend run under the service's default
+(applied in :func:`execute_task`, so inline and pooled runs agree).  Each
+worker owns one :class:`~repro.serve.cache.ArtifactCache`, so consecutive
+tasks on the same
 formula reuse the memoised transform, engine program and CNF plan across
 jobs — the warm-cache path the serving benchmark measures.
 
@@ -76,11 +77,13 @@ def execute_task(
     emit: Callable[[str, Tuple, Dict[str, object]], None],
     worker_id: int = 0,
     snapshot_telemetry: bool = False,
+    array_backend: Optional[str] = None,
 ) -> None:
     """Run one sampling task and emit its round/done/error messages.
 
     Never raises: failures are reported as an ``"error"`` message so a bad
-    job cannot take its worker down.
+    job cannot take its worker down.  ``array_backend`` is the service's
+    default spec, applied when the task config names none.
 
     Telemetry: a ``task["trace"]`` flag turns on ring-only tracing in this
     process (workers never open trace files — the service owns the trace
@@ -157,6 +160,8 @@ def execute_task(
         else:
             artifact_source = artifact.source
         config = config_from_dict(task["config"])
+        if config.array_backend is None and array_backend is not None:
+            config = config.with_(array_backend=array_backend)
         sampler = GradientSATSampler(
             artifact.formula,
             transform=artifact.transform,
@@ -262,14 +267,11 @@ def worker_main(
     """
     import os
 
-    import repro.xp as xp
     from repro import faults
 
     if faults_spec is not None:
         faults.install_plan(faults_spec)
     faults.set_identity(worker=worker_id, incarnation=incarnation)
-    if backend_spec is not None:
-        xp.set_active_backend(xp.get_backend(backend_spec))
     if kernel_mode is not None:
         from repro.native import set_default_mode
 
@@ -325,5 +327,6 @@ def worker_main(
             return group in cancelled_groups
 
         execute_task(
-            task, cache, should_stop, emit, worker_id, snapshot_telemetry=True
+            task, cache, should_stop, emit, worker_id, snapshot_telemetry=True,
+            array_backend=backend_spec,
         )

@@ -22,13 +22,14 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.tensor.tensor import Tensor, _make, mul, sub
-from repro.xp import active_backend
+import numpy as np
+
+from repro.tensor.tensor import Tensor, as_tensor, _make, mul, sub
 
 
 def sigmoid(x: Tensor) -> Tensor:
     """Logistic sigmoid, the continuous embedding of Eq. 6 (``P = sigma(V)``)."""
-    out_data = 1.0 / (1.0 + active_backend().exp(-x.data))
+    out_data = 1.0 / (1.0 + np.exp(-x.data))
 
     def backward(grad) -> None:
         if x.requires_grad:
@@ -49,7 +50,7 @@ def prob_buf(x: Tensor) -> Tensor:
 
 def prob_not(x: Tensor) -> Tensor:
     """Probabilistic NOT: ``1 - p`` (Table I)."""
-    return sub(Tensor(1.0), x)
+    return sub(as_tensor(1.0, x), x)
 
 
 def prob_and(inputs: Sequence[Tensor]) -> Tensor:

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List
 
+import numpy as np
+
 from repro.tensor.tensor import Tensor
-from repro.xp import active_backend
 
 
 class Optimizer:
@@ -59,7 +60,7 @@ class SGD(Optimizer):
             if self.momentum > 0.0:
                 velocity = self._velocity.get(position)
                 if velocity is None:
-                    velocity = active_backend().zeros_like(parameter.data)
+                    velocity = np.zeros_like(parameter.data)
                 velocity = self.momentum * velocity + update
                 self._velocity[position] = velocity
                 update = velocity
@@ -103,15 +104,14 @@ class Adam(Optimizer):
 
     def step(self) -> None:
         self._step_count += 1
-        xp = active_backend()
         for key, parameter in enumerate(self.parameters):
             if parameter.grad is None:
                 continue
             first = self._first_moment.get(key)
             second = self._second_moment.get(key)
             if first is None:
-                first = xp.zeros_like(parameter.data)
-                second = xp.zeros_like(parameter.data)
+                first = np.zeros_like(parameter.data)
+                second = np.zeros_like(parameter.data)
             first = self.beta1 * first + (1.0 - self.beta1) * parameter.grad
             second = self.beta2 * second + (1.0 - self.beta2) * parameter.grad**2
             self._first_moment[key] = first
@@ -119,5 +119,5 @@ class Adam(Optimizer):
             first_hat = first / (1.0 - self.beta1**self._step_count)
             second_hat = second / (1.0 - self.beta2**self._step_count)
             parameter.data = parameter.data - self.lr * first_hat / (
-                xp.sqrt(second_hat) + self.eps
+                np.sqrt(second_hat) + self.eps
             )

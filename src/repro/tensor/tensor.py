@@ -12,14 +12,12 @@ path, the tape serves two roles: the reference ``"interpreter"`` backend for
 equivalence testing, and the glue layer for code that wants autodiff around a
 compiled program (the engine registers a single tape node per forward call).
 
-Arrays live on the *active array backend* (:func:`repro.xp.active_backend`):
-tensor data is created with the backend's ``asarray``/``zeros``/``stack`` and
-its float-dtype policy, and all arithmetic uses operators the backend's
-arrays implement natively — so the same tape runs under the ``float64``
-reference policy or the ``float32`` throughput policy without a code change.
-The tape deliberately does *not* pin a backend per tensor: a graph must be
-built **and** backpropagated under the backend that created it (the samplers
-guarantee this by wrapping each run in :func:`repro.xp.use_backend`).
+Tensor data is a NumPy float array whose dtype follows the input: float
+data keeps its dtype, anything else becomes ``float64``, and plain operands
+(Python scalars, arrays) combined with a tensor adopt that tensor's dtype.
+A tape built from ``float32`` leaves therefore runs entirely in ``float32``
+(the throughput policy) and one built from ``float64`` leaves is the
+bitwise reference.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from __future__ import annotations
 import contextlib
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.xp import active_backend, to_numpy
+import numpy as np
 
 ArrayLike = Union[Any, float, int, Sequence]
 
@@ -51,8 +49,18 @@ def grad_enabled() -> bool:
     return _GRAD_ENABLED
 
 
+def float_array(data: ArrayLike) -> np.ndarray:
+    """``data`` as a float NumPy array (a view when no conversion is needed).
+
+    Float input keeps its dtype; any other input (bool, int, Python
+    sequences of ints) becomes ``float64``.
+    """
+    array = np.asarray(data)
+    return array if array.dtype.kind == "f" else array.astype(np.float64)
+
+
 class Tensor:
-    """A backend-array tensor with reverse-mode automatic differentiation."""
+    """A NumPy-array tensor with reverse-mode automatic differentiation."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "_op")
 
@@ -64,8 +72,7 @@ class Tensor:
         _backward_fn: Optional[Callable[[Any], None]] = None,
         _op: str = "leaf",
     ) -> None:
-        xp = active_backend()
-        self.data = xp.asarray(data, dtype=xp.float_dtype)
+        self.data = float_array(data)
         self.grad: Optional[Any] = None
         self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
         self._parents = _parents if self.requires_grad or _backward_fn else ()
@@ -88,13 +95,9 @@ class Tensor:
         """Total number of elements."""
         return int(self.data.size)
 
-    def numpy(self):
-        """Return the underlying data as a host NumPy array.
-
-        Shared (not copied) on the NumPy backend; downloaded from the device
-        on accelerator backends.
-        """
-        return to_numpy(self.data)
+    def numpy(self) -> np.ndarray:
+        """Return the underlying data array (shared, not copied)."""
+        return self.data
 
     def item(self) -> float:
         """Return the value of a single-element tensor as a float."""
@@ -112,7 +115,7 @@ class Tensor:
     def _accumulate_grad(self, grad) -> None:
         grad = _unbroadcast(grad, self.data.shape)
         if self.grad is None:
-            self.grad = active_backend().copy(grad)
+            self.grad = grad.copy()
         else:
             self.grad = self.grad + grad
 
@@ -123,11 +126,10 @@ class Tensor:
         when the caller genuinely wants the sum of all output sensitivities,
         which is what the L2-loss training loop uses).
         """
-        xp = active_backend()
         if grad is None:
-            grad = xp.ones_like(self.data)
+            grad = np.ones_like(self.data)
         else:
-            grad = xp.asarray(grad, dtype=xp.float_dtype)
+            grad = np.asarray(grad, dtype=self.data.dtype)
         topo = _topological_sort(self)
         self._accumulate_grad(grad)
         for node in reversed(topo):
@@ -137,25 +139,25 @@ class Tensor:
 
     # -- arithmetic --------------------------------------------------------------------
     def __add__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
-        return add(self, _ensure_tensor(other))
+        return add(self, as_tensor(other, self))
 
     def __radd__(self, other: ArrayLike) -> "Tensor":
-        return add(_ensure_tensor(other), self)
+        return add(as_tensor(other, self), self)
 
     def __sub__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
-        return sub(self, _ensure_tensor(other))
+        return sub(self, as_tensor(other, self))
 
     def __rsub__(self, other: ArrayLike) -> "Tensor":
-        return sub(_ensure_tensor(other), self)
+        return sub(as_tensor(other, self), self)
 
     def __mul__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
-        return mul(self, _ensure_tensor(other))
+        return mul(self, as_tensor(other, self))
 
     def __rmul__(self, other: ArrayLike) -> "Tensor":
-        return mul(_ensure_tensor(other), self)
+        return mul(as_tensor(other, self), self)
 
     def __neg__(self) -> "Tensor":
-        return mul(self, Tensor(-1.0))
+        return mul(self, as_tensor(-1.0, self))
 
     def __pow__(self, exponent: float) -> "Tensor":
         return power(self, exponent)
@@ -173,23 +175,25 @@ class Tensor:
         return f"Tensor(shape={self.shape}, op={self._op!r}{grad_flag})"
 
 
-def _ensure_tensor(value: Union[Tensor, ArrayLike]) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
+def as_tensor(value: Union[Tensor, ArrayLike], like: Tensor) -> Tensor:
+    """``value`` itself if it is a tensor, else a constant in ``like``'s dtype."""
+    if isinstance(value, Tensor):
+        return value
+    return Tensor(np.asarray(value, dtype=like.data.dtype))
 
 
 def _unbroadcast(grad, shape: Tuple[int, ...]):
     """Sum ``grad`` down to ``shape`` (inverse of broadcasting)."""
     if tuple(grad.shape) == shape:
         return grad
-    xp = active_backend()
     # Remove leading broadcast axes.
     while grad.ndim > len(shape):
-        grad = xp.sum(grad, axis=0)
+        grad = np.sum(grad, axis=0)
     # Sum along axes that were broadcast from size 1.
     for axis, dim in enumerate(shape):
         if dim == 1 and grad.shape[axis] != 1:
-            grad = xp.sum(grad, axis=axis, keepdims=True)
-    return xp.reshape(grad, shape)
+            grad = np.sum(grad, axis=axis, keepdims=True)
+    return np.reshape(grad, shape)
 
 
 def _topological_sort(root: Tensor) -> List[Tensor]:
@@ -278,24 +282,23 @@ def power(a: Tensor, exponent: float) -> Tensor:
 
 def reduce_sum(a: Tensor, axis: Optional[int] = None) -> Tensor:
     """Sum reduction over an axis (or all elements)."""
-    xp = active_backend()
-    out_data = xp.sum(a.data, axis=axis)
+    out_data = np.sum(a.data, axis=axis)
 
     def backward(grad) -> None:
         if not a.requires_grad:
             return
         if axis is None:
-            a._accumulate_grad(xp.copy(xp.broadcast_to(grad, a.data.shape)))
+            a._accumulate_grad(np.broadcast_to(grad, a.data.shape).copy())
         else:
-            expanded = xp.expand_dims(grad, axis=axis)
-            a._accumulate_grad(xp.copy(xp.broadcast_to(expanded, a.data.shape)))
+            expanded = np.expand_dims(grad, axis=axis)
+            a._accumulate_grad(np.broadcast_to(expanded, a.data.shape).copy())
 
-    return _make(xp.asarray(out_data), (a,), backward, "sum")
+    return _make(np.asarray(out_data), (a,), backward, "sum")
 
 
 def exp(a: Tensor) -> Tensor:
     """Elementwise exponential."""
-    out_data = active_backend().exp(a.data)
+    out_data = np.exp(a.data)
 
     def backward(grad) -> None:
         if a.requires_grad:
@@ -316,7 +319,7 @@ def take_column(a: Tensor, index: int) -> Tensor:
 
     def backward(grad) -> None:
         if a.requires_grad:
-            full = active_backend().zeros_like(a.data)
+            full = np.zeros_like(a.data)
             full[:, index] = grad
             a._accumulate_grad(full)
 
@@ -331,7 +334,7 @@ def stack_columns(tensors: Sequence[Tensor]) -> Tensor:
     """
     if not tensors:
         raise ValueError("stack_columns requires at least one tensor")
-    out_data = active_backend().stack([t.data for t in tensors], axis=1)
+    out_data = np.stack([t.data for t in tensors], axis=1)
 
     def backward(grad) -> None:
         for column, tensor in enumerate(tensors):
@@ -341,7 +344,6 @@ def stack_columns(tensors: Sequence[Tensor]) -> Tensor:
     return _make(out_data, tuple(tensors), backward, "stack_columns")
 
 
-def full_like_batch(batch_size: int, value: float) -> Tensor:
+def full_like_batch(batch_size: int, value: float, dtype=np.float64) -> Tensor:
     """A constant 1-D tensor of length ``batch_size`` (no gradient)."""
-    xp = active_backend()
-    return Tensor(xp.full(batch_size, value, dtype=xp.float_dtype))
+    return Tensor(np.full(batch_size, value, dtype=dtype))

@@ -6,7 +6,7 @@ Two pieces live here:
   process-wide bulk invalidation.  The engine's compiled-program memo lives
   on each :class:`Circuit` and the CNF evaluation plan on each :class:`CNF`;
   both are invalidated automatically on mutation, but
-  :func:`repro.xp.clear_caches` also needs to drop them explicitly across
+  :func:`repro.clear_caches` also needs to drop them explicitly across
   the whole process.  Owners are tracked weakly — keyed by ``id`` so
   hashability (which ``CNF`` does not have: it defines ``__eq__`` without
   ``__hash__``) is never assumed — and dead owners unregister themselves via

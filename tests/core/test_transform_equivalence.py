@@ -339,11 +339,11 @@ class TestCacheClearing:
         assert before.primary_inputs == after.primary_inputs
 
     def test_xp_clear_caches_covers_transform_memos(self):
-        import repro.xp
+        import repro
         from repro.boolalg.truth_table import _bits_cached
         from repro.boolalg.expr import Var, Xor
 
         truth_table(Xor(Var("a"), Var("b")))
         assert _bits_cached.cache_info().currsize > 0
-        repro.xp.clear_caches()
+        repro.clear_caches()
         assert _bits_cached.cache_info().currsize == 0

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-import repro.xp as xp
+import repro
 from repro import native
 from repro.cnf.formula import CNF
 from repro.engine.compiler import compile_circuit
@@ -63,7 +63,7 @@ class TestClearCaches:
     def test_xp_clear_caches_folds_in_native(self, kernels):
         plan = _formula().evaluation_plan()
         cnf_native_arrays(plan)
-        xp.clear_caches()
+        repro.clear_caches()
         assert plan._native_arrays == {}
 
     def test_memos_rebuild_after_clearing(self, tier, kernels):
@@ -71,7 +71,7 @@ class TestClearCaches:
         matrix = np.random.default_rng(3).random((16, 3)) < 0.5
         with native.use_kernel(tier):
             before = formula.evaluate_batch(matrix, backend="native")
-            xp.clear_caches()
+            repro.clear_caches()
             after = formula.evaluate_batch(matrix, backend="native")
         np.testing.assert_array_equal(before, after)
         assert "native" in formula.evaluation_plan()._native_arrays

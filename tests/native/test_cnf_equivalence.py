@@ -149,7 +149,7 @@ class TestBackendDispatch:
             )
 
     def test_native_backend_without_tiers_fails_loudly(self, monkeypatch):
-        from repro.xp.backend import BackendUnavailableError
+        from repro.native import BackendUnavailableError
 
         monkeypatch.setattr(native, "_PROBE", (None, "cext off"))
         formula = CNF([[1]], num_variables=1)
@@ -157,7 +157,7 @@ class TestBackendDispatch:
             formula.evaluate_batch(np.zeros((2, 1), dtype=bool), backend="native")
 
     def test_python_kernel_mode_blocks_the_native_backend(self):
-        from repro.xp.backend import BackendUnavailableError
+        from repro.native import BackendUnavailableError
 
         formula = CNF([[1]], num_variables=1)
         with native.use_kernel("python"):

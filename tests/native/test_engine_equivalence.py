@@ -79,16 +79,14 @@ class TestExecutorEquivalence:
 
 class TestFloat32Policy:
     def test_forward_is_bitwise_in_float32(self, tier):
-        import repro.xp as xp
-
         program, _ = _program(seed=5)
         probabilities = np.random.default_rng(5).random((16, program.input_width))
-        backend = xp.get_backend("numpy:float32")
         probs32 = probabilities.astype(np.float32)
         with native.use_kernel("python"):
-            reference, _ = forward(program, probs32, backend)
+            reference, _ = forward(program, probs32)
         with native.use_kernel(tier):
-            outputs, _ = forward(program, probs32, backend)
+            outputs, _ = forward(program, probs32)
+        assert outputs.dtype == np.float32
         np.testing.assert_array_equal(outputs, reference)
 
 

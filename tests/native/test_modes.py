@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import native
-from repro.xp.backend import BackendUnavailableError
+from repro.native import BackendUnavailableError
 
 
 class TestModeResolution:

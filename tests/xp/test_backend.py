@@ -1,90 +1,91 @@
-"""Unit tests for the array-backend layer: registry, selection, RNG, caches."""
+"""Unit tests for the float dtype policy: spec vocabulary, selection, RNG, caches.
+
+An ``array_backend`` spec (``numpy``, ``numpy:float64`` or ``numpy:float32``)
+selects nothing but the float dtype of the samplers' learning arrays; every
+hot path calls NumPy directly and follows the dtype of its input arrays.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-import repro.xp as xp
-from repro.core.config import SamplerConfig
+import repro
+from repro.core.config import (
+    ARRAY_BACKEND_DTYPES,
+    ARRAY_BACKEND_ENV_VAR,
+    SamplerConfig,
+    array_dtype,
+)
+from repro.core.sampler import GradientSATSampler
+from repro.engine.executor import forward
+from repro.tensor.tensor import Tensor, float_array
+from repro.utils.rng import new_rng
 
 
 @pytest.fixture(autouse=True)
-def _restore_active_backend():
-    """Every test leaves the process in the env-driven default state."""
-    yield
-    xp.set_active_backend(None)
+def _no_env_default(monkeypatch):
+    """Every test starts from the built-in default, whatever the shell sets."""
+    monkeypatch.delenv(ARRAY_BACKEND_ENV_VAR, raising=False)
 
 
 class TestRegistry:
     def test_numpy_is_default_and_memoised(self):
-        backend = xp.get_backend("numpy")
-        assert backend.name == "numpy"
-        assert backend is xp.get_backend("numpy")
-        assert backend.float_dtype == np.float64
+        assert array_dtype("numpy") == np.float64
+        assert array_dtype(None) is array_dtype("numpy")
 
     def test_spec_selects_float_dtype(self):
-        assert xp.get_backend("numpy:float32").float_dtype == np.float32
-        assert xp.get_backend("numpy:float64").float_dtype == np.float64
-        assert xp.get_backend("numpy:float32") is not xp.get_backend("numpy")
+        assert array_dtype("numpy:float32") == np.float32
+        assert array_dtype("numpy:float64") == np.float64
+        assert array_dtype("numpy:float32") != array_dtype("numpy")
 
     def test_parse_spec(self):
-        assert xp.parse_spec("numpy") == ("numpy", None)
-        assert xp.parse_spec("numpy:float32") == ("numpy", "float32")
+        # The whole vocabulary: one runtime, two float policies.
+        assert set(ARRAY_BACKEND_DTYPES) == {"numpy", "numpy:float64", "numpy:float32"}
 
     @pytest.mark.parametrize(
         "spec", ["", "nope", "numpy:float16", "numpy:", "torch", "cupy:float32"]
     )
     def test_bad_specs_rejected(self, spec):
         with pytest.raises(ValueError):
-            xp.get_backend(spec)
-
-    def test_cache_key_distinguishes_dtype_policy(self):
-        assert (
-            xp.get_backend("numpy").cache_key
-            != xp.get_backend("numpy:float32").cache_key
-        )
+            array_dtype(spec)
+        with pytest.raises(ValueError):
+            SamplerConfig(array_backend=spec)
 
 
 class TestActiveBackend:
+    """The process default: ``REPRO_ARRAY_BACKEND``, else ``numpy``."""
+
     def test_default_is_numpy(self):
-        assert xp.active_backend() is xp.get_backend("numpy")
+        assert array_dtype() == np.float64
+        assert SamplerConfig().float_dtype() == np.float64
 
     def test_env_var_sets_default(self, monkeypatch):
-        monkeypatch.setenv(xp.BACKEND_ENV_VAR, "numpy:float32")
-        assert xp.active_backend().float_dtype == np.float32
+        monkeypatch.setenv(ARRAY_BACKEND_ENV_VAR, "numpy:float32")
+        assert array_dtype() == np.float32
 
     def test_set_active_backend_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(xp.BACKEND_ENV_VAR, "numpy:float32")
-        xp.set_active_backend("numpy")
-        assert xp.active_backend().float_dtype == np.float64
+        # An explicit spec always beats the environment default.
+        monkeypatch.setenv(ARRAY_BACKEND_ENV_VAR, "numpy:float32")
+        assert array_dtype("numpy") == np.float64
 
-    def test_use_backend_restores_previous(self):
-        before = xp.active_backend()
-        with xp.use_backend("numpy:float32") as backend:
-            assert xp.active_backend() is backend
-            assert backend.float_dtype == np.float32
-        assert xp.active_backend() is before
-
-    def test_use_backend_restores_on_error(self):
-        before = xp.active_backend()
-        with pytest.raises(RuntimeError):
-            with xp.use_backend("numpy:float32"):
-                raise RuntimeError("boom")
-        assert xp.active_backend() is before
+    def test_bad_env_spec_rejected(self, monkeypatch):
+        monkeypatch.setenv(ARRAY_BACKEND_ENV_VAR, "bogus")
+        with pytest.raises(ValueError):
+            SamplerConfig().float_dtype()
 
 
 class TestSelectionPrecedence:
     """The documented resolution order: environment < config < CLI."""
 
     def test_env_is_weakest(self, monkeypatch):
-        monkeypatch.setenv(xp.BACKEND_ENV_VAR, "numpy:float32")
-        assert SamplerConfig().resolve_array_backend().float_dtype == np.float32
+        monkeypatch.setenv(ARRAY_BACKEND_ENV_VAR, "numpy:float32")
+        assert SamplerConfig().float_dtype() == np.float32
 
     def test_config_beats_env(self, monkeypatch):
-        monkeypatch.setenv(xp.BACKEND_ENV_VAR, "numpy")
+        monkeypatch.setenv(ARRAY_BACKEND_ENV_VAR, "numpy")
         config = SamplerConfig(array_backend="numpy:float32")
-        assert config.resolve_array_backend().float_dtype == np.float32
+        assert config.float_dtype() == np.float32
 
     def test_cli_writes_the_config_field(self, tmp_path):
         # The CLI flag lands in SamplerConfig.array_backend, so "CLI wins"
@@ -102,140 +103,105 @@ class TestSelectionPrecedence:
 
 
 class TestHostBoundary:
+    """Float arrays pass through the hot paths as-is; anything else becomes float64."""
+
     def test_to_numpy_passes_ndarray_through(self):
-        array = np.arange(4)
-        assert xp.to_numpy(array) is array
+        for dtype in (np.float64, np.float32):
+            array = np.ones(4, dtype=dtype)
+            assert float_array(array) is array
+            assert Tensor(array).numpy() is array
 
     def test_to_numpy_coerces_sequences(self):
-        assert np.array_equal(xp.to_numpy([1, 2, 3]), np.array([1, 2, 3]))
+        for data in ([1, 2, 3], np.array([1, 2, 3]), np.array([True, False, True])):
+            array = float_array(data)
+            assert array.dtype == np.float64
+            np.testing.assert_array_equal(array, np.asarray(data, dtype=np.float64))
+        assert Tensor([1, 2, 3]).data.dtype == np.float64
 
     def test_numpy_backend_boundary_is_identity(self):
-        backend = xp.get_backend("numpy")
-        array = np.ones(3)
-        assert backend.asnumpy(array) is array
-        assert backend.from_numpy(array) is array
+        from repro.engine.compiler import compile_circuit
+        from tests.engine.conftest import random_circuit
+
+        circuit = random_circuit(np.random.default_rng(5), num_inputs=4, num_gates=10)
+        program = compile_circuit(circuit, list(circuit.outputs))
+        bits = np.random.default_rng(6).random((3, program.input_width)) < 0.5
+        outputs, _ = forward(program, bits)
+        assert outputs.dtype == np.float64
+        np.testing.assert_array_equal(outputs, forward(program, bits.astype(np.float64))[0])
 
 
 class TestBackendRNG:
-    def test_matches_numpy_generator_stream(self):
-        ours = xp.get_backend("numpy").rng(123)
+    """One seeded NumPy generator feeds every draw under every dtype."""
+
+    def test_matches_numpy_generator_stream(self, fig1_formula):
+        ours = new_rng(123)
         theirs = np.random.default_rng(123)
         np.testing.assert_array_equal(
             ours.normal(0.0, 1.0, size=(3, 2)), theirs.normal(0.0, 1.0, size=(3, 2))
         )
-        np.testing.assert_array_equal(
-            ours.random(size=(2, 5)), theirs.random(size=(2, 5))
-        )
+        np.testing.assert_array_equal(ours.random(size=(2, 5)), theirs.random(size=(2, 5)))
+        for spec in ("numpy", "numpy:float32"):
+            config = SamplerConfig(seed=4, array_backend=spec)
+            sampler = GradientSATSampler(fig1_formula, config=config)
+            draw = sampler._draw_initial_soft_inputs(6)
+            expected = np.random.default_rng(4).normal(
+                0.0, 1.0, size=(6, sampler.model.num_inputs)
+            )
+            assert draw.dtype == array_dtype(spec)
+            np.testing.assert_array_equal(draw, expected.astype(array_dtype(spec)))
 
-    def test_reseeding_reproduces_the_stream(self):
-        backend = xp.get_backend("numpy")
-        first = backend.rng(7).normal(size=(4, 4))
-        second = backend.rng(7).normal(size=(4, 4))
-        np.testing.assert_array_equal(first, second)
+    def test_reseeding_reproduces_the_stream(self, fig1_formula):
+        config = SamplerConfig(seed=7, array_backend="numpy:float32")
+        sampler = GradientSATSampler(fig1_formula, config=config)
+        first = sampler._draw_initial_soft_inputs(4)
+        sampler.reset_rng()
+        np.testing.assert_array_equal(first, sampler._draw_initial_soft_inputs(4))
 
     def test_stream_is_shared_across_draw_kinds(self):
         # normal() then random() must consume one underlying stream, like the
         # seed code's single np.random.Generator did.
-        ours = xp.get_backend("numpy").rng(9)
+        ours = new_rng(9)
         theirs = np.random.default_rng(9)
         ours.normal(size=3)
         theirs.normal(size=3)
         np.testing.assert_array_equal(ours.random(size=4), theirs.random(size=4))
 
 
-class TestGenericFallbacks:
-    """The base-class implementations optional backends inherit."""
-
-    def test_generic_add_reduceat_matches_numpy(self):
-        backend = xp.NumpyBackend()
-        data = np.random.default_rng(0).random((11, 3))
-        offsets = np.array([0, 2, 3, 7])
-        expected = np.add.reduceat(data, offsets, axis=0)
-        actual = xp.ArrayBackend.add_reduceat(backend, data, offsets, axis=0)
-        np.testing.assert_allclose(actual, expected, rtol=0.0, atol=1e-12)
-
-    def test_generic_add_reduceat_nonzero_first_offset(self):
-        backend = xp.NumpyBackend()
-        data = np.random.default_rng(3).random((10, 2))
-        offsets = np.array([2, 5, 9])  # rows 0-1 belong to no segment
-        expected = np.add.reduceat(data, offsets, axis=0)
-        actual = xp.ArrayBackend.add_reduceat(backend, data, offsets, axis=0)
-        np.testing.assert_allclose(actual, expected, rtol=0.0, atol=1e-12)
-
-    def test_generic_add_reduceat_empty_segment_quirk(self):
-        # np.add.reduceat yields a[offsets[i]] for an empty segment; the
-        # generic fallback must reproduce that quirk.
-        backend = xp.NumpyBackend()
-        data = np.arange(12.0).reshape(6, 2)
-        offsets = np.array([0, 3, 3, 5])
-        expected = np.add.reduceat(data, offsets, axis=0)
-        actual = xp.ArrayBackend.add_reduceat(backend, data, offsets, axis=0)
-        np.testing.assert_allclose(actual, expected, rtol=0.0, atol=1e-12)
-
-    def test_generic_add_reduceat_preserves_integer_dtype(self):
-        backend = xp.NumpyBackend()
-        data = np.arange(12, dtype=np.int64).reshape(6, 2)
-        offsets = np.array([0, 2, 5])
-        actual = xp.ArrayBackend.add_reduceat(backend, data, offsets, axis=0)
-        assert actual.dtype == np.int64
-        np.testing.assert_array_equal(actual, np.add.reduceat(data, offsets, axis=0))
-
-    def test_generic_bit_ops_match_numpy(self):
-        backend = xp.NumpyBackend()
-        words = np.random.default_rng(1).integers(0, 256, size=(9, 4)).astype(np.uint8)
-        offsets = np.array([0, 3, 4])
-        np.testing.assert_array_equal(
-            xp.ArrayBackend.bitwise_or_reduceat(backend, words, offsets, axis=0),
-            np.bitwise_or.reduceat(words, offsets, axis=0),
-        )
-        np.testing.assert_array_equal(
-            xp.ArrayBackend.bitwise_and_reduce(backend, words, axis=0),
-            np.bitwise_and.reduce(words, axis=0),
-        )
-        bits = np.random.default_rng(2).random((5, 17)) < 0.5
-        np.testing.assert_array_equal(
-            xp.ArrayBackend.packbits(backend, bits, axis=1), np.packbits(bits, axis=1)
-        )
-
-
 class TestHostInputResidency:
-    """Caller arrays evaluate on the NumPy reference, not the active policy."""
+    """Boolean evaluation entry points ignore the float dtype policy."""
+
+    @pytest.fixture(autouse=True)
+    def _float32_default(self, monkeypatch):
+        monkeypatch.setenv(ARRAY_BACKEND_ENV_VAR, "numpy:float32")
 
     def test_host_inputs_get_host_results_under_any_active_backend(self):
         from repro.cnf.formula import CNF
 
         formula = CNF([[1, -2], [2]], num_variables=2)
         matrix = np.array([[True, True], [False, False]])
-
-        with xp.use_backend("numpy:float32"):
-            result = formula.evaluate_batch(matrix)
-            counts = formula.unsatisfied_clause_counts(matrix)
-        # Host callers (metrics, baselines) must keep receiving NumPy results
-        # whatever backend is the process default.
-        assert type(result) is np.ndarray
-        assert type(counts) is np.ndarray
+        result = formula.evaluate_batch(matrix)
+        counts = formula.unsatisfied_clause_counts(matrix)
+        assert type(result) is np.ndarray and result.dtype == np.bool_
+        assert type(counts) is np.ndarray and counts.dtype == np.int64
         np.testing.assert_array_equal(result, [True, False])
 
     def test_direct_plan_calls_follow_input_residency(self):
         # WalkSAT and the metrics call the plan methods directly with host
-        # matrices and no explicit backend; the process default must not
-        # change what they get back.
+        # matrices; the dtype policy must not change what they get back.
         from repro.cnf.formula import CNF
 
         formula = CNF([[1, -2], [2], [-1, 2]], num_variables=2)
         plan = formula.evaluation_plan()
         matrix = np.array([[True, True], [False, False], [False, True]])
-        with xp.use_backend("numpy:float32"):
-            satisfaction = plan.clause_satisfaction(matrix)
-            counts = plan.unsatisfied_counts(matrix)
-            result = plan.evaluate(matrix)
+        satisfaction = plan.clause_satisfaction(matrix)
+        counts = plan.unsatisfied_counts(matrix)
+        result = plan.evaluate(matrix)
         assert type(satisfaction) is np.ndarray
         assert type(counts) is np.ndarray
         assert type(result) is np.ndarray
         np.testing.assert_array_equal(
             result, formula.evaluate_batch(matrix, backend="reference")
         )
-
 
     def test_simulate_follows_input_residency(self):
         from repro.circuit.gates import GateType
@@ -247,64 +213,43 @@ class TestHostInputResidency:
         circuit.add_input("b")
         circuit.add_gate("y", GateType.AND, ["a", "b"])
         circuit.set_output("y")
-        matrix = np.array([[True, True], [True, False]])
-        with xp.use_backend("numpy:float32"):
-            values = simulate(circuit, matrix)
+        values = simulate(circuit, [[True, True], [True, False]])
         assert type(values["y"]) is np.ndarray
         np.testing.assert_array_equal(values["y"], [True, False])
 
-    def test_backend_for_rule(self):
-        reference = xp.get_backend("numpy")
-        with xp.use_backend("numpy:float32"):
-            assert xp.backend_for(np.ones(3)) is reference
-            assert xp.backend_for([1, 2]) is reference
-        assert xp.backend_for(np.ones(3)) is reference
+    def test_backend_for_rule(self, fig1_formula):
+        from repro.core.transform import transform_cnf
+
+        transform = transform_cnf(fig1_formula)
+        inputs = np.random.default_rng(0).random((5, len(transform.primary_inputs))) < 0.5
+        full = transform.complete_assignments(inputs.tolist())
+        assert type(full) is np.ndarray and full.dtype == np.bool_
+        np.testing.assert_array_equal(full, transform.complete_assignments(inputs))
 
 
 class TestThreadLocality:
-    def test_use_backend_is_per_thread(self):
-        import threading
-
-        seen = {}
-
-        def worker():
-            seen["worker"] = xp.active_backend().float_dtype
-
-        with xp.use_backend("numpy:float32"):
-            thread = threading.Thread(target=worker)
-            thread.start()
-            thread.join()
-            assert xp.active_backend().float_dtype == np.float32
-        # The override never leaked into the other thread.
-        assert seen["worker"] == np.float64
-
     def test_concurrent_samplers_with_different_backends(self, fig1_formula):
         import threading
 
-        from repro.core.config import SamplerConfig
-        from repro.core.sampler import GradientSATSampler
+        def run(spec):
+            config = SamplerConfig(batch_size=32, seed=4, max_rounds=2, array_backend=spec)
+            return GradientSATSampler(fig1_formula, config=config).sample(num_solutions=20)
 
         results = {}
-
-        def run(spec):
-            config = SamplerConfig(
-                batch_size=32, seed=4, max_rounds=2, array_backend=spec
-            )
-            sampler = GradientSATSampler(fig1_formula, config=config)
-            results[spec] = sampler.sample(num_solutions=20)
-
         threads = [
-            threading.Thread(target=run, args=(spec,))
+            threading.Thread(target=lambda spec=spec: results.__setitem__(spec, run(spec)))
             for spec in ("numpy", "numpy:float32")
         ]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
-        # Both ran to completion with valid solutions and no cross-talk.
+        # Both ran to completion, with no cross-talk: each matches a solo
+        # run of the same spec.
         for spec, result in results.items():
             matrix = result.solution_matrix()
             assert fig1_formula.evaluate_batch(matrix).all(), spec
+            np.testing.assert_array_equal(matrix, run(spec).solution_matrix())
 
 
 class TestClearCaches:
@@ -321,7 +266,7 @@ class TestClearCaches:
         compiled_program_for(transform.circuit, nets)
         assert formula._plan is not None
         assert transform.circuit.engine_cache()
-        xp.clear_caches()
+        repro.clear_caches()
         assert formula._plan is None
         assert not transform.circuit.engine_cache()
 
@@ -330,7 +275,7 @@ class TestClearCaches:
 
         formula = CNF([[1], [1, -2]], num_variables=2)
         before = formula.evaluation_plan()
-        xp.clear_caches()
+        repro.clear_caches()
         after = formula.evaluation_plan()
         assert after is not before
         matrix = np.array([[True, False], [False, True]])

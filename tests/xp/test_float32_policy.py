@@ -1,8 +1,9 @@
 """The float32 dtype policy: documented tolerance vs the float64 reference.
 
-``"numpy:float32"`` (and the ``:float32`` suffix on any backend) is the
-reduced-precision throughput mode for accelerator runs.  It is *not* part of
-the bitwise contract — these tests pin down and document how far it may
+``"numpy:float32"`` is the reduced-precision throughput mode: the sampler
+casts its initial draws to ``float32`` and the engine, the tensor layer and
+the optimizers follow the dtype of their input.  It is *not* part of the
+bitwise contract — these tests pin down and document how far it may
 drift:
 
 * forward output probabilities agree with float64 to ``5e-5`` absolute
@@ -20,7 +21,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro.xp as xp
 from repro.core.config import SamplerConfig
 from repro.core.sampler import GradientSATSampler
 from repro.engine.compiler import compile_circuit
@@ -41,18 +41,33 @@ def program():
     return compile_circuit(circuit, list(circuit.outputs))
 
 
-def test_float32_backend_uses_float32_arrays(program):
-    backend = xp.get_backend("numpy:float32")
+def test_float32_backend_uses_float32_arrays(program, fig1_formula, monkeypatch):
     probabilities = np.random.default_rng(0).random((8, program.input_width))
-    outputs, cache = forward(program, probabilities, backend)
+    outputs, cache = forward(program, probabilities.astype(np.float32))
     assert outputs.dtype == np.float32
     assert cache.values.dtype == np.float32
+    grads = backward(program, cache, np.ones(outputs.shape))
+    assert grads.dtype == np.float32
+    # End to end: every GD iteration of a float32 sampler sees float32.
+    from repro.engine import train
+
+    seen = set()
+    original = train.sigmoid_embedding
+
+    def spy(soft_inputs):
+        seen.add(soft_inputs.dtype)
+        return original(soft_inputs)
+
+    monkeypatch.setattr(train, "sigmoid_embedding", spy)
+    config = SamplerConfig(batch_size=16, seed=1, max_rounds=1, array_backend="numpy:float32")
+    GradientSATSampler(fig1_formula, config=config).sample(num_solutions=4)
+    assert seen == {np.dtype(np.float32)}
 
 
 def test_forward_within_documented_tolerance(program):
     probabilities = np.random.default_rng(1).random((32, program.input_width))
-    reference, _ = forward(program, probabilities, xp.get_backend("numpy"))
-    outputs, _ = forward(program, probabilities, xp.get_backend("numpy:float32"))
+    reference, _ = forward(program, probabilities)
+    outputs, _ = forward(program, probabilities.astype(np.float32))
     np.testing.assert_allclose(
         outputs.astype(np.float64), reference, rtol=0.0, atol=FORWARD_TOLERANCE
     )
@@ -62,25 +77,32 @@ def test_backward_within_documented_tolerance(program):
     rng = np.random.default_rng(2)
     probabilities = rng.random((16, program.input_width))
     seed_grad = rng.random((16, len(program.output_nets)))
-    _, cache64 = forward(program, probabilities, xp.get_backend("numpy"))
+    _, cache64 = forward(program, probabilities)
     reference = backward(program, cache64, seed_grad)
-    _, cache32 = forward(program, probabilities, xp.get_backend("numpy:float32"))
+    _, cache32 = forward(program, probabilities.astype(np.float32))
     grads = backward(program, cache32, seed_grad)
+    assert grads.dtype == np.float32
     np.testing.assert_allclose(
         grads.astype(np.float64), reference, rtol=0.0, atol=GRADIENT_TOLERANCE
     )
 
 
 def test_tensor_layer_follows_the_policy():
-    with xp.use_backend("numpy:float32"):
-        from repro.tensor.functional import sigmoid
-        from repro.tensor.tensor import Tensor
+    from repro.tensor.functional import prob_not, sigmoid
+    from repro.tensor.tensor import Tensor, full_like_batch
 
-        tensor = Tensor(np.linspace(-3, 3, 7), requires_grad=True)
-        out = sigmoid(tensor)
-        assert out.data.dtype == np.float32
-        out.backward()
-        assert tensor.grad.dtype == np.float32
+    tensor = Tensor(np.linspace(-3, 3, 7, dtype=np.float32), requires_grad=True)
+    out = sigmoid(tensor)
+    assert out.data.dtype == np.float32
+    # Plain operands (scalars, float64 arrays, constants) adopt the
+    # tensor's dtype instead of promoting the tape to float64.
+    mixed = prob_not(out) * 2.0 - np.ones(7) + (-out)
+    assert mixed.data.dtype == np.float32
+    loss = (mixed * full_like_batch(7, 1.0, np.float32)).sum()
+    assert loss.data.dtype == np.float32
+    loss.backward()
+    assert tensor.grad.dtype == np.float32
+    assert Tensor(np.arange(3)).data.dtype == np.float64
 
 
 def test_sampler_produces_valid_solutions_under_float32(fig1_formula):
