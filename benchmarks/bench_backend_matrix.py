@@ -1,7 +1,7 @@
 """Float dtype policy × batch-size throughput matrix on the largest instance.
 
 Times the engine's fused forward+backward pass — the same protocol as the
-engine-vs-interpreter benchmark — under both dtype policies (spec ``numpy``,
+engine-vs-reference-interpreter benchmark — under both dtype policies (spec ``numpy``,
 the ``float64`` reference, and ``numpy:float32``, the throughput policy:
 the inputs are cast to the spec's dtype and the engine follows it) over a
 batch-size grid, and rewrites ``BENCH_backend.json``.  Committing the file
@@ -58,7 +58,7 @@ def test_backend_matrix(benchmark, largest_instance):
     """Fused forward+backward throughput for every dtype policy × batch size."""
     entry, formula = largest_instance
     transform = transform_cnf(formula)
-    model = ProbabilisticCircuitModel.from_transform(transform, backend="engine")
+    model = ProbabilisticCircuitModel.from_transform(transform)
     program = model.program  # compile outside the timed region
     # Best-of-5 (vs the engine benchmark's best-of-3): the no-regression
     # ratio compares two measurements of nearly identical code, so it is

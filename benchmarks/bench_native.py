@@ -79,7 +79,7 @@ def test_native_kernels_vs_numpy(benchmark):
     )
 
     # -- dominator 2: engine slot executor (forward + backward) --------------------------
-    model = ProbabilisticCircuitModel.from_transform(transform, backend="engine")
+    model = ProbabilisticCircuitModel.from_transform(transform)
     program = model.program  # compile outside the timed region
     probabilities = rng.random((batch, model.num_inputs))
     seed_grad = np.ones((batch, model.num_outputs))

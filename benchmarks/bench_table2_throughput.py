@@ -27,9 +27,10 @@ from repro.engine.executor import backward as engine_backward
 from repro.engine.executor import forward as engine_forward
 from repro.eval.tables import build_table2, render_table2
 from repro.obs.bench import time_passes
-from repro.tensor.tensor import Tensor
+from tests.oracles.interpreter import InterpreterModel
+from tests.oracles.tensor.tensor import Tensor
 
-#: Where the engine-vs-interpreter comparison records its trajectory.
+#: Where the engine-vs-reference-interpreter comparison records its trajectory.
 BENCH_ENGINE_JSON = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 
 
@@ -83,20 +84,20 @@ def _time_passes(step, repeats: int, passes: int) -> float:
 
 @pytest.mark.benchmark(group="engine")
 def test_engine_vs_interpreter_throughput(benchmark, largest_instance):
-    """Compiled-engine vs legacy-interpreter forward+backward on the largest instance.
+    """Compiled engine vs the reference interpreter, forward+backward, largest instance.
 
-    Measures full training passes (forward + backward over the constrained
-    cone) at the benchmark batch size, reports both throughputs side by side
+    The interpreter is the per-gate autodiff oracle under ``tests/oracles/``
+    (the root of the repo is on the pytest ``pythonpath``).  Measures full
+    training passes (forward + backward over the constrained cone) at the
+    benchmark batch size, reports both throughputs side by side
     and rewrites ``BENCH_engine.json`` with the latest record — committing
     the file each PR is what accumulates the engine's perf trajectory in
     version history.
     """
     entry, formula = largest_instance
     transform = transform_cnf(formula)
-    engine_model = ProbabilisticCircuitModel.from_transform(transform, backend="engine")
-    interp_model = ProbabilisticCircuitModel.from_transform(
-        transform, backend="interpreter"
-    )
+    engine_model = ProbabilisticCircuitModel.from_transform(transform)
+    interp_model = InterpreterModel.of(engine_model)
     batch = engine_bench_batch()
     probabilities = np.random.default_rng(0).random((batch, engine_model.num_inputs))
     seed_grad = np.ones((batch, engine_model.num_outputs))

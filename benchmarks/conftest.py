@@ -12,8 +12,9 @@ Scale knobs (environment variables):
   and the full figure-instance list instead of the fast defaults.
 * ``REPRO_BENCH_TIMEOUT`` — per-sampler timeout in seconds (default 10).
 * ``REPRO_BENCH_SOLUTIONS`` — unique-solution target per run (default 50).
-* ``REPRO_BENCH_ENGINE_BATCH`` — batch size of the engine-vs-interpreter
-  comparison (default 256).
+* ``REPRO_BENCH_ENGINE_BATCH`` — batch size of the engine-vs-reference-
+  interpreter comparison (default 256; the interpreter is the oracle under
+  ``tests/oracles/``).
 """
 
 from __future__ import annotations
@@ -57,12 +58,12 @@ def bench_solutions() -> int:
 
 
 def engine_bench_batch() -> int:
-    """Batch size used for the interpreter-vs-engine throughput comparison."""
+    """Batch size used for the engine-vs-reference-interpreter comparison."""
     return int(os.environ.get("REPRO_BENCH_ENGINE_BATCH", "256"))
 
 
 def engine_min_speedup() -> float:
-    """Required engine-over-interpreter speedup (lower it on noisy shared CI)."""
+    """Required engine-over-reference-interpreter speedup (lower it on noisy shared CI)."""
     return float(os.environ.get("REPRO_BENCH_MIN_SPEEDUP", "3.0"))
 
 

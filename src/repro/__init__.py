@@ -6,8 +6,9 @@ Public API surface: the most common entry points are re-exported here.
 * :func:`repro.transform_cnf` — Algorithm 1 only (CNF -> multi-level function)
 * :class:`repro.GradientSATSampler` — the paper's sampler
 * :class:`repro.SamplerConfig` — hyper-parameters (lr=10, 5 iterations, ...)
-* :mod:`repro.engine` — the compiled levelized execution engine behind the
-  differentiable circuit core (``SamplerConfig(backend=...)`` selects it)
+* :mod:`repro.engine` — the compiled levelized execution engine: the one
+  evaluation path and the one gradient-descent loop of the differentiable
+  circuit core
 * the float dtype policy — every hot path calls NumPy directly and follows
   the dtype of its input arrays; the samplers pick ``float64`` (the bitwise
   reference) or ``float32`` (the throughput policy) from

@@ -85,9 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sample.add_argument("--timeout", type=float, default=None, help="wall-clock budget in seconds")
     sample.add_argument("--device", default="gpu-sim", choices=["gpu-sim", "cpu"],
                         help="execution style (vectorised batch vs per-sample loop)")
-    sample.add_argument("--backend", default="engine", choices=["engine", "interpreter"],
-                        help="evaluation backend: compiled levelized engine (default) "
-                             "or the legacy per-gate autodiff interpreter")
     sample.add_argument("--array-backend", default=None, metavar="SPEC",
                         type=_array_backend_spec,
                         help="float dtype of the learning arrays: 'numpy' (float64, "
@@ -291,7 +288,6 @@ def _command_sample(arguments: argparse.Namespace) -> int:
         seed=arguments.seed,
         timeout_seconds=arguments.timeout,
         device=get_device(arguments.device),
-        backend=arguments.backend,
         array_backend=arguments.array_backend,
         kernel=arguments.kernel,
         store_dir=arguments.store_dir,

@@ -25,15 +25,13 @@ import numpy as np
 from repro.circuit.netlist import Circuit
 from repro.circuit.simulate import simulate
 from repro.core.config import SamplerConfig
-from repro.core.loss import regression_loss, target_matrix
+from repro.core.loss import target_matrix
 from repro.core.model import ProbabilisticCircuitModel
 from repro.core.solutions import SolutionSet
 from repro.engine.train import learn_batch as engine_learn_batch
-from repro.tensor.optim import make_optimizer
-from repro.tensor.tensor import Tensor
-from repro.tensor.functional import sigmoid
 from repro.native import use_kernel
 from repro.utils.rng import new_rng
+from repro import obs
 
 
 @dataclass
@@ -104,7 +102,7 @@ class CircuitSampler:
         self._rng = new_rng(self.config.seed)
 
         self.model = ProbabilisticCircuitModel(
-            circuit, output_nets=list(self.output_targets), backend=self.config.backend
+            circuit, output_nets=list(self.output_targets)
         )
         self._constrained_inputs = list(self.model.input_order)
         constrained = set(self._constrained_inputs)
@@ -131,8 +129,9 @@ class CircuitSampler:
         (between rounds, device chunks and GD iterations); a truthy return
         halts the run cooperatively with ``stopped_early`` set on the result.
         """
-        with use_kernel(self.config.kernel):
-            return self._sample(num_solutions, should_stop)
+        with obs.trace_scope(self.config.telemetry):
+            with use_kernel(self.config.kernel):
+                return self._sample(num_solutions, should_stop)
 
     def _sample(
         self,
@@ -206,61 +205,23 @@ class CircuitSampler:
     ) -> Tuple[np.ndarray, List[float], bool]:
         """Learn one batch of constrained inputs and assemble full input vectors.
 
-        The ``deadline`` (absolute ``time.perf_counter`` instant) and the
-        ``should_stop`` hook are checked between device chunks and GD
-        iterations; when either fires the batch is truncated to the rows
-        actually learned and the halted flag is set.
+        Training runs in the compiled engine's loop, which chunks at the
+        program level.  The ``deadline`` (absolute ``time.perf_counter``
+        instant) and the ``should_stop`` hook are checked between device
+        chunks and GD iterations; when either fires the batch is truncated
+        to the rows actually learned and the halted flag is set.
         """
-        losses: List[float] = []
         targets = target_matrix(batch_size, self.model.output_nets, self.output_targets)
-        if self.config.backend == "engine":
-            # Fused compiled training loop; chunking happens at the program level.
-            constrained_bits, losses, halted = engine_learn_batch(
-                self.model.program,
-                batch_size,
-                targets,
-                self.config,
-                self._draw_initial_soft_inputs,
-                deadline,
-                should_stop,
-            )
-            return self._assemble_inputs(constrained_bits), losses, halted
-        constrained_bits = np.zeros(
-            (batch_size, len(self._constrained_inputs)), dtype=np.bool_
+        constrained_bits, losses, halted = engine_learn_batch(
+            self.model.program,
+            batch_size,
+            targets,
+            self.config,
+            self._draw_initial_soft_inputs,
+            deadline,
+            should_stop,
         )
-        completed = 0
-        halted = False
-        for start, stop in self.config.device.chunks(batch_size):
-            if deadline is not None and time.perf_counter() >= deadline:
-                halted = True
-                break
-            if should_stop is not None and should_stop():
-                halted = True
-                break
-            chunk = stop - start
-            soft = Tensor(self._draw_initial_soft_inputs(chunk), requires_grad=True)
-            optimizer = make_optimizer(
-                [soft], self.config.optimizer, self.config.learning_rate
-            )
-            for _ in range(self.config.iterations):
-                if deadline is not None and time.perf_counter() >= deadline:
-                    halted = True
-                    break
-                if should_stop is not None and should_stop():
-                    halted = True
-                    break
-                optimizer.zero_grad()
-                outputs = self.model.forward(sigmoid(soft))
-                loss = regression_loss(outputs, targets[start:stop])
-                loss.backward()
-                optimizer.step()
-                if start == 0:
-                    losses.append(loss.item())
-            constrained_bits[start:stop] = soft.data > 0.0
-            completed = stop
-            if halted:
-                break
-        return self._assemble_inputs(constrained_bits[:completed]), losses, halted
+        return self._assemble_inputs(constrained_bits), losses, halted
 
     def _draw_initial_soft_inputs(self, chunk: int) -> np.ndarray:
         """Gaussian initialisation of ``V`` for one chunk, in the sampler's dtype."""

@@ -64,10 +64,6 @@ class SamplerConfig:
     seed: Optional[int] = 0
     #: Execution device (vectorised "gpu-sim" or per-sample "cpu" loop).
     device: Device = field(default_factory=lambda: Device(DeviceKind.GPU_SIM))
-    #: Evaluation backend: "engine" (compiled levelized programs, the default)
-    #: or "interpreter" (the legacy per-gate autodiff reference).  The two are
-    #: bitwise-identical; the engine is the fast path.
-    backend: str = "engine"
     #: Maximum number of sampling rounds when a target solution count is requested.
     max_rounds: int = 64
     #: Stop early after this many consecutive rounds that add no new unique solution
@@ -115,10 +111,6 @@ class SamplerConfig:
         check_positive("init_scale", self.init_scale)
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
-        if self.backend not in ("engine", "interpreter"):
-            raise ValueError(
-                f"backend must be 'engine' or 'interpreter', got {self.backend!r}"
-            )
         if self.timeout_seconds is not None and self.timeout_seconds <= 0:
             raise ValueError("timeout_seconds must be positive or None")
         if self.stall_rounds is not None and self.stall_rounds <= 0:

@@ -10,58 +10,24 @@ constrained output — is evaluated: the unconstrained paths need no learning
 (their inputs can be drawn at random) and excluding them is part of the
 operation-count reduction the paper credits for its speedups.
 
-The model is a thin façade over two backends:
-
-* ``"engine"`` (default) — the cone is compiled once by
-  :mod:`repro.engine.compiler` into a levelized index-based program and
-  executed with fused NumPy ops and a hand-written backward pass.  A forward
-  call records a *single* autodiff tape node whose backward delegates to the
-  compiled reverse pass, so gradient-based callers see the usual
-  :class:`~repro.tensor.tensor.Tensor` interface at a fraction of the cost.
-* ``"interpreter"`` — the legacy reference: the cone is walked gate by gate
-  in topological order, allocating one tape node per gate.  Kept for
-  equivalence testing and as executable documentation of Table I.
-
-Both backends are bitwise-identical (the compiler mirrors the interpreter's
-exact operation chains); select one via ``SamplerConfig(backend=...)`` or the
-``backend`` constructor argument.
+The cone is compiled once by :mod:`repro.engine.compiler` into a levelized,
+index-based program (:attr:`ProbabilisticCircuitModel.program`); callers
+run it with :func:`repro.engine.executor.forward` /
+:func:`~repro.engine.executor.backward` — fused NumPy ops and a
+hand-written reverse pass — and train on it with :mod:`repro.engine.train`.
+The gate-by-gate walk it replaced is the reference oracle under
+``tests/oracles/``.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from repro.circuit.gates import GateType
 from repro.circuit.netlist import Circuit
 from repro.core.transform import TransformResult
 from repro.engine.compiler import compiled_program_for
-from repro.engine.executor import backward as engine_backward
-from repro.engine.executor import forward as engine_forward
 from repro.engine.program import CompiledProgram
-from repro.tensor.tensor import Tensor, _make, full_like_batch, stack_columns, take_column
-from repro.tensor.functional import (
-    prob_and,
-    prob_nand,
-    prob_nor,
-    prob_not,
-    prob_or,
-    prob_xnor,
-    prob_xor,
-)
-
-_GATE_FUNCTIONS = {
-    GateType.AND: prob_and,
-    GateType.NAND: prob_nand,
-    GateType.OR: prob_or,
-    GateType.NOR: prob_nor,
-    GateType.XOR: prob_xor,
-    GateType.XNOR: prob_xnor,
-}
-
-#: Recognised evaluation backends.
-BACKENDS = ("engine", "interpreter")
 
 
 class ProbabilisticCircuitModel:
@@ -72,14 +38,10 @@ class ProbabilisticCircuitModel:
         circuit: Circuit,
         output_nets: Sequence[str],
         input_order: Optional[Sequence[str]] = None,
-        backend: str = "engine",
     ) -> None:
         if not output_nets:
             raise ValueError("the model needs at least one constrained output net")
-        if backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
         self.circuit = circuit
-        self.backend = backend
         self.output_nets: List[str] = list(output_nets)
         cone = circuit.transitive_fanin(self.output_nets)
         self._schedule: List[str] = [
@@ -99,9 +61,6 @@ class ProbabilisticCircuitModel:
                 raise ValueError(
                     f"input_order is missing constrained inputs: {sorted(missing)}"
                 )
-        self._input_column: Dict[str, int] = {
-            name: i for i, name in enumerate(self.input_order)
-        }
 
     # -- shape information ----------------------------------------------------------
     @property
@@ -134,62 +93,9 @@ class ProbabilisticCircuitModel:
             count += max(len(gate.fanins) - 1, 1)
         return count
 
-    # -- forward pass ------------------------------------------------------------------
-    def forward(self, probabilities: Tensor) -> Tensor:
-        """Compute output probabilities ``Y = F(P)`` for a batch of inputs.
-
-        ``probabilities`` has shape ``(batch, num_inputs)`` with columns
-        ordered like :attr:`input_order`.
-        """
-        if probabilities.ndim != 2 or probabilities.shape[1] != self.num_inputs:
-            raise ValueError(
-                f"expected probabilities of shape (batch, {self.num_inputs}), "
-                f"got {probabilities.shape}"
-            )
-        if self.backend == "engine":
-            return self._forward_engine(probabilities)
-        return self._forward_interpreter(probabilities)
-
-    __call__ = forward
-
-    def _forward_engine(self, probabilities: Tensor) -> Tensor:
-        """Compiled forward: one tape node wrapping the program's reverse pass."""
-        program = self.program
-        outputs, cache = engine_forward(program, probabilities.data)
-
-        def backward(grad: np.ndarray) -> None:
-            if probabilities.requires_grad:
-                probabilities._accumulate_grad(engine_backward(program, cache, grad))
-
-        return _make(outputs, (probabilities,), backward, "compiled_circuit")
-
-    def _forward_interpreter(self, probabilities: Tensor) -> Tensor:
-        """Legacy reference: walk the cone gate by gate on the autodiff tape."""
-        batch_size = probabilities.shape[0]
-        dtype = probabilities.data.dtype
-        values: Dict[str, Tensor] = {}
-        for name in self._schedule:
-            gate = self.circuit.gate(name)
-            if gate.gate_type == GateType.INPUT:
-                values[name] = take_column(probabilities, self._input_column[name])
-            elif gate.gate_type == GateType.CONST0:
-                values[name] = full_like_batch(batch_size, 0.0, dtype)
-            elif gate.gate_type == GateType.CONST1:
-                values[name] = full_like_batch(batch_size, 1.0, dtype)
-            elif gate.gate_type == GateType.BUF:
-                values[name] = values[gate.fanins[0]]
-            elif gate.gate_type == GateType.NOT:
-                values[name] = prob_not(values[gate.fanins[0]])
-            else:
-                fanin_values = [values[f] for f in gate.fanins]
-                values[name] = _GATE_FUNCTIONS[gate.gate_type](fanin_values)
-        return stack_columns([values[name] for name in self.output_nets])
-
     # -- construction helpers ----------------------------------------------------------
     @classmethod
-    def from_transform(
-        cls, result: TransformResult, backend: str = "engine"
-    ) -> "ProbabilisticCircuitModel":
+    def from_transform(cls, result: TransformResult) -> "ProbabilisticCircuitModel":
         """Build the model for the constrained paths of a transformation result.
 
         The model's input order is exactly ``result.constrained_inputs()``;
@@ -205,19 +111,16 @@ class ProbabilisticCircuitModel:
             result.circuit,
             output_nets=constraint_nets,
             input_order=result.constrained_inputs(),
-            backend=backend,
         )
 
     def describe(self) -> Dict[str, int]:
         """Size summary used in reports and memory estimation."""
-        info = {
+        program = self.program
+        return {
             "inputs": self.num_inputs,
             "outputs": self.num_outputs,
             "scheduled_nets": len(self._schedule),
             "operations": self.num_operations(),
+            "compiled_ops": program.num_ops,
+            "compiled_levels": program.num_levels,
         }
-        if self.backend == "engine":
-            program = self.program
-            info["compiled_ops"] = program.num_ops
-            info["compiled_levels"] = program.num_levels
-        return info

@@ -19,11 +19,11 @@ Each batch element is learned independently, so the whole loop vectorises
 across the batch — the property the paper exploits for GPU acceleration and
 that the ``gpu-sim`` device reproduces with full-batch NumPy execution.
 
-With the default ``backend="engine"`` the GD loop calls the compiled
-levelized engine (:mod:`repro.engine`) directly — fused forward, hand-written
-backward, no per-gate tape; ``backend="interpreter"`` keeps the legacy
-per-gate autodiff path for reference.  Both produce bitwise-identical
-solutions under a fixed seed.
+The GD loop is the compiled levelized engine's (:mod:`repro.engine.train`)
+— fused forward, hand-written backward, no per-gate tape — for sampling
+rounds and for the Fig. 3 learning curve alike.  The tests pin its
+fixed-seed solution streams to the per-gate autodiff reference kept under
+``tests/oracles/``.
 
 Orthogonally, ``SamplerConfig(array_backend=...)`` (or the
 ``REPRO_ARRAY_BACKEND`` environment variable, or the CLI flag) selects the
@@ -45,16 +45,14 @@ import numpy as np
 
 from repro.cnf.formula import CNF
 from repro.core.config import SamplerConfig
-from repro.core.loss import regression_loss, target_matrix
+from repro.core.loss import target_matrix
 from repro.core.model import ProbabilisticCircuitModel
 from repro.core.solutions import SolutionSet
 from repro.core.extraction import VAR_PREFIX
 from repro.core.task import DEFAULT_TASK, SamplingTask
 from repro.core.transform import TransformResult, transform_cnf
+from repro.engine.train import descend
 from repro.engine.train import learn_batch as engine_learn_batch
-from repro.tensor.optim import make_optimizer
-from repro.tensor.tensor import Tensor
-from repro.tensor.functional import sigmoid
 from repro.native import use_kernel
 from repro.utils.rng import new_rng
 from repro import obs
@@ -186,9 +184,7 @@ class GradientSATSampler:
         self._init_weight_vectors()
         if self.transform.constraints:
             self.model: Optional[ProbabilisticCircuitModel] = (
-                ProbabilisticCircuitModel.from_transform(
-                    self.transform, backend=self.config.backend
-                )
+                ProbabilisticCircuitModel.from_transform(self.transform)
             )
         else:
             self.model = None
@@ -336,14 +332,20 @@ class GradientSATSampler:
         Runs a single batch and revalidates the hard assignments after every
         iteration, returning the cumulative unique-solution count per
         iteration (index 0 is the random initialisation before any update).
+        ``batch_size=None`` uses the configured batch size.  Raises
+        ``ValueError`` for ``max_iterations < 0`` or ``batch_size <= 0``.
         """
+        if max_iterations < 0:
+            raise ValueError(f"max_iterations must be >= 0, got {max_iterations}")
+        if batch_size is not None and batch_size <= 0:
+            raise ValueError(f"batch_size must be positive, got {batch_size}")
         with use_kernel(self.config.kernel):
             return self._learning_curve(max_iterations, batch_size)
 
     def _learning_curve(
         self, max_iterations: int, batch_size: Optional[int]
     ) -> List[int]:
-        batch = batch_size or self.config.batch_size
+        batch = self.config.batch_size if batch_size is None else batch_size
         solutions = SolutionSet(self.formula.num_variables, project=self._projection)
         curve: List[int] = []
 
@@ -355,16 +357,17 @@ class GradientSATSampler:
                 curve.append(len(solutions))
             return curve
 
-        soft_inputs, optimizer, targets = self._init_parameters(batch)
+        soft_inputs = self._draw_initial_soft_inputs(batch)
+        steps = descend(
+            self.model.program,
+            soft_inputs,
+            target_matrix(batch, self.model.output_nets),
+            self.config,
+        )
         for iteration in range(max_iterations + 1):
             if iteration > 0:
-                optimizer.zero_grad()
-                outputs = self.model.forward(sigmoid(soft_inputs))
-                loss = regression_loss(outputs, targets)
-                loss.backward()
-                optimizer.step()
-            hard_inputs = soft_inputs.data > 0.0
-            assignments, valid_mask = self._assemble(hard_inputs)
+                soft_inputs, _ = next(steps)
+            assignments, valid_mask = self._assemble(soft_inputs > 0.0)
             solutions.add_batch(assignments, valid_mask)
             curve.append(len(solutions))
         return curve
@@ -421,48 +424,6 @@ class GradientSATSampler:
             draw = draw + self._constrained_bias
         return draw.astype(self._dtype, copy=False)
 
-    def _init_parameters(self, batch_size: int) -> Tuple[Tensor, object, np.ndarray]:
-        """Initialise the trainable soft inputs, the optimizer and the target matrix."""
-        assert self.model is not None
-        soft_inputs = Tensor(self._draw_initial_soft_inputs(batch_size), requires_grad=True)
-        optimizer = make_optimizer(
-            [soft_inputs], self.config.optimizer, self.config.learning_rate
-        )
-        targets = target_matrix(batch_size, self.model.output_nets)
-        return soft_inputs, optimizer, targets
-
-    def _learn_chunk(
-        self,
-        chunk_size: int,
-        deadline: Optional[float] = None,
-        should_stop: Optional[Callable[[], bool]] = None,
-    ) -> Tuple[np.ndarray, List[float], bool]:
-        """Learn one chunk of constrained-input assignments; returns hard bits.
-
-        Mirrors :func:`repro.engine.train.learn_chunk`: when ``deadline``
-        passes (or ``should_stop`` fires) mid-chunk the remaining GD
-        iterations are skipped and the partially-trained bits are returned
-        with the halted flag set.
-        """
-        assert self.model is not None
-        soft_inputs, optimizer, targets = self._init_parameters(chunk_size)
-        loss_history: List[float] = []
-        halted = False
-        for _ in range(self.config.iterations):
-            if deadline is not None and time.perf_counter() >= deadline:
-                halted = True
-                break
-            if should_stop is not None and should_stop():
-                halted = True
-                break
-            optimizer.zero_grad()
-            outputs = self.model.forward(sigmoid(soft_inputs))
-            loss = regression_loss(outputs, targets)
-            loss.backward()
-            optimizer.step()
-            loss_history.append(loss.item())
-        return soft_inputs.data > 0.0, loss_history, halted
-
     def _learn_constrained_inputs(
         self,
         batch_size: int,
@@ -471,47 +432,22 @@ class GradientSATSampler:
     ) -> Tuple[np.ndarray, List[float], bool]:
         """Learn constrained inputs for a full batch, honouring the device's chunking.
 
-        The engine backend hands the whole batch to the compiled program's
-        training loop (chunking happens at the program level); the interpreter
-        backend keeps the legacy Python-sliced chunk loop.  Both check the
-        ``deadline`` and the ``should_stop`` hook between chunks and between
-        GD iterations, truncating the batch to the rows actually learned when
-        either fires.
+        The whole batch goes to the compiled program's training loop, which
+        chunks at the program level and checks the ``deadline`` and the
+        ``should_stop`` hook between chunks and between GD iterations,
+        truncating the batch to the rows actually learned when either fires.
         """
         assert self.model is not None
-        if self.config.backend == "engine":
-            targets = target_matrix(batch_size, self.model.output_nets)
-            return engine_learn_batch(
-                self.model.program,
-                batch_size,
-                targets,
-                self.config,
-                self._draw_initial_soft_inputs,
-                deadline,
-                should_stop,
-            )
-        hard = np.zeros((batch_size, self.model.num_inputs), dtype=np.bool_)
-        loss_history: List[float] = []
-        completed = 0
-        halted = False
-        for start, stop in self.config.device.chunks(batch_size):
-            if deadline is not None and time.perf_counter() >= deadline:
-                halted = True
-                break
-            if should_stop is not None and should_stop():
-                halted = True
-                break
-            chunk_hard, chunk_losses, chunk_halted = self._learn_chunk(
-                stop - start, deadline, should_stop
-            )
-            hard[start:stop] = chunk_hard
-            completed = stop
-            if not loss_history:
-                loss_history = chunk_losses
-            if chunk_halted:
-                halted = True
-                break
-        return hard[:completed], loss_history, halted
+        targets = target_matrix(batch_size, self.model.output_nets)
+        return engine_learn_batch(
+            self.model.program,
+            batch_size,
+            targets,
+            self.config,
+            self._draw_initial_soft_inputs,
+            deadline,
+            should_stop,
+        )
 
     def _assemble(self, constrained_bits) -> Tuple[np.ndarray, np.ndarray]:
         """Build full CNF assignments from constrained-input bits and validate them."""

@@ -9,9 +9,9 @@ program in three modes (probabilistic forward/backward, boolean, bit-packed)
 while :mod:`repro.engine.train` supplies the fused gradient-descent loop the
 samplers call.
 
-The legacy per-gate autodiff interpreter remains available as a reference
-backend (``SamplerConfig(backend="interpreter")``); the engine is
-bitwise-identical to it and is the default.
+The engine is the library's only evaluation path.  The per-gate autodiff
+walk it replaced lives under ``tests/oracles/`` as the reference oracle;
+the engine is tested bitwise-identical to it.
 """
 
 from repro.engine.compiler import CompileError, compile_circuit, compiled_program_for

@@ -4,8 +4,9 @@ Compilation happens once per (circuit, outputs, input order) triple; the
 resulting program is a pure-array artifact that the executor can run forever
 after without touching the netlist, its dicts, or its string keys again.
 
-Lowering rules (chosen to reproduce the legacy interpreter *bitwise* — each
-rule mirrors the operation chain of :mod:`repro.tensor.functional`):
+Lowering rules (chosen to reproduce the gate-by-gate Table I relaxation
+*bitwise* — each rule mirrors the operation chain of the per-gate reference
+oracle kept under ``tests/oracles/``):
 
 * ``INPUT`` — a base slot loaded from the caller's input matrix;
 * ``CONST0`` / ``CONST1`` — shared constant slots filled at execution time;
@@ -134,7 +135,7 @@ def compile_circuit(
     will read (defaults to ``circuit.inputs``); it must cover every primary
     input inside the cone but may be wider (extra columns are ignored on the
     forward pass and receive zero gradient on the backward pass, exactly like
-    the interpreter).
+    the per-gate reference).
     """
     outputs = list(output_nets)
     if not outputs:

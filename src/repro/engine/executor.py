@@ -32,13 +32,22 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.engine.program import OP_ADD, OP_MUL, OP_NOT, CompiledProgram
-from repro.tensor.tensor import float_array
 
 #: Float dtypes the native engine kernels cover.
 _NATIVE_FLOAT_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
 
 #: All-ones packed word (the packed ``NOT`` mask and constant-1 lanes).
 _ONES_U64 = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+
+def float_array(data) -> np.ndarray:
+    """``data`` as a float NumPy array (a view when no conversion is needed).
+
+    Float input keeps its dtype; any other input (bool, int, Python
+    sequences of ints) becomes ``float64``.
+    """
+    array = np.asarray(data)
+    return array if array.dtype.kind == "f" else array.astype(np.float64)
 
 
 def _native_kernels(float_dtype=None):
@@ -149,7 +158,7 @@ def backward(
 
     ``output_grads`` is ``(batch, m)`` like the forward outputs; the result
     has the caller's input-matrix shape ``(batch, input_width)`` with zeros in
-    columns outside the cone (matching the interpreter's scatter semantics).
+    columns outside the cone (the per-gate reference's scatter semantics).
     Runs in the float dtype of the forward pass that produced ``cache``.
     """
     values = cache.values

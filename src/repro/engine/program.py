@@ -13,10 +13,11 @@ opcode    probabilistic form     boolean / packed form
 ========  =====================  ==========================================
 
 Every Table-I probabilistic gate decomposes into these three ops with exactly
-the operation order of :mod:`repro.tensor.functional` (AND is a left-to-right
+the operation order of the per-gate relaxations (AND is a left-to-right
 product chain, OR a complement-product chain, XOR a pairwise chain), so the
-compiled forward pass is *bitwise identical* to the legacy per-gate autodiff
-interpreter.  ``ADD`` only ever appears in the XOR chain, where its two
+compiled forward pass is *bitwise identical* to a gate-by-gate walk of the
+cone — the reference oracle the engine is tested against
+(``tests/oracles/``).  ``ADD`` only ever appears in the XOR chain, where its two
 operands are disjoint events — which is why plain ``|`` realises it in the
 boolean and bit-packed execution modes and one program serves all three.
 
@@ -132,7 +133,7 @@ class CompiledProgram:
 
     ``net_slot`` maps every net of the compiled cone to its value slot
     (BUF gates are aliased away at compile time and share their fanin's
-    slot, exactly like the interpreter shares the fanin tensor).
+    slot, exactly like a gate-by-gate walk shares the fanin value).
     """
 
     source_name: str

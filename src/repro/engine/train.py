@@ -1,24 +1,25 @@
-"""The engine-side gradient-descent loop (Eqs. 6--10 without an autodiff tape).
+"""The sampler's gradient-descent loop (Eqs. 6--10) on plain arrays.
 
-One :func:`learn_batch` call replaces the interpreter's whole per-round
-training: sigmoid embedding, compiled forward, closed-form L2-loss gradient,
-compiled backward, sigmoid adjoint and optimizer step — five fused NumPy
-statements per iteration instead of thousands of per-gate tape nodes.
+One :func:`learn_batch` call runs a sampling round's whole training:
+sigmoid embedding, compiled forward, closed-form L2-loss gradient, compiled
+backward, sigmoid adjoint and optimizer step — five fused NumPy statements
+per iteration (:func:`descend`), with no autodiff tape.  This is the only
+gradient-descent implementation in the library; both samplers and the
+Fig. 3 learning curve run it.
 
-Every arithmetic step reproduces the legacy interpreter bit for bit:
+Every arithmetic step reproduces, bit for bit, the per-gate autodiff walk
+the engine replaced (kept as the reference oracle under ``tests/oracles/``):
 
-* the loss gradient is ``d + d`` with ``d = Y - T`` (how the tape's
+* the loss gradient is ``d + d`` with ``d = Y - T`` (how a tape's
   ``square = mul(x, x)`` accumulates its two branches);
 * the sigmoid adjoint multiplies left to right (``(dP * P) * (1 - P)``);
-* parameter updates run through the *same* :class:`~repro.tensor.optim.SGD` /
-  :class:`~repro.tensor.optim.Adam` classes, driving a parameter
-  :class:`~repro.tensor.tensor.Tensor` whose gradient the engine fills in
-  directly.
+* :class:`SGD` and :class:`Adam` update the parameter array with the
+  reference optimizers' arithmetic, in the same order.
 
 Device chunking happens here at the program level: the batch is split into
 ``config.device.chunks`` spans and each span runs the full compiled loop,
 so ``gpu-sim`` is one launch and ``cpu`` a per-sample loop — same semantics
-as the legacy Python-sliced path, same RNG consumption order.
+as the reference's Python-sliced path, same RNG consumption order.
 
 The loop runs in the float dtype of the initial soft inputs: the sampler
 casts its draws to the dtype its config resolves (``float64`` reference or
@@ -29,14 +30,12 @@ optimizer state follow it.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.engine.executor import backward, forward
+from repro.engine.executor import backward, float_array, forward
 from repro.engine.program import CompiledProgram
-from repro.tensor.optim import make_optimizer
-from repro.tensor.tensor import Tensor, float_array
 from repro import obs
 
 _GD_ITERATIONS = obs.counter(
@@ -48,13 +47,82 @@ if TYPE_CHECKING:  # imported lazily to keep the engine free of core imports
     from repro.core.config import SamplerConfig
 
 
+class SGD:
+    """Plain gradient descent, Eq. 10: ``V <- V - lr * dL/dV``."""
+
+    def __init__(self, lr: float) -> None:
+        self.lr = lr
+
+    def step(self, parameter, grad):
+        """The updated parameter array."""
+        return parameter - self.lr * grad
+
+
+class Adam:
+    """Adam (Kingma & Ba) over one parameter array (ablation only)."""
+
+    def __init__(self, lr: float, betas: tuple = (0.9, 0.999), eps: float = 1e-8) -> None:
+        self.lr = lr
+        self.beta1, self.beta2 = betas
+        self.eps = eps
+        self._step_count = 0
+        self._first_moment = None
+        self._second_moment = None
+
+    def step(self, parameter, grad):
+        """The updated parameter array; advances the moment estimates."""
+        self._step_count += 1
+        if self._first_moment is None:
+            self._first_moment = np.zeros_like(parameter)
+            self._second_moment = np.zeros_like(parameter)
+        first = self.beta1 * self._first_moment + (1.0 - self.beta1) * grad
+        second = self.beta2 * self._second_moment + (1.0 - self.beta2) * grad**2
+        self._first_moment = first
+        self._second_moment = second
+        first_hat = first / (1.0 - self.beta1**self._step_count)
+        second_hat = second / (1.0 - self.beta2**self._step_count)
+        return parameter - self.lr * first_hat / (np.sqrt(second_hat) + self.eps)
+
+
+#: Optimizer classes by ``SamplerConfig.optimizer`` name (the config
+#: validates the name and the learning rate).
+OPTIMIZERS = {"sgd": SGD, "adam": Adam}
+
+
 def sigmoid_embedding(soft_inputs):
-    """Eq. 6: ``P = sigma(V)`` (bitwise-identical to the tensor op).
+    """Eq. 6: ``P = sigma(V)``.
 
     Runs in the float dtype of ``soft_inputs`` (``float64`` for non-float
     input).
     """
     return 1.0 / (1.0 + np.exp(-float_array(soft_inputs)))
+
+
+def descend(
+    program: CompiledProgram,
+    initial_soft_inputs,
+    targets,
+    config: "SamplerConfig",
+) -> Iterator[Tuple[np.ndarray, float]]:
+    """Gradient descent from ``initial_soft_inputs``, one step per ``next()``.
+
+    Each step yields the updated soft inputs ``V`` and the Eq. 8 loss
+    evaluated *before* the update.  One optimizer (``config.optimizer`` at
+    ``config.learning_rate``) carries its state across the steps.  Runs in
+    the float dtype of ``initial_soft_inputs``; ``targets`` are cast to it.
+    """
+    soft_inputs = float_array(initial_soft_inputs)
+    targets = np.asarray(targets, dtype=soft_inputs.dtype)
+    optimizer = OPTIMIZERS[config.optimizer](config.learning_rate)
+    while True:
+        probabilities = sigmoid_embedding(soft_inputs)
+        outputs, cache = forward(program, probabilities)
+        difference = outputs - targets
+        loss = float((difference * difference).sum())
+        input_grads = backward(program, cache, difference + difference)
+        grad = input_grads * probabilities * (1.0 - probabilities)
+        soft_inputs = optimizer.step(soft_inputs, grad)
+        yield soft_inputs, loss
 
 
 def learn_chunk(
@@ -80,9 +148,8 @@ def learn_chunk(
     stop hook cut the chunk short.  The chunk runs in the float dtype of
     ``initial_soft_inputs``; ``targets`` are cast to it.
     """
-    parameter = Tensor(initial_soft_inputs, requires_grad=True)
-    targets = np.asarray(targets, dtype=parameter.data.dtype)
-    optimizer = make_optimizer([parameter], config.optimizer, config.learning_rate)
+    soft_inputs = float_array(initial_soft_inputs)
+    steps = descend(program, soft_inputs, targets, config)
     loss_history: List[float] = []
     halted = False
     for _ in range(config.iterations):
@@ -92,18 +159,11 @@ def learn_chunk(
         if should_stop is not None and should_stop():
             halted = True
             break
-        probabilities = sigmoid_embedding(parameter.data)
-        outputs, cache = forward(program, probabilities)
-        difference = outputs - targets
-        loss = float((difference * difference).sum())
-        output_grads = difference + difference
-        input_grads = backward(program, cache, output_grads)
-        parameter.grad = input_grads * probabilities * (1.0 - probabilities)
-        optimizer.step()
+        soft_inputs, loss = next(steps)
         loss_history.append(loss)
     if loss_history:
         _GD_ITERATIONS.inc(len(loss_history))
-    return parameter.data > 0.0, loss_history, halted
+    return soft_inputs > 0.0, loss_history, halted
 
 
 def learn_batch(
@@ -118,8 +178,8 @@ def learn_batch(
     """Learn a full batch of soft assignments with program-level chunking.
 
     ``draw_initial`` draws the ``(chunk, n)`` Gaussian initialisation for each
-    device chunk in order, which keeps RNG consumption identical to the legacy
-    interpreter's chunk loop.  When ``deadline`` (absolute
+    device chunk in order, which keeps RNG consumption identical to the
+    reference oracle's chunk loop.  When ``deadline`` (absolute
     ``time.perf_counter`` instant) expires or ``should_stop`` returns true —
     both are polled between chunks and, inside :func:`learn_chunk`, between
     iterations — untrained chunks are dropped and the returned matrix is

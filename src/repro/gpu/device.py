@@ -14,11 +14,11 @@ The two kinds reproduce the Fig. 4 (left) GPU-vs-CPU ablation, and their
 chunk spans stay bitwise-identical to the original NumPy
 loop simulator, which keeps ``gpu-sim``/``cpu`` the reference semantics.
 
-Under the compiled engine backend (:mod:`repro.engine`), the device's
-``chunks`` spans drive *program-level* chunking: each span is one complete
-run of the compiled levelized program's training loop
+In the compiled engine (:mod:`repro.engine`), the device's ``chunks``
+spans drive *program-level* chunking: each span is one complete run of the
+compiled levelized program's training loop
 (:func:`repro.engine.train.learn_batch`) rather than a Python slice of a
-per-gate interpreter walk, so a "launch" amortizes the whole cone.
+per-gate walk, so a "launch" amortizes the whole cone.
 """
 
 from __future__ import annotations

@@ -12,9 +12,9 @@ Why these defaults:
   compilation, lazy imports) must land outside every timed loop; they
   are reported separately (``repro.native.compile_seconds``) where they
   matter;
-* **gc.collect() per repeat** — garbage from one contender (e.g. an
-  interpreter tape allocating thousands of nodes per pass) must not be
-  collected on the other contender's clock;
+* **gc.collect() per repeat** — garbage from one contender (e.g. the
+  reference oracle's autodiff tape, allocating thousands of nodes per
+  pass) must not be collected on the other contender's clock;
 * **median** (of per-repeat times) — robust to one noisy repeat on shared
   hardware while not underestimating like best-of can on thermally
   throttled machines.  ``reduce="best"`` remains available for

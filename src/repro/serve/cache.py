@@ -124,9 +124,7 @@ def build_artifact(formula: CNF, signature: Optional[str] = None) -> SamplingArt
         transform = transform_cnf(formula)
         plan = formula.evaluation_plan()
         if transform.constraints:
-            model = ProbabilisticCircuitModel.from_transform(
-                transform, backend="engine"
-            )
+            model = ProbabilisticCircuitModel.from_transform(transform)
             model.program  # force compilation into the circuit's memo
         return SamplingArtifact(
             signature=signature,
@@ -164,9 +162,7 @@ def build_incremental_artifact(
         transform = retransform(parent.transform, delta)
         plan = effective.evaluation_plan()
         if transform.constraints:
-            model = ProbabilisticCircuitModel.from_transform(
-                transform, backend="engine"
-            )
+            model = ProbabilisticCircuitModel.from_transform(transform)
             model.program  # force compilation into the circuit's memo
         return SamplingArtifact(
             signature=signature,

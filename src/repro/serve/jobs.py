@@ -26,7 +26,7 @@ or JSON Lines (one job object per line).  Job object keys:
     Unique-solution target (default 1000).
 ``config``
     :class:`SamplerConfig` field overrides — ``batch_size``, ``iterations``,
-    ``learning_rate``, ``optimizer``, ``init_scale``, ``seed``, ``backend``,
+    ``learning_rate``, ``optimizer``, ``init_scale``, ``seed``,
     ``max_rounds``, ``stall_rounds``, ``timeout_seconds``,
     ``array_backend``, ``kernel``, ``telemetry``, and ``device`` (either a
     device-kind string or ``{"kind", "chunk_size"}``).
@@ -89,7 +89,6 @@ CONFIG_FIELDS = (
     "optimizer",
     "init_scale",
     "seed",
-    "backend",
     "max_rounds",
     "stall_rounds",
     "timeout_seconds",
@@ -188,7 +187,6 @@ def config_to_dict(config: SamplerConfig) -> Dict[str, object]:
         "optimizer": config.optimizer,
         "init_scale": config.init_scale,
         "seed": config.seed,
-        "backend": config.backend,
         "max_rounds": config.max_rounds,
         "stall_rounds": config.stall_rounds,
         "timeout_seconds": config.timeout_seconds,

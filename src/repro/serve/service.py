@@ -29,7 +29,7 @@ What the service layer adds over calling the sampler directly:
 
 Determinism: with ``num_workers`` of 0 or 1, tasks execute sequentially in
 a fixed order, so job results — portfolio merges included — are
-bitwise-reproducible for a fixed (seed, backend, worker-count) tuple.  With
+bitwise-reproducible for a fixed (seed, array backend, worker-count) tuple.  With
 more workers, per-member sampling is still seed-deterministic; only
 cancellation timing (how much a losing member contributes before it stops)
 varies with scheduling.
@@ -841,7 +841,6 @@ class SamplingService:
                 "seed": config.seed,
                 "learning_rate": config.learning_rate,
                 "batch_size": config.batch_size,
-                "backend": config.backend,
                 "array_backend": config.array_backend,
                 "unique_solutions": len(task_state.solutions),
                 "worker": task_state.worker,

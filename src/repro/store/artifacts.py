@@ -115,9 +115,7 @@ def load_sampling_artifact(store: ArtifactStore, signature: str):
         if programs is None and transform.constraints:
             # Recompile through the same route build_artifact takes so the
             # memo key matches the sampler's own model construction.
-            model = ProbabilisticCircuitModel.from_transform(
-                transform, backend="engine"
-            )
+            model = ProbabilisticCircuitModel.from_transform(transform)
             model.program
 
         load_seconds = time.perf_counter() - start

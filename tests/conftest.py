@@ -100,6 +100,22 @@ def expr_abc():
     return Var("a"), Var("b"), Var("c")
 
 
+@pytest.fixture(params=["engine", "interpreter"])
+def learner(request, monkeypatch):
+    """Which gradient-descent loop the samplers run in this test.
+
+    ``"engine"`` is the library's compiled loop; ``"interpreter"`` installs
+    the reference oracle's per-gate learning loops
+    (:func:`tests.oracles.interpreter.use_interpreter`), so one test body
+    checks that the oracle is a faithful drop-in for the engine.
+    """
+    if request.param == "interpreter":
+        from tests.oracles.interpreter import use_interpreter
+
+        use_interpreter(monkeypatch)
+    return request.param
+
+
 @pytest.fixture
 def rng():
     """A deterministic NumPy generator for tests."""

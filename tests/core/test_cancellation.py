@@ -2,8 +2,9 @@
 
 The satellite contract: ``should_stop`` is polled at exactly the timeout
 deadline's check points — between rounds, between device chunks and between
-GD iterations — on both samplers and both evaluation backends, and a halt it
-causes is reported as ``stopped_early`` (distinct from ``timed_out``).
+GD iterations — on both samplers, with the engine's learning loop and with
+the reference interpreter oracle's, and a halt it causes is reported as
+``stopped_early`` (distinct from ``timed_out``).
 """
 
 import numpy as np
@@ -32,23 +33,17 @@ def make_counter_stop(after_calls):
 
 
 class TestSamplerCancellation:
-    @pytest.mark.parametrize("backend", ["engine", "interpreter"])
-    def test_immediate_stop(self, fig1, backend):
-        sampler = GradientSATSampler(
-            fig1, config=SamplerConfig(batch_size=16, seed=0, backend=backend)
-        )
+    def test_immediate_stop(self, fig1, learner):
+        sampler = GradientSATSampler(fig1, config=SamplerConfig(batch_size=16, seed=0))
         result = sampler.sample(10_000, should_stop=lambda: True)
         assert result.stopped_early is True
         assert result.timed_out is False
         assert result.num_unique == 0
         assert result.summary()["stopped_early"] is True
 
-    @pytest.mark.parametrize("backend", ["engine", "interpreter"])
-    def test_mid_run_stop_keeps_partial_work(self, fig1, backend):
+    def test_mid_run_stop_keeps_partial_work(self, fig1, learner):
         should_stop, calls = make_counter_stop(after_calls=3)
-        sampler = GradientSATSampler(
-            fig1, config=SamplerConfig(batch_size=16, seed=0, backend=backend)
-        )
+        sampler = GradientSATSampler(fig1, config=SamplerConfig(batch_size=16, seed=0))
         result = sampler.sample(10_000, should_stop=should_stop)
         assert result.stopped_early is True
         assert calls["count"] > 3  # polled repeatedly, inside the GD loop too
@@ -83,12 +78,8 @@ class TestSamplerCancellation:
 
 
 class TestCircuitSamplerCancellation:
-    @pytest.mark.parametrize("backend", ["engine", "interpreter"])
-    def test_immediate_stop(self, small_circuit, backend):
-        sampler = CircuitSampler(
-            small_circuit,
-            config=SamplerConfig(batch_size=16, seed=0, backend=backend),
-        )
+    def test_immediate_stop(self, small_circuit, learner):
+        sampler = CircuitSampler(small_circuit, config=SamplerConfig(batch_size=16, seed=0))
         result = sampler.sample(10_000, should_stop=lambda: True)
         assert result.stopped_early is True
         assert result.timed_out is False

@@ -6,6 +6,7 @@ import pytest
 from repro.circuit.builder import CircuitBuilder
 from repro.core.circuit_sampler import CircuitSampler, sample_circuit
 from repro.core.config import SamplerConfig
+from repro import obs
 
 
 def _config(**overrides):
@@ -113,3 +114,18 @@ class TestSampling:
     def test_loss_history_recorded(self, small_circuit):
         result = sample_circuit(small_circuit, num_solutions=4, config=_config(max_rounds=1))
         assert len(result.loss_history) == _config().iterations
+
+
+class TestTelemetry:
+    def test_config_telemetry_records_spans(self, small_circuit):
+        # The config's telemetry spec used to be ignored: a CircuitSampler
+        # run recorded no spans, unlike a GradientSATSampler run.
+        obs.tracer().clear()
+        config = SamplerConfig(batch_size=8, max_rounds=2, telemetry="mem")
+        try:
+            CircuitSampler(small_circuit, config=config).sample(num_solutions=100)
+            names = {record["name"] for record in obs.tracer().spans()}
+        finally:
+            obs.tracer().clear()
+        assert "engine.learn_batch" in names
+        assert not obs.tracing_enabled()

@@ -1,10 +1,13 @@
-"""Tests for loss construction (repro.core.loss)."""
+"""Tests for loss construction: ``repro.core.loss.target_matrix``, and the
+reference Eq. 8 loss of the interpreter oracle (the engine's own loss and
+gradient are pinned to it in ``tests/engine/test_train.py``)."""
 
 import numpy as np
 import pytest
 
-from repro.core.loss import per_sample_residual, regression_loss, target_matrix
-from repro.tensor.tensor import Tensor
+from repro.core.loss import target_matrix
+from tests.oracles.interpreter import regression_loss
+from tests.oracles.tensor.tensor import Tensor
 
 
 class TestTargetMatrix:
@@ -40,14 +43,3 @@ class TestRegressionLoss:
         outputs = Tensor(np.full((1, 2), 0.25), requires_grad=True)
         regression_loss(outputs, np.ones((1, 2))).backward()
         assert np.allclose(outputs.grad, 2 * (0.25 - 1.0) * np.ones((1, 2)))
-
-
-class TestPerSampleResidual:
-    def test_2d(self):
-        outputs = np.array([[1.0, 0.0], [0.5, 0.5]])
-        targets = np.ones((2, 2))
-        residuals = per_sample_residual(outputs, targets)
-        assert np.allclose(residuals, [1.0, 0.5])
-
-    def test_1d(self):
-        assert np.allclose(per_sample_residual(np.array([0.5]), np.array([1.0])), [0.25])

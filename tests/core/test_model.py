@@ -6,7 +6,7 @@ import pytest
 from repro.circuit.builder import CircuitBuilder
 from repro.core.model import ProbabilisticCircuitModel
 from repro.core.transform import transform_cnf
-from repro.tensor.tensor import Tensor
+from repro.engine.executor import backward, forward
 from tests.conftest import all_assignments
 
 
@@ -38,14 +38,17 @@ class TestConstruction:
         assert info["inputs"] == 3
         assert info["outputs"] == 2
         assert info["operations"] >= 3
+        assert info["compiled_ops"] == model.program.num_ops
 
 
 class TestForwardSemantics:
+    """The model's compiled program, run by ``engine.executor.forward``."""
+
     def test_matches_boolean_circuit_on_corners(self):
         circuit = _mux_circuit()
         model = ProbabilisticCircuitModel(circuit, output_nets=["out"])
         matrix = all_assignments(3).astype(float)
-        outputs = model.forward(Tensor(matrix)).numpy()
+        outputs, _ = forward(model.program, matrix)
         for row, bits in enumerate(all_assignments(3)):
             assignment = dict(zip(model.input_order, bits))
             expected = circuit.evaluate(assignment)["out"]
@@ -55,8 +58,8 @@ class TestForwardSemantics:
         """For the mux with all inputs at probability 0.5 the output probability is 0.5."""
         circuit = _mux_circuit()
         model = ProbabilisticCircuitModel(circuit, output_nets=["out"])
-        outputs = model.forward(Tensor(np.full((1, 3), 0.5)))
-        assert 0.25 <= outputs.numpy()[0, 0] <= 0.75
+        outputs, _ = forward(model.program, np.full((1, 3), 0.5))
+        assert 0.25 <= outputs[0, 0] <= 0.75
 
     def test_constant_nets(self):
         builder = CircuitBuilder()
@@ -65,22 +68,21 @@ class TestForwardSemantics:
         out = builder.and_(a, one, name="out")
         builder.output(out)
         model = ProbabilisticCircuitModel(builder.circuit, output_nets=["out"])
-        outputs = model.forward(Tensor([[0.3]]))
-        assert np.isclose(outputs.numpy()[0, 0], 0.3)
+        outputs, _ = forward(model.program, [[0.3]])
+        assert np.isclose(outputs[0, 0], 0.3)
 
     def test_shape_validation(self, small_circuit):
         model = ProbabilisticCircuitModel(small_circuit, output_nets=["f"])
         with pytest.raises(ValueError):
-            model.forward(Tensor(np.zeros((2, 99))))
+            forward(model.program, np.zeros((2, 99)))
 
     def test_gradients_flow_to_inputs(self):
         circuit = _mux_circuit()
         model = ProbabilisticCircuitModel(circuit, output_nets=["out"])
-        probabilities = Tensor(np.full((4, 3), 0.4), requires_grad=True)
-        model.forward(probabilities).sum().backward()
-        assert probabilities.grad is not None
-        assert probabilities.grad.shape == (4, 3)
-        assert np.abs(probabilities.grad).sum() > 0
+        outputs, cache = forward(model.program, np.full((4, 3), 0.4))
+        grad = backward(model.program, cache, np.ones_like(outputs))
+        assert grad.shape == (4, 3)
+        assert np.abs(grad).sum() > 0
 
 
 class TestFromTransform:
@@ -89,7 +91,7 @@ class TestFromTransform:
         model = ProbabilisticCircuitModel.from_transform(transform)
         assert model.num_outputs == 1
         assert model.num_inputs == len(transform.constrained_inputs())
-        outputs = model.forward(Tensor(np.ones((2, model.num_inputs))))
+        outputs, _ = forward(model.program, np.ones((2, model.num_inputs)))
         assert outputs.shape == (2, 1)
 
     def test_unconstrained_instance_rejected(self):

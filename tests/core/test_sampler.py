@@ -99,11 +99,9 @@ class TestTimeoutDeadline:
         monkeypatch.setattr(sampler_module.time, "perf_counter", fake_perf_counter)
         return state
 
-    @pytest.mark.parametrize("backend", ["engine", "interpreter"])
-    def test_long_round_cut_at_deadline(self, fig1_formula, monkeypatch, backend):
+    def test_long_round_cut_at_deadline(self, fig1_formula, monkeypatch, learner):
         self._install_fake_clock(monkeypatch)
         config = _small_config(
-            backend=backend,
             batch_size=16,
             max_rounds=10,
             stall_rounds=None,
@@ -196,6 +194,20 @@ class TestDevicesAndOptimizers:
         assert len(curve) == 6
         assert all(later >= earlier for earlier, later in zip(curve, curve[1:]))
         assert curve[-1] > 0
+
+    @pytest.mark.parametrize(
+        "max_iterations, batch_size",
+        [(-1, None), (2, 0), (2, -4)],
+        ids=["negative-iterations", "zero-batch", "negative-batch"],
+    )
+    def test_learning_curve_rejects_bad_arguments(
+        self, fig1_formula, max_iterations, batch_size
+    ):
+        # A zero batch used to fall back to the config batch, and a
+        # negative iteration count used to return an empty curve.
+        sampler = GradientSATSampler(fig1_formula, config=_small_config(batch_size=16))
+        with pytest.raises(ValueError):
+            sampler.learning_curve(max_iterations, batch_size=batch_size)
 
     def test_learning_curve_unconstrained_instance(self):
         formula = CNF([[1, 2]], num_variables=2, name="tiny")

@@ -1,10 +1,18 @@
-"""Engine-vs-interpreter equivalence: forward, backward, and sampled solutions.
+"""Engine-vs-reference equivalence: forward, backward, and sampled solutions.
 
-The compiled engine is specified to be *bitwise identical* to the legacy
-per-gate autodiff interpreter on the forward pass and to match its input
-gradients to 1e-10 (they are bitwise-equal in practice too; the looser bound
-guards against platform-dependent reduction orders).
+The compiled engine is specified to be *bitwise identical* to the per-gate
+autodiff interpreter kept as the reference oracle
+(:mod:`tests.oracles.interpreter`) on the forward pass and to match its input
+gradients to 1e-10 (reconvergent fanout accumulates gradients in another
+order than the tape, so the last bits may differ).
+
+The sampler-level tests run each fixed-seed configuration on the engine and
+again with the oracle's learning loops installed, and also pin the engine's
+output to golden values recorded while the interpreter was still a library
+backend, so a change that moved both paths together is caught too.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -14,36 +22,38 @@ from repro.core.circuit_sampler import CircuitSampler
 from repro.core.model import ProbabilisticCircuitModel
 from repro.core.sampler import GradientSATSampler
 from repro.core.transform import transform_cnf
+from repro.engine.executor import backward, forward
 from repro.gpu.device import Device, DeviceKind
-from repro.tensor.tensor import Tensor
 from tests.engine.conftest import random_circuit
+from tests.oracles.interpreter import InterpreterModel, use_interpreter
+from tests.oracles.tensor.tensor import Tensor
 
 GRAD_TOLERANCE = 1e-10
 
-
-def _models(circuit, outputs):
-    engine = ProbabilisticCircuitModel(circuit, output_nets=outputs, backend="engine")
-    interpreter = ProbabilisticCircuitModel(
-        circuit, output_nets=outputs, backend="interpreter"
-    )
-    return engine, interpreter
+#: SHA-256 of the fig1 solution matrix (28 x 14, bool) under
+#: ``SamplerConfig(batch_size=48, max_rounds=3, seed=1234)``, 30 solutions —
+#: the same for every device chunking.
+FIG1_ROWS_SHA256 = "5956b847733f03a7ddc16252ef9e2db40014b4d7ce631661ac29472d1aa32665"
+#: xor chain, ``SamplerConfig(batch_size=32, max_rounds=2, seed=7)`` (2 x 3).
+XOR_ROWS_SHA256 = "6d1bccaa2d62ae6f83d99207620a37e3518e35594179767dc1a5e12b72e7c5a6"
+#: fig1 under Adam, ``SamplerConfig(batch_size=32, max_rounds=2, seed=99,
+#: optimizer="adam", learning_rate=0.5)`` (18 x 14).
+ADAM_ROWS_SHA256 = "10e70a1b2af1cdbc1adfa9114258fa9a5887766b64ba143388c7a7ad93f94a38"
 
 
 def _compare_forward_backward(circuit, outputs, rng, batch=8):
-    engine, interpreter = _models(circuit, outputs)
+    engine = ProbabilisticCircuitModel(circuit, output_nets=outputs)
+    interpreter = InterpreterModel(circuit, output_nets=outputs)
     probabilities = rng.random((batch, engine.num_inputs))
-    tensor_e = Tensor(probabilities.copy(), requires_grad=True)
+    out_e, cache = forward(engine.program, probabilities)
     tensor_i = Tensor(probabilities.copy(), requires_grad=True)
-    out_e = engine.forward(tensor_e)
     out_i = interpreter.forward(tensor_i)
-    assert np.array_equal(out_e.data, out_i.data), "forward passes diverged"
+    assert np.array_equal(out_e, out_i.data), "forward passes diverged"
     seed_grad = rng.random(out_e.shape)
-    out_e.backward(seed_grad)
+    grad_e = backward(engine.program, cache, seed_grad)
     out_i.backward(seed_grad)
-    assert tensor_i.grad is not None and tensor_e.grad is not None
-    np.testing.assert_allclose(
-        tensor_e.grad, tensor_i.grad, rtol=0.0, atol=GRAD_TOLERANCE
-    )
+    assert tensor_i.grad is not None
+    np.testing.assert_allclose(grad_e, tensor_i.grad, rtol=0.0, atol=GRAD_TOLERANCE)
 
 
 class TestForwardBackwardEquivalence:
@@ -55,41 +65,47 @@ class TestForwardBackwardEquivalence:
 
     def test_fig1_cone(self, fig1_formula, rng):
         transform = transform_cnf(fig1_formula)
-        engine = ProbabilisticCircuitModel.from_transform(transform, backend="engine")
-        interpreter = ProbabilisticCircuitModel.from_transform(
-            transform, backend="interpreter"
-        )
+        engine = ProbabilisticCircuitModel.from_transform(transform)
+        interpreter = InterpreterModel.from_transform(transform)
         probabilities = rng.random((16, engine.num_inputs))
-        tensor_e = Tensor(probabilities.copy(), requires_grad=True)
+        out_e, cache = forward(engine.program, probabilities)
         tensor_i = Tensor(probabilities.copy(), requires_grad=True)
-        out_e, out_i = engine.forward(tensor_e), interpreter.forward(tensor_i)
-        assert np.array_equal(out_e.data, out_i.data)
-        out_e.sum().backward()
+        out_i = interpreter.forward(tensor_i)
+        assert np.array_equal(out_e, out_i.data)
+        grad_e = backward(engine.program, cache, np.ones_like(out_e))
         out_i.sum().backward()
-        np.testing.assert_allclose(
-            tensor_e.grad, tensor_i.grad, rtol=0.0, atol=GRAD_TOLERANCE
-        )
+        np.testing.assert_allclose(grad_e, tensor_i.grad, rtol=0.0, atol=GRAD_TOLERANCE)
 
     def test_gradients_match_finite_differences(self, rng):
         circuit = random_circuit(rng, num_inputs=4, num_gates=12, num_outputs=2)
-        engine, _ = _models(circuit, list(circuit.outputs))
-        base = rng.random((1, engine.num_inputs)) * 0.8 + 0.1
-        tensor = Tensor(base.copy(), requires_grad=True)
-        engine.forward(tensor).sum().backward()
+        program = ProbabilisticCircuitModel(circuit, list(circuit.outputs)).program
+        base = rng.random((1, program.input_width)) * 0.8 + 0.1
+        outputs, cache = forward(program, base)
+        grad = backward(program, cache, np.ones_like(outputs))
         step = 1e-6
-        for column in range(engine.num_inputs):
+        for column in range(program.input_width):
             bumped = base.copy()
             bumped[0, column] += step
-            with_bump = engine.forward(Tensor(bumped)).data.sum()
-            without = engine.forward(Tensor(base)).data.sum()
+            with_bump = forward(program, bumped)[0].sum()
+            without = forward(program, base)[0].sum()
             numeric = (with_bump - without) / step
-            assert tensor.grad[0, column] == pytest.approx(numeric, abs=1e-4)
+            assert grad[0, column] == pytest.approx(numeric, abs=1e-4)
+
+
+def _on_both_learners(monkeypatch, run):
+    """``run()`` on the engine, then with the interpreter oracle installed."""
+    engine = run()
+    with monkeypatch.context() as patch:
+        use_interpreter(patch)
+        reference = run()
+    return engine, reference
 
 
 class TestSamplerEquivalence:
-    def _solution_bytes(self, formula, config):
+    @staticmethod
+    def _solution_digest(formula, config):
         result = GradientSATSampler(formula, config=config).sample(num_solutions=30)
-        return result.solution_matrix().tobytes(), result.num_unique
+        return hashlib.sha256(result.solution_matrix().tobytes()).hexdigest()
 
     @pytest.mark.parametrize(
         "device",
@@ -98,58 +114,109 @@ class TestSamplerEquivalence:
             Device(DeviceKind.GPU_SIM, chunk_size=17),
             Device(DeviceKind.CPU, chunk_size=8),
         ],
+        ids=["device0", "device1", "device2"],
     )
-    def test_bitwise_identical_solutions(self, fig1_formula, device):
-        base = SamplerConfig(batch_size=48, max_rounds=3, seed=1234, device=device)
-        engine_bytes, engine_count = self._solution_bytes(
-            fig1_formula, base.with_(backend="engine")
+    def test_bitwise_identical_solutions(self, fig1_formula, device, monkeypatch):
+        config = SamplerConfig(batch_size=48, max_rounds=3, seed=1234, device=device)
+        digests = _on_both_learners(
+            monkeypatch, lambda: self._solution_digest(fig1_formula, config)
         )
-        interp_bytes, interp_count = self._solution_bytes(
-            fig1_formula, base.with_(backend="interpreter")
-        )
-        assert engine_count == interp_count
-        assert engine_bytes == interp_bytes
+        assert digests == (FIG1_ROWS_SHA256, FIG1_ROWS_SHA256)
 
-    def test_bitwise_identical_solutions_xor(self, xor_chain_formula):
-        base = SamplerConfig(batch_size=32, max_rounds=2, seed=7)
-        engine_bytes, _ = self._solution_bytes(
-            xor_chain_formula, base.with_(backend="engine")
+    def test_bitwise_identical_solutions_xor(self, xor_chain_formula, monkeypatch):
+        config = SamplerConfig(batch_size=32, max_rounds=2, seed=7)
+        digests = _on_both_learners(
+            monkeypatch, lambda: self._solution_digest(xor_chain_formula, config)
         )
-        interp_bytes, _ = self._solution_bytes(
-            xor_chain_formula, base.with_(backend="interpreter")
-        )
-        assert engine_bytes == interp_bytes
+        assert digests == (XOR_ROWS_SHA256, XOR_ROWS_SHA256)
 
-    def test_adam_optimizer_equivalence(self, fig1_formula):
-        base = SamplerConfig(
+    def test_adam_optimizer_equivalence(self, fig1_formula, monkeypatch):
+        config = SamplerConfig(
             batch_size=32, max_rounds=2, seed=99, optimizer="adam", learning_rate=0.5
         )
-        engine_bytes, _ = self._solution_bytes(
-            fig1_formula, base.with_(backend="engine")
+        digests = _on_both_learners(
+            monkeypatch, lambda: self._solution_digest(fig1_formula, config)
         )
-        interp_bytes, _ = self._solution_bytes(
-            fig1_formula, base.with_(backend="interpreter")
-        )
-        assert engine_bytes == interp_bytes
+        assert digests == (ADAM_ROWS_SHA256, ADAM_ROWS_SHA256)
 
-    def test_learning_curves_identical(self, fig1_formula):
-        curves = []
-        for backend in ("engine", "interpreter"):
-            config = SamplerConfig(batch_size=32, seed=5, backend=backend)
-            sampler = GradientSATSampler(fig1_formula, config=config)
-            curves.append(sampler.learning_curve(max_iterations=4))
-        assert curves[0] == curves[1]
+    def test_learning_curves_identical(self, fig1_formula, monkeypatch):
+        config = SamplerConfig(batch_size=32, seed=5)
+        curves = _on_both_learners(
+            monkeypatch,
+            lambda: GradientSATSampler(fig1_formula, config=config).learning_curve(
+                max_iterations=4
+            ),
+        )
+        assert curves == ([10, 26, 28, 29, 29], [10, 26, 28, 29, 29])
+
+
+#: Fig. 3 learning curves (unique valid solutions after each of 6 GD
+#: iterations) at ``SamplerConfig(batch_size=256, seed=3, optimizer=...,
+#: array_backend=...)``, recorded from the tape-based loop the engine step
+#: replaced: ``{instance: {(optimizer, spec): curve}}``.
+GOLDEN_LEARNING_CURVES = {
+    "s15850a_3_2": {
+        ("sgd", "numpy"): [241, 484, 728, 977, 1226, 1476, 1727],
+        ("sgd", "numpy:float32"): [241, 484, 728, 977, 1226, 1476, 1727],
+        ("adam", "numpy"): [241, 497, 753, 1009, 1265, 1521, 1777],
+        ("adam", "numpy:float32"): [241, 497, 753, 1009, 1265, 1521, 1777],
+    },
+    "Prod-20": {
+        ("sgd", "numpy"): [76, 192, 321, 459, 605, 754, 898],
+        ("sgd", "numpy:float32"): [76, 192, 321, 459, 605, 754, 898],
+        ("adam", "numpy"): [76, 118, 153, 218, 297, 386, 466],
+        ("adam", "numpy:float32"): [76, 118, 153, 218, 297, 386, 466],
+    },
+    "Prod-32": {
+        ("sgd", "numpy"): [71, 77, 88, 98, 110, 126, 143],
+        ("sgd", "numpy:float32"): [71, 77, 88, 98, 110, 126, 143],
+        ("adam", "numpy"): [71, 150, 156, 179, 196, 208, 212],
+        ("adam", "numpy:float32"): [71, 150, 157, 180, 197, 209, 213],
+    },
+    "75-10-1-q": {
+        ("sgd", "numpy"): [132, 370, 624, 879, 1135, 1391, 1647],
+        ("sgd", "numpy:float32"): [132, 370, 624, 879, 1135, 1391, 1647],
+        ("adam", "numpy"): [132, 388, 644, 900, 1156, 1412, 1668],
+        ("adam", "numpy:float32"): [132, 388, 644, 900, 1156, 1412, 1668],
+    },
+    "or-50-10-7-UC-10": {
+        ("sgd", "numpy"): [251, 503, 755, 1007, 1259, 1511, 1761],
+        ("sgd", "numpy:float32"): [251, 503, 755, 1007, 1259, 1511, 1761],
+        ("adam", "numpy"): [251, 506, 760, 1013, 1267, 1521, 1771],
+        ("adam", "numpy:float32"): [251, 506, 760, 1013, 1267, 1521, 1771],
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_LEARNING_CURVES))
+def test_golden_learning_curves(name):
+    from repro.instances.registry import get_instance
+
+    formula = get_instance(name).build_cnf()
+    transform = transform_cnf(formula)
+    for (optimizer, spec), expected in GOLDEN_LEARNING_CURVES[name].items():
+        config = SamplerConfig(
+            batch_size=256, seed=3, optimizer=optimizer, array_backend=spec
+        )
+        sampler = GradientSATSampler(formula, transform=transform, config=config)
+        assert sampler.learning_curve(6) == expected, (optimizer, spec)
+
+
+#: The unique input vectors (over ``a, b, c``) that ``CircuitSampler`` finds
+#: on ``small_circuit`` under ``SamplerConfig(batch_size=32, max_rounds=2,
+#: seed=11)``, 10 requested.
+GOLDEN_CIRCUIT_ROWS = [[0, 1, 1], [1, 1, 0], [0, 0, 1]]
 
 
 class TestCircuitSamplerEquivalence:
-    def test_direct_circuit_sampling_identical(self, small_circuit):
-        matrices = []
-        for backend in ("engine", "interpreter"):
-            config = SamplerConfig(
-                batch_size=32, max_rounds=2, seed=11, backend=backend
-            )
-            result = CircuitSampler(small_circuit, config=config).sample(
-                num_solutions=10
-            )
-            matrices.append(result.input_matrix())
-        assert np.array_equal(matrices[0], matrices[1])
+    def test_direct_circuit_sampling_identical(self, small_circuit, monkeypatch):
+        config = SamplerConfig(batch_size=32, max_rounds=2, seed=11)
+
+        def run():
+            result = CircuitSampler(small_circuit, config=config).sample(num_solutions=10)
+            return result.input_matrix().astype(int).tolist()
+
+        assert _on_both_learners(monkeypatch, run) == (
+            GOLDEN_CIRCUIT_ROWS,
+            GOLDEN_CIRCUIT_ROWS,
+        )

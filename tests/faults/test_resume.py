@@ -18,7 +18,7 @@ from repro.serve.journal import (
     plan_resume,
     read_journal,
 )
-from repro.serve.jobs import SamplingJob
+from repro.serve.jobs import SamplingJob, config_to_dict
 from tests.conftest import FIG1_DIMACS
 
 #: Generous bound per CLI invocation (spawned interpreter imports numpy).
@@ -92,6 +92,34 @@ class TestPlanResume:
         jobs = [make_job(seed=0)]
         pending, rows = plan_resume(jobs, tmp_path / JOURNAL_NAME, tmp_path)
         assert len(pending) == 1 and rows == [None]
+
+    def test_completion_fingerprinted_with_removed_backend_field_reruns(
+        self, tmp_path, monkeypatch
+    ):
+        # Journals written while SamplerConfig had a ``backend`` field
+        # fingerprinted it; those completions must miss and re-run.
+        import repro.serve.journal as journal_module
+
+        job = make_job(seed=0)
+        monkeypatch.setattr(
+            journal_module,
+            "config_to_dict",
+            lambda config: {**config_to_dict(config), "backend": "engine"},
+        )
+        old_fingerprint = job_fingerprint(job)
+        monkeypatch.undo()
+        assert old_fingerprint != job_fingerprint(job)
+        (tmp_path / "old.solutions").write_text("0 1\n")
+        with JobJournal(tmp_path / JOURNAL_NAME) as journal:
+            journal.record(
+                "done",
+                job="old",
+                fingerprint=old_fingerprint,
+                status="done",
+                result={"job_id": "old", "status": "done"},
+            )
+        pending, rows = plan_resume([job], tmp_path / JOURNAL_NAME, tmp_path)
+        assert [index for index, _job in pending] == [0] and rows == [None]
 
     def test_edited_cnf_file_is_not_resumed(self, tmp_path):
         from repro.serve import SamplingService

@@ -1,8 +1,10 @@
-"""Gradient-based optimizers.
+"""Gradient-based optimizers over the reference tape.
 
 The paper trains with plain gradient descent (``lr = 10``, 5 iterations);
 :class:`SGD` reproduces Eq. 10 (``x <- x - lr * dL/dx``).  :class:`Adam` is
 provided because the ablation benchmarks explore optimizer sensitivity.
+The array-level optimizers of :mod:`repro.engine.train` are tested against
+these, bit for bit.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from typing import Any, Dict, Iterable, List
 
 import numpy as np
 
-from repro.tensor.tensor import Tensor
+from tests.oracles.tensor.tensor import Tensor
 
 
 class Optimizer:
@@ -36,43 +38,26 @@ class Optimizer:
 
 
 class SGD(Optimizer):
-    """Plain gradient descent, optionally with momentum (Eq. 10 when momentum=0)."""
+    """Plain gradient descent (Eq. 10: ``x <- x - lr * dL/dx``)."""
 
-    def __init__(
-        self, parameters: Iterable[Tensor], lr: float = 10.0, momentum: float = 0.0
-    ) -> None:
+    def __init__(self, parameters: Iterable[Tensor], lr: float = 10.0) -> None:
         super().__init__(parameters)
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
         self.lr = lr
-        self.momentum = momentum
-        # Keyed by parameter *position* in self.parameters: id() keys can be
-        # recycled after a tensor is freed, silently inheriting stale momentum.
-        self._velocity: Dict[int, Any] = {}
 
     def step(self) -> None:
-        for position, parameter in enumerate(self.parameters):
+        for parameter in self.parameters:
             if parameter.grad is None:
                 continue
-            update = parameter.grad
-            if self.momentum > 0.0:
-                velocity = self._velocity.get(position)
-                if velocity is None:
-                    velocity = np.zeros_like(parameter.data)
-                velocity = self.momentum * velocity + update
-                self._velocity[position] = velocity
-                update = velocity
-            parameter.data = parameter.data - self.lr * update
+            parameter.data = parameter.data - self.lr * parameter.grad
 
 
 def make_optimizer(parameters: Iterable[Tensor], name: str, lr: float) -> "Optimizer":
     """Build the optimizer a sampler config names (single dispatch point).
 
-    Both evaluation backends (compiled engine and legacy interpreter) and the
-    direct circuit sampler resolve their optimizer here, so the choice can
-    never silently diverge between them.
+    Every interpreter learning loop of :mod:`tests.oracles.interpreter`
+    resolves its optimizer here.
     """
     if name == "adam":
         return Adam(parameters, lr=lr)
@@ -98,7 +83,8 @@ class Adam(Optimizer):
         self.beta1, self.beta2 = betas
         self.eps = eps
         self._step_count = 0
-        # Positional keys, like SGD._velocity: id() keys outlive their tensor.
+        # Keyed by parameter *position*: id() keys can be recycled after a
+        # tensor is freed, silently inheriting stale moments.
         self._first_moment: Dict[int, Any] = {}
         self._second_moment: Dict[int, Any] = {}
 

@@ -7,10 +7,9 @@ implemented (elementwise arithmetic, sigmoid, powers, reductions), which keeps
 the engine small enough to read in one sitting while still expressing the
 paper's Eq. 6--10 training loop exactly.
 
-Since the compiled levelized engine (:mod:`repro.engine`) took over the hot
-path, the tape serves two roles: the reference ``"interpreter"`` backend for
-equivalence testing, and the glue layer for code that wants autodiff around a
-compiled program (the engine registers a single tape node per forward call).
+The compiled levelized engine (:mod:`repro.engine`) runs the library's
+gradient descent; this tape is the reference it is tested against (see
+:mod:`tests.oracles.interpreter`).
 
 Tensor data is a NumPy float array whose dtype follows the input: float
 data keeps its dtype, anything else becomes ``float64``, and plain operands

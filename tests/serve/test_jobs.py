@@ -53,7 +53,6 @@ class TestConfigRoundTrip:
             optimizer="adam",
             init_scale=0.5,
             seed=42,
-            backend="interpreter",
             max_rounds=9,
             stall_rounds=2,
             timeout_seconds=3.5,
@@ -72,6 +71,15 @@ class TestConfigRoundTrip:
             config_from_dict({"device": {"kindd": "cpu"}})
         with pytest.raises(ManifestError, match="unknown device fields"):
             config_from_dict({"device": {"kind": "cpu", "array_backend": "numpy"}})
+
+    @pytest.mark.parametrize("value", ["engine", "interpreter"])
+    def test_removed_backend_key_rejected(self, value):
+        # The evaluation-backend switch is gone (the engine is the only
+        # path); a manifest still carrying it fails naming the key.
+        with pytest.raises(ManifestError, match="unknown config field 'backend'"):
+            config_from_dict({"backend": value})
+        with pytest.raises(ManifestError, match="job #0.*'backend'"):
+            parse_manifest(json.dumps([{"instance": "x", "config": {"backend": value}}]))
 
 
 class TestManifests:

@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.tensor.functional import (
+from tests.oracles.tensor.functional import (
     l2_loss,
     prob_and,
     prob_nand,
@@ -19,7 +19,7 @@ from repro.tensor.functional import (
     prob_xor,
     sigmoid,
 )
-from repro.tensor.tensor import Tensor
+from tests.oracles.tensor.tensor import Tensor
 
 _GATES = [prob_and, prob_or, prob_nand, prob_nor, prob_xor, prob_xnor]
 

@@ -1,4 +1,4 @@
-"""Tests for the probabilistic gate relaxations (repro.tensor.functional).
+"""Tests for the probabilistic gate relaxations (tests.oracles.tensor.functional).
 
 Table I of the paper defines both the forward probabilities and the
 derivatives of each operator; the tests check the forward values at the
@@ -9,7 +9,7 @@ autodiff gradients equal the closed-form derivatives of Table I.
 import numpy as np
 import pytest
 
-from repro.tensor.functional import (
+from tests.oracles.tensor.functional import (
     l2_loss,
     prob_and,
     prob_buf,
@@ -22,7 +22,7 @@ from repro.tensor.functional import (
     sigmoid,
     square,
 )
-from repro.tensor.tensor import Tensor
+from tests.oracles.tensor.tensor import Tensor
 
 
 class TestSigmoid:

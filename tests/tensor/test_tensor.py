@@ -1,9 +1,9 @@
-"""Tests for the autodiff engine (repro.tensor.tensor)."""
+"""Tests for the autodiff engine (tests.oracles.tensor.tensor)."""
 
 import numpy as np
 import pytest
 
-from repro.tensor.tensor import (
+from tests.oracles.tensor.tensor import (
     Tensor,
     grad_enabled,
     no_grad,

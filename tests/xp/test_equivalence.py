@@ -233,7 +233,8 @@ class TestActiveBackendDoesNotLeak:
 
 #: SHA-256 of the ``uint8`` solution matrix (251 x 1680) of s15850a_3_2 under
 #: ``SamplerConfig(seed=7, batch_size=128, max_rounds=3)``, 200 solutions.
-#: Identical for both dtype policies and both evaluation backends.  Only the
+#: Identical for both dtype policies, on the engine and on the reference
+#: interpreter oracle (the ``learner`` fixture).  Only the
 #: rows are pinned: the losses go through SIMD ``exp`` and can differ in the
 #: last bits across CPUs.
 GOLDEN_ROWS_SHA256 = "2b03dd0a90ba234c4186912f1184fcd37545e40e27e8bad41114b4d858939d49"
@@ -246,14 +247,12 @@ def s15850a():
     return get_instance("s15850a_3_2").build_cnf()
 
 
-@pytest.mark.parametrize("backend", ["engine", "interpreter"])
+@pytest.mark.parametrize("learner", ["engine", "interpreter"], indirect=True)
 @pytest.mark.parametrize("spec", ["numpy", "numpy:float32"])
-def test_golden_solution_stream(s15850a, spec, backend):
+def test_golden_solution_stream(s15850a, spec, learner):
     from repro.core.pipeline import sample_cnf
 
-    config = SamplerConfig(
-        seed=7, batch_size=128, max_rounds=3, backend=backend, array_backend=spec
-    )
+    config = SamplerConfig(seed=7, batch_size=128, max_rounds=3, array_backend=spec)
     result = sample_cnf(s15850a, num_solutions=200, config=config)
     rows = np.ascontiguousarray(result.sample.solution_matrix().astype(np.uint8))
     assert rows.shape == (251, 1680)

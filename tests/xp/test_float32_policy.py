@@ -88,8 +88,10 @@ def test_backward_within_documented_tolerance(program):
 
 
 def test_tensor_layer_follows_the_policy():
-    from repro.tensor.functional import prob_not, sigmoid
-    from repro.tensor.tensor import Tensor, full_like_batch
+    # The reference oracle's tape: the interpreter equivalence tests run it
+    # under both dtype policies, so it must not promote float32 to float64.
+    from tests.oracles.tensor.functional import prob_not, sigmoid
+    from tests.oracles.tensor.tensor import Tensor, full_like_batch
 
     tensor = Tensor(np.linspace(-3, 3, 7, dtype=np.float32), requires_grad=True)
     out = sigmoid(tensor)
