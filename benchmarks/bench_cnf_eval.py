@@ -4,8 +4,8 @@ Every sampling round ends in CNF validation plus unique-solution dedup, so
 their cost bounds the whole pipeline once the GD loop is compiled.  This
 benchmark times one validation step — ``evaluate_batch`` over a candidate
 batch followed by ``SolutionSet.add_batch`` dedup — on the largest registry
-instance, comparing the compiled kernel (and its bit-packed variant) against
-the original clause-by-clause loop with row-by-row dedup, and rewrites
+instance, comparing the compiled kernel against the original
+clause-by-clause loop with row-by-row dedup, and rewrites
 ``BENCH_cnf_eval.json`` with the latest record; committing the file each PR
 accumulates the kernel's perf trajectory in version history.
 """
@@ -86,18 +86,11 @@ def test_cnf_kernel_vs_reference(benchmark, largest_instance):
         SolutionSet(formula.num_variables).add_batch(candidates)
         return valid
 
-    def packed_step():
-        valid = formula.evaluate_batch(candidates, backend="packed")
-        SolutionSet(formula.num_variables).add_batch(candidates)
-        return valid
-
-    # All backends must agree before any timing is trusted.
+    # Both backends must agree before any timing is trusted.
     assert np.array_equal(formula.evaluate_batch(candidates, backend="compiled"), reference_valid)
-    assert np.array_equal(formula.evaluate_batch(candidates, backend="packed"), reference_valid)
 
     passes, repeats = 5, 3
     reference_seconds = time_passes(reference_step, repeats, passes, reduce="best")
-    packed_seconds = time_passes(packed_step, repeats, passes, reduce="best")
     compiled_seconds = benchmark.pedantic(
         lambda: time_passes(compiled_step, repeats, passes, reduce="best"), rounds=1, iterations=1
     )
@@ -111,12 +104,9 @@ def test_cnf_kernel_vs_reference(benchmark, largest_instance):
         "passes_timed": passes,
         "reference_seconds": reference_seconds,
         "compiled_seconds": compiled_seconds,
-        "packed_seconds": packed_seconds,
         "reference_passes_per_second": passes / reference_seconds,
         "compiled_passes_per_second": passes / compiled_seconds,
-        "packed_passes_per_second": passes / packed_seconds,
         "speedup": speedup,
-        "packed_speedup": reference_seconds / packed_seconds,
     }
     benchmark.extra_info.update(record)
     BENCH_CNF_EVAL_JSON.write_text(json.dumps(record, indent=2) + "\n")
@@ -125,7 +115,7 @@ def test_cnf_kernel_vs_reference(benchmark, largest_instance):
         f"{entry.name}: compiled {record['compiled_passes_per_second']:.1f} "
         f"eval+dedup passes/s vs clause-loop "
         f"{record['reference_passes_per_second']:.1f} passes/s "
-        f"({speedup:.1f}x, packed {record['packed_speedup']:.1f}x, batch {batch})"
+        f"({speedup:.1f}x, batch {batch})"
     )
     minimum = cnf_eval_min_speedup()
     assert speedup >= minimum, (

@@ -54,7 +54,7 @@ def simulate(
         return {}
     program = compiled_program_for(circuit, wanted, order)
     values = execute_bool(program, input_matrix)
-    return {name: values[name] for name in wanted}
+    return {name: values[program.net_slot[name]] for name in wanted}
 
 
 def simulate_packed(

@@ -239,8 +239,8 @@ class CNF:
         Column ``j`` of ``assignments`` holds the value of variable ``j + 1``.
         Returns a boolean vector of length ``batch`` that is ``True`` where all
         clauses are satisfied.  ``backend`` selects the implementation
-        (``"compiled"``, ``"packed"``, the compiled-C ``"native"`` or the
-        clause-loop ``"reference"``); ``None`` uses
+        (``"compiled"``, the compiled-C ``"native"`` or the clause-loop
+        ``"reference"``); ``None`` uses
         :func:`repro.cnf.kernel.default_backend`.  All backends are
         bitwise-identical.
         """
@@ -253,8 +253,6 @@ class CNF:
         if backend == "native":
             kernels = resolve_native_kernels()
             return kernels.cnf_evaluate(plan, matrix)
-        if backend == "packed":
-            return plan.evaluate_packed(matrix)
         return plan.evaluate(matrix)
 
     def unsatisfied_clause_counts(
@@ -263,8 +261,7 @@ class CNF:
         """Per-row count of clauses falsified by each assignment in a batch.
 
         Accepts the same ``(batch, num_variables)`` matrices and ``backend``
-        values as :meth:`evaluate_batch` (the ``"packed"`` kernel has no
-        per-clause counting form, so it falls back to ``"compiled"``).
+        values as :meth:`evaluate_batch`.
         """
         matrix = self._check_assignment_matrix(assignments)
         backend = resolve_backend(backend)

@@ -17,13 +17,10 @@ literal-by-literal loop).  This module compiles a formula once into a flat
   ``(clauses, width, batch)`` slice-OR instead — same flat layout, no
   per-clause Python or per-segment ufunc cost.  The boolean reductions run
   over the transposed ``(variables, batch)`` matrix so every gathered row is
-  contiguous;
-* a bit-packed variant that packs the batch axis 8 rows per byte
-  (``np.packbits``) and reduces the flat layout with
-  ``np.bitwise_or.reduceat`` / ``np.bitwise_and.reduce``, mirroring the
-  engine's packed execution mode.
+  contiguous — free when the caller's matrix is itself the transposed view
+  of variable-major rows, as the sampler's is.
 
-Empty clauses cannot ride either reduction (a zero-length segment is not an
+Empty clauses cannot ride the reduction (a zero-length segment is not an
 identity reduction), so they are counted separately: one empty clause makes
 every assignment unsatisfying.
 
@@ -38,7 +35,7 @@ implementation survives as the ``"reference"`` backend;
 :meth:`CNF.evaluate_batch` uses.
 
 This module's ``backend`` strings pick the *kernel implementation*
-("compiled"/"packed"/"reference"/"native"); all of them are boolean, so the
+("compiled"/"reference"/"native"); all of them are boolean, so the
 sampler's float dtype policy (``SamplerConfig.array_backend``) never
 reaches them.
 """
@@ -68,7 +65,7 @@ if TYPE_CHECKING:  # avoid a runtime import cycle with repro.cnf.formula
     from repro.cnf.formula import CNF
 
 #: Accepted values for the evaluation-backend knob.
-BACKENDS = ("compiled", "packed", "reference", "native")
+BACKENDS = ("compiled", "reference", "native")
 
 #: Environment variable consulted for the process-wide default backend.
 BACKEND_ENV_VAR = "REPRO_CNF_BACKEND"
@@ -209,26 +206,6 @@ class CNFEvalPlan:
         for _, _, block in self._group_blocks(values, batch):
             satisfied &= np.all(self._or_over_width(block), axis=0)
         return satisfied
-
-    def evaluate_packed(self, assignments: np.ndarray) -> np.ndarray:
-        """Per-row satisfaction via the bit-packed kernel (8 rows per byte).
-
-        The batch axis is packed with ``packbits``, the flat clause
-        boundaries then drive one ``bitwise_or`` segmented reduction over
-        ``uint8`` words; results are bitwise-identical to :meth:`evaluate`.
-        """
-        _CNF_EVALUATIONS.inc(1.0, "packed")
-        batch = assignments.shape[0]
-        if self.num_empty:
-            return np.zeros(batch, dtype=np.bool_)
-        if self.reduce_offsets.size == 0:
-            return np.ones(batch, dtype=np.bool_)
-        packed_columns = np.packbits(np.ascontiguousarray(assignments.T), axis=1)
-        literal_words = packed_columns[self.literal_columns]
-        literal_words[self.literal_negated] ^= np.uint8(0xFF)
-        clause_words = np.bitwise_or.reduceat(literal_words, self.reduce_offsets, axis=0)
-        formula_words = np.bitwise_and.reduce(clause_words, axis=0)
-        return np.unpackbits(formula_words, count=batch).astype(np.bool_)
 
     def clause_satisfaction(self, assignments: np.ndarray) -> np.ndarray:
         """Full ``(batch, num_clauses)`` satisfaction matrix, empty clauses False."""

@@ -21,13 +21,15 @@ The gate-by-gate walk it replaced is the reference oracle under
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.circuit.gates import GateType
 from repro.circuit.netlist import Circuit
-from repro.core.transform import TransformResult
 from repro.engine.compiler import compiled_program_for
 from repro.engine.program import CompiledProgram
+
+if TYPE_CHECKING:  # the transform caches its model: avoid an import cycle
+    from repro.core.transform import TransformResult
 
 
 class ProbabilisticCircuitModel:

@@ -15,6 +15,14 @@ The sampler learns a batch of candidate solutions in parallel:
    and the resulting full assignments are validated against the *original*
    CNF; unique valid assignments are retained.
 
+Step 5 is one compiled pass: the transform's round plan
+(:attr:`TransformResult.round_plan`, built once per artifact together with
+the input lists and the model, so a sampler costs almost nothing to build)
+routes the hard bits and the draws through ``intp`` row maps into a
+variable-major ``(num_variables, batch)`` matrix, one engine pass fills the
+defined-variable rows, and the CNF kernel and the dedup read its transposed
+``(batch, num_variables)`` view without a transposing copy.
+
 Each batch element is learned independently, so the whole loop vectorises
 across the batch — the property the paper exploits for GPU acceleration and
 that the ``gpu-sim`` device reproduces with full-batch NumPy execution.
@@ -48,7 +56,6 @@ from repro.core.config import SamplerConfig
 from repro.core.loss import target_matrix
 from repro.core.model import ProbabilisticCircuitModel
 from repro.core.solutions import SolutionSet
-from repro.core.extraction import VAR_PREFIX
 from repro.core.task import DEFAULT_TASK, SamplingTask
 from repro.core.transform import TransformResult, transform_cnf
 from repro.engine.train import descend
@@ -169,8 +176,7 @@ class GradientSATSampler:
         self.transform = transform if transform is not None else transform_cnf(formula)
         self._dtype = self.config.float_dtype()
         self._rng = new_rng(self.config.seed)
-        self._constrained_inputs = self.transform.constrained_inputs()
-        self._unconstrained_inputs = self.transform.unconstrained_inputs()
+        self._plan = self.transform.round_plan
         # The task shapes *how* this sampler counts and draws, not *what* it
         # samples: ``formula`` (and ``transform``) must already be the
         # effective post-delta formula — the pipeline / serving tier applies
@@ -182,12 +188,7 @@ class GradientSATSampler:
             self.task.projection_columns(formula.num_variables) or None
         )
         self._init_weight_vectors()
-        if self.transform.constraints:
-            self.model: Optional[ProbabilisticCircuitModel] = (
-                ProbabilisticCircuitModel.from_transform(self.transform)
-            )
-        else:
-            self.model = None
+        self.model: Optional[ProbabilisticCircuitModel] = self._plan.model
 
     # -- public API ---------------------------------------------------------------------
     def reset_rng(self) -> None:
@@ -392,21 +393,16 @@ class GradientSATSampler:
         logits = self.task.weight_logits(self.formula.num_variables)
         probs = self.task.weight_map()
 
-        def variable_of(name: str) -> int:
-            return int(name[len(VAR_PREFIX):])
+        def weights(rows: np.ndarray, table, default: float) -> List[float]:
+            return [table.get(row + 1, default) for row in rows.tolist()]
 
-        bias = [logits.get(variable_of(name), 0.0) for name in self._constrained_inputs]
+        bias = weights(self._plan.constrained_rows, logits, 0.0)
         if any(bias):
             self._constrained_bias = np.asarray(bias, dtype=self._dtype)[np.newaxis, :]
-        unconstrained = [
-            probs.get(variable_of(name), 0.5) for name in self._unconstrained_inputs
-        ]
+        unconstrained = weights(self._plan.unconstrained_rows, probs, 0.5)
         if any(probability != 0.5 for probability in unconstrained):
             self._unconstrained_probs = np.asarray(unconstrained, dtype=self._dtype)
-        free = [
-            probs.get(variable_of(name), 0.5)
-            for name in self.transform.free_variables
-        ]
+        free = weights(self._plan.free_rows, probs, 0.5)
         if any(probability != 0.5 for probability in free):
             self._free_probs = np.asarray(free, dtype=self._dtype)
 
@@ -450,37 +446,34 @@ class GradientSATSampler:
         )
 
     def _assemble(self, constrained_bits) -> Tuple[np.ndarray, np.ndarray]:
-        """Build full CNF assignments from constrained-input bits and validate them."""
-        batch_size = constrained_bits.shape[0]
-        input_matrix = np.zeros(
-            (batch_size, len(self.transform.primary_inputs)), dtype=np.bool_
+        """Build full CNF assignments from constrained-input bits and validate them.
+
+        The round plan routes the bits and the draws (unconstrained, then
+        free) into variable-major rows; the candidates are their transpose.
+        """
+        plan = self._plan
+        batch = constrained_bits.shape[0]
+        rows = np.zeros((self.transform.num_variables, batch), dtype=np.bool_)
+        rows[plan.constrained_rows] = constrained_bits.T
+        rows[plan.unconstrained_rows] = self._draw_bits(
+            batch, plan.unconstrained_rows, self._unconstrained_probs
         )
-        column_of = {name: i for i, name in enumerate(self.transform.primary_inputs)}
-        for source_column, name in enumerate(self._constrained_inputs):
-            input_matrix[:, column_of[name]] = constrained_bits[:, source_column]
-        if self._unconstrained_inputs:
-            # Weighted tasks compare the same uniform draws against per-column
-            # target probabilities instead of 0.5 — identical RNG consumption,
-            # so unweighted tasks keep their exact candidate bit-stream.
-            draws = self._rng.random((batch_size, len(self._unconstrained_inputs)))
-            if self._unconstrained_probs is not None:
-                random_bits = draws < self._unconstrained_probs
-            else:
-                random_bits = draws < 0.5
-            for source_column, name in enumerate(self._unconstrained_inputs):
-                input_matrix[:, column_of[name]] = random_bits[:, source_column]
-        free_values = None
-        if self.transform.free_variables:
-            free_draws = self._rng.random(
-                (batch_size, len(self.transform.free_variables))
-            )
-            if self._free_probs is not None:
-                free_values = free_draws < self._free_probs
-            else:
-                free_values = free_draws < 0.5
-        assignments = self.transform.complete_assignments(input_matrix, free_values)
+        rows[plan.free_rows] = self._draw_bits(batch, plan.free_rows, self._free_probs)
+        self.transform.fill_defined_rows(rows)
+        assignments = rows.T
         valid_mask = self.formula.evaluate_batch(assignments)
         return assignments, valid_mask
+
+    def _draw_bits(self, batch_size: int, rows: np.ndarray, probs) -> np.ndarray:
+        """``(len(rows), batch)`` random bits: uniform draws below 0.5 or ``probs``.
+
+        Weighted tasks compare the same uniform draws against per-variable
+        target probabilities instead of 0.5 — identical RNG consumption, so
+        unweighted tasks keep their exact candidate bit-stream.  An empty
+        draw consumes nothing from the generator.
+        """
+        draws = self._rng.random((batch_size, len(rows)))
+        return (draws < (0.5 if probs is None else probs)).T
 
     def _run_round(
         self,

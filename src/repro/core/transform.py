@@ -57,7 +57,6 @@ from repro.boolalg.simplify import simplify
 from repro.circuit.builder import circuit_from_expressions
 from repro.circuit.netlist import Circuit
 from repro.circuit.optimize import optimize_circuit
-from repro.circuit.simulate import simulate
 from repro.circuit.stats import two_input_gate_equivalents
 from repro.cnf.clause import Clause
 from repro.cnf.formula import CNF
@@ -68,7 +67,10 @@ from repro.core.extraction import (
     literal_to_expr,
     variable_name,
 )
+from repro.core.model import ProbabilisticCircuitModel
 from repro.core.signatures import GateMatch, match_gate_signature
+from repro.engine.compiler import compiled_program_for
+from repro.engine.executor import execute_bool
 from repro.circuit.gates import Gate, GateType
 from repro import obs
 
@@ -167,6 +169,33 @@ class TransformReplay:
     max_candidate_vars: int
 
 
+def _variable_rows(names: Sequence[str]) -> np.ndarray:
+    """0-based variable rows of ``x<i>`` net names as an ``intp`` index map."""
+    return np.array([int(name[len(VAR_PREFIX):]) - 1 for name in names], dtype=np.intp)
+
+
+@dataclass(frozen=True)
+class RoundPlan:
+    """One transform's sampling round, compiled once: the sampler skeleton.
+
+    Each ``*_rows`` map is an ``intp`` array (empty maps too, so they index
+    as no-ops) of 0-based variable rows of a variable-major ``(num_variables,
+    batch)`` matrix: where the constrained and unconstrained inputs, the free
+    variables and the simulated defined variables go.  ``model`` is the
+    constrained cone's model, ``None`` without constraints.
+    """
+
+    constrained_inputs: List[str]
+    unconstrained_inputs: List[str]
+    model: Optional[ProbabilisticCircuitModel]
+    defined_nets: Tuple[str, ...]
+    input_rows: np.ndarray
+    constrained_rows: np.ndarray
+    unconstrained_rows: np.ndarray
+    free_rows: np.ndarray
+    defined_rows: np.ndarray
+
+
 @dataclass
 class TransformResult:
     """The recovered multi-level, multi-output Boolean function.
@@ -216,66 +245,80 @@ class TransformResult:
 
     def constrained_inputs(self) -> List[str]:
         """Primary inputs on constrained paths (those the GD sampler must learn)."""
-        if not self.constraints:
-            return []
-        cone = self.circuit.transitive_fanin(self.constraint_nets())
-        return [name for name in self.primary_inputs if name in cone]
+        return list(self.round_plan.constrained_inputs)
 
     def unconstrained_inputs(self) -> List[str]:
         """Primary inputs only on unconstrained paths (any random value works)."""
-        constrained = set(self.constrained_inputs())
-        return [name for name in self.primary_inputs if name not in constrained]
+        return list(self.round_plan.unconstrained_inputs)
 
     # -- reconstruction of full CNF assignments ------------------------------------------
-    def input_variable_indices(self) -> Dict[str, int]:
-        """Map primary-input net names to their original DIMACS indices."""
-        return {name: int(name[len(VAR_PREFIX):]) for name in self.primary_inputs}
-
-    def defined_variable_indices(self) -> Dict[str, int]:
-        """Map defined net names (intermediate + constant) to DIMACS indices."""
-        result = {}
-        for name, _ in self.definitions:
-            result[name] = int(name[len(VAR_PREFIX):])
-        return result
-
     @cached_property
-    def _completion_layout(self) -> Tuple[List[int], List[str], List[int], List[int]]:
-        """Precomputed 0-based column indices for :meth:`complete_assignments`.
+    def round_plan(self) -> "RoundPlan":
+        """The sampling round compiled once per transform (see :class:`RoundPlan`).
 
-        Returns ``(input columns, defined net names, defined columns, free
-        columns)``, as plain ``int`` lists for list fancy-indexing.
+        Built on first use and memoised, so every sampler over this transform
+        shares one skeleton; pickling drops it (see :meth:`__getstate__`).
         """
-        input_columns = [
-            int(name[len(VAR_PREFIX):]) - 1 for name in self.primary_inputs
-        ]
-        defined_names = [name for name, _ in self.definitions]
-        defined_columns = [
-            int(name[len(VAR_PREFIX):]) - 1 for name in defined_names
-        ]
-        free_columns = [
-            int(name[len(VAR_PREFIX):]) - 1 for name in self.free_variables
-        ]
-        return input_columns, defined_names, defined_columns, free_columns
+        cone = self.circuit.transitive_fanin(self.constraint_nets())
+        constrained = [name for name in self.primary_inputs if name in cone]
+        unconstrained = [name for name in self.primary_inputs if name not in cone]
+        defined = tuple(name for name, _ in self.definitions)
+        model = None
+        if self.constraints:
+            model = ProbabilisticCircuitModel(
+                self.circuit, self.constraint_nets(), input_order=constrained
+            )
+        return RoundPlan(
+            constrained_inputs=constrained,
+            unconstrained_inputs=unconstrained,
+            model=model,
+            defined_nets=defined,
+            input_rows=_variable_rows(self.primary_inputs),
+            constrained_rows=_variable_rows(constrained),
+            unconstrained_rows=_variable_rows(unconstrained),
+            free_rows=_variable_rows(self.free_variables),
+            defined_rows=_variable_rows(defined),
+        )
+
+    def __getstate__(self):
+        # A process-local memo: store entries and workers rebuild it on use.
+        state = dict(self.__dict__)
+        state.pop("round_plan", None)
+        return state
+
+    def fill_defined_rows(self, rows: np.ndarray) -> None:
+        """Simulate the defined variables into variable-major ``rows`` in place.
+
+        ``rows`` is ``(num_variables, batch)`` with its primary-input rows set.
+        The ``(defined nets, primary inputs)`` program is resolved through the
+        circuit's memo on every call; its output slots fill the defined rows.
+        """
+        plan = self.round_plan
+        if not plan.defined_nets:
+            return
+        program = compiled_program_for(self.circuit, plan.defined_nets, self.primary_inputs)
+        values = execute_bool(program, rows[plan.input_rows].T)
+        rows[plan.defined_rows] = values[program.output_slots]
 
     def complete_assignments(
         self,
         input_matrix: np.ndarray,
         free_values: Optional[np.ndarray] = None,
-        use_fast_path: bool = True,
     ) -> np.ndarray:
         """Expand primary-input assignments to full original-variable assignments.
 
         ``input_matrix`` is ``(batch, len(primary_inputs))`` boolean, ordered
         like :attr:`primary_inputs`.  Defined variables are computed by
         simulating the recovered circuit; free variables receive
-        ``free_values`` (``(batch, len(free_variables))``) or 0.  Returns a
-        ``(batch, num_variables)`` boolean matrix, column ``j`` holding
-        variable ``j + 1``.
+        ``free_values`` (``(batch, len(free_variables))``, else ``ValueError``)
+        or 0.  Returns a ``(batch, num_variables)`` boolean matrix, column
+        ``j`` holding variable ``j + 1``.
 
-        The default implementation scatters each variable group (inputs,
-        defined, free) with one precomputed fancy-indexed assignment;
-        ``use_fast_path=False`` runs the original per-column loop (the
-        equivalence suite asserts both produce bitwise-identical matrices).
+        The result is the transposed view of a variable-major
+        ``(num_variables, batch)`` matrix: the round plan's index maps route
+        each group of rows in one fancy-indexed assignment and
+        :meth:`fill_defined_rows` fills the rest.  The per-column reference
+        lives in ``tests/oracles/``.
         """
         input_matrix = np.asarray(input_matrix, dtype=np.bool_)
         batch = input_matrix.shape[0]
@@ -284,61 +327,20 @@ class TransformResult:
                 f"expected {len(self.primary_inputs)} input columns, "
                 f"got {input_matrix.shape[1]}"
             )
-        full = np.zeros((batch, self.num_variables), dtype=np.bool_)
-        if use_fast_path:
-            return self._complete_fast(full, input_matrix, free_values)
-        return self._complete_reference(full, input_matrix, free_values)
-
-    def _complete_fast(self, full, input_matrix, free_values):
-        input_columns, defined_names, defined_columns, free_columns = (
-            self._completion_layout
-        )
-        batch = input_matrix.shape[0]
-        if input_columns:
-            full[:, input_columns] = input_matrix
-        if defined_names:
-            values = simulate(
-                self.circuit,
-                input_matrix,
-                input_order=self.primary_inputs,
-                nets=defined_names,
-            )
-            stacked = np.stack([values[name] for name in defined_names], axis=1)
-            full[:, defined_columns] = stacked
-        if free_columns:
-            if free_values is None:
-                free_values = np.zeros((batch, len(free_columns)), dtype=np.bool_)
+        plan = self.round_plan
+        rows = np.zeros((self.num_variables, batch), dtype=np.bool_)
+        rows[plan.input_rows] = input_matrix.T
+        if free_values is not None:
             free_values = np.asarray(free_values, dtype=np.bool_)
-            full[:, free_columns] = free_values
-        return full
-
-    def _complete_reference(self, full, input_matrix, free_values):
-        """The original per-column scatter loop, kept as the test oracle."""
-        batch = input_matrix.shape[0]
-        for column, name in enumerate(self.primary_inputs):
-            index = int(name[len(VAR_PREFIX):])
-            full[:, index - 1] = input_matrix[:, column]
-
-        defined_names = [name for name, _ in self.definitions]
-        if defined_names:
-            values = simulate(
-                self.circuit,
-                input_matrix,
-                input_order=self.primary_inputs,
-                nets=defined_names,
-            )
-            for name in defined_names:
-                index = int(name[len(VAR_PREFIX):])
-                full[:, index - 1] = values[name]
-
-        if self.free_variables:
-            if free_values is None:
-                free_values = np.zeros((batch, len(self.free_variables)), dtype=np.bool_)
-            free_values = np.asarray(free_values, dtype=np.bool_)
-            for column, name in enumerate(self.free_variables):
-                index = int(name[len(VAR_PREFIX):])
-                full[:, index - 1] = free_values[:, column]
-        return full
+            expected = (batch, len(self.free_variables))
+            if free_values.shape != expected:
+                raise ValueError(
+                    f"expected free_values of shape (batch, len(free_variables)) "
+                    f"= {expected}, got {free_values.shape}"
+                )
+            rows[plan.free_rows] = free_values.T
+        self.fill_defined_rows(rows)
+        return rows.T
 
     def summary(self) -> Dict[str, object]:
         """Compact description used by the evaluation reports."""

@@ -198,11 +198,13 @@ def backward(
     return input_grads
 
 
-def execute_bool(program: CompiledProgram, input_matrix) -> Dict[str, np.ndarray]:
-    """Boolean execution mode: ``(batch, input_width)`` bools to net vectors.
+def execute_bool(program: CompiledProgram, input_matrix) -> np.ndarray:
+    """Boolean execution mode: ``(batch, input_width)`` bools to slot values.
 
-    Returns a map from every compiled net name to its boolean value vector
-    (callers select the nets they asked the compiler for).
+    Returns the ``(num_slots, batch)`` boolean slot matrix itself: row
+    ``program.net_slot[name]`` holds net ``name`` and ``program.output_slots``
+    index the compiled outputs in order, so a caller gathers the nets it
+    asked the compiler for with one fancy index and no per-net dict is built.
     """
     input_matrix = np.asarray(input_matrix, dtype=np.bool_)
     if input_matrix.ndim != 2 or input_matrix.shape[1] != program.input_width:
@@ -217,7 +219,7 @@ def execute_bool(program: CompiledProgram, input_matrix) -> Dict[str, np.ndarray
     kernels = _native_kernels()
     if kernels is not None:
         kernels.engine_execute_bool(program, values)
-        return {name: values[slot] for name, slot in program.net_slot.items()}
+        return values
     for block in program.blocks:
         out = values[block.out_start : block.out_stop]
         a = values[block.a_slots]
@@ -228,7 +230,7 @@ def execute_bool(program: CompiledProgram, input_matrix) -> Dict[str, np.ndarray
             np.logical_or(a, values[block.b_slots], out=out)
         else:  # OP_NOT
             np.logical_not(a, out=out)
-    return {name: values[slot] for name, slot in program.net_slot.items()}
+    return values
 
 
 def execute_packed(

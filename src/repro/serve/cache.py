@@ -105,12 +105,10 @@ class SamplingArtifact:
 def build_artifact(formula: CNF, signature: Optional[str] = None) -> SamplingArtifact:
     """Compile every artifact for ``formula`` (the cache-miss path).
 
-    The engine program of the constrained cone is compiled eagerly — through
-    the same :class:`~repro.core.model.ProbabilisticCircuitModel` route the
-    sampler takes, so the memo key matches and the sampler's own model
-    construction later becomes a pure cache hit.
+    The transform's round plan (the sampler skeleton) is built and its
+    constrained cone's engine program compiled eagerly, so constructing a
+    sampler on the artifact later is a pure cache hit.
     """
-    from repro.core.model import ProbabilisticCircuitModel
     from repro import faults
 
     if faults.fire("build") is not None:
@@ -124,8 +122,7 @@ def build_artifact(formula: CNF, signature: Optional[str] = None) -> SamplingArt
         transform = transform_cnf(formula)
         plan = formula.evaluation_plan()
         if transform.constraints:
-            model = ProbabilisticCircuitModel.from_transform(transform)
-            model.program  # force compilation into the circuit's memo
+            transform.round_plan.model.program  # compile into the circuit's memo
         return SamplingArtifact(
             signature=signature,
             formula=formula,
@@ -152,8 +149,6 @@ def build_incremental_artifact(
     formula (the ``tests/incremental`` equivalence suite pins this), cached
     and evicted on its own.
     """
-    from repro.core.model import ProbabilisticCircuitModel
-
     with obs.span("artifact.build_incremental") as bspan:
         start = time.perf_counter()
         effective = parent.formula.with_delta(delta)
@@ -162,8 +157,7 @@ def build_incremental_artifact(
         transform = retransform(parent.transform, delta)
         plan = effective.evaluation_plan()
         if transform.constraints:
-            model = ProbabilisticCircuitModel.from_transform(transform)
-            model.program  # force compilation into the circuit's memo
+            transform.round_plan.model.program  # compile into the circuit's memo
         return SamplingArtifact(
             signature=signature,
             formula=effective,

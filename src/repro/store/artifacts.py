@@ -78,7 +78,6 @@ def load_sampling_artifact(store: ArtifactStore, signature: str):
     circuit; a missing/corrupt ``transform`` entry makes the whole load a
     miss.
     """
-    from repro.core.model import ProbabilisticCircuitModel
     from repro.engine.compiler import adopt_program
     from repro.serve.cache import SamplingArtifact
 
@@ -114,9 +113,8 @@ def load_sampling_artifact(store: ArtifactStore, signature: str):
                 programs = None
         if programs is None and transform.constraints:
             # Recompile through the same route build_artifact takes so the
-            # memo key matches the sampler's own model construction.
-            model = ProbabilisticCircuitModel.from_transform(transform)
-            model.program
+            # memo key matches the sampler's own model.
+            transform.round_plan.model.program
 
         load_seconds = time.perf_counter() - start
         lspan.set("outcome", "hit")

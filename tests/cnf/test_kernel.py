@@ -61,7 +61,7 @@ class TestBackendEquivalence:
     def test_all_backends_bitwise_identical(self, formula):
         matrix = all_assignments(formula.num_variables)
         reference = formula.evaluate_batch(matrix, backend="reference")
-        for backend in ("compiled", "packed"):
+        for backend in RUNNABLE_BACKENDS:
             np.testing.assert_array_equal(
                 formula.evaluate_batch(matrix, backend=backend),
                 reference,
@@ -102,7 +102,6 @@ class TestEdgeCases:
         formula = CNF([[1, 2], []], num_variables=2)
         matrix = all_assignments(2)
         assert not formula.evaluate_batch(matrix).any()
-        assert not formula.evaluate_batch(matrix, backend="packed").any()
         assert (formula.unsatisfied_clause_counts(matrix) >= 1).all()
 
     def test_no_clauses_satisfies_everything(self):
@@ -131,13 +130,12 @@ class TestEdgeCases:
             assert formula.evaluate_batch(matrix, backend=backend).shape == (0,)
 
     def test_batch_not_multiple_of_eight_packed(self):
-        """The packed kernel must mask the packbits padding correctly."""
+        """The bit-packed kernel is gone: asking for it is a precise error."""
         formula = CNF([[1, -2], [2, 3]], num_variables=3)
         matrix = all_assignments(3)[:5]
-        np.testing.assert_array_equal(
-            formula.evaluate_batch(matrix, backend="packed"),
-            formula.evaluate_batch(matrix, backend="reference"),
-        )
+        with pytest.raises(ValueError, match="backend must be one of .* got 'packed'"):
+            formula.evaluate_batch(matrix, backend="packed")
+        assert not hasattr(formula.evaluation_plan(), "evaluate_packed")
 
 
 class TestPlanLifecycle:
@@ -205,8 +203,11 @@ class TestBackendKnob:
             set_default_backend("gpu")
 
     def test_environment_override(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CNF_BACKEND", "reference")
+        assert default_backend() == "reference"
         monkeypatch.setenv("REPRO_CNF_BACKEND", "packed")
-        assert default_backend() == "packed"
+        with pytest.raises(ValueError, match="got 'packed'"):
+            default_backend()
 
 
 class TestSharedShapeValidation:

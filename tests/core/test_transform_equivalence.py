@@ -25,6 +25,7 @@ from repro.core.signatures import gate_signature_clauses
 from repro.core.transform import transform_cnf
 from repro.circuit.gates import GateType
 from tests.conftest import all_assignments
+from tests.oracles.completion import complete_reference
 
 
 # -- strategies --------------------------------------------------------------------------
@@ -154,7 +155,7 @@ def assert_completions_identical(fast, reference):
         rng = np.random.default_rng(1)
         free = rng.random((matrix.shape[0], len(fast.free_variables))) < 0.5
     completed_fast = fast.complete_assignments(matrix, free)
-    completed_ref = reference.complete_assignments(matrix, free, use_fast_path=False)
+    completed_ref = complete_reference(reference, matrix, free)
     assert np.array_equal(completed_fast, completed_ref)
 
 

@@ -69,7 +69,9 @@ class TestEngineEquivalence:
         probabilities, _ = forward(program, matrix)
         for column, net in enumerate(circuit.outputs):
             # Boolean execution is the probabilistic pass on 0/1 inputs.
-            np.testing.assert_array_equal(values[net], probabilities[:, column] == 1.0)
+            np.testing.assert_array_equal(
+                values[program.net_slot[net]], probabilities[:, column] == 1.0
+            )
         packed_inputs = {
             name: rng.integers(0, 2**63, size=4, dtype=np.uint64)
             for name in program.cone_inputs
@@ -86,7 +88,7 @@ class TestEngineEquivalence:
         for net in circuit.outputs:
             np.testing.assert_array_equal(
                 np.unpackbits(packed[net].view(np.uint8), bitorder="little").astype(bool),
-                expected[net],
+                expected[program.net_slot[net]],
             )
 
 
@@ -120,7 +122,6 @@ class TestKernelEquivalence:
             reference = formula.evaluate_batch(matrix, backend="reference")
             counts = formula.unsatisfied_clause_counts(matrix, backend="reference")
             np.testing.assert_array_equal(plan.evaluate(matrix), reference)
-            np.testing.assert_array_equal(plan.evaluate_packed(matrix), reference)
             np.testing.assert_array_equal(plan.unsatisfied_counts(matrix), counts)
 
 
@@ -129,20 +130,21 @@ class TestPackedPrimitives:
     """The uint8/uint64 word layer of the packed kernels, under each spec."""
 
     def test_packbits_unpackbits_roundtrip(self, backend_name, spec_default):
-        # 27 rows: the packed CNF kernel's last byte is partial.
+        # The bit-packed CNF kernel is deleted (it lost to the compiled one
+        # on variable-major rows); under every spec, asking for it fails.
         formula = CNF([[1, -2], [2, 3, -4], [-1, 4]], num_variables=4)
         matrix = np.random.default_rng(7).random((27, 4)) < 0.5
-        np.testing.assert_array_equal(
-            formula.evaluate_batch(matrix, backend="packed"),
-            formula.evaluate_batch(matrix, backend="reference"),
-        )
+        with pytest.raises(ValueError, match="backend must be one of .* got 'packed'"):
+            formula.evaluate_batch(matrix, backend="packed")
 
-    def test_bitwise_segment_reductions(self, backend_name, spec_default):
-        # Clauses of widths 1..4 drive the segmented OR over literal words.
+    def test_bitwise_segment_reductions(self, backend_name, spec_default, monkeypatch):
+        # Neither the plan method nor the environment default survives.
         formula = CNF([[1], [-2, 3], [1, -3, 4], [-1, 2, -4, 5]], num_variables=5)
         matrix = np.random.default_rng(8).random((40, 5)) < 0.5
-        plan = formula.evaluation_plan()
-        np.testing.assert_array_equal(plan.evaluate_packed(matrix), plan.evaluate(matrix))
+        assert not hasattr(formula.evaluation_plan(), "evaluate_packed")
+        monkeypatch.setenv("REPRO_CNF_BACKEND", "packed")
+        with pytest.raises(ValueError, match="got 'packed'"):
+            formula.evaluate_batch(matrix)
 
     def test_uint64_words_roundtrip_as_bit_views(self, backend_name, spec_default):
         from repro.circuit.gates import GateType
