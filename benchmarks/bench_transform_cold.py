@@ -1,16 +1,19 @@
-"""Cold-start transform benchmark: indexed fast path vs the seed reference.
+"""Cold-start transform benchmark: the indexed transform vs the seed oracle.
 
 The serving benchmark (``bench_serve_throughput``) showed the *cold* path —
 ``transform_cnf`` — dominating first-request job cost roughly 10:1; the
 artifact cache only hides it for repeat formulas.  This benchmark times
 Algorithm 1 itself on the bundled registry instances:
 
-* the **fast path** (default): literal-occurrence-indexed stream loop,
-  shape-dispatched signature matching, interned expressions with memoised
-  bitmask truth tables, vectorised bookkeeping;
-* the **reference path** (``use_fast_path=False``): the seed's algorithms —
-  rescan-everything stream loop, per-row dictionary truth-table enumeration,
-  non-memoised minimization — on the shared circuit substrate.
+* the **fast path**, ``transform_cnf``: literal-occurrence-indexed stream
+  loop, shape-dispatched signature matching, interned expressions with
+  memoised bitmask truth tables, vectorised bookkeeping;
+* the **reference path**, ``transform_reference`` from
+  ``tests/oracles/transform.py``: the seed's algorithms — rescan-everything
+  stream loop, per-row dictionary truth-table enumeration, non-memoised
+  minimization, rebuilt clause remainders — on the shared circuit substrate.
+  The oracle keeps no memo of its own, so the ratio measures the seed's
+  algorithms.
 
 Every timed pass starts genuinely cold (``clear_transform_caches`` +
 ``repro.clear_caches`` drop all process-level memos first), both paths
@@ -49,6 +52,7 @@ from repro.core.pipeline import sample_cnf
 from repro.core.transform import transform_cnf
 from repro.instances.registry import get_instance
 from repro.obs.bench import time_passes, timed
+from tests.oracles.transform import transform_reference
 
 #: Where the cold-start comparison records its trajectory.
 BENCH_TRANSFORM_JSON = Path(__file__).resolve().parent.parent / "BENCH_transform.json"
@@ -146,7 +150,7 @@ def test_transform_cold_start(benchmark):
         entry = get_instance(name)
         formula = entry.build_cnf()
         fast = _cold(lambda: transform_cnf(formula))
-        reference = _cold(lambda: transform_cnf(formula, use_fast_path=False))
+        reference = _cold(lambda: transform_reference(formula))
         _assert_transforms_identical(fast, reference)
         instances[name] = {
             "variables": formula.num_variables,
@@ -160,7 +164,7 @@ def test_transform_cold_start(benchmark):
     entry = get_instance(HEADLINE_INSTANCE)
     formula = entry.build_cnf()
     fast = _cold(lambda: transform_cnf(formula))
-    reference = _cold(lambda: transform_cnf(formula, use_fast_path=False))
+    reference = _cold(lambda: transform_reference(formula))
     _assert_transforms_identical(fast, reference)
     fast_stream = _sampler_stream_bits(formula, fast)
     reference_stream = _sampler_stream_bits(formula, reference)
@@ -176,7 +180,7 @@ def test_transform_cold_start(benchmark):
             lambda f=formula_n: transform_cnf(f)
         )
         instances[name]["reference_seconds"] = _best_of(
-            lambda f=formula_n: transform_cnf(f, use_fast_path=False)
+            lambda f=formula_n: transform_reference(f)
         )
         instances[name]["speedup"] = (
             instances[name]["reference_seconds"] / instances[name]["fast_seconds"]

@@ -16,7 +16,6 @@ Run with:  python examples/circuit_recovery.py
 
 from repro import transform_cnf
 from repro.circuit import CircuitBuilder, circuit_stats, circuit_to_cnf, to_verilog
-from repro.circuit.aig import circuit_to_aig
 
 
 def build_alu_slice():
@@ -66,9 +65,6 @@ def main() -> None:
     print(f"signature matches     : {result.stats.signature_matches}  "
           f"(generic extractions: {result.stats.generic_matches}, "
           f"fallback groups: {result.stats.fallback_groups})")
-
-    aig = circuit_to_aig(result.circuit)
-    print(f"recovered AIG         : {aig.num_ands} AND nodes over {aig.num_inputs} inputs")
 
     verilog = to_verilog(result.circuit, module_name="recovered_alu_slice")
     print("\n--- Structural Verilog of the recovered circuit (first 25 lines) ---")

@@ -42,7 +42,6 @@ from repro.boolalg.truth_table import (
 from repro.boolalg.simplify import simplify
 from repro.boolalg.quine_mccluskey import minimize_minterms, minimize_expr
 from repro.boolalg.bdd import BDD
-from repro.boolalg.cnf_convert import expr_to_cnf_clauses, tseitin_encode
 from repro.boolalg.parsing import parse_expr
 
 
@@ -95,8 +94,6 @@ __all__ = [
     "minimize_minterms",
     "minimize_expr",
     "BDD",
-    "expr_to_cnf_clauses",
-    "tseitin_encode",
     "parse_expr",
     "clear_caches",
 ]

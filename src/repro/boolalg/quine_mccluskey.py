@@ -136,29 +136,13 @@ def _minimize_expr_cached(expr: Expr, max_vars: int) -> Expr:
     return minimize_minterms(on_set, order)
 
 
-def minimize_expr(expr: Expr, max_vars: int = 12, use_fast_path: bool = True) -> Expr:
+def minimize_expr(expr: Expr, max_vars: int = 12) -> Expr:
     """Exact two-level minimization of ``expr`` (refuses supports wider than ``max_vars``).
 
     Results are memoised on the interned AST node, so repeated minimization
     of the same sub-expression (the transformation revisits clause groups) is
-    a dictionary lookup.  ``use_fast_path=False`` bypasses the memo and
-    enumerates minterms with the original per-row dictionary evaluation (the
-    seed implementation); the equivalence suite uses it as an oracle.
+    a dictionary lookup.
     """
     if not expr.support():
         return expr
-    if use_fast_path:
-        return _minimize_expr_cached(expr, max_vars)
-    names = sorted(expr.support())
-    if len(names) > max_vars:
-        raise ValueError(
-            f"refusing Quine-McCluskey on {len(names)} variables (> {max_vars})"
-        )
-    from repro.boolalg.truth_table import assignments_iter
-
-    on_set = [
-        row
-        for row, assignment in enumerate(assignments_iter(names))
-        if expr.evaluate(assignment)
-    ]
-    return minimize_minterms(on_set, names)
+    return _minimize_expr_cached(expr, max_vars)

@@ -18,9 +18,10 @@ Most expressions the transformation adopts come from the gate-signature fast
 path and are already *flat literal gates* — an AND/OR/XOR (possibly under one
 NOT) whose operands are plain literals over distinct variables.  Such
 expressions are provably fixed points of :func:`simplify` (see
-:func:`is_flat_literal_gate`), so :func:`simplify` short-circuits them; the
-``use_fast_path=False`` escape hatch runs the full route and is used by the
-equivalence test-suite to validate the claim empirically.
+:func:`is_flat_literal_gate`), so :func:`simplify` short-circuits them.  The
+seed's full route, without the short circuit or the memos, is kept as the
+test oracle in ``tests/oracles/transform.py``; the equivalence suite
+validates the claim against it.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ def is_flat_literal_gate(expr: Expr) -> bool:
     also land on the original: ``simplify_exact``'s ``min`` keeps the first
     of cost-equal candidates, and on a gate tie the node counts tie too).
     The transformation equivalence suite cross-checks all of this against
-    ``use_fast_path=False``.
+    the full route of the reference oracle (``tests/oracles/transform.py``).
     """
     if isinstance(expr, (Var, Const)):
         return True
@@ -86,25 +87,15 @@ def is_flat_literal_gate(expr: Expr) -> bool:
     return _is_flat_gate(expr)
 
 
-def simplify(
-    expr: Expr,
-    exact_max_vars: int = EXACT_SIMPLIFY_MAX_VARS,
-    use_fast_path: bool = True,
-) -> Expr:
-    """Simplify ``expr``, preferring exact minimization on narrow supports.
-
-    With ``use_fast_path=False`` the already-minimal short-circuit is skipped
-    and the full (reference) route runs; the result is identical, just slower.
-    """
-    if use_fast_path and is_flat_literal_gate(expr):
+def simplify(expr: Expr, exact_max_vars: int = EXACT_SIMPLIFY_MAX_VARS) -> Expr:
+    """Simplify ``expr``, preferring exact minimization on narrow supports."""
+    if is_flat_literal_gate(expr):
         return expr
     support_size = len(expr.support())
     if support_size == 0:
         return expr
     if support_size <= exact_max_vars:
-        if use_fast_path:
-            return simplify_exact(expr)
-        return _simplify_exact_reference(expr)
+        return simplify_exact(expr)
     return simplify_algebraic(expr)
 
 
@@ -125,16 +116,6 @@ def simplify_exact(expr: Expr) -> Expr:
     expression's structure).
     """
     return _simplify_exact_cached(expr)
-
-
-def _simplify_exact_reference(expr: Expr) -> Expr:
-    """Non-memoised exact route on the seed's dictionary-enumeration oracle."""
-    minimized = minimize_expr(expr, use_fast_path=False)
-    with_xor = _detect_xor(minimized, use_fast_path=False)
-    best = min(
-        (expr, minimized, with_xor), key=lambda e: (e.two_input_gate_count(), e.node_count())
-    )
-    return best
 
 
 def simplify_algebraic(expr: Expr) -> Expr:
@@ -195,7 +176,7 @@ def _contains_operand(composite: Expr, candidate: Expr) -> bool:
     return any(candidate == op for op in composite.children())
 
 
-def _detect_xor(expr: Expr, use_fast_path: bool = True) -> Expr:
+def _detect_xor(expr: Expr) -> Expr:
     """Rewrite 2-variable sum-of-products into XOR/XNOR when equivalent.
 
     Quine--McCluskey returns ``(a & ~b) | (~a & b)`` for parity functions; the
@@ -207,9 +188,9 @@ def _detect_xor(expr: Expr, use_fast_path: bool = True) -> Expr:
         return expr
     a, b = Var(names[0]), Var(names[1])
     xor_expr = Xor(a, b)
-    if equivalent(expr, xor_expr, use_fast_path=use_fast_path):
+    if equivalent(expr, xor_expr):
         return xor_expr
     xnor_expr = Not(Xor(a, b))
-    if equivalent(expr, xnor_expr, use_fast_path=use_fast_path):
+    if equivalent(expr, xnor_expr):
         return xnor_expr
     return expr

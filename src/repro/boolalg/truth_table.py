@@ -22,7 +22,7 @@ supports callers can use :class:`repro.boolalg.bdd.BDD` instead.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -146,13 +146,6 @@ def truth_table(
     return table[:num_rows].astype(bool)
 
 
-def assignments_iter(names: Sequence[str]) -> Iterator[Dict[str, bool]]:
-    """Iterate over all assignments to ``names`` in truth-table row order."""
-    n = len(names)
-    for row in range(2**n):
-        yield {names[j]: bool((row >> j) & 1) for j in range(n)}
-
-
 @lru_cache(maxsize=65536)
 def _equivalent_cached(a: Expr, b: Expr, max_vars: int) -> bool:
     names = _ordered_support(a, b)
@@ -165,31 +158,15 @@ def _equivalent_cached(a: Expr, b: Expr, max_vars: int) -> bool:
     return truth_table_bits(a, key) == truth_table_bits(b, key)
 
 
-def equivalent(
-    a: Expr, b: Expr, max_vars: int = MAX_ENUMERATION_VARS, use_fast_path: bool = True
-) -> bool:
+def equivalent(a: Expr, b: Expr, max_vars: int = MAX_ENUMERATION_VARS) -> bool:
     """Return ``True`` iff ``a`` and ``b`` compute the same function.
 
     The comparison is over the union of both supports, so ``x & y`` and
     ``y & x`` are equivalent while ``x`` and ``x & (y | ~y)`` also are (the
-    latter normalises away its vacuous variable at construction).
-
-    ``use_fast_path=False`` selects the original per-row dictionary
-    enumeration instead of the memoised bitmask comparison; the equivalence
-    test-suite uses it to cross-check the bitmask kernel.
+    latter normalises away its vacuous variable at construction).  Results
+    are memoised on the interned node pair.
     """
-    if use_fast_path:
-        return _equivalent_cached(a, b, max_vars)
-    names = _ordered_support(a, b)
-    if len(names) > max_vars:
-        from repro.boolalg.bdd import BDD
-
-        manager = BDD(names)
-        return manager.from_expr(a) == manager.from_expr(b)
-    for assignment in assignments_iter(names):
-        if a.evaluate(assignment) != b.evaluate(assignment):
-            return False
-    return True
+    return _equivalent_cached(a, b, max_vars)
 
 
 @lru_cache(maxsize=65536)
@@ -205,33 +182,17 @@ def _is_complement_cached(a: Expr, b: Expr, max_vars: int) -> bool:
     return truth_table_bits(a, key) == full ^ truth_table_bits(b, key)
 
 
-def is_complement(
-    a: Expr, b: Expr, max_vars: int = MAX_ENUMERATION_VARS, use_fast_path: bool = True
-) -> bool:
+def is_complement(a: Expr, b: Expr, max_vars: int = MAX_ENUMERATION_VARS) -> bool:
     """Return ``True`` iff ``a == ~b`` as Boolean functions.
 
     This is the acceptance test of Algorithm 1: the expression derived for a
     candidate output variable must be the complement of the expression derived
     for its negation.  Results are memoised on the interned node pair — the
     transformation re-checks the same derived pair whenever a clause group is
-    revisited, and the memo makes the repeat checks free.
-
-    ``use_fast_path=False`` selects the original per-row dictionary
-    enumeration (the seed implementation), used as the oracle by the
-    transformation equivalence suite and the cold-start benchmark baseline.
+    revisited, and the memo makes the repeat checks free.  The seed's per-row
+    enumeration is kept as the test oracle in ``tests/oracles/transform.py``.
     """
-    if use_fast_path:
-        return _is_complement_cached(a, b, max_vars)
-    names = _ordered_support(a, b)
-    if len(names) > max_vars:
-        from repro.boolalg.bdd import BDD
-
-        manager = BDD(names)
-        return manager.from_expr(a) == manager.negate(manager.from_expr(b))
-    for assignment in assignments_iter(names):
-        if a.evaluate(assignment) == b.evaluate(assignment):
-            return False
-    return True
+    return _is_complement_cached(a, b, max_vars)
 
 
 def is_tautology(expr: Expr, max_vars: int = MAX_ENUMERATION_VARS) -> bool:

@@ -4,7 +4,7 @@ The transformation algorithm of the paper recovers a *multi-level,
 multi-output Boolean function* from a CNF; this package provides the netlist
 data structure that holds it, plus everything a downstream user needs to work
 with the recovered circuit: evaluation, 64-way bit-parallel simulation,
-re-encoding to CNF (Tseitin), structural optimization, AIG conversion, gate
+re-encoding to CNF (Tseitin), structural optimization, gate
 statistics (2-input gate equivalents, used in Fig. 4's ops-reduction metric)
 and structural Verilog export.
 """
@@ -16,7 +16,6 @@ from repro.circuit.tseitin import circuit_to_cnf
 from repro.circuit.simulate import simulate, simulate_packed
 from repro.circuit.stats import CircuitStats, circuit_stats, two_input_gate_equivalents
 from repro.circuit.optimize import optimize_circuit, constant_propagate, strash, sweep_dangling
-from repro.circuit.aig import AIG, circuit_to_aig
 from repro.circuit.verilog import to_verilog
 from repro.circuit.bench_format import (
     parse_bench,
@@ -41,8 +40,6 @@ __all__ = [
     "constant_propagate",
     "strash",
     "sweep_dangling",
-    "AIG",
-    "circuit_to_aig",
     "to_verilog",
     "parse_bench",
     "parse_bench_file",

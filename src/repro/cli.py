@@ -45,7 +45,8 @@ from typing import List, Optional
 
 from repro.circuit.bench_format import write_bench
 from repro.circuit.verilog import to_verilog
-from repro.cnf.dimacs import write_dimacs_file
+from repro.cnf.dimacs import DimacsError, write_dimacs_file
+from repro.cnf.formula import CNF
 from repro.core.config import SamplerConfig, array_dtype
 from repro.core.pipeline import load_formula, sample_cnf
 from repro.core.transform import transform_cnf
@@ -218,10 +219,6 @@ def _build_parser() -> argparse.ArgumentParser:
     transform.add_argument("--profile", action="store_true",
                            help="print per-stage wall-clock timings "
                                 "(TransformStats.stage_seconds)")
-    transform.add_argument("--reference", action="store_true",
-                           help="run the original rescan-everything reference "
-                                "implementation instead of the indexed fast "
-                                "path (identical output, for benchmarking)")
     transform.add_argument("--trace", default=None, metavar="FILE",
                            help="record a telemetry trace of the transform to "
                                 "this JSONL file (inspect with 'repro-sat obs')")
@@ -276,10 +273,23 @@ def _task_from_arguments(arguments: argparse.Namespace):
     return None if task.is_default else task
 
 
+def _read_formula(path: str) -> Optional[CNF]:
+    """Parse a DIMACS file argument; ``None`` after a one-line error on stderr."""
+    try:
+        return load_formula(Path(path))
+    except (OSError, UnicodeDecodeError, DimacsError) as error:
+        # An OSError's strerror is its message without the path.
+        message = getattr(error, "strerror", None) or error
+        print(f"repro-sat: error: {path}: {message}", file=sys.stderr)
+        return None
+
+
 def _command_sample(arguments: argparse.Namespace) -> int:
     from repro.native import use_kernel
 
-    formula = load_formula(Path(arguments.cnf))
+    formula = _read_formula(arguments.cnf)
+    if formula is None:
+        return 2
     task = _task_from_arguments(arguments)
     config = SamplerConfig(
         batch_size=arguments.batch_size,
@@ -533,13 +543,11 @@ def _command_serve(arguments: argparse.Namespace) -> int:
 def _command_transform(arguments: argparse.Namespace) -> int:
     from repro import obs
 
-    formula = load_formula(Path(arguments.cnf))
+    formula = _read_formula(arguments.cnf)
+    if formula is None:
+        return 2
     with obs.trace_scope(arguments.trace):
-        result = transform_cnf(
-            formula,
-            simplify_expressions=not arguments.no_simplify,
-            use_fast_path=not arguments.reference,
-        )
+        result = transform_cnf(formula, simplify_expressions=not arguments.no_simplify)
         obs.write_metrics_to_trace()
     stats = result.stats
     print(f"instance              : {formula.name or arguments.cnf}")

@@ -69,8 +69,7 @@ def _clause_remainder(literals: tuple, complement: int, prefix: str) -> Expr:
 
 
 def expression_for_literal(
-    literal: int, clauses: Sequence[Clause], prefix: str = VAR_PREFIX,
-    use_fast_path: bool = True,
+    literal: int, clauses: Sequence[Clause], prefix: str = VAR_PREFIX
 ) -> Expr:
     """Expression that must hold when ``literal`` is true, from ``clauses``.
 
@@ -79,22 +78,13 @@ def expression_for_literal(
     of the remaining literals must hold.  Clauses that do not mention the
     variable at all are ignored (the caller is responsible for ensuring the
     group only contains clauses over the candidate variable).
-
-    ``use_fast_path=False`` rebuilds each clause remainder instead of using
-    the memo (the seed behaviour; used by the cold-start benchmark baseline).
     """
     complement = -literal
-    conjuncts = []
-    for clause in clauses:
-        if clause.contains(complement):
-            if use_fast_path:
-                conjuncts.append(_clause_remainder(clause.literals, complement, prefix))
-                continue
-            remaining = [lit for lit in clause if lit != complement]
-            if not remaining:
-                conjuncts.append(FALSE)
-            else:
-                conjuncts.append(Or(*(literal_to_expr(lit, prefix) for lit in remaining)))
+    conjuncts = [
+        _clause_remainder(clause.literals, complement, prefix)
+        for clause in clauses
+        if clause.contains(complement)
+    ]
     if not conjuncts:
         return TRUE
     return And(*conjuncts)
@@ -144,8 +134,6 @@ def find_boolean_expression(
     clauses: Sequence[Clause],
     prefix: str = VAR_PREFIX,
     max_vars: int = 16,
-    use_fast_path: bool = True,
-    assume_all_mention: bool = False,
 ) -> Optional[Expr]:
     """Attempt to extract the defining expression of ``variable`` from a clause group.
 
@@ -160,37 +148,28 @@ def find_boolean_expression(
       to the under-specified path), or
     * the expressions extracted for ``variable`` and its negation are not
       complements (the group does not define ``variable``).
-
-    ``use_fast_path=False`` runs the complement check on the original
-    per-row dictionary enumeration instead of the memoised bitmask kernel
-    (see :func:`repro.boolalg.truth_table.is_complement`).
-    ``assume_all_mention=True`` skips the per-clause mention scan; the
-    transformation's occurrence index passes sub-groups that contain the
-    candidate by construction.
     """
     if not clauses:
         return None
-    if not assume_all_mention:
-        for clause in clauses:
-            if not clause.contains(variable) and not clause.contains(-variable):
-                return None
-    if use_fast_path:
-        return _find_boolean_expression_fast(
-            variable, clauses, prefix, max_vars, use_fast_path
-        )
-    return _find_boolean_expression_exact(
-        variable, clauses, prefix, max_vars, use_fast_path
-    )
+    for clause in clauses:
+        if not clause.contains(variable) and not clause.contains(-variable):
+            return None
+    return extract_definition(variable, clauses, prefix, max_vars)
 
 
-def _find_boolean_expression_fast(
+def extract_definition(
     variable: int,
     clauses: Sequence[Clause],
-    prefix: str,
-    max_vars: int,
-    use_fast_path: bool,
+    prefix: str = VAR_PREFIX,
+    max_vars: int = 16,
 ) -> Optional[Expr]:
-    """The pure-Python fast path (big-int bitmask complement check)."""
+    """:func:`find_boolean_expression` without the mention check.
+
+    Every clause must mention ``variable``; the transformation's occurrence
+    index builds sub-groups that do by construction.  The accept/reject
+    decision runs on big-int clause bitmasks whenever the raw support fits
+    the width gate, and the expression is only built for the rare acceptance.
+    """
     raw_support = set()
     keep_variable = False
     for clause in clauses:
@@ -206,37 +185,19 @@ def _find_boolean_expression_fast(
     if len(raw_support) <= max_vars:
         # The width gate passes whatever normalisation drops (the
         # normalised support is a subset of the raw one), so the
-        # accept/reject decision can be taken on raw clause bitmasks;
-        # the expression is only built for the rare acceptance.
+        # accept/reject decision can be taken on raw clause bitmasks.
         positions = {v: j for j, v in enumerate(sorted(raw_support))}
         if not _raw_complement_check(variable, clauses, len(raw_support), positions):
             return None
         return expression_for_literal(variable, clauses, prefix)
-    # Wide raw support: normalisation may still shrink it under the
-    # gate, so fall through to the exact expression-based route.
-    return _find_boolean_expression_exact(
-        variable, clauses, prefix, max_vars, use_fast_path
-    )
-
-
-def _find_boolean_expression_exact(
-    variable: int,
-    clauses: Sequence[Clause],
-    prefix: str,
-    max_vars: int,
-    use_fast_path: bool,
-) -> Optional[Expr]:
-    """The exact expression-based route (builds both sides, normalised support)."""
-    positive_expr = expression_for_literal(
-        variable, clauses, prefix, use_fast_path=use_fast_path
-    )
-    negative_expr = expression_for_literal(
-        -variable, clauses, prefix, use_fast_path=use_fast_path
-    )
+    # Wide raw support: normalisation may still shrink it under the gate,
+    # so build both sides and gate on the normalised support.
+    positive_expr = expression_for_literal(variable, clauses, prefix)
+    negative_expr = expression_for_literal(-variable, clauses, prefix)
     support = positive_expr.support() | negative_expr.support()
     if len(support) > max_vars:
         return None
-    if not is_complement(positive_expr, negative_expr, use_fast_path=use_fast_path):
+    if not is_complement(positive_expr, negative_expr):
         return None
     return positive_expr
 

@@ -30,17 +30,16 @@ the transformation *exactly equivalence-preserving over the original
 variables*: every original clause is represented either inside a definition
 or inside a constrained auxiliary output.
 
-Two implementations of the clause-stream loop coexist:
-
-* the **fast path** (default) keeps a literal-occurrence index over the
-  buffer, so each appended clause only re-examines the candidate variables
-  whose sub-group actually changed; failed ``(variable, sub-group)`` attempts
-  are cached and never retried until the sub-group changes.  Both the
-  candidate order and every accept/flush decision are a pure function of the
-  buffer contents, so the fast path is decision-for-decision identical to
-* the **reference path** (``use_fast_path=False``), the original
-  rescan-everything loop, kept as the oracle for the equivalence test-suite
-  and the cold-start benchmark baseline.
+The clause-stream loop keeps a literal-occurrence index over the buffer, so
+each appended clause only re-examines the candidate variables whose sub-group
+actually changed; failed ``(variable, sub-group)`` attempts are cached and
+never retried until the sub-group changes.  Both the candidate order and
+every accept/flush decision are a pure function of the buffer contents, so
+the loop is decision-for-decision identical to the seed's rescan-everything
+loop.  That loop, with the seed's uncached truth-table, minimization and
+extraction routines, is kept as the test oracle in
+``tests/oracles/transform.py``; it shares :func:`finish_transform` (circuit
+lowering, optimization, stats) with :func:`transform_cnf`.
 """
 
 from __future__ import annotations
@@ -62,7 +61,7 @@ from repro.cnf.clause import Clause
 from repro.cnf.formula import CNF
 from repro.core.extraction import (
     VAR_PREFIX,
-    find_boolean_expression,
+    extract_definition,
     group_to_constraint_expr,
     literal_to_expr,
     variable_name,
@@ -135,7 +134,7 @@ class TransformStats:
         return self.cnf_operations / self.circuit_operations
 
 
-#: One fast-stream checkpoint: ``(clause position, definitions, inputs,
+#: One stream checkpoint: ``(clause position, definitions, inputs,
 #: constraints, signature matches, generic matches, fallback groups, constant
 #: definitions, lookahead-free)``.  Recorded only at *empty-buffer*
 #: boundaries, where the stream's entire forward-reaching state is the record
@@ -154,7 +153,7 @@ _Checkpoint = Tuple[int, int, int, int, int, int, int, int, bool]
 class TransformReplay:
     """Everything :func:`retransform` needs to resume a previous transform.
 
-    Carries the exact clause sequence the transform consumed, the fast
+    Carries the exact clause sequence the transform consumed, the
     stream's empty-buffer checkpoints, and the option set — incremental
     re-transforms must replay under identical options or the decision
     sequence (and therefore the records) would diverge from the oracle.
@@ -234,7 +233,7 @@ class TransformResult:
     circuit: Circuit
     free_variables: List[str] = field(default_factory=list)
     stats: TransformStats = field(default_factory=TransformStats)
-    #: Replay record consumed by :func:`retransform` (clause sequence, fast
+    #: Replay record consumed by :func:`retransform` (clause sequence,
     #: stream checkpoints, option set).  Not part of the result's value.
     replay: Optional[TransformReplay] = field(default=None, repr=False, compare=False)
 
@@ -380,7 +379,7 @@ def _expr_from_gate_match(match: GateMatch) -> Expr:
 
 
 class _TransformState:
-    """Classification state shared by the fast and reference stream loops.
+    """Classification state of the clause-stream loop.
 
     Holds the growing definition/input/output/constraint records and performs
     the accept/flush bookkeeping in exactly the order the original algorithm
@@ -394,7 +393,6 @@ class _TransformState:
         stats: TransformStats,
         simplify_expressions: bool,
         max_candidate_vars: int,
-        use_fast_path: bool,
     ) -> None:
         self.stats = stats
         #: Plain-float accumulators for the per-attempt stages; flushed into
@@ -405,7 +403,6 @@ class _TransformState:
         self.simplify_seconds = 0.0
         self.simplify_expressions = simplify_expressions
         self.max_candidate_vars = max_candidate_vars
-        self.use_fast_path = use_fast_path
         #: ``names[v]`` is the expression-domain name of DIMACS variable v.
         self.names: List[str] = [""] + [
             variable_name(index) for index in range(1, num_names + 1)
@@ -443,7 +440,7 @@ class _TransformState:
         name = self.name_of(variable)
         if self.simplify_expressions:
             start = _perf()
-            expr = simplify(expr, use_fast_path=self.use_fast_path)
+            expr = simplify(expr)
             self.simplify_seconds += _perf() - start
         for support_name in sorted(expr.support()):
             self.mark_input(support_name)
@@ -464,7 +461,7 @@ class _TransformState:
             # budget (``max_candidate_vars``) instead of a hardcoded width.
             if len(expr.support()) <= self.max_candidate_vars:
                 simplify_start = _perf()
-                expr = simplify(expr, use_fast_path=self.use_fast_path)
+                expr = simplify(expr)
                 self.simplify_seconds += _perf() - simplify_start
         for support_name in sorted(expr.support()):
             self.mark_input(support_name)
@@ -478,12 +475,22 @@ class _TransformState:
         self.stats.fallback_groups += 1
         self.stats.add_stage("flush", _perf() - start)
 
+    def add_attempt_stages(self) -> None:
+        """Flush the per-attempt stage accumulators into ``stats``."""
+        for stage, seconds in (
+            ("signature", self.signature_seconds),
+            ("extraction", self.extraction_seconds),
+            ("simplify", self.simplify_seconds),
+        ):
+            if seconds:
+                self.stats.add_stage(stage, seconds)
+
 
 def _try_definition(
     state: _TransformState,
     variable: int,
     subgroup: Sequence[Clause],
-    literal_sets: Optional[Sequence[frozenset]],
+    literal_sets: Sequence[frozenset],
     use_signature_fast_path: bool,
     max_candidate_vars: int,
 ) -> Optional[Expr]:
@@ -499,23 +506,16 @@ def _try_definition(
             stats.signature_matches += 1
             return _expr_from_gate_match(match)
     start = _perf()
-    expr = find_boolean_expression(
-        variable,
-        subgroup,
-        max_vars=max_candidate_vars,
-        use_fast_path=state.use_fast_path,
-        # Both stream loops build sub-groups that mention the candidate by
-        # construction; only the fast path skips the redundant re-scan (the
-        # reference path stays cost-faithful to the seed implementation).
-        assume_all_mention=state.use_fast_path,
-    )
+    # The occurrence index builds sub-groups that mention the candidate by
+    # construction, so the extraction core runs without the mention check.
+    expr = extract_definition(variable, subgroup, max_vars=max_candidate_vars)
     state.extraction_seconds += _perf() - start
     if expr is not None:
         stats.generic_matches += 1
     return expr
 
 
-def _stream_fast(
+def _stream(
     clauses: Sequence[Clause],
     state: _TransformState,
     use_signature_fast_path: bool,
@@ -526,7 +526,7 @@ def _stream_fast(
     seen_clause_keys: Optional[Set[frozenset]] = None,
     resume_lookahead_flush: bool = False,
 ) -> None:
-    """Literal-occurrence-indexed clause-stream loop (the tentpole fast path).
+    """Literal-occurrence-indexed clause-stream loop.
 
     Buffer clauses live in integer *slots* (monotonically increasing ids, so
     ascending slot order is buffer order).  ``occurrences[v]`` holds the live
@@ -701,78 +701,6 @@ def _stream_fast(
     flush()
 
 
-def _stream_reference(
-    clauses: Sequence[Clause],
-    state: _TransformState,
-    use_signature_fast_path: bool,
-    max_group_size: int,
-    max_candidate_vars: int,
-) -> None:
-    """The original rescan-everything loop, kept as the equivalence oracle."""
-    buffer: List[Clause] = []
-
-    def try_accept() -> bool:
-        candidate_order: List[int] = []
-        seen: Set[int] = set()
-        for clause in buffer:
-            for literal in clause:
-                variable = abs(literal)
-                if variable not in seen:
-                    seen.add(variable)
-                    candidate_order.append(variable)
-        for variable in candidate_order:
-            if variable in state.defined_vars or variable in state.input_vars:
-                continue
-            subgroup = [
-                clause
-                for clause in buffer
-                if clause.contains(variable) or clause.contains(-variable)
-            ]
-            expr = _try_definition(
-                state, variable, subgroup, None, use_signature_fast_path,
-                max_candidate_vars,
-            )
-            if expr is not None:
-                state.accept_definition(variable, expr)
-                name = state.name_of(variable)
-                for clause in subgroup:
-                    for literal in clause:
-                        other = state.name_of(abs(literal))
-                        if other != name:
-                            state.mark_input(other)
-                consumed = {id(clause) for clause in subgroup}
-                buffer[:] = [clause for clause in buffer if id(clause) not in consumed]
-                return True
-        return False
-
-    seen_clauses: Set[frozenset] = set()
-    for position, clause in enumerate(clauses):
-        if clause.is_tautology:
-            continue
-        clause_key = frozenset(clause.literals)
-        if clause_key in seen_clauses:
-            continue
-        seen_clauses.add(clause_key)
-        buffer.append(clause)
-        while try_accept():
-            pass
-        if not buffer:
-            continue
-        if len(buffer) >= max_group_size:
-            state.flush_group(buffer)
-            buffer.clear()
-            continue
-        next_clause = clauses[position + 1] if position + 1 < len(clauses) else None
-        if next_clause is not None:
-            buffer_variables = {abs(lit) for cl in buffer for lit in cl}
-            next_variables = {abs(lit) for lit in next_clause}
-            if buffer_variables.isdisjoint(next_variables):
-                state.flush_group(buffer)
-                buffer.clear()
-    state.flush_group(buffer)
-    buffer.clear()
-
-
 def clear_transform_caches() -> None:
     """Drop every process-level memo the transform relies on.
 
@@ -790,7 +718,7 @@ def clear_transform_caches() -> None:
     extraction.variable_name.cache_clear()
 
 
-def _free_variables_fast(
+def _free_variables(
     clauses: Sequence[Clause], num_variables: int, names: List[str]
 ) -> List[str]:
     """Vectorised free-variable scan: one flat pass over every literal."""
@@ -820,7 +748,6 @@ def transform_cnf(
     optimize: bool = True,
     max_group_size: int = 64,
     max_candidate_vars: int = 12,
-    use_fast_path: bool = True,
 ) -> TransformResult:
     """Run the transformation algorithm on ``formula``.
 
@@ -842,21 +769,17 @@ def transform_cnf(
     max_candidate_vars:
         Skip complement checks whose support exceeds this width; the same
         width gates simplification of flushed under-specified groups.
-    use_fast_path:
-        Use the literal-occurrence-indexed stream loop and the vectorised
-        bookkeeping (default).  ``False`` selects the original
-        rescan-everything reference implementation; the output is identical
-        (the equivalence suite asserts it field by field), just slower.
     """
     with obs.span("transform.cnf") as tspan:
         result = _transform_cnf_impl(
             formula,
-            simplify_expressions=simplify_expressions,
-            use_signature_fast_path=use_signature_fast_path,
-            optimize=optimize,
-            max_group_size=max_group_size,
-            max_candidate_vars=max_candidate_vars,
-            use_fast_path=use_fast_path,
+            dict(
+                simplify_expressions=simplify_expressions,
+                use_signature_fast_path=use_signature_fast_path,
+                optimize=optimize,
+                max_group_size=max_group_size,
+                max_candidate_vars=max_candidate_vars,
+            ),
         )
         tspan.set("clauses", result.stats.num_clauses)
         tspan.set("definitions", result.stats.num_definitions)
@@ -864,15 +787,7 @@ def transform_cnf(
     return result
 
 
-def _transform_cnf_impl(
-    formula: CNF,
-    simplify_expressions: bool,
-    use_signature_fast_path: bool,
-    optimize: bool,
-    max_group_size: int,
-    max_candidate_vars: int,
-    use_fast_path: bool,
-) -> TransformResult:
+def _transform_cnf_impl(formula: CNF, options: Dict[str, object]) -> TransformResult:
     start = _perf()
     clauses = list(formula.clauses)
     stats = TransformStats(num_clauses=len(clauses))
@@ -881,52 +796,50 @@ def _transform_cnf_impl(
     state = _TransformState(
         num_names=formula.num_variables,
         stats=stats,
-        simplify_expressions=simplify_expressions,
-        max_candidate_vars=max_candidate_vars,
-        use_fast_path=use_fast_path,
+        simplify_expressions=options["simplify_expressions"],
+        max_candidate_vars=options["max_candidate_vars"],
     )
 
     checkpoints: List[_Checkpoint] = []
     stream_start = _perf()
-    if use_fast_path:
-        _stream_fast(
-            clauses,
-            state,
-            use_signature_fast_path,
-            max_group_size,
-            max_candidate_vars,
-            checkpoints=checkpoints,
-        )
-    else:
-        _stream_reference(
-            clauses, state, use_signature_fast_path, max_group_size,
-            max_candidate_vars,
-        )
+    _stream(
+        clauses,
+        state,
+        options["use_signature_fast_path"],
+        options["max_group_size"],
+        options["max_candidate_vars"],
+        checkpoints=checkpoints,
+    )
     stats.add_stage("stream", _perf() - stream_start)
-    if state.signature_seconds:
-        stats.add_stage("signature", state.signature_seconds)
-    if state.extraction_seconds:
-        stats.add_stage("extraction", state.extraction_seconds)
-    if state.simplify_seconds:
-        stats.add_stage("simplify", state.simplify_seconds)
+    state.add_attempt_stages()
 
     # Original variables never mentioned by any clause are free.
     free_start = _perf()
-    if use_fast_path:
-        free_variables = _free_variables_fast(
-            clauses, formula.num_variables, state.names
-        )
-    else:
-        mentioned: Set[int] = set()
-        for clause in clauses:
-            mentioned.update(abs(lit) for lit in clause)
-        free_variables = [
-            variable_name(index)
-            for index in range(1, formula.num_variables + 1)
-            if index not in mentioned
-        ]
+    free_variables = _free_variables(clauses, formula.num_variables, state.names)
     stats.add_stage("free_vars", _perf() - free_start)
+    return finish_transform(
+        formula, clauses, state, free_variables, checkpoints, options, start
+    )
 
+
+def finish_transform(
+    formula: CNF,
+    clauses: Sequence[Clause],
+    state,
+    free_variables: List[str],
+    checkpoints: Sequence[_Checkpoint],
+    options: Dict[str, object],
+    start: float,
+) -> TransformResult:
+    """Lower a finished clause stream's records and package the result.
+
+    The post-stream tail of :func:`transform_cnf`, shared with the reference
+    oracle: ``state`` carries the ``definitions``, ``primary_inputs``,
+    ``primary_outputs``, ``constraints`` and ``stats`` the stream produced,
+    ``options`` the five transform options (recorded on the replay) and
+    ``start`` the transform's ``perf_counter`` start.
+    """
+    stats = state.stats
     definitions = state.definitions
     constraints = state.constraints
     primary_inputs = state.primary_inputs
@@ -941,7 +854,7 @@ def _transform_cnf_impl(
         name=formula.name or "recovered",
     )
     stats.add_stage("circuit_build", _perf() - build_start)
-    if optimize and constraints:
+    if options["optimize"] and constraints:
         optimize_start = _perf()
         # Keep the defined nets alive during optimization by temporarily
         # marking them as outputs, so complete_assignments can still read them.
@@ -960,16 +873,7 @@ def _transform_cnf_impl(
         name for name, _ in definitions if name not in primary_outputs
     ]
     replay = TransformReplay(
-        clauses=tuple(clauses),
-        # The reference path records no checkpoints; a retransform from such a
-        # result simply replays the whole stream on the fast path (or reruns
-        # the reference oracle when asked to).
-        checkpoints=tuple(checkpoints),
-        simplify_expressions=simplify_expressions,
-        use_signature_fast_path=use_signature_fast_path,
-        optimize=optimize,
-        max_group_size=max_group_size,
-        max_candidate_vars=max_candidate_vars,
+        clauses=tuple(clauses), checkpoints=tuple(checkpoints), **options
     )
     return TransformResult(
         source_name=formula.name,
@@ -988,7 +892,7 @@ def _transform_cnf_impl(
 
 class _GraftUnsafe(Exception):
     """Raised when the incremental circuit graft would collide with a copied
-    net name; the caller falls back to a full (still fast-path) rebuild."""
+    net name; the caller falls back to a full rebuild."""
 
 
 def _graft_circuit(
@@ -1091,31 +995,23 @@ def _mutated_formula(
     return formula
 
 
-def retransform(
-    prev: TransformResult,
-    delta,
-    use_fast_path: bool = True,
-) -> TransformResult:
+def retransform(prev: TransformResult, delta) -> TransformResult:
     """Traced front end of :func:`_retransform_impl` (span
     ``transform.retransform``; counts under ``mode="incremental"``)."""
     with obs.span("transform.retransform") as tspan:
-        result = _retransform_impl(prev, delta, use_fast_path=use_fast_path)
+        result = _retransform_impl(prev, delta)
         tspan.set("clauses", result.stats.num_clauses)
     if result is not prev:
         _TRANSFORM_RUNS.inc(1.0, "incremental")
     return result
 
 
-def _retransform_impl(
-    prev: TransformResult,
-    delta,
-    use_fast_path: bool = True,
-) -> TransformResult:
+def _retransform_impl(prev: TransformResult, delta) -> TransformResult:
     """Transform the delta-mutated formula incrementally, reusing ``prev``.
 
     ``delta`` is a :class:`~repro.cnf.delta.ClauseDelta` applied to the exact
-    clause sequence ``prev`` consumed (recorded on ``prev.replay``).  The fast
-    path restores the stream state from the latest valid empty-buffer
+    clause sequence ``prev`` consumed (recorded on ``prev.replay``).  It
+    restores the stream state from the latest valid empty-buffer
     checkpoint at or before the first changed clause position, replays only
     the suffix, and grafts the new records onto the previously optimized
     circuit (:func:`_graft_circuit`) — on instances where the change touches
@@ -1128,10 +1024,8 @@ def _retransform_impl(
     of the mutated formula, and ``complete_assignments`` is bitwise
     identical; the grafted *circuit* is functionally equivalent but not
     re-optimized globally, so its gate structure may differ from a cold
-    build's.  ``use_fast_path=False`` performs the full reference rebuild
-    (the oracle), identical to
-    ``transform_cnf(mutated, use_fast_path=False)`` under ``prev``'s
-    transform options.
+    build's.  The oracle, a full reference rebuild under ``prev``'s transform
+    options, lives in ``tests/oracles/transform.py``.
 
     An empty delta returns ``prev`` itself.  Transform options are inherited
     from ``prev`` — replaying under different options would change the
@@ -1160,12 +1054,6 @@ def _retransform_impl(
         max_candidate_vars=replay.max_candidate_vars,
     )
     name = prev.source_name
-    if not use_fast_path:
-        return transform_cnf(
-            _mutated_formula(mutated, num_variables, name),
-            use_fast_path=False,
-            **options,
-        )
 
     checkpoint: Optional[_Checkpoint] = None
     for candidate in replay.checkpoints:
@@ -1177,13 +1065,9 @@ def _retransform_impl(
             continue
         checkpoint = candidate
     if checkpoint is None or checkpoint[0] == 0:
-        # No reusable prefix (or a reference-path prev without checkpoints):
-        # a full fast transform also rebuilds the optimized circuit.
-        return transform_cnf(
-            _mutated_formula(mutated, num_variables, name),
-            use_fast_path=True,
-            **options,
-        )
+        # No reusable prefix (or a prev recorded without checkpoints): a
+        # full transform also rebuilds the optimized circuit.
+        return transform_cnf(_mutated_formula(mutated, num_variables, name), **options)
 
     start = _perf()
     (
@@ -1216,7 +1100,6 @@ def _retransform_impl(
         stats=stats,
         simplify_expressions=replay.simplify_expressions,
         max_candidate_vars=replay.max_candidate_vars,
-        use_fast_path=True,
     )
     state.definitions = list(prev.definitions[:num_definitions])
     state.defined = {net for net, _ in state.definitions}
@@ -1245,7 +1128,7 @@ def _retransform_impl(
 
     checkpoints = [c for c in replay.checkpoints if c[0] < position]
     stream_start = _perf()
-    _stream_fast(
+    _stream(
         mutated[position:],
         state,
         replay.use_signature_fast_path,
@@ -1257,15 +1140,10 @@ def _retransform_impl(
         resume_lookahead_flush=not lookahead_free,
     )
     stats.add_stage("stream", _perf() - stream_start)
-    if state.signature_seconds:
-        stats.add_stage("signature", state.signature_seconds)
-    if state.extraction_seconds:
-        stats.add_stage("extraction", state.extraction_seconds)
-    if state.simplify_seconds:
-        stats.add_stage("simplify", state.simplify_seconds)
+    state.add_attempt_stages()
 
     free_start = _perf()
-    free_variables = _free_variables_fast(mutated, num_variables, state.names)
+    free_variables = _free_variables(mutated, num_variables, state.names)
     stats.add_stage("free_vars", _perf() - free_start)
 
     graft_start = _perf()
@@ -1279,11 +1157,7 @@ def _retransform_impl(
             name=name or "recovered",
         )
     except _GraftUnsafe:
-        return transform_cnf(
-            _mutated_formula(mutated, num_variables, name),
-            use_fast_path=True,
-            **options,
-        )
+        return transform_cnf(_mutated_formula(mutated, num_variables, name), **options)
     stats.add_stage("circuit_graft", _perf() - graft_start)
 
     stats.circuit_operations = two_input_gate_equivalents(circuit)

@@ -3,8 +3,7 @@
 Every ``benchmarks/bench_*.py`` script used to carry its own copy of the
 same loop — warm up once outside the clock, collect the heap, repeat the
 step, keep a robust statistic.  This module is the single shared
-implementation; ``repro.utils.timing`` keeps its general-purpose
-``Stopwatch``/``Timer`` classes, but benchmark measurement belongs here.
+implementation.
 
 Why these defaults:
 

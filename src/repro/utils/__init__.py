@@ -1,13 +1,6 @@
-"""Shared utilities: seeded randomness, timing, bit packing and validation."""
+"""Shared utilities: seeded randomness and validation."""
 
 from repro.utils.rng import RandomState, new_rng, spawn_rngs
-from repro.utils.timing import Stopwatch, Timer
-from repro.utils.bitops import (
-    pack_bool_matrix,
-    unpack_bool_matrix,
-    popcount64,
-    hamming_distance,
-)
 from repro.utils.validation import (
     check_positive,
     check_non_negative,
@@ -19,12 +12,6 @@ __all__ = [
     "RandomState",
     "new_rng",
     "spawn_rngs",
-    "Stopwatch",
-    "Timer",
-    "pack_bool_matrix",
-    "unpack_bool_matrix",
-    "popcount64",
-    "hamming_distance",
     "check_positive",
     "check_non_negative",
     "check_probability",

@@ -1,13 +1,12 @@
-"""Fast-path vs reference-path equivalence of the CNF→circuit transform.
+"""The CNF→circuit transform pinned to the seed's algorithms.
 
-The tentpole rewrite of ``transform_cnf`` (literal-occurrence index, failure
-caching, shape-dispatched signature matching, interned expressions with
-memoised bitmask truth tables, vectorised bookkeeping) must be
-decision-for-decision identical to the seed implementation, which is kept as
-``use_fast_path=False``.  The reference path runs the original algorithms —
-rescan-everything stream loop, per-row dictionary truth-table enumeration,
-non-memoised Quine--McCluskey — so these properties cross-check the bitmask
-kernel and every memo against an independent oracle.
+``transform_cnf`` (literal-occurrence index, failure caching, shape-dispatched
+signature matching, interned expressions with memoised bitmask truth tables,
+vectorised bookkeeping) must be decision-for-decision identical to the seed
+implementation, kept as the oracle in ``tests/oracles/transform.py``.  The
+oracle runs the original algorithms — rescan-everything stream loop, per-row
+dictionary truth-table enumeration, non-memoised Quine--McCluskey — so these
+properties cross-check the bitmask kernel and every memo against it.
 """
 
 import numpy as np
@@ -25,6 +24,7 @@ from repro.core.signatures import gate_signature_clauses
 from repro.core.transform import transform_cnf
 from repro.circuit.gates import GateType
 from tests.conftest import all_assignments
+from tests.oracles import transform as oracle
 from tests.oracles.completion import complete_reference
 
 
@@ -32,7 +32,7 @@ from tests.oracles.completion import complete_reference
 
 @st.composite
 def random_cnfs(draw):
-    """Small random CNFs: arbitrary clauses, possible duplicates/tautologies."""
+    """Small random CNFs: arbitrary clauses, possible duplicates/tautologies/empties."""
     num_variables = draw(st.integers(1, 6))
     extra_declared = draw(st.integers(0, 2))
     num_clauses = draw(st.integers(1, 10))
@@ -42,7 +42,7 @@ def random_cnfs(draw):
                 st.tuples(st.integers(1, num_variables), st.booleans()).map(
                     lambda pair: pair[0] if pair[1] else -pair[0]
                 ),
-                min_size=1,
+                min_size=0,
                 max_size=4,
             ),
             min_size=num_clauses,
@@ -166,7 +166,7 @@ class TestTransformEquivalence:
     @settings(max_examples=80, deadline=None)
     def test_random_cnfs(self, formula):
         fast = transform_cnf(formula)
-        reference = transform_cnf(formula, use_fast_path=False)
+        reference = oracle.transform_reference(formula)
         assert_transforms_identical(fast, reference)
         assert_completions_identical(fast, reference)
 
@@ -174,7 +174,7 @@ class TestTransformEquivalence:
     @settings(max_examples=60, deadline=None)
     def test_gate_stream_cnfs(self, formula):
         fast = transform_cnf(formula)
-        reference = transform_cnf(formula, use_fast_path=False)
+        reference = oracle.transform_reference(formula)
         assert_transforms_identical(fast, reference)
         assert_completions_identical(fast, reference)
 
@@ -186,11 +186,10 @@ class TestTransformEquivalence:
             simplify_expressions=simplify_exprs,
             use_signature_fast_path=use_signatures,
         )
-        reference = transform_cnf(
+        reference = oracle.transform_reference(
             formula,
             simplify_expressions=simplify_exprs,
             use_signature_fast_path=use_signatures,
-            use_fast_path=False,
         )
         assert_transforms_identical(fast, reference)
 
@@ -199,8 +198,8 @@ class TestTransformEquivalence:
     def test_narrow_candidate_budget(self, formula, max_candidate_vars):
         """The width gate (which also gates flush simplification) agrees."""
         fast = transform_cnf(formula, max_candidate_vars=max_candidate_vars)
-        reference = transform_cnf(
-            formula, max_candidate_vars=max_candidate_vars, use_fast_path=False
+        reference = oracle.transform_reference(
+            formula, max_candidate_vars=max_candidate_vars
         )
         assert_transforms_identical(fast, reference)
 
@@ -209,9 +208,7 @@ class TestTransformEquivalence:
     def test_small_group_flushes(self, formula, max_group_size):
         """Frequent forced flushes exercise the under-specified path."""
         fast = transform_cnf(formula, max_group_size=max_group_size)
-        reference = transform_cnf(
-            formula, max_group_size=max_group_size, use_fast_path=False
-        )
+        reference = oracle.transform_reference(formula, max_group_size=max_group_size)
         assert_transforms_identical(fast, reference)
 
     def test_registry_instance_equivalence(self):
@@ -219,7 +216,7 @@ class TestTransformEquivalence:
 
         formula = get_instance("75-10-1-q").build_cnf()
         fast = transform_cnf(formula)
-        reference = transform_cnf(formula, use_fast_path=False)
+        reference = oracle.transform_reference(formula)
         assert_transforms_identical(fast, reference)
         assert_completions_identical(fast, reference)
 
@@ -234,8 +231,7 @@ class TestTransformEquivalence:
             seed=7, batch_size=32, iterations=20, array_backend="numpy"
         )
         streams = []
-        for use_fast_path in (True, False):
-            transform = transform_cnf(formula, use_fast_path=use_fast_path)
+        for transform in (transform_cnf(formula), oracle.transform_reference(formula)):
             result = sample_cnf(
                 formula, num_solutions=16, config=config, transform=transform
             )
@@ -250,28 +246,26 @@ class TestBoolalgFastPaths:
     @given(literal_exprs(), literal_exprs())
     @settings(max_examples=120, deadline=None)
     def test_equivalent_matches_reference(self, a, b):
-        assert equivalent(a, b) == equivalent(a, b, use_fast_path=False)
+        assert equivalent(a, b) == oracle.equivalent(a, b)
 
     @given(literal_exprs(), literal_exprs())
     @settings(max_examples=120, deadline=None)
     def test_is_complement_matches_reference(self, a, b):
-        assert is_complement(a, b) == is_complement(a, b, use_fast_path=False)
+        assert is_complement(a, b) == oracle.is_complement(a, b)
 
     @given(literal_exprs())
     @settings(max_examples=120, deadline=None)
     def test_truth_table_matches_row_enumeration(self, expr):
-        from repro.boolalg.truth_table import assignments_iter
-
         names = sorted(expr.support())
         table = truth_table(expr, over=names)
-        rows = [expr.evaluate(a) for a in assignments_iter(names)]
+        rows = [expr.evaluate(a) for a in oracle.assignments_iter(names)]
         assert table.tolist() == rows
 
     @given(literal_exprs())
     @settings(max_examples=150, deadline=None)
     def test_simplify_fast_path_is_fixed_point(self, expr):
         fast = simplify(expr)
-        reference = simplify(expr, use_fast_path=False)
+        reference = oracle.simplify(expr)
         assert fast == reference
         if is_flat_literal_gate(expr):
             assert fast is expr
@@ -287,7 +281,7 @@ class TestExtractionFastPath:
             if clause.contains(variable) or clause.contains(-variable)
         ]
         fast = find_boolean_expression(variable, clauses)
-        reference = find_boolean_expression(variable, clauses, use_fast_path=False)
+        reference = oracle.find_boolean_expression(variable, clauses)
         assert fast == reference
 
     @given(random_cnfs(), st.integers(1, 6), st.integers(1, 3))
@@ -299,19 +293,17 @@ class TestExtractionFastPath:
             if clause.contains(variable) or clause.contains(-variable)
         ]
         fast = find_boolean_expression(variable, clauses, max_vars=max_vars)
-        reference = find_boolean_expression(
-            variable, clauses, max_vars=max_vars, use_fast_path=False
-        )
+        reference = oracle.find_boolean_expression(variable, clauses, max_vars=max_vars)
         assert fast == reference
 
     def test_unit_clause_pair_definitions(self):
         # (v) alone defines v := TRUE; (v) & (~v) defines nothing.
-        assert find_boolean_expression(1, [Clause([1])]) == find_boolean_expression(
-            1, [Clause([1])], use_fast_path=False
+        assert find_boolean_expression(1, [Clause([1])]) == oracle.find_boolean_expression(
+            1, [Clause([1])]
         )
         pair = [Clause([1]), Clause([-1])]
         assert find_boolean_expression(1, pair) is None
-        assert find_boolean_expression(1, pair, use_fast_path=False) is None
+        assert oracle.find_boolean_expression(1, pair) is None
 
 
 # -- new surface behaviour ----------------------------------------------------------------
@@ -323,10 +315,6 @@ class TestStageTimings:
         assert "stream" in stages and stages["stream"] >= 0.0
         assert "circuit_build" in stages
         assert all(seconds >= 0.0 for seconds in stages.values())
-
-    def test_reference_records_stream_stage(self, fig1_formula):
-        result = transform_cnf(fig1_formula, use_fast_path=False)
-        assert "stream" in result.stats.stage_seconds
 
 
 class TestCacheClearing:

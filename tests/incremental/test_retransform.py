@@ -9,8 +9,8 @@ grafted circuit may differ structurally from a cold build, so circuits are
 compared by simulation, never by gate list.
 
 Hypothesis drives random formulas through random add/retract/assume deltas
-(single and chained), with the reference path (``use_fast_path=False``) as
-the ultimate oracle.
+(single and chained), with the seed's transform (``tests/oracles/transform.py``)
+as the ultimate oracle.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from repro.cnf import CNF, ClauseDelta, planted_ksat
 from repro.circuit.simulate import simulate
 from repro.core.transform import retransform, transform_cnf
+from tests.oracles.transform import retransform_reference
 
 
 def assert_records_match(fast, cold):
@@ -136,7 +137,7 @@ def test_retransform_matches_reference_path(case):
     fast = retransform(prev, delta)
     if delta.is_empty:
         return
-    oracle = retransform(prev, delta, use_fast_path=False)
+    oracle = retransform_reference(prev, delta)
     assert_records_match(fast, oracle)
     assert_completions_match(fast, oracle)
 

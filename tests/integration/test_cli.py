@@ -77,6 +77,32 @@ class TestTransformSubcommand:
         assert "module" in verilog.read_text()
 
 
+class TestBadInputFile:
+    @pytest.mark.parametrize("command", ["sample", "transform"])
+    @pytest.mark.parametrize("case", ["missing", "malformed"])
+    def test_bad_cnf_is_a_one_line_error(self, tmp_path, command, case):
+        path = tmp_path / f"{case}.cnf"
+        if case == "malformed":
+            path.write_text("p cnf 2 1\n1 x 0\n")
+        completed = run_cli(command, str(path))
+        assert completed.returncode == 2
+        assert "Traceback" not in completed.stderr
+        lines = completed.stderr.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"repro-sat: error: {path}: ")
+        if case == "malformed":
+            assert lines[0].endswith("line 2: expected integer literal, got 'x'")
+        else:
+            assert "No such file" in lines[0]
+
+    def test_reference_flag_is_gone(self, tmp_path):
+        path = tmp_path / "fig1.cnf"
+        path.write_text(FIG1_DIMACS)
+        completed = run_cli("transform", str(path), "--reference")
+        assert completed.returncode == 2
+        assert "unrecognized arguments: --reference" in completed.stderr
+
+
 class TestInstancesSubcommand:
     def test_list_registry(self):
         completed = run_cli("instances", "--family", "or")
