@@ -5,7 +5,8 @@ their cost bounds the whole pipeline once the GD loop is compiled.  This
 benchmark times one validation step — ``evaluate_batch`` over a candidate
 batch followed by ``SolutionSet.add_batch`` dedup — on the largest registry
 instance, comparing the compiled kernel against the original
-clause-by-clause loop with row-by-row dedup, and rewrites
+clause-by-clause loop (the oracle ``tests/oracles/cnf.py``) with row-by-row
+dedup, and rewrites
 ``BENCH_cnf_eval.json`` with the latest record; committing the file each PR
 accumulates the kernel's perf trajectory in version history.
 """
@@ -23,6 +24,7 @@ from repro.obs.bench import time_passes
 from benchmarks.conftest import cnf_bench_batch, cnf_eval_min_speedup
 from repro.core.solutions import SolutionSet
 from repro.core.transform import transform_cnf
+from tests.oracles.cnf import evaluate_batch_reference
 
 #: Where the kernel-vs-reference comparison records its trajectory.
 BENCH_CNF_EVAL_JSON = Path(__file__).resolve().parent.parent / "BENCH_cnf_eval.json"
@@ -67,7 +69,7 @@ def test_cnf_kernel_vs_reference(benchmark, largest_instance):
     # the dedup path has real work to do.
     candidates[batch // 2 :] = candidates[: batch - batch // 2]
     plan = formula.evaluation_plan()  # compile outside the timed region
-    reference_valid = formula.evaluate_batch(candidates, backend="reference")
+    reference_valid = evaluate_batch_reference(formula, candidates)
     assert reference_valid.any(), (
         "benchmark candidates must include satisfying rows to defeat the "
         "reference loop's early exit"
@@ -78,16 +80,16 @@ def test_cnf_kernel_vs_reference(benchmark, largest_instance):
     all_rows = np.ones(batch, dtype=bool)
 
     def reference_step():
-        formula.evaluate_batch(candidates, backend="reference")
+        evaluate_batch_reference(formula, candidates)
         _reference_add_batch(set(), [], candidates, all_rows)
 
     def compiled_step():
-        valid = formula.evaluate_batch(candidates, backend="compiled")
+        valid = formula.evaluate_batch(candidates)
         SolutionSet(formula.num_variables).add_batch(candidates)
         return valid
 
-    # Both backends must agree before any timing is trusted.
-    assert np.array_equal(formula.evaluate_batch(candidates, backend="compiled"), reference_valid)
+    # Both contenders must agree before any timing is trusted.
+    assert np.array_equal(formula.evaluate_batch(candidates), reference_valid)
 
     passes, repeats = 5, 3
     reference_seconds = time_passes(reference_step, repeats, passes, reduce="best")

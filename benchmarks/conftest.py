@@ -92,8 +92,8 @@ def workloads_min_speedup() -> float:
 
 
 def native_min_speedup() -> float:
-    """Required native-over-NumPy speedup on the best of the three measured
-    dominators (lower it on noisy shared CI; <= 0 skips the gate loudly while
+    """Required native-over-NumPy speedup of the engine's forward + backward
+    pass (lower it on noisy shared CI; <= 0 skips the gate loudly while
     still recording the measurement)."""
     return float(os.environ.get("REPRO_BENCH_NATIVE_MIN_SPEEDUP", "2.0"))
 
@@ -109,7 +109,7 @@ def warm_native_kernels():
     """
     from repro import native
 
-    native.kernels_for(None)  # auto: build the C tier, or silently none
+    native.kernels_for(None)  # build the C tier, or silently none
 
 
 def store_min_speedup() -> float:

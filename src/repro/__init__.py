@@ -15,9 +15,9 @@ Public API surface: the most common entry points are re-exported here.
   ``SamplerConfig(array_backend=...)``, ``REPRO_ARRAY_BACKEND`` or
   ``--array-backend`` (spec ``numpy``, ``numpy:float64`` or ``numpy:float32``)
 * :func:`repro.clear_caches` — drop every memoised compiled artifact
-* :mod:`repro.native` — the on-demand C tier for the hot loops
-  (``SamplerConfig(kernel=...)``, ``REPRO_NATIVE`` or ``--kernel`` selects
-  ``auto``/``native``/``python``)
+* :mod:`repro.native` — the on-demand C tier for the engine's hot loops,
+  used exactly when it builds (``REPRO_NATIVE=off`` switches it off for the
+  whole process)
 * :mod:`repro.baselines` — UniGen/CMSGen/QuickSampler/DiffSampler-style baselines
 * :mod:`repro.instances` — synthetic benchmark-instance generators (Table II families)
 * :mod:`repro.eval` — throughput harness and table/figure builders
@@ -46,7 +46,7 @@ def clear_caches() -> None:
 
     Clears the per-circuit compiled-program memos of the engine, the
     per-formula CNF evaluation plans, the transform/boolalg memos and the
-    per-artifact native-kernel layouts.  Mutating a circuit or formula
+    per-program native-kernel layouts.  Mutating a circuit or formula
     already invalidates its own memos; this is the explicit hook for
     long-lived processes that want to release memory.
     """

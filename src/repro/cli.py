@@ -54,7 +54,6 @@ from repro.eval.report import render_rows
 from repro.gpu.device import get_device
 from repro.instances.registry import REGISTRY, get_instance
 from repro.io.solutions_io import write_solutions_file
-from repro.native import MODES as KERNEL_MODES
 
 
 def _array_backend_spec(text: str) -> str:
@@ -92,13 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              "the default), 'numpy:float64' or 'numpy:float32' — overrides the "
                              "REPRO_ARRAY_BACKEND environment variable and the config "
                              "(precedence: env < config < CLI)")
-    sample.add_argument("--kernel", default=None, choices=KERNEL_MODES,
-                        help="native kernel mode for the hot loops: 'auto' "
-                             "(the C tier when it builds, silently none), "
-                             "'native' (require the C tier) or 'python'/'off' "
-                             "(pure NumPy/Python) — overrides the REPRO_NATIVE "
-                             "environment variable and the config (precedence: "
-                             "env < config < CLI)")
     sample.add_argument("-o", "--output", default=None,
                         help="write solutions (signed-literal lines) to this file")
     sample.add_argument("--project", action="append", type=int, default=None,
@@ -146,9 +138,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--array-backend", default=None, metavar="SPEC",
                        type=_array_backend_spec,
                        help="default float dtype spec for jobs whose config names none "
-                            "(job configs may still override per job)")
-    serve.add_argument("--kernel", default=None, choices=KERNEL_MODES,
-                       help="native kernel mode each worker pins at startup "
                             "(job configs may still override per job)")
     serve.add_argument("--cache-entries", type=int, default=8,
                        help="per-worker artifact-cache entry bound (default 8 formulas)")
@@ -285,8 +274,6 @@ def _read_formula(path: str) -> Optional[CNF]:
 
 
 def _command_sample(arguments: argparse.Namespace) -> int:
-    from repro.native import use_kernel
-
     formula = _read_formula(arguments.cnf)
     if formula is None:
         return 2
@@ -299,16 +286,12 @@ def _command_sample(arguments: argparse.Namespace) -> int:
         timeout_seconds=arguments.timeout,
         device=get_device(arguments.device),
         array_backend=arguments.array_backend,
-        kernel=arguments.kernel,
         store_dir=arguments.store_dir,
         telemetry=arguments.trace,
     )
-    # The kernel scope covers the whole pipeline (the sampler also
-    # re-applies config.kernel around its own runs).
-    with use_kernel(arguments.kernel):
-        result = sample_cnf(
-            formula, num_solutions=arguments.num_solutions, config=config, task=task
-        )
+    result = sample_cnf(
+        formula, num_solutions=arguments.num_solutions, config=config, task=task
+    )
     sample = result.sample
     print(f"instance           : {formula.name or arguments.cnf}")
     print(f"variables / clauses: {result.formula.num_variables} / {result.formula.num_clauses}")
@@ -420,7 +403,6 @@ def _command_serve(arguments: argparse.Namespace) -> int:
         with SamplingService(
             num_workers=arguments.workers,
             array_backend=arguments.array_backend,
-            kernel=arguments.kernel,
             cache_entries=arguments.cache_entries,
             cache_bytes=cache_bytes,
             store_dir=store_spec,
@@ -695,6 +677,14 @@ def _command_instances(arguments: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     arguments = _build_parser().parse_args(argv)
+    if arguments.command in ("sample", "serve"):
+        from repro import native
+
+        try:
+            native.active_tier()  # probe the engine tier, reading $REPRO_NATIVE
+        except ValueError as error:
+            print(f"repro-sat: error: {error}", file=sys.stderr)
+            return 2
     if arguments.command == "sample":
         return _command_sample(arguments)
     if arguments.command == "serve":

@@ -12,9 +12,7 @@ from repro.cnf.formula import CNF
 from repro.cnf.kernel import (
     CNFEvalPlan,
     compile_evaluation_plan,
-    default_backend,
     extend_evaluation_plan,
-    set_default_backend,
 )
 from repro.cnf.assignment import Assignment
 from repro.cnf.dimacs import parse_dimacs, parse_dimacs_file, write_dimacs, write_dimacs_file
@@ -27,9 +25,7 @@ __all__ = [
     "CNF",
     "CNFEvalPlan",
     "compile_evaluation_plan",
-    "default_backend",
     "extend_evaluation_plan",
-    "set_default_backend",
     "Assignment",
     "literal_variable",
     "literal_is_positive",

@@ -12,8 +12,6 @@ from repro.cnf.kernel import (
     compile_evaluation_plan,
     extend_evaluation_plan,
     register_plan_owner,
-    resolve_backend,
-    resolve_native_kernels,
 )
 
 
@@ -231,70 +229,25 @@ class CNF:
         """Evaluate the formula under a complete assignment ``{variable: bool}``."""
         return all(clause.evaluate(assignment) for clause in self._clauses)
 
-    def evaluate_batch(
-        self, assignments: np.ndarray, backend: Optional[str] = None
-    ) -> np.ndarray:
+    def evaluate_batch(self, assignments: np.ndarray) -> np.ndarray:
         """Vectorised evaluation of a ``(batch, num_variables)`` boolean matrix.
 
         Column ``j`` of ``assignments`` holds the value of variable ``j + 1``.
         Returns a boolean vector of length ``batch`` that is ``True`` where all
-        clauses are satisfied.  ``backend`` selects the implementation
-        (``"compiled"``, the compiled-C ``"native"`` or the clause-loop
-        ``"reference"``); ``None`` uses
-        :func:`repro.cnf.kernel.default_backend`.  All backends are
-        bitwise-identical.
+        clauses are satisfied, computed by the memoised compiled plan
+        (:mod:`repro.cnf.kernel`).
         """
         matrix = self._check_assignment_matrix(assignments)
-        backend = resolve_backend(backend)
-        if backend == "reference":
-            # The clause loop is the reference implementation.
-            return self._evaluate_batch_reference(matrix)
-        plan = self.evaluation_plan()
-        if backend == "native":
-            kernels = resolve_native_kernels()
-            return kernels.cnf_evaluate(plan, matrix)
-        return plan.evaluate(matrix)
+        return self.evaluation_plan().evaluate(matrix)
 
-    def unsatisfied_clause_counts(
-        self, assignments: np.ndarray, backend: Optional[str] = None
-    ) -> np.ndarray:
+    def unsatisfied_clause_counts(self, assignments: np.ndarray) -> np.ndarray:
         """Per-row count of clauses falsified by each assignment in a batch.
 
-        Accepts the same ``(batch, num_variables)`` matrices and ``backend``
-        values as :meth:`evaluate_batch`.
+        Accepts the same ``(batch, num_variables)`` matrices as
+        :meth:`evaluate_batch`.
         """
         matrix = self._check_assignment_matrix(assignments)
-        backend = resolve_backend(backend)
-        if backend == "reference":
-            return self._unsatisfied_clause_counts_reference(matrix)
-        if backend == "native":
-            kernels = resolve_native_kernels()
-            return kernels.cnf_unsatisfied_counts(self.evaluation_plan(), matrix)
         return self.evaluation_plan().unsatisfied_counts(matrix)
-
-    def _evaluate_batch_reference(self, assignments: np.ndarray) -> np.ndarray:
-        """The original clause-by-clause loop, kept as the equivalence reference."""
-        satisfied = np.ones(assignments.shape[0], dtype=bool)
-        for clause in self._clauses:
-            clause_value = np.zeros(assignments.shape[0], dtype=bool)
-            for literal in clause:
-                column = assignments[:, abs(literal) - 1]
-                clause_value |= column if literal > 0 else ~column
-            satisfied &= clause_value
-            if not satisfied.any():
-                break
-        return satisfied
-
-    def _unsatisfied_clause_counts_reference(self, assignments: np.ndarray) -> np.ndarray:
-        """Clause-loop reference implementation of :meth:`unsatisfied_clause_counts`."""
-        counts = np.zeros(assignments.shape[0], dtype=np.int64)
-        for clause in self._clauses:
-            clause_value = np.zeros(assignments.shape[0], dtype=bool)
-            for literal in clause:
-                column = assignments[:, abs(literal) - 1]
-                clause_value |= column if literal > 0 else ~column
-            counts += ~clause_value
-        return counts
 
     # -- protocol -----------------------------------------------------------------------
     def __len__(self) -> int:

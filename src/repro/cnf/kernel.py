@@ -28,23 +28,19 @@ Plans are memoised per :class:`~repro.cnf.formula.CNF` via
 :meth:`~repro.cnf.formula.CNF.evaluation_plan` and invalidated whenever the
 formula mutates (``add_clause`` or a ``num_variables`` change), mirroring the
 engine's compile-once design; :func:`clear_plan_caches` (surfaced as
-:func:`repro.clear_caches`) drops them explicitly.  The clause-loop
-implementation survives as the ``"reference"`` backend;
-:func:`default_backend` (overridable with :func:`set_default_backend` or the
-``REPRO_CNF_BACKEND`` environment variable) selects which implementation
-:meth:`CNF.evaluate_batch` uses.
+:func:`repro.clear_caches`) drops them explicitly.
 
-This module's ``backend`` strings pick the *kernel implementation*
-("compiled"/"reference"/"native"); all of them are boolean, so the
-sampler's float dtype policy (``SamplerConfig.array_backend``) never
-reaches them.
+The plan is the one CNF evaluator: every caller — the sampler's
+validation, the baselines, the metrics — runs it.  The clause-loop original
+it replaced is the test oracle ``tests/oracles/cnf.py``.  The kernel is
+boolean, so the sampler's float dtype policy
+(``SamplerConfig.array_backend``) never reaches it.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, Tuple
 
 import numpy as np
 
@@ -63,56 +59,6 @@ _CNF_EVALUATIONS = obs.counter(
 
 if TYPE_CHECKING:  # avoid a runtime import cycle with repro.cnf.formula
     from repro.cnf.formula import CNF
-
-#: Accepted values for the evaluation-backend knob.
-BACKENDS = ("compiled", "reference", "native")
-
-#: Environment variable consulted for the process-wide default backend.
-BACKEND_ENV_VAR = "REPRO_CNF_BACKEND"
-
-_default_backend: Optional[str] = None
-
-
-def default_backend() -> str:
-    """The process-wide evaluation backend (env override, else ``"compiled"``)."""
-    if _default_backend is not None:
-        return _default_backend
-    return _validate_backend(os.environ.get(BACKEND_ENV_VAR, "compiled"))
-
-
-def set_default_backend(name: Optional[str]) -> None:
-    """Set the process-wide backend; ``None`` restores the environment default."""
-    global _default_backend
-    _default_backend = None if name is None else _validate_backend(name)
-
-
-def resolve_backend(name: Optional[str]) -> str:
-    """Resolve a per-call backend argument (``None`` means the default)."""
-    return default_backend() if name is None else _validate_backend(name)
-
-
-def _validate_backend(name: str) -> str:
-    if name not in BACKENDS:
-        raise ValueError(f"backend must be one of {BACKENDS}, got {name!r}")
-    return name
-
-
-def resolve_native_kernels():
-    """The native kernel set backing ``backend="native"`` (never ``None``).
-
-    An explicitly requested native CNF backend fails loudly — with
-    :class:`~repro.native.BackendUnavailableError` — when native kernels
-    are disabled (``REPRO_NATIVE=off``) or the C tier cannot be brought up.
-    """
-    from repro import native
-
-    if native.resolve_mode(None) == "python":
-        raise native.BackendUnavailableError(
-            'CNF backend "native" requested but native kernels are disabled '
-            f"(mode 'python' via ${native.NATIVE_ENV_VAR} or "
-            "repro.native.set_default_mode)"
-        )
-    return native.kernels_for("native")
 
 
 @dataclass(frozen=True)
@@ -136,18 +82,6 @@ class CNFEvalPlan:
     width_groups: Tuple[Tuple[int, int, int], ...]
     #: Number of empty clauses (each one falsifies every assignment).
     num_empty: int
-    #: Native-kernel layouts of the index arrays (see :mod:`repro.native.kernels`).
-    _native_arrays: Dict[str, object] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-
-    def __getstate__(self):
-        # The native-kernel layouts are process-local memos; serialised plans
-        # (repro.store entries, spawned workers) start with an empty memo and
-        # rebuild it lazily on first use.
-        state = dict(self.__dict__)
-        state["_native_arrays"] = {}
-        return state
 
     @property
     def num_literals(self) -> int:
@@ -156,11 +90,10 @@ class CNFEvalPlan:
 
     @property
     def nbytes(self) -> int:
-        """Resident size of the plan's host index arrays.
+        """Resident size of the plan's index arrays.
 
-        The native-kernel layouts are excluded (they are dropped with the
-        plan).  Used by byte-bounded artifact caches
-        (:mod:`repro.serve.cache`) to account for compiled state.
+        Used by byte-bounded artifact caches (:mod:`repro.serve.cache`) to
+        account for compiled state.
         """
         return int(
             self.literal_columns.nbytes

@@ -29,7 +29,6 @@ from repro.core.loss import target_matrix
 from repro.core.model import ProbabilisticCircuitModel
 from repro.core.solutions import SolutionSet
 from repro.engine.train import learn_batch as engine_learn_batch
-from repro.native import use_kernel
 from repro.utils.rng import new_rng
 from repro import obs
 
@@ -130,8 +129,7 @@ class CircuitSampler:
         halts the run cooperatively with ``stopped_early`` set on the result.
         """
         with obs.trace_scope(self.config.telemetry):
-            with use_kernel(self.config.kernel):
-                return self._sample(num_solutions, should_stop)
+            return self._sample(num_solutions, should_stop)
 
     def _sample(
         self,

@@ -3,6 +3,10 @@
 Defaults follow Section IV of the paper: plain gradient descent with learning
 rate 10, 5 iterations, and a batch size chosen per instance (the paper sweeps
 100 to 1,000,000; the default here is sized for CPU-hosted NumPy execution).
+
+Which engine tier runs the circuit (the on-demand C kernels or the NumPy
+paths, bitwise identical) is not a field here: the platform picks it, and
+``REPRO_NATIVE=off`` is the one process-wide switch (:mod:`repro.native`).
 """
 
 from __future__ import annotations
@@ -81,11 +85,6 @@ class SamplerConfig:
     #: "numpy") — precedence: environment < config < CLI (the CLI writes
     #: this field, so it wins).
     array_backend: Optional[str] = None
-    #: Native kernel mode ("auto", "native", "python"/"off")
-    #: scoping :mod:`repro.native` for this sampler's runs.  ``None`` leaves
-    #: the process default (``REPRO_NATIVE`` env or "auto") in place —
-    #: precedence: environment < config < CLI (the CLI writes this field).
-    kernel: Optional[str] = None
     #: Persistent artifact-store directory (:mod:`repro.store`) consulted by
     #: :func:`repro.core.pipeline.sample_cnf` before running the CNF->circuit
     #: transform, and populated after a cold build.  ``None`` defers to the
@@ -117,12 +116,6 @@ class SamplerConfig:
             raise ValueError("stall_rounds must be positive or None")
         if self.array_backend is not None:
             array_dtype(self.array_backend)
-        if self.kernel is not None:
-            from repro.native import resolve_mode
-
-            # Vocabulary check only; C-tier availability is resolved at run
-            # time ("native" then fails with a precise error).
-            resolve_mode(self.kernel)
 
     def float_dtype(self) -> np.dtype:
         """The float dtype the sampler's learning arrays use.

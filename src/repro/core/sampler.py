@@ -60,7 +60,6 @@ from repro.core.task import DEFAULT_TASK, SamplingTask
 from repro.core.transform import TransformResult, transform_cnf
 from repro.engine.train import descend
 from repro.engine.train import learn_batch as engine_learn_batch
-from repro.native import use_kernel
 from repro.utils.rng import new_rng
 from repro import obs
 
@@ -220,12 +219,11 @@ class GradientSATSampler:
         hook ``repro.serve`` uses to forward incremental results.
         """
         with obs.trace_scope(self.config.telemetry):
-            with use_kernel(self.config.kernel):
-                with obs.span("sampler.sample") as sspan:
-                    result = self._sample(num_solutions, should_stop, on_round)
-                    sspan.set("rounds", len(result.rounds))
-                    sspan.set("unique_solutions", result.num_unique)
-                    return result
+            with obs.span("sampler.sample") as sspan:
+                result = self._sample(num_solutions, should_stop, on_round)
+                sspan.set("rounds", len(result.rounds))
+                sspan.set("unique_solutions", result.num_unique)
+                return result
 
     def _sample(
         self,
@@ -340,8 +338,7 @@ class GradientSATSampler:
             raise ValueError(f"max_iterations must be >= 0, got {max_iterations}")
         if batch_size is not None and batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
-        with use_kernel(self.config.kernel):
-            return self._learning_curve(max_iterations, batch_size)
+        return self._learning_curve(max_iterations, batch_size)
 
     def _learning_curve(
         self, max_iterations: int, batch_size: Optional[int]

@@ -53,11 +53,10 @@ def float_array(data) -> np.ndarray:
 def _native_kernels(float_dtype=None):
     """The native kernel set to engage for an execution, or ``None``.
 
-    Native execution engages automatically when the C tier is available
-    (mode ``auto``); mode ``native`` raises
-    :class:`~repro.native.BackendUnavailableError` when it is not, and
-    ``python`` disables the fast path outright.  Float executions engage it
-    only for the ``float_dtype`` values the C kernels cover.
+    Native execution engages exactly when the C tier builds (and
+    ``REPRO_NATIVE`` is not ``off``; see :mod:`repro.native`).  Float
+    executions engage it only for the ``float_dtype`` values the C kernels
+    cover.
     """
     if float_dtype is not None and float_dtype not in _NATIVE_FLOAT_DTYPES:
         return None

@@ -1,93 +1,56 @@
-"""The native kernel tier for the measured hot loops (``repro.native``).
+"""The native kernel tier for the engine's hot loops (``repro.native``).
 
-With everything NumPy can vectorise already vectorised, the
-remaining wall-clock lives in loops NumPy cannot fuse: the CNF kernel's
-width-bucketed clause reduction and the engine executor's per-block
-dispatch.  This package provides compiled implementations of exactly those
-two dominators, each pinned to the pure-Python path by the equivalence suite
-in ``tests/native/``: small dependency-free C kernels compiled on demand
-with the system compiler and loaded via :mod:`ctypes`
-(:mod:`repro.native.cext`), reported as the ``"cext"`` tier.
+With everything NumPy can vectorise already vectorised, the remaining
+engine wall-clock lives in the executor's per-block dispatch.  This package
+provides compiled implementations of that loop — forward, backward, bool and
+packed modes — each pinned to the NumPy path by the equivalence suite in
+``tests/native/``: small dependency-free C kernels compiled on demand with
+the system compiler and loaded via :mod:`ctypes` (:mod:`repro.native.cext`),
+reported as the ``"cext"`` tier.
 
-Mode selection has the precedence
-``environment < SamplerConfig.kernel < CLI --kernel``:
+The platform picks the tier; no caller chooses it.  The engine uses the C
+tier exactly when it builds, and runs its NumPy paths otherwise — the two
+are bitwise identical on every output.  The one process-wide escape hatch is
+the ``REPRO_NATIVE`` environment variable, read once when the tier is
+probed:
 
-* ``auto`` (default) — the C tier when it can be brought up, silently
-  nothing otherwise (pure-Python/NumPy paths keep running unchanged);
-* ``native`` — the C tier, raising :class:`BackendUnavailableError` when it
-  is unavailable;
-* ``python`` (alias ``off``) — disable native kernels outright.
+* unset, empty or ``auto`` — use the C tier if it builds;
+* ``off`` — never use it;
+* any other value fails with a :class:`ValueError` naming the variable.
 
-Availability is probed once per process and memoised; the one-time build
-cost is reported by :func:`compile_seconds` so the serving layer and the
-benchmarks can keep cold-vs-warm numbers honest.
+The probe is memoised; the one-time build cost is reported by
+:func:`compile_seconds` so the serving layer and the benchmarks can keep
+cold-vs-warm numbers honest.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from contextlib import contextmanager
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.native.kernels import NativeKernels, clear_artifact_caches
 
 
 class BackendUnavailableError(ImportError):
-    """Raised when the explicitly requested native C tier is unavailable."""
+    """Raised when the C tier cannot be brought up on this host."""
 
 
-#: Environment variable selecting the default kernel mode.
+#: Environment variable switching the C tier off (``off``) or on (``auto``).
 NATIVE_ENV_VAR = "REPRO_NATIVE"
 
-#: Recognised kernel modes (``off`` is accepted as an alias of ``python``).
-MODES = ("auto", "native", "python", "off")
-
-_DEFAULT_MODE: Optional[str] = None
 _LOCK = threading.Lock()
-#: Memoised probe of the C tier: (kernels or None, error message or None).
+#: Memoised probe of the C tier: (kernels or None, reason or None).
 _PROBE: Optional[Tuple[Optional[NativeKernels], Optional[str]]] = None
 
 
-def _validate_mode(mode: str) -> str:
-    if mode not in MODES:
-        raise ValueError(f"unknown native kernel mode {mode!r}; expected one of {MODES}")
-    return "python" if mode == "off" else mode
-
-
-def default_mode() -> str:
-    """The process-default mode (explicit override, else ``$REPRO_NATIVE``, else auto)."""
-    if _DEFAULT_MODE is not None:
-        return _DEFAULT_MODE
-    return _validate_mode(os.environ.get(NATIVE_ENV_VAR, "auto").strip().lower() or "auto")
-
-
-def set_default_mode(mode: Optional[str]) -> None:
-    """Set (or with ``None`` reset) the process-default kernel mode."""
-    global _DEFAULT_MODE
-    _DEFAULT_MODE = None if mode is None else _validate_mode(mode)
-
-
-def resolve_mode(mode: Optional[str] = None) -> str:
-    """``mode`` validated, falling back to the process default when ``None``."""
-    if mode is None:
-        return default_mode()
-    return _validate_mode(mode)
-
-
-@contextmanager
-def use_kernel(mode: Optional[str]) -> Iterator[None]:
-    """Scope the process-default kernel mode (``None`` = leave unchanged)."""
-    global _DEFAULT_MODE
-    if mode is None:
-        yield
-        return
-    previous = _DEFAULT_MODE
-    set_default_mode(mode)
-    try:
-        yield
-    finally:
-        _DEFAULT_MODE = previous
+def _env_setting() -> str:
+    value = os.environ.get(NATIVE_ENV_VAR, "") or "auto"
+    if value not in ("auto", "off"):
+        raise ValueError(
+            f"${NATIVE_ENV_VAR} must be unset, 'auto' or 'off', got {value!r}"
+        )
+    return value
 
 
 def _probe() -> Tuple[Optional[NativeKernels], Optional[str]]:
@@ -97,42 +60,40 @@ def _probe() -> Tuple[Optional[NativeKernels], Optional[str]]:
         return probe
     with _LOCK:
         if _PROBE is None:
-            try:
-                _PROBE = (NativeKernels(), None)
-            except BackendUnavailableError as error:
-                _PROBE = (None, str(error))
-            except Exception as error:  # pragma: no cover - environment-specific
-                _PROBE = (None, f"native C tier failed to load: {error}")
+            if _env_setting() == "off":
+                _PROBE = (None, f"native C tier disabled by ${NATIVE_ENV_VAR}=off")
+            else:
+                try:
+                    _PROBE = (NativeKernels(), None)
+                except BackendUnavailableError as error:
+                    _PROBE = (None, str(error))
+                except Exception as error:  # pragma: no cover - environment-specific
+                    _PROBE = (None, f"native C tier failed to load: {error}")
         return _PROBE
 
 
-def kernels_for(mode: Optional[str] = None) -> Optional[NativeKernels]:
-    """The kernel set for ``mode``, or ``None`` when native execution is off.
+def kernels_for(mode: None = None) -> Optional[NativeKernels]:
+    """The C tier's kernel set, or ``None`` when it is off or does not build.
 
-    ``auto`` degrades silently to ``None`` when the C tier is unavailable;
-    ``native`` raises :class:`BackendUnavailableError` instead: an explicit
-    request fails loudly while the default degrades.
+    ``mode`` is accepted only as ``None`` (callers write
+    ``kernels_for(None)``): the platform, not the caller, picks the tier.
     """
-    resolved = resolve_mode(mode)
-    if resolved == "python":
-        return None
-    kernels, error = _probe()
-    if kernels is None and resolved == "native":
-        raise BackendUnavailableError(f"no native kernel tier available: {error}")
-    return kernels
+    if mode is not None:
+        raise TypeError(
+            f"kernels_for takes no kernel mode (got {mode!r}); the tier is "
+            f"the C tier when it builds, switched off only by ${NATIVE_ENV_VAR}=off"
+        )
+    return _probe()[0]
 
 
 def native_available() -> bool:
-    """Whether the C tier can be brought up in this process."""
-    return kernels_for("auto") is not None
+    """Whether the engine runs on the C tier in this process."""
+    return kernels_for(None) is not None
 
 
-def active_tier(mode: Optional[str] = None) -> Optional[str]:
-    """Name of the tier ``mode`` resolves to (``None`` = pure Python/NumPy)."""
-    try:
-        kernels = kernels_for(mode)
-    except BackendUnavailableError:
-        return None
+def active_tier() -> Optional[str]:
+    """Name of the tier the engine runs on (``None`` = the NumPy paths)."""
+    kernels = kernels_for(None)
     return None if kernels is None else kernels.tier
 
 
@@ -149,7 +110,7 @@ def compile_seconds() -> float:
 
 
 def clear_caches() -> None:
-    """Drop per-artifact native memos (flattened programs, CNF plan arrays).
+    """Drop the per-program native memos (flattened op arrays).
 
     Folded into :func:`repro.clear_caches`; the compiled library itself
     stays loaded (it is artifact-independent).
@@ -159,16 +120,11 @@ def clear_caches() -> None:
 
 __all__ = [
     "BackendUnavailableError",
-    "MODES",
     "NATIVE_ENV_VAR",
     "NativeKernels",
     "active_tier",
     "clear_caches",
     "compile_seconds",
-    "default_mode",
     "kernels_for",
     "native_available",
-    "resolve_mode",
-    "set_default_mode",
-    "use_kernel",
 ]

@@ -1,24 +1,29 @@
 """The C tier of :mod:`repro.native`: kernels compiled on demand with ``cc``.
 
-The hot loops NumPy cannot fuse — the CNF clause reduction and the engine's
-per-slot op dispatch — are small, dependency-free C functions.  Rather than
-shipping a build step, the source below is compiled *on first use* into a
-shared library (``cc -O3 -fPIC -shared``) under a per-user cache directory keyed by the source hash, then
-loaded with :mod:`ctypes`.  A repeat process with the same source finds the
-library on disk and pays nothing; the one-time build cost is recorded in
+The hot loop NumPy cannot fuse — the engine's per-slot op dispatch — is a
+handful of small, dependency-free C functions.  Rather than shipping a build
+step, the source below is compiled *on first use* into a shared library
+(``cc -O3 -fPIC -shared``) under a per-user cache directory keyed by the
+source hash, then loaded with :mod:`ctypes`.  A repeat process with the same
+source finds the library on disk and pays nothing; the one-time build cost is recorded in
 :func:`repro.native.compile_seconds` so benchmarks and the serving layer can
 report cold-vs-warm numbers honestly.
 
-No compiler, a failing compile, or a failing load all degrade to
-"tier unavailable" (:class:`~repro.native.BackendUnavailableError` at
-explicit request, silent fallback under ``auto``).
+Loading a library runs its code, so the cache directory must be private:
+it is created with mode ``0o700``, and before anything is written to or
+loaded from it, it must be a real directory (not a symlink) owned by the
+current user with no group or other write bit.  The default lives under the
+shared temp directory at a predictable name; without the check, another
+local user could create it first and plant a library every repro process
+would load.
+
+No compiler, a failing compile, a failing load or an unsafe cache directory
+all degrade to "tier unavailable"
+(:class:`~repro.native.BackendUnavailableError`, which the probe in
+:mod:`repro.native` turns into the NumPy paths, keeping the reason).
 
 Kernel inventory (all operate on caller-allocated C-contiguous buffers):
 
-* ``repro_cnf_eval`` / ``repro_cnf_unsat_counts`` — packed-uint64 clause
-  reduction: the boolean assignment matrix is bit-packed column-wise into
-  64-row words once, then every clause reduces word-wise (64 assignments per
-  op) with an early exit once a word has no satisfying row left.
 * ``repro_engine_forward_/backward_f64/f32`` — the levelized program as one
   C loop over flat per-op arrays; forward is elementwise and therefore
   bitwise identical to the NumPy block path, backward accumulates operand
@@ -33,6 +38,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import stat
 import subprocess
 import tempfile
 import time
@@ -53,86 +59,6 @@ CACHE_DIR_ENV_VAR = "REPRO_NATIVE_CACHE_DIR"
 
 C_SOURCE = r"""
 #include <stdint.h>
-
-/* ---------------- CNF kernels (packed-uint64 clause reduction) ------------------- */
-
-/* Bit-pack the (batch, nvars) row-major boolean matrix column-wise:
-   bit j of colwords[v*nwords + w] = assign[(w*64 + j)*nvars + v].
-   Branchless register accumulation — random assignments mispredict a
-   per-bit test ~50% of the time, which would make packing cost more
-   than the clause reduction it feeds. */
-static void pack_columns(const uint8_t *assign, int64_t batch, int64_t nvars,
-                         uint64_t *colwords, int64_t nwords)
-{
-    for (int64_t w = 0; w < nwords; ++w) {
-        const int64_t base = w << 6;
-        const int64_t limit = batch - base < 64 ? batch - base : 64;
-        const uint8_t *block = assign + base * nvars;
-        for (int64_t v = 0; v < nvars; ++v) {
-            uint64_t word = 0;
-            const uint8_t *col = block + v;
-            for (int64_t j = 0; j < limit; ++j)
-                word |= (uint64_t)(col[j * nvars] & 1) << j;
-            colwords[v * nwords + w] = word;
-        }
-    }
-}
-
-void repro_cnf_eval(const uint8_t *assign, int64_t batch, int64_t nvars,
-                    const int64_t *cols, const uint8_t *neg,
-                    const int64_t *offs, int64_t nclauses,
-                    uint64_t *colwords, uint8_t *out)
-{
-    const int64_t nwords = (batch + 63) >> 6;
-    pack_columns(assign, batch, nvars, colwords, nwords);
-    for (int64_t w = 0; w < nwords; ++w) {
-        const int64_t base = w << 6;
-        const int64_t limit = batch - base < 64 ? batch - base : 64;
-        uint64_t formula = ~(uint64_t)0;
-        for (int64_t c = 0; c < nclauses && formula; ++c) {
-            uint64_t clause = 0;
-            for (int64_t k = offs[c]; k < offs[c + 1]; ++k) {
-                const uint64_t cw = colwords[cols[k] * nwords + w];
-                clause |= neg[k] ? ~cw : cw;
-                if (!~clause)
-                    break; /* clause satisfied on every remaining row */
-            }
-            formula &= clause;
-        }
-        for (int64_t j = 0; j < limit; ++j)
-            out[base + j] = (uint8_t)((formula >> j) & 1);
-    }
-}
-
-void repro_cnf_unsat_counts(const uint8_t *assign, int64_t batch, int64_t nvars,
-                            const int64_t *cols, const uint8_t *neg,
-                            const int64_t *offs, int64_t nclauses,
-                            int64_t num_empty, uint64_t *colwords, int64_t *out)
-{
-    const int64_t nwords = (batch + 63) >> 6;
-    pack_columns(assign, batch, nvars, colwords, nwords);
-    for (int64_t r = 0; r < batch; ++r)
-        out[r] = num_empty;
-    for (int64_t w = 0; w < nwords; ++w) {
-        const int64_t base = w << 6;
-        const uint64_t live =
-            batch - base < 64 ? (((uint64_t)1 << (batch - base)) - 1) : ~(uint64_t)0;
-        for (int64_t c = 0; c < nclauses; ++c) {
-            uint64_t clause = 0;
-            for (int64_t k = offs[c]; k < offs[c + 1]; ++k) {
-                const uint64_t cw = colwords[cols[k] * nwords + w];
-                clause |= neg[k] ? ~cw : cw;
-                if (!~clause)
-                    break;
-            }
-            uint64_t unsat = ~clause & live;
-            while (unsat) { /* sparse for near-satisfying batches */
-                out[base + __builtin_ctzll(unsat)] += 1;
-                unsat &= unsat - 1;
-            }
-        }
-    }
-}
 
 /* ---------------- engine kernels (flat per-op straight-line program) ------------- */
 /* opcodes: 0 = MUL (a*b / &), 1 = ADD (a+b / |), 2 = NOT (1-a / ^ / ~).
@@ -266,6 +192,38 @@ def _cache_dir() -> Path:
     return Path(tempfile.gettempdir()) / f"repro-native-{os.getuid()}"
 
 
+def _private_cache_dir() -> Path:
+    """The cache directory, created private and checked before any use.
+
+    Raises :class:`~repro.native.BackendUnavailableError` naming the problem
+    when the path is not a real directory owned by this user, or when group
+    or other users may write to it.
+    """
+    cache_dir = _cache_dir()
+    try:
+        cache_dir.mkdir(mode=0o700, parents=True)
+    except FileExistsError:
+        pass  # checked below, whoever created it
+    info = os.lstat(cache_dir)
+    problem = None
+    if not stat.S_ISDIR(info.st_mode):
+        problem = "is not a real directory (a symlink or another file type)"
+    elif info.st_uid != os.getuid():
+        problem = f"is owned by uid {info.st_uid}, not by this user (uid {os.getuid()})"
+    elif info.st_mode & (stat.S_IWGRP | stat.S_IWOTH):
+        problem = (
+            f"has mode {stat.S_IMODE(info.st_mode):#o}: group or other users may "
+            "write to it"
+        )
+    if problem is not None:
+        raise BackendUnavailableError(
+            f"native C tier unavailable: unsafe cache directory {cache_dir} "
+            f"{problem}; no library is built or loaded from it (set "
+            f"{CACHE_DIR_ENV_VAR} to a private directory)"
+        )
+    return cache_dir
+
+
 def _find_compiler() -> Optional[str]:
     from shutil import which
 
@@ -281,16 +239,9 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     p_u8 = ctypes.POINTER(ctypes.c_uint8)
     p_u64 = ctypes.POINTER(ctypes.c_uint64)
     p_i32 = ctypes.POINTER(ctypes.c_int32)
-    p_i64 = ctypes.POINTER(ctypes.c_int64)
     p_f64 = ctypes.POINTER(ctypes.c_double)
     p_f32 = ctypes.POINTER(ctypes.c_float)
     i64 = ctypes.c_int64
-    lib.repro_cnf_eval.argtypes = [p_u8, i64, i64, p_i64, p_u8, p_i64, i64, p_u64, p_u8]
-    lib.repro_cnf_eval.restype = None
-    lib.repro_cnf_unsat_counts.argtypes = [
-        p_u8, i64, i64, p_i64, p_u8, p_i64, i64, i64, p_u64, p_i64,
-    ]
-    lib.repro_cnf_unsat_counts.restype = None
     for name, p_t in (
         ("repro_engine_forward_f64", p_f64),
         ("repro_engine_forward_f32", p_f32),
@@ -322,11 +273,10 @@ def _build_library() -> ctypes.CDLL:
             "native C tier unavailable: no C compiler (cc/gcc/clang) on PATH"
         )
     digest = hashlib.sha256(C_SOURCE.encode()).hexdigest()[:16]
-    cache_dir = _cache_dir()
+    cache_dir = _private_cache_dir()
     library_path = cache_dir / f"repronative_{digest}.so"
     if not library_path.exists():
         start = time.perf_counter()
-        cache_dir.mkdir(parents=True, exist_ok=True)
         source_path = cache_dir / f"repronative_{digest}.c"
         source_path.write_text(C_SOURCE)
         # Build into a temp name then rename: concurrent processes racing the

@@ -1,21 +1,19 @@
-"""Array marshalling, per-artifact caching and the C tier's kernel class.
+"""Array marshalling, per-program caching and the C tier's kernel class.
 
 :mod:`repro.native.cext` builds and loads the raw kernels, which work over
 flat C-contiguous buffers; this module owns everything above them:
 
-* flattening compiled artifacts into the layouts the kernels consume —
-  :func:`cnf_native_arrays` for a :class:`~repro.cnf.kernel.CNFEvalPlan`,
-  :func:`engine_native_state` for a
-  :class:`~repro.engine.program.CompiledProgram` — memoised *on the artifact*
-  so they drop with their owner exactly like the engine's block arrays.
-  Both memos are additionally tracked in
-  :class:`~repro.utils.weakcache.OwnerRegistry` instances so
+* flattening a :class:`~repro.engine.program.CompiledProgram` into the
+  per-op layout the kernels consume — :func:`engine_native_state`, memoised
+  *on the program* so it drops with its owner exactly like the engine's
+  block arrays.  The memo is additionally tracked in an
+  :class:`~repro.utils.weakcache.OwnerRegistry` so
   :func:`repro.native.clear_caches` (folded into
-  :func:`repro.clear_caches`) can strip them process-wide;
-* the :class:`NativeKernels` class the integration points call.  Its methods
-  take the repo's own objects (plans, programs) and host NumPy arrays, and
-  return host NumPy arrays bitwise-identical to the pure-Python reference
-  paths (gradients: within the engine's 1e-10 accumulation-order contract).
+  :func:`repro.clear_caches`) can strip it process-wide;
+* the :class:`NativeKernels` class the engine executor calls.  Its methods
+  take compiled programs and host NumPy arrays and work in place,
+  bitwise-identical to the NumPy executor paths (gradients: within the
+  engine's 1e-10 accumulation-order contract).
 """
 
 from __future__ import annotations
@@ -27,54 +25,13 @@ import numpy as np
 
 from repro.utils.weakcache import OwnerRegistry
 
-#: Plans holding memoised native arrays / programs holding native states.
-_PLAN_OWNERS = OwnerRegistry()
+#: Programs holding memoised native states.
 _PROGRAM_OWNERS = OwnerRegistry()
 
 
 def clear_artifact_caches() -> None:
-    """Strip the native memos off every live plan and program."""
-    _PLAN_OWNERS.clear(lambda plan: plan._native_arrays.clear())
+    """Strip the native memo off every live program."""
     _PROGRAM_OWNERS.clear(lambda program: program.__dict__.pop("_native_state", None))
-
-
-# -- CNF plan flattening ----------------------------------------------------------------
-@dataclass(frozen=True)
-class CNFNativeArrays:
-    """The flat clause layout the CNF kernels consume (int64/uint8, contiguous)."""
-
-    literal_columns: np.ndarray  # int64, one entry per literal
-    literal_negated: np.ndarray  # uint8, parallel to literal_columns
-    clause_offsets: np.ndarray  # int64, len = num_nonempty + 1 (end-inclusive)
-
-    @property
-    def num_clauses(self) -> int:
-        return int(self.clause_offsets.shape[0]) - 1
-
-    @property
-    def nbytes(self) -> int:
-        return int(
-            self.literal_columns.nbytes
-            + self.literal_negated.nbytes
-            + self.clause_offsets.nbytes
-        )
-
-
-def cnf_native_arrays(plan) -> CNFNativeArrays:
-    """The native layout of ``plan``, memoised on the plan itself."""
-    arrays = plan._native_arrays.get("native")
-    if arrays is None:
-        offsets = np.empty(plan.reduce_offsets.shape[0] + 1, dtype=np.int64)
-        offsets[:-1] = plan.reduce_offsets
-        offsets[-1] = plan.num_literals
-        arrays = CNFNativeArrays(
-            literal_columns=np.ascontiguousarray(plan.literal_columns, dtype=np.int64),
-            literal_negated=np.ascontiguousarray(plan.literal_negated, dtype=np.uint8),
-            clause_offsets=offsets,
-        )
-        plan._native_arrays["native"] = arrays
-        _PLAN_OWNERS.register(plan)
-    return arrays
 
 
 # -- engine program flattening ----------------------------------------------------------
@@ -133,26 +90,16 @@ def engine_native_state(program) -> EngineNativeState:
     return state
 
 
-def _as_bool_matrix(matrix) -> np.ndarray:
-    """Host C-contiguous uint8 view of a boolean assignment matrix."""
-    matrix = np.asarray(matrix)
-    if matrix.dtype != np.bool_:
-        matrix = matrix.astype(bool)
-    return np.ascontiguousarray(matrix).view(np.uint8)
-
-
 def _ptr(array: np.ndarray, ctype):
     return array.ctypes.data_as(ctypes.POINTER(ctype))
 
 
 class NativeKernels:
-    """The C tier's kernels behind a repo-object-level API.
+    """The C tier's engine kernels behind a program-level API.
 
-    The methods take the repo's own objects (plans, programs) and host NumPy
-    arrays, do the marshalling — contiguity, dtype views, scratch allocation
-    and the empty-formula / empty-clause special cases, kept identical to
-    :class:`~repro.cnf.kernel.CNFEvalPlan`'s fused paths — and call the
-    compiled library through :mod:`ctypes`.
+    The methods take compiled programs and host NumPy slot matrices, do the
+    marshalling (flat per-op arrays, dtype dispatch, pointer views) and call
+    the compiled library through :mod:`ctypes`.
     """
 
     tier = "cext"
@@ -162,50 +109,6 @@ class NativeKernels:
 
         self._lib = cext.load_library()
 
-    # -- CNF ----------------------------------------------------------------------------
-    def _cnf_run(self, fn, plan, matrix, out, *extra) -> None:
-        """Call a CNF kernel; ``extra`` goes between the clause layout and the scratch."""
-        batch, nvars = matrix.shape
-        arrays = cnf_native_arrays(plan)
-        scratch = np.empty((nvars, (batch + 63) // 64), dtype=np.uint64)
-        fn(
-            _ptr(matrix, ctypes.c_uint8),
-            batch,
-            nvars,
-            _ptr(arrays.literal_columns, ctypes.c_int64),
-            _ptr(arrays.literal_negated, ctypes.c_uint8),
-            _ptr(arrays.clause_offsets, ctypes.c_int64),
-            arrays.num_clauses,
-            *extra,
-            _ptr(scratch, ctypes.c_uint64),
-            out.ctypes.data_as(fn.argtypes[-1]),
-        )
-
-    def cnf_evaluate(self, plan, assignments) -> np.ndarray:
-        """Per-row satisfaction, bitwise identical to ``plan.evaluate``."""
-        matrix = _as_bool_matrix(assignments)
-        batch = matrix.shape[0]
-        if plan.num_empty:
-            return np.zeros(batch, dtype=bool)
-        if plan.reduce_offsets.size == 0:
-            return np.ones(batch, dtype=bool)
-        out = np.empty(batch, dtype=np.uint8)
-        self._cnf_run(self._lib.repro_cnf_eval, plan, matrix, out)
-        return out.view(np.bool_)
-
-    def cnf_unsatisfied_counts(self, plan, assignments) -> np.ndarray:
-        """Per-row falsified-clause counts, identical to ``plan.unsatisfied_counts``."""
-        matrix = _as_bool_matrix(assignments)
-        batch = matrix.shape[0]
-        if plan.reduce_offsets.size == 0:
-            return np.full(batch, plan.num_empty, dtype=np.int64)
-        out = np.empty(batch, dtype=np.int64)
-        self._cnf_run(
-            self._lib.repro_cnf_unsat_counts, plan, matrix, out, plan.num_empty
-        )
-        return out
-
-    # -- engine -------------------------------------------------------------------------
     @staticmethod
     def _program_args(state):
         return (

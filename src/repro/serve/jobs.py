@@ -93,7 +93,6 @@ CONFIG_FIELDS = (
     "stall_rounds",
     "timeout_seconds",
     "array_backend",
-    "kernel",
     "telemetry",
 )
 
@@ -191,7 +190,6 @@ def config_to_dict(config: SamplerConfig) -> Dict[str, object]:
         "stall_rounds": config.stall_rounds,
         "timeout_seconds": config.timeout_seconds,
         "array_backend": config.array_backend,
-        "kernel": config.kernel,
         "telemetry": config.telemetry,
         "device": {
             "kind": config.device.kind.value,

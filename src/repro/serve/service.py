@@ -239,7 +239,7 @@ class _WorkerHandle:
     task/cancel queues."""
 
     def __init__(self, context, worker_id, result_queue, backend_spec,
-                 kernel_mode, cache_entries, cache_bytes, store_dir,
+                 cache_entries, cache_bytes, store_dir,
                  incarnation: int = 0, faults_spec: Optional[str] = None) -> None:
         self.worker_id = worker_id
         self.incarnation = incarnation
@@ -258,7 +258,6 @@ class _WorkerHandle:
                 backend_spec,
                 cache_entries,
                 cache_bytes,
-                kernel_mode,
                 store_dir,
                 incarnation,
                 faults_spec,
@@ -283,10 +282,6 @@ class SamplingService:
         whose config names a backend keep their own choice.  ``None`` leaves
         the process default (``REPRO_ARRAY_BACKEND``).  A bad spec raises
         ``ValueError`` here.
-    kernel:
-        Native kernel mode (:mod:`repro.native`: ``"auto"``, ``"native"``,
-        ``"python"``/``"off"``) each worker pins at startup; job configs with a ``kernel`` field keep their own choice.
-        ``None`` leaves the process default (``REPRO_NATIVE``) in place.
     cache_entries / cache_bytes:
         Bounds of each worker's formula-keyed artifact cache (LRU over
         entry count *and* total compiled bytes).
@@ -335,7 +330,6 @@ class SamplingService:
         num_workers: int = 0,
         *,
         array_backend: Optional[str] = None,
-        kernel: Optional[str] = None,
         cache_entries: int = DEFAULT_MAX_ENTRIES,
         cache_bytes: Optional[int] = DEFAULT_MAX_BYTES,
         store_dir: Union[None, bool, str, Path] = None,
@@ -350,15 +344,10 @@ class SamplingService:
             raise ValueError(f"num_workers must be non-negative, got {num_workers}")
         if array_backend is not None:
             array_dtype(array_backend)  # vocabulary check
-        if kernel is not None:
-            from repro.native import resolve_mode
-
-            resolve_mode(kernel)  # vocabulary check; availability at run time
         from repro.store import resolve_store_dir
 
         self.num_workers = num_workers
         self.array_backend = array_backend
-        self.kernel = kernel
         resolved_store = resolve_store_dir(store_dir)
         self.store_dir: Optional[str] = (
             str(resolved_store) if resolved_store is not None else None
@@ -426,7 +415,7 @@ class SamplingService:
             self._workers = [
                 _WorkerHandle(
                     context, worker_id, self._result_queue, array_backend,
-                    kernel, cache_entries, cache_bytes, self.store_dir,
+                    cache_entries, cache_bytes, self.store_dir,
                     incarnation=0, faults_spec=faults,
                 )
                 for worker_id in range(num_workers)
@@ -1093,19 +1082,16 @@ class SamplingService:
                         },
                     )
                     continue
-                from repro.native import use_kernel
-
                 if task_state.first_dispatch is None:
                     task_state.first_dispatch = time.monotonic()
-                with use_kernel(self.kernel):
-                    execute_task(
-                        self._task_payload(state, task_state),
-                        self._inline_cache,
-                        should_stop=lambda: state.cancelled or self._drain_requested,
-                        emit=self._handle_message,
-                        worker_id=0,
-                        array_backend=self.array_backend,
-                    )
+                execute_task(
+                    self._task_payload(state, task_state),
+                    self._inline_cache,
+                    should_stop=lambda: state.cancelled or self._drain_requested,
+                    emit=self._handle_message,
+                    worker_id=0,
+                    array_backend=self.array_backend,
+                )
 
     # -- internals: worker-pool dispatch -------------------------------------------------
     def _dispatch_task(self, state: _JobState, task_state: _TaskState) -> None:
@@ -1337,7 +1323,7 @@ class SamplingService:
         incarnation = self._supervisor.record_respawn(slot)
         handle = _WorkerHandle(
             self._context, slot, self._result_queue, self.array_backend,
-            self.kernel, self._cache_entries, self._cache_bytes, self.store_dir,
+            self._cache_entries, self._cache_bytes, self.store_dir,
             incarnation=incarnation, faults_spec=self._faults_spec,
         )
         self._workers[slot] = handle

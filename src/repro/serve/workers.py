@@ -213,11 +213,11 @@ def execute_task(
                 # records and results.json.
                 "cache_stats": cache_stats,
                 "elapsed_seconds": time.perf_counter() - start,
-                # Which native kernel tier this task's config resolves to
-                # ("python" = pure NumPy paths) and any one-time kernel
-                # build cost incurred while it ran — kept out of the
-                # sampling seconds so cold and warm runs stay comparable.
-                "kernel_tier": native.active_tier(config.kernel) or "python",
+                # Which engine tier this task ran on ("python" = the NumPy
+                # paths) and any one-time kernel build cost incurred while
+                # it ran — kept out of the sampling seconds so cold and warm
+                # runs stay comparable.
+                "kernel_tier": native.active_tier() or "python",
                 "compile_seconds": native.compile_seconds() - compile_before,
                 "telemetry": telemetry(),
             },
@@ -247,7 +247,6 @@ def worker_main(
     backend_spec: Optional[str],
     cache_entries: int = DEFAULT_MAX_ENTRIES,
     cache_bytes: Optional[int] = DEFAULT_MAX_BYTES,
-    kernel_mode: Optional[str] = None,
     store_dir: Optional[str] = None,
     incarnation: int = 0,
     faults_spec: Optional[str] = None,
@@ -272,10 +271,6 @@ def worker_main(
     if faults_spec is not None:
         faults.install_plan(faults_spec)
     faults.set_identity(worker=worker_id, incarnation=incarnation)
-    if kernel_mode is not None:
-        from repro.native import set_default_mode
-
-        set_default_mode(kernel_mode)
     store = None
     if store_dir is not None:
         from repro.store import ArtifactStore

@@ -1,10 +1,11 @@
 """Tests for the compiled CNF evaluation kernel (repro.cnf.kernel).
 
-The compiled and packed backends must be bitwise-identical to the clause-loop
-reference on arbitrary formulas — including unit clauses, empty clauses,
-tautologies, duplicate literals, over-declared variables and zero-variable
-formulas — which the hypothesis suite checks exhaustively over the full
-assignment space of small random CNFs.
+The compiled plan is the one CNF evaluator; it must be bitwise-identical to
+the clause-loop oracle (``tests/oracles/cnf.py``) on arbitrary formulas —
+including unit clauses, empty clauses, tautologies, duplicate literals,
+over-declared variables and zero-variable formulas — which the hypothesis
+suite checks exhaustively over the full assignment space of small random
+CNFs.
 """
 
 import numpy as np
@@ -12,22 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import native
+import repro.cnf
+from repro.cnf import kernel
 from repro.cnf.formula import CNF
-from repro.cnf.kernel import (
-    BACKENDS,
-    compile_evaluation_plan,
-    default_backend,
-    set_default_backend,
-)
+from repro.cnf.kernel import CNFEvalPlan, compile_evaluation_plan
 from tests.conftest import all_assignments
-
-#: Backends runnable on this host/configuration: "native" drops out when the
-#: C tier cannot be brought up or kernels are disabled (REPRO_NATIVE=off).
-RUNNABLE_BACKENDS = tuple(
-    backend
-    for backend in BACKENDS
-    if backend != "native" or native.kernels_for(None) is not None
+from tests.oracles.cnf import (
+    evaluate_batch_reference,
+    unsatisfied_clause_counts_reference,
 )
 
 
@@ -59,17 +52,16 @@ class TestBackendEquivalence:
     @given(random_cnfs())
     @settings(max_examples=60, deadline=None)
     def test_all_backends_bitwise_identical(self, formula):
+        """The compiled plan against the clause-loop oracle."""
         matrix = all_assignments(formula.num_variables)
-        reference = formula.evaluate_batch(matrix, backend="reference")
-        for backend in RUNNABLE_BACKENDS:
-            np.testing.assert_array_equal(
-                formula.evaluate_batch(matrix, backend=backend),
-                reference,
-                err_msg=f"backend {backend} diverged on {formula!r}",
-            )
         np.testing.assert_array_equal(
-            formula.unsatisfied_clause_counts(matrix, backend="compiled"),
-            formula.unsatisfied_clause_counts(matrix, backend="reference"),
+            formula.evaluate_batch(matrix),
+            evaluate_batch_reference(formula, matrix),
+            err_msg=f"compiled plan diverged on {formula!r}",
+        )
+        np.testing.assert_array_equal(
+            formula.unsatisfied_clause_counts(matrix),
+            unsatisfied_clause_counts_reference(formula, matrix),
         )
 
     @given(random_cnfs())
@@ -107,35 +99,38 @@ class TestEdgeCases:
     def test_no_clauses_satisfies_everything(self):
         formula = CNF(num_variables=3)
         matrix = all_assignments(3)
-        for backend in RUNNABLE_BACKENDS:
-            assert formula.evaluate_batch(matrix, backend=backend).all()
+        assert formula.evaluate_batch(matrix).all()
+        assert evaluate_batch_reference(formula, matrix).all()
         assert (formula.unsatisfied_clause_counts(matrix) == 0).all()
 
     def test_zero_variable_formula(self):
         formula = CNF(num_variables=0)
         matrix = np.zeros((4, 0), dtype=bool)
-        for backend in RUNNABLE_BACKENDS:
-            assert formula.evaluate_batch(matrix, backend=backend).all()
+        assert formula.evaluate_batch(matrix).all()
+        assert evaluate_batch_reference(formula, matrix).all()
 
     def test_tautological_clause_always_satisfied(self):
         formula = CNF([[1, -1]], num_variables=1)
         matrix = all_assignments(1)
-        for backend in RUNNABLE_BACKENDS:
-            assert formula.evaluate_batch(matrix, backend=backend).all()
+        assert formula.evaluate_batch(matrix).all()
+        assert evaluate_batch_reference(formula, matrix).all()
 
     def test_empty_batch(self):
         formula = CNF([[1]], num_variables=1)
         matrix = np.zeros((0, 1), dtype=bool)
-        for backend in RUNNABLE_BACKENDS:
-            assert formula.evaluate_batch(matrix, backend=backend).shape == (0,)
+        assert formula.evaluate_batch(matrix).shape == (0,)
+        assert formula.unsatisfied_clause_counts(matrix).shape == (0,)
 
     def test_batch_not_multiple_of_eight_packed(self):
-        """The bit-packed kernel is gone: asking for it is a precise error."""
+        """The bit-packed kernel is gone; odd batches run the one plan."""
         formula = CNF([[1, -2], [2, 3]], num_variables=3)
         matrix = all_assignments(3)[:5]
-        with pytest.raises(ValueError, match="backend must be one of .* got 'packed'"):
+        with pytest.raises(TypeError, match="backend"):
             formula.evaluate_batch(matrix, backend="packed")
         assert not hasattr(formula.evaluation_plan(), "evaluate_packed")
+        np.testing.assert_array_equal(
+            formula.evaluate_batch(matrix), evaluate_batch_reference(formula, matrix)
+        )
 
 
 class TestPlanLifecycle:
@@ -152,7 +147,7 @@ class TestPlanLifecycle:
         matrix = all_assignments(2)
         np.testing.assert_array_equal(
             formula.evaluate_batch(matrix),
-            formula.evaluate_batch(matrix, backend="reference"),
+            evaluate_batch_reference(formula, matrix),
         )
 
     def test_num_variables_change_invalidates_plan(self):
@@ -184,30 +179,53 @@ class TestPlanLifecycle:
 
 
 class TestBackendKnob:
-    def test_default_backend_is_compiled(self):
-        assert default_backend() == "compiled"
+    """The evaluation-backend knob is gone: the compiled plan is the one path."""
+
+    def test_default_backend_is_compiled(self, monkeypatch):
+        calls = []
+        original = CNFEvalPlan.evaluate
+
+        def spy(plan, assignments):
+            calls.append(plan)
+            return original(plan, assignments)
+
+        monkeypatch.setattr(CNFEvalPlan, "evaluate", spy)
+        formula = CNF([[1, -2]], num_variables=2)
+        formula.evaluate_batch(all_assignments(2))
+        assert calls == [formula.evaluation_plan()]
 
     def test_set_default_backend(self):
-        set_default_backend("reference")
-        try:
-            assert default_backend() == "reference"
-        finally:
-            set_default_backend(None)
-        assert default_backend() == "compiled"
+        """No process-wide backend selector survives, in either module."""
+        for name in ("set_default_backend", "default_backend"):
+            assert not hasattr(repro.cnf, name)
+        for name in (
+            "BACKENDS",
+            "BACKEND_ENV_VAR",
+            "default_backend",
+            "set_default_backend",
+            "resolve_backend",
+            "resolve_native_kernels",
+        ):
+            assert not hasattr(kernel, name)
 
     def test_invalid_backend_rejected(self):
+        """Every former ``backend=`` value, valid or not, is a TypeError."""
         formula = CNF([[1]], num_variables=1)
-        with pytest.raises(ValueError):
-            formula.evaluate_batch(np.ones((1, 1), dtype=bool), backend="gpu")
-        with pytest.raises(ValueError):
-            set_default_backend("gpu")
+        matrix = np.ones((1, 1), dtype=bool)
+        for backend in ("compiled", "reference", "native", "gpu"):
+            with pytest.raises(TypeError, match="backend"):
+                formula.evaluate_batch(matrix, backend=backend)
+            with pytest.raises(TypeError, match="backend"):
+                formula.unsatisfied_clause_counts(matrix, backend=backend)
 
     def test_environment_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CNF_BACKEND", "reference")
-        assert default_backend() == "reference"
-        monkeypatch.setenv("REPRO_CNF_BACKEND", "packed")
-        with pytest.raises(ValueError, match="got 'packed'"):
-            default_backend()
+        """``REPRO_CNF_BACKEND`` is no longer read: any value is ignored."""
+        formula = CNF([[1, 2], [-1, 3]], num_variables=3)
+        matrix = all_assignments(3)
+        expected = evaluate_batch_reference(formula, matrix)
+        for value in ("reference", "native", "packed"):
+            monkeypatch.setenv("REPRO_CNF_BACKEND", value)
+            np.testing.assert_array_equal(formula.evaluate_batch(matrix), expected)
 
 
 class TestSharedShapeValidation:

@@ -29,8 +29,8 @@ class TestValidation:
             {"optimizer": "rmsprop"},
             {"timeout_seconds": 0.0},
             {"stall_rounds": 0},
-            {"kernel": "numba"},
-            {"kernel": "cext"},
+            {"array_backend": "numpy:float16"},
+            {"timeout_seconds": -1.0},
             {"array_backend": "torch"},
             {"array_backend": "cupy"},
         ],
@@ -38,6 +38,12 @@ class TestValidation:
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SamplerConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [None, "auto", "native", "python", "off"])
+    def test_removed_kernel_field_rejected(self, value):
+        # The platform picks the engine tier; no config field selects it.
+        with pytest.raises(TypeError, match="kernel"):
+            SamplerConfig(kernel=value)
 
     def test_none_timeout_allowed(self):
         assert SamplerConfig(timeout_seconds=None).timeout_seconds is None

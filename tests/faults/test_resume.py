@@ -121,6 +121,37 @@ class TestPlanResume:
         pending, rows = plan_resume([job], tmp_path / JOURNAL_NAME, tmp_path)
         assert [index for index, _job in pending] == [0] and rows == [None]
 
+    def test_completion_fingerprinted_with_removed_kernel_field_reruns(
+        self, tmp_path, monkeypatch
+    ):
+        # Journals written while SamplerConfig had a ``kernel`` field
+        # fingerprinted it; those completions must miss and re-run.
+        import repro.serve.journal as journal_module
+
+        job = make_job(seed=0)
+        old_fingerprints = []
+        for value in (None, "auto", "python"):
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    journal_module,
+                    "config_to_dict",
+                    lambda config, value=value: {**config_to_dict(config), "kernel": value},
+                )
+                old_fingerprints.append(job_fingerprint(job))
+        assert job_fingerprint(job) not in old_fingerprints
+        (tmp_path / "old.solutions").write_text("0 1\n")
+        with JobJournal(tmp_path / JOURNAL_NAME) as journal:
+            for fingerprint in old_fingerprints:
+                journal.record(
+                    "done",
+                    job="old",
+                    fingerprint=fingerprint,
+                    status="done",
+                    result={"job_id": "old", "status": "done"},
+                )
+        pending, rows = plan_resume([job], tmp_path / JOURNAL_NAME, tmp_path)
+        assert [index for index, _job in pending] == [0] and rows == [None]
+
     def test_edited_cnf_file_is_not_resumed(self, tmp_path):
         from repro.serve import SamplingService
 

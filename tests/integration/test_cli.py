@@ -20,9 +20,9 @@ from tests.conftest import FIG1_DIMACS
 TIMEOUT = 180
 
 
-def run_cli(*arguments, cwd=None):
+def run_cli(*arguments, cwd=None, env_extra=None):
     source_root = Path(__file__).resolve().parents[2] / "src"
-    environment = dict(os.environ)
+    environment = {**os.environ, **(env_extra or {})}
     environment["PYTHONPATH"] = (
         f"{source_root}{os.pathsep}{environment['PYTHONPATH']}"
         if environment.get("PYTHONPATH")
@@ -58,7 +58,7 @@ class TestSampleSubcommand:
         assert sum(1 for line in output.read_text().splitlines() if line.strip()) >= 1
 
     @pytest.mark.parametrize(
-        "flag", [("--array-backend", "bogus"), ("--kernel", "numba")]
+        "flag", [("--array-backend", "bogus"), ("--kernel", "auto")]
     )
     def test_bad_option_is_a_usage_error(self, fig1_path, flag):
         completed = run_cli("sample", str(fig1_path), *flag)
@@ -180,4 +180,34 @@ class TestServeSubcommand:
         assert "Traceback" not in completed.stderr
         assert completed.stderr.strip().splitlines() == [
             "repro-sat: error: job #0: unknown keys ['colour']"
+        ]
+
+    def test_serve_kernel_flag_and_manifest_key_are_gone(self, fig1_path, tmp_path):
+        # The platform picks the engine tier: neither the flag nor a job
+        # config key selects it any more.
+        manifest = tmp_path / "jobs.json"
+        manifest.write_text(json.dumps([{"path": str(fig1_path)}]))
+        completed = run_cli("serve", str(manifest), "--kernel", "auto")
+        assert completed.returncode == 2
+        assert "unrecognized arguments: --kernel auto" in completed.stderr
+        manifest.write_text(
+            json.dumps([{"path": str(fig1_path), "config": {"kernel": "auto"}}])
+        )
+        completed = run_cli("serve", str(manifest))
+        assert completed.returncode == 2
+        assert "Traceback" not in completed.stderr
+        assert "job #0" in completed.stderr and "'kernel'" in completed.stderr
+
+
+class TestNativeSwitch:
+    @pytest.mark.parametrize("command", ["sample", "serve"])
+    def test_bad_repro_native_is_a_one_line_error(self, fig1_path, tmp_path, command):
+        target = fig1_path
+        if command == "serve":
+            target = tmp_path / "jobs.json"
+            target.write_text(json.dumps([{"path": str(fig1_path)}]))
+        completed = run_cli(command, str(target), env_extra={"REPRO_NATIVE": "native"})
+        assert completed.returncode == 2
+        assert completed.stderr.strip().splitlines() == [
+            "repro-sat: error: $REPRO_NATIVE must be unset, 'auto' or 'off', got 'native'"
         ]

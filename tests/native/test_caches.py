@@ -1,4 +1,4 @@
-"""Lifecycle of the per-artifact native memos (flattened plans and programs)."""
+"""Lifecycle of the per-program native memo (the flattened op arrays)."""
 
 from __future__ import annotations
 
@@ -7,8 +7,9 @@ import numpy as np
 import repro
 from repro import native
 from repro.cnf.formula import CNF
-from repro.engine.compiler import compile_circuit
-from repro.native.kernels import cnf_native_arrays, engine_native_state
+from repro.engine.compiler import cached_programs, compile_circuit
+from repro.engine.executor import forward
+from repro.native.kernels import engine_native_state
 from repro.serve.cache import ArtifactCache
 from tests.engine.conftest import random_circuit
 
@@ -17,13 +18,12 @@ def _formula():
     return CNF([[1, -2], [2, 3], [-1, 3]], num_variables=3, name="cache-test")
 
 
-class TestMemoisation:
-    def test_plan_arrays_are_memoised_on_the_plan(self, kernels):
-        plan = _formula().evaluation_plan()
-        first = cnf_native_arrays(plan)
-        assert cnf_native_arrays(plan) is first
-        assert plan._native_arrays["native"] is first
+def _program(seed: int, num_gates: int):
+    circuit = random_circuit(np.random.default_rng(seed), num_gates=num_gates)
+    return compile_circuit(circuit, list(circuit.outputs))
 
+
+class TestMemoisation:
     def test_program_state_is_memoised_on_the_program(self, kernels):
         circuit = random_circuit(np.random.default_rng(0), num_gates=15)
         program = compile_circuit(circuit, list(circuit.outputs))
@@ -51,30 +51,29 @@ class TestMemoisation:
 
 class TestClearCaches:
     def test_native_clear_caches_strips_both_memos(self, kernels):
+        # The program memo is the only native memo left: CNF plans carry
+        # none (CNF evaluation has one implementation, the NumPy plan).
         plan = _formula().evaluation_plan()
-        circuit = random_circuit(np.random.default_rng(2), num_gates=10)
-        program = compile_circuit(circuit, list(circuit.outputs))
-        cnf_native_arrays(plan)
+        program = _program(seed=2, num_gates=10)
         engine_native_state(program)
         native.clear_caches()
-        assert plan._native_arrays == {}
         assert "_native_state" not in program.__dict__
+        assert not hasattr(plan, "_native_arrays")
 
     def test_xp_clear_caches_folds_in_native(self, kernels):
-        plan = _formula().evaluation_plan()
-        cnf_native_arrays(plan)
+        program = _program(seed=2, num_gates=10)
+        engine_native_state(program)
         repro.clear_caches()
-        assert plan._native_arrays == {}
+        assert "_native_state" not in program.__dict__
 
     def test_memos_rebuild_after_clearing(self, tier, kernels):
-        formula = _formula()
-        matrix = np.random.default_rng(3).random((16, 3)) < 0.5
-        with native.use_kernel(tier):
-            before = formula.evaluate_batch(matrix, backend="native")
-            repro.clear_caches()
-            after = formula.evaluate_batch(matrix, backend="native")
+        program = _program(seed=3, num_gates=12)
+        probabilities = np.random.default_rng(3).random((16, program.input_width))
+        before, _ = forward(program, probabilities)
+        repro.clear_caches()
+        after, _ = forward(program, probabilities)
         np.testing.assert_array_equal(before, after)
-        assert "native" in formula.evaluation_plan()._native_arrays
+        assert "_native_state" in program.__dict__
 
 
 class TestArtifactCacheEviction:
@@ -86,14 +85,15 @@ class TestArtifactCacheEviction:
         cache = ArtifactCache(max_entries=8, max_bytes=1)
         artifact, built = cache.get_or_build(formula=fig1_formula)
         assert built
-        plan = artifact.formula.evaluation_plan()
-        matrix = np.random.default_rng(4).random((8, plan.num_variables)) < 0.5
-        with native.use_kernel(tier):
-            artifact.formula.evaluate_batch(matrix, backend="native")
-        assert "native" in plan._native_arrays
+        circuit = artifact.transform.circuit
+        (program,) = cached_programs(circuit)
+        probabilities = np.random.default_rng(4).random((8, program.input_width))
+        forward(program, probabilities)
+        assert "_native_state" in program.__dict__
         cache.get_or_build(formula=_formula())
-        # Eviction released the memoised plan — and with it the flattened
-        # native arrays, which ride the plan object.
+        # Eviction released the memoised program — and with it the flattened
+        # native arrays, which ride the program object — and the CNF plan.
+        assert cached_programs(circuit) == []
         assert artifact.formula._plan is None
 
     def test_lru_eviction_releases_the_memoised_plan(self, fig1_formula):

@@ -1,6 +1,15 @@
-"""Native CNF kernels pinned bitwise to the pure-Python/NumPy references."""
+"""CNF evaluation on hosts with the C tier, pinned to the clause-loop oracle.
+
+CNF evaluation has one implementation, the compiled NumPy plan, whichever
+engine tier the platform picks: the native CNF kernel is deleted (on the
+variable-major rows the sampler validates it did not beat the plan).  These
+checks pin the plan to ``tests/oracles/cnf.py`` with the C tier up and with
+the NumPy tier forced, and pin that no native CNF path is left to select.
+"""
 
 from __future__ import annotations
+
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -9,30 +18,35 @@ from hypothesis import strategies as st
 
 from repro import native
 from repro.cnf.formula import CNF
-from repro.cnf.kernel import BACKENDS
-from tests.native.conftest import TIER
+from tests.native.conftest import TIER, numpy_tier
+from tests.oracles.cnf import (
+    evaluate_batch_reference,
+    unsatisfied_clause_counts_reference,
+)
 
 
 def _random_matrix(seed: int, batch: int, num_variables: int) -> np.ndarray:
     return np.random.default_rng(seed).random((batch, num_variables)) < 0.5
 
 
-def _assert_all_backends_agree(formula: CNF, matrix: np.ndarray) -> None:
-    reference = formula.evaluate_batch(matrix, backend="reference")
-    reference_counts = formula.unsatisfied_clause_counts(matrix, backend="reference")
-    for backend in BACKENDS:
-        np.testing.assert_array_equal(
-            formula.evaluate_batch(matrix, backend=backend), reference
-        )
-        np.testing.assert_array_equal(
-            formula.unsatisfied_clause_counts(matrix, backend=backend),
-            reference_counts,
-        )
+def _assert_matches_oracle(formula: CNF, matrix: np.ndarray) -> None:
+    """Satisfaction and falsified counts equal the oracle on both tiers."""
+    expected = evaluate_batch_reference(formula, matrix)
+    expected_counts = unsatisfied_clause_counts_reference(formula, matrix)
+    for tier_context in (nullcontext, numpy_tier):
+        with tier_context():
+            result = formula.evaluate_batch(matrix)
+            counts = formula.unsatisfied_clause_counts(matrix)
+        assert result.dtype == np.bool_
+        np.testing.assert_array_equal(result, expected)
+        np.testing.assert_array_equal(counts, expected_counts)
+        # Satisfaction and falsified-count must also agree with each other.
+        np.testing.assert_array_equal(result, counts == 0)
 
 
 @pytest.mark.parametrize("tier", [TIER or "missing"])
 class TestHypothesisEquivalence:
-    """Random CNFs over every width bucket, bitwise vs reference.
+    """Random CNFs over every width bucket, bitwise vs the oracle.
 
     Parametrised directly (not via the ``tier`` fixture) because Hypothesis
     flags function-scoped fixtures inside ``@given`` tests.
@@ -61,105 +75,60 @@ class TestHypothesisEquivalence:
         batch = data.draw(st.integers(0, 70), label="batch")
         seed = data.draw(st.integers(0, 2**20), label="seed")
         formula = CNF(clauses, num_variables=num_variables, name="hyp-native")
-        matrix = _random_matrix(seed, batch, num_variables)
-        plan = formula.evaluation_plan()
-        kernels = native.kernels_for("native")
-        result = kernels.cnf_evaluate(plan, matrix)
-        counts = kernels.cnf_unsatisfied_counts(plan, matrix)
-        assert result.dtype == np.bool_
-        np.testing.assert_array_equal(
-            result, formula.evaluate_batch(matrix, backend="reference")
-        )
-        np.testing.assert_array_equal(
-            counts,
-            formula.unsatisfied_clause_counts(matrix, backend="reference"),
-        )
-        # Satisfaction and falsified-count must also agree with each other.
-        np.testing.assert_array_equal(result, counts == 0)
+        _assert_matches_oracle(formula, _random_matrix(seed, batch, num_variables))
 
 
 class TestStructuredFormulas:
-    """Hand-built shapes covering every special case in the dispatch."""
+    """Hand-built shapes covering every special case of the plan."""
 
     def test_empty_clause_falsifies_every_row(self, tier):
         formula = CNF([[1, 2], []], num_variables=2)
         matrix = _random_matrix(0, 9, 2)
-        with native.use_kernel(tier):
-            np.testing.assert_array_equal(
-                formula.evaluate_batch(matrix, backend="native"),
-                np.zeros(9, dtype=bool),
-            )
-            counts = formula.unsatisfied_clause_counts(matrix, backend="native")
-        np.testing.assert_array_equal(
-            counts, formula.unsatisfied_clause_counts(matrix, backend="reference")
-        )
+        assert not formula.evaluate_batch(matrix).any()
+        _assert_matches_oracle(formula, matrix)
 
     def test_formula_with_no_clauses_satisfies_every_row(self, tier):
         formula = CNF([], num_variables=3)
         matrix = _random_matrix(1, 5, 3)
-        kernels = native.kernels_for(tier)
-        plan = formula.evaluation_plan()
+        np.testing.assert_array_equal(formula.evaluate_batch(matrix), np.ones(5, dtype=bool))
         np.testing.assert_array_equal(
-            kernels.cnf_evaluate(plan, matrix), np.ones(5, dtype=bool)
+            formula.unsatisfied_clause_counts(matrix), np.zeros(5, dtype=np.int64)
         )
-        np.testing.assert_array_equal(
-            kernels.cnf_unsatisfied_counts(plan, matrix), np.zeros(5, dtype=np.int64)
-        )
+        _assert_matches_oracle(formula, matrix)
 
     def test_empty_batch(self, tier):
         formula = CNF([[1, -2], [2]], num_variables=2)
-        kernels = native.kernels_for(tier)
-        plan = formula.evaluation_plan()
-        assert kernels.cnf_evaluate(plan, np.zeros((0, 2), dtype=bool)).shape == (0,)
+        assert formula.evaluate_batch(np.zeros((0, 2), dtype=bool)).shape == (0,)
+        _assert_matches_oracle(formula, np.zeros((0, 2), dtype=bool))
 
     def test_every_width_bucket(self, tier):
         # One clause per width 1..6 over 8 variables, plus a unit negation.
         clauses = [list(range(1, 1 + w)) for w in range(1, 7)] + [[-8]]
         formula = CNF(clauses, num_variables=8)
-        matrix = _random_matrix(2, 129, 8)  # crosses the 64-lane word boundary
-        with native.use_kernel(tier):
-            _assert_all_backends_agree(formula, matrix)
+        _assert_matches_oracle(formula, _random_matrix(2, 129, 8))
 
     def test_word_boundary_batches(self, tier):
         formula = CNF([[1, -2, 3], [-1, 2], [3]], num_variables=3)
-        kernels = native.kernels_for(tier)
-        plan = formula.evaluation_plan()
         for batch in (1, 63, 64, 65, 128):
-            matrix = _random_matrix(batch, batch, 3)
-            np.testing.assert_array_equal(
-                kernels.cnf_evaluate(plan, matrix),
-                formula.evaluate_batch(matrix, backend="reference"),
-            )
+            _assert_matches_oracle(formula, _random_matrix(batch, batch, 3))
 
 
 class TestBackendDispatch:
-    def test_native_is_a_registered_backend(self):
-        assert "native" in BACKENDS
+    """No native CNF path is left to select."""
 
     def test_env_var_selects_native(self, tier, monkeypatch):
-        from repro.cnf.kernel import BACKEND_ENV_VAR
-
-        monkeypatch.setenv(BACKEND_ENV_VAR, "native")
+        # REPRO_CNF_BACKEND is no longer read; "native" there changes nothing.
+        monkeypatch.setenv("REPRO_CNF_BACKEND", "native")
         formula = CNF([[1, 2], [-1, 2]], num_variables=2)
-        matrix = _random_matrix(3, 17, 2)
-        with native.use_kernel(tier):
-            np.testing.assert_array_equal(
-                formula.evaluate_batch(matrix),  # default backend <- env
-                formula.evaluate_batch(matrix, backend="reference"),
-            )
+        _assert_matches_oracle(formula, _random_matrix(3, 17, 2))
+        kernels = native.kernels_for(None)
+        assert not hasattr(kernels, "cnf_evaluate")
+        assert not hasattr(kernels, "cnf_unsatisfied_counts")
 
-    def test_native_backend_without_tiers_fails_loudly(self, monkeypatch):
-        from repro.native import BackendUnavailableError
-
-        monkeypatch.setattr(native, "_PROBE", (None, "cext off"))
+    def test_native_backend_without_tiers_fails_loudly(self):
         formula = CNF([[1]], num_variables=1)
-        with pytest.raises(BackendUnavailableError):
-            formula.evaluate_batch(np.zeros((2, 1), dtype=bool), backend="native")
-
-    def test_python_kernel_mode_blocks_the_native_backend(self):
-        from repro.native import BackendUnavailableError
-
-        formula = CNF([[1]], num_variables=1)
-        with native.use_kernel("python"):
-            with pytest.raises(BackendUnavailableError, match="disabled"):
-                formula.evaluate_batch(np.zeros((2, 1), dtype=bool), backend="native")
+        matrix = np.zeros((2, 1), dtype=bool)
+        with pytest.raises(TypeError, match="backend"):
+            formula.evaluate_batch(matrix, backend="native")
+        with pytest.raises(TypeError, match="backend"):
+            formula.unsatisfied_clause_counts(matrix, backend="native")

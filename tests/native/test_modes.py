@@ -1,56 +1,65 @@
-"""Mode resolution, precedence and fallback semantics of :mod:`repro.native`."""
+"""How the platform picks the engine tier, and the ``REPRO_NATIVE`` switch."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro import native
-from repro.native import BackendUnavailableError
+from repro.native import cext
+from tests.conftest import force_numpy_tier
+
+
+@pytest.fixture
+def unprobed(monkeypatch):
+    """Forget the memoised probe so the next call reads ``REPRO_NATIVE`` again."""
+    monkeypatch.setattr(native, "_PROBE", None)
 
 
 class TestModeResolution:
-    def test_python_mode_disables_kernels(self):
-        assert native.kernels_for("python") is None
-        assert native.active_tier("python") is None
+    def test_python_mode_disables_kernels(self, monkeypatch):
+        # The test suite's NumPy-tier switch really takes the C tier away.
+        force_numpy_tier(monkeypatch)
+        assert native.kernels_for(None) is None
+        assert native.active_tier() is None
+        assert not native.native_available()
 
-    def test_off_is_an_alias_of_python(self):
-        assert native.resolve_mode("off") == "python"
-        assert native.kernels_for("off") is None
+    def test_off_is_an_alias_of_python(self, monkeypatch, unprobed):
+        monkeypatch.setenv(native.NATIVE_ENV_VAR, "off")
+        assert native.kernels_for(None) is None
+        assert native.active_tier() is None
+        assert "REPRO_NATIVE=off" in native._probe()[1]
 
-    def test_unknown_mode_rejected(self):
-        for mode in ("vulkan", "cext", "numba"):
-            with pytest.raises(ValueError, match="unknown native kernel mode"):
-                native.resolve_mode(mode)
+    def test_unknown_mode_rejected(self, monkeypatch, unprobed):
+        for value in ("vulkan", "cext", "numba", "python", "native", "OFF", " auto"):
+            monkeypatch.setenv(native.NATIVE_ENV_VAR, value)
+            with pytest.raises(ValueError, match=r"\$REPRO_NATIVE must be unset, 'auto' or 'off'"):
+                native.kernels_for(None)
+            assert native._PROBE is None  # a bad value is never memoised
 
     def test_env_var_sets_the_default(self, monkeypatch):
+        # Unset, empty and "auto" all mean: the C tier if it builds.
+        expected = "cext" if cext.available() else None
+        for value in (None, "", "auto"):
+            monkeypatch.setattr(native, "_PROBE", None)
+            if value is None:
+                monkeypatch.delenv(native.NATIVE_ENV_VAR, raising=False)
+            else:
+                monkeypatch.setenv(native.NATIVE_ENV_VAR, value)
+            assert native.active_tier() == expected
+
+    def test_env_var_is_read_once_at_probe_time(self, monkeypatch, unprobed):
         monkeypatch.setenv(native.NATIVE_ENV_VAR, "off")
-        monkeypatch.setattr(native, "_DEFAULT_MODE", None)
-        assert native.default_mode() == "python"
-        assert native.kernels_for(None) is None
+        assert native.active_tier() is None
+        monkeypatch.setenv(native.NATIVE_ENV_VAR, "auto")
+        assert native.active_tier() is None  # the probe is process-wide
 
-    def test_explicit_mode_overrides_the_env(self, monkeypatch):
-        monkeypatch.setenv(native.NATIVE_ENV_VAR, "off")
-        monkeypatch.setattr(native, "_DEFAULT_MODE", None)
-        assert native.resolve_mode("auto") == "auto"
-
-    def test_use_kernel_scopes_and_restores(self, monkeypatch):
-        monkeypatch.setattr(native, "_DEFAULT_MODE", None)
-        before = native.default_mode()
-        with native.use_kernel("python"):
-            assert native.default_mode() == "python"
-            with native.use_kernel("auto"):
-                assert native.default_mode() == "auto"
-            assert native.default_mode() == "python"
-        assert native.default_mode() == before
-
-    def test_use_kernel_none_leaves_the_default_alone(self, monkeypatch):
-        monkeypatch.setattr(native, "_DEFAULT_MODE", "python")
-        with native.use_kernel(None):
-            assert native.default_mode() == "python"
-
-    def test_set_default_mode_validates(self):
-        with pytest.raises(ValueError):
-            native.set_default_mode("nope")
+    def test_no_caller_picks_the_tier(self):
+        with pytest.raises(TypeError, match="REPRO_NATIVE=off"):
+            native.kernels_for("native")
+        with pytest.raises(TypeError):
+            native.active_tier("python")
+        for name in ("use_kernel", "set_default_mode", "default_mode", "resolve_mode", "MODES"):
+            assert not hasattr(native, name)
 
 
 class TestUnavailableTiers:
@@ -60,24 +69,26 @@ class TestUnavailableTiers:
         monkeypatch.setattr(native, "_PROBE", (None, "cext forced off"))
 
     def test_auto_degrades_silently(self, no_tiers):
-        assert native.kernels_for("auto") is None
-        assert native.active_tier("auto") is None
+        assert native.kernels_for(None) is None
+        assert native.active_tier() is None
         assert not native.native_available()
 
-    def test_native_mode_raises_loudly(self, no_tiers):
-        with pytest.raises(
-            BackendUnavailableError, match="no native kernel tier.*cext forced off"
-        ):
-            native.kernels_for("native")
+    def test_native_mode_raises_loudly(self, monkeypatch, unprobed):
+        # The loud "native" mode is gone; asking for it through the one
+        # switch fails, naming the variable, instead of degrading.
+        monkeypatch.setenv(native.NATIVE_ENV_VAR, "native")
+        with pytest.raises(ValueError, match=r"\$REPRO_NATIVE .* got 'native'"):
+            native.active_tier()
 
 
 class TestAvailableTiers:
     def test_kernels_report_their_tier(self, tier, kernels):
         assert kernels.tier == "cext"
-        assert native.active_tier(tier) == "cext"
+        assert native.active_tier() == "cext"
 
     def test_auto_selects_an_available_tier(self, tier):
-        assert native.active_tier("auto") == native.active_tier(tier)
+        assert native.active_tier() == tier
+        assert native.native_available()
 
     def test_compile_seconds_is_monotone_and_finite(self, kernels):
         first = native.compile_seconds()

@@ -25,6 +25,7 @@ import numpy as np
 from repro.circuit.simulate import simulate
 from repro.core.extraction import VAR_PREFIX
 from repro.core.sampler import GradientSATSampler
+from tests.oracles.cnf import evaluate_batch_reference
 
 
 def complete_reference(
@@ -93,7 +94,7 @@ def assemble_reference(
         else:
             free_values = free_draws < 0.5
     assignments = complete_reference(transform, input_matrix, free_values)
-    valid_mask = sampler.formula.evaluate_batch(assignments, backend="reference")
+    valid_mask = evaluate_batch_reference(sampler.formula, assignments)
     return assignments, valid_mask
 
 

@@ -82,6 +82,16 @@ class TestConfigRoundTrip:
             parse_manifest(json.dumps([{"instance": "x", "config": {"backend": value}}]))
 
 
+    @pytest.mark.parametrize("value", ["auto", "native", "python", "off"])
+    def test_removed_kernel_key_rejected(self, value):
+        # The kernel-mode switch is gone (the platform picks the engine
+        # tier); a manifest still carrying it fails naming the key.
+        with pytest.raises(ManifestError, match="unknown config field 'kernel'"):
+            config_from_dict({"kernel": value})
+        with pytest.raises(ManifestError, match="job #0.*'kernel'"):
+            parse_manifest(json.dumps([{"instance": "x", "config": {"kernel": value}}]))
+
+
 class TestManifests:
     def test_json_array(self, tmp_path):
         manifest = [

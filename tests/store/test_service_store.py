@@ -47,6 +47,41 @@ class TestInlineService:
             assert member["load_seconds"] > 0.0
             assert np.array_equal(warm.solutions.to_matrix(), cold_matrix)
 
+    def test_plan_entry_with_the_removed_native_memo_still_serves(
+        self, tmp_path, fig1, monkeypatch
+    ):
+        # Stores written before the native CNF kernel was deleted pickled
+        # each CNFEvalPlan with a ``_native_arrays`` memo field.  Such an
+        # entry must load (or miss) cleanly and never fail a job.
+        from repro.cnf.kernel import CNFEvalPlan
+        from repro.core.signatures import formula_signature
+        from repro.serve.cache import build_artifact
+        from repro.store import KIND_PLAN, persist_artifact
+
+        store = ArtifactStore(tmp_path / "store")
+        signature = formula_signature(fig1)
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                CNFEvalPlan,
+                "__getstate__",
+                lambda plan: {**plan.__dict__, "_native_arrays": {}},
+                raising=False,
+            )
+            assert persist_artifact(store, build_artifact(fig1, signature))
+        assert "_native_arrays" in vars(store.get(KIND_PLAN, signature))
+
+        with SamplingService(num_workers=0, store_dir=store.root) as service:
+            old = service.result(
+                service.submit(fig1, num_solutions=8, config=CONFIG, coalesce=False)
+            )
+        with SamplingService(num_workers=0) as service:
+            fresh = service.result(
+                service.submit(fig1, num_solutions=8, config=CONFIG, coalesce=False)
+            )
+        assert old.status == "done"
+        assert old.summary["store_hits"] == 1 and old.summary["cold_builds"] == 0
+        assert np.array_equal(old.solutions.to_matrix(), fresh.solutions.to_matrix())
+
     def test_member_records_carry_cache_stats(self, tmp_path, fig1):
         with SamplingService(num_workers=0, store_dir=tmp_path / "store") as service:
             result = service.result(

@@ -20,6 +20,7 @@ from repro.core.config import (
 from repro.core.sampler import GradientSATSampler
 from repro.engine.executor import float_array, forward
 from repro.utils.rng import new_rng
+from tests.oracles.cnf import evaluate_batch_reference
 
 
 @pytest.fixture(autouse=True)
@@ -196,9 +197,7 @@ class TestHostInputResidency:
         assert type(satisfaction) is np.ndarray
         assert type(counts) is np.ndarray
         assert type(result) is np.ndarray
-        np.testing.assert_array_equal(
-            result, formula.evaluate_batch(matrix, backend="reference")
-        )
+        np.testing.assert_array_equal(result, evaluate_batch_reference(formula, matrix))
 
     def test_simulate_follows_input_residency(self):
         from repro.circuit.gates import GateType

@@ -24,6 +24,10 @@ from repro.core.sampler import GradientSATSampler
 from repro.engine.compiler import compile_circuit
 from repro.engine.executor import backward, execute_bool, execute_packed, forward
 from tests.engine.conftest import random_circuit
+from tests.oracles.cnf import (
+    evaluate_batch_reference,
+    unsatisfied_clause_counts_reference,
+)
 
 BACKENDS = ["numpy", "numpy:float64"]
 
@@ -119,8 +123,8 @@ class TestKernelEquivalence:
         plan = formula.evaluation_plan()
         with pytest.MonkeyPatch.context() as patch:
             patch.setenv(ARRAY_BACKEND_ENV_VAR, backend_name)
-            reference = formula.evaluate_batch(matrix, backend="reference")
-            counts = formula.unsatisfied_clause_counts(matrix, backend="reference")
+            reference = evaluate_batch_reference(formula, matrix)
+            counts = unsatisfied_clause_counts_reference(formula, matrix)
             np.testing.assert_array_equal(plan.evaluate(matrix), reference)
             np.testing.assert_array_equal(plan.unsatisfied_counts(matrix), counts)
 
@@ -131,20 +135,23 @@ class TestPackedPrimitives:
 
     def test_packbits_unpackbits_roundtrip(self, backend_name, spec_default):
         # The bit-packed CNF kernel is deleted (it lost to the compiled one
-        # on variable-major rows); under every spec, asking for it fails.
+        # on variable-major rows) and so is the backend knob that named it;
+        # under every spec, asking for it fails.
         formula = CNF([[1, -2], [2, 3, -4], [-1, 4]], num_variables=4)
         matrix = np.random.default_rng(7).random((27, 4)) < 0.5
-        with pytest.raises(ValueError, match="backend must be one of .* got 'packed'"):
+        with pytest.raises(TypeError, match="backend"):
             formula.evaluate_batch(matrix, backend="packed")
 
     def test_bitwise_segment_reductions(self, backend_name, spec_default, monkeypatch):
-        # Neither the plan method nor the environment default survives.
+        # Neither the plan method nor the environment default survives: the
+        # variable is no longer read, so "packed" there changes nothing.
         formula = CNF([[1], [-2, 3], [1, -3, 4], [-1, 2, -4, 5]], num_variables=5)
         matrix = np.random.default_rng(8).random((40, 5)) < 0.5
         assert not hasattr(formula.evaluation_plan(), "evaluate_packed")
         monkeypatch.setenv("REPRO_CNF_BACKEND", "packed")
-        with pytest.raises(ValueError, match="got 'packed'"):
-            formula.evaluate_batch(matrix)
+        np.testing.assert_array_equal(
+            formula.evaluate_batch(matrix), evaluate_batch_reference(formula, matrix)
+        )
 
     def test_uint64_words_roundtrip_as_bit_views(self, backend_name, spec_default):
         from repro.circuit.gates import GateType
@@ -235,8 +242,9 @@ class TestActiveBackendDoesNotLeak:
 
 #: SHA-256 of the ``uint8`` solution matrix (251 x 1680) of s15850a_3_2 under
 #: ``SamplerConfig(seed=7, batch_size=128, max_rounds=3)``, 200 solutions.
-#: Identical for both dtype policies, on the engine and on the reference
-#: interpreter oracle (the ``learner`` fixture).  Only the
+#: Identical for both dtype policies, on the engine — on the platform's
+#: tier and on the NumPy tier forced (the ``engine_tier`` fixture) — and on
+#: the reference interpreter oracle (the ``learner`` fixture).  Only the
 #: rows are pinned: the losses go through SIMD ``exp`` and can differ in the
 #: last bits across CPUs.
 GOLDEN_ROWS_SHA256 = "2b03dd0a90ba234c4186912f1184fcd37545e40e27e8bad41114b4d858939d49"
@@ -249,9 +257,17 @@ def s15850a():
     return get_instance("s15850a_3_2").build_cnf()
 
 
-@pytest.mark.parametrize("learner", ["engine", "interpreter"], indirect=True)
+@pytest.mark.parametrize(
+    ("learner", "engine_tier"),
+    [
+        pytest.param("engine", "platform", id="engine"),
+        pytest.param("engine", "numpy", id="engine-numpy_tier"),
+        pytest.param("interpreter", "platform", id="interpreter"),
+    ],
+    indirect=True,
+)
 @pytest.mark.parametrize("spec", ["numpy", "numpy:float32"])
-def test_golden_solution_stream(s15850a, spec, learner):
+def test_golden_solution_stream(s15850a, spec, learner, engine_tier):
     from repro.core.pipeline import sample_cnf
 
     config = SamplerConfig(seed=7, batch_size=128, max_rounds=3, array_backend=spec)
