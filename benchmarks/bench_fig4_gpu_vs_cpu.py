@@ -1,9 +1,9 @@
 """Fig. 4 (left): speedup of data-parallel execution over per-sample execution.
 
 The identical learning computation is run twice per ablation instance: once
-with full-batch vectorised NumPy execution (the ``gpu-sim`` device, standing
-in for the paper's V100 runs) and once with a per-sample Python loop (the
-``cpu`` device).  The paper reports an average speedup of 6.8x; the expected
+with full-batch vectorised NumPy execution (``chunk_size=0``, standing in for
+the paper's V100 runs) and once with a per-sample Python loop
+(``chunk_size=1``).  The paper reports an average speedup of 6.8x; the expected
 shape here is simply a speedup well above 1x on every instance, growing with
 circuit size.
 """

@@ -5,7 +5,8 @@ Reproduces the paper's learning-dynamics analysis on one instance:
 
 * unique solutions vs GD iterations (Fig. 3 left),
 * modelled memory vs batch size (Fig. 3 right),
-* batch-parallel ("gpu-sim") vs per-sample ("cpu") execution time (Fig. 4 left),
+* batch-parallel (``chunk_size=0``) vs per-sample (``chunk_size=1``)
+  execution time (Fig. 4 left),
 * the operation reduction achieved by the transformation (Fig. 4 middle).
 
 Run with:  python examples/scaling_study.py
@@ -14,8 +15,8 @@ Run with:  python examples/scaling_study.py
 import time
 
 from repro import GradientSATSampler, SamplerConfig, transform_cnf
+from repro.eval.figures import estimate_training_memory_mb
 from repro.eval.report import render_rows, render_series
-from repro.gpu import Device, DeviceKind, estimate_training_memory
 from repro.instances import get_instance
 
 INSTANCE = "90-10-10-q"
@@ -40,16 +41,16 @@ def main() -> None:
 
     # Fig. 3 (right): memory model across batch sizes.
     memory_rows = [
-        {"batch_size": batch, "memory_mb": estimate_training_memory(transform.circuit, batch).total_mb}
+        {"batch_size": batch, "memory_mb": estimate_training_memory_mb(transform.circuit, batch)}
         for batch in (100, 1_000, 10_000, 100_000, 1_000_000)
     ]
     print(render_rows(memory_rows, title="GPU-memory model vs batch size (Fig. 3 right)"))
 
     # Fig. 4 (left): vectorised vs per-sample execution of the same batch.
     timing_rows = []
-    for label, device in (("gpu-sim (vectorised)", Device(DeviceKind.GPU_SIM)),
-                          ("cpu (per-sample loop)", Device(DeviceKind.CPU))):
-        run_config = config.with_(batch_size=64, device=device, max_rounds=1)
+    for label, chunk_size in (("vectorised (chunk_size=0)", 0),
+                              ("per-sample loop (chunk_size=1)", 1)):
+        run_config = config.with_(batch_size=64, chunk_size=chunk_size, max_rounds=1)
         run_sampler = GradientSATSampler(formula, transform=transform, config=run_config)
         start = time.perf_counter()
         result = run_sampler.sample(num_solutions=64)

@@ -77,7 +77,7 @@ def main() -> int:
     print(render_series(memory, x_label="batch", y_label="MB"))
 
     print("=" * 100)
-    print("Fig. 4  (left) gpu-sim vs cpu, (middle) ops reduction, (right) transform time")
+    print("Fig. 4  (left) chunk_size 0 vs 1, (middle) ops reduction, (right) transform time")
     print("=" * 100)
     speedups = fig4_gpu_speedup(instance_names=FIGURE_INSTANCES, batch_size=64,
                                 num_solutions=64, config=config)

@@ -36,7 +36,6 @@ from repro.core import (
     sample_cnf,
     transform_cnf,
 )
-from repro.gpu import Device, DeviceKind, get_device
 
 __version__ = "1.0.0"
 
@@ -77,9 +76,6 @@ __all__ = [
     "retransform",
     "sample_cnf",
     "transform_cnf",
-    "Device",
-    "DeviceKind",
-    "get_device",
     "clear_caches",
     "__version__",
 ]

@@ -5,9 +5,9 @@ QuickSampler); all of them operate directly on the CNF.  To make the
 comparison self-contained this package re-implements the whole stack from
 scratch:
 
-* solver substrates: :mod:`repro.baselines.dpll` (DPLL),
+* solver substrates: :mod:`repro.baselines.dpll` (DPLL) and
   :mod:`repro.baselines.cdcl` (CDCL with watched literals, VSIDS and Luby
-  restarts) and :mod:`repro.baselines.walksat` (stochastic local search);
+  restarts);
 * sampler baselines in the style of the published tools:
   :class:`~repro.baselines.unigen_like.UniGenStyleSampler` (XOR-hash
   partitioning for near-uniform sampling),
@@ -24,7 +24,6 @@ scratch:
 from repro.baselines.base import BaselineSampler, SamplerOutput
 from repro.baselines.dpll import DPLLSolver
 from repro.baselines.cdcl import CDCLSolver, SolverResult
-from repro.baselines.walksat import WalkSATSolver
 from repro.baselines.unigen_like import UniGenStyleSampler
 from repro.baselines.cmsgen_like import CMSGenStyleSampler
 from repro.baselines.quicksampler_like import QuickSamplerStyleSampler
@@ -36,7 +35,6 @@ __all__ = [
     "DPLLSolver",
     "CDCLSolver",
     "SolverResult",
-    "WalkSATSolver",
     "UniGenStyleSampler",
     "CMSGenStyleSampler",
     "QuickSamplerStyleSampler",

@@ -10,9 +10,9 @@ transformation algorithm (Algorithm 1) needs to
   multi-output function.
 
 Everything here is implemented from scratch on top of a small immutable
-expression AST (:mod:`repro.boolalg.expr`), with truth-table and BDD based
-equivalence checking, algebraic simplification rules and Quine--McCluskey
-two-level minimization.
+expression AST (:mod:`repro.boolalg.expr`), with truth-table equivalence
+checking (supports up to 20 variables), algebraic simplification rules and
+Quine--McCluskey two-level minimization.
 """
 
 from repro.boolalg.expr import (
@@ -41,8 +41,6 @@ from repro.boolalg.truth_table import (
 )
 from repro.boolalg.simplify import simplify
 from repro.boolalg.quine_mccluskey import minimize_minterms, minimize_expr
-from repro.boolalg.bdd import BDD
-from repro.boolalg.parsing import parse_expr
 
 
 def clear_caches() -> None:
@@ -93,7 +91,5 @@ __all__ = [
     "simplify",
     "minimize_minterms",
     "minimize_expr",
-    "BDD",
-    "parse_expr",
     "clear_caches",
 ]

@@ -15,8 +15,10 @@ computed as a single arbitrary-precision *integer bitmask* — bit ``r`` holds
 the expression's value on row ``r`` — with one Python big-int operation per
 AST node (:func:`truth_table_bits`).  On the interned AST
 (:mod:`repro.boolalg.expr`) results are additionally memoised per node, so
-the transformation never enumerates the same sub-expression twice.  For wider
-supports callers can use :class:`repro.boolalg.bdd.BDD` instead.
+the transformation never enumerates the same sub-expression twice.  Every
+query refuses supports wider than ``max_vars`` (default
+:data:`MAX_ENUMERATION_VARS`) with a ``ValueError``; the transformation never
+asks about wider ones.
 """
 
 from __future__ import annotations
@@ -36,13 +38,21 @@ MAX_ENUMERATION_VARS = 20
 _MEMO_MAX_VARS = 12
 
 
-def _ordered_support(*exprs: Expr, over: Optional[Sequence[str]] = None) -> List[str]:
+def _enumerable_support(
+    *exprs: Expr, max_vars: int, over: Optional[Sequence[str]] = None
+) -> List[str]:
+    """``over``, else the sorted joint support of ``exprs``; a ``ValueError``
+    when that is wider than ``max_vars``."""
     if over is not None:
-        return list(over)
-    names = set()
-    for expr in exprs:
-        names |= expr.support()
-    return sorted(names)
+        names = list(over)
+    else:
+        support = set()
+        for expr in exprs:
+            support |= expr.support()
+        names = sorted(support)
+    if len(names) > max_vars:
+        raise ValueError(f"refusing to enumerate {len(names)} variables (> {max_vars})")
+    return names
 
 
 @lru_cache(maxsize=None)
@@ -133,12 +143,8 @@ def truth_table(
     Row ``i`` corresponds to the assignment whose bit ``j`` (LSB first, in the
     order of ``over`` or sorted support) gives the value of variable ``j``.
     """
-    names = _ordered_support(expr, over=over)
+    names = _enumerable_support(expr, max_vars=max_vars, over=over)
     n = len(names)
-    if n > max_vars:
-        raise ValueError(
-            f"refusing to enumerate {n} variables (> {max_vars}); use a BDD instead"
-        )
     bits = truth_table_bits(expr, names)
     num_rows = 2**n
     raw = bits.to_bytes((num_rows + 7) // 8, "little")
@@ -148,13 +154,7 @@ def truth_table(
 
 @lru_cache(maxsize=65536)
 def _equivalent_cached(a: Expr, b: Expr, max_vars: int) -> bool:
-    names = _ordered_support(a, b)
-    if len(names) > max_vars:
-        from repro.boolalg.bdd import BDD
-
-        manager = BDD(names)
-        return manager.from_expr(a) == manager.from_expr(b)
-    key = tuple(names)
+    key = tuple(_enumerable_support(a, b, max_vars=max_vars))
     return truth_table_bits(a, key) == truth_table_bits(b, key)
 
 
@@ -171,13 +171,7 @@ def equivalent(a: Expr, b: Expr, max_vars: int = MAX_ENUMERATION_VARS) -> bool:
 
 @lru_cache(maxsize=65536)
 def _is_complement_cached(a: Expr, b: Expr, max_vars: int) -> bool:
-    names = _ordered_support(a, b)
-    if len(names) > max_vars:
-        from repro.boolalg.bdd import BDD
-
-        manager = BDD(names)
-        return manager.from_expr(a) == manager.negate(manager.from_expr(b))
-    key = tuple(names)
+    key = tuple(_enumerable_support(a, b, max_vars=max_vars))
     full = (1 << (1 << len(key))) - 1
     return truth_table_bits(a, key) == full ^ truth_table_bits(b, key)
 
@@ -197,24 +191,14 @@ def is_complement(a: Expr, b: Expr, max_vars: int = MAX_ENUMERATION_VARS) -> boo
 
 def is_tautology(expr: Expr, max_vars: int = MAX_ENUMERATION_VARS) -> bool:
     """Return ``True`` iff ``expr`` evaluates to 1 under every assignment."""
-    names = sorted(expr.support())
-    if len(names) > max_vars:
-        from repro.boolalg.bdd import BDD
-
-        manager = BDD(names)
-        return manager.from_expr(expr) == manager.true
+    names = _enumerable_support(expr, max_vars=max_vars)
     full = (1 << (1 << len(names))) - 1
     return truth_table_bits(expr, names) == full
 
 
 def is_contradiction(expr: Expr, max_vars: int = MAX_ENUMERATION_VARS) -> bool:
     """Return ``True`` iff ``expr`` evaluates to 0 under every assignment."""
-    names = sorted(expr.support())
-    if len(names) > max_vars:
-        from repro.boolalg.bdd import BDD
-
-        manager = BDD(names)
-        return manager.from_expr(expr) == manager.false
+    names = _enumerable_support(expr, max_vars=max_vars)
     return truth_table_bits(expr, names) == 0
 
 
@@ -224,12 +208,8 @@ def satisfying_assignments(
     max_vars: int = MAX_ENUMERATION_VARS,
 ) -> List[Dict[str, bool]]:
     """Enumerate every satisfying assignment of ``expr`` over ``over``/its support."""
-    names = _ordered_support(expr, over=over)
+    names = _enumerable_support(expr, max_vars=max_vars, over=over)
     n = len(names)
-    if n > max_vars:
-        raise ValueError(
-            f"refusing to enumerate {n} variables (> {max_vars})"
-        )
     bits = truth_table_bits(expr, names)
     return [
         {names[j]: bool((row >> j) & 1) for j in range(n)}
@@ -244,23 +224,14 @@ def count_satisfying(
     max_vars: int = MAX_ENUMERATION_VARS,
 ) -> int:
     """Count the satisfying assignments (model count) of ``expr``."""
-    names = _ordered_support(expr, over=over)
-    if len(names) > max_vars:
-        raise ValueError(
-            f"refusing to enumerate {len(names)} variables (> {max_vars})"
-        )
+    names = _enumerable_support(expr, max_vars=max_vars, over=over)
     # bin().count over int.bit_count(): the package still supports Python 3.9.
     return bin(truth_table_bits(expr, names)).count("1")
 
 
 def minterms(expr: Expr, over: Optional[Sequence[str]] = None) -> Tuple[List[int], List[str]]:
     """Return the list of minterm indices of ``expr`` and the variable order used."""
-    names = _ordered_support(expr, over=over)
-    if len(names) > MAX_ENUMERATION_VARS:
-        raise ValueError(
-            f"refusing to enumerate {len(names)} variables (> {MAX_ENUMERATION_VARS}); "
-            "use a BDD instead"
-        )
+    names = _enumerable_support(expr, max_vars=MAX_ENUMERATION_VARS, over=over)
     bits = truth_table_bits(expr, names)
     indices: List[int] = []
     row = 0

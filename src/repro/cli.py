@@ -51,7 +51,6 @@ from repro.core.config import SamplerConfig, array_dtype
 from repro.core.pipeline import load_formula, sample_cnf
 from repro.core.transform import transform_cnf
 from repro.eval.report import render_rows
-from repro.gpu.device import get_device
 from repro.instances.registry import REGISTRY, get_instance
 from repro.io.solutions_io import write_solutions_file
 
@@ -83,8 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="GD learning rate (default 10, as in the paper)")
     sample.add_argument("--seed", type=int, default=0, help="random seed")
     sample.add_argument("--timeout", type=float, default=None, help="wall-clock budget in seconds")
-    sample.add_argument("--device", default="gpu-sim", choices=["gpu-sim", "cpu"],
-                        help="execution style (vectorised batch vs per-sample loop)")
     sample.add_argument("--array-backend", default=None, metavar="SPEC",
                         type=_array_backend_spec,
                         help="float dtype of the learning arrays: 'numpy' (float64, "
@@ -284,7 +281,6 @@ def _command_sample(arguments: argparse.Namespace) -> int:
         learning_rate=arguments.learning_rate,
         seed=arguments.seed,
         timeout_seconds=arguments.timeout,
-        device=get_device(arguments.device),
         array_backend=arguments.array_backend,
         store_dir=arguments.store_dir,
         telemetry=arguments.trace,
@@ -332,10 +328,12 @@ def _command_serve(arguments: argparse.Namespace) -> int:
         plan_resume,
     )
     from repro.serve.journal import JOURNAL_NAME
+    from repro.serve.retry import RetrySpecError, resolve_retry_policy
 
     try:
         jobs = load_manifest(arguments.manifest)
-    except ManifestError as error:
+        resolve_retry_policy(arguments.retry)  # $REPRO_RETRY under --retry
+    except (ManifestError, RetrySpecError) as error:
         print(f"repro-sat: error: {error}", file=sys.stderr)
         return 2
     cache_bytes = int(arguments.cache_mb * 1024 * 1024) if arguments.cache_mb else None

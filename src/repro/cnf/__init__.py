@@ -1,4 +1,4 @@
-"""CNF substrate: literals, clauses, formulas, DIMACS I/O and preprocessing.
+"""CNF substrate: literals, clauses, formulas, DIMACS I/O and generators.
 
 All samplers in this library (the paper's gradient-based sampler and the
 CNF-level baselines) consume :class:`~repro.cnf.formula.CNF` objects, and the
@@ -14,9 +14,7 @@ from repro.cnf.kernel import (
     compile_evaluation_plan,
     extend_evaluation_plan,
 )
-from repro.cnf.assignment import Assignment
 from repro.cnf.dimacs import parse_dimacs, parse_dimacs_file, write_dimacs, write_dimacs_file
-from repro.cnf.simplify import unit_propagate, pure_literal_eliminate, simplify_formula
 from repro.cnf.generators import random_ksat, random_horn, planted_ksat
 
 __all__ = [
@@ -26,7 +24,6 @@ __all__ = [
     "CNFEvalPlan",
     "compile_evaluation_plan",
     "extend_evaluation_plan",
-    "Assignment",
     "literal_variable",
     "literal_is_positive",
     "negate_literal",
@@ -34,9 +31,6 @@ __all__ = [
     "parse_dimacs_file",
     "write_dimacs",
     "write_dimacs_file",
-    "unit_propagate",
-    "pure_literal_eliminate",
-    "simplify_formula",
     "random_ksat",
     "random_horn",
     "planted_ksat",

@@ -99,35 +99,6 @@ class Clause:
                 return True
         return False
 
-    def evaluate_partial(self, assignment: Dict[int, bool]) -> str:
-        """Evaluate under a partial assignment.
-
-        Returns ``"sat"`` if some literal is satisfied, ``"unsat"`` if every
-        literal is falsified, and ``"undetermined"`` otherwise.
-        """
-        undetermined = False
-        for literal in self._literals:
-            variable = abs(literal)
-            if variable not in assignment:
-                undetermined = True
-                continue
-            if assignment[variable] == (literal > 0):
-                return "sat"
-        return "undetermined" if undetermined else "unsat"
-
-    def without_literal(self, literal: int) -> "Clause":
-        """Return a copy with every occurrence of ``literal`` removed."""
-        return Clause(lit for lit in self._literals if lit != literal)
-
-    def remap(self, mapping: Dict[int, int]) -> "Clause":
-        """Rename variables according to ``mapping`` (old index -> new index)."""
-        remapped = []
-        for literal in self._literals:
-            variable = abs(literal)
-            new_variable = mapping.get(variable, variable)
-            remapped.append(new_variable if literal > 0 else -new_variable)
-        return Clause(remapped)
-
     def __len__(self) -> int:
         return len(self._literals)
 

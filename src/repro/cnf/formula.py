@@ -208,8 +208,8 @@ class CNF:
     def _check_assignment_matrix(self, assignments) -> np.ndarray:
         """Validate and coerce a ``(batch, num_variables)`` boolean matrix.
 
-        Shared by every batch-evaluation entry point: the matrix must be 2-D
-        and exactly ``num_variables`` wide — a wider matrix almost always
+        The matrix :meth:`evaluate_batch` accepts must be 2-D and exactly
+        ``num_variables`` wide — a wider matrix almost always
         means the caller's column convention is off by one, so it is rejected
         rather than silently truncated.
         """
@@ -239,15 +239,6 @@ class CNF:
         """
         matrix = self._check_assignment_matrix(assignments)
         return self.evaluation_plan().evaluate(matrix)
-
-    def unsatisfied_clause_counts(self, assignments: np.ndarray) -> np.ndarray:
-        """Per-row count of clauses falsified by each assignment in a batch.
-
-        Accepts the same ``(batch, num_variables)`` matrices as
-        :meth:`evaluate_batch`.
-        """
-        matrix = self._check_assignment_matrix(assignments)
-        return self.evaluation_plan().unsatisfied_counts(matrix)
 
     # -- protocol -----------------------------------------------------------------------
     def __len__(self) -> int:

@@ -140,26 +140,6 @@ class CNFEvalPlan:
             satisfied &= np.all(self._or_over_width(block), axis=0)
         return satisfied
 
-    def clause_satisfaction(self, assignments: np.ndarray) -> np.ndarray:
-        """Full ``(batch, num_clauses)`` satisfaction matrix, empty clauses False."""
-        batch = assignments.shape[0]
-        result = np.zeros((batch, self.num_clauses), dtype=np.bool_)
-        if self.reduce_offsets.size:
-            values = self._gather_literal_values(assignments)
-            for clause_start, clause_end, block in self._group_blocks(values, batch):
-                columns = self.nonempty_index[clause_start:clause_end]
-                result[:, columns] = self._or_over_width(block).T
-        return result
-
-    def unsatisfied_counts(self, assignments: np.ndarray) -> np.ndarray:
-        """Per-row count of falsified clauses."""
-        batch = assignments.shape[0]
-        counts = np.full(batch, self.num_empty, dtype=np.int64)
-        if self.reduce_offsets.size:
-            values = self._gather_literal_values(assignments)
-            for _, _, block in self._group_blocks(values, batch):
-                counts += np.sum(~self._or_over_width(block), axis=0)
-        return counts
 
 
 #: Formulas holding a memoised plan.

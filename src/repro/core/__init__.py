@@ -22,7 +22,6 @@ from repro.core.signatures import (
     formula_signature,
     gate_signature_clauses,
     match_gate_signature,
-    task_signature,
 )
 from repro.core.task import DEFAULT_TASK, SamplingTask
 from repro.core.transform import (
@@ -35,7 +34,6 @@ from repro.core.model import ProbabilisticCircuitModel
 from repro.core.sampler import GradientSATSampler, SampleResult
 from repro.core.solutions import SolutionSet
 from repro.core.pipeline import sample_cnf, PipelineResult
-from repro.core.circuit_sampler import CircuitSampler, CircuitSampleResult, sample_circuit
 
 __all__ = [
     "SamplerConfig",
@@ -45,7 +43,6 @@ __all__ = [
     "match_gate_signature",
     "gate_signature_clauses",
     "formula_signature",
-    "task_signature",
     "DEFAULT_TASK",
     "SamplingTask",
     "TransformReplay",
@@ -58,7 +55,4 @@ __all__ = [
     "SolutionSet",
     "sample_cnf",
     "PipelineResult",
-    "CircuitSampler",
-    "CircuitSampleResult",
-    "sample_circuit",
 ]

@@ -12,13 +12,12 @@ paths, bitwise identical) is not a field here: the platform picks it, and
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from repro.gpu.device import Device, DeviceKind
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_non_negative, check_positive
 
 #: Environment variable holding the process-default array-backend spec.
 ARRAY_BACKEND_ENV_VAR = "REPRO_ARRAY_BACKEND"
@@ -66,15 +65,18 @@ class SamplerConfig:
     init_scale: float = 1.0
     #: Random seed for initialisation and unconstrained-input sampling.
     seed: Optional[int] = 0
-    #: Execution device (vectorised "gpu-sim" or per-sample "cpu" loop).
-    device: Device = field(default_factory=lambda: Device(DeviceKind.GPU_SIM))
+    #: Batch rows learned per engine launch: 0 (the default) runs the whole
+    #: batch as one launch, k > 0 splits it into spans of k rows.  Every
+    #: chunking gives bitwise-identical rows; 1 is the per-sample loop of
+    #: the Fig. 4 (left) vectorised-vs-sequential ablation.
+    chunk_size: int = 0
     #: Maximum number of sampling rounds when a target solution count is requested.
     max_rounds: int = 64
     #: Stop early after this many consecutive rounds that add no new unique solution
     #: (the solution space is likely exhausted).  None disables the check.
     stall_rounds: Optional[int] = 4
     #: Wall-clock budget in seconds (None = unlimited); checked between rounds
-    #: and, inside a GD round, between device chunks and iterations, so a
+    #: and, inside a GD round, between chunks and iterations, so a
     #: long round overshoots the budget by at most one iteration (model-less
     #: instances sample a round as one vectorised step, their overshoot is
     #: that single step).
@@ -114,6 +116,7 @@ class SamplerConfig:
             raise ValueError("timeout_seconds must be positive or None")
         if self.stall_rounds is not None and self.stall_rounds <= 0:
             raise ValueError("stall_rounds must be positive or None")
+        check_non_negative("chunk_size", self.chunk_size)
         if self.array_backend is not None:
             array_dtype(self.array_backend)
 

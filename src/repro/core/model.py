@@ -21,9 +21,8 @@ The gate-by-gate walk it replaced is the reference oracle under
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
-from repro.circuit.gates import GateType
 from repro.circuit.netlist import Circuit
 from repro.engine.compiler import compiled_program_for
 from repro.engine.program import CompiledProgram
@@ -85,16 +84,6 @@ class ProbabilisticCircuitModel:
         """
         return compiled_program_for(self.circuit, self.output_nets, self.input_order)
 
-    def num_operations(self) -> int:
-        """Number of probabilistic gate evaluations per forward pass (cone only)."""
-        count = 0
-        for name in self._schedule:
-            gate = self.circuit.gate(name)
-            if gate.gate_type.is_source or gate.gate_type == GateType.BUF:
-                continue
-            count += max(len(gate.fanins) - 1, 1)
-        return count
-
     # -- construction helpers ----------------------------------------------------------
     @classmethod
     def from_transform(cls, result: TransformResult) -> "ProbabilisticCircuitModel":
@@ -114,15 +103,3 @@ class ProbabilisticCircuitModel:
             output_nets=constraint_nets,
             input_order=result.constrained_inputs(),
         )
-
-    def describe(self) -> Dict[str, int]:
-        """Size summary used in reports and memory estimation."""
-        program = self.program
-        return {
-            "inputs": self.num_inputs,
-            "outputs": self.num_outputs,
-            "scheduled_nets": len(self._schedule),
-            "operations": self.num_operations(),
-            "compiled_ops": program.num_ops,
-            "compiled_levels": program.num_levels,
-        }

@@ -24,8 +24,8 @@ defined-variable rows, and the CNF kernel and the dedup read its transposed
 ``(batch, num_variables)`` view without a transposing copy.
 
 Each batch element is learned independently, so the whole loop vectorises
-across the batch — the property the paper exploits for GPU acceleration and
-that the ``gpu-sim`` device reproduces with full-batch NumPy execution.
+across the batch — the property the paper exploits for GPU acceleration, and
+that the default ``chunk_size=0`` reproduces with one full-batch launch.
 
 The GD loop is the compiled levelized engine's (:mod:`repro.engine.train`)
 — fused forward, hand-written backward, no per-gate tape — for sampling
@@ -210,7 +210,7 @@ class GradientSATSampler:
         Sampling stops when the target count is reached, the configured round
         limit is exhausted, the wall-clock timeout expires, or ``should_stop``
         returns true.  The stop callback is polled at exactly the deadline
-        check points — between rounds, between device chunks and between GD
+        check points — between rounds, between chunks and between GD
         iterations — so cancellation latency is bounded by one iteration and
         the partial round learned so far is still validated and kept
         (``stopped_early`` is set on the result).  ``on_round`` is invoked
@@ -423,7 +423,7 @@ class GradientSATSampler:
         deadline: Optional[float] = None,
         should_stop: Optional[Callable[[], bool]] = None,
     ) -> Tuple[np.ndarray, List[float], bool]:
-        """Learn constrained inputs for a full batch, honouring the device's chunking.
+        """Learn constrained inputs for a full batch in ``chunk_size`` spans.
 
         The whole batch goes to the compiled program's training loop, which
         chunks at the program level and checks the ``deadline`` and the

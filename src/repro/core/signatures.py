@@ -62,30 +62,6 @@ def formula_signature(formula: "CNF") -> str:
     return digest.hexdigest()
 
 
-def task_signature(formula: "CNF", task=None) -> str:
-    """Stable content hash of a (formula, task) pair (hex digest).
-
-    Extends :func:`formula_signature` to workload specs
-    (:class:`~repro.core.task.SamplingTask`): the default task hashes to
-    *exactly* the formula signature, so every pre-task cache key, affinity
-    route and coalescing decision is unchanged; any non-default aspect
-    (projection, weights, clause delta) mixes the task's canonical form into
-    the digest.  Note the delta is hashed as an *edit*, not applied — callers
-    that want content-addressed artifacts for the post-delta formula hash the
-    effective formula with :func:`formula_signature` instead (that is what
-    :mod:`repro.serve` keys its artifact cache on, so two deltas reaching the
-    same formula share one artifact).
-    """
-    base = formula_signature(formula)
-    if task is None or task.is_default:
-        return base
-    digest = hashlib.sha256()
-    digest.update(b"task\n")
-    digest.update(base.encode())
-    digest.update(repr(task.canonical()).encode())
-    return digest.hexdigest()
-
-
 def gate_signature_clauses(
     gate_type: GateType, output: int, fanin_literals: Sequence[int]
 ) -> List[List[int]]:

@@ -53,6 +53,7 @@ import numpy as np
 
 from repro.boolalg.expr import And, Const, Expr, Not, Or, Var, Xor
 from repro.boolalg.simplify import simplify
+from repro.boolalg.truth_table import MAX_ENUMERATION_VARS
 from repro.circuit.builder import circuit_from_expressions
 from repro.circuit.netlist import Circuit
 from repro.circuit.optimize import optimize_circuit
@@ -108,20 +109,17 @@ class TransformStats:
     #: matching), ``extraction`` (generic extraction + complement checks),
     #: ``simplify`` (expression simplification before adoption) and ``flush``
     #: (under-specified group fallback); ``free_vars``, ``circuit_build`` and
-    #: ``optimize`` follow the loop.
-    #:
-    #: .. deprecated::
-    #:    This per-result dict remains for back compatibility; the canonical
-    #:    process-wide record is the registered counter
-    #:    ``repro_transform_stage_seconds_total{stage=...}`` in
-    #:    :mod:`repro.obs` — both are fed by :meth:`add_stage`.
+    #: ``optimize`` follow the loop.  This is the per-result record (what
+    #: ``transform --profile`` prints); the registered counter
+    #: ``repro_transform_stage_seconds_total{stage=...}`` in :mod:`repro.obs`
+    #: is the process-wide one — both are fed by :meth:`add_stage`.
     stage_seconds: Dict[str, float] = field(default_factory=dict)
 
     def add_stage(self, stage: str, seconds: float) -> None:
         """Accumulate wall-clock time into a named stage bucket.
 
-        Dual-writes the per-result :attr:`stage_seconds` dict (back compat)
-        and the process-wide ``repro_transform_stage_seconds_total`` counter.
+        Dual-writes the per-result :attr:`stage_seconds` dict and the
+        process-wide ``repro_transform_stage_seconds_total`` counter.
         """
         self.stage_seconds[stage] = self.stage_seconds.get(stage, 0.0) + seconds
         _STAGE_SECONDS.inc(seconds, stage)
@@ -768,8 +766,16 @@ def transform_cnf(
         Force-flush the clause buffer past this many clauses.
     max_candidate_vars:
         Skip complement checks whose support exceeds this width; the same
-        width gates simplification of flushed under-specified groups.
+        width gates simplification of flushed under-specified groups.  At
+        most :data:`~repro.boolalg.truth_table.MAX_ENUMERATION_VARS` (the
+        widest support the truth-table checks enumerate), else
+        ``ValueError``.
     """
+    if max_candidate_vars > MAX_ENUMERATION_VARS:
+        raise ValueError(
+            f"max_candidate_vars must be at most {MAX_ENUMERATION_VARS}, "
+            f"got {max_candidate_vars}"
+        )
     with obs.span("transform.cnf") as tspan:
         result = _transform_cnf_impl(
             formula,

@@ -4,8 +4,8 @@ One :func:`learn_batch` call runs a sampling round's whole training:
 sigmoid embedding, compiled forward, closed-form L2-loss gradient, compiled
 backward, sigmoid adjoint and optimizer step — five fused NumPy statements
 per iteration (:func:`descend`), with no autodiff tape.  This is the only
-gradient-descent implementation in the library; both samplers and the
-Fig. 3 learning curve run it.
+gradient-descent implementation in the library; the sampler's rounds and
+the Fig. 3 learning curve run it.
 
 Every arithmetic step reproduces, bit for bit, the per-gate autodiff walk
 the engine replaced (kept as the reference oracle under ``tests/oracles/``):
@@ -16,10 +16,10 @@ the engine replaced (kept as the reference oracle under ``tests/oracles/``):
 * :class:`SGD` and :class:`Adam` update the parameter array with the
   reference optimizers' arithmetic, in the same order.
 
-Device chunking happens here at the program level: the batch is split into
-``config.device.chunks`` spans and each span runs the full compiled loop,
-so ``gpu-sim`` is one launch and ``cpu`` a per-sample loop — same semantics
-as the reference's Python-sliced path, same RNG consumption order.
+Chunking happens here at the program level: the batch is split into spans
+of ``config.chunk_size`` rows (0 = the whole batch as one launch) and each
+span runs the full compiled loop — same semantics as the reference's
+Python-sliced path, same RNG consumption order.
 
 The loop runs in the float dtype of the initial soft inputs: the sampler
 casts its draws to the dtype its config resolves (``float64`` reference or
@@ -178,14 +178,16 @@ def learn_batch(
     """Learn a full batch of soft assignments with program-level chunking.
 
     ``draw_initial`` draws the ``(chunk, n)`` Gaussian initialisation for each
-    device chunk in order, which keeps RNG consumption identical to the
-    reference oracle's chunk loop.  When ``deadline`` (absolute
-    ``time.perf_counter`` instant) expires or ``should_stop`` returns true —
-    both are polled between chunks and, inside :func:`learn_chunk`, between
-    iterations — untrained chunks are dropped and the returned matrix is
-    truncated to the rows actually learned.  Returns the hard bit matrix, the
-    first chunk's loss history (the round-level convergence signal), and
-    whether the run was halted early.
+    ``config.chunk_size`` span in order (0 = one span over the whole batch; a
+    chunk larger than the batch is one span, an empty batch none), which
+    keeps RNG consumption identical to the reference oracle's chunk loop.
+    When ``deadline`` (absolute ``time.perf_counter`` instant) expires or
+    ``should_stop`` returns true — both are polled between chunks and,
+    inside :func:`learn_chunk`, between iterations — untrained chunks are
+    dropped and the returned matrix is truncated to the rows actually
+    learned.  Returns the hard bit matrix, the first chunk's loss history
+    (the round-level convergence signal), and whether the run was halted
+    early.
     """
     with obs.span("engine.learn_batch") as bspan:
         bspan.set("batch_size", batch_size)
@@ -193,7 +195,9 @@ def learn_batch(
         loss_history: List[float] = []
         completed = 0
         halted = False
-        for start, stop in config.device.chunks(batch_size):
+        step = config.chunk_size or max(batch_size, 1)
+        for start in range(0, batch_size, step):
+            stop = min(start + step, batch_size)
             if deadline is not None and time.perf_counter() >= deadline:
                 halted = True
                 break

@@ -179,7 +179,7 @@ _load_error: Optional[str] = None
 def compile_seconds() -> float:
     """Seconds this process spent building the C tier (0.0 on a disk-cache hit).
 
-    Back-compat accessor; the registered form is
+    The workers report it per task; the registered form is
     ``repro_native_compile_seconds_total{tier="cext"}`` in :mod:`repro.obs`.
     """
     return _compile_seconds

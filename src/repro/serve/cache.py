@@ -323,7 +323,8 @@ class ArtifactCache:
         ``store_*`` keys (hits/misses/writes/corrupt/lease activity of *this
         process's* handle — cheap, no directory walk).
 
-        Back-compat accessor; the registered (process-wide) form is
+        These are this cache's own counters (what
+        ``SamplingService.cache_stats()`` reports); the process-wide form is
         ``repro_cache_ops_total``/``repro_store_ops_total`` in
         :mod:`repro.obs` — see :func:`repro.obs.artifact_counters`.
         """

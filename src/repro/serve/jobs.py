@@ -28,8 +28,8 @@ or JSON Lines (one job object per line).  Job object keys:
     :class:`SamplerConfig` field overrides — ``batch_size``, ``iterations``,
     ``learning_rate``, ``optimizer``, ``init_scale``, ``seed``,
     ``max_rounds``, ``stall_rounds``, ``timeout_seconds``,
-    ``array_backend``, ``kernel``, ``telemetry``, and ``device`` (either a
-    device-kind string or ``{"kind", "chunk_size"}``).
+    ``array_backend``, ``telemetry`` and ``chunk_size``.  Any other key is
+    a :class:`ManifestError` naming it.
 ``portfolio``
     Either an integer N (N members with seeds ``seed .. seed+N-1``) or a
     list of config-override objects, one per member.
@@ -73,7 +73,6 @@ from repro.cnf.dimacs import parse_dimacs, parse_dimacs_file, write_dimacs
 from repro.cnf.formula import CNF
 from repro.core.config import SamplerConfig
 from repro.core.task import DEFAULT_TASK, SamplingTask
-from repro.gpu.device import Device, DeviceKind
 
 #: Manifest job types and the workload aspect each one requires.
 SUPPORTED_JOB_TYPES = ("sample", "project", "weighted", "incremental")
@@ -94,6 +93,7 @@ CONFIG_FIELDS = (
     "timeout_seconds",
     "array_backend",
     "telemetry",
+    "chunk_size",
 )
 
 
@@ -191,46 +191,24 @@ def config_to_dict(config: SamplerConfig) -> Dict[str, object]:
         "timeout_seconds": config.timeout_seconds,
         "array_backend": config.array_backend,
         "telemetry": config.telemetry,
-        "device": {
-            "kind": config.device.kind.value,
-            "chunk_size": config.device.chunk_size,
-        },
+        "chunk_size": config.chunk_size,
     }
 
 
 def config_from_dict(data: Dict[str, object]) -> SamplerConfig:
     """Rebuild a :class:`SamplerConfig` from :func:`config_to_dict` output.
 
-    Also accepts the manifest's looser override form: unknown keys are
-    rejected with a precise error, and ``device`` may be just a kind string.
+    Also accepts the manifest's override form, a subset of the keys;
+    unknown keys are rejected with a precise error.
     """
     fields: Dict[str, object] = {}
     for key, value in data.items():
-        if key == "device":
-            fields["device"] = _device_from(value)
-        elif key in CONFIG_FIELDS:
-            fields[key] = value
-        else:
+        if key not in CONFIG_FIELDS:
             raise ManifestError(
-                f"unknown config field {key!r} (accepted: {', '.join(CONFIG_FIELDS + ('device',))})"
+                f"unknown config field {key!r} (accepted: {', '.join(CONFIG_FIELDS)})"
             )
+        fields[key] = value
     return SamplerConfig(**fields)
-
-
-def _device_from(value: object) -> Device:
-    if isinstance(value, Device):
-        return value
-    if isinstance(value, str):
-        return Device(DeviceKind(value))
-    if isinstance(value, dict):
-        unknown = set(value) - {"kind", "chunk_size"}
-        if unknown:
-            raise ManifestError(f"unknown device fields {sorted(unknown)}")
-        return Device(
-            DeviceKind(value.get("kind", DeviceKind.GPU_SIM.value)),
-            int(value.get("chunk_size", 0)),
-        )
-    raise ManifestError(f"cannot interpret {type(value).__name__} as a device")
 
 
 # -- jobs --------------------------------------------------------------------------------

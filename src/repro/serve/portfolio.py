@@ -67,7 +67,7 @@ def normalize_portfolio(
     for index, overrides in enumerate(spec):
         if not isinstance(overrides, dict):
             raise ManifestError(f"portfolio member #{index} must be an object")
-        unknown = set(overrides) - set(CONFIG_FIELDS) - {"device"}
+        unknown = set(overrides) - set(CONFIG_FIELDS)
         if unknown:
             raise ManifestError(
                 f"portfolio member #{index}: unknown config fields {sorted(unknown)}"

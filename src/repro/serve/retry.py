@@ -106,7 +106,8 @@ def normalize_retry_overrides(
 ) -> Optional[Dict[str, object]]:
     """Canonicalise one override layer to ``{field: value}`` (or ``None``).
 
-    Accepts an integer (shorthand for ``max_attempts``), a spec string
+    Accepts an integer or an integer string (shorthand for
+    ``max_attempts``), a spec string
     (``"attempts=3,backoff=0.5,factor=2,max_backoff=30,deadline=60"``), a
     mapping using either the alias or the full field names, or a ready
     :class:`RetryPolicy` (meaning: replace every field).
@@ -120,6 +121,10 @@ def normalize_retry_overrides(
     if isinstance(value, int):
         return {"max_attempts": value}
     if isinstance(value, str):
+        try:
+            return {"max_attempts": int(value)}
+        except ValueError:
+            pass  # a key=value spec
         parsed: Dict[str, object] = {}
         for item in value.split(","):
             item = item.strip()

@@ -1065,22 +1065,7 @@ class SamplingService:
                     # First-to-target already satisfied (or a drain was
                     # requested): skip without work, the same way a pool
                     # worker skips a task whose group flag is set.
-                    self._handle_message(
-                        MSG_DONE,
-                        (state.job_id, task_state.member_index),
-                        {
-                            "summary": None,
-                            "cancelled": True,
-                            "worker": 0,
-                            "attempt": task_state.attempt,
-                            "cache_hit": None,
-                            "build_seconds": 0.0,
-                            "elapsed_seconds": 0.0,
-                            "kernel_tier": None,
-                            "compile_seconds": 0.0,
-                            "artifact_source": None,
-                        },
-                    )
+                    self._skip_task(state, task_state, worker=0)
                     continue
                 if task_state.first_dispatch is None:
                     task_state.first_dispatch = time.monotonic()
@@ -1092,6 +1077,28 @@ class SamplingService:
                     worker_id=0,
                     array_backend=self.array_backend,
                 )
+
+    def _skip_task(
+        self, state: _JobState, task_state: _TaskState, worker: Optional[int]
+    ) -> None:
+        """Finish a task the job no longer needs as a cancelled, work-free
+        ``MSG_DONE`` — the message a worker sends when it skips one."""
+        self._handle_message(
+            MSG_DONE,
+            (state.job_id, task_state.member_index),
+            {
+                "summary": None,
+                "cancelled": True,
+                "worker": worker,
+                "attempt": task_state.attempt,
+                "cache_hit": None,
+                "build_seconds": 0.0,
+                "elapsed_seconds": 0.0,
+                "kernel_tier": None,
+                "compile_seconds": 0.0,
+                "artifact_source": None,
+            },
+        )
 
     # -- internals: worker-pool dispatch -------------------------------------------------
     def _dispatch_task(self, state: _JobState, task_state: _TaskState) -> None:
@@ -1363,22 +1370,7 @@ class SamplingService:
             if state.cancelled or state.drained:
                 # The job no longer needs this member: account it the same
                 # way a worker accounts a cancelled skip.
-                self._handle_message(
-                    MSG_DONE,
-                    (job_id, member_index),
-                    {
-                        "summary": None,
-                        "cancelled": True,
-                        "worker": None,
-                        "attempt": task_state.attempt,
-                        "cache_hit": None,
-                        "build_seconds": 0.0,
-                        "elapsed_seconds": 0.0,
-                        "kernel_tier": None,
-                        "compile_seconds": 0.0,
-                        "artifact_source": None,
-                    },
-                )
+                self._skip_task(state, task_state, worker=None)
                 continue
             if not self._dispatcher.has_online:
                 heapq.heappush(self._retry_ready, (now, job_id, member_index))

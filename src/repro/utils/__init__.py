@@ -1,6 +1,6 @@
 """Shared utilities: seeded randomness and validation."""
 
-from repro.utils.rng import RandomState, new_rng, spawn_rngs
+from repro.utils.rng import RandomState, new_rng
 from repro.utils.validation import (
     check_positive,
     check_non_negative,
@@ -11,7 +11,6 @@ from repro.utils.validation import (
 __all__ = [
     "RandomState",
     "new_rng",
-    "spawn_rngs",
     "check_positive",
     "check_non_negative",
     "check_probability",

@@ -8,7 +8,7 @@ bit-for-bit across runs.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -31,22 +31,6 @@ def new_rng(seed: SeedLike = None) -> RandomState:
     return np.random.default_rng(seed)
 
 
-def spawn_rngs(seed: SeedLike, count: int) -> List[RandomState]:
-    """Spawn ``count`` statistically independent generators from one seed.
-
-    Used when a batch of samplers or workers each need their own stream.
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    if isinstance(seed, np.random.Generator):
-        seq = np.random.SeedSequence(int(seed.integers(0, 2**63 - 1)))
-    elif isinstance(seed, np.random.SeedSequence):
-        seq = seed
-    else:
-        seq = np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in seq.spawn(count)]
-
-
 def derive_seed(seed: SeedLike, *tokens: Iterable) -> int:
     """Derive a stable child seed from a base seed and hashable tokens.
 
@@ -60,30 +44,3 @@ def derive_seed(seed: SeedLike, *tokens: Iterable) -> int:
         for ch in str(token).encode("utf-8"):
             acc = ((acc ^ ch) * 0x100000001B3) & mask
     return acc % (2**63 - 1)
-
-
-def random_bool_matrix(
-    rng: RandomState, rows: int, cols: int, p_true: float = 0.5
-) -> np.ndarray:
-    """Return a ``(rows, cols)`` boolean matrix with independent Bernoulli entries."""
-    if not 0.0 <= p_true <= 1.0:
-        raise ValueError(f"p_true must be in [0, 1], got {p_true}")
-    return rng.random((rows, cols)) < p_true
-
-
-def choice_without_replacement(
-    rng: RandomState, population: int, size: int
-) -> np.ndarray:
-    """Sample ``size`` distinct integers from ``range(population)``."""
-    if size > population:
-        raise ValueError(
-            f"cannot draw {size} distinct items from a population of {population}"
-        )
-    return rng.choice(population, size=size, replace=False)
-
-
-def optional_rng(rng: Optional[RandomState], seed: SeedLike = None) -> RandomState:
-    """Return ``rng`` if given, otherwise build one from ``seed``."""
-    if rng is not None:
-        return rng
-    return new_rng(seed)

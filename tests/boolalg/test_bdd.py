@@ -1,8 +1,8 @@
-"""Tests for the ROBDD manager (repro.boolalg.bdd)."""
+"""Tests for the ROBDD reference oracle (tests.oracles.bdd)."""
 
 import pytest
 
-from repro.boolalg.bdd import BDD, FALSE_NODE, TRUE_NODE
+from tests.oracles.bdd import BDD, FALSE_NODE, TRUE_NODE
 from repro.boolalg.expr import And, Not, Or, Var, Xor
 from repro.boolalg.truth_table import count_satisfying
 

@@ -8,7 +8,7 @@ truth-table evaluation, and complement checking is symmetric.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.boolalg.bdd import BDD
+from tests.oracles.bdd import BDD
 from repro.boolalg.expr import And, Expr, Not, Or, Var, Xor
 from repro.boolalg.quine_mccluskey import minimize_expr
 from repro.boolalg.simplify import simplify

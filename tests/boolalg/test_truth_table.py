@@ -59,11 +59,12 @@ class TestEquivalence:
         a, b = Var("a"), Var("b")
         assert not equivalent(a, And(a, b))
 
-    def test_wide_support_uses_bdd(self):
+    def test_wide_support_refused(self):
         names = [f"v{i}" for i in range(24)]
         big_or = Or(*(Var(n) for n in names))
         same = Or(*(Var(n) for n in reversed(names)))
-        assert equivalent(big_or, same, max_vars=10)
+        with pytest.raises(ValueError, match="24 variables"):
+            equivalent(big_or, same, max_vars=10)
 
 
 class TestComplement:
@@ -86,11 +87,12 @@ class TestComplement:
         a, b = Var("a"), Var("b")
         assert not is_complement(And(a, b), Or(a, b))
 
-    def test_wide_support_uses_bdd(self):
+    def test_wide_support_refused(self):
         names = [f"v{i}" for i in range(22)]
         expr = Or(*(Var(n) for n in names))
         complement = And(*(Not(Var(n)) for n in names))
-        assert is_complement(expr, complement, max_vars=8)
+        with pytest.raises(ValueError, match="22 variables"):
+            is_complement(expr, complement, max_vars=8)
 
 
 class TestConstancy:
@@ -107,6 +109,12 @@ class TestConstancy:
     def test_constants(self):
         assert is_tautology(TRUE)
         assert is_contradiction(FALSE)
+
+    @pytest.mark.parametrize("query", [is_tautology, is_contradiction])
+    def test_wide_support_refused(self, query):
+        expr = Or(*(Var(f"v{i}") for i in range(6)))
+        with pytest.raises(ValueError, match="6 variables"):
+            query(expr, max_vars=5)
 
 
 class TestCounting:

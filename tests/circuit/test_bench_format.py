@@ -108,21 +108,3 @@ class TestWriting:
         path = write_bench_file(small_circuit, tmp_path / "small.bench")
         reparsed = parse_bench_file(path)
         assert set(reparsed.outputs) == set(small_circuit.outputs)
-
-
-class TestIntegrationWithSampler:
-    def test_bench_to_sampler_pipeline(self):
-        """A .bench netlist can be sampled directly (no DIMACS file anywhere)."""
-        from repro.core.circuit_sampler import sample_circuit
-        from repro.core.config import SamplerConfig
-
-        circuit = parse_bench(SMALL_BENCH)
-        result = sample_circuit(
-            circuit, output_targets={"f": True, "g": False},
-            num_solutions=3,
-            config=SamplerConfig(batch_size=32, seed=0, max_rounds=4),
-        )
-        assert result.num_unique >= 1
-        for assignment in result.as_assignments():
-            values = circuit.evaluate(assignment)
-            assert values["f"] is True and values["g"] is False

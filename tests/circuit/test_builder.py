@@ -5,7 +5,6 @@ import itertools
 import pytest
 
 from repro.boolalg.expr import And, Not, Or, Var, Xor
-from repro.boolalg.parsing import parse_expr
 from repro.circuit.builder import CircuitBuilder, circuit_from_expressions
 
 
@@ -91,8 +90,8 @@ class TestWordLevelHelpers:
 class TestCircuitFromExpressions:
     def test_lowering_matches_expression_semantics(self):
         definitions = [
-            ("t", parse_expr("a & b")),
-            ("out", parse_expr("t | ~c")),
+            ("t", And(Var("a"), Var("b"))),
+            ("out", Or(Var("t"), Not(Var("c")))),
         ]
         circuit = circuit_from_expressions(definitions, outputs=["out"])
         for bits in itertools.product([False, True], repeat=3):
@@ -101,17 +100,17 @@ class TestCircuitFromExpressions:
             assert circuit.evaluate(assignment)["out"] == expected
 
     def test_inputs_discovered_in_order(self):
-        circuit = circuit_from_expressions([("f", parse_expr("p & q"))])
+        circuit = circuit_from_expressions([("f", And(Var("p"), Var("q")))])
         assert set(circuit.inputs) == {"p", "q"}
 
     def test_predeclared_inputs_fix_order(self):
         circuit = circuit_from_expressions(
-            [("f", parse_expr("p & q"))], inputs=["q", "p"]
+            [("f", And(Var("p"), Var("q")))], inputs=["q", "p"]
         )
         assert circuit.inputs == ("q", "p")
 
     def test_outputs_default_to_unconsumed_nets(self):
-        definitions = [("t", parse_expr("a & b")), ("f", parse_expr("t | c"))]
+        definitions = [("t", And(Var("a"), Var("b"))), ("f", Or(Var("t"), Var("c")))]
         circuit = circuit_from_expressions(definitions)
         assert circuit.outputs == ("f",)
 

@@ -69,21 +69,8 @@ class TestClauseEvaluation:
         assert clause.evaluate({1: False, 2: False})
         assert not clause.evaluate({1: False, 2: True})
 
-    def test_evaluate_partial(self):
-        clause = Clause([1, -2])
-        assert clause.evaluate_partial({1: True}) == "sat"
-        assert clause.evaluate_partial({1: False}) == "undetermined"
-        assert clause.evaluate_partial({1: False, 2: True}) == "unsat"
-
 
 class TestClauseTransforms:
-    def test_without_literal(self):
-        assert Clause([1, -2, 3]).without_literal(-2) == Clause([1, 3])
-
-    def test_remap(self):
-        clause = Clause([1, -2])
-        assert clause.remap({1: 10, 2: 20}) == Clause([10, -20])
-
     def test_equality_and_hash_ignore_order(self):
         assert Clause([1, 2]) == Clause([2, 1])
         assert hash(Clause([1, 2])) == hash(Clause([2, 1]))

@@ -81,12 +81,6 @@ class TestEvaluation:
         with pytest.raises(ValueError):
             tiny_sat_formula.evaluate_batch(np.zeros((2, 2), dtype=bool))
 
-    def test_unsatisfied_clause_counts(self, tiny_sat_formula):
-        matrix = all_assignments(3)
-        counts = tiny_sat_formula.unsatisfied_clause_counts(matrix)
-        satisfied = tiny_sat_formula.evaluate_batch(matrix)
-        assert np.array_equal(counts == 0, satisfied)
-
     def test_unsat_formula_has_no_models(self, tiny_unsat_formula):
         matrix = all_assignments(1)
         assert not tiny_unsat_formula.evaluate_batch(matrix).any()

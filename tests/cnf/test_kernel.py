@@ -18,10 +18,7 @@ from repro.cnf import kernel
 from repro.cnf.formula import CNF
 from repro.cnf.kernel import CNFEvalPlan, compile_evaluation_plan
 from tests.conftest import all_assignments
-from tests.oracles.cnf import (
-    evaluate_batch_reference,
-    unsatisfied_clause_counts_reference,
-)
+from tests.oracles.cnf import evaluate_batch_reference
 
 
 @st.composite
@@ -59,34 +56,6 @@ class TestBackendEquivalence:
             evaluate_batch_reference(formula, matrix),
             err_msg=f"compiled plan diverged on {formula!r}",
         )
-        np.testing.assert_array_equal(
-            formula.unsatisfied_clause_counts(matrix),
-            unsatisfied_clause_counts_reference(formula, matrix),
-        )
-
-    @given(random_cnfs())
-    @settings(max_examples=40, deadline=None)
-    def test_counts_consistent_with_evaluation(self, formula):
-        matrix = all_assignments(formula.num_variables)
-        counts = formula.unsatisfied_clause_counts(matrix)
-        satisfied = formula.evaluate_batch(matrix)
-        np.testing.assert_array_equal(counts == 0, satisfied)
-
-    @given(random_cnfs())
-    @settings(max_examples=40, deadline=None)
-    def test_clause_satisfaction_matches_per_clause_reference(self, formula):
-        matrix = all_assignments(formula.num_variables)
-        plan = formula.evaluation_plan()
-        table = plan.clause_satisfaction(matrix)
-        assert table.shape == (matrix.shape[0], formula.num_clauses)
-        for row_index in range(matrix.shape[0]):
-            assignment = {
-                index + 1: bool(matrix[row_index, index])
-                for index in range(formula.num_variables)
-            }
-            for clause_index, clause in enumerate(formula.clauses):
-                expected = len(clause) > 0 and clause.evaluate(assignment)
-                assert table[row_index, clause_index] == expected
 
 
 class TestEdgeCases:
@@ -94,14 +63,13 @@ class TestEdgeCases:
         formula = CNF([[1, 2], []], num_variables=2)
         matrix = all_assignments(2)
         assert not formula.evaluate_batch(matrix).any()
-        assert (formula.unsatisfied_clause_counts(matrix) >= 1).all()
+        assert not evaluate_batch_reference(formula, matrix).any()
 
     def test_no_clauses_satisfies_everything(self):
         formula = CNF(num_variables=3)
         matrix = all_assignments(3)
         assert formula.evaluate_batch(matrix).all()
         assert evaluate_batch_reference(formula, matrix).all()
-        assert (formula.unsatisfied_clause_counts(matrix) == 0).all()
 
     def test_zero_variable_formula(self):
         formula = CNF(num_variables=0)
@@ -119,7 +87,6 @@ class TestEdgeCases:
         formula = CNF([[1]], num_variables=1)
         matrix = np.zeros((0, 1), dtype=bool)
         assert formula.evaluate_batch(matrix).shape == (0,)
-        assert formula.unsatisfied_clause_counts(matrix).shape == (0,)
 
     def test_batch_not_multiple_of_eight_packed(self):
         """The bit-packed kernel is gone; odd batches run the one plan."""
@@ -215,8 +182,7 @@ class TestBackendKnob:
         for backend in ("compiled", "reference", "native", "gpu"):
             with pytest.raises(TypeError, match="backend"):
                 formula.evaluate_batch(matrix, backend=backend)
-            with pytest.raises(TypeError, match="backend"):
-                formula.unsatisfied_clause_counts(matrix, backend=backend)
+        assert not hasattr(formula, "unsatisfied_clause_counts")
 
     def test_environment_override(self, monkeypatch):
         """``REPRO_CNF_BACKEND`` is no longer read: any value is ignored."""
@@ -229,23 +195,23 @@ class TestBackendKnob:
 
 
 class TestSharedShapeValidation:
-    """Regression: both entry points must reject malformed matrices up front."""
+    """Regression: evaluation must reject malformed matrices up front."""
 
     @pytest.fixture
     def formula(self):
         return CNF([[1, 2], [-1, 3]], num_variables=3)
 
-    @pytest.mark.parametrize("method", ["evaluate_batch", "unsatisfied_clause_counts"])
+    @pytest.mark.parametrize("method", ["evaluate_batch"])
     def test_one_dimensional_rejected(self, formula, method):
         with pytest.raises(ValueError, match="2-D"):
             getattr(formula, method)(np.zeros(3, dtype=bool))
 
-    @pytest.mark.parametrize("method", ["evaluate_batch", "unsatisfied_clause_counts"])
+    @pytest.mark.parametrize("method", ["evaluate_batch"])
     def test_narrow_matrix_rejected(self, formula, method):
         with pytest.raises(ValueError, match="columns"):
             getattr(formula, method)(np.zeros((2, 2), dtype=bool))
 
-    @pytest.mark.parametrize("method", ["evaluate_batch", "unsatisfied_clause_counts"])
+    @pytest.mark.parametrize("method", ["evaluate_batch"])
     def test_wide_matrix_rejected(self, formula, method):
         """A wider matrix used to be silently accepted by evaluate_batch."""
         with pytest.raises(ValueError, match="columns"):

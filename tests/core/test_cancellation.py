@@ -1,9 +1,9 @@
 """Tests for cooperative cancellation (should_stop) and round callbacks.
 
 The satellite contract: ``should_stop`` is polled at exactly the timeout
-deadline's check points — between rounds, between device chunks and between
-GD iterations — on both samplers, with the engine's learning loop and with
-the reference interpreter oracle's, and a halt it causes is reported as
+deadline's check points — between rounds, between chunks and between GD
+iterations — with the engine's learning loop and with the reference
+interpreter oracle's, and a halt it causes is reported as
 ``stopped_early`` (distinct from ``timed_out``).
 """
 
@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro.cnf.dimacs import parse_dimacs
-from repro.core.circuit_sampler import CircuitSampler
 from repro.core.config import SamplerConfig
 from repro.core.sampler import GradientSATSampler
 from tests.conftest import FIG1_DIMACS
@@ -75,17 +74,3 @@ class TestSamplerCancellation:
         assert [index for index, _ in events] == [r.round_index for r in result.rounds]
         stacked = np.concatenate([rows for _, rows in events], axis=0)
         assert np.array_equal(stacked, result.solutions.to_matrix())
-
-
-class TestCircuitSamplerCancellation:
-    def test_immediate_stop(self, small_circuit, learner):
-        sampler = CircuitSampler(small_circuit, config=SamplerConfig(batch_size=16, seed=0))
-        result = sampler.sample(10_000, should_stop=lambda: True)
-        assert result.stopped_early is True
-        assert result.timed_out is False
-        assert result.num_unique == 0
-
-    def test_no_stop_means_flag_unset(self, small_circuit):
-        sampler = CircuitSampler(small_circuit, config=SamplerConfig(batch_size=16, seed=0))
-        result = sampler.sample(4, should_stop=lambda: False)
-        assert result.stopped_early is False

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.config import SamplerConfig
-from repro.gpu.device import DeviceKind
 
 
 class TestDefaults:
@@ -14,7 +13,8 @@ class TestDefaults:
         assert config.optimizer == "sgd"
 
     def test_default_device_is_vectorised(self):
-        assert SamplerConfig().device.kind == DeviceKind.GPU_SIM
+        # chunk_size 0 is one launch over the whole batch.
+        assert SamplerConfig().chunk_size == 0
 
 
 class TestValidation:
@@ -44,6 +44,16 @@ class TestValidation:
         # The platform picks the engine tier; no config field selects it.
         with pytest.raises(TypeError, match="kernel"):
             SamplerConfig(kernel=value)
+
+    @pytest.mark.parametrize("value", [None, "cpu", "gpu-sim"])
+    def test_removed_device_field_rejected(self, value):
+        # Chunking is the chunk_size field; there is no device object.
+        with pytest.raises(TypeError, match="device"):
+            SamplerConfig(device=value)
+
+    def test_negative_chunk_size_names_the_field(self):
+        with pytest.raises(ValueError, match="chunk_size"):
+            SamplerConfig(chunk_size=-1)
 
     def test_none_timeout_allowed(self):
         assert SamplerConfig(timeout_seconds=None).timeout_seconds is None

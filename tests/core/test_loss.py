@@ -16,15 +16,6 @@ class TestTargetMatrix:
         assert targets.shape == (3, 2)
         assert targets.all()
 
-    def test_explicit_zero_targets(self):
-        targets = target_matrix(2, ["o1", "o2"], targets={"o2": False})
-        assert targets[:, 0].all()
-        assert not targets[:, 1].any()
-
-    def test_true_targets_stay_one(self):
-        targets = target_matrix(2, ["o1"], targets={"o1": True})
-        assert targets.all()
-
 
 class TestRegressionLoss:
     def test_zero_when_outputs_match(self):

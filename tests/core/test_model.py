@@ -32,14 +32,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ProbabilisticCircuitModel(small_circuit, output_nets=["f"], input_order=["a"])
 
-    def test_describe(self, small_circuit):
-        model = ProbabilisticCircuitModel(small_circuit, output_nets=["f", "g"])
-        info = model.describe()
-        assert info["inputs"] == 3
-        assert info["outputs"] == 2
-        assert info["operations"] >= 3
-        assert info["compiled_ops"] == model.program.num_ops
-
 
 class TestForwardSemantics:
     """The model's compiled program, run by ``engine.executor.forward``."""

@@ -149,6 +149,12 @@ class TestOptions:
         valid = fig1_formula.evaluate_batch(completed)
         assert valid.any()
 
+    def test_candidate_width_capped_at_enumeration_limit(self, fig1_formula):
+        # Complement checks enumerate truth tables of at most 20 variables.
+        assert transform_cnf(fig1_formula, max_candidate_vars=20).stats.num_definitions
+        with pytest.raises(ValueError, match="max_candidate_vars"):
+            transform_cnf(fig1_formula, max_candidate_vars=21)
+
     def test_stats_counters(self, fig1_formula):
         stats = transform_cnf(fig1_formula).stats
         assert stats.num_clauses == 21

@@ -18,12 +18,10 @@ import numpy as np
 import pytest
 
 from repro.core.config import SamplerConfig
-from repro.core.circuit_sampler import CircuitSampler
 from repro.core.model import ProbabilisticCircuitModel
 from repro.core.sampler import GradientSATSampler
 from repro.core.transform import transform_cnf
 from repro.engine.executor import backward, forward
-from repro.gpu.device import Device, DeviceKind
 from tests.engine.conftest import random_circuit
 from tests.oracles.interpreter import InterpreterModel, use_interpreter
 from tests.oracles.tensor.tensor import Tensor
@@ -32,7 +30,7 @@ GRAD_TOLERANCE = 1e-10
 
 #: SHA-256 of the fig1 solution matrix (28 x 14, bool) under
 #: ``SamplerConfig(batch_size=48, max_rounds=3, seed=1234)``, 30 solutions —
-#: the same for every device chunking.
+#: the same for every ``chunk_size``.
 FIG1_ROWS_SHA256 = "5956b847733f03a7ddc16252ef9e2db40014b4d7ce631661ac29472d1aa32665"
 #: xor chain, ``SamplerConfig(batch_size=32, max_rounds=2, seed=7)`` (2 x 3).
 XOR_ROWS_SHA256 = "6d1bccaa2d62ae6f83d99207620a37e3518e35594179767dc1a5e12b72e7c5a6"
@@ -108,16 +106,10 @@ class TestSamplerEquivalence:
         return hashlib.sha256(result.solution_matrix().tobytes()).hexdigest()
 
     @pytest.mark.parametrize(
-        "device",
-        [
-            Device(DeviceKind.GPU_SIM),
-            Device(DeviceKind.GPU_SIM, chunk_size=17),
-            Device(DeviceKind.CPU, chunk_size=8),
-        ],
-        ids=["device0", "device1", "device2"],
+        "chunk_size", [0, 17, 8], ids=["device0", "device1", "device2"]
     )
-    def test_bitwise_identical_solutions(self, fig1_formula, device, monkeypatch):
-        config = SamplerConfig(batch_size=48, max_rounds=3, seed=1234, device=device)
+    def test_bitwise_identical_solutions(self, fig1_formula, chunk_size, monkeypatch):
+        config = SamplerConfig(batch_size=48, max_rounds=3, seed=1234, chunk_size=chunk_size)
         digests = _on_both_learners(
             monkeypatch, lambda: self._solution_digest(fig1_formula, config)
         )
@@ -200,23 +192,3 @@ def test_golden_learning_curves(name):
         )
         sampler = GradientSATSampler(formula, transform=transform, config=config)
         assert sampler.learning_curve(6) == expected, (optimizer, spec)
-
-
-#: The unique input vectors (over ``a, b, c``) that ``CircuitSampler`` finds
-#: on ``small_circuit`` under ``SamplerConfig(batch_size=32, max_rounds=2,
-#: seed=11)``, 10 requested.
-GOLDEN_CIRCUIT_ROWS = [[0, 1, 1], [1, 1, 0], [0, 0, 1]]
-
-
-class TestCircuitSamplerEquivalence:
-    def test_direct_circuit_sampling_identical(self, small_circuit, monkeypatch):
-        config = SamplerConfig(batch_size=32, max_rounds=2, seed=11)
-
-        def run():
-            result = CircuitSampler(small_circuit, config=config).sample(num_solutions=10)
-            return result.input_matrix().astype(int).tolist()
-
-        assert _on_both_learners(monkeypatch, run) == (
-            GOLDEN_CIRCUIT_ROWS,
-            GOLDEN_CIRCUIT_ROWS,
-        )

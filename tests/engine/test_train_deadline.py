@@ -3,6 +3,7 @@
 Regression tests for the timeout-overshoot fix: the GD loop must observe an
 absolute deadline between chunks and between iterations instead of running a
 whole round to completion, and must report the truncation to the caller.
+The ``chunk_size`` span edge cases of ``learn_batch`` are pinned here too.
 """
 
 import numpy as np
@@ -12,7 +13,6 @@ from repro.circuit.builder import CircuitBuilder
 from repro.core.config import SamplerConfig
 from repro.engine.compiler import compile_circuit
 from repro.engine.train import learn_batch, learn_chunk
-from repro.gpu.device import Device, DeviceKind
 
 
 @pytest.fixture
@@ -74,11 +74,9 @@ class TestLearnChunkDeadline:
 
 class TestLearnBatchDeadline:
     def test_truncates_to_completed_chunks(self, program, fake_clock):
-        # Per-sample CPU chunking: each chunk consumes several clock ticks,
-        # so a mid-batch deadline leaves later samples untrained.
-        config = SamplerConfig(
-            batch_size=8, iterations=3, device=Device(DeviceKind.CPU)
-        )
+        # Per-sample chunking: each chunk consumes several clock ticks, so
+        # a mid-batch deadline leaves later samples untrained.
+        config = SamplerConfig(batch_size=8, iterations=3, chunk_size=1)
         hard, losses, timed_out = learn_batch(
             program, 8, np.ones((8, 1)), config, _draw, deadline=0.15
         )
@@ -92,3 +90,48 @@ class TestLearnBatchDeadline:
         assert not timed_out
         assert hard.shape == (8, 3)
         assert len(losses) == 3
+
+
+class TestLearnBatchSpans:
+    """``learn_batch`` splits the batch into ``config.chunk_size`` spans."""
+
+    @staticmethod
+    def _spans(program, batch, chunk_size):
+        sizes = []
+
+        def draw(chunk):
+            sizes.append(chunk)
+            return _draw(chunk)
+
+        config = SamplerConfig(iterations=2, chunk_size=chunk_size)
+        targets = np.ones((batch, 1))
+        hard, _, halted = learn_batch(program, batch, targets, config, draw)
+        assert not halted
+        assert hard.shape == (batch, 3)
+        return sizes
+
+    @pytest.mark.parametrize(
+        "batch, chunk_size, sizes",
+        [
+            (100, 0, [100]),
+            (100, 4096, [100]),
+            (10, 64, [10]),
+            (8, 8, [8]),
+            (100, 40, [40, 40, 20]),
+            (5, 1, [1, 1, 1, 1, 1]),
+            (0, 0, []),
+            (0, 7, []),
+        ],
+        ids=[
+            "whole-batch",
+            "chunk-larger-than-batch",
+            "small-batch-large-chunk",
+            "chunk-equal-to-batch",
+            "last-span-short",
+            "per-sample",
+            "empty-batch",
+            "empty-batch-chunked",
+        ],
+    )
+    def test_span_sizes(self, program, batch, chunk_size, sizes):
+        assert self._spans(program, batch, chunk_size) == sizes

@@ -8,8 +8,11 @@ the qualitative *shapes* the paper reports.
 import pytest
 
 from repro.baselines.cmsgen_like import CMSGenStyleSampler
+from repro.circuit.builder import CircuitBuilder
 from repro.core.config import SamplerConfig
 from repro.eval.figures import (
+    FRAMEWORK_OVERHEAD_MB,
+    estimate_training_memory_mb,
     fig2_latency_vs_solutions,
     fig3_learning_curve,
     fig3_memory_vs_batch,
@@ -20,6 +23,16 @@ from repro.eval.figures import (
 from repro.eval.runner import ThisWorkSampler
 
 SMALL_INSTANCES = ["or-50-10-7-UC-10", "75-10-1-q"]
+
+
+def _chain_circuit(num_gates: int):
+    builder = CircuitBuilder("mem")
+    a, b = builder.inputs(2)
+    net = builder.and_(a, b)
+    for _ in range(num_gates - 1):
+        net = builder.or_(net, a)
+    builder.output(net)
+    return builder.circuit
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +96,31 @@ class TestFig3:
             instance_names=["or-50-10-7-UC-10", "Prod-8"], batch_sizes=(1000,)
         )
         assert curves["Prod-8"][0][1] > curves["or-50-10-7-UC-10"][0][1]
+
+
+class TestMemoryModel:
+    def test_linear_in_batch_size(self):
+        circuit = _chain_circuit(20)
+        small = estimate_training_memory_mb(circuit, 100) - FRAMEWORK_OVERHEAD_MB
+        large = estimate_training_memory_mb(circuit, 1000) - FRAMEWORK_OVERHEAD_MB
+        assert large == pytest.approx(10 * small)
+
+    def test_grows_with_circuit_size(self):
+        small = estimate_training_memory_mb(_chain_circuit(10), 100)
+        large = estimate_training_memory_mb(_chain_circuit(1000), 100)
+        assert large > small
+
+    def test_counts_activations_gradients_and_parameters(self):
+        # 2 inputs, 5 two-input gates, batch 64, float32: activations and
+        # their gradients (2 * 64 * 7) plus V and its gradient (2 * 64 * 2).
+        expected_bytes = (2 * 64 * 7 + 2 * 64 * 2) * 4
+        mb = estimate_training_memory_mb(_chain_circuit(5), 64)
+        assert mb == pytest.approx(expected_bytes / 2**20 + FRAMEWORK_OVERHEAD_MB)
+
+    @pytest.mark.parametrize("batch", [0, -1])
+    def test_invalid_batch_size(self, batch):
+        with pytest.raises(ValueError, match="batch_size"):
+            estimate_training_memory_mb(_chain_circuit(3), batch)
 
 
 class TestFig4:

@@ -12,6 +12,7 @@ from repro.serve.retry import (
     normalize_retry_overrides,
     resolve_retry_policy,
 )
+from repro.serve.service import SamplingService
 from repro.serve.supervisor import RestartPolicy, WorkerSupervisor
 
 
@@ -49,6 +50,20 @@ class TestRetryPolicy:
         }
         full = normalize_retry_overrides(RetryPolicy(max_attempts=7))
         assert full["max_attempts"] == 7
+
+    @pytest.mark.parametrize("spec", ["3", " 3 "])
+    def test_integer_string_means_max_attempts(self, spec):
+        assert normalize_retry_overrides(spec) == {"max_attempts": 3}
+
+    def test_integer_env_spec_builds_a_service(self, monkeypatch):
+        monkeypatch.setenv("REPRO_RETRY", "3")
+        assert resolve_retry_policy().max_attempts == 3
+        with SamplingService(num_workers=0, store_dir=False) as service:
+            job_id = service.submit(
+                {"dimacs": "p cnf 2 1\n1 2 0\n"}, num_solutions=2, retry="2"
+            )
+            result = service.result(job_id)
+        assert result.status == "done"
 
     @pytest.mark.parametrize("bad", [True, "attempts", "wat=3", {"wat": 1}, 3.5])
     def test_normalize_rejects_garbage(self, bad):

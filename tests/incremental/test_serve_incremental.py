@@ -21,7 +21,7 @@ import pytest
 
 from repro.cnf import ClauseDelta, planted_ksat
 from repro.core.config import SamplerConfig
-from repro.core.signatures import formula_signature, task_signature
+from repro.core.signatures import formula_signature
 from repro.core.task import SamplingTask
 from repro.serve import (
     ArtifactCache,
@@ -111,13 +111,6 @@ def test_get_or_build_task_paths():
     )
     assert (built, derived) == (False, False)
     assert shared.signature == base_sig
-
-
-def test_task_signature_matches_service_keying():
-    base = formula()
-    task = SamplingTask.build(project=[1], weights={2: 0.8})
-    assert task_signature(base, task) != formula_signature(base)
-    assert task_signature(base, SamplingTask()) == formula_signature(base)
 
 
 # -- manifests ----------------------------------------------------------------------------

@@ -182,6 +182,31 @@ class TestServeSubcommand:
             "repro-sat: error: job #0: unknown keys ['colour']"
         ]
 
+    @pytest.mark.parametrize("how", ["flag", "env"])
+    def test_serve_integer_retry_means_max_attempts(self, fig1_path, tmp_path, how):
+        manifest = tmp_path / "jobs.json"
+        manifest.write_text(json.dumps([{"path": str(fig1_path), "num_solutions": 4}]))
+        if how == "flag":
+            completed = run_cli("serve", str(manifest), "--no-store", "--retry", "3")
+        else:
+            completed = run_cli(
+                "serve", str(manifest), "--no-store", env_extra={"REPRO_RETRY": "3"}
+            )
+        assert completed.returncode == 0, completed.stderr
+
+    def test_serve_bad_retry_is_a_usage_error(self, fig1_path, tmp_path):
+        manifest = tmp_path / "jobs.json"
+        manifest.write_text(json.dumps([{"path": str(fig1_path)}]))
+        out_dir = tmp_path / "out"
+        completed = run_cli(
+            "serve", str(manifest), "--no-store", "--retry", "bogus=1", "-o", str(out_dir)
+        )
+        assert completed.returncode == 2
+        lines = completed.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("repro-sat: error: ")
+        assert "'bogus'" in lines[0]
+        assert not out_dir.exists()  # rejected before any output is written
+
     def test_serve_kernel_flag_and_manifest_key_are_gone(self, fig1_path, tmp_path):
         # The platform picks the engine tier: neither the flag nor a job
         # config key selects it any more.

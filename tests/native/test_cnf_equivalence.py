@@ -19,10 +19,7 @@ from hypothesis import strategies as st
 from repro import native
 from repro.cnf.formula import CNF
 from tests.native.conftest import TIER, numpy_tier
-from tests.oracles.cnf import (
-    evaluate_batch_reference,
-    unsatisfied_clause_counts_reference,
-)
+from tests.oracles.cnf import evaluate_batch_reference
 
 
 def _random_matrix(seed: int, batch: int, num_variables: int) -> np.ndarray:
@@ -30,18 +27,13 @@ def _random_matrix(seed: int, batch: int, num_variables: int) -> np.ndarray:
 
 
 def _assert_matches_oracle(formula: CNF, matrix: np.ndarray) -> None:
-    """Satisfaction and falsified counts equal the oracle on both tiers."""
+    """Satisfaction equals the oracle on both tiers."""
     expected = evaluate_batch_reference(formula, matrix)
-    expected_counts = unsatisfied_clause_counts_reference(formula, matrix)
     for tier_context in (nullcontext, numpy_tier):
         with tier_context():
             result = formula.evaluate_batch(matrix)
-            counts = formula.unsatisfied_clause_counts(matrix)
         assert result.dtype == np.bool_
         np.testing.assert_array_equal(result, expected)
-        np.testing.assert_array_equal(counts, expected_counts)
-        # Satisfaction and falsified-count must also agree with each other.
-        np.testing.assert_array_equal(result, counts == 0)
 
 
 @pytest.mark.parametrize("tier", [TIER or "missing"])
@@ -91,9 +83,6 @@ class TestStructuredFormulas:
         formula = CNF([], num_variables=3)
         matrix = _random_matrix(1, 5, 3)
         np.testing.assert_array_equal(formula.evaluate_batch(matrix), np.ones(5, dtype=bool))
-        np.testing.assert_array_equal(
-            formula.unsatisfied_clause_counts(matrix), np.zeros(5, dtype=np.int64)
-        )
         _assert_matches_oracle(formula, matrix)
 
     def test_empty_batch(self, tier):
@@ -123,12 +112,9 @@ class TestBackendDispatch:
         _assert_matches_oracle(formula, _random_matrix(3, 17, 2))
         kernels = native.kernels_for(None)
         assert not hasattr(kernels, "cnf_evaluate")
-        assert not hasattr(kernels, "cnf_unsatisfied_counts")
 
     def test_native_backend_without_tiers_fails_loudly(self):
         formula = CNF([[1]], num_variables=1)
         matrix = np.zeros((2, 1), dtype=bool)
         with pytest.raises(TypeError, match="backend"):
             formula.evaluate_batch(matrix, backend="native")
-        with pytest.raises(TypeError, match="backend"):
-            formula.unsatisfied_clause_counts(matrix, backend="native")

@@ -1,10 +1,11 @@
-"""Reduced Ordered Binary Decision Diagrams (ROBDDs).
+"""Reference oracle: Reduced Ordered Binary Decision Diagrams (ROBDDs).
 
 The BDD manager provides canonical representations of Boolean functions, so
-semantic equality reduces to node-id equality.  The transformation algorithm
-falls back to BDDs when the support of a candidate sub-expression is too wide
-for truth-table enumeration, and the test suite uses them as an independent
-oracle against the truth-table implementation.
+semantic equality reduces to node-id equality.  The library's semantic
+queries enumerate truth tables (:mod:`repro.boolalg.truth_table`, supports up
+to 20 variables); the tests use the BDD as an independent oracle against
+them, and the seed-transform oracle (:mod:`tests.oracles.transform`) uses it
+for wide supports.
 
 The implementation follows the classic Bryant construction: a unique table
 keyed by ``(level, low, high)``, an ``apply`` cache per operation, and

@@ -10,9 +10,9 @@ to, bit for bit:
 * :class:`InterpreterModel` — the per-gate forward pass (a
   :class:`~repro.core.model.ProbabilisticCircuitModel` whose ``forward``
   returns a tape :class:`~tests.oracles.tensor.tensor.Tensor`);
-* :func:`learn_constrained_inputs`, :func:`circuit_one_round` and
-  :func:`learning_curve` — the interpreter's learning loops, written as
-  drop-in replacements for the samplers' engine-backed methods;
+* :func:`learn_constrained_inputs` and :func:`learning_curve` — the
+  interpreter's learning loops, written as drop-in replacements for the
+  sampler's engine-backed methods;
 * :func:`use_interpreter` — installs those replacements for one test, so a
   sampler run on the interpreter can be compared with an engine run.
 """
@@ -25,7 +25,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.circuit.gates import GateType
-from repro.core.circuit_sampler import CircuitSampler
 from repro.core.loss import target_matrix
 from repro.core.model import ProbabilisticCircuitModel
 from repro.core.sampler import GradientSATSampler
@@ -152,12 +151,14 @@ def _learn_batch(
     deadline: Optional[float],
     should_stop: Optional[Callable[[], bool]],
 ) -> Tuple[np.ndarray, List[float], bool]:
-    """The Python-sliced device chunk loop around :func:`_learn_chunk`."""
+    """The Python-sliced ``chunk_size`` loop around :func:`_learn_chunk`."""
     hard = np.zeros((batch_size, model.num_inputs), dtype=np.bool_)
     loss_history: List[float] = []
     completed = 0
     halted = False
-    for start, stop in config.device.chunks(batch_size):
+    size = config.chunk_size or max(batch_size, 1)
+    spans = [(start, min(start + size, batch_size)) for start in range(0, batch_size, size)]
+    for start, stop in spans:
         if deadline is not None and time.perf_counter() >= deadline:
             halted = True
             break
@@ -197,27 +198,6 @@ def learn_constrained_inputs(
     )
 
 
-def circuit_one_round(
-    sampler: CircuitSampler,
-    batch_size: int,
-    deadline: Optional[float] = None,
-    should_stop: Optional[Callable[[], bool]] = None,
-) -> Tuple[np.ndarray, List[float], bool]:
-    """Drop-in for ``CircuitSampler._one_round``."""
-    model = InterpreterModel.of(sampler.model)
-    targets = target_matrix(batch_size, model.output_nets, sampler.output_targets)
-    constrained_bits, losses, halted = _learn_batch(
-        model,
-        batch_size,
-        targets,
-        sampler.config,
-        sampler._draw_initial_soft_inputs,
-        deadline,
-        should_stop,
-    )
-    return sampler._assemble_inputs(constrained_bits), losses, halted
-
-
 def learning_curve(
     sampler: GradientSATSampler, max_iterations: int, batch_size: Optional[int]
 ) -> List[int]:
@@ -252,9 +232,8 @@ def learning_curve(
 
 
 def use_interpreter(monkeypatch) -> None:
-    """Run both samplers' learning on the interpreter for the current test."""
+    """Run the sampler's learning on the interpreter for the current test."""
     monkeypatch.setattr(
         GradientSATSampler, "_learn_constrained_inputs", learn_constrained_inputs
     )
     monkeypatch.setattr(GradientSATSampler, "_learning_curve", learning_curve)
-    monkeypatch.setattr(CircuitSampler, "_one_round", circuit_one_round)

@@ -32,7 +32,6 @@ from __future__ import annotations
 import time
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.boolalg.bdd import BDD
 from repro.boolalg.expr import And, Const, Expr, FALSE, Not, Or, TRUE, Var, Xor
 from repro.boolalg.quine_mccluskey import minimize_minterms
 from repro.boolalg.simplify import EXACT_SIMPLIFY_MAX_VARS, simplify_algebraic
@@ -52,6 +51,7 @@ from repro.core.transform import (
     _expr_from_gate_match,
     finish_transform,
 )
+from tests.oracles.bdd import BDD
 
 
 # -- truth-table queries by per-row enumeration ------------------------------------------

@@ -6,7 +6,6 @@ import pytest
 
 from repro.cnf.dimacs import parse_dimacs
 from repro.core.config import SamplerConfig
-from repro.gpu.device import Device, DeviceKind
 from repro.serve.jobs import (
     ManifestError,
     SamplingJob,
@@ -56,21 +55,24 @@ class TestConfigRoundTrip:
             max_rounds=9,
             stall_rounds=2,
             timeout_seconds=3.5,
-            device=Device(DeviceKind.CPU, chunk_size=4),
+            chunk_size=4,
         )
         assert config_from_dict(config_to_dict(config)) == config
 
     def test_device_as_string(self):
-        config = config_from_dict({"device": "cpu"})
-        assert config.device.kind == DeviceKind.CPU
+        # The device key is gone: chunk_size is a plain config field.
+        assert config_from_dict({"chunk_size": 1}).chunk_size == 1
+        assert config_to_dict(SamplerConfig(chunk_size=3))["chunk_size"] == 3
+        assert "device" not in config_to_dict(SamplerConfig())
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ManifestError):
             config_from_dict({"learning_rte": 1.0})
-        with pytest.raises(ManifestError):
-            config_from_dict({"device": {"kindd": "cpu"}})
-        with pytest.raises(ManifestError, match="unknown device fields"):
-            config_from_dict({"device": {"kind": "cpu", "array_backend": "numpy"}})
+
+    @pytest.mark.parametrize("value", ["cpu", "gpu-sim", {"kind": "cpu", "chunk_size": 4}])
+    def test_removed_device_key_rejected(self, value):
+        with pytest.raises(ManifestError, match="unknown config field 'device'"):
+            config_from_dict({"device": value})
 
     @pytest.mark.parametrize("value", ["engine", "interpreter"])
     def test_removed_backend_key_rejected(self, value):

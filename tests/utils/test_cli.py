@@ -40,10 +40,11 @@ class TestSampleCommand:
         assert exit_code == 1
 
     def test_cpu_device_option(self, fig1_path, capsys):
-        exit_code = main([
-            "sample", str(fig1_path), "-n", "4", "-b", "16", "--device", "cpu",
-        ])
-        assert exit_code == 0
+        # --device is gone: chunking is SamplerConfig.chunk_size, not a flag.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sample", str(fig1_path), "-n", "4", "-b", "16", "--device", "cpu"])
+        assert excinfo.value.code == 2
+        assert "--device" in capsys.readouterr().err
 
 
 class TestTransformCommand:

@@ -1,16 +1,8 @@
 """Tests for repro.utils.rng."""
 
 import numpy as np
-import pytest
 
-from repro.utils.rng import (
-    choice_without_replacement,
-    derive_seed,
-    new_rng,
-    optional_rng,
-    random_bool_matrix,
-    spawn_rngs,
-)
+from repro.utils.rng import derive_seed, new_rng
 
 
 class TestNewRng:
@@ -34,24 +26,6 @@ class TestNewRng:
         assert isinstance(generator, np.random.Generator)
 
 
-class TestSpawnRngs:
-    def test_count(self):
-        assert len(spawn_rngs(0, 4)) == 4
-
-    def test_streams_are_independent(self):
-        first, second = spawn_rngs(0, 2)
-        assert first.integers(0, 10**9) != second.integers(0, 10**9)
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
-
-    def test_deterministic_given_seed(self):
-        a = [g.integers(0, 1000) for g in spawn_rngs(3, 3)]
-        b = [g.integers(0, 1000) for g in spawn_rngs(3, 3)]
-        assert a == b
-
-
 class TestDeriveSeed:
     def test_deterministic(self):
         assert derive_seed(1, "inst") == derive_seed(1, "inst")
@@ -68,32 +42,3 @@ class TestDeriveSeed:
 
     def test_none_seed_allowed(self):
         assert isinstance(derive_seed(None, "x"), int)
-
-
-class TestHelpers:
-    def test_random_bool_matrix_shape_and_dtype(self):
-        matrix = random_bool_matrix(new_rng(0), 5, 7)
-        assert matrix.shape == (5, 7)
-        assert matrix.dtype == bool
-
-    def test_random_bool_matrix_probability_extremes(self):
-        rng = new_rng(0)
-        assert not random_bool_matrix(rng, 4, 4, p_true=0.0).any()
-        assert random_bool_matrix(rng, 4, 4, p_true=1.0).all()
-
-    def test_random_bool_matrix_invalid_probability(self):
-        with pytest.raises(ValueError):
-            random_bool_matrix(new_rng(0), 2, 2, p_true=1.5)
-
-    def test_choice_without_replacement_distinct(self):
-        chosen = choice_without_replacement(new_rng(0), 10, 10)
-        assert sorted(chosen.tolist()) == list(range(10))
-
-    def test_choice_without_replacement_too_many(self):
-        with pytest.raises(ValueError):
-            choice_without_replacement(new_rng(0), 3, 4)
-
-    def test_optional_rng_prefers_given(self):
-        generator = new_rng(0)
-        assert optional_rng(generator, seed=5) is generator
-        assert isinstance(optional_rng(None, seed=5), np.random.Generator)

@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 from repro.cnf import CNF, Clause, ClauseDelta, compile_evaluation_plan
-from repro.core.signatures import formula_signature, task_signature
 from repro.core.task import DEFAULT_TASK, SamplingTask
+from repro.serve.jobs import SamplingJob, normalize_source
+from repro.serve.journal import job_fingerprint
 
 
 def small_formula() -> CNF:
@@ -194,28 +195,25 @@ class TestFormulaDelta:
         np.testing.assert_array_equal(mutated.evaluate_batch(batch), slow)
 
 
-# -- task_signature ----------------------------------------------------------------------
+# -- task identity in job fingerprints --------------------------------------------------
+
+def _fingerprint(task: SamplingTask) -> str:
+    """The journal fingerprint of a job sampling ``small_formula`` under ``task``."""
+    return job_fingerprint(SamplingJob(source=normalize_source(small_formula()), task=task))
+
 
 class TestTaskSignature:
-    def test_default_task_signature_equals_formula_signature(self):
-        formula = small_formula()
-        assert task_signature(formula) == formula_signature(formula)
-        assert task_signature(formula, SamplingTask()) == formula_signature(formula)
-
     def test_non_default_aspects_change_the_signature(self):
-        formula = small_formula()
-        base = formula_signature(formula)
         signatures = {
-            base,
-            task_signature(formula, SamplingTask.build(project=[1])),
-            task_signature(formula, SamplingTask.build(project=[2])),
-            task_signature(formula, SamplingTask.build(weights={1: 0.9})),
-            task_signature(formula, SamplingTask.build(assume=[1])),
+            _fingerprint(SamplingTask()),
+            _fingerprint(SamplingTask.build(project=[1])),
+            _fingerprint(SamplingTask.build(project=[2])),
+            _fingerprint(SamplingTask.build(weights={1: 0.9})),
+            _fingerprint(SamplingTask.build(assume=[1])),
         }
         assert len(signatures) == 5  # all distinct
 
     def test_signature_is_stable_across_equal_tasks(self):
-        formula = small_formula()
         a = SamplingTask.build(project=[2, 1], weights={3: 0.75})
         b = SamplingTask.build(project=[1, 2], weights=[(3, 0.75)])
-        assert task_signature(formula, a) == task_signature(formula, b)
+        assert _fingerprint(a) == _fingerprint(b)

@@ -18,16 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cnf.formula import CNF
-from repro.core.circuit_sampler import CircuitSampler
 from repro.core.config import ARRAY_BACKEND_ENV_VAR, SamplerConfig, array_dtype
 from repro.core.sampler import GradientSATSampler
 from repro.engine.compiler import compile_circuit
 from repro.engine.executor import backward, execute_bool, execute_packed, forward
 from tests.engine.conftest import random_circuit
-from tests.oracles.cnf import (
-    evaluate_batch_reference,
-    unsatisfied_clause_counts_reference,
-)
+from tests.oracles.cnf import evaluate_batch_reference
 
 BACKENDS = ["numpy", "numpy:float64"]
 
@@ -124,9 +120,7 @@ class TestKernelEquivalence:
         with pytest.MonkeyPatch.context() as patch:
             patch.setenv(ARRAY_BACKEND_ENV_VAR, backend_name)
             reference = evaluate_batch_reference(formula, matrix)
-            counts = unsatisfied_clause_counts_reference(formula, matrix)
             np.testing.assert_array_equal(plan.evaluate(matrix), reference)
-            np.testing.assert_array_equal(plan.unsatisfied_counts(matrix), counts)
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)
@@ -206,17 +200,6 @@ class TestSamplerEquivalence:
             first.solution_matrix(), second.solution_matrix()
         )
         assert first.num_generated == second.num_generated
-
-    def test_circuit_sampler_restarts_are_reproducible(self, backend_name):
-        circuit = random_circuit(
-            np.random.default_rng(4), num_inputs=6, num_gates=20, num_outputs=2
-        )
-        config = SamplerConfig(batch_size=32, seed=3, max_rounds=2, array_backend=backend_name)
-        sampler = CircuitSampler(circuit, config=config)
-        first = sampler.sample(num_solutions=20)
-        sampler.reset_rng()
-        second = sampler.sample(num_solutions=20)
-        np.testing.assert_array_equal(first.input_matrix(), second.input_matrix())
 
 
 class TestActiveBackendDoesNotLeak:
