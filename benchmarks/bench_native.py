@@ -61,8 +61,9 @@ def test_native_kernels_vs_numpy(benchmark, monkeypatch):
     transform = transform_cnf(formula)
     model = ProbabilisticCircuitModel.from_transform(transform)
     program = model.program  # compile outside the timed region
-    probabilities = rng.random((batch, model.num_inputs))
-    seed_grad = np.ones((batch, model.num_outputs))
+    # float32, the engine's only dtype: no cast inside the timed passes.
+    probabilities = rng.random((batch, model.num_inputs)).astype(np.float32)
+    seed_grad = np.ones((batch, model.num_outputs), dtype=np.float32)
     state = {}
 
     def engine_step():

@@ -101,6 +101,10 @@ def test_engine_vs_interpreter_throughput(benchmark, largest_instance):
     batch = engine_bench_batch()
     probabilities = np.random.default_rng(0).random((batch, engine_model.num_inputs))
     seed_grad = np.ones((batch, engine_model.num_outputs))
+    # The engine learns in float32 (the interpreter stays the float64
+    # reference); cast outside the timed region, as the GD loop casts once.
+    engine_probabilities = probabilities.astype(np.float32)
+    engine_seed_grad = seed_grad.astype(np.float32)
     program = engine_model.program  # compile outside the timed region
 
     # Keep the previous pass's cache alive across the reallocation, like the
@@ -110,8 +114,8 @@ def test_engine_vs_interpreter_throughput(benchmark, largest_instance):
     state = {}
 
     def engine_step():
-        outputs, state["cache"] = engine_forward(program, probabilities)
-        engine_backward(program, state["cache"], seed_grad)
+        outputs, state["cache"] = engine_forward(program, engine_probabilities)
+        engine_backward(program, state["cache"], engine_seed_grad)
 
     def interpreter_step():
         tensor = Tensor(probabilities, requires_grad=True)

@@ -61,8 +61,8 @@ BENCH_TRANSFORM_JSON = Path(__file__).resolve().parent.parent / "BENCH_transform
 COLD_INSTANCES = ["or-100-20-8-UC-10", "75-10-1-q", "s15850a_3_2", "Prod-8"]
 HEADLINE_INSTANCE = "s15850a_3_2"
 
-#: Stream-identity check configuration (fixed seed, NumPy backend).
-STREAM_CONFIG = dict(seed=1234, batch_size=64, iterations=30, array_backend="numpy")
+#: Stream-identity check configuration (fixed seed).
+STREAM_CONFIG = dict(seed=1234, batch_size=64, iterations=30)
 STREAM_SOLUTIONS = 32
 
 

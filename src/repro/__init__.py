@@ -9,11 +9,8 @@ Public API surface: the most common entry points are re-exported here.
 * :mod:`repro.engine` — the compiled levelized execution engine: the one
   evaluation path and the one gradient-descent loop of the differentiable
   circuit core
-* the float dtype policy — every hot path calls NumPy directly and follows
-  the dtype of its input arrays; the samplers pick ``float64`` (the bitwise
-  reference) or ``float32`` (the throughput policy) from
-  ``SamplerConfig(array_backend=...)``, ``REPRO_ARRAY_BACKEND`` or
-  ``--array-backend`` (spec ``numpy``, ``numpy:float64`` or ``numpy:float32``)
+* learning runs in ``float32`` on NumPy arrays, with no dtype option; the
+  ``float64`` reference lives in the test oracles
 * :func:`repro.clear_caches` — drop every memoised compiled artifact
 * :mod:`repro.native` — the on-demand C tier for the engine's hot loops,
   used exactly when it builds (``REPRO_NATIVE=off`` switches it off for the

@@ -47,21 +47,12 @@ from repro.circuit.bench_format import write_bench
 from repro.circuit.verilog import to_verilog
 from repro.cnf.dimacs import DimacsError, write_dimacs_file
 from repro.cnf.formula import CNF
-from repro.core.config import SamplerConfig, array_dtype
+from repro.core.config import SamplerConfig
 from repro.core.pipeline import load_formula, sample_cnf
 from repro.core.transform import transform_cnf
 from repro.eval.report import render_rows
 from repro.instances.registry import REGISTRY, get_instance
 from repro.io.solutions_io import write_solutions_file
-
-
-def _array_backend_spec(text: str) -> str:
-    """argparse ``type=`` for ``--array-backend``: reject bad specs with exit 2."""
-    try:
-        array_dtype(text)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error))
-    return text
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -82,12 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="GD learning rate (default 10, as in the paper)")
     sample.add_argument("--seed", type=int, default=0, help="random seed")
     sample.add_argument("--timeout", type=float, default=None, help="wall-clock budget in seconds")
-    sample.add_argument("--array-backend", default=None, metavar="SPEC",
-                        type=_array_backend_spec,
-                        help="float dtype of the learning arrays: 'numpy' (float64, "
-                             "the default), 'numpy:float64' or 'numpy:float32' — overrides the "
-                             "REPRO_ARRAY_BACKEND environment variable and the config "
-                             "(precedence: env < config < CLI)")
     sample.add_argument("-o", "--output", default=None,
                         help="write solutions (signed-literal lines) to this file")
     sample.add_argument("--project", action="append", type=int, default=None,
@@ -132,10 +117,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("manifest", help="jobs manifest: JSON array, {'jobs': [...]}, or JSONL")
     serve.add_argument("-w", "--workers", type=int, default=0,
                        help="worker processes (0 = run inline in this process, the default)")
-    serve.add_argument("--array-backend", default=None, metavar="SPEC",
-                       type=_array_backend_spec,
-                       help="default float dtype spec for jobs whose config names none "
-                            "(job configs may still override per job)")
     serve.add_argument("--cache-entries", type=int, default=8,
                        help="per-worker artifact-cache entry bound (default 8 formulas)")
     serve.add_argument("--cache-mb", type=float, default=256.0,
@@ -281,7 +262,6 @@ def _command_sample(arguments: argparse.Namespace) -> int:
         learning_rate=arguments.learning_rate,
         seed=arguments.seed,
         timeout_seconds=arguments.timeout,
-        array_backend=arguments.array_backend,
         store_dir=arguments.store_dir,
         telemetry=arguments.trace,
     )
@@ -400,7 +380,6 @@ def _command_serve(arguments: argparse.Namespace) -> int:
     try:
         with SamplingService(
             num_workers=arguments.workers,
-            array_backend=arguments.array_backend,
             cache_entries=arguments.cache_entries,
             cache_bytes=cache_bytes,
             store_dir=store_spec,

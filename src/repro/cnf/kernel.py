@@ -33,8 +33,7 @@ engine's compile-once design; :func:`clear_plan_caches` (surfaced as
 The plan is the one CNF evaluator: every caller — the sampler's
 validation, the baselines, the metrics — runs it.  The clause-loop original
 it replaced is the test oracle ``tests/oracles/cnf.py``.  The kernel is
-boolean, so the sampler's float dtype policy
-(``SamplerConfig.array_backend``) never reaches it.
+boolean; the sampler's ``float32`` learning arrays never reach it.
 """
 
 from __future__ import annotations

@@ -4,49 +4,18 @@ Defaults follow Section IV of the paper: plain gradient descent with learning
 rate 10, 5 iterations, and a batch size chosen per instance (the paper sweeps
 100 to 1,000,000; the default here is sized for CPU-hosted NumPy execution).
 
-Which engine tier runs the circuit (the on-demand C kernels or the NumPy
-paths, bitwise identical) is not a field here: the platform picks it, and
+Neither the float dtype nor the engine tier is a field here.  The learning
+arrays are always ``float32`` (:mod:`repro.engine.train`); the platform picks
+the tier (the on-demand C kernels or the NumPy paths, bitwise identical), and
 ``REPRO_NATIVE=off`` is the one process-wide switch (:mod:`repro.native`).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 from typing import Optional
 
-import numpy as np
-
 from repro.utils.validation import check_non_negative, check_positive
-
-#: Environment variable holding the process-default array-backend spec.
-ARRAY_BACKEND_ENV_VAR = "REPRO_ARRAY_BACKEND"
-
-#: The array-backend spec vocabulary and the float dtype each spec selects:
-#: ``float64`` is the bitwise reference, ``float32`` the reduced-precision
-#: throughput policy.  NumPy is the only array runtime.
-ARRAY_BACKEND_DTYPES = {
-    "numpy": np.dtype(np.float64),
-    "numpy:float64": np.dtype(np.float64),
-    "numpy:float32": np.dtype(np.float32),
-}
-
-
-def array_dtype(spec: Optional[str] = None) -> np.dtype:
-    """The float dtype an array-backend spec selects.
-
-    ``None`` resolves the process default: ``$REPRO_ARRAY_BACKEND``, else
-    ``"numpy"``.  Raises ``ValueError`` for a spec outside
-    :data:`ARRAY_BACKEND_DTYPES`.
-    """
-    if spec is None:
-        spec = os.environ.get(ARRAY_BACKEND_ENV_VAR, "numpy")
-    dtype = ARRAY_BACKEND_DTYPES.get(spec) if isinstance(spec, str) else None
-    if dtype is None:
-        raise ValueError(
-            f"unknown array backend {spec!r}; choose from {sorted(ARRAY_BACKEND_DTYPES)}"
-        )
-    return dtype
 
 
 @dataclass(frozen=True)
@@ -81,12 +50,6 @@ class SamplerConfig:
     #: instances sample a round as one vectorised step, their overshoot is
     #: that single step).
     timeout_seconds: Optional[float] = None
-    #: Array-backend spec ("numpy", "numpy:float64" or "numpy:float32")
-    #: selecting the float dtype of the sampler's learning arrays.  ``None``
-    #: falls back to the process default (``REPRO_ARRAY_BACKEND`` env or
-    #: "numpy") — precedence: environment < config < CLI (the CLI writes
-    #: this field, so it wins).
-    array_backend: Optional[str] = None
     #: Persistent artifact-store directory (:mod:`repro.store`) consulted by
     #: :func:`repro.core.pipeline.sample_cnf` before running the CNF->circuit
     #: transform, and populated after a cold build.  ``None`` defers to the
@@ -117,17 +80,6 @@ class SamplerConfig:
         if self.stall_rounds is not None and self.stall_rounds <= 0:
             raise ValueError("stall_rounds must be positive or None")
         check_non_negative("chunk_size", self.chunk_size)
-        if self.array_backend is not None:
-            array_dtype(self.array_backend)
-
-    def float_dtype(self) -> np.dtype:
-        """The float dtype the sampler's learning arrays use.
-
-        Precedence (weakest first): the ``REPRO_ARRAY_BACKEND`` environment
-        variable, else ``"numpy"``; then ``array_backend`` (which the CLI
-        flag ``--array-backend`` writes, so the CLI wins).
-        """
-        return array_dtype(self.array_backend)
 
     def with_(self, **overrides) -> "SamplerConfig":
         """Return a copy with the given fields replaced."""

@@ -33,14 +33,13 @@ rounds and for the Fig. 3 learning curve alike.  The tests pin its
 fixed-seed solution streams to the per-gate autodiff reference kept under
 ``tests/oracles/``.
 
-Orthogonally, ``SamplerConfig(array_backend=...)`` (or the
-``REPRO_ARRAY_BACKEND`` environment variable, or the CLI flag) selects the
-float dtype of the learning arrays: the sampler casts its initial draws and
-weight vectors to it once, and the GD loop follows the dtype of its input.
-Assembly, circuit simulation and CNF validation are boolean and unaffected.
-Candidate streams are reproducible: one seeded generator
-(:func:`repro.utils.rng.new_rng`) feeds every draw under every dtype, and
-:meth:`reset_rng` restarts it so a re-run reproduces a sampling run exactly.
+The learning arrays are ``float32``: the sampler draws its Gaussian
+initialisation (and adds any weight bias) in ``float64``, and the GD loop
+casts it once.  Weight vectors are never trained and stay ``float64``;
+assembly, circuit simulation and CNF validation are boolean.  Candidate
+streams are reproducible: one seeded generator
+(:func:`repro.utils.rng.new_rng`) feeds every draw, and :meth:`reset_rng`
+restarts it so a re-run reproduces a sampling run exactly.
 """
 
 from __future__ import annotations
@@ -53,11 +52,11 @@ import numpy as np
 
 from repro.cnf.formula import CNF
 from repro.core.config import SamplerConfig
-from repro.core.loss import target_matrix
 from repro.core.model import ProbabilisticCircuitModel
 from repro.core.solutions import SolutionSet
 from repro.core.task import DEFAULT_TASK, SamplingTask
 from repro.core.transform import TransformResult, transform_cnf
+from repro.engine.executor import float_array
 from repro.engine.train import descend
 from repro.engine.train import learn_batch as engine_learn_batch
 from repro.utils.rng import new_rng
@@ -173,7 +172,6 @@ class GradientSATSampler:
         self.formula = formula
         self.config = config or SamplerConfig()
         self.transform = transform if transform is not None else transform_cnf(formula)
-        self._dtype = self.config.float_dtype()
         self._rng = new_rng(self.config.seed)
         self._plan = self.transform.round_plan
         # The task shapes *how* this sampler counts and draws, not *what* it
@@ -355,13 +353,8 @@ class GradientSATSampler:
                 curve.append(len(solutions))
             return curve
 
-        soft_inputs = self._draw_initial_soft_inputs(batch)
-        steps = descend(
-            self.model.program,
-            soft_inputs,
-            target_matrix(batch, self.model.output_nets),
-            self.config,
-        )
+        soft_inputs = float_array(self._draw_initial_soft_inputs(batch))
+        steps = descend(self.model.program, soft_inputs, self.config)
         for iteration in range(max_iterations + 1):
             if iteration > 0:
                 soft_inputs, _ = next(steps)
@@ -372,7 +365,7 @@ class GradientSATSampler:
 
     # -- internals ------------------------------------------------------------------------
     def _init_weight_vectors(self) -> None:
-        """Precompute the per-variable weight vectors in the sampler's dtype.
+        """Precompute the per-variable weight vectors (``float64``).
 
         A weight ``p`` on variable ``v`` biases the sampler's *initialization*
         (never the loss): constrained inputs start their Gaussian ``V`` draw
@@ -395,19 +388,20 @@ class GradientSATSampler:
 
         bias = weights(self._plan.constrained_rows, logits, 0.0)
         if any(bias):
-            self._constrained_bias = np.asarray(bias, dtype=self._dtype)[np.newaxis, :]
+            self._constrained_bias = np.asarray(bias, dtype=np.float64)[np.newaxis, :]
         unconstrained = weights(self._plan.unconstrained_rows, probs, 0.5)
         if any(probability != 0.5 for probability in unconstrained):
-            self._unconstrained_probs = np.asarray(unconstrained, dtype=self._dtype)
+            self._unconstrained_probs = np.asarray(unconstrained, dtype=np.float64)
         free = weights(self._plan.free_rows, probs, 0.5)
         if any(probability != 0.5 for probability in free):
-            self._free_probs = np.asarray(free, dtype=self._dtype)
+            self._free_probs = np.asarray(free, dtype=np.float64)
 
     def _draw_initial_soft_inputs(self, batch_size: int) -> np.ndarray:
         """Draw the Gaussian initialisation of ``V`` for one chunk (Eq. 6 input).
 
-        The draw (and the weight bias) is summed in ``float64`` and then cast
-        to the sampler's dtype, so every dtype consumes the same stream.
+        The draw (and the weight bias) is summed in ``float64``; the GD loop
+        casts it to ``float32``, and the reference oracles under ``tests/``
+        learn from the same ``float64`` values.
         """
         assert self.model is not None
         draw = self._rng.normal(
@@ -415,7 +409,7 @@ class GradientSATSampler:
         )
         if self._constrained_bias is not None:
             draw = draw + self._constrained_bias
-        return draw.astype(self._dtype, copy=False)
+        return draw
 
     def _learn_constrained_inputs(
         self,
@@ -431,11 +425,9 @@ class GradientSATSampler:
         truncating the batch to the rows actually learned when either fires.
         """
         assert self.model is not None
-        targets = target_matrix(batch_size, self.model.output_nets)
         return engine_learn_batch(
             self.model.program,
             batch_size,
-            targets,
             self.config,
             self._draw_initial_soft_inputs,
             deadline,

@@ -4,8 +4,8 @@ The value state of one execution is a dense ``(num_slots, batch)`` matrix —
 slot-major so that every fused block writes a *contiguous* row range with one
 fused array statement.  Three execution modes share the one program:
 
-* :func:`forward` / :func:`backward` — the probabilistic relaxation in the
-  float dtype of the input probabilities with a hand-written reverse pass.  The closed-form
+* :func:`forward` / :func:`backward` — the probabilistic relaxation in
+  ``float32`` with a hand-written reverse pass.  The closed-form
   adjoints of the three primitive ops are all the engine needs (Table I's
   derivatives compose out of them): ``MUL`` routes ``g*b`` / ``g*a``, ``ADD``
   routes ``g`` twice and ``NOT`` routes ``-g``.  No autodiff tape, no
@@ -15,11 +15,11 @@ fused array statement.  Three execution modes share the one program:
 * :func:`execute_packed` — 64 samples per ``uint64`` word, the classic
   bit-parallel simulation mode.
 
-The float modes follow the dtype of their input (non-float input runs in
-``float64``), so the same compiled program runs under the ``float64``
-reference policy or the ``numpy:float32`` throughput policy.  When the
-native C tier is available (:mod:`repro.native`), every mode runs its op
-stream there instead of the per-block array statements.
+The float modes cast their input to ``float32``, the one dtype of the
+learning arrays; the ``float64`` reference is the per-gate oracle under
+``tests/oracles/``.  When the native C tier is available
+(:mod:`repro.native`), every mode runs its op stream there instead of the
+per-block array statements.
 
 ``ADD`` appearing only in XOR chains (disjoint operands) is what makes the
 ``|`` / bitwise interpretations exact — see :mod:`repro.engine.program`.
@@ -33,33 +33,21 @@ import numpy as np
 
 from repro.engine.program import OP_ADD, OP_MUL, OP_NOT, CompiledProgram
 
-#: Float dtypes the native engine kernels cover.
-_NATIVE_FLOAT_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
-
 #: All-ones packed word (the packed ``NOT`` mask and constant-1 lanes).
 _ONES_U64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 def float_array(data) -> np.ndarray:
-    """``data`` as a float NumPy array (a view when no conversion is needed).
-
-    Float input keeps its dtype; any other input (bool, int, Python
-    sequences of ints) becomes ``float64``.
-    """
-    array = np.asarray(data)
-    return array if array.dtype.kind == "f" else array.astype(np.float64)
+    """``data`` as a ``float32`` NumPy array (``data`` itself when it is one)."""
+    return np.asarray(data, dtype=np.float32)
 
 
-def _native_kernels(float_dtype=None):
+def _native_kernels():
     """The native kernel set to engage for an execution, or ``None``.
 
     Native execution engages exactly when the C tier builds (and
-    ``REPRO_NATIVE`` is not ``off``; see :mod:`repro.native`).  Float
-    executions engage it only for the ``float_dtype`` values the C kernels
-    cover.
+    ``REPRO_NATIVE`` is not ``off``; see :mod:`repro.native`).
     """
-    if float_dtype is not None and float_dtype not in _NATIVE_FLOAT_DTYPES:
-        return None
     from repro import native
 
     return native.kernels_for(None)
@@ -110,8 +98,7 @@ def forward(program: CompiledProgram, probabilities) -> Tuple[object, ForwardCac
 
     Returns ``(outputs, cache)`` where ``outputs`` is the ``(batch, m)``
     output-probability matrix and ``cache`` the forward state the caller
-    keeps alive if it intends to run :func:`backward`.  Runs in the float
-    dtype of ``probabilities`` (``float64`` for non-float input).
+    keeps alive if it intends to run :func:`backward`.  Runs in ``float32``.
     """
     probabilities = float_array(probabilities)
     if probabilities.ndim != 2 or probabilities.shape[1] != program.input_width:
@@ -120,10 +107,10 @@ def forward(program: CompiledProgram, probabilities) -> Tuple[object, ForwardCac
             f"got {tuple(probabilities.shape)}"
         )
     batch = probabilities.shape[0]
-    values = _base_values(program, batch, probabilities.dtype, 0.0, 1.0)
+    values = _base_values(program, batch, np.float32, 0.0, 1.0)
     if program.num_inputs:
         values[: program.num_inputs] = probabilities.T[program.input_columns]
-    kernels = _native_kernels(probabilities.dtype)
+    kernels = _native_kernels()
     if kernels is not None:
         # One C pass over the flat op stream; elementwise per op, so
         # bitwise identical to the fused block path below.
@@ -158,10 +145,10 @@ def backward(
     ``output_grads`` is ``(batch, m)`` like the forward outputs; the result
     has the caller's input-matrix shape ``(batch, input_width)`` with zeros in
     columns outside the cone (the per-gate reference's scatter semantics).
-    Runs in the float dtype of the forward pass that produced ``cache``.
+    Runs in ``float32``, like the forward pass that produced ``cache``.
     """
     values = cache.values
-    output_grads = np.asarray(output_grads, dtype=values.dtype)
+    output_grads = float_array(output_grads)
     batch = values.shape[1]
     if tuple(output_grads.shape) != (batch, len(program.output_nets)):
         raise ValueError(
@@ -171,11 +158,11 @@ def backward(
     grads = np.zeros_like(values)
     program.output_plan.scatter(grads, output_grads.T)
     if isinstance(cache, NativeForwardCache):
-        # Sequential per-op reverse accumulation; matches the block path
-        # within the engine's 1e-10 gradient contract (NumPy's scatter
-        # reductions use platform-dependent accumulation orders).
+        # Sequential per-op reverse accumulation; matches the block path up
+        # to accumulation order (NumPy's scatter reductions use
+        # platform-dependent accumulation orders).
         cache.kernels.engine_backward(program, values, grads)
-        input_grads = np.zeros((batch, program.input_width), dtype=values.dtype)
+        input_grads = np.zeros((batch, program.input_width), dtype=np.float32)
         if program.num_inputs:
             input_grads[:, program.input_columns] = grads[: program.num_inputs].T
         return input_grads
@@ -191,7 +178,7 @@ def backward(
             block.b_plan.scatter(grads, g)
         else:  # OP_NOT
             block.a_plan.scatter(grads, -g)
-    input_grads = np.zeros((batch, program.input_width), dtype=values.dtype)
+    input_grads = np.zeros((batch, program.input_width), dtype=np.float32)
     if program.num_inputs:
         input_grads[:, program.input_columns] = grads[: program.num_inputs].T
     return input_grads

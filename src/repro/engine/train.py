@@ -10,8 +10,9 @@ the Fig. 3 learning curve run it.
 Every arithmetic step reproduces, bit for bit, the per-gate autodiff walk
 the engine replaced (kept as the reference oracle under ``tests/oracles/``):
 
-* the loss gradient is ``d + d`` with ``d = Y - T`` (how a tape's
-  ``square = mul(x, x)`` accumulates its two branches);
+* the loss gradient is ``d + d`` with ``d = Y - 1`` (how a tape's
+  ``square = mul(x, x)`` accumulates its two branches; every target of
+  Eq. 8 is 1, so the loop subtracts the scalar instead of a target matrix);
 * the sigmoid adjoint multiplies left to right (``(dP * P) * (1 - P)``);
 * :class:`SGD` and :class:`Adam` update the parameter array with the
   reference optimizers' arithmetic, in the same order.
@@ -21,10 +22,11 @@ of ``config.chunk_size`` rows (0 = the whole batch as one launch) and each
 span runs the full compiled loop — same semantics as the reference's
 Python-sliced path, same RNG consumption order.
 
-The loop runs in the float dtype of the initial soft inputs: the sampler
-casts its draws to the dtype its config resolves (``float64`` reference or
-``float32`` throughput policy), and the targets, the compiled passes and the
-optimizer state follow it.
+The loop runs in ``float32``: the initial soft inputs are cast once (the
+sampler draws them in ``float64``, so the random stream is the reference
+oracle's), and the compiled passes and the optimizer state follow them.
+Under NumPy's weak Python scalars, ``Y - 1.0`` and the optimizer constants
+stay ``float32``.
 """
 
 from __future__ import annotations
@@ -90,34 +92,28 @@ OPTIMIZERS = {"sgd": SGD, "adam": Adam}
 
 
 def sigmoid_embedding(soft_inputs):
-    """Eq. 6: ``P = sigma(V)``.
-
-    Runs in the float dtype of ``soft_inputs`` (``float64`` for non-float
-    input).
-    """
+    """Eq. 6: ``P = sigma(V)``, in ``float32``."""
     return 1.0 / (1.0 + np.exp(-float_array(soft_inputs)))
 
 
 def descend(
     program: CompiledProgram,
     initial_soft_inputs,
-    targets,
     config: "SamplerConfig",
 ) -> Iterator[Tuple[np.ndarray, float]]:
     """Gradient descent from ``initial_soft_inputs``, one step per ``next()``.
 
     Each step yields the updated soft inputs ``V`` and the Eq. 8 loss
-    evaluated *before* the update.  One optimizer (``config.optimizer`` at
-    ``config.learning_rate``) carries its state across the steps.  Runs in
-    the float dtype of ``initial_soft_inputs``; ``targets`` are cast to it.
+    (against the all-ones target) evaluated *before* the update.  One
+    optimizer (``config.optimizer`` at ``config.learning_rate``) carries its
+    state across the steps.  Runs in ``float32``.
     """
     soft_inputs = float_array(initial_soft_inputs)
-    targets = np.asarray(targets, dtype=soft_inputs.dtype)
     optimizer = OPTIMIZERS[config.optimizer](config.learning_rate)
     while True:
         probabilities = sigmoid_embedding(soft_inputs)
         outputs, cache = forward(program, probabilities)
-        difference = outputs - targets
+        difference = outputs - 1.0
         loss = float((difference * difference).sum())
         input_grads = backward(program, cache, difference + difference)
         grad = input_grads * probabilities * (1.0 - probabilities)
@@ -128,7 +124,6 @@ def descend(
 def learn_chunk(
     program: CompiledProgram,
     initial_soft_inputs,
-    targets,
     config: "SamplerConfig",
     deadline: Optional[float] = None,
     should_stop: Optional[Callable[[], bool]] = None,
@@ -145,11 +140,10 @@ def learn_chunk(
     external scheduler — the portfolio scheduler of :mod:`repro.serve` in
     particular — can retire a chunk mid-flight.  Returns the thresholded
     hard bits (``V > 0``), the loss history, and whether the deadline or the
-    stop hook cut the chunk short.  The chunk runs in the float dtype of
-    ``initial_soft_inputs``; ``targets`` are cast to it.
+    stop hook cut the chunk short.
     """
     soft_inputs = float_array(initial_soft_inputs)
-    steps = descend(program, soft_inputs, targets, config)
+    steps = descend(program, soft_inputs, config)
     loss_history: List[float] = []
     halted = False
     for _ in range(config.iterations):
@@ -169,7 +163,6 @@ def learn_chunk(
 def learn_batch(
     program: CompiledProgram,
     batch_size: int,
-    targets,
     config: "SamplerConfig",
     draw_initial: Callable[[int], object],
     deadline: Optional[float] = None,
@@ -207,7 +200,6 @@ def learn_batch(
             chunk_hard, chunk_losses, chunk_halted = learn_chunk(
                 program,
                 draw_initial(stop - start),
-                targets[start:stop],
                 config,
                 deadline,
                 should_stop,

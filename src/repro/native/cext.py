@@ -3,9 +3,10 @@
 The hot loop NumPy cannot fuse — the engine's per-slot op dispatch — is a
 handful of small, dependency-free C functions.  Rather than shipping a build
 step, the source below is compiled *on first use* into a shared library
-(``cc -O3 -fPIC -shared``) under a per-user cache directory keyed by the
-source hash, then loaded with :mod:`ctypes`.  A repeat process with the same
-source finds the library on disk and pays nothing; the one-time build cost is recorded in
+(``cc`` with :data:`COMPILE_FLAGS`) under a per-user cache directory, named
+by a hash of the source *and* the flags, then loaded with :mod:`ctypes`.  A
+repeat process with the same source and flags finds the library on disk and
+pays nothing; the one-time build cost is recorded in
 :func:`repro.native.compile_seconds` so benchmarks and the serving layer can
 report cold-vs-warm numbers honestly.
 
@@ -24,11 +25,12 @@ all degrade to "tier unavailable"
 
 Kernel inventory (all operate on caller-allocated C-contiguous buffers):
 
-* ``repro_engine_forward_/backward_f64/f32`` — the levelized program as one
-  C loop over flat per-op arrays; forward is elementwise and therefore
-  bitwise identical to the NumPy block path, backward accumulates operand
-  gradients sequentially per op (covered by the engine's 1e-10 gradient
-  contract — NumPy's ``reduceat`` uses platform-dependent reduction trees).
+* ``repro_engine_forward`` / ``repro_engine_backward`` — the levelized
+  ``float32`` program as one C loop over flat per-op arrays; forward is
+  elementwise and therefore bitwise identical to the NumPy block path
+  (``-ffp-contract=off`` keeps any toolchain from fusing a multiply-add),
+  backward accumulates operand gradients sequentially per op (NumPy's
+  scatter reductions use platform-dependent accumulation orders).
 * ``repro_engine_execute_bool`` / ``_packed`` — the boolean and bit-parallel
   execution modes of the same program.
 """
@@ -57,6 +59,11 @@ _COMPILE_SECONDS_METRIC = obs.counter(
 #: Environment variable overriding where compiled libraries are cached.
 CACHE_DIR_ENV_VAR = "REPRO_NATIVE_CACHE_DIR"
 
+#: Compiler flags of the build.  ``-ffp-contract=off`` forbids fused
+#: multiply-adds, which would round differently from NumPy's separate
+#: multiply and add.  The library name hashes these flags with the source.
+COMPILE_FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+
 C_SOURCE = r"""
 #include <stdint.h>
 
@@ -66,62 +73,56 @@ C_SOURCE = r"""
    arrays index rows of it.  Operand rows always precede output rows, so the
    single in-order pass reproduces the levelized block schedule exactly.      */
 
-#define ENGINE_FORWARD(NAME, T)                                                \
-void NAME(T *values, int64_t batch, int64_t nops, const uint8_t *opc,          \
-          const int32_t *a, const int32_t *b, const int32_t *o)                \
-{                                                                              \
-    for (int64_t i = 0; i < nops; ++i) {                                       \
-        T *out = values + (int64_t)o[i] * batch;                               \
-        const T *pa = values + (int64_t)a[i] * batch;                          \
-        if (opc[i] == 0) {                                                     \
-            const T *pb = values + (int64_t)b[i] * batch;                      \
-            for (int64_t j = 0; j < batch; ++j)                                \
-                out[j] = pa[j] * pb[j];                                        \
-        } else if (opc[i] == 1) {                                              \
-            const T *pb = values + (int64_t)b[i] * batch;                      \
-            for (int64_t j = 0; j < batch; ++j)                                \
-                out[j] = pa[j] + pb[j];                                        \
-        } else {                                                               \
-            for (int64_t j = 0; j < batch; ++j)                                \
-                out[j] = (T)1 - pa[j];                                         \
-        }                                                                      \
-    }                                                                          \
+void repro_engine_forward(float *values, int64_t batch, int64_t nops,
+                          const uint8_t *opc, const int32_t *a,
+                          const int32_t *b, const int32_t *o)
+{
+    for (int64_t i = 0; i < nops; ++i) {
+        float *out = values + (int64_t)o[i] * batch;
+        const float *pa = values + (int64_t)a[i] * batch;
+        if (opc[i] == 0) {
+            const float *pb = values + (int64_t)b[i] * batch;
+            for (int64_t j = 0; j < batch; ++j)
+                out[j] = pa[j] * pb[j];
+        } else if (opc[i] == 1) {
+            const float *pb = values + (int64_t)b[i] * batch;
+            for (int64_t j = 0; j < batch; ++j)
+                out[j] = pa[j] + pb[j];
+        } else {
+            for (int64_t j = 0; j < batch; ++j)
+                out[j] = 1.0f - pa[j];
+        }
+    }
 }
 
-ENGINE_FORWARD(repro_engine_forward_f64, double)
-ENGINE_FORWARD(repro_engine_forward_f32, float)
-
-#define ENGINE_BACKWARD(NAME, T)                                               \
-void NAME(const T *values, T *grads, int64_t batch, int64_t nops,              \
-          const uint8_t *opc, const int32_t *a, const int32_t *b,              \
-          const int32_t *o)                                                    \
-{                                                                              \
-    for (int64_t i = nops - 1; i >= 0; --i) {                                  \
-        const T *g = grads + (int64_t)o[i] * batch;                            \
-        T *ga = grads + (int64_t)a[i] * batch;                                 \
-        if (opc[i] == 0) {                                                     \
-            T *gb = grads + (int64_t)b[i] * batch;                             \
-            const T *va = values + (int64_t)a[i] * batch;                      \
-            const T *vb = values + (int64_t)b[i] * batch;                      \
-            for (int64_t j = 0; j < batch; ++j) {                              \
-                ga[j] += g[j] * vb[j];                                         \
-                gb[j] += g[j] * va[j];                                         \
-            }                                                                  \
-        } else if (opc[i] == 1) {                                              \
-            T *gb = grads + (int64_t)b[i] * batch;                             \
-            for (int64_t j = 0; j < batch; ++j) {                              \
-                ga[j] += g[j];                                                 \
-                gb[j] += g[j];                                                 \
-            }                                                                  \
-        } else {                                                               \
-            for (int64_t j = 0; j < batch; ++j)                                \
-                ga[j] -= g[j];                                                 \
-        }                                                                      \
-    }                                                                          \
+void repro_engine_backward(const float *values, float *grads, int64_t batch,
+                           int64_t nops, const uint8_t *opc,
+                           const int32_t *a, const int32_t *b,
+                           const int32_t *o)
+{
+    for (int64_t i = nops - 1; i >= 0; --i) {
+        const float *g = grads + (int64_t)o[i] * batch;
+        float *ga = grads + (int64_t)a[i] * batch;
+        if (opc[i] == 0) {
+            float *gb = grads + (int64_t)b[i] * batch;
+            const float *va = values + (int64_t)a[i] * batch;
+            const float *vb = values + (int64_t)b[i] * batch;
+            for (int64_t j = 0; j < batch; ++j) {
+                ga[j] += g[j] * vb[j];
+                gb[j] += g[j] * va[j];
+            }
+        } else if (opc[i] == 1) {
+            float *gb = grads + (int64_t)b[i] * batch;
+            for (int64_t j = 0; j < batch; ++j) {
+                ga[j] += g[j];
+                gb[j] += g[j];
+            }
+        } else {
+            for (int64_t j = 0; j < batch; ++j)
+                ga[j] -= g[j];
+        }
+    }
 }
-
-ENGINE_BACKWARD(repro_engine_backward_f64, double)
-ENGINE_BACKWARD(repro_engine_backward_f32, float)
 
 void repro_engine_execute_bool(uint8_t *values, int64_t batch, int64_t nops,
                                const uint8_t *opc, const int32_t *a,
@@ -239,23 +240,14 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     p_u8 = ctypes.POINTER(ctypes.c_uint8)
     p_u64 = ctypes.POINTER(ctypes.c_uint64)
     p_i32 = ctypes.POINTER(ctypes.c_int32)
-    p_f64 = ctypes.POINTER(ctypes.c_double)
     p_f32 = ctypes.POINTER(ctypes.c_float)
     i64 = ctypes.c_int64
-    for name, p_t in (
-        ("repro_engine_forward_f64", p_f64),
-        ("repro_engine_forward_f32", p_f32),
-    ):
-        fn = getattr(lib, name)
-        fn.argtypes = [p_t, i64, i64, p_u8, p_i32, p_i32, p_i32]
-        fn.restype = None
-    for name, p_t in (
-        ("repro_engine_backward_f64", p_f64),
-        ("repro_engine_backward_f32", p_f32),
-    ):
-        fn = getattr(lib, name)
-        fn.argtypes = [p_t, p_t, i64, i64, p_u8, p_i32, p_i32, p_i32]
-        fn.restype = None
+    lib.repro_engine_forward.argtypes = [p_f32, i64, i64, p_u8, p_i32, p_i32, p_i32]
+    lib.repro_engine_forward.restype = None
+    lib.repro_engine_backward.argtypes = [
+        p_f32, p_f32, i64, i64, p_u8, p_i32, p_i32, p_i32,
+    ]
+    lib.repro_engine_backward.restype = None
     lib.repro_engine_execute_bool.argtypes = [p_u8, i64, i64, p_u8, p_i32, p_i32, p_i32]
     lib.repro_engine_execute_bool.restype = None
     lib.repro_engine_execute_packed.argtypes = [
@@ -265,6 +257,16 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     return lib
 
 
+def library_stem() -> str:
+    """The cached library's file stem: a hash of the source and the flags.
+
+    A flag change therefore names a new library instead of loading one a
+    different command line built.
+    """
+    key = "\0".join((C_SOURCE, *COMPILE_FLAGS))
+    return f"repronative_{hashlib.sha256(key.encode()).hexdigest()[:16]}"
+
+
 def _build_library() -> ctypes.CDLL:
     global _compile_seconds
     compiler = _find_compiler()
@@ -272,17 +274,17 @@ def _build_library() -> ctypes.CDLL:
         raise BackendUnavailableError(
             "native C tier unavailable: no C compiler (cc/gcc/clang) on PATH"
         )
-    digest = hashlib.sha256(C_SOURCE.encode()).hexdigest()[:16]
+    stem = library_stem()
     cache_dir = _private_cache_dir()
-    library_path = cache_dir / f"repronative_{digest}.so"
+    library_path = cache_dir / f"{stem}.so"
     if not library_path.exists():
         start = time.perf_counter()
-        source_path = cache_dir / f"repronative_{digest}.c"
+        source_path = cache_dir / f"{stem}.c"
         source_path.write_text(C_SOURCE)
         # Build into a temp name then rename: concurrent processes racing the
         # build each produce a complete library and the rename is atomic.
-        scratch = cache_dir / f"repronative_{digest}.{os.getpid()}.so"
-        command = [compiler, "-O3", "-fPIC", "-shared", "-o", str(scratch), str(source_path)]
+        scratch = cache_dir / f"{stem}.{os.getpid()}.so"
+        command = [compiler, *COMPILE_FLAGS, "-o", str(scratch), str(source_path)]
         result = subprocess.run(command, capture_output=True, text=True)
         if result.returncode != 0:
             raise BackendUnavailableError(

@@ -12,8 +12,8 @@ flat C-contiguous buffers; this module owns everything above them:
   :func:`repro.clear_caches`) can strip it process-wide;
 * the :class:`NativeKernels` class the engine executor calls.  Its methods
   take compiled programs and host NumPy arrays and work in place,
-  bitwise-identical to the NumPy executor paths (gradients: within the
-  engine's 1e-10 accumulation-order contract).
+  bitwise-identical to the NumPy executor paths (gradients: up to the
+  accumulation order of operand gradients).
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ class NativeKernels:
     """The C tier's engine kernels behind a program-level API.
 
     The methods take compiled programs and host NumPy slot matrices, do the
-    marshalling (flat per-op arrays, dtype dispatch, pointer views) and call
+    marshalling (flat per-op arrays, pointer views) and call
     the compiled library through :mod:`ctypes`.
     """
 
@@ -120,24 +120,18 @@ class NativeKernels:
         )
 
     def engine_forward(self, program, values) -> None:
-        """Run the op stream in place over the ``(slots, batch)`` float matrix."""
+        """Run the op stream in place over the ``(slots, batch)`` float32 matrix."""
         state = engine_native_state(program)
-        if values.dtype == np.float64:
-            fn, ctype = self._lib.repro_engine_forward_f64, ctypes.c_double
-        else:
-            fn, ctype = self._lib.repro_engine_forward_f32, ctypes.c_float
-        fn(_ptr(values, ctype), values.shape[1], *self._program_args(state))
+        self._lib.repro_engine_forward(
+            _ptr(values, ctypes.c_float), values.shape[1], *self._program_args(state)
+        )
 
     def engine_backward(self, program, values, grads) -> None:
-        """Accumulate operand gradients in place (reverse op order)."""
+        """Accumulate float32 operand gradients in place (reverse op order)."""
         state = engine_native_state(program)
-        if values.dtype == np.float64:
-            fn, ctype = self._lib.repro_engine_backward_f64, ctypes.c_double
-        else:
-            fn, ctype = self._lib.repro_engine_backward_f32, ctypes.c_float
-        fn(
-            _ptr(values, ctype),
-            _ptr(grads, ctype),
+        self._lib.repro_engine_backward(
+            _ptr(values, ctypes.c_float),
+            _ptr(grads, ctypes.c_float),
             values.shape[1],
             *self._program_args(state),
         )

@@ -27,9 +27,9 @@ or JSON Lines (one job object per line).  Job object keys:
 ``config``
     :class:`SamplerConfig` field overrides — ``batch_size``, ``iterations``,
     ``learning_rate``, ``optimizer``, ``init_scale``, ``seed``,
-    ``max_rounds``, ``stall_rounds``, ``timeout_seconds``,
-    ``array_backend``, ``telemetry`` and ``chunk_size``.  Any other key is
-    a :class:`ManifestError` naming it.
+    ``max_rounds``, ``stall_rounds``, ``timeout_seconds``, ``telemetry``
+    and ``chunk_size``.  Any other key is a :class:`ManifestError` naming
+    it.
 ``portfolio``
     Either an integer N (N members with seeds ``seed .. seed+N-1``) or a
     list of config-override objects, one per member.
@@ -91,7 +91,6 @@ CONFIG_FIELDS = (
     "max_rounds",
     "stall_rounds",
     "timeout_seconds",
-    "array_backend",
     "telemetry",
     "chunk_size",
 )
@@ -189,7 +188,6 @@ def config_to_dict(config: SamplerConfig) -> Dict[str, object]:
         "max_rounds": config.max_rounds,
         "stall_rounds": config.stall_rounds,
         "timeout_seconds": config.timeout_seconds,
-        "array_backend": config.array_backend,
         "telemetry": config.telemetry,
         "chunk_size": config.chunk_size,
     }

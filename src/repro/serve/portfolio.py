@@ -21,8 +21,8 @@ Semantics pinned down here:
   their next deadline check point); their partial batches still count.
 * :func:`merge_member_solutions` — members merge **in member-index order**
   through :meth:`SolutionSet.add_batch`, whatever order they finished in.
-  Dedup is exact (packed-row identity), and for a fixed (seed, array backend,
-  worker-count) tuple the merged set is bitwise-reproducible whenever
+  Dedup is exact (packed-row identity), and for a fixed (seed, worker-count)
+  pair the merged set is bitwise-reproducible whenever
   member execution is deterministic — in particular always for the inline
   and single-worker services, where members run in a fixed sequential
   order.

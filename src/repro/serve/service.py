@@ -29,7 +29,7 @@ What the service layer adds over calling the sampler directly:
 
 Determinism: with ``num_workers`` of 0 or 1, tasks execute sequentially in
 a fixed order, so job results — portfolio merges included — are
-bitwise-reproducible for a fixed (seed, array backend, worker-count) tuple.  With
+bitwise-reproducible for a fixed (seed, worker-count) pair.  With
 more workers, per-member sampling is still seed-deterministic; only
 cancellation timing (how much a losing member contributes before it stops)
 varies with scheduling.
@@ -66,7 +66,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 import numpy as np
 
 from repro.cnf.formula import CNF
-from repro.core.config import SamplerConfig, array_dtype
+from repro.core.config import SamplerConfig
 from repro.core.signatures import formula_signature
 from repro.core.solutions import SolutionSet
 from repro.core.task import SamplingTask
@@ -238,7 +238,7 @@ class _WorkerHandle:
     """One spawned worker process (a given incarnation of its slot) and its
     task/cancel queues."""
 
-    def __init__(self, context, worker_id, result_queue, backend_spec,
+    def __init__(self, context, worker_id, result_queue,
                  cache_entries, cache_bytes, store_dir,
                  incarnation: int = 0, faults_spec: Optional[str] = None) -> None:
         self.worker_id = worker_id
@@ -255,7 +255,6 @@ class _WorkerHandle:
                 self.task_queue,
                 result_queue,
                 self.cancel_queue,
-                backend_spec,
                 cache_entries,
                 cache_bytes,
                 store_dir,
@@ -276,12 +275,6 @@ class SamplingService:
     num_workers:
         0 runs every task inline in this process (deterministic, no
         subprocesses); N >= 1 starts N ``spawn`` worker processes.
-    array_backend:
-        Default array-backend spec (``"numpy"``, ``"numpy:float32"``, ...)
-        for tasks whose config names none, inline and pooled alike; tasks
-        whose config names a backend keep their own choice.  ``None`` leaves
-        the process default (``REPRO_ARRAY_BACKEND``).  A bad spec raises
-        ``ValueError`` here.
     cache_entries / cache_bytes:
         Bounds of each worker's formula-keyed artifact cache (LRU over
         entry count *and* total compiled bytes).
@@ -329,7 +322,6 @@ class SamplingService:
         self,
         num_workers: int = 0,
         *,
-        array_backend: Optional[str] = None,
         cache_entries: int = DEFAULT_MAX_ENTRIES,
         cache_bytes: Optional[int] = DEFAULT_MAX_BYTES,
         store_dir: Union[None, bool, str, Path] = None,
@@ -342,12 +334,9 @@ class SamplingService:
     ) -> None:
         if num_workers < 0:
             raise ValueError(f"num_workers must be non-negative, got {num_workers}")
-        if array_backend is not None:
-            array_dtype(array_backend)  # vocabulary check
         from repro.store import resolve_store_dir
 
         self.num_workers = num_workers
-        self.array_backend = array_backend
         resolved_store = resolve_store_dir(store_dir)
         self.store_dir: Optional[str] = (
             str(resolved_store) if resolved_store is not None else None
@@ -414,8 +403,7 @@ class SamplingService:
             self._supervisor = WorkerSupervisor(num_workers, restart_policy)
             self._workers = [
                 _WorkerHandle(
-                    context, worker_id, self._result_queue, array_backend,
-                    cache_entries, cache_bytes, self.store_dir,
+                    context, worker_id, self._result_queue, cache_entries, cache_bytes, self.store_dir,
                     incarnation=0, faults_spec=faults,
                 )
                 for worker_id in range(num_workers)
@@ -830,7 +818,6 @@ class SamplingService:
                 "seed": config.seed,
                 "learning_rate": config.learning_rate,
                 "batch_size": config.batch_size,
-                "array_backend": config.array_backend,
                 "unique_solutions": len(task_state.solutions),
                 "worker": task_state.worker,
             }
@@ -1075,7 +1062,6 @@ class SamplingService:
                     should_stop=lambda: state.cancelled or self._drain_requested,
                     emit=self._handle_message,
                     worker_id=0,
-                    array_backend=self.array_backend,
                 )
 
     def _skip_task(
@@ -1329,8 +1315,7 @@ class SamplingService:
     def _respawn(self, slot: int) -> None:
         incarnation = self._supervisor.record_respawn(slot)
         handle = _WorkerHandle(
-            self._context, slot, self._result_queue, self.array_backend,
-            self._cache_entries, self._cache_bytes, self.store_dir,
+            self._context, slot, self._result_queue, self._cache_entries, self._cache_bytes, self.store_dir,
             incarnation=incarnation, faults_spec=self._faults_spec,
         )
         self._workers[slot] = handle

@@ -13,8 +13,7 @@ share:
   presence of threaded native libraries and makes the pool behave
   identically on every platform.
 
-Tasks whose config names no array backend run under the service's default
-(applied in :func:`execute_task`, so inline and pooled runs agree).  Each
+Inline and pooled runs share :func:`execute_task`, so they agree.  Each
 worker owns one :class:`~repro.serve.cache.ArtifactCache`, so consecutive
 tasks on the same
 formula reuse the memoised transform, engine program and CNF plan across
@@ -77,13 +76,11 @@ def execute_task(
     emit: Callable[[str, Tuple, Dict[str, object]], None],
     worker_id: int = 0,
     snapshot_telemetry: bool = False,
-    array_backend: Optional[str] = None,
 ) -> None:
     """Run one sampling task and emit its round/done/error messages.
 
     Never raises: failures are reported as an ``"error"`` message so a bad
-    job cannot take its worker down.  ``array_backend`` is the service's
-    default spec, applied when the task config names none.
+    job cannot take its worker down.
 
     Telemetry: a ``task["trace"]`` flag turns on ring-only tracing in this
     process (workers never open trace files — the service owns the trace
@@ -160,8 +157,6 @@ def execute_task(
         else:
             artifact_source = artifact.source
         config = config_from_dict(task["config"])
-        if config.array_backend is None and array_backend is not None:
-            config = config.with_(array_backend=array_backend)
         sampler = GradientSATSampler(
             artifact.formula,
             transform=artifact.transform,
@@ -244,7 +239,6 @@ def worker_main(
     task_queue,
     result_queue,
     cancel_queue,
-    backend_spec: Optional[str],
     cache_entries: int = DEFAULT_MAX_ENTRIES,
     cache_bytes: Optional[int] = DEFAULT_MAX_BYTES,
     store_dir: Optional[str] = None,
@@ -321,7 +315,4 @@ def worker_main(
             drain_cancellations()
             return group in cancelled_groups
 
-        execute_task(
-            task, cache, should_stop, emit, worker_id, snapshot_telemetry=True,
-            array_backend=backend_spec,
-        )
+        execute_task(task, cache, should_stop, emit, worker_id, snapshot_telemetry=True)

@@ -29,10 +29,10 @@ class TestValidation:
             {"optimizer": "rmsprop"},
             {"timeout_seconds": 0.0},
             {"stall_rounds": 0},
-            {"array_backend": "numpy:float16"},
+            {"learning_rate": -10.0},
             {"timeout_seconds": -1.0},
-            {"array_backend": "torch"},
-            {"array_backend": "cupy"},
+            {"init_scale": -1.0},
+            {"stall_rounds": -2},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -50,6 +50,12 @@ class TestValidation:
         # Chunking is the chunk_size field; there is no device object.
         with pytest.raises(TypeError, match="device"):
             SamplerConfig(device=value)
+
+    @pytest.mark.parametrize("value", [None, "numpy", "numpy:float32", "numpy:float64"])
+    def test_removed_array_backend_field_rejected(self, value):
+        # Learning always runs in float32; no config field picks a dtype.
+        with pytest.raises(TypeError, match="array_backend"):
+            SamplerConfig(array_backend=value)
 
     def test_negative_chunk_size_names_the_field(self):
         with pytest.raises(ValueError, match="chunk_size"):

@@ -1,12 +1,11 @@
-"""Tests for loss construction: ``repro.core.loss.target_matrix``, and the
-reference Eq. 8 loss of the interpreter oracle (the engine's own loss and
-gradient are pinned to it in ``tests/engine/test_train.py``)."""
+"""Tests for the interpreter oracle's Eq. 8 loss and its all-ones target
+matrix (the engine's own loss and gradient, ``Y - 1`` against the scalar
+target, are pinned to them in ``tests/engine/test_train.py``)."""
 
 import numpy as np
 import pytest
 
-from repro.core.loss import target_matrix
-from tests.oracles.interpreter import regression_loss
+from tests.oracles.interpreter import regression_loss, target_matrix
 from tests.oracles.tensor.tensor import Tensor
 
 

@@ -5,9 +5,10 @@ draws and the simulated defined variables through the transform's round
 plan into variable-major rows.  These tests pin it, bit for bit, to the
 original batch-major assembly kept in :mod:`tests.oracles.completion`
 (per-column scatter, name-dict ``simulate``, clause-loop CNF reference):
-every registry instance, the default, weighted and projected tasks, both
-float dtypes, the round loop, the learning curve and store-loaded
-artifacts.
+every registry instance, the default, weighted and projected tasks, the
+round loop, the learning curve and store-loaded artifacts.  Half the runs
+also learn the reference round on the ``float64`` interpreter oracle, so
+they pin the ``float32`` engine's rows to the ``float64`` reference.
 """
 
 from __future__ import annotations
@@ -29,8 +30,12 @@ from repro.serve.cache import build_artifact
 from repro.store.artifacts import load_sampling_artifact, persist_artifact
 from repro.store.store import ArtifactStore
 from tests.oracles.completion import complete_reference, use_reference_assembly
+from tests.oracles.interpreter import use_interpreter
 
 TASKS = ("default", "weighted", "projected")
+#: The reference round's learning dtype, labelled with the retired
+#: array-backend spec that used to select it: ``"numpy"`` learns on the
+#: ``float64`` interpreter oracle, ``"numpy:float32"`` on the engine itself.
 DTYPES = ("numpy", "numpy:float32")
 
 _TRANSFORMS = {}
@@ -66,27 +71,34 @@ def _task(kind: str, transform) -> SamplingTask:
     return SamplingTask.build(weights=weights)
 
 
-def _config(dtype: str, **overrides) -> SamplerConfig:
-    options = dict(batch_size=20, iterations=2, seed=11, max_rounds=2, array_backend=dtype)
+def _config(**overrides) -> SamplerConfig:
+    options = dict(batch_size=20, iterations=2, seed=11, max_rounds=2)
     options.update(overrides)
     return SamplerConfig(**options)
 
 
-def assert_rounds_match_oracle(formula, transform, config, task, monkeypatch):
-    """Two rounds and a whole run: compiled round == oracle assembly."""
+def _use_reference(patch, dtype: str) -> None:
+    """The oracle assembly, plus the float64 oracle learner for ``"numpy"``."""
+    use_reference_assembly(patch)
+    if dtype == "numpy":
+        use_interpreter(patch, np.float64)
+
+
+def assert_rounds_match_oracle(formula, transform, config, task, monkeypatch, dtype):
+    """Two rounds and a whole run: compiled round == the ``dtype`` reference."""
     compiled = GradientSATSampler(formula, transform, config, task)
     reference = GradientSATSampler(formula, transform, config, task)
     for _ in range(2):
         rows, mask, _, _ = compiled._run_round(config.batch_size)
         with monkeypatch.context() as patch:
-            use_reference_assembly(patch)
+            _use_reference(patch, dtype)
             expected_rows, expected_mask, _, _ = reference._run_round(config.batch_size)
         np.testing.assert_array_equal(rows, expected_rows)
         np.testing.assert_array_equal(mask, expected_mask)
 
     result = GradientSATSampler(formula, transform, config, task).sample(30)
     with monkeypatch.context() as patch:
-        use_reference_assembly(patch)
+        _use_reference(patch, dtype)
         expected = GradientSATSampler(formula, transform, config, task).sample(30)
     np.testing.assert_array_equal(result.solution_matrix(), expected.solution_matrix())
     assert result.num_valid == expected.num_valid
@@ -99,7 +111,7 @@ def test_registry_round_matches_oracle(index, name, monkeypatch):
     kind = TASKS[index % len(TASKS)]
     dtype = DTYPES[(index // len(TASKS)) % len(DTYPES)]
     assert_rounds_match_oracle(
-        formula, transform, _config(dtype), _task(kind, transform), monkeypatch
+        formula, transform, _config(), _task(kind, transform), monkeypatch, dtype
     )
 
 
@@ -113,7 +125,7 @@ COMBINATIONS = list(itertools.product(TASKS, DTYPES))
 def test_table2_instances_every_task_and_dtype(name, kind, dtype, monkeypatch):
     formula, transform = _instance(name)
     assert_rounds_match_oracle(
-        formula, transform, _config(dtype), _task(kind, transform), monkeypatch
+        formula, transform, _config(), _task(kind, transform), monkeypatch, dtype
     )
 
 
@@ -136,8 +148,8 @@ def test_maps_are_intp_even_when_empty():
 
 def test_round_plan_is_the_shared_skeleton():
     formula, transform = _instance("s9234a_3_2")
-    first = GradientSATSampler(formula, transform, _config("numpy"))
-    second = GradientSATSampler(formula, transform, _config("numpy:float32"))
+    first = GradientSATSampler(formula, transform, _config())
+    second = GradientSATSampler(formula, transform, _config(seed=12))
     assert first._plan is second._plan is transform.round_plan
     assert first.model is second.model is transform.round_plan.model
     assert transform.constrained_inputs() == first.model.input_order
@@ -177,13 +189,13 @@ def test_unconstrained_instance_and_learning_curve(dtype, monkeypatch):
     formula = CNF([[2, -1], [-2, 1]], num_variables=4, name="buf-free")
     transform = transform_cnf(formula)
     assert transform.round_plan.model is None
-    config = _config(dtype, batch_size=8)
-    assert_rounds_match_oracle(formula, transform, config, DEFAULT_TASK, monkeypatch)
+    config = _config(batch_size=8)
+    assert_rounds_match_oracle(formula, transform, config, DEFAULT_TASK, monkeypatch, dtype)
     for source in (formula, _instance("s9234a_3_2")[0]):
         transform = transform_cnf(source)
         curve = GradientSATSampler(source, transform, config).learning_curve(3)
         with monkeypatch.context() as patch:
-            use_reference_assembly(patch)
+            _use_reference(patch, dtype)
             expected = GradientSATSampler(source, transform, config).learning_curve(3)
         assert curve == expected
 
@@ -196,7 +208,7 @@ def test_store_loaded_artifact_samples_identical_rows(tmp_path):
     loaded = load_sampling_artifact(store, built.signature)
     assert loaded is not None and loaded.source == "store"
     assert "round_plan" not in loaded.transform.__dict__  # rebuilt, not unpickled
-    config = _config("numpy", max_rounds=3)
+    config = _config(max_rounds=3)
     rows = [
         GradientSATSampler(artifact.formula, artifact.transform, config)
         .sample(40)
@@ -209,7 +221,7 @@ def test_store_loaded_artifact_samples_identical_rows(tmp_path):
 
 def test_warm_sampler_skips_transitive_fanin(monkeypatch):
     formula, transform = _instance("s13207a_3_2")
-    GradientSATSampler(formula, transform, _config("numpy")).sample(10)
+    GradientSATSampler(formula, transform, _config()).sample(10)
     calls = []
     original = Circuit.transitive_fanin
 
@@ -218,5 +230,5 @@ def test_warm_sampler_skips_transitive_fanin(monkeypatch):
         return original(self, *args, **kwargs)
 
     monkeypatch.setattr(Circuit, "transitive_fanin", counted)
-    GradientSATSampler(formula, transform, _config("numpy", seed=12)).sample(10)
+    GradientSATSampler(formula, transform, _config(seed=12)).sample(10)
     assert calls == []

@@ -227,9 +227,7 @@ class TestTransformEquivalence:
         from repro.instances.registry import get_instance
 
         formula = get_instance("75-10-1-q").build_cnf()
-        config = SamplerConfig(
-            seed=7, batch_size=32, iterations=20, array_backend="numpy"
-        )
+        config = SamplerConfig(seed=7, batch_size=32, iterations=20)
         streams = []
         for transform in (transform_cnf(formula), oracle.transform_reference(formula)):
             result = sample_cnf(

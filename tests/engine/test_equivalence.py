@@ -1,10 +1,12 @@
 """Engine-vs-reference equivalence: forward, backward, and sampled solutions.
 
-The compiled engine is specified to be *bitwise identical* to the per-gate
-autodiff interpreter kept as the reference oracle
-(:mod:`tests.oracles.interpreter`) on the forward pass and to match its input
-gradients to 1e-10 (reconvergent fanout accumulates gradients in another
-order than the tape, so the last bits may differ).
+The compiled engine runs in ``float32``.  On ``float32`` input it is
+specified to be *bitwise identical* to the per-gate autodiff interpreter kept
+as the reference oracle (:mod:`tests.oracles.interpreter`) on the forward
+pass and to match its input gradients to ``GRAD_TOLERANCE`` (reconvergent
+fanout accumulates gradients in another order than the tape, so the last
+bits may differ).  Its gradients also match finite differences of the
+``float64`` oracle.
 
 The sampler-level tests run each fixed-seed configuration on the engine and
 again with the oracle's learning loops installed, and also pin the engine's
@@ -26,7 +28,8 @@ from tests.engine.conftest import random_circuit
 from tests.oracles.interpreter import InterpreterModel, use_interpreter
 from tests.oracles.tensor.tensor import Tensor
 
-GRAD_TOLERANCE = 1e-10
+#: A few float32 ulps at unit gradient scale (the accumulation-order slack).
+GRAD_TOLERANCE = 1e-6
 
 #: SHA-256 of the fig1 solution matrix (28 x 14, bool) under
 #: ``SamplerConfig(batch_size=48, max_rounds=3, seed=1234)``, 30 solutions —
@@ -42,12 +45,12 @@ ADAM_ROWS_SHA256 = "10e70a1b2af1cdbc1adfa9114258fa9a5887766b64ba143388c7a7ad93f9
 def _compare_forward_backward(circuit, outputs, rng, batch=8):
     engine = ProbabilisticCircuitModel(circuit, output_nets=outputs)
     interpreter = InterpreterModel(circuit, output_nets=outputs)
-    probabilities = rng.random((batch, engine.num_inputs))
+    probabilities = rng.random((batch, engine.num_inputs)).astype(np.float32)
     out_e, cache = forward(engine.program, probabilities)
     tensor_i = Tensor(probabilities.copy(), requires_grad=True)
     out_i = interpreter.forward(tensor_i)
     assert np.array_equal(out_e, out_i.data), "forward passes diverged"
-    seed_grad = rng.random(out_e.shape)
+    seed_grad = rng.random(out_e.shape).astype(np.float32)
     grad_e = backward(engine.program, cache, seed_grad)
     out_i.backward(seed_grad)
     assert tensor_i.grad is not None
@@ -65,7 +68,7 @@ class TestForwardBackwardEquivalence:
         transform = transform_cnf(fig1_formula)
         engine = ProbabilisticCircuitModel.from_transform(transform)
         interpreter = InterpreterModel.from_transform(transform)
-        probabilities = rng.random((16, engine.num_inputs))
+        probabilities = rng.random((16, engine.num_inputs)).astype(np.float32)
         out_e, cache = forward(engine.program, probabilities)
         tensor_i = Tensor(probabilities.copy(), requires_grad=True)
         out_i = interpreter.forward(tensor_i)
@@ -76,17 +79,21 @@ class TestForwardBackwardEquivalence:
 
     def test_gradients_match_finite_differences(self, rng):
         circuit = random_circuit(rng, num_inputs=4, num_gates=12, num_outputs=2)
-        program = ProbabilisticCircuitModel(circuit, list(circuit.outputs)).program
+        model = ProbabilisticCircuitModel(circuit, list(circuit.outputs))
+        program = model.program
+        reference = InterpreterModel(circuit, list(circuit.outputs))
         base = rng.random((1, program.input_width)) * 0.8 + 0.1
         outputs, cache = forward(program, base)
         grad = backward(program, cache, np.ones_like(outputs))
+
+        def total(probabilities):  # the float64 oracle's forward
+            return reference.forward(Tensor(probabilities)).data.sum()
+
         step = 1e-6
         for column in range(program.input_width):
             bumped = base.copy()
             bumped[0, column] += step
-            with_bump = forward(program, bumped)[0].sum()
-            without = forward(program, base)[0].sum()
-            numeric = (with_bump - without) / step
+            numeric = (total(bumped) - total(base)) / step
             assert grad[0, column] == pytest.approx(numeric, abs=1e-4)
 
 
@@ -143,39 +150,31 @@ class TestSamplerEquivalence:
 
 
 #: Fig. 3 learning curves (unique valid solutions after each of 6 GD
-#: iterations) at ``SamplerConfig(batch_size=256, seed=3, optimizer=...,
-#: array_backend=...)``, recorded from the tape-based loop the engine step
-#: replaced: ``{instance: {(optimizer, spec): curve}}``.
+#: iterations) at ``SamplerConfig(batch_size=256, seed=3, optimizer=...)``,
+#: recorded in float32 from the tape-based loop the engine step replaced:
+#: ``{instance: {optimizer: curve}}``.  The float64 reference gives the same
+#: curves except Adam on Prod-32, one unique solution lower from iteration 2
+#: on (156, 179, 196, 208, 212); Adam is an ablation.
 GOLDEN_LEARNING_CURVES = {
     "s15850a_3_2": {
-        ("sgd", "numpy"): [241, 484, 728, 977, 1226, 1476, 1727],
-        ("sgd", "numpy:float32"): [241, 484, 728, 977, 1226, 1476, 1727],
-        ("adam", "numpy"): [241, 497, 753, 1009, 1265, 1521, 1777],
-        ("adam", "numpy:float32"): [241, 497, 753, 1009, 1265, 1521, 1777],
+        "sgd": [241, 484, 728, 977, 1226, 1476, 1727],
+        "adam": [241, 497, 753, 1009, 1265, 1521, 1777],
     },
     "Prod-20": {
-        ("sgd", "numpy"): [76, 192, 321, 459, 605, 754, 898],
-        ("sgd", "numpy:float32"): [76, 192, 321, 459, 605, 754, 898],
-        ("adam", "numpy"): [76, 118, 153, 218, 297, 386, 466],
-        ("adam", "numpy:float32"): [76, 118, 153, 218, 297, 386, 466],
+        "sgd": [76, 192, 321, 459, 605, 754, 898],
+        "adam": [76, 118, 153, 218, 297, 386, 466],
     },
     "Prod-32": {
-        ("sgd", "numpy"): [71, 77, 88, 98, 110, 126, 143],
-        ("sgd", "numpy:float32"): [71, 77, 88, 98, 110, 126, 143],
-        ("adam", "numpy"): [71, 150, 156, 179, 196, 208, 212],
-        ("adam", "numpy:float32"): [71, 150, 157, 180, 197, 209, 213],
+        "sgd": [71, 77, 88, 98, 110, 126, 143],
+        "adam": [71, 150, 157, 180, 197, 209, 213],
     },
     "75-10-1-q": {
-        ("sgd", "numpy"): [132, 370, 624, 879, 1135, 1391, 1647],
-        ("sgd", "numpy:float32"): [132, 370, 624, 879, 1135, 1391, 1647],
-        ("adam", "numpy"): [132, 388, 644, 900, 1156, 1412, 1668],
-        ("adam", "numpy:float32"): [132, 388, 644, 900, 1156, 1412, 1668],
+        "sgd": [132, 370, 624, 879, 1135, 1391, 1647],
+        "adam": [132, 388, 644, 900, 1156, 1412, 1668],
     },
     "or-50-10-7-UC-10": {
-        ("sgd", "numpy"): [251, 503, 755, 1007, 1259, 1511, 1761],
-        ("sgd", "numpy:float32"): [251, 503, 755, 1007, 1259, 1511, 1761],
-        ("adam", "numpy"): [251, 506, 760, 1013, 1267, 1521, 1771],
-        ("adam", "numpy:float32"): [251, 506, 760, 1013, 1267, 1521, 1771],
+        "sgd": [251, 503, 755, 1007, 1259, 1511, 1761],
+        "adam": [251, 506, 760, 1013, 1267, 1521, 1771],
     },
 }
 
@@ -186,9 +185,7 @@ def test_golden_learning_curves(name):
 
     formula = get_instance(name).build_cnf()
     transform = transform_cnf(formula)
-    for (optimizer, spec), expected in GOLDEN_LEARNING_CURVES[name].items():
-        config = SamplerConfig(
-            batch_size=256, seed=3, optimizer=optimizer, array_backend=spec
-        )
+    for optimizer, expected in GOLDEN_LEARNING_CURVES[name].items():
+        config = SamplerConfig(batch_size=256, seed=3, optimizer=optimizer)
         sampler = GradientSATSampler(formula, transform=transform, config=config)
-        assert sampler.learning_curve(6) == expected, (optimizer, spec)
+        assert sampler.learning_curve(6) == expected, optimizer

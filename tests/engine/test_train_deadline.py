@@ -48,7 +48,7 @@ def _draw(chunk):
 class TestLearnChunkDeadline:
     def test_no_deadline_runs_all_iterations(self, program):
         config = SamplerConfig(batch_size=4, iterations=7)
-        hard, losses, timed_out = learn_chunk(program, _draw(4), np.ones((4, 1)), config)
+        hard, losses, timed_out = learn_chunk(program, _draw(4), config)
         assert not timed_out
         assert len(losses) == 7
         assert hard.shape == (4, 3)
@@ -56,7 +56,7 @@ class TestLearnChunkDeadline:
     def test_expired_deadline_cuts_iterations(self, program, fake_clock):
         config = SamplerConfig(batch_size=4, iterations=1000)
         hard, losses, timed_out = learn_chunk(
-            program, _draw(4), np.ones((4, 1)), config, deadline=0.25
+            program, _draw(4), config, deadline=0.25
         )
         assert timed_out
         assert 0 < len(losses) < 1000
@@ -65,7 +65,7 @@ class TestLearnChunkDeadline:
     def test_already_expired_deadline_trains_nothing(self, program, fake_clock):
         config = SamplerConfig(batch_size=4, iterations=10)
         hard, losses, timed_out = learn_chunk(
-            program, _draw(4), np.ones((4, 1)), config, deadline=0.0
+            program, _draw(4), config, deadline=0.0
         )
         assert timed_out
         assert losses == []
@@ -78,7 +78,7 @@ class TestLearnBatchDeadline:
         # a mid-batch deadline leaves later samples untrained.
         config = SamplerConfig(batch_size=8, iterations=3, chunk_size=1)
         hard, losses, timed_out = learn_batch(
-            program, 8, np.ones((8, 1)), config, _draw, deadline=0.15
+            program, 8, config, _draw, deadline=0.15
         )
         assert timed_out
         assert 0 < hard.shape[0] < 8
@@ -86,7 +86,7 @@ class TestLearnBatchDeadline:
 
     def test_full_batch_without_deadline(self, program):
         config = SamplerConfig(batch_size=8, iterations=3)
-        hard, losses, timed_out = learn_batch(program, 8, np.ones((8, 1)), config, _draw)
+        hard, losses, timed_out = learn_batch(program, 8, config, _draw)
         assert not timed_out
         assert hard.shape == (8, 3)
         assert len(losses) == 3
@@ -104,8 +104,7 @@ class TestLearnBatchSpans:
             return _draw(chunk)
 
         config = SamplerConfig(iterations=2, chunk_size=chunk_size)
-        targets = np.ones((batch, 1))
-        hard, _, halted = learn_batch(program, batch, targets, config, draw)
+        hard, _, halted = learn_batch(program, batch, config, draw)
         assert not halted
         assert hard.shape == (batch, 3)
         return sizes

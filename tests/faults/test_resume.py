@@ -93,18 +93,23 @@ class TestPlanResume:
         pending, rows = plan_resume(jobs, tmp_path / JOURNAL_NAME, tmp_path)
         assert len(pending) == 1 and rows == [None]
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("backend", "engine"), ("array_backend", None), ("array_backend", "numpy:float32")],
+    )
     def test_completion_fingerprinted_with_removed_backend_field_reruns(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, field, value
     ):
-        # Journals written while SamplerConfig had a ``backend`` field
-        # fingerprinted it; those completions must miss and re-run.
+        # Journals written while SamplerConfig had a ``backend`` or an
+        # ``array_backend`` field fingerprinted it; those completions must
+        # miss and re-run.
         import repro.serve.journal as journal_module
 
         job = make_job(seed=0)
         monkeypatch.setattr(
             journal_module,
             "config_to_dict",
-            lambda config: {**config_to_dict(config), "backend": "engine"},
+            lambda config: {**config_to_dict(config), field: value},
         )
         old_fingerprint = job_fingerprint(job)
         monkeypatch.undo()

@@ -58,9 +58,10 @@ class TestSampleSubcommand:
         assert sum(1 for line in output.read_text().splitlines() if line.strip()) >= 1
 
     @pytest.mark.parametrize(
-        "flag", [("--array-backend", "bogus"), ("--kernel", "auto")]
+        "flag", [("--array-backend", "numpy"), ("--kernel", "auto")]
     )
     def test_bad_option_is_a_usage_error(self, fig1_path, flag):
+        # Both flags are gone: learning is float32, the platform picks the tier.
         completed = run_cli("sample", str(fig1_path), *flag)
         assert completed.returncode == 2
         assert "Traceback" not in completed.stderr
@@ -222,6 +223,16 @@ class TestServeSubcommand:
         assert completed.returncode == 2
         assert "Traceback" not in completed.stderr
         assert "job #0" in completed.stderr and "'kernel'" in completed.stderr
+
+
+    def test_serve_array_backend_flag_is_gone(self, fig1_path, tmp_path):
+        # Learning always runs in float32: no flag picks a dtype.
+        manifest = tmp_path / "jobs.json"
+        manifest.write_text(json.dumps([{"path": str(fig1_path)}]))
+        completed = run_cli("serve", str(manifest), "--array-backend", "numpy")
+        assert completed.returncode == 2
+        assert "Traceback" not in completed.stderr
+        assert "unrecognized arguments: --array-backend numpy" in completed.stderr
 
 
 class TestNativeSwitch:

@@ -8,7 +8,6 @@ that names the permission problem — the planted file is never loaded.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import stat
 
@@ -33,8 +32,7 @@ def fresh_tier(monkeypatch):
 
 
 def _library_name() -> str:
-    digest = hashlib.sha256(cext.C_SOURCE.encode()).hexdigest()[:16]
-    return f"repronative_{digest}.so"
+    return f"{cext.library_stem()}.so"
 
 
 def _probe_reason(monkeypatch, cache_dir) -> str:
@@ -88,3 +86,14 @@ def test_new_directory_is_created_private_and_used(tmp_path, monkeypatch, fresh_
     assert native.active_tier() == "cext"
     assert stat.S_IMODE(os.lstat(cache_dir).st_mode) == 0o700
     assert (cache_dir / _library_name()).exists()
+
+
+def test_library_name_covers_the_compile_flags(monkeypatch):
+    # A cached library built with other flags must never be loaded: the
+    # name hashes the command line's flags together with the source.
+    assert "-ffp-contract=off" in cext.COMPILE_FLAGS
+    stems = set()
+    for flags in (("-O3", "-fPIC", "-shared"), ("-O2", "-fPIC", "-shared"), cext.COMPILE_FLAGS):
+        monkeypatch.setattr(cext, "COMPILE_FLAGS", flags)
+        stems.add(cext.library_stem())
+    assert len(stems) == 3

@@ -15,6 +15,11 @@ to, bit for bit:
   sampler's engine-backed methods;
 * :func:`use_interpreter` — installs those replacements for one test, so a
   sampler run on the interpreter can be compared with an engine run.
+
+The tape follows the dtype of its input, and the sampler's draws are
+``float64``, so by default the interpreter learns in ``float64``: the
+reference the ``float32`` engine is pinned to.  ``use_interpreter(...,
+dtype=np.float32)`` casts the draws first, for a same-precision comparison.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.circuit.gates import GateType
-from repro.core.loss import target_matrix
 from repro.core.model import ProbabilisticCircuitModel
 from repro.core.sampler import GradientSATSampler
 from repro.core.solutions import SolutionSet
@@ -100,6 +104,15 @@ class InterpreterModel(ProbabilisticCircuitModel):
         return stack_columns([values[name] for name in self.output_nets])
 
     __call__ = forward
+
+
+def target_matrix(batch_size: int, output_names) -> np.ndarray:
+    """The all-ones ``(batch, num_outputs)`` target matrix ``T`` of Eq. 8.
+
+    Every constrained output is an auxiliary constraint net that must
+    evaluate to 1; the engine subtracts the scalar instead.
+    """
+    return np.ones((batch_size, len(output_names)), dtype=np.float64)
 
 
 def regression_loss(outputs: Tensor, targets: np.ndarray) -> Tensor:
@@ -184,22 +197,29 @@ def learn_constrained_inputs(
     batch_size: int,
     deadline: Optional[float] = None,
     should_stop: Optional[Callable[[], bool]] = None,
+    dtype=np.float64,
 ) -> Tuple[np.ndarray, List[float], bool]:
-    """Drop-in for ``GradientSATSampler._learn_constrained_inputs``."""
+    """Drop-in for ``GradientSATSampler._learn_constrained_inputs``.
+
+    Learns in ``dtype``: the sampler's ``float64`` draws are cast to it.
+    """
     model = InterpreterModel.of(sampler.model)
     return _learn_batch(
         model,
         batch_size,
         target_matrix(batch_size, model.output_nets),
         sampler.config,
-        sampler._draw_initial_soft_inputs,
+        lambda rows: sampler._draw_initial_soft_inputs(rows).astype(dtype),
         deadline,
         should_stop,
     )
 
 
 def learning_curve(
-    sampler: GradientSATSampler, max_iterations: int, batch_size: Optional[int]
+    sampler: GradientSATSampler,
+    max_iterations: int,
+    batch_size: Optional[int],
+    dtype=np.float64,
 ) -> List[int]:
     """Drop-in for ``GradientSATSampler._learning_curve`` (Fig. 3, left)."""
     batch = batch_size or sampler.config.batch_size
@@ -213,7 +233,9 @@ def learning_curve(
         return curve
 
     model = InterpreterModel.of(sampler.model)
-    soft_inputs = Tensor(sampler._draw_initial_soft_inputs(batch), requires_grad=True)
+    soft_inputs = Tensor(
+        sampler._draw_initial_soft_inputs(batch).astype(dtype), requires_grad=True
+    )
     optimizer = make_optimizer(
         [soft_inputs], sampler.config.optimizer, sampler.config.learning_rate
     )
@@ -231,9 +253,15 @@ def learning_curve(
     return curve
 
 
-def use_interpreter(monkeypatch) -> None:
-    """Run the sampler's learning on the interpreter for the current test."""
-    monkeypatch.setattr(
-        GradientSATSampler, "_learn_constrained_inputs", learn_constrained_inputs
-    )
-    monkeypatch.setattr(GradientSATSampler, "_learning_curve", learning_curve)
+def use_interpreter(monkeypatch, dtype=np.float64) -> None:
+    """Run the sampler's learning on the interpreter, in ``dtype``, for the
+    current test."""
+
+    def learn(sampler, batch_size, deadline=None, should_stop=None):
+        return learn_constrained_inputs(sampler, batch_size, deadline, should_stop, dtype)
+
+    def curve(sampler, max_iterations, batch_size):
+        return learning_curve(sampler, max_iterations, batch_size, dtype)
+
+    monkeypatch.setattr(GradientSATSampler, "_learn_constrained_inputs", learn)
+    monkeypatch.setattr(GradientSATSampler, "_learning_curve", curve)

@@ -1,9 +1,9 @@
-"""The service-level ``array_backend`` default, inline and pooled.
+"""The service learns in float32, inline and pooled, with no dtype option.
 
-A service's ``array_backend`` applies to every task whose config names none,
-at the one point inline and pooled runs share (``execute_task``); a task
-config that names a spec keeps it.  A bad service-level spec is rejected by
-the constructor instead of killing every worker at startup.
+Learning always runs in ``float32``; the service has no ``array_backend``
+default to hand its workers, and constructing one with it is a
+``TypeError``.  A dtype-revealing config shows what inline and pooled runs
+actually learned in.
 """
 
 import numpy as np
@@ -15,6 +15,7 @@ from repro.core.sampler import GradientSATSampler
 from repro.engine import train
 from repro.serve import SamplingService
 from tests.conftest import FIG1_DIMACS
+from tests.oracles.interpreter import use_interpreter
 
 TIMEOUT = 120.0
 
@@ -31,10 +32,9 @@ DTYPE_REVEALING = SamplerConfig(
 )
 
 
-def _direct_rows(spec):
+def _direct_rows():
     formula = parse_dimacs(CHAIN_DIMACS, name="chain")
-    config = DTYPE_REVEALING.with_(array_backend=spec)
-    return GradientSATSampler(formula, config=config).sample(16).solution_matrix()
+    return GradientSATSampler(formula, config=DTYPE_REVEALING).sample(16).solution_matrix()
 
 
 def _service_rows(service, config=DTYPE_REVEALING):
@@ -46,10 +46,13 @@ def _service_rows(service, config=DTYPE_REVEALING):
 
 
 @pytest.fixture(scope="module")
-def reference_rows():
-    rows = {spec: _direct_rows(spec) for spec in ("numpy", "numpy:float32")}
-    # The fixture only discriminates if the two dtypes disagree.
-    assert rows["numpy"].shape != rows["numpy:float32"].shape
+def float32_rows():
+    rows = _direct_rows()
+    with pytest.MonkeyPatch.context() as patch:
+        use_interpreter(patch, np.float64)
+        float64_rows = _direct_rows()
+    # The config only discriminates if the float64 oracle disagrees.
+    assert rows.shape != float64_rows.shape
     return rows
 
 
@@ -64,35 +67,26 @@ class TestServiceDefaultDtype:
 
         monkeypatch.setattr(train, "sigmoid_embedding", spy)
         fig1 = parse_dimacs(FIG1_DIMACS, name="fig1")
-        with SamplingService(0, array_backend="numpy:float32") as service:
+        with SamplingService(0) as service:
             job_id = service.submit(fig1, num_solutions=8, config=SamplerConfig(batch_size=16))
             assert service.result(job_id, timeout=TIMEOUT).status == "done"
         assert seen == {np.dtype(np.float32)}
 
-    def test_inline_and_pooled_rows_match_float32(self, reference_rows):
-        with SamplingService(0, array_backend="numpy:float32") as service:
+    def test_inline_and_pooled_rows_match_float32(self, float32_rows):
+        with SamplingService(0) as service:
             inline = _service_rows(service)
-        with SamplingService(1, array_backend="numpy:float32") as service:
+        with SamplingService(1) as service:
             pooled = _service_rows(service)
-        expected = reference_rows["numpy:float32"]
-        np.testing.assert_array_equal(inline.solutions.to_matrix(), expected)
-        np.testing.assert_array_equal(pooled.solutions.to_matrix(), expected)
-        # Records report the spec as the task config stated it (none).
-        assert inline.members[0]["array_backend"] is None
-        assert pooled.members[0]["array_backend"] is None
-
-    def test_task_config_keeps_its_own_spec(self, reference_rows):
-        config = DTYPE_REVEALING.with_(array_backend="numpy")
-        with SamplingService(0, array_backend="numpy:float32") as service:
-            result = _service_rows(service, config)
-        np.testing.assert_array_equal(
-            result.solutions.to_matrix(), reference_rows["numpy"]
-        )
-        assert result.members[0]["array_backend"] == "numpy"
+        np.testing.assert_array_equal(inline.solutions.to_matrix(), float32_rows)
+        np.testing.assert_array_equal(pooled.solutions.to_matrix(), float32_rows)
+        # Records carry no dtype spec.
+        assert "array_backend" not in inline.members[0]
+        assert "array_backend" not in pooled.members[0]
 
 
 class TestServiceSpecValidation:
     @pytest.mark.parametrize("workers", [0, 1])
     def test_bad_spec_rejected_by_constructor(self, workers):
-        with pytest.raises(ValueError):
-            SamplingService(workers, array_backend="cupy:float16")
+        # Every spec is rejected: the option is gone, before any worker starts.
+        with pytest.raises(TypeError, match="array_backend"):
+            SamplingService(workers, array_backend="numpy")

@@ -69,10 +69,23 @@ class TestConfigRoundTrip:
         with pytest.raises(ManifestError):
             config_from_dict({"learning_rte": 1.0})
 
-    @pytest.mark.parametrize("value", ["cpu", "gpu-sim", {"kind": "cpu", "chunk_size": 4}])
-    def test_removed_device_key_rejected(self, value):
-        with pytest.raises(ManifestError, match="unknown config field 'device'"):
-            config_from_dict({"device": value})
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            pytest.param("device", "cpu", id="cpu"),
+            pytest.param("device", "gpu-sim", id="gpu-sim"),
+            pytest.param("device", {"kind": "cpu", "chunk_size": 4}, id="value2"),
+            pytest.param("array_backend", "numpy", id="array_backend-numpy"),
+            pytest.param("array_backend", "numpy:float32", id="array_backend-float32"),
+        ],
+    )
+    def test_removed_device_key_rejected(self, key, value):
+        # Removed config fields (the device object; the float dtype policy,
+        # now always float32) fail naming the key, in a manifest too.
+        with pytest.raises(ManifestError, match=f"unknown config field '{key}'"):
+            config_from_dict({key: value})
+        with pytest.raises(ManifestError, match=f"job #0.*'{key}'"):
+            parse_manifest(json.dumps([{"instance": "x", "config": {key: value}}]))
 
     @pytest.mark.parametrize("value", ["engine", "interpreter"])
     def test_removed_backend_key_rejected(self, value):

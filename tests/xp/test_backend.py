@@ -1,8 +1,11 @@
-"""Unit tests for the float dtype policy: spec vocabulary, selection, RNG, caches.
+"""Learning is float32 with no dtype switch; the RNG stream, caches and the
+boolean entry points around it.
 
-An ``array_backend`` spec (``numpy``, ``numpy:float64`` or ``numpy:float32``)
-selects nothing but the float dtype of the samplers' learning arrays; every
-hot path calls NumPy directly and follows the dtype of its input arrays.
+The retired ``array_backend`` policy (``SamplerConfig(array_backend=...)``,
+``REPRO_ARRAY_BACKEND``, ``--array-backend``) selected the float dtype of
+the learning arrays.  Learning now always runs in ``float32``: the field is
+a ``TypeError``, the variable is not read, and the engine casts its float
+input.
 """
 
 from __future__ import annotations
@@ -11,110 +14,85 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core.config import (
-    ARRAY_BACKEND_DTYPES,
-    ARRAY_BACKEND_ENV_VAR,
-    SamplerConfig,
-    array_dtype,
-)
+from repro.core.config import SamplerConfig
 from repro.core.sampler import GradientSATSampler
 from repro.engine.executor import float_array, forward
 from repro.utils.rng import new_rng
 from tests.oracles.cnf import evaluate_batch_reference
 
+#: The retired dtype switch; set in a test, it must change nothing.
+RETIRED_ENV_VAR = "REPRO_ARRAY_BACKEND"
+
 
 @pytest.fixture(autouse=True)
 def _no_env_default(monkeypatch):
-    """Every test starts from the built-in default, whatever the shell sets."""
-    monkeypatch.delenv(ARRAY_BACKEND_ENV_VAR, raising=False)
+    """Every test starts without the retired variable, whatever the shell sets."""
+    monkeypatch.delenv(RETIRED_ENV_VAR, raising=False)
+
+
+def _learning_dtypes(monkeypatch, formula, config) -> set:
+    """The dtypes every GD iteration of one sampling run saw."""
+    from repro.engine import train
+
+    seen = set()
+    original = train.sigmoid_embedding
+
+    def spy(soft_inputs):
+        seen.add(soft_inputs.dtype)
+        return original(soft_inputs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(train, "sigmoid_embedding", spy)
+        GradientSATSampler(formula, config=config).sample(num_solutions=5)
+    return seen
 
 
 class TestRegistry:
-    def test_numpy_is_default_and_memoised(self):
-        assert array_dtype("numpy") == np.float64
-        assert array_dtype(None) is array_dtype("numpy")
-
-    def test_spec_selects_float_dtype(self):
-        assert array_dtype("numpy:float32") == np.float32
-        assert array_dtype("numpy:float64") == np.float64
-        assert array_dtype("numpy:float32") != array_dtype("numpy")
-
-    def test_parse_spec(self):
-        # The whole vocabulary: one runtime, two float policies.
-        assert set(ARRAY_BACKEND_DTYPES) == {"numpy", "numpy:float64", "numpy:float32"}
+    """No spec vocabulary is left: every spec is a removed keyword."""
 
     @pytest.mark.parametrize(
         "spec", ["", "nope", "numpy:float16", "numpy:", "torch", "cupy:float32"]
     )
     def test_bad_specs_rejected(self, spec):
-        with pytest.raises(ValueError):
-            array_dtype(spec)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="array_backend"):
             SamplerConfig(array_backend=spec)
 
 
 class TestActiveBackend:
-    """The process default: ``REPRO_ARRAY_BACKEND``, else ``numpy``."""
-
-    def test_default_is_numpy(self):
-        assert array_dtype() == np.float64
-        assert SamplerConfig().float_dtype() == np.float64
-
-    def test_env_var_sets_default(self, monkeypatch):
-        monkeypatch.setenv(ARRAY_BACKEND_ENV_VAR, "numpy:float32")
-        assert array_dtype() == np.float32
-
-    def test_set_active_backend_overrides_env(self, monkeypatch):
-        # An explicit spec always beats the environment default.
-        monkeypatch.setenv(ARRAY_BACKEND_ENV_VAR, "numpy:float32")
-        assert array_dtype("numpy") == np.float64
-
-    def test_bad_env_spec_rejected(self, monkeypatch):
-        monkeypatch.setenv(ARRAY_BACKEND_ENV_VAR, "bogus")
-        with pytest.raises(ValueError):
-            SamplerConfig().float_dtype()
+    def test_default_is_numpy(self, fig1_formula, monkeypatch):
+        # NumPy float32 is the only policy, so it is the default; the
+        # retired variable, set to the old float64 spec, changes nothing.
+        config = SamplerConfig(batch_size=16, seed=0, max_rounds=1)
+        assert _learning_dtypes(monkeypatch, fig1_formula, config) == {np.dtype(np.float32)}
+        monkeypatch.setenv(RETIRED_ENV_VAR, "numpy:float64")
+        assert _learning_dtypes(monkeypatch, fig1_formula, config) == {np.dtype(np.float32)}
 
 
 class TestSelectionPrecedence:
-    """The documented resolution order: environment < config < CLI."""
-
-    def test_env_is_weakest(self, monkeypatch):
-        monkeypatch.setenv(ARRAY_BACKEND_ENV_VAR, "numpy:float32")
-        assert SamplerConfig().float_dtype() == np.float32
-
-    def test_config_beats_env(self, monkeypatch):
-        monkeypatch.setenv(ARRAY_BACKEND_ENV_VAR, "numpy")
-        config = SamplerConfig(array_backend="numpy:float32")
-        assert config.float_dtype() == np.float32
-
-    def test_cli_writes_the_config_field(self, tmp_path):
-        # The CLI flag lands in SamplerConfig.array_backend, so "CLI wins"
-        # reduces to the config taking precedence (previous test).
-        from repro.cli import _build_parser
-
-        arguments = _build_parser().parse_args(
-            ["sample", "x.cnf", "--array-backend", "numpy:float32"]
-        )
-        assert arguments.array_backend == "numpy:float32"
-
     def test_config_validates_spec_eagerly(self):
-        with pytest.raises(ValueError):
+        # No layer selects a dtype: the config refuses the field at
+        # construction, and a copy cannot add it later.
+        with pytest.raises(TypeError, match="array_backend"):
             SamplerConfig(array_backend="not-a-backend")
+        with pytest.raises(TypeError, match="array_backend"):
+            SamplerConfig().with_(array_backend="numpy:float32")
 
 
 class TestHostBoundary:
-    """Float arrays pass through the hot paths as-is; anything else becomes float64."""
+    """float32 arrays pass through the float paths as-is; anything else is cast."""
 
     def test_to_numpy_passes_ndarray_through(self):
-        for dtype in (np.float64, np.float32):
-            array = np.ones(4, dtype=dtype)
-            assert float_array(array) is array
+        array = np.ones(4, dtype=np.float32)
+        assert float_array(array) is array
+        wide = np.linspace(-1.0, 1.0, 5)
+        np.testing.assert_array_equal(float_array(wide), wide.astype(np.float32))
+        assert float_array(wide).dtype == np.float32
 
     def test_to_numpy_coerces_sequences(self):
         for data in ([1, 2, 3], np.array([1, 2, 3]), np.array([True, False, True])):
             array = float_array(data)
-            assert array.dtype == np.float64
-            np.testing.assert_array_equal(array, np.asarray(data, dtype=np.float64))
+            assert array.dtype == np.float32
+            np.testing.assert_array_equal(array, np.asarray(data, dtype=np.float32))
 
     def test_numpy_backend_boundary_is_identity(self):
         from repro.engine.compiler import compile_circuit
@@ -124,12 +102,12 @@ class TestHostBoundary:
         program = compile_circuit(circuit, list(circuit.outputs))
         bits = np.random.default_rng(6).random((3, program.input_width)) < 0.5
         outputs, _ = forward(program, bits)
-        assert outputs.dtype == np.float64
-        np.testing.assert_array_equal(outputs, forward(program, bits.astype(np.float64))[0])
+        assert outputs.dtype == np.float32
+        np.testing.assert_array_equal(outputs, forward(program, bits.astype(np.float32))[0])
 
 
 class TestBackendRNG:
-    """One seeded NumPy generator feeds every draw under every dtype."""
+    """One seeded NumPy generator feeds every draw."""
 
     def test_matches_numpy_generator_stream(self, fig1_formula):
         ours = new_rng(123)
@@ -138,18 +116,18 @@ class TestBackendRNG:
             ours.normal(0.0, 1.0, size=(3, 2)), theirs.normal(0.0, 1.0, size=(3, 2))
         )
         np.testing.assert_array_equal(ours.random(size=(2, 5)), theirs.random(size=(2, 5)))
-        for spec in ("numpy", "numpy:float32"):
-            config = SamplerConfig(seed=4, array_backend=spec)
-            sampler = GradientSATSampler(fig1_formula, config=config)
-            draw = sampler._draw_initial_soft_inputs(6)
-            expected = np.random.default_rng(4).normal(
-                0.0, 1.0, size=(6, sampler.model.num_inputs)
-            )
-            assert draw.dtype == array_dtype(spec)
-            np.testing.assert_array_equal(draw, expected.astype(array_dtype(spec)))
+        sampler = GradientSATSampler(fig1_formula, config=SamplerConfig(seed=4))
+        draw = sampler._draw_initial_soft_inputs(6)
+        expected = np.random.default_rng(4).normal(
+            0.0, 1.0, size=(6, sampler.model.num_inputs)
+        )
+        # Drawn in float64 (the stream of the float64 reference); the GD
+        # loop casts it.
+        assert draw.dtype == np.float64
+        np.testing.assert_array_equal(draw, expected)
 
     def test_reseeding_reproduces_the_stream(self, fig1_formula):
-        config = SamplerConfig(seed=7, array_backend="numpy:float32")
+        config = SamplerConfig(seed=7)
         sampler = GradientSATSampler(fig1_formula, config=config)
         first = sampler._draw_initial_soft_inputs(4)
         sampler.reset_rng()
@@ -166,11 +144,11 @@ class TestBackendRNG:
 
 
 class TestHostInputResidency:
-    """Boolean evaluation entry points ignore the float dtype policy."""
+    """Boolean evaluation entry points return host boolean arrays."""
 
     @pytest.fixture(autouse=True)
-    def _float32_default(self, monkeypatch):
-        monkeypatch.setenv(ARRAY_BACKEND_ENV_VAR, "numpy:float32")
+    def _retired_variable_set(self, monkeypatch):
+        monkeypatch.setenv(RETIRED_ENV_VAR, "numpy:float32")
 
     def test_host_inputs_get_host_results_under_any_active_backend(self):
         from repro.cnf.formula import CNF
@@ -182,8 +160,8 @@ class TestHostInputResidency:
         np.testing.assert_array_equal(result, [True, False])
 
     def test_direct_plan_calls_follow_input_residency(self):
-        # The sampler calls the plan directly with host matrices; the dtype
-        # policy must not change what it gets back.
+        # The sampler calls the plan directly with host matrices and gets
+        # host results back.
         from repro.cnf.formula import CNF
 
         formula = CNF([[1, -2], [2], [-1, 2]], num_variables=2)
@@ -219,27 +197,27 @@ class TestHostInputResidency:
 
 class TestThreadLocality:
     def test_concurrent_samplers_with_different_backends(self, fig1_formula):
+        # Samplers keep no process-wide learning state: two seeds sampled
+        # concurrently each match a solo run.
         import threading
 
-        def run(spec):
-            config = SamplerConfig(batch_size=32, seed=4, max_rounds=2, array_backend=spec)
+        def run(seed):
+            config = SamplerConfig(batch_size=32, seed=seed, max_rounds=2)
             return GradientSATSampler(fig1_formula, config=config).sample(num_solutions=20)
 
         results = {}
         threads = [
-            threading.Thread(target=lambda spec=spec: results.__setitem__(spec, run(spec)))
-            for spec in ("numpy", "numpy:float32")
+            threading.Thread(target=lambda seed=seed: results.__setitem__(seed, run(seed)))
+            for seed in (4, 5)
         ]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
-        # Both ran to completion, with no cross-talk: each matches a solo
-        # run of the same spec.
-        for spec, result in results.items():
+        for seed, result in results.items():
             matrix = result.solution_matrix()
-            assert fig1_formula.evaluate_batch(matrix).all(), spec
-            np.testing.assert_array_equal(matrix, run(spec).solution_matrix())
+            assert fig1_formula.evaluate_batch(matrix).all(), seed
+            np.testing.assert_array_equal(matrix, run(seed).solution_matrix())
 
 
 class TestClearCaches:

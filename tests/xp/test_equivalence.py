@@ -1,11 +1,12 @@
-"""Spec-equivalence suite: every float64 spec against the float64 reference.
+"""A leftover ``REPRO_ARRAY_BACKEND`` changes nothing; the golden rows.
 
-Parametrised over the ``float64`` specs (``numpy`` and ``numpy:float64``).
-The contract: engine forward passes and input gradients run on arrays of the
-spec's dtype, boolean/packed execution and CNF kernel results under the
-spec's process default, and end-to-end sampled solutions all match the
-default ``float64`` reference bitwise.  The golden streams at the bottom pin
-the fixed-seed solution rows of both dtype policies.
+``REPRO_ARRAY_BACKEND`` used to pick the float dtype of the learning
+arrays.  Learning is ``float32`` now and the variable is not read, so a
+shell that still exports one of the old ``float64`` specs (``numpy``,
+``numpy:float64``) must see the same engine passes, boolean/packed
+execution, CNF kernel results and sampled solutions as one that does not.
+The golden stream at the bottom pins the fixed-seed solution rows of the
+engine and of the interpreter oracle in both dtypes.
 """
 
 from __future__ import annotations
@@ -18,13 +19,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cnf.formula import CNF
-from repro.core.config import ARRAY_BACKEND_ENV_VAR, SamplerConfig, array_dtype
+from repro.core.config import SamplerConfig
 from repro.core.sampler import GradientSATSampler
 from repro.engine.compiler import compile_circuit
 from repro.engine.executor import backward, execute_bool, execute_packed, forward
 from tests.engine.conftest import random_circuit
 from tests.oracles.cnf import evaluate_batch_reference
+from tests.oracles.interpreter import use_interpreter
 
+#: The retired dtype switch and the float64 specs it used to accept.
+RETIRED_ENV_VAR = "REPRO_ARRAY_BACKEND"
 BACKENDS = ["numpy", "numpy:float64"]
 
 
@@ -36,29 +40,32 @@ def _program(seed: int = 0, num_gates: int = 40):
 
 @pytest.fixture()
 def spec_default(monkeypatch, backend_name):
-    """Make ``backend_name`` the process default for the test."""
-    monkeypatch.setenv(ARRAY_BACKEND_ENV_VAR, backend_name)
+    """Leave ``backend_name`` in the retired variable for the test."""
+    monkeypatch.setenv(RETIRED_ENV_VAR, backend_name)
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)
 class TestEngineEquivalence:
-    def test_forward_matches_reference(self, backend_name):
+    """float64 input under an old float64 spec still runs in float32."""
+
+    def test_forward_matches_reference(self, backend_name, spec_default):
         program, _ = _program(seed=1)
         probabilities = np.random.default_rng(1).random((16, program.input_width))
-        reference, _ = forward(program, probabilities)
-        outputs, _ = forward(program, probabilities.astype(array_dtype(backend_name)))
+        reference, _ = forward(program, probabilities.astype(np.float32))
+        outputs, _ = forward(program, probabilities)
+        assert outputs.dtype == np.float32
         np.testing.assert_array_equal(outputs, reference)
 
-    def test_backward_matches_reference(self, backend_name):
+    def test_backward_matches_reference(self, backend_name, spec_default):
         program, _ = _program(seed=2)
         rng = np.random.default_rng(2)
         probabilities = rng.random((8, program.input_width))
         seed_grad = rng.random((8, len(program.output_nets)))
-        _, cache_ref = forward(program, probabilities)
-        reference = backward(program, cache_ref, seed_grad)
-        dtype = array_dtype(backend_name)
-        _, cache = forward(program, probabilities.astype(dtype))
-        grads = backward(program, cache, seed_grad.astype(dtype))
+        _, cache_ref = forward(program, probabilities.astype(np.float32))
+        reference = backward(program, cache_ref, seed_grad.astype(np.float32))
+        _, cache = forward(program, probabilities)
+        grads = backward(program, cache, seed_grad)
+        assert grads.dtype == np.float32
         np.testing.assert_array_equal(grads, reference)
 
     def test_bool_and_packed_modes_match_reference(self, backend_name, spec_default):
@@ -118,19 +125,19 @@ class TestKernelEquivalence:
         matrix = np.random.default_rng(seed).random((batch, num_variables)) < 0.5
         plan = formula.evaluation_plan()
         with pytest.MonkeyPatch.context() as patch:
-            patch.setenv(ARRAY_BACKEND_ENV_VAR, backend_name)
+            patch.setenv(RETIRED_ENV_VAR, backend_name)
             reference = evaluate_batch_reference(formula, matrix)
             np.testing.assert_array_equal(plan.evaluate(matrix), reference)
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)
 class TestPackedPrimitives:
-    """The uint8/uint64 word layer of the packed kernels, under each spec."""
+    """The uint8/uint64 word layer of the packed kernels, under each old spec."""
 
     def test_packbits_unpackbits_roundtrip(self, backend_name, spec_default):
         # The bit-packed CNF kernel is deleted (it lost to the compiled one
         # on variable-major rows) and so is the backend knob that named it;
-        # under every spec, asking for it fails.
+        # asking for it fails.
         formula = CNF([[1, -2], [2, 3, -4], [-1, 4]], num_variables=4)
         matrix = np.random.default_rng(7).random((27, 4)) < 0.5
         with pytest.raises(TypeError, match="backend"):
@@ -168,17 +175,15 @@ class TestSamplerEquivalence:
     def formula(self, fig1_formula):
         return fig1_formula
 
-    def _run(self, formula, spec):
-        config = SamplerConfig(
-            batch_size=64, seed=11, max_rounds=3, array_backend=spec
-        )
-        sampler = GradientSATSampler(formula, config=config)
-        result = sampler.sample(num_solutions=40)
-        return result
+    @staticmethod
+    def _run(formula):
+        config = SamplerConfig(batch_size=64, seed=11, max_rounds=3)
+        return GradientSATSampler(formula, config=config).sample(num_solutions=40)
 
-    def test_sampled_solutions_match_reference(self, backend_name, formula):
-        reference = self._run(formula, None)
-        candidate = self._run(formula, backend_name)
+    def test_sampled_solutions_match_reference(self, backend_name, formula, monkeypatch):
+        reference = self._run(formula)
+        monkeypatch.setenv(RETIRED_ENV_VAR, backend_name)
+        candidate = self._run(formula)
         assert candidate.timed_out == reference.timed_out
         assert candidate.num_generated == reference.num_generated
         # Same stream and same dtype, so the solutions AND their insertion
@@ -190,8 +195,8 @@ class TestSamplerEquivalence:
             r.loss_history for r in reference.rounds
         ]
 
-    def test_restarts_are_reproducible(self, backend_name, formula):
-        config = SamplerConfig(batch_size=32, seed=5, max_rounds=2, array_backend=backend_name)
+    def test_restarts_are_reproducible(self, backend_name, formula, spec_default):
+        config = SamplerConfig(batch_size=32, seed=5, max_rounds=2)
         sampler = GradientSATSampler(formula, config=config)
         first = sampler.sample(num_solutions=30)
         sampler.reset_rng()
@@ -202,34 +207,13 @@ class TestSamplerEquivalence:
         assert first.num_generated == second.num_generated
 
 
-class TestActiveBackendDoesNotLeak:
-    def test_sampler_restores_active_backend(self, fig1_formula, monkeypatch):
-        # A float32 run leaves no process state behind: a default sampler
-        # afterwards still learns in float64.
-        from repro.engine import train
-
-        monkeypatch.delenv(ARRAY_BACKEND_ENV_VAR, raising=False)
-        config = SamplerConfig(batch_size=16, seed=0, max_rounds=1, array_backend="numpy:float32")
-        GradientSATSampler(fig1_formula, config=config).sample(num_solutions=5)
-        seen = set()
-        original = train.sigmoid_embedding
-
-        def spy(soft_inputs):
-            seen.add(soft_inputs.dtype)
-            return original(soft_inputs)
-
-        monkeypatch.setattr(train, "sigmoid_embedding", spy)
-        GradientSATSampler(fig1_formula, config=config.with_(array_backend=None)).sample(5)
-        assert seen == {np.dtype(np.float64)}
-
-
 #: SHA-256 of the ``uint8`` solution matrix (251 x 1680) of s15850a_3_2 under
 #: ``SamplerConfig(seed=7, batch_size=128, max_rounds=3)``, 200 solutions.
-#: Identical for both dtype policies, on the engine — on the platform's
-#: tier and on the NumPy tier forced (the ``engine_tier`` fixture) — and on
-#: the reference interpreter oracle (the ``learner`` fixture).  Only the
-#: rows are pinned: the losses go through SIMD ``exp`` and can differ in the
-#: last bits across CPUs.
+#: Identical on the float32 engine — on the platform's tier and on the NumPy
+#: tier forced (the ``engine_tier`` fixture) — and on the reference
+#: interpreter oracle in float64 and in float32.  Only the rows are pinned:
+#: the losses go through SIMD ``exp`` and can differ in the last bits
+#: across CPUs.
 GOLDEN_ROWS_SHA256 = "2b03dd0a90ba234c4186912f1184fcd37545e40e27e8bad41114b4d858939d49"
 
 
@@ -250,10 +234,16 @@ def s15850a():
     indirect=True,
 )
 @pytest.mark.parametrize("spec", ["numpy", "numpy:float32"])
-def test_golden_solution_stream(s15850a, spec, learner, engine_tier):
+def test_golden_solution_stream(s15850a, spec, learner, engine_tier, monkeypatch):
+    """``spec`` is a retired dtype spec: left in ``REPRO_ARRAY_BACKEND`` it
+    changes nothing, and the interpreter oracle learns in the dtype it
+    named (``numpy`` = float64)."""
     from repro.core.pipeline import sample_cnf
 
-    config = SamplerConfig(seed=7, batch_size=128, max_rounds=3, array_backend=spec)
+    monkeypatch.setenv(RETIRED_ENV_VAR, spec)
+    if learner == "interpreter":
+        use_interpreter(monkeypatch, np.float32 if spec == "numpy:float32" else np.float64)
+    config = SamplerConfig(seed=7, batch_size=128, max_rounds=3)
     result = sample_cnf(s15850a, num_solutions=200, config=config)
     rows = np.ascontiguousarray(result.sample.solution_matrix().astype(np.uint8))
     assert rows.shape == (251, 1680)
