@@ -4,11 +4,14 @@ Two measurements, both on the largest Table II instance (``s15850a_3_2`` at
 the fast scale), recorded into ``BENCH_store.json``:
 
 * **round trip** — a cold :func:`~repro.serve.cache.build_artifact` (the
-  Algorithm 1 transform + engine/plan compiles) against
-  :func:`~repro.store.load_sampling_artifact` reading the same artifact back
-  from disk.  The load must be at least
-  ``REPRO_BENCH_STORE_MIN_SPEEDUP`` (default 5x) faster — that multiple is
-  the whole point of persisting artifacts across processes.
+  Algorithm 1 transform + engine/plan compiles) against reading the same
+  artifact back from disk, recorded in two parts: the hot load
+  (:func:`~repro.store.load_sampling_artifact`, which decodes only the
+  ``round`` entry) and the deferred decode (the first access to
+  ``.transform``).  The gated speedup divides the build by their *sum*, so
+  deferring work cannot pass the gate by itself; it must be at least
+  ``REPRO_BENCH_STORE_MIN_SPEEDUP`` (default 5x) — that multiple is the
+  whole point of persisting artifacts across processes.
 
 * **serve cold-job latency** — the 8-job manifest of
   ``bench_serve_throughput`` through fresh service pools:
@@ -109,21 +112,27 @@ def test_store_cold_vs_warm(benchmark, largest_instance, tmp_path):
     build_seconds = build_timer.seconds
     assert persist_artifact(store, artifact)
 
-    def _load():
-        reader = ArtifactStore(tmp_path / "store")  # a fresh handle per load
-        loaded = load_sampling_artifact(reader, artifact.signature)
-        assert loaded is not None and loaded.source == "store"
-        return loaded
-
-    load_times = []
+    hot_times = []
+    decode_times = []
     for _ in range(LOAD_REPEATS):
-        with timed() as load_timer:
-            _load()
-        load_times.append(load_timer.seconds)
-    load_seconds = median_seconds(load_times)
+        reader = ArtifactStore(tmp_path / "store")  # a fresh handle per load
+        with timed() as hot_timer:
+            loaded = load_sampling_artifact(reader, artifact.signature)
+        assert loaded is not None and loaded.source == "store"
+        assert reader.counters()["transform_decodes"] == 0
+        with timed() as decode_timer:
+            loaded.transform
+        assert reader.counters()["transform_decodes"] == 1
+        hot_times.append(hot_timer.seconds)
+        decode_times.append(decode_timer.seconds)
+    hot_load_seconds = median_seconds(hot_times)
+    deferred_decode_seconds = median_seconds(decode_times)
+    load_seconds = hot_load_seconds + deferred_decode_seconds
     speedup = build_seconds / load_seconds
     roundtrip = {
         "build_seconds": build_seconds,
+        "hot_load_seconds": hot_load_seconds,
+        "deferred_decode_seconds": deferred_decode_seconds,
         "load_seconds": load_seconds,
         "speedup": speedup,
         "entries": {
@@ -183,7 +192,8 @@ def test_store_cold_vs_warm(benchmark, largest_instance, tmp_path):
     print()
     print(
         f"roundtrip on {entry.name}: build {build_seconds:.3f} s, "
-        f"store load {load_seconds:.3f} s -> {speedup:.2f}x"
+        f"store load {hot_load_seconds:.3f} s + deferred decode "
+        f"{deferred_decode_seconds:.3f} s -> {speedup:.2f}x"
     )
     for name, mode in modes.items():
         print(

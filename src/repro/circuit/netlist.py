@@ -99,10 +99,11 @@ class Circuit:
         return self._engine_cache
 
     def __getstate__(self):
-        # Compiled programs are serialised separately (repro.store keeps them
-        # as their own entries, keyed by memo key); a pickled netlist travels
-        # without its memo so the cache is never embedded twice and a
-        # restored circuit starts consistent with a freshly built one.
+        # Compiled programs are serialised separately (repro.store keeps a
+        # round's programs in its own entry and re-adopts them on decode); a
+        # pickled netlist travels without its memo so the cache is never
+        # embedded twice and a restored circuit starts consistent with a
+        # freshly built one.
         state = dict(self.__dict__)
         state["_engine_cache"] = {}
         return state

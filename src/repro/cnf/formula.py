@@ -180,10 +180,11 @@ class CNF:
     def install_evaluation_plan(self, plan: CNFEvalPlan) -> None:
         """Adopt a pre-compiled plan as this formula's memo.
 
-        Used by :mod:`repro.store` when a deserialised plan arrives alongside
-        the formula it was compiled from; the plan must match this formula's
-        declared shape (plans are content-addressed, so a shape mismatch
-        means the caller mixed signatures).
+        Used when a store-loaded artifact decodes its formula: the plan
+        decoded with the artifact's round becomes the formula's memo.  It
+        must match this formula's declared shape (plans are
+        content-addressed, so a shape mismatch means the caller mixed
+        signatures).
         """
         if (
             plan.num_variables != self._num_variables

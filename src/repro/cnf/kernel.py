@@ -74,8 +74,6 @@ class CNFEvalPlan:
     literal_negated: np.ndarray
     #: Start offset of each (width-sorted) non-empty clause in the flat arrays.
     reduce_offsets: np.ndarray
-    #: Original clause index of each width-sorted non-empty clause.
-    nonempty_index: np.ndarray
     #: ``(clause_start, clause_end, width)`` spans over the width-sorted
     #: clauses; each bucket reduces as one fused ``(clauses, width, batch)`` OR.
     width_groups: Tuple[Tuple[int, int, int], ...]
@@ -98,7 +96,6 @@ class CNFEvalPlan:
             self.literal_columns.nbytes
             + self.literal_negated.nbytes
             + self.reduce_offsets.nbytes
-            + self.nonempty_index.nbytes
         )
 
     # -- fused evaluation -------------------------------------------------------------
@@ -162,24 +159,22 @@ def clear_plan_caches() -> None:
 def compile_evaluation_plan(formula: "CNF") -> CNFEvalPlan:
     """Flatten ``formula`` into a :class:`CNFEvalPlan` (one pass over the clauses)."""
     _PLAN_COMPILES.inc()
-    indexed = [(index, clause) for index, clause in enumerate(formula.clauses)]
-    nonempty = [(index, clause) for index, clause in indexed if len(clause)]
-    num_empty = len(indexed) - len(nonempty)
-    nonempty.sort(key=lambda pair: len(pair[1]))  # stable: insertion order per width
+    clauses = formula.clauses
+    # Stable sort: clauses keep their insertion order within a width.
+    nonempty = sorted((clause for clause in clauses if len(clause)), key=len)
+    num_empty = len(clauses) - len(nonempty)
     columns = []
     negated = []
     offsets = []
-    original_index = []
     groups = []
     position = 0
-    for sorted_position, (index, clause) in enumerate(nonempty):
+    for sorted_position, clause in enumerate(nonempty):
         width = len(clause)
         if groups and groups[-1][2] == width:
             groups[-1][1] = sorted_position + 1
         else:
             groups.append([sorted_position, sorted_position + 1, width])
         offsets.append(position)
-        original_index.append(index)
         for literal in clause:
             columns.append(abs(literal) - 1)
             negated.append(literal < 0)
@@ -190,7 +185,6 @@ def compile_evaluation_plan(formula: "CNF") -> CNFEvalPlan:
         literal_columns=np.asarray(columns, dtype=np.intp),
         literal_negated=np.asarray(negated, dtype=bool),
         reduce_offsets=np.asarray(offsets, dtype=np.intp),
-        nonempty_index=np.asarray(original_index, dtype=np.intp),
         width_groups=tuple((start, stop, width) for start, stop, width in groups),
         num_empty=num_empty,
     )
@@ -225,17 +219,15 @@ def extend_evaluation_plan(plan: CNFEvalPlan, formula: "CNF") -> CNFEvalPlan:
     appended = clauses[plan.num_clauses :]
     num_empty = plan.num_empty + sum(1 for clause in appended if not len(clause))
     new_by_width: Dict[int, list] = {}
-    for offset, clause in enumerate(appended):
+    for clause in appended:
         if len(clause):
-            index = plan.num_clauses + offset
-            new_by_width.setdefault(len(clause), []).append((index, clause))
+            new_by_width.setdefault(len(clause), []).append(clause)
 
     old_spans = {width: (start, stop) for start, stop, width in plan.width_groups}
     boundaries = np.append(plan.reduce_offsets, plan.literal_columns.size)
     columns_segments = []
     negated_segments = []
     offsets_segments = []
-    index_segments = []
     groups = []
     position = 0
     sorted_position = 0
@@ -249,10 +241,9 @@ def extend_evaluation_plan(plan: CNFEvalPlan, formula: "CNF") -> CNFEvalPlan:
             offsets_segments.append(
                 plan.reduce_offsets[start:stop] - literal_start + position
             )
-            index_segments.append(plan.nonempty_index[start:stop])
             position += int(literal_stop - literal_start)
             sorted_position += stop - start
-        for index, clause in new_by_width.get(width, ()):
+        for clause in new_by_width.get(width, ()):
             columns_segments.append(
                 np.asarray([abs(literal) - 1 for literal in clause], dtype=np.intp)
             )
@@ -260,7 +251,6 @@ def extend_evaluation_plan(plan: CNFEvalPlan, formula: "CNF") -> CNFEvalPlan:
                 np.asarray([literal < 0 for literal in clause], dtype=bool)
             )
             offsets_segments.append(np.asarray([position], dtype=np.intp))
-            index_segments.append(np.asarray([index], dtype=np.intp))
             position += width
             sorted_position += 1
         groups.append((group_start, sorted_position, width))
@@ -270,7 +260,6 @@ def extend_evaluation_plan(plan: CNFEvalPlan, formula: "CNF") -> CNFEvalPlan:
         literal_columns=_concatenate(columns_segments, np.intp),
         literal_negated=_concatenate(negated_segments, bool),
         reduce_offsets=_concatenate(offsets_segments, np.intp),
-        nonempty_index=_concatenate(index_segments, np.intp),
         width_groups=tuple(groups),
         num_empty=num_empty,
     )

@@ -15,13 +15,14 @@ The sampler learns a batch of candidate solutions in parallel:
    and the resulting full assignments are validated against the *original*
    CNF; unique valid assignments are retained.
 
-Step 5 is one compiled pass: the transform's round plan
-(:attr:`TransformResult.round_plan`, built once per artifact together with
-the input lists and the model, so a sampler costs almost nothing to build)
-routes the hard bits and the draws through ``intp`` row maps into a
-variable-major ``(num_variables, batch)`` matrix, one engine pass fills the
-defined-variable rows, and the CNF kernel and the dedup read its transposed
-``(batch, num_variables)`` view without a transposing copy.
+A round runs only the transform's round plan
+(:attr:`TransformResult.round_plan`, compiled once per artifact, so a
+sampler costs almost nothing to build) and the formula's CNF plan: the
+plan's learn program trains steps 1-4, its ``intp`` row maps route the hard
+bits and the draws into a variable-major ``(num_variables, batch)`` matrix,
+one pass of its fill program fills the defined-variable rows, and the CNF
+plan and the dedup read the transposed ``(batch, num_variables)`` view
+without a transposing copy.
 
 Each batch element is learned independently, so the whole loop vectorises
 across the batch — the property the paper exploits for GPU acceleration, and
@@ -46,16 +47,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.cnf.formula import CNF
+from repro.cnf.kernel import CNFEvalPlan
 from repro.core.config import SamplerConfig
 from repro.core.model import ProbabilisticCircuitModel
 from repro.core.solutions import SolutionSet
 from repro.core.task import DEFAULT_TASK, SamplingTask
-from repro.core.transform import TransformResult, transform_cnf
+from repro.core.transform import RoundPlan, TransformResult, transform_cnf
 from repro.engine.executor import float_array
 from repro.engine.train import descend
 from repro.engine.train import learn_batch as engine_learn_batch
@@ -159,33 +161,74 @@ class SampleResult:
         }
 
 
+class _Compiled(NamedTuple):
+    """A formula with its transform and both compiled plans (the sampler's
+    view of a :class:`~repro.serve.cache.SamplingArtifact`)."""
+
+    formula: CNF
+    transform: TransformResult
+    round: RoundPlan
+    plan: CNFEvalPlan
+
+
 class GradientSATSampler:
-    """Batched gradient-descent sampler over a transformed CNF instance."""
+    """Batched gradient-descent sampler over a transformed CNF instance.
+
+    ``formula`` is the CNF to sample (transformed here unless ``transform``
+    is given), or a compiled :class:`~repro.serve.cache.SamplingArtifact`.
+    Either way the sampler is bound to a
+    :class:`~repro.core.transform.RoundPlan` and a
+    :class:`~repro.cnf.kernel.CNFEvalPlan`, and its rounds read nothing else:
+    learn, fill, validate and the row maps all come from those two plans.  A
+    store-loaded artifact therefore samples without decoding its formula or
+    transform; :attr:`formula` and :attr:`transform` fetch them on access.
+    """
 
     def __init__(
         self,
-        formula: CNF,
+        formula,
         transform: Optional[TransformResult] = None,
         config: Optional[SamplerConfig] = None,
         task: Optional[SamplingTask] = None,
     ) -> None:
-        self.formula = formula
+        if isinstance(formula, CNF):
+            transform = transform if transform is not None else transform_cnf(formula)
+            formula = _Compiled(formula, transform, transform.round_plan, formula.evaluation_plan())
+        elif transform is not None:
+            raise TypeError("transform= is only accepted with a CNF formula")
+        self._compiled = formula
+        self._plan = formula.round
+        self._cnf_plan = formula.plan
         self.config = config or SamplerConfig()
-        self.transform = transform if transform is not None else transform_cnf(formula)
         self._rng = new_rng(self.config.seed)
-        self._plan = self.transform.round_plan
         # The task shapes *how* this sampler counts and draws, not *what* it
-        # samples: ``formula`` (and ``transform``) must already be the
-        # effective post-delta formula — the pipeline / serving tier applies
-        # ``task.delta`` before constructing the sampler.  Here the task
-        # contributes the projection columns for dedup and the per-variable
-        # weight vectors for initialization.
+        # samples: the plans must already be the effective post-delta
+        # formula's — the pipeline / serving tier applies ``task.delta``
+        # before constructing the sampler.  Here the task contributes the
+        # projection columns for dedup and the per-variable weight vectors
+        # for initialization.
         self.task = task if task is not None else DEFAULT_TASK
-        self._projection = (
-            self.task.projection_columns(formula.num_variables) or None
-        )
+        self._projection = self.task.projection_columns(self._plan.num_variables) or None
         self._init_weight_vectors()
-        self.model: Optional[ProbabilisticCircuitModel] = self._plan.model
+
+    @property
+    def formula(self) -> CNF:
+        """The formula solutions are validated against."""
+        return self._compiled.formula
+
+    @property
+    def transform(self) -> TransformResult:
+        """The transform whose round plan this sampler runs."""
+        return self._compiled.transform
+
+    @property
+    def model(self) -> Optional[ProbabilisticCircuitModel]:
+        """The constrained cone's circuit model (``None`` without constraints).
+
+        Rounds run the plan's compiled program, not this; it is derived on
+        demand for callers that walk the circuit gate by gate.
+        """
+        return self.transform.model
 
     # -- public API ---------------------------------------------------------------------
     def reset_rng(self) -> None:
@@ -237,7 +280,7 @@ class GradientSATSampler:
             if self.config.timeout_seconds is None
             else start + self.config.timeout_seconds
         )
-        solutions = SolutionSet(self.formula.num_variables, project=self._projection)
+        solutions = SolutionSet(self._plan.num_variables, project=self._projection)
         rounds: List[RoundRecord] = []
         num_generated = 0
         num_valid = 0
@@ -342,10 +385,10 @@ class GradientSATSampler:
         self, max_iterations: int, batch_size: Optional[int]
     ) -> List[int]:
         batch = self.config.batch_size if batch_size is None else batch_size
-        solutions = SolutionSet(self.formula.num_variables, project=self._projection)
+        solutions = SolutionSet(self._plan.num_variables, project=self._projection)
         curve: List[int] = []
 
-        if self.model is None:
+        if self._plan.learn is None:
             # No constrained paths: every iteration adds fresh random samples.
             for _ in range(max_iterations + 1):
                 assignments, valid_mask, _ = self._random_round(batch)
@@ -354,7 +397,7 @@ class GradientSATSampler:
             return curve
 
         soft_inputs = float_array(self._draw_initial_soft_inputs(batch))
-        steps = descend(self.model.program, soft_inputs, self.config)
+        steps = descend(self._plan.learn, soft_inputs, self.config)
         for iteration in range(max_iterations + 1):
             if iteration > 0:
                 soft_inputs, _ = next(steps)
@@ -380,7 +423,7 @@ class GradientSATSampler:
         self._free_probs = None
         if not self.task.is_weighted:
             return
-        logits = self.task.weight_logits(self.formula.num_variables)
+        logits = self.task.weight_logits(self._plan.num_variables)
         probs = self.task.weight_map()
 
         def weights(rows: np.ndarray, table, default: float) -> List[float]:
@@ -403,9 +446,8 @@ class GradientSATSampler:
         casts it to ``float32``, and the reference oracles under ``tests/``
         learn from the same ``float64`` values.
         """
-        assert self.model is not None
         draw = self._rng.normal(
-            0.0, self.config.init_scale, size=(batch_size, self.model.num_inputs)
+            0.0, self.config.init_scale, size=(batch_size, len(self._plan.constrained_rows))
         )
         if self._constrained_bias is not None:
             draw = draw + self._constrained_bias
@@ -424,9 +466,8 @@ class GradientSATSampler:
         ``should_stop`` hook between chunks and between GD iterations,
         truncating the batch to the rows actually learned when either fires.
         """
-        assert self.model is not None
         return engine_learn_batch(
-            self.model.program,
+            self._plan.learn,
             batch_size,
             self.config,
             self._draw_initial_soft_inputs,
@@ -438,19 +479,20 @@ class GradientSATSampler:
         """Build full CNF assignments from constrained-input bits and validate them.
 
         The round plan routes the bits and the draws (unconstrained, then
-        free) into variable-major rows; the candidates are their transpose.
+        free) into variable-major rows and fills the defined rows; the
+        candidates are their transpose, validated by the CNF plan.
         """
         plan = self._plan
         batch = constrained_bits.shape[0]
-        rows = np.zeros((self.transform.num_variables, batch), dtype=np.bool_)
+        rows = np.zeros((plan.num_variables, batch), dtype=np.bool_)
         rows[plan.constrained_rows] = constrained_bits.T
         rows[plan.unconstrained_rows] = self._draw_bits(
             batch, plan.unconstrained_rows, self._unconstrained_probs
         )
         rows[plan.free_rows] = self._draw_bits(batch, plan.free_rows, self._free_probs)
-        self.transform.fill_defined_rows(rows)
+        plan.fill_defined_rows(rows)
         assignments = rows.T
-        valid_mask = self.formula.evaluate_batch(assignments)
+        valid_mask = self._cnf_plan.evaluate(assignments)
         return assignments, valid_mask
 
     def _draw_bits(self, batch_size: int, rows: np.ndarray, probs) -> np.ndarray:
@@ -471,7 +513,7 @@ class GradientSATSampler:
         should_stop: Optional[Callable[[], bool]] = None,
     ) -> Tuple[np.ndarray, np.ndarray, List[float], bool]:
         """One sampling round: learn (if needed), assemble and validate a batch."""
-        if self.model is None:
+        if self._plan.learn is None:
             assignments, valid_mask, loss_history = self._random_round(batch_size)
             halted = (
                 deadline is not None and time.perf_counter() >= deadline

@@ -69,8 +69,9 @@ from repro.core.extraction import (
 )
 from repro.core.model import ProbabilisticCircuitModel
 from repro.core.signatures import GateMatch, match_gate_signature
-from repro.engine.compiler import compiled_program_for
+from repro.engine.compiler import adopt_program, compiled_program_for, program_key
 from repro.engine.executor import execute_bool
+from repro.engine.program import CompiledProgram
 from repro.circuit.gates import Gate, GateType
 from repro import obs
 
@@ -173,24 +174,44 @@ def _variable_rows(names: Sequence[str]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RoundPlan:
-    """One transform's sampling round, compiled once: the sampler skeleton.
+    """Everything a sampling round executes, compiled once per transform.
 
-    Each ``*_rows`` map is an ``intp`` array (empty maps too, so they index
-    as no-ops) of 0-based variable rows of a variable-major ``(num_variables,
-    batch)`` matrix: where the constrained and unconstrained inputs, the free
-    variables and the simulated defined variables go.  ``model`` is the
-    constrained cone's model, ``None`` without constraints.
+    A round learns the constrained inputs with :attr:`learn` (the
+    constrained cone's program, ``None`` without constraints — then the round
+    is pure random draws), routes learned bits and random draws into a
+    variable-major ``(num_variables, batch)`` matrix through the ``*_rows``
+    maps, and fills the defined variables with :attr:`fill` (the defined nets
+    over the primary inputs, ``None`` without definitions).  Each map is an
+    ``intp`` array of 0-based variable rows (empty maps too, so they index as
+    no-ops).
+
+    The plan holds only names, index arrays and compiled programs — no
+    ``Circuit``, ``Expr`` or ``Clause`` — so it is the artifact store's hot
+    ``round`` entry: a store hit decodes it (with the formula's
+    :class:`~repro.cnf.kernel.CNFEvalPlan`) and nothing else.
     """
 
-    constrained_inputs: List[str]
-    unconstrained_inputs: List[str]
-    model: Optional[ProbabilisticCircuitModel]
+    num_variables: int
+    constrained_inputs: Tuple[str, ...]
+    unconstrained_inputs: Tuple[str, ...]
     defined_nets: Tuple[str, ...]
+    learn: Optional[CompiledProgram]
+    fill: Optional[CompiledProgram]
     input_rows: np.ndarray
     constrained_rows: np.ndarray
     unconstrained_rows: np.ndarray
     free_rows: np.ndarray
     defined_rows: np.ndarray
+
+    def fill_defined_rows(self, rows: np.ndarray) -> None:
+        """Simulate the defined variables into variable-major ``rows`` in place.
+
+        ``rows`` is ``(num_variables, batch)`` with its primary-input rows set.
+        """
+        if self.fill is None:
+            return
+        values = execute_bool(self.fill, rows[self.input_rows].T)
+        rows[self.defined_rows] = values[self.fill.output_slots]
 
 
 @dataclass
@@ -248,28 +269,47 @@ class TransformResult:
         """Primary inputs only on unconstrained paths (any random value works)."""
         return list(self.round_plan.unconstrained_inputs)
 
+    @cached_property
+    def model(self) -> Optional[ProbabilisticCircuitModel]:
+        """The constrained cone's differentiable model (``None`` without constraints).
+
+        Sampling runs :attr:`RoundPlan.learn` directly; the model is the
+        circuit-level view of the same program for callers that walk gates.
+        """
+        if not self.constraints:
+            return None
+        return ProbabilisticCircuitModel(
+            self.circuit,
+            self.constraint_nets(),
+            input_order=self.round_plan.constrained_inputs,
+        )
+
     # -- reconstruction of full CNF assignments ------------------------------------------
     @cached_property
     def round_plan(self) -> "RoundPlan":
         """The sampling round compiled once per transform (see :class:`RoundPlan`).
 
         Built on first use and memoised, so every sampler over this transform
-        shares one skeleton; pickling drops it (see :meth:`__getstate__`).
+        shares one plan; its programs come from (and stay in) the circuit's
+        program memo.  Pickling drops the memo (see :meth:`__getstate__`): the
+        store keeps the plan as an entry of its own.
         """
         cone = self.circuit.transitive_fanin(self.constraint_nets())
-        constrained = [name for name in self.primary_inputs if name in cone]
-        unconstrained = [name for name in self.primary_inputs if name not in cone]
+        constrained = tuple(name for name in self.primary_inputs if name in cone)
+        unconstrained = tuple(name for name in self.primary_inputs if name not in cone)
         defined = tuple(name for name, _ in self.definitions)
-        model = None
+        learn = fill = None
         if self.constraints:
-            model = ProbabilisticCircuitModel(
-                self.circuit, self.constraint_nets(), input_order=constrained
-            )
+            learn = compiled_program_for(self.circuit, self.constraint_nets(), constrained)
+        if defined:
+            fill = compiled_program_for(self.circuit, defined, self.primary_inputs)
         return RoundPlan(
+            num_variables=self.num_variables,
             constrained_inputs=constrained,
             unconstrained_inputs=unconstrained,
-            model=model,
             defined_nets=defined,
+            learn=learn,
+            fill=fill,
             input_rows=_variable_rows(self.primary_inputs),
             constrained_rows=_variable_rows(constrained),
             unconstrained_rows=_variable_rows(unconstrained),
@@ -277,25 +317,38 @@ class TransformResult:
             defined_rows=_variable_rows(defined),
         )
 
+    def adopt_programs(self, plan: RoundPlan) -> None:
+        """Seed the circuit's program memo with a stored round plan's programs.
+
+        After a store load, :meth:`round_plan` and every
+        :func:`~repro.engine.compiler.compiled_program_for` call for those
+        cones are then memo hits on the very program objects the plan holds.
+        """
+        if plan.learn is not None:
+            adopt_program(
+                self.circuit,
+                program_key(self.constraint_nets(), plan.constrained_inputs),
+                plan.learn,
+            )
+        if plan.fill is not None:
+            adopt_program(
+                self.circuit, program_key(plan.defined_nets, self.primary_inputs), plan.fill
+            )
+
     def __getstate__(self):
-        # A process-local memo: store entries and workers rebuild it on use.
+        # Process-local memos: store entries and workers rebuild them on use.
         state = dict(self.__dict__)
         state.pop("round_plan", None)
+        state.pop("model", None)
         return state
 
     def fill_defined_rows(self, rows: np.ndarray) -> None:
         """Simulate the defined variables into variable-major ``rows`` in place.
 
-        ``rows`` is ``(num_variables, batch)`` with its primary-input rows set.
-        The ``(defined nets, primary inputs)`` program is resolved through the
-        circuit's memo on every call; its output slots fill the defined rows.
+        ``rows`` is ``(num_variables, batch)`` with its primary-input rows set
+        (see :meth:`RoundPlan.fill_defined_rows`).
         """
-        plan = self.round_plan
-        if not plan.defined_nets:
-            return
-        program = compiled_program_for(self.circuit, plan.defined_nets, self.primary_inputs)
-        values = execute_bool(program, rows[plan.input_rows].T)
-        rows[plan.defined_rows] = values[program.output_slots]
+        self.round_plan.fill_defined_rows(rows)
 
     def complete_assignments(
         self,

@@ -300,9 +300,10 @@ def program_key(
 def adopt_program(circuit: Circuit, key: ProgramKey, program: CompiledProgram) -> None:
     """Install an externally obtained program into ``circuit``'s memo.
 
-    Used by :mod:`repro.store` to re-attach deserialised programs: a
-    subsequent :func:`compiled_program_for` with the same cone becomes a pure
-    cache hit instead of a recompile.  The memo participates in the usual
+    Used to re-attach a store-loaded round plan's programs to the circuit
+    decoded after it (:meth:`TransformResult.adopt_programs`): a subsequent
+    :func:`compiled_program_for` with the same cone becomes a pure cache hit
+    instead of a recompile.  The memo participates in the usual
     invalidation — any netlist mutation clears it, adopted entries included.
     """
     circuit.engine_cache()[key] = program

@@ -1,48 +1,51 @@
 """Formula-keyed artifact cache: a hot formula never recompiles.
 
-One sampling request needs three expensive compiled artifacts, all derived
-purely from the formula:
+One sampling request needs expensive compiled artifacts, all derived purely
+from the formula:
 
 * the **transformation** (Algorithm 1: CNF -> recovered circuit), by far the
   dominant cost — roughly 10x the sampling time itself on the ISCAS-family
   instances;
-* the **compiled engine program** of the constrained cone
-  (:func:`repro.engine.compiler.compiled_program_for`, memoised on the
-  recovered circuit);
+* its **round plan** (:attr:`TransformResult.round_plan`): the compiled
+  engine programs a round runs — the constrained cone it learns on and the
+  defined variables it fills — plus the row maps;
 * the **CNF evaluation plan** used for candidate validation
   (:meth:`CNF.evaluation_plan`, memoised on the formula object).
 
-:class:`ArtifactCache` bundles the three into a :class:`SamplingArtifact`
-keyed by the formula's content signature
+:class:`ArtifactCache` bundles them into a :class:`SamplingArtifact` keyed by
+the formula's content signature
 (:func:`repro.core.signatures.formula_signature`) and keeps them in a
 :class:`~repro.utils.weakcache.BoundedLRUCache` — bounded both by entry
 count and by total bytes, with the byte cost read straight off the compiled
 objects' ``nbytes`` handles (:attr:`CompiledProgram.nbytes`,
-:attr:`CNFEvalPlan.nbytes`).  Every service worker owns one instance, so a
-formula that stays hot on a worker is transformed and compiled exactly once
-for the worker's lifetime, however many jobs reference it.
+:attr:`CNFEvalPlan.nbytes`) plus any still-encoded store bytes.  Every
+service worker owns one instance, so a formula that stays hot on a worker is
+transformed and compiled exactly once for the worker's lifetime, however
+many jobs reference it.
 
 An optional second tier — a persistent
 :class:`~repro.store.store.ArtifactStore` — sits under the memory cache:
 ``get_or_build`` resolves memory → store → build, persists after a cold
 build, and coordinates concurrent cold starts on one signature through the
 store's single-flight build lease, so the first process to ever compile a
-formula warms every other process sharing the store directory.
+formula warms every other process sharing the store directory.  A store hit
+carries only the round plan and the CNF plan decoded; its formula and
+transform stay encoded until first accessed, and evicting it never decodes
+them.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.cnf.delta import ClauseDelta
 from repro.cnf.formula import CNF
 from repro.cnf.kernel import CNFEvalPlan
 from repro.core.signatures import formula_signature
-from repro.core.transform import TransformResult, retransform, transform_cnf
-from repro.engine.compiler import cached_programs
-from repro.store.artifacts import fetch_or_build_artifact
+from repro.core.transform import RoundPlan, TransformResult, retransform, transform_cnf
+from repro.store.artifacts import PendingTransform, fetch_or_build_artifact
 from repro.store.store import ArtifactStore
 from repro.utils.weakcache import BoundedLRUCache
 from repro import obs
@@ -64,20 +67,23 @@ _CACHE_OPS = obs.counter(
 
 @dataclass
 class SamplingArtifact:
-    """Everything compiled from one formula, ready for repeated sampling."""
+    """Everything compiled from one formula, ready for repeated sampling.
+
+    A sampling round reads only :attr:`round` and :attr:`plan`.  The formula
+    and its :class:`TransformResult` are needed only off that path (summaries,
+    incremental derivation, the pipeline's result): a built artifact holds
+    them, a store-loaded one holds its verified ``transform`` entry and
+    decodes it on the first access to :attr:`formula` or :attr:`transform`.
+    """
 
     #: Content signature the artifact is keyed by.
     signature: str
-    #: The formula object solutions are validated against.  Samplers must be
-    #: built on *this* object (not the caller's equal copy) so the memoised
-    #: evaluation plan is shared.
-    formula: CNF
-    #: The recovered multi-level function (Algorithm 1 output).
-    transform: TransformResult
-    #: The memoised CNF evaluation plan (also reachable via the formula).
+    #: What a sampling round executes (the transform's compiled round plan).
+    round: RoundPlan
+    #: The formula's CNF evaluation plan, which validates every candidate.
     plan: CNFEvalPlan
     #: Wall-clock seconds the build took (transform + compiles).
-    build_seconds: float
+    build_seconds: float = 0.0
     #: Wall-clock seconds of the transform alone — the dominant cold-start
     #: stage, surfaced per job so cold-path latency is observable end to end.
     transform_seconds: float = 0.0
@@ -92,22 +98,80 @@ class SamplingArtifact:
     source: str = "built"
     #: Wall-clock seconds a store load took (0.0 for built artifacts).
     load_seconds: float = 0.0
+    #: ``(formula, transform)``, or ``None`` until :attr:`pending` is decoded.
+    objects: Optional[Tuple[CNF, TransformResult]] = field(default=None, repr=False)
+    #: The store's verified, still-encoded ``transform`` entry (store hits only).
+    pending: Optional[PendingTransform] = field(default=None, repr=False)
+
+    @property
+    def formula(self) -> CNF:
+        """The formula object solutions are validated against.
+
+        Samplers built from it share :attr:`plan` as its memoised
+        evaluation plan.
+        """
+        return self._decoded()[0]
+
+    @property
+    def transform(self) -> TransformResult:
+        """The recovered multi-level function (Algorithm 1 output)."""
+        return self._decoded()[1]
+
+    def _decoded(self) -> Tuple[CNF, TransformResult]:
+        if self.objects is None:
+            formula, transform = self.pending.decode()
+            formula.install_evaluation_plan(self.plan)
+            transform.adopt_programs(self.round)
+            self.objects = (formula, transform)
+            self.pending = None
+        return self.objects
 
     @property
     def nbytes(self) -> int:
-        """Byte cost charged to the cache: plan + every memoised program."""
+        """Byte cost charged to the cache: the plan, the round's programs
+        and any still-encoded store bytes the artifact keeps."""
         total = self.plan.nbytes
-        for program in cached_programs(self.transform.circuit):
-            total += program.nbytes
+        for program in (self.round.learn, self.round.fill):
+            if program is not None:
+                total += program.nbytes
+        if self.pending is not None:
+            total += self.pending.nbytes
         return total
+
+    def release(self) -> None:
+        """Drop the memoised state an evicted artifact keeps alive.
+
+        An artifact whose ``transform`` entry is still encoded has no such
+        state, and stays undecoded.
+        """
+        if self.objects is not None:
+            formula, transform = self.objects
+            formula.clear_evaluation_plan()
+            transform.circuit.engine_cache().clear()
+
+
+def _compiled_artifact(
+    signature: str, formula: CNF, transform: TransformResult, start: float, **fields
+) -> SamplingArtifact:
+    """Compile the round plan and the CNF plan, and wrap them as an artifact."""
+    plan = formula.evaluation_plan()
+    round_plan = transform.round_plan
+    return SamplingArtifact(
+        signature=signature,
+        round=round_plan,
+        plan=plan,
+        build_seconds=time.perf_counter() - start,
+        transform_seconds=transform.stats.seconds,
+        objects=(formula, transform),
+        **fields,
+    )
 
 
 def build_artifact(formula: CNF, signature: Optional[str] = None) -> SamplingArtifact:
     """Compile every artifact for ``formula`` (the cache-miss path).
 
-    The transform's round plan (the sampler skeleton) is built and its
-    constrained cone's engine program compiled eagerly, so constructing a
-    sampler on the artifact later is a pure cache hit.
+    The transform's round plan (its learn and fill programs) and the CNF
+    plan are compiled eagerly, so a sampler on the artifact compiles nothing.
     """
     from repro import faults
 
@@ -119,18 +183,7 @@ def build_artifact(formula: CNF, signature: Optional[str] = None) -> SamplingArt
         start = time.perf_counter()
         signature = signature or formula_signature(formula)
         bspan.set("signature", signature[:12])
-        transform = transform_cnf(formula)
-        plan = formula.evaluation_plan()
-        if transform.constraints:
-            transform.round_plan.model.program  # compile into the circuit's memo
-        return SamplingArtifact(
-            signature=signature,
-            formula=formula,
-            transform=transform,
-            plan=plan,
-            build_seconds=time.perf_counter() - start,
-            transform_seconds=transform.stats.seconds,
-        )
+        return _compiled_artifact(signature, formula, transform_cnf(formula), start)
 
 
 def build_incremental_artifact(
@@ -147,24 +200,19 @@ def build_incremental_artifact(
     when the delta is append-only (:meth:`CNF.with_delta`).  The result is
     a fully independent artifact: equal to a cold build of the effective
     formula (the ``tests/incremental`` equivalence suite pins this), cached
-    and evicted on its own.
+    and evicted on its own.  A store-loaded parent decodes its transform
+    here.
     """
     with obs.span("artifact.build_incremental") as bspan:
         start = time.perf_counter()
         effective = parent.formula.with_delta(delta)
         signature = signature or formula_signature(effective)
         bspan.set("signature", signature[:12])
-        transform = retransform(parent.transform, delta)
-        plan = effective.evaluation_plan()
-        if transform.constraints:
-            transform.round_plan.model.program  # compile into the circuit's memo
-        return SamplingArtifact(
-            signature=signature,
-            formula=effective,
-            transform=transform,
-            plan=plan,
-            build_seconds=time.perf_counter() - start,
-            transform_seconds=transform.stats.seconds,
+        return _compiled_artifact(
+            signature,
+            effective,
+            retransform(parent.transform, delta),
+            start,
             incremental=True,
             parent_signature=parent.signature,
         )
@@ -203,8 +251,7 @@ class ArtifactCache:
         # Drop the memoised state so an evicted artifact frees its compiled
         # bytes even if a caller still holds the bare formula/circuit.
         _CACHE_OPS.inc(1.0, "eviction")
-        artifact.formula.clear_evaluation_plan()
-        artifact.transform.circuit.engine_cache().clear()
+        artifact.release()
 
     def _cache_get(self, signature: str) -> Optional[SamplingArtifact]:
         """Memory-tier lookup with hit/miss accounting (the one code path

@@ -15,9 +15,10 @@ share:
 
 Inline and pooled runs share :func:`execute_task`, so they agree.  Each
 worker owns one :class:`~repro.serve.cache.ArtifactCache`, so consecutive
-tasks on the same
-formula reuse the memoised transform, engine program and CNF plan across
-jobs — the warm-cache path the serving benchmark measures.
+tasks on the same formula reuse its compiled round (learn and fill programs,
+row maps) and CNF plan across jobs — the warm-cache path the serving
+benchmark measures.  A task samples from the artifact's round alone, so a
+store-loaded artifact never decodes its formula or transform here.
 
 Results stream back over a single shared queue as ``(kind, task_key,
 payload)`` messages: a ``"round"`` message per sampling round carrying the
@@ -146,23 +147,19 @@ def execute_task(
             base_signature=task.get("base_signature", task["signature"]),
             loader=lambda: load_source(task["source"]),
         )
-        cache_stats = cache.stats()
         # Which tier satisfied this task: compiled here, memory-cache hit, or
         # loaded from the persistent store.  The worker runs tasks serially,
         # so the hit-counter delta is race-free.
         if built:
             artifact_source = "built"
-        elif cache_stats["hits"] > memory_hits_before:
+        elif cache.stats()["hits"] > memory_hits_before:
             artifact_source = "memory"
         else:
             artifact_source = artifact.source
         config = config_from_dict(task["config"])
-        sampler = GradientSATSampler(
-            artifact.formula,
-            transform=artifact.transform,
-            config=config,
-            task=task_spec,
-        )
+        # The artifact's compiled round is all a sampler reads: a store-loaded
+        # artifact samples without decoding its formula or transform.
+        sampler = GradientSATSampler(artifact, config=config, task=task_spec)
 
         def on_round(record, new_rows) -> None:
             blob, rows, cols = pack_rows(new_rows)
@@ -204,9 +201,10 @@ def execute_task(
                 "load_seconds": artifact.load_seconds if artifact_source == "store" else 0.0,
                 # Cumulative cache/store counters of this worker at task end
                 # (memory hits/misses/evictions plus store_* when a
-                # persistent store is attached) — surfaced into member
-                # records and results.json.
-                "cache_stats": cache_stats,
+                # persistent store is attached; read after sampling, so a
+                # transform decode the task caused is counted) — surfaced
+                # into member records and results.json.
+                "cache_stats": cache.stats(),
                 "elapsed_seconds": time.perf_counter() - start,
                 # Which engine tier this task ran on ("python" = the NumPy
                 # paths) and any one-time kernel build cost incurred while

@@ -7,13 +7,13 @@ serialised in a versioned, checksummed binary container
 (:mod:`repro.store.format`), written crash-safely and pruned by recency
 (:mod:`repro.store.store`), and coordinated across processes with
 single-flight build leases so N cold workers pay for one build
-(:mod:`repro.store.artifacts`).
+(:mod:`repro.store.artifacts`).  A hit decodes only the hot ``round`` entry;
+the ``transform`` entry is verified and decoded on demand.
 """
 
 from repro.store.artifacts import (
     ALL_KINDS,
-    KIND_PLAN,
-    KIND_PROGRAM,
+    KIND_ROUND,
     KIND_TRANSFORM,
     fetch_or_build_artifact,
     load_sampling_artifact,
@@ -25,6 +25,7 @@ from repro.store.format import (
     decode_entry,
     encode_entry,
     read_header,
+    verify_entry,
 )
 from repro.store.store import (
     ArtifactStore,
@@ -41,8 +42,7 @@ __all__ = [
     "BuildLease",
     "EntryInfo",
     "FORMAT_VERSION",
-    "KIND_PLAN",
-    "KIND_PROGRAM",
+    "KIND_ROUND",
     "KIND_TRANSFORM",
     "STORE_ENV_VAR",
     "StoreFormatError",
@@ -54,6 +54,7 @@ __all__ = [
     "persist_artifact",
     "read_header",
     "resolve_store_dir",
+    "verify_entry",
 ]
 
 

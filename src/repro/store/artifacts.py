@@ -1,21 +1,31 @@
 """Persisting and loading :class:`~repro.serve.cache.SamplingArtifact`.
 
-The store keeps the three expensive compiled artifact kinds under one
-formula signature:
+The store keeps two entry kinds under one formula signature:
 
+* ``round`` — the hot entry: the transform's
+  :class:`~repro.core.transform.RoundPlan` (row maps plus the compiled learn
+  and fill programs) and the formula's
+  :class:`~repro.cnf.kernel.CNFEvalPlan`.  It holds no ``Circuit``, ``Expr``
+  or ``Clause``: exactly what a sampling round executes.
 * ``transform`` — the formula together with its
   :class:`~repro.core.transform.TransformResult` (recovered circuit,
-  definitions, constraints, replay);
-* ``plan`` — the :class:`~repro.cnf.kernel.CNFEvalPlan` used for candidate
-  validation;
-* ``program`` — every :class:`~repro.engine.program.CompiledProgram`
-  memoised on the recovered circuit, with its memo key.
+  definitions, constraints, replay).
+
+A hit decodes only ``round``.  The ``transform`` entry is read and
+checksummed on every hit (so a corrupt one is still a miss) and its verified
+bytes ride along with the artifact as a :class:`PendingTransform`; they are
+unpickled — under a ``store.decode`` span, counted in the store's
+``transform_decodes`` — only when something other than a round needs the
+formula or the transform, such as an incremental derivation or the
+pipeline's summary.
 
 The ``transform`` entry is written *last*: its presence marks the signature
-complete, so a crash between writes can only ever leave behind orphaned
-``plan``/``program`` entries (harmless: :func:`load_sampling_artifact`
-recompiles whichever auxiliary piece is missing from the loaded formula and
-circuit — both recompilations are cheap next to the transform itself).
+complete, so a crash between writes can only leave behind an orphaned
+``round`` entry, which the next build keeps (entries are content-addressed,
+so it equals the round that build would write).  The converse — a
+``transform`` whose ``round`` was pruned or quarantined — is repaired on the
+next hit: the transform is decoded, the round rebuilt from it and written
+back once, so later hits are round-only again.
 
 :func:`fetch_or_build_artifact` is the store-aware miss path the serve cache
 and pipeline call: store load → single-flight build lease → persist, with
@@ -27,6 +37,9 @@ from __future__ import annotations
 import time
 from typing import Callable, Optional, Tuple
 
+from repro.cnf.kernel import CNFEvalPlan
+from repro.core.transform import RoundPlan
+from repro.store.format import StoreFormatError, VerifiedEntry
 from repro.store.store import ArtifactStore
 from repro import obs
 
@@ -36,30 +49,50 @@ _LOAD_SECONDS = obs.counter(
 )
 
 #: Entry kinds (directory names under ``objects/``).
+KIND_ROUND = "round"
 KIND_TRANSFORM = "transform"
-KIND_PLAN = "plan"
-KIND_PROGRAM = "program"
 
-ALL_KINDS = (KIND_TRANSFORM, KIND_PLAN, KIND_PROGRAM)
+ALL_KINDS = (KIND_ROUND, KIND_TRANSFORM)
+
+
+class PendingTransform:
+    """A verified ``transform`` entry, decoded on first use."""
+
+    def __init__(self, store: ArtifactStore, entry: VerifiedEntry) -> None:
+        self._store = store
+        self._entry = entry
+
+    @property
+    def nbytes(self) -> int:
+        """Encoded bytes kept in memory until the decode."""
+        return self._entry.nbytes
+
+    def decode(self):
+        """``(formula, transform)`` from the verified bytes."""
+        with obs.span("store.decode") as dspan:
+            dspan.set("signature", self._entry.signature[:12])
+            payload = self._store.decode(self._entry)
+        try:
+            return payload["formula"], payload["transform"]
+        except (TypeError, KeyError) as error:
+            raise StoreFormatError(f"not a transform entry: {error}") from error
 
 
 def persist_artifact(store: ArtifactStore, artifact) -> bool:
     """Write one built :class:`SamplingArtifact` into the store.
 
     Returns whether the completion marker (the ``transform`` entry) landed.
-    Already-persisted signatures are left untouched — entries are
-    content-addressed, so an existing complete entry is byte-equivalent to
-    anything this call would write.
+    Entries already on disk are left untouched — they are content-addressed,
+    so an existing entry is byte-equivalent to anything this call would
+    write — but a missing ``round`` is written even when ``transform`` exists.
     """
     signature = artifact.signature
-    if store.contains(KIND_TRANSFORM, signature):
-        return True
     with obs.span("store.persist") as pspan:
         pspan.set("signature", signature[:12])
-        store.put(KIND_PLAN, signature, artifact.plan)
-        programs = list(artifact.transform.circuit.engine_cache().items())
-        if programs:
-            store.put(KIND_PROGRAM, signature, programs)
+        if not store.contains(KIND_ROUND, signature):
+            store.put(KIND_ROUND, signature, {"round": artifact.round, "plan": artifact.plan})
+        if store.contains(KIND_TRANSFORM, signature):
+            return True
         return store.put(
             KIND_TRANSFORM,
             signature,
@@ -67,69 +100,61 @@ def persist_artifact(store: ArtifactStore, artifact) -> bool:
         )
 
 
+def _usable_round(hot) -> bool:
+    return (
+        isinstance(hot, dict)
+        and isinstance(hot.get("round"), RoundPlan)
+        and isinstance(hot.get("plan"), CNFEvalPlan)
+        and hot["round"].num_variables == hot["plan"].num_variables
+    )
+
+
 def load_sampling_artifact(store: ArtifactStore, signature: str):
     """Materialise the artifact for ``signature`` from the store, or ``None``.
 
-    The loaded plan is installed as the formula's memo and every loaded
-    program is adopted into the circuit's engine cache, so the returned
-    artifact is indistinguishable from a freshly built one to the sampler:
-    model construction and candidate validation are pure cache hits.  A
-    missing/corrupt auxiliary entry is recompiled from the loaded formula or
-    circuit; a missing/corrupt ``transform`` entry makes the whole load a
-    miss.
+    A hit decodes the ``round`` entry and verifies, but does not decode, the
+    ``transform`` entry (see the module docstring); both entries' recency is
+    refreshed.  A missing or corrupt ``transform`` makes the load a miss.  A
+    missing or unusable ``round`` is rebuilt from the decoded transform and
+    written back.
     """
-    from repro.engine.compiler import adopt_program
     from repro.serve.cache import SamplingArtifact
 
     start = time.perf_counter()
     with obs.span("store.load") as lspan:
         lspan.set("signature", signature[:12])
-        payload = store.get(KIND_TRANSFORM, signature)
-        if payload is None:
+        entry = store.read(KIND_TRANSFORM, signature)
+        if entry is None:
             lspan.set("outcome", "miss")
             return None
-        try:
-            formula = payload["formula"]
-            transform = payload["transform"]
-        except (TypeError, KeyError):
-            lspan.set("outcome", "miss")
-            return None
-
-        plan = store.get(KIND_PLAN, signature)
-        if plan is not None:
+        pending = PendingTransform(store, entry)
+        hot = store.get(KIND_ROUND, signature)
+        objects = None
+        if _usable_round(hot):
+            round_plan, plan = hot["round"], hot["plan"]
+        else:
             try:
-                formula.install_evaluation_plan(plan)
-            except ValueError:
-                plan = None  # mismatched orphan: recompile below
-        if plan is None:
+                formula, transform = pending.decode()
+            except StoreFormatError:
+                lspan.set("outcome", "miss")
+                return None
             plan = formula.evaluation_plan()
-
-        programs = store.get(KIND_PROGRAM, signature)
-        if programs is not None:
-            try:
-                for key, program in programs:
-                    adopt_program(transform.circuit, tuple(key), program)
-            except (TypeError, ValueError):
-                programs = None
-        if programs is None and transform.constraints:
-            # Recompile through the same route build_artifact takes so the
-            # memo key matches the sampler's own model.
-            transform.round_plan.model.program
+            round_plan = transform.round_plan
+            objects, pending = (formula, transform), None
+            store.put(KIND_ROUND, signature, {"round": round_plan, "plan": plan})
+            lspan.set("round", "rebuilt")
 
         load_seconds = time.perf_counter() - start
         lspan.set("outcome", "hit")
         _LOAD_SECONDS.inc(load_seconds)
         return SamplingArtifact(
             signature=signature,
-            formula=formula,
-            transform=transform,
+            round=round_plan,
             plan=plan,
-            build_seconds=0.0,
-            transform_seconds=transform.stats.seconds,
-            incremental=False,
-            parent_signature=None,
             source="store",
             load_seconds=load_seconds,
+            objects=objects,
+            pending=pending,
         )
 
 

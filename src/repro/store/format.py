@@ -18,10 +18,17 @@ The header records everything needed to decide *without unpickling anything*
 whether the payload is loadable here: the artifact ``kind`` and content
 ``signature`` it claims to hold, the ``repro`` version that wrote it, the
 writer's byte order, the payload span of the pickle and of every out-of-band
-array blob, and a SHA-256 checksum of the whole payload.  Any mismatch
-raises :class:`StoreFormatError`, which the store layer treats as a cache
-miss (and quarantines the file) — a corrupt, truncated, foreign or stale
-entry can only ever cost a cold build, never a wrong artifact.
+array blob, and a SHA-256 checksum over the other header fields and the
+whole payload (so a damaged span can never re-slice intact bytes).  Any
+mismatch raises :class:`StoreFormatError`, which the store layer treats as a
+cache miss (and quarantines the file) — a corrupt, truncated, foreign or
+stale entry can only ever cost a cold build, never a wrong artifact.
+
+Reading is split in two: :func:`verify_entry` runs every check and returns
+a :class:`VerifiedEntry` still holding the pickle bytes, and
+:meth:`VerifiedEntry.decode` unpickles them.  The store verifies its cold
+``transform`` entry on every hit but decodes it only when something other
+than a sampling round needs it; :func:`decode_entry` is both steps at once.
 
 Serialisation itself is pickle protocol 5 with *out-of-band buffers*: the
 object graph (expression trees, dataclasses, dictionaries) pickles normally,
@@ -42,15 +49,18 @@ import pickle
 import struct
 import sys
 import time
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 #: First bytes of every store entry.
 MAGIC = b"RPRO"
 
-#: Container format version.  Bump on any layout change; readers treat a
-#: mismatch as a miss, so old and new processes can share one store
-#: directory (under different ``v<N>`` roots) without ever mis-parsing.
-FORMAT_VERSION = 1
+#: Container format version.  Bump on any layout or entry-schema change;
+#: readers treat a mismatch as a miss, so old and new processes can share one
+#: store directory (under different ``v<N>`` roots) without ever mis-parsing.
+#: v2: the ``round``/``transform`` entry kinds, and a checksum that covers
+#: the header fields as well as the payload.
+FORMAT_VERSION = 2
 
 #: Alignment of the payload start and of each array blob, in bytes.  64
 #: covers every dtype and keeps blobs cache-line/mmap-page friendly.
@@ -76,8 +86,12 @@ def _align(offset: int) -> int:
     return (offset + ALIGNMENT - 1) // ALIGNMENT * ALIGNMENT
 
 
-def _checksum(view: memoryview) -> str:
-    return "sha256:" + hashlib.sha256(view).hexdigest()
+def _checksum(header: Dict[str, Any], payload: memoryview) -> str:
+    """SHA-256 over the header's other fields (canonical JSON) and the payload."""
+    fields = {key: value for key, value in header.items() if key != "checksum"}
+    digest = hashlib.sha256(json.dumps(fields, sort_keys=True).encode("utf-8"))
+    digest.update(payload)
+    return "sha256:" + digest.hexdigest()
 
 
 def encode_entry(kind: str, signature: str, obj: Any) -> bytes:
@@ -111,7 +125,7 @@ def encode_entry(kind: str, signature: str, obj: Any) -> bytes:
     payload[: len(pickled)] = pickled
     for (offset, length), raw in zip(spans, raws):
         payload[offset : offset + length] = raw
-    header["checksum"] = _checksum(memoryview(payload))
+    header["checksum"] = _checksum(header, memoryview(payload))
 
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     payload_start = _align(_PRELUDE.size + len(header_bytes))
@@ -161,20 +175,49 @@ def read_header(data: bytes) -> Tuple[Dict[str, Any], int]:
     return header, _align(header_end)
 
 
-def decode_entry(
+@dataclass(frozen=True)
+class VerifiedEntry:
+    """An entry that passed every check of :func:`verify_entry`, not yet unpickled.
+
+    Holds a view of the verified payload (which keeps the read buffer alive),
+    so later changes to the file on disk cannot affect what it decodes to.
+    """
+
+    kind: str
+    signature: str
+    payload: memoryview
+    pickle_span: Tuple[int, int]
+    buffer_spans: Tuple[Tuple[int, int], ...]
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of payload this entry keeps alive until it is decoded."""
+        return self.payload.nbytes
+
+    def decode(self) -> Any:
+        """Unpickle the payload; array blobs become zero-copy views into it."""
+        offset, length = self.pickle_span
+        buffers = [self.payload[start : start + size] for start, size in self.buffer_spans]
+        try:
+            return pickle.loads(self.payload[offset : offset + length], buffers=buffers)
+        except Exception as error:  # pickle raises a zoo of types on bad input
+            raise StoreFormatError(f"payload does not unpickle: {error}") from error
+
+
+def verify_entry(
     data: bytes,
     *,
     kind: Optional[str] = None,
     signature: Optional[str] = None,
-) -> Any:
-    """Verify and deserialise one entry previously produced by :func:`encode_entry`.
+) -> VerifiedEntry:
+    """Check one entry produced by :func:`encode_entry` without unpickling it.
 
     ``data`` should be a writable buffer (``bytearray``) so the zero-copy
-    array views the unpickler hands out are writable like freshly built
-    arrays; a read-only ``bytes`` works too but yields read-only arrays.
-    Raises :class:`StoreFormatError` on *any* inconsistency — wrong kind or
-    signature, truncation, checksum mismatch, foreign byte order, or a
-    different repro/container version.
+    array views a later :meth:`VerifiedEntry.decode` hands out are writable
+    like freshly built arrays; a read-only ``bytes`` works too but yields
+    read-only arrays.  Raises :class:`StoreFormatError` on *any*
+    inconsistency — wrong kind or signature, truncation, checksum mismatch,
+    foreign byte order, or a different repro/container version.
     """
     header, payload_start = read_header(data)
     if kind is not None and header.get("kind") != kind:
@@ -186,7 +229,7 @@ def decode_entry(
     try:
         payload_length = int(header["payload_length"])
         pickle_offset, pickle_length = (int(v) for v in header["pickle"])
-        spans = [(int(off), int(length)) for off, length in header["buffers"]]
+        spans = tuple((int(off), int(length)) for off, length in header["buffers"])
         checksum = header["checksum"]
     except (KeyError, TypeError, ValueError) as error:
         raise StoreFormatError(f"malformed header fields: {error}") from error
@@ -196,13 +239,25 @@ def decode_entry(
             f"{max(0, len(data) - payload_start)} present"
         )
     payload = memoryview(data)[payload_start : payload_start + payload_length]
-    if _checksum(payload) != checksum:
-        raise StoreFormatError("payload checksum mismatch")
-    for offset, length in spans + [(pickle_offset, pickle_length)]:
+    if _checksum(header, payload) != checksum:
+        raise StoreFormatError("checksum mismatch")
+    for offset, length in spans + ((pickle_offset, pickle_length),):
         if offset < 0 or length < 0 or offset + length > payload_length:
             raise StoreFormatError("buffer span outside the payload")
-    buffers = [payload[offset : offset + length] for offset, length in spans]
-    try:
-        return pickle.loads(payload[pickle_offset : pickle_offset + pickle_length], buffers=buffers)
-    except Exception as error:  # pickle raises a zoo of types on bad input
-        raise StoreFormatError(f"payload does not unpickle: {error}") from error
+    return VerifiedEntry(
+        kind=str(header.get("kind")),
+        signature=str(header.get("signature")),
+        payload=payload,
+        pickle_span=(pickle_offset, pickle_length),
+        buffer_spans=spans,
+    )
+
+
+def decode_entry(
+    data: bytes,
+    *,
+    kind: Optional[str] = None,
+    signature: Optional[str] = None,
+) -> Any:
+    """Verify and deserialise one entry: :func:`verify_entry`, then decode it."""
+    return verify_entry(data, kind=kind, signature=signature).decode()

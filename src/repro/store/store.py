@@ -13,9 +13,11 @@ filesystem.
 Layout (everything lives under a format-versioned root, so incompatible
 builds can share one directory without ever mis-reading each other)::
 
-    <root>/v1/objects/<kind>/<sig[:2]>/<sig>.bin     entries
-    <root>/v1/locks/<sig>.lock                       single-flight claims
-    <root>/v1/quarantine/                            corrupt entries
+    <root>/v2/objects/<kind>/<sig[:2]>/<sig>.bin     entries
+    <root>/v2/locks/<sig>.lock                       single-flight claims
+    <root>/v2/quarantine/                            corrupt entries
+
+(``v2`` is :data:`~repro.store.format.FORMAT_VERSION`.)
 
 Guarantees:
 
@@ -23,8 +25,11 @@ Guarantees:
   directory, fsynced, then atomically ``os.replace``d into place; a reader
   never observes a half-written entry;
 * **verified reads** — every read re-checks the container header and the
-  payload checksum; a corrupt/truncated/foreign/stale entry is moved to
-  ``quarantine/`` and reported as a miss, never raised to the caller;
+  checksum; a corrupt/truncated/foreign/stale entry is moved to
+  ``quarantine/`` and reported as a miss, never raised to the caller.
+  :meth:`ArtifactStore.read` stops there and hands back the verified bytes,
+  which :meth:`ArtifactStore.decode` unpickles later, only when needed;
+  :meth:`ArtifactStore.get` does both at once;
 * **graceful degradation** — an unreadable or unwritable directory turns
   the store into a no-op (counted in :meth:`stats`), it never breaks the
   caller: the in-memory tiers and cold builds keep everything working;
@@ -52,9 +57,10 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.store.format import (
     FORMAT_VERSION,
     StoreFormatError,
+    VerifiedEntry,
     decode_entry,
     encode_entry,
-    read_header,
+    verify_entry,
 )
 from repro import faults, obs
 
@@ -152,6 +158,10 @@ class ArtifactStore:
             # to a local build.
             "lease_broken": 0,
             "lease_wait_timeouts": 0,
+            # Verified entries unpickled on demand (decode), after a read
+            # that only checked them.  Only the cold ``transform`` entry is
+            # read that way, so a pure sampling workload keeps this at 0.
+            "transform_decodes": 0,
         }
         # After the first failed write the store stops attempting writes (an
         # unwritable directory would otherwise pay a temp-file round trip on
@@ -183,13 +193,36 @@ class ArtifactStore:
         """Whether an entry file exists (no verification)."""
         return self.object_path(kind, signature).exists()
 
-    def get(self, kind: str, signature: str) -> Optional[Any]:
-        """Load and verify one entry; any failure is a miss, never an error.
+    def read(self, kind: str, signature: str) -> Optional[VerifiedEntry]:
+        """Read and verify one entry without unpickling it; a failure is a miss.
 
         A present-but-unloadable entry (corrupt, truncated, foreign byte
         order, other repro version) is quarantined so it is not re-verified
-        on every subsequent miss.
+        on every subsequent miss.  A hit refreshes the entry's recency.
         """
+        return self._load(kind, signature, decode=False)
+
+    def get(self, kind: str, signature: str) -> Optional[Any]:
+        """Load, verify and unpickle one entry; any failure is a miss, never an error."""
+        return self._load(kind, signature, decode=True)
+
+    def decode(self, entry: VerifiedEntry) -> Any:
+        """Unpickle an entry :meth:`read` verified (counted in ``transform_decodes``).
+
+        The bytes were checksummed when read and are held in memory, so
+        later changes to the file cannot reach them.  Raises
+        :class:`StoreFormatError` (and quarantines the entry) only if the
+        writer pickled something this build cannot load.
+        """
+        self._count("transform_decodes")
+        try:
+            return entry.decode()
+        except StoreFormatError:
+            self._count("corrupt")
+            self._quarantine(self.object_path(entry.kind, entry.signature))
+            raise
+
+    def _load(self, kind: str, signature: str, decode: bool) -> Optional[Any]:
         path = self.object_path(kind, signature)
         try:
             data = bytearray(path.read_bytes())
@@ -197,7 +230,9 @@ class ArtifactStore:
             self._count("misses")
             return None
         try:
-            obj = decode_entry(data, kind=kind, signature=signature)
+            loaded = verify_entry(data, kind=kind, signature=signature)
+            if decode:
+                loaded = loaded.decode()
         except StoreFormatError:
             self._count("corrupt")
             self._count("misses")
@@ -205,7 +240,7 @@ class ArtifactStore:
             return None
         self._count("hits")
         self._touch(path)
-        return obj
+        return loaded
 
     def _touch(self, path: Path) -> None:
         # Recency for the LRU prune: reads refresh mtime (atime is unreliable

@@ -139,8 +139,9 @@ class TestPlanLifecycle:
         assert plan.num_literals == 3
         assert plan.num_empty == 1
         assert plan.num_clauses == 3
-        # Non-empty clauses are stored sorted by width (stable).
-        assert plan.nonempty_index.tolist() == [1, 0]
+        # Non-empty clauses are stored sorted by width (stable): [3] first.
+        assert plan.literal_columns.tolist() == [2, 0, 1]
+        assert plan.literal_negated.tolist() == [False, False, True]
         assert plan.width_groups == ((0, 1, 1), (1, 2, 2))
         assert plan.reduce_offsets.tolist() == [0, 1]
 

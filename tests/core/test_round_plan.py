@@ -151,7 +151,8 @@ def test_round_plan_is_the_shared_skeleton():
     first = GradientSATSampler(formula, transform, _config())
     second = GradientSATSampler(formula, transform, _config(seed=12))
     assert first._plan is second._plan is transform.round_plan
-    assert first.model is second.model is transform.round_plan.model
+    assert first.model is second.model is transform.model
+    assert transform.round_plan.learn is first.model.program
     assert transform.constrained_inputs() == first.model.input_order
     split = transform.constrained_inputs() + transform.unconstrained_inputs()
     assert sorted(split) == sorted(transform.primary_inputs)
@@ -188,7 +189,7 @@ def test_unconstrained_instance_and_learning_curve(dtype, monkeypatch):
     # x2 = x1 is a pure definition: no constraints, so no model to learn.
     formula = CNF([[2, -1], [-2, 1]], num_variables=4, name="buf-free")
     transform = transform_cnf(formula)
-    assert transform.round_plan.model is None
+    assert transform.round_plan.learn is None and transform.model is None
     config = _config(batch_size=8)
     assert_rounds_match_oracle(formula, transform, config, DEFAULT_TASK, monkeypatch, dtype)
     for source in (formula, _instance("s9234a_3_2")[0]):

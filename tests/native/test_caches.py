@@ -86,7 +86,8 @@ class TestArtifactCacheEviction:
         artifact, built = cache.get_or_build(formula=fig1_formula)
         assert built
         circuit = artifact.transform.circuit
-        (program,) = cached_programs(circuit)
+        program = artifact.round.learn
+        assert any(cached is program for cached in cached_programs(circuit))
         probabilities = np.random.default_rng(4).random((8, program.input_width))
         forward(program, probabilities)
         assert "_native_state" in program.__dict__

@@ -6,6 +6,7 @@ import numpy as np
 
 from repro.cnf import planted_ksat
 from repro.cnf.dimacs import parse_dimacs
+from repro.cnf.formula import CNF
 from repro.core.signatures import formula_signature
 from repro.core.task import SamplingTask
 from repro.serve.cache import ArtifactCache
@@ -45,11 +46,23 @@ class TestGetOrBuild:
         assert again is first and not built
         assert store.counters()["hits"] == hits_before  # store never consulted
 
+    def test_evicting_a_store_hit_does_not_decode_it(self, tmp_path):
+        directory = tmp_path / "shared"
+        ArtifactCache(store=ArtifactStore(directory)).get_or_build(_fig1())
+        store = ArtifactStore(directory)
+        cache = ArtifactCache(max_entries=1, store=store)
+        loaded, built = cache.get_or_build(_fig1())
+        assert not built and loaded.pending is not None
+        cache.get_or_build(CNF([[1, 2], [-1, 3]], num_variables=3))  # evicts it
+        assert loaded.signature not in cache
+        assert loaded.pending is not None
+        assert store.counters()["transform_decodes"] == 0
+
     def test_stats_surface_store_counters(self, store):
         cache = ArtifactCache(store=store)
         cache.get_or_build(_fig1())
         stats = cache.stats()
-        assert stats["store_writes"] == 3  # transform + plan + program
+        assert stats["store_writes"] == 2  # round + transform
         assert "store_hits" in stats and "store_corrupt" in stats
 
     def test_no_store_keeps_legacy_behaviour(self):

@@ -139,6 +139,16 @@ class TestRejections:
         with pytest.raises(StoreFormatError):
             decode_entry(blob)
 
+    def test_header_fields_are_checksummed(self):
+        # A damaged span that stays inside the payload would re-slice intact
+        # bytes into a different (wrong) object; the checksum covers it.
+        blob = encode_entry("plan", "s", [np.arange(8), np.arange(8) + 100])
+        header, _start = read_header(blob)
+        (first, length), (second, _) = header["buffers"]
+        rewritten = _rewrite_header(blob, buffers=[[second, length], [first, length]])
+        with pytest.raises(StoreFormatError, match="checksum"):
+            decode_entry(bytearray(rewritten))
+
     def test_span_outside_payload(self):
         blob = encode_entry("plan", "s", np.arange(8))
         rewritten = _rewrite_header(blob, buffers=[[0, 10**9]])

@@ -56,7 +56,7 @@ class TestInlineService:
         from repro.cnf.kernel import CNFEvalPlan
         from repro.core.signatures import formula_signature
         from repro.serve.cache import build_artifact
-        from repro.store import KIND_PLAN, persist_artifact
+        from repro.store import KIND_ROUND, persist_artifact
 
         store = ArtifactStore(tmp_path / "store")
         signature = formula_signature(fig1)
@@ -68,7 +68,7 @@ class TestInlineService:
                 raising=False,
             )
             assert persist_artifact(store, build_artifact(fig1, signature))
-        assert "_native_arrays" in vars(store.get(KIND_PLAN, signature))
+        assert "_native_arrays" in vars(store.get(KIND_ROUND, signature)["plan"])
 
         with SamplingService(num_workers=0, store_dir=store.root) as service:
             old = service.result(
@@ -82,13 +82,29 @@ class TestInlineService:
         assert old.summary["store_hits"] == 1 and old.summary["cold_builds"] == 0
         assert np.array_equal(old.solutions.to_matrix(), fresh.solutions.to_matrix())
 
+    def test_store_hit_decodes_no_transform_entry(self, tmp_path, fig1):
+        store_dir = tmp_path / "store"
+        with SamplingService(num_workers=0, store_dir=store_dir) as first:
+            first.result(first.submit(fig1, num_solutions=8, config=CONFIG, coalesce=False))
+        with SamplingService(num_workers=0, store_dir=store_dir) as second:
+            results = [
+                second.result(
+                    second.submit(
+                        fig1, num_solutions=8, config=CONFIG.with_(seed=seed), coalesce=False
+                    )
+                )
+                for seed in (0, 1)
+            ]
+        assert [r.members[0]["artifact_source"] for r in results] == ["store", "memory"]
+        assert results[-1].members[0]["cache_stats"]["store_transform_decodes"] == 0
+
     def test_member_records_carry_cache_stats(self, tmp_path, fig1):
         with SamplingService(num_workers=0, store_dir=tmp_path / "store") as service:
             result = service.result(
                 service.submit(fig1, num_solutions=8, config=CONFIG, coalesce=False)
             )
         stats = result.members[0]["cache_stats"]
-        assert stats["store_writes"] == 3  # transform + plan + program
+        assert stats["store_writes"] == 2  # round + transform
         assert "hits" in stats and "misses" in stats
 
     def test_no_store_by_default(self, tmp_path, fig1, monkeypatch):
@@ -153,6 +169,7 @@ class TestPoolService:
             )
         assert warm.summary["cold_builds"] == 0
         assert warm.summary["store_hits"] == 1
+        assert warm.members[0]["cache_stats"]["store_transform_decodes"] == 0
 
     def test_store_results_match_no_store_results(self, tmp_path, fig1):
         with SamplingService(num_workers=1, store_dir=tmp_path / "store") as with_store:
