@@ -15,7 +15,7 @@ from repro.circuit.builder import CircuitBuilder, circuit_from_expressions
 from repro.circuit.tseitin import circuit_to_cnf
 from repro.circuit.simulate import simulate, simulate_packed
 from repro.circuit.stats import CircuitStats, circuit_stats, two_input_gate_equivalents
-from repro.circuit.optimize import optimize_circuit, constant_propagate, strash, sweep_dangling
+from repro.circuit.optimize import optimize_circuit
 from repro.circuit.verilog import to_verilog
 from repro.circuit.bench_format import (
     parse_bench,
@@ -37,9 +37,6 @@ __all__ = [
     "circuit_stats",
     "two_input_gate_equivalents",
     "optimize_circuit",
-    "constant_propagate",
-    "strash",
-    "sweep_dangling",
     "to_verilog",
     "parse_bench",
     "parse_bench_file",

@@ -262,7 +262,12 @@ class Circuit:
         return duplicate  # fresh engine cache: the copy may be mutated freely
 
     def replace_gate(self, name: str, gate_type: GateType, fanins: Sequence[str]) -> None:
-        """Redefine the function driving an existing net (used by the optimizer)."""
+        """Redefine the function driving an existing net.
+
+        Invalidates the cached topological order and compiled programs.  A
+        redefinition may reference nets defined later, so definition order
+        is no longer guaranteed to be topological afterwards.
+        """
         if name not in self._gates:
             raise CircuitError(f"unknown net {name!r}")
         if name in self._inputs:

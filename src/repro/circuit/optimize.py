@@ -2,27 +2,31 @@
 
 The paper notes the recovered multi-level function "can be further optimized
 by leveraging other techniques ... for reducing the complexity of multi-level
-logic circuits".  This module implements the standard cheap passes:
+logic circuits".  :func:`optimize_circuit` applies the standard cheap
+techniques in one topological walk:
 
 * constant propagation (gates with constant fanins are folded),
-* structural hashing / common-subexpression elimination (``strash``),
-* buffer collapsing, and
+* buffer collapsing (non-output buffers are aliased to their fanin),
+* structural hashing / common-subexpression elimination, keyed on each
+  gate's type and *resolved* fanins, so the consumers of a merged duplicate
+  are recognised as duplicates in the same walk, and
 * dangling-gate sweeping (gates in no output cone are removed).
 
-``optimize_circuit`` composes them to a fixed point.  These passes reduce the
-2-input gate-equivalent count the probabilistic model must evaluate, which is
-precisely what the Fig. 4 (middle) ops-reduction ablation measures.
+These reduce the 2-input gate-equivalent count the probabilistic model must
+evaluate, which is precisely what the Fig. 4 (middle) ops-reduction ablation
+measures.  The separate passes iterated to a fixed point are kept as the
+reference in ``tests/oracles/optimize.py``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.circuit.gates import Gate, GateType, _SOURCE_TYPES
 from repro.circuit.netlist import Circuit
 
-#: (gate type, sorted fanins) key used for structural hashing.
-_StrashKey = Tuple[str, Tuple[str, ...]]
+#: (gate type, canonically ordered fanins) key used for structural hashing.
+_StrashKey = Tuple[GateType, Tuple[str, ...]]
 
 _COMMUTATIVE = {
     GateType.AND,
@@ -34,227 +38,178 @@ _COMMUTATIVE = {
 }
 
 
-def _rebuild(
-    circuit: Circuit, replacement: Dict[str, Tuple[GateType, Tuple[str, ...]]]
-) -> Circuit:
-    """Rebuild a circuit applying per-net replacement functions.
-
-    ``replacement`` maps net name to its new ``(type, fanins)``; nets not in
-    the map keep their original definition.  Primary inputs and outputs are
-    preserved.  Fanin references are resolved through the replacement map so
-    that nets rewritten into buffers of other nets are bypassed.
-
-    All gates come from an already-validated circuit, so the rebuilt netlist
-    is assembled through the unchecked fast paths (this routine dominated the
-    transform's circuit-optimization stage before).
-    """
-    rebuilt = Circuit(circuit.name)
-    alias: Dict[str, str] = {}
-    gates = circuit._gates
-    output_set = circuit._output_set
-    rebuilt_gates = rebuilt._gates
-    rebuilt_order = rebuilt._order
-    rebuilt_inputs = rebuilt._inputs
-    unchecked = Gate.unchecked
-
-    def resolve(name: str) -> str:
-        seen = set()
-        while name in alias and name not in seen:
-            seen.add(name)
-            name = alias[name]
-        return name
-
-    for name in circuit.topological_order():
-        gate = gates[name]
-        replaced = replacement.get(name)
-        if replaced is None:
-            gate_type, fanins = gate.gate_type, gate.fanins
-        else:
-            gate_type, fanins = replaced
-        if gate_type == GateType.INPUT:
-            rebuilt_gates[name] = gate
-            rebuilt_order.append(name)
-            rebuilt_inputs.append(name)
-            continue
-        if alias:
-            fanins = tuple(resolve(f) for f in fanins)
-        if gate_type == GateType.BUF and name not in output_set:
-            # Collapse pure buffers by aliasing, unless the net is an output
-            # (outputs must keep their name).
-            alias[name] = fanins[0]
-            continue
-        if replaced is None and fanins is gate.fanins:
-            rebuilt_gates[name] = gate  # unchanged: share the immutable record
-        else:
-            rebuilt_gates[name] = unchecked(name, gate_type, fanins)
-        rebuilt_order.append(name)
-        if gate_type not in _SOURCE_TYPES:
-            rebuilt._num_logic_gates += 1
-
-    for output in circuit.outputs:
-        resolved = resolve(output)
-        rebuilt.set_output(resolved)
-        if resolved != output and not rebuilt.has_net(output):
-            # Preserve the output's name with an explicit buffer.
-            rebuilt.add_gate(output, GateType.BUF, [resolved])
-            rebuilt.set_output(output)
-    return rebuilt
-
-
-def constant_propagate(circuit: Circuit) -> Circuit:
-    """Fold gates whose fanins include constants; returns a new circuit."""
-    gates = circuit._gates
-    if not any(
-        gate.gate_type is GateType.CONST0 or gate.gate_type is GateType.CONST1
-        for gate in gates.values()
-    ):
-        # Without constant drivers no gate can fold (``_fold_gate`` is the
-        # identity when every fanin constant is None), so the pass reduces to
-        # the plain rebuild (which still collapses non-output buffers).
-        return _rebuild(circuit, {})
-
-    constant: Dict[str, bool] = {}
-    replacement: Dict[str, Tuple[GateType, Tuple[str, ...]]] = {}
-
-    for name in circuit.topological_order():
-        gate = gates[name]
-        if gate.gate_type == GateType.CONST0:
-            constant[name] = False
-            continue
-        if gate.gate_type == GateType.CONST1:
-            constant[name] = True
-            continue
-        if gate.gate_type.is_source:
-            continue
-        fanin_consts = [constant.get(f) for f in gate.fanins]
-        new_type, new_fanins, const_value = _fold_gate(gate, fanin_consts)
-        if const_value is not None:
-            constant[name] = const_value
-            replacement[name] = (
-                GateType.CONST1 if const_value else GateType.CONST0,
-                (),
-            )
-        elif (new_type, new_fanins) != (gate.gate_type, gate.fanins):
-            replacement[name] = (new_type, new_fanins)
-    return _rebuild(circuit, replacement)
-
-
 def _fold_gate(
-    gate: Gate, fanin_consts: List
-) -> Tuple[GateType, Tuple[str, ...], object]:
+    gate_type: GateType, fanins: Tuple[str, ...], fanin_consts: Sequence[Optional[bool]]
+) -> Tuple[GateType, Tuple[str, ...], Optional[bool]]:
     """Fold constant fanins of one gate.
 
     Returns ``(type, fanins, constant)`` where ``constant`` is a bool when the
     gate's value is fully determined and ``None`` otherwise.
     """
-    gate_type = gate.gate_type
     if gate_type == GateType.BUF:
-        value = fanin_consts[0]
-        return gate_type, gate.fanins, value
+        return gate_type, fanins, fanin_consts[0]
     if gate_type == GateType.NOT:
         value = fanin_consts[0]
-        return gate_type, gate.fanins, (None if value is None else not value)
+        return gate_type, fanins, (None if value is None else not value)
 
-    variable_fanins = [f for f, c in zip(gate.fanins, fanin_consts) if c is None]
+    variable_fanins = [f for f, c in zip(fanins, fanin_consts) if c is None]
     constants = [c for c in fanin_consts if c is not None]
 
     if gate_type in (GateType.AND, GateType.NAND):
         inverted = gate_type == GateType.NAND
         if any(c is False for c in constants):
-            return gate_type, gate.fanins, (True if inverted else False)
+            return gate_type, fanins, (True if inverted else False)
         if not variable_fanins:
-            return gate_type, gate.fanins, (not inverted if all(constants) else inverted)
+            return gate_type, fanins, (not inverted if all(constants) else inverted)
         if len(variable_fanins) == 1:
             single_type = GateType.NOT if inverted else GateType.BUF
             return single_type, (variable_fanins[0],), None
-        if len(variable_fanins) < len(gate.fanins):
+        if len(variable_fanins) < len(fanins):
             return gate_type, tuple(variable_fanins), None
-        return gate_type, gate.fanins, None
+        return gate_type, fanins, None
 
     if gate_type in (GateType.OR, GateType.NOR):
         inverted = gate_type == GateType.NOR
         if any(c is True for c in constants):
-            return gate_type, gate.fanins, (False if inverted else True)
+            return gate_type, fanins, (False if inverted else True)
         if not variable_fanins:
             value = any(constants)
-            return gate_type, gate.fanins, (value ^ inverted)
+            return gate_type, fanins, (value ^ inverted)
         if len(variable_fanins) == 1:
             single_type = GateType.NOT if inverted else GateType.BUF
             return single_type, (variable_fanins[0],), None
-        if len(variable_fanins) < len(gate.fanins):
+        if len(variable_fanins) < len(fanins):
             return gate_type, tuple(variable_fanins), None
-        return gate_type, gate.fanins, None
+        return gate_type, fanins, None
 
     if gate_type in (GateType.XOR, GateType.XNOR):
         parity = sum(bool(c) for c in constants) % 2 == 1
         inverted = (gate_type == GateType.XNOR) ^ parity
         if not variable_fanins:
-            return gate_type, gate.fanins, inverted
+            return gate_type, fanins, inverted
         if len(variable_fanins) == 1:
             single_type = GateType.NOT if inverted else GateType.BUF
             return single_type, (variable_fanins[0],), None
         new_type = GateType.XNOR if inverted else GateType.XOR
-        if len(variable_fanins) < len(gate.fanins) or new_type != gate_type:
+        if len(variable_fanins) < len(fanins) or new_type != gate_type:
             return new_type, tuple(variable_fanins), None
-        return gate_type, gate.fanins, None
+        return gate_type, fanins, None
 
-    return gate_type, gate.fanins, None
+    return gate_type, fanins, None
 
 
-def strash(circuit: Circuit) -> Circuit:
-    """Structural hashing: merge gates with identical (type, fanins) definitions."""
-    canonical: Dict[_StrashKey, str] = {}
-    replacement: Dict[str, Tuple[GateType, Tuple[str, ...]]] = {}
+def _strash_key(gate_type: GateType, fanins: Tuple[str, ...]) -> _StrashKey:
+    """The structural-hashing key: commutative fanins in sorted order."""
+    if gate_type in _COMMUTATIVE:
+        if len(fanins) == 2:
+            first, second = fanins
+            if second < first:
+                fanins = (second, first)
+        else:
+            fanins = tuple(sorted(fanins))
+    return gate_type, fanins
+
+
+def optimize_circuit(circuit: Circuit) -> Circuit:
+    """Fold constants, collapse buffers, hash and sweep in one topological pass.
+
+    Returns a new circuit with the same primary inputs (in declaration order)
+    and outputs.  Every output keeps its name.  Of structurally identical
+    nets, the first in topological order is kept; if it is not an output, the
+    first output among its duplicates takes it over (the kept net is renamed),
+    so the consumers of both end up reading one net.  Later duplicates that
+    are outputs become buffers of it, and an output whose value folds
+    becomes a constant.  The gates are emitted in topological order and that
+    order is installed as the result's cached
+    :meth:`~repro.circuit.netlist.Circuit.topological_order`, so compiling the
+    result does not sort it again.  The pass is idempotent: optimizing the
+    result returns the same gate list.
+    """
     gates = circuit._gates
+    output_set = circuit._output_set
+    unchecked = Gate.unchecked
+    alias: Dict[str, str] = {}  # collapsed net -> the net that replaces it
+    constant: Dict[str, bool] = {}  # constant-valued net -> its value
+    canonical: Dict[_StrashKey, str] = {}
+    owner: Dict[str, str] = {}  # kept non-output net -> the output taking it over
+    kept: Dict[str, Gate] = {}
+    order: List[str] = []
 
     for name in circuit.topological_order():
         gate = gates[name]
-        if gate.gate_type in _SOURCE_TYPES:
+        gate_type = gate.gate_type
+        if gate_type is GateType.INPUT:
+            continue
+        if gate_type in _SOURCE_TYPES:
+            constant[name] = gate_type is GateType.CONST1
+            kept[name] = gate
+            order.append(name)
             continue
         fanins = gate.fanins
-        if gate.gate_type in _COMMUTATIVE:
-            if len(fanins) == 2:
-                first, second = fanins
-                if second < first:
-                    fanins = (second, first)
-            else:
-                fanins = tuple(sorted(fanins))
-        key: _StrashKey = (gate.gate_type.value, fanins)
+        if alias:
+            fanins = tuple([alias.get(f, f) for f in fanins])
+        if constant:
+            fanin_consts = [constant.get(f) for f in fanins]
+            if fanin_consts.count(None) < len(fanin_consts):
+                gate_type, fanins, value = _fold_gate(gate_type, fanins, fanin_consts)
+                if value is not None:
+                    # Swept below unless it is an output: every consumer folds it.
+                    constant[name] = value
+                    kept[name] = unchecked(
+                        name, GateType.CONST1 if value else GateType.CONST0
+                    )
+                    order.append(name)
+                    continue
+        is_output = name in output_set
+        if gate_type is GateType.BUF and not is_output:
+            alias[name] = fanins[0]
+            continue
+        key = _strash_key(gate_type, fanins)
         existing = canonical.get(key)
-        if existing is None:
-            canonical[key] = name
-        else:
-            replacement[name] = (GateType.BUF, (existing,))
-    return _rebuild(circuit, replacement)
+        if existing is not None:
+            if not is_output:
+                alias[name] = existing
+                continue
+            if existing not in output_set and existing not in owner:
+                # The first output duplicating a non-output net takes it
+                # over: the kept gate is emitted under the output's name.
+                owner[existing] = name
+                alias[name] = existing
+                continue
+            # Any other output becomes the last buffer of the chain behind
+            # ``existing`` (no two buffers share a fanin).
+            key = (GateType.BUF, (existing,))
+            while key in canonical:
+                key = (GateType.BUF, (canonical[key],))
+            gate_type, fanins = key
+        canonical[key] = name
+        if gate_type is not gate.gate_type or fanins != gate.fanins:
+            gate = unchecked(name, gate_type, fanins)
+        kept[name] = gate
+        order.append(name)
 
+    live: Set[str] = {alias.get(output, output) for output in circuit._outputs}
+    stack = list(live)
+    while stack:
+        gate = kept.get(stack.pop())  # None for a primary input
+        if gate is not None:
+            for fanin in gate.fanins:
+                if fanin not in live:
+                    live.add(fanin)
+                    stack.append(fanin)
 
-def sweep_dangling(circuit: Circuit) -> Circuit:
-    """Remove gates that feed no primary output (keep all primary inputs)."""
-    keep = circuit.transitive_fanin(circuit.outputs)
-    swept = Circuit(circuit.name)
-    gates = circuit._gates
-    for name in circuit.topological_order():
-        gate = gates[name]
-        if gate.gate_type == GateType.INPUT:
-            swept._define_unchecked(gate, is_input=True)
-            continue
-        if name not in keep:
-            continue
-        swept._define_unchecked(gate)
-    for output in circuit.outputs:
-        swept.set_output(output)
-    return swept
-
-
-def optimize_circuit(circuit: Circuit, max_rounds: int = 4) -> Circuit:
-    """Run constant propagation, structural hashing and sweeping to a fixed point."""
-    current = circuit
-    for _ in range(max_rounds):
-        before = (len(current), current.num_gates)
-        current = constant_propagate(current)
-        current = strash(current)
-        if current.outputs:
-            current = sweep_dangling(current)
-        if (len(current), current.num_gates) == before:
-            break
-    return current
+    optimized = Circuit(circuit.name)
+    for name in circuit._inputs:
+        optimized._define_unchecked(gates[name], is_input=True)
+    for name in order:
+        if name in live:
+            gate = kept[name]
+            if owner:
+                fanins = tuple([owner.get(f, f) for f in gate.fanins])
+                if name in owner or fanins != gate.fanins:
+                    gate = unchecked(owner.get(name, name), gate.gate_type, fanins)
+            optimized._define_unchecked(gate)
+    for output in circuit._outputs:
+        optimized.set_output(output)
+    optimized._topo_cache = list(optimized._order)
+    return optimized

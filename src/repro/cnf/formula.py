@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -13,6 +14,22 @@ from repro.cnf.kernel import (
     extend_evaluation_plan,
     register_plan_owner,
 )
+
+
+def two_input_operation_count(clauses: Sequence[Clause]) -> int:
+    """2-input gate equivalents to evaluate the conjunction of ``clauses``.
+
+    See :meth:`CNF.two_input_operation_count`; this is its one vectorised
+    pass over the flat literals, shared with the incremental transform
+    (which counts a mutated clause list that is not a :class:`CNF`).
+    """
+    literals = [clause.literals for clause in clauses]
+    total = sum(map(len, literals))
+    flat = np.fromiter(chain.from_iterable(literals), dtype=np.int64, count=total)
+    # sum(max(width - 1, 0)) over clauses is the literal count less the
+    # number of non-empty clauses.
+    ors = total - (len(literals) - literals.count(()))
+    return ors + int(np.count_nonzero(flat < 0)) + max(len(literals) - 1, 0)
 
 
 class CNF:
@@ -157,13 +174,7 @@ class CNF:
         ``m - 1`` two-input ANDs.  This is the "operations in the CNF" numerator
         of the Fig. 4 (middle) ops-reduction metric.
         """
-        total = 0
-        for clause in self._clauses:
-            width = len(clause)
-            total += max(width - 1, 0)
-            total += sum(1 for literal in clause if literal < 0)
-        total += max(self.num_clauses - 1, 0)
-        return total
+        return two_input_operation_count(self._clauses)
 
     # -- evaluation --------------------------------------------------------------------
     def evaluation_plan(self) -> CNFEvalPlan:

@@ -59,7 +59,7 @@ from repro.circuit.netlist import Circuit
 from repro.circuit.optimize import optimize_circuit
 from repro.circuit.stats import two_input_gate_equivalents
 from repro.cnf.clause import Clause
-from repro.cnf.formula import CNF
+from repro.cnf.formula import CNF, two_input_operation_count
 from repro.core.extraction import (
     VAR_PREFIX,
     extract_definition,
@@ -110,7 +110,10 @@ class TransformStats:
     #: matching), ``extraction`` (generic extraction + complement checks),
     #: ``simplify`` (expression simplification before adoption) and ``flush``
     #: (under-specified group fallback); ``free_vars``, ``circuit_build`` and
-    #: ``optimize`` follow the loop.  This is the per-result record (what
+    #: ``optimize`` (the one topological pass of
+    #: :func:`~repro.circuit.optimize.optimize_circuit`: constant folding,
+    #: buffer collapsing, structural hashing and the dangling sweep) follow
+    #: the loop.  This is the per-result record (what
     #: ``transform --profile`` prints); the registered counter
     #: ``repro_transform_stage_seconds_total{stage=...}`` in :mod:`repro.obs`
     #: is the process-wide one — both are fed by :meth:`add_stage`.
@@ -915,13 +918,11 @@ def finish_transform(
     stats.add_stage("circuit_build", _perf() - build_start)
     if options["optimize"] and constraints:
         optimize_start = _perf()
-        # Keep the defined nets alive during optimization by temporarily
+        # Keep the defined nets alive (and named) through optimization by
         # marking them as outputs, so complete_assignments can still read them.
-        preserved = circuit.copy()
         for name, _ in definitions:
-            preserved.set_output(name)
-        preserved = optimize_circuit(preserved)
-        circuit = preserved
+            circuit.set_output(name)
+        circuit = optimize_circuit(circuit)
         stats.add_stage("optimize", _perf() - optimize_start)
 
     stats.circuit_operations = two_input_gate_equivalents(circuit)
@@ -966,14 +967,14 @@ def _graft_circuit(
 
     The kept prefix records' nets all survive in ``prev_circuit`` by name
     (optimization marks every definition and constraint net as an output, and
-    the rebuild passes preserve output names), and their transitive-fanin
+    keeps every output's name), and their transitive-fanin
     cones reference only prefix-known inputs — structural hashing merges
     gates with *identical* fanins only, so a cone's leaf inputs never change.
     Copying those cones verbatim skips the global re-optimization that
     dominates a cold transform; new records are lowered on top with fresh
     internal names.  Raises :class:`_GraftUnsafe` in the rare case a new
     record's net name already exists in the copied region (possible when
-    strashing chose a suffix record's buffer as a shared representative).
+    structural hashing merged a prefix gate into a suffix record's net).
     """
     kept_nets = [net for net, _ in state.definitions[:num_kept_definitions]]
     kept_nets += [net for net, _ in state.constraints[:num_kept_constraints]]
@@ -1142,13 +1143,7 @@ def _retransform_impl(prev: TransformResult, delta) -> TransformResult:
     ) = checkpoint
 
     stats = TransformStats(num_clauses=len(mutated))
-    cnf_operations = 0
-    for clause in mutated:
-        width = len(clause)
-        cnf_operations += max(width - 1, 0)
-        cnf_operations += sum(1 for literal in clause if literal < 0)
-    cnf_operations += max(len(mutated) - 1, 0)
-    stats.cnf_operations = cnf_operations
+    stats.cnf_operations = two_input_operation_count(mutated)
     stats.signature_matches = signature_matches
     stats.generic_matches = generic_matches
     stats.fallback_groups = fallback_groups

@@ -228,6 +228,9 @@ class _JobState:
     span: Optional[object] = None
     #: Journal fingerprint, computed once at submit (``None`` unjournaled).
     fingerprint: Optional[str] = None
+    #: The base formula submit parsed to sign it, handed to the inline
+    #: build so it is not parsed twice; taken when the job's run starts.
+    formula: Optional[CNF] = None
 
     @property
     def tasks_remaining(self) -> int:
@@ -501,6 +504,7 @@ class SamplingService:
 
         digest, data = read_source(job.source)
         source_hit = False
+        formula = None
         if job.task.is_incremental:
             # The artifact cache is content-addressed on the *effective*
             # formula, so a clause delta needs the parsed base formula.
@@ -555,6 +559,8 @@ class SamplingService:
                 state.primary = primary
                 return job_id
             state.key = key
+        if self.num_workers == 0:
+            state.formula = formula  # pool workers run in another process
 
         if obs.tracing_enabled():
             # Detached: the job outlives this call and finishes from
@@ -1039,6 +1045,7 @@ class SamplingService:
     def _run_inline_job(self, state: _JobState) -> None:
         if self._drain_requested:
             self._apply_drain()
+        formula, state.formula = state.formula, None
         while True:
             # Re-scan: a retryable failure leaves its task not-done with a
             # bumped attempt epoch, and the next sweep re-runs it (inline
@@ -1062,6 +1069,7 @@ class SamplingService:
                     should_stop=lambda: state.cancelled or self._drain_requested,
                     emit=self._handle_message,
                     worker_id=0,
+                    formula=formula,
                 )
 
     def _skip_task(

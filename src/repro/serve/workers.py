@@ -44,6 +44,7 @@ from typing import Callable, Dict, Optional, Set, Tuple
 
 import numpy as np
 
+from repro.cnf.formula import CNF
 from repro.core.sampler import GradientSATSampler
 from repro.core.task import SamplingTask
 from repro.serve.cache import ArtifactCache, DEFAULT_MAX_BYTES, DEFAULT_MAX_ENTRIES
@@ -77,11 +78,15 @@ def execute_task(
     emit: Callable[[str, Tuple, Dict[str, object]], None],
     worker_id: int = 0,
     snapshot_telemetry: bool = False,
+    formula: Optional[CNF] = None,
 ) -> None:
     """Run one sampling task and emit its round/done/error messages.
 
     Never raises: failures are reported as an ``"error"`` message so a bad
-    job cannot take its worker down.
+    job cannot take its worker down.  ``formula`` is the task's base
+    formula when the caller already parsed it (inline execution hands over
+    the parse ``submit`` made); otherwise a build loads it from
+    ``task["source"]``.
 
     Telemetry: a ``task["trace"]`` flag turns on ring-only tracing in this
     process (workers never open trace files — the service owns the trace
@@ -145,7 +150,7 @@ def execute_task(
             task_spec,
             signature=task["signature"],
             base_signature=task.get("base_signature", task["signature"]),
-            loader=lambda: load_source(task["source"]),
+            loader=lambda: formula if formula is not None else load_source(task["source"]),
         )
         # Which tier satisfied this task: compiled here, memory-cache hit, or
         # loaded from the persistent store.  The worker runs tasks serially,

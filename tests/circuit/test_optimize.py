@@ -1,14 +1,25 @@
-"""Tests for structural circuit optimization (repro.circuit.optimize)."""
+"""Tests for structural circuit optimization.
+
+The pass-level classes exercise the separate passes kept as the oracle in
+:mod:`tests.oracles.optimize`; :class:`TestOptimizeCircuit` exercises the
+one-pass :func:`repro.circuit.optimize.optimize_circuit` the library ships.
+"""
 
 import numpy as np
 import pytest
 
 from repro.circuit.builder import CircuitBuilder
 from repro.circuit.gates import GateType
-from repro.circuit.optimize import constant_propagate, optimize_circuit, strash, sweep_dangling
+from repro.circuit.optimize import optimize_circuit
 from repro.circuit.simulate import simulate
 from repro.circuit.stats import two_input_gate_equivalents
 from tests.conftest import all_assignments
+from tests.oracles.optimize import (
+    constant_propagate,
+    optimize_reference,
+    strash,
+    sweep_dangling,
+)
 
 
 def _outputs_equal(before, after, num_inputs):
@@ -117,3 +128,63 @@ class TestOptimizeCircuit:
         optimized = optimize_circuit(builder.circuit)
         assert _outputs_equal(builder.circuit, optimized, 1)
         assert optimized.num_gates <= builder.circuit.num_gates
+
+    def test_constants_fold_in_the_pass(self):
+        builder = CircuitBuilder()
+        a = builder.input("a")
+        zero = builder.constant(False)
+        one = builder.constant(True)
+        builder.output(builder.and_(a, zero, name="low"))
+        builder.output(builder.or_(a, one, name="high"))
+        builder.output(builder.xor_(a, one, name="flip"))
+        optimized = optimize_circuit(builder.circuit)
+        assert optimized.gate("low").gate_type == GateType.CONST0
+        assert optimized.gate("high").gate_type == GateType.CONST1
+        assert optimized.gate("flip").gate_type == GateType.NOT
+        assert _outputs_equal(builder.circuit, optimized, 1)
+
+    def test_duplicate_cascade_merges_in_one_pass(self):
+        """Each level of a cascade needs another oracle round; one pass suffices."""
+        builder = CircuitBuilder()
+        a, b = builder.inputs(2)
+        left, right = builder.and_(a, b), builder.and_(b, a)
+        for _ in range(5):
+            left, right = builder.not_(left), builder.not_(right)
+        builder.output(builder.or_(left, right, name="out"))
+        optimized = optimize_circuit(builder.circuit)
+        assert optimized.num_gates == 1 + 5 + 1
+        assert optimize_reference(builder.circuit, max_rounds=1).num_gates > optimized.num_gates
+        assert optimize_reference(builder.circuit).num_gates > optimized.num_gates
+        assert _outputs_equal(builder.circuit, optimized, 2)
+
+    def test_output_duplicates_keep_their_names(self):
+        builder = CircuitBuilder()
+        a, b = builder.inputs(2)
+        inner = builder.and_(a, b)
+        first = builder.and_(b, a, name="first")
+        second = builder.and_(a, b, name="second")
+        builder.output(builder.or_(inner, a, name="use"))
+        for net in (first, second):
+            builder.output(net)
+        optimized = optimize_circuit(builder.circuit)
+        assert optimized.outputs == builder.circuit.outputs
+        # The output the walk reaches first takes over the non-output
+        # duplicate, and the other output becomes its buffer.
+        kept, buffered = sorted(
+            (first, second), key=lambda net: optimized.gate(net).gate_type != GateType.AND
+        )
+        assert optimized.gate(kept).gate_type == GateType.AND
+        assert optimized.gate(buffered).gate_type == GateType.BUF
+        assert optimized.gate(buffered).fanins == (kept,)
+        assert optimized.gate("use").fanins == (kept, a)
+        assert not optimized.has_net(inner)
+        assert _outputs_equal(builder.circuit, optimized, 2)
+
+    def test_emits_its_topological_order(self, small_circuit):
+        optimized = optimize_circuit(small_circuit)
+        order = list(optimized.net_names())
+        assert optimized._topo_cache == order
+        position = {name: index for index, name in enumerate(order)}
+        for gate in optimized.gates:
+            assert all(position[fanin] < position[gate.name] for fanin in gate.fanins)
+        assert optimized.inputs == small_circuit.inputs

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.cnf.clause import Clause
-from repro.cnf.formula import CNF
+from repro.cnf.formula import CNF, two_input_operation_count
+from repro.cnf.generators import planted_ksat, random_horn, random_ksat
+from repro.instances.registry import get_instance, list_instances
 from tests.conftest import all_assignments
 
 
@@ -55,6 +57,13 @@ class TestAccessors:
         formula = CNF([[1, -2], [3]])
         assert formula.two_input_operation_count() == 1 + 1 + 1
 
+    def test_two_input_operation_count_edge_cases(self):
+        assert CNF().two_input_operation_count() == 0
+        assert CNF([[]]).two_input_operation_count() == 0
+        assert CNF([[-1]]).two_input_operation_count() == 1
+        # empty (0) + unit (1 inverter) + width 3 (2 ORs, 2 inverters) + 2 ANDs
+        assert CNF([[], [-4], [1, -2, -3]]).two_input_operation_count() == 7
+
     def test_iteration_and_len(self):
         formula = CNF([[1], [2]])
         assert len(formula) == 2
@@ -96,3 +105,30 @@ class TestEquality:
     def test_repr_contains_counts(self):
         text = repr(CNF([[1, 2]], name="x"))
         assert "vars=2" in text and "clauses=1" in text
+
+
+def _operation_count_per_literal(clauses):
+    """The per-clause, per-literal count the vectorised pass replaced."""
+    total = 0
+    for clause in clauses:
+        total += max(len(clause) - 1, 0)
+        total += sum(1 for literal in clause if literal < 0)
+    return total + max(len(clauses) - 1, 0)
+
+
+_GENERATED = {
+    "random_ksat": lambda: random_ksat(20, 60, 3, seed=1),
+    "planted_ksat": lambda: planted_ksat(30, 90, 4, seed=2),
+    "random_horn": lambda: random_horn(25, 50, seed=3),
+    "empty_and_unit_clauses": lambda: CNF(
+        [*random_ksat(10, 12, 2, seed=4).clauses, [], [7], [-3], [], [-1, -2, -5]]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_GENERATED) + list_instances())
+def test_operation_count_matches_the_per_literal_count(name):
+    formula = _GENERATED[name]() if name in _GENERATED else get_instance(name).build_cnf()
+    expected = _operation_count_per_literal(formula.clauses)
+    assert formula.two_input_operation_count() == expected
+    assert two_input_operation_count(list(formula.clauses)) == expected
