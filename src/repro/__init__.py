@@ -41,12 +41,10 @@ def clear_caches() -> None:
     """Drop every memoised compiled artifact in the process.
 
     Clears the per-circuit compiled-program memos of the engine, the
-    per-formula CNF evaluation plans, the transform/boolalg memos and the
-    per-program native-kernel layouts.  Mutating a circuit or formula
+    per-formula CNF evaluation plans and the transform/boolalg memos.  Mutating a circuit or formula
     already invalidates its own memos; this is the explicit hook for
     long-lived processes that want to release memory.
     """
-    from repro import native
     from repro.cnf import kernel as cnf_kernel
     from repro.core.transform import clear_transform_caches
     from repro.engine import compiler as engine_compiler
@@ -54,7 +52,6 @@ def clear_caches() -> None:
     engine_compiler.clear_program_caches()
     cnf_kernel.clear_plan_caches()
     clear_transform_caches()
-    native.clear_caches()
 
 
 __all__ = [

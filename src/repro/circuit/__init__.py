@@ -13,7 +13,7 @@ from repro.circuit.gates import GateType, Gate
 from repro.circuit.netlist import Circuit
 from repro.circuit.builder import CircuitBuilder, circuit_from_expressions
 from repro.circuit.tseitin import circuit_to_cnf
-from repro.circuit.simulate import simulate, simulate_packed
+from repro.circuit.simulate import simulate
 from repro.circuit.stats import CircuitStats, circuit_stats, two_input_gate_equivalents
 from repro.circuit.optimize import optimize_circuit
 from repro.circuit.verilog import to_verilog
@@ -32,7 +32,6 @@ __all__ = [
     "circuit_from_expressions",
     "circuit_to_cnf",
     "simulate",
-    "simulate_packed",
     "CircuitStats",
     "circuit_stats",
     "two_input_gate_equivalents",

@@ -47,6 +47,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -776,16 +777,11 @@ def _free_variables(
     clauses: Sequence[Clause], num_variables: int, names: List[str]
 ) -> List[str]:
     """Vectorised free-variable scan: one flat pass over every literal."""
-    total_literals = sum(len(clause.literals) for clause in clauses)
+    literals = [clause.literals for clause in clauses]
+    total_literals = sum(map(len, literals))
     if total_literals:
-        flat = np.fromiter(
-            (
-                literal if literal > 0 else -literal
-                for clause in clauses
-                for literal in clause.literals
-            ),
-            dtype=np.int64,
-            count=total_literals,
+        flat = np.abs(
+            np.fromiter(chain.from_iterable(literals), dtype=np.int64, count=total_literals)
         )
         mentioned = np.zeros(max(num_variables, int(flat.max())) + 1, dtype=bool)
         mentioned[flat] = True

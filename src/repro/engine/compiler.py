@@ -21,8 +21,11 @@ oracle kept under ``tests/oracles/``):
 * ``XNOR`` — the ``XOR`` chain followed by ``NOT``.
 
 After lowering, ops are assigned levels (longest distance from a source
-slot), stably sorted by ``(level, opcode)``, renumbered so every fused block
-writes a contiguous slot range, and packaged into :class:`OpBlock` batches.
+slot) and levelized in one vectorised step: a stable ``lexsort`` on
+``(level, opcode)`` renumbers every op into its output slot, operand
+references resolve through one index array, and the ``(level, opcode)``
+runs of the sorted stream become the block table (see
+:mod:`repro.engine.program`).
 
 :func:`compiled_program_for` adds a per-circuit memo so repeated executions
 (every sampling round re-simulates the same recovered circuit) compile once.
@@ -40,14 +43,7 @@ from repro.utils.weakcache import OwnerRegistry
 
 from repro.circuit.gates import GateType
 from repro.circuit.netlist import Circuit
-from repro.engine.program import (
-    OP_ADD,
-    OP_MUL,
-    OP_NOT,
-    CompiledProgram,
-    OpBlock,
-    ScatterPlan,
-)
+from repro.engine.program import OP_ADD, OP_MUL, OP_NOT, CompiledProgram
 
 
 class CompileError(ValueError):
@@ -143,8 +139,8 @@ def compile_circuit(
     for name in outputs:
         if not circuit.has_net(name):
             raise CompileError(f"unknown output net {name!r}")
-    order = list(input_order) if input_order is not None else list(circuit.inputs)
-    column_of = {name: i for i, name in enumerate(order)}
+    order_names = list(input_order) if input_order is not None else list(circuit.inputs)
+    column_of = {name: i for i, name in enumerate(order_names)}
 
     cone = circuit.transitive_fanin(outputs)
     schedule = [name for name in circuit.topological_order() if name in cone]
@@ -185,61 +181,28 @@ def compile_circuit(
             net_ref[name] = _lower_gate(lowering, gate.gate_type, fanin_refs)
 
     # -- levelize: stable sort ops by (level, opcode), renumber into slots ----------
-    num_ops = len(lowering.opcodes)
-    op_positions = sorted(
-        range(num_ops), key=lambda i: (lowering.levels[i], lowering.opcodes[i])
-    )
+    levels = np.asarray(lowering.levels, dtype=np.int32)
+    opcodes = np.asarray(lowering.opcodes, dtype=np.uint8)
+    order = np.lexsort((opcodes, levels))
+    num_ops = order.shape[0]
     op_slot = np.empty(num_ops, dtype=np.int64)
-    for position, op_id in enumerate(op_positions):
-        op_slot[op_id] = num_base_slots + position
+    op_slot[order] = np.arange(num_base_slots, num_base_slots + num_ops)
 
-    def resolve(ref: int) -> int:
-        return ref if ref >= 0 else int(op_slot[~ref])
+    def resolve(refs) -> np.ndarray:
+        # Base slots are >= 0; op outputs are ~op_id references.
+        slots = np.asarray(refs, dtype=np.int64)
+        temp = slots < 0
+        slots[temp] = op_slot[~slots[temp]]
+        return slots.astype(np.int32)
 
-    blocks: List[OpBlock] = []
-    position = 0
-    while position < num_ops:
-        op_id = op_positions[position]
-        level = lowering.levels[op_id]
-        opcode = lowering.opcodes[op_id]
-        group = [op_id]
-        position += 1
-        while position < num_ops:
-            nxt = op_positions[position]
-            if lowering.levels[nxt] != level or lowering.opcodes[nxt] != opcode:
-                break
-            group.append(nxt)
-            position += 1
-        a_slots = np.fromiter(
-            (resolve(lowering.a_ops[i]) for i in group), dtype=np.int32, count=len(group)
-        )
-        if opcode == OP_NOT:
-            b_slots = np.zeros(0, dtype=np.int32)
-            b_plan = None
-        else:
-            b_slots = np.fromiter(
-                (resolve(lowering.b_ops[i]) for i in group),
-                dtype=np.int32,
-                count=len(group),
-            )
-            b_plan = ScatterPlan.build(b_slots)
-        blocks.append(
-            OpBlock(
-                opcode=opcode,
-                level=level,
-                out_start=int(op_slot[group[0]]),
-                size=len(group),
-                a_slots=a_slots,
-                b_slots=b_slots,
-                a_plan=ScatterPlan.build(a_slots),
-                b_plan=b_plan,
-            )
-        )
-
-    net_slot = {name: resolve(ref) for name, ref in net_ref.items()}
-    output_slots = np.fromiter(
-        (net_slot[name] for name in outputs), dtype=np.int32, count=len(outputs)
-    )
+    levels, opcodes = levels[order], opcodes[order]
+    # A new block starts wherever the (level, opcode) key changes.
+    starts = np.flatnonzero((levels[1:] != levels[:-1]) | (opcodes[1:] != opcodes[:-1]))
+    block_bounds = np.zeros(1, dtype=np.int64)
+    if num_ops:
+        block_bounds = np.concatenate(([0], starts + 1, [num_ops])).astype(np.int64)
+    b_slots = resolve(lowering.b_ops)[order]
+    b_slots[opcodes == OP_NOT] = 0
     return CompiledProgram(
         source_name=circuit.name,
         num_slots=num_base_slots + num_ops,
@@ -248,14 +211,16 @@ def compile_circuit(
         input_columns=np.fromiter(
             (column_of[name] for name in cone_inputs), dtype=np.int32, count=num_inputs
         ),
-        input_width=len(order),
+        input_width=len(order_names),
         const0_slot=const0_slot,
         const1_slot=const1_slot,
-        blocks=blocks,
-        output_slots=output_slots,
+        opcodes=opcodes,
+        a_slots=resolve(lowering.a_ops)[order],
+        b_slots=b_slots,
+        block_bounds=block_bounds,
+        block_levels=levels[block_bounds[:-1]],
+        output_slots=resolve([net_ref[name] for name in outputs]),
         output_nets=outputs,
-        net_slot=net_slot,
-        output_plan=ScatterPlan.build(output_slots),
     )
 
 

@@ -1,8 +1,8 @@
-"""Execute a :class:`CompiledProgram`: fused forward, backward, bool, packed.
+"""Execute a :class:`CompiledProgram`: fused forward, backward and bool modes.
 
 The value state of one execution is a dense ``(num_slots, batch)`` matrix —
 slot-major so that every fused block writes a *contiguous* row range with one
-fused array statement.  Three execution modes share the one program:
+fused array statement.  Two execution modes share the one program:
 
 * :func:`forward` / :func:`backward` — the probabilistic relaxation in
   ``float32`` with a hand-written reverse pass.  The closed-form
@@ -11,15 +11,14 @@ fused array statement.  Three execution modes share the one program:
   routes ``g`` twice and ``NOT`` routes ``-g``.  No autodiff tape, no
   per-gate Python objects.
 * :func:`execute_bool` — the same program over boolean arrays
-  (``MUL = &``, ``ADD = |``, ``NOT = ~``); backs circuit simulation.
-* :func:`execute_packed` — 64 samples per ``uint64`` word, the classic
-  bit-parallel simulation mode.
+  (``MUL = &``, ``ADD = |``, ``NOT = ~``); backs circuit simulation and the
+  round's defined-variable fill.
 
 The float modes cast their input to ``float32``, the one dtype of the
 learning arrays; the ``float64`` reference is the per-gate oracle under
 ``tests/oracles/``.  When the native C tier is available
-(:mod:`repro.native`), every mode runs its op stream there instead of the
-per-block array statements.
+(:mod:`repro.native`), every mode runs the program's op stream there instead
+of the per-block array statements.
 
 ``ADD`` appearing only in XOR chains (disjoint operands) is what makes the
 ``|`` / bitwise interpretations exact — see :mod:`repro.engine.program`.
@@ -27,14 +26,11 @@ per-block array statements.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.engine.program import OP_ADD, OP_MUL, OP_NOT, CompiledProgram
-
-#: All-ones packed word (the packed ``NOT`` mask and constant-1 lanes).
-_ONES_U64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 def float_array(data) -> np.ndarray:
@@ -118,15 +114,15 @@ def forward(program: CompiledProgram, probabilities) -> Tuple[object, ForwardCac
         outputs = values[program.output_slots].T.copy()
         return outputs, NativeForwardCache(values, kernels)
     operands: List[Optional[Tuple]] = []
-    for block in program.blocks:
-        out = values[block.out_start : block.out_stop]
-        a = values[block.a_slots]
-        if block.opcode == OP_MUL:
-            b = values[block.b_slots]
+    for opcode, out_start, out_stop, a_slots, b_slots in program.blocks:
+        out = values[out_start:out_stop]
+        a = values[a_slots]
+        if opcode == OP_MUL:
+            b = values[b_slots]
             np.multiply(a, b, out=out)
             operands.append((a, b))  # reused by the MUL adjoint
-        elif block.opcode == OP_ADD:
-            np.add(a, values[block.b_slots], out=out)
+        elif opcode == OP_ADD:
+            np.add(a, values[b_slots], out=out)
             operands.append(None)
         else:  # OP_NOT
             np.subtract(1.0, a, out=out)
@@ -166,18 +162,20 @@ def backward(
         if program.num_inputs:
             input_grads[:, program.input_columns] = grads[: program.num_inputs].T
         return input_grads
-    for index in range(len(program.blocks) - 1, -1, -1):
-        block = program.blocks[index]
-        g = grads[block.out_start : block.out_stop]
-        if block.opcode == OP_MUL:
+    blocks, plans = program.blocks, program.scatter_plans
+    for index in range(len(blocks) - 1, -1, -1):
+        opcode, out_start, out_stop, _, _ = blocks[index]
+        a_plan, b_plan = plans[index]
+        g = grads[out_start:out_stop]
+        if opcode == OP_MUL:
             a_vals, b_vals = cache.operands[index]
-            block.a_plan.scatter(grads, g * b_vals)
-            block.b_plan.scatter(grads, g * a_vals)
-        elif block.opcode == OP_ADD:
-            block.a_plan.scatter(grads, g)
-            block.b_plan.scatter(grads, g)
+            a_plan.scatter(grads, g * b_vals)
+            b_plan.scatter(grads, g * a_vals)
+        elif opcode == OP_ADD:
+            a_plan.scatter(grads, g)
+            b_plan.scatter(grads, g)
         else:  # OP_NOT
-            block.a_plan.scatter(grads, -g)
+            a_plan.scatter(grads, -g)
     input_grads = np.zeros((batch, program.input_width), dtype=np.float32)
     if program.num_inputs:
         input_grads[:, program.input_columns] = grads[: program.num_inputs].T
@@ -187,10 +185,10 @@ def backward(
 def execute_bool(program: CompiledProgram, input_matrix) -> np.ndarray:
     """Boolean execution mode: ``(batch, input_width)`` bools to slot values.
 
-    Returns the ``(num_slots, batch)`` boolean slot matrix itself: row
-    ``program.net_slot[name]`` holds net ``name`` and ``program.output_slots``
-    index the compiled outputs in order, so a caller gathers the nets it
-    asked the compiler for with one fancy index and no per-net dict is built.
+    Returns the ``(num_slots, batch)`` boolean slot matrix itself:
+    ``program.output_slots`` index the compiled outputs in order, so a caller
+    gathers the nets it asked the compiler for with one fancy index and no
+    per-net dict is built.
     """
     input_matrix = np.asarray(input_matrix, dtype=np.bool_)
     if input_matrix.ndim != 2 or input_matrix.shape[1] != program.input_width:
@@ -206,70 +204,15 @@ def execute_bool(program: CompiledProgram, input_matrix) -> np.ndarray:
     if kernels is not None:
         kernels.engine_execute_bool(program, values)
         return values
-    for block in program.blocks:
-        out = values[block.out_start : block.out_stop]
-        a = values[block.a_slots]
-        if block.opcode == OP_MUL:
-            np.logical_and(a, values[block.b_slots], out=out)
-        elif block.opcode == OP_ADD:
+    for opcode, out_start, out_stop, a_slots, b_slots in program.blocks:
+        out = values[out_start:out_stop]
+        a = values[a_slots]
+        if opcode == OP_MUL:
+            np.logical_and(a, values[b_slots], out=out)
+        elif opcode == OP_ADD:
             # ADD only encodes XOR-chain sums of disjoint events: OR is exact.
-            np.logical_or(a, values[block.b_slots], out=out)
+            np.logical_or(a, values[b_slots], out=out)
         else:  # OP_NOT
             np.logical_not(a, out=out)
     return values
 
-
-def execute_packed(
-    program: CompiledProgram, packed_inputs: Dict[str, object]
-) -> Dict[str, np.ndarray]:
-    """Bit-parallel execution mode: 64 samples per ``uint64`` lane.
-
-    ``packed_inputs`` maps every cone primary input to an identically shaped
-    ``uint64`` array; returns a map from every compiled net to its packed
-    vector of the same shape.
-    """
-    template = None
-    columns = []
-    for name in program.cone_inputs:
-        if name not in packed_inputs:
-            raise ValueError(f"no packed vector provided for primary input {name!r}")
-        array = np.asarray(packed_inputs[name], dtype=np.uint64)
-        if template is not None and tuple(array.shape) != tuple(template.shape):
-            raise ValueError(
-                f"packed input arrays must share a shape; {name!r} has "
-                f"{tuple(array.shape)}, expected {tuple(template.shape)}"
-            )
-        template = array
-        columns.append(array.reshape(-1))
-    if template is None and packed_inputs:
-        # Cone has no primary inputs (constant-driven outputs): the callers'
-        # packed arrays still dictate the lane count and output shape.
-        template = np.asarray(next(iter(packed_inputs.values())), dtype=np.uint64)
-    lanes = int(template.size) if template is not None else 1
-    shape = tuple(template.shape) if template is not None else (1,)
-    values = np.empty((program.num_slots, lanes), dtype=np.uint64)
-    if program.const0_slot >= 0:
-        values[program.const0_slot] = 0
-    if program.const1_slot >= 0:
-        values[program.const1_slot] = _ONES_U64
-    for slot, column in enumerate(columns):
-        values[slot] = column
-    kernels = _native_kernels()
-    if kernels is not None:
-        kernels.engine_execute_packed(program, values)
-        return {
-            name: values[slot].reshape(shape)
-            for name, slot in program.net_slot.items()
-        }
-    for block in program.blocks:
-        out = values[block.out_start : block.out_stop]
-        a = values[block.a_slots]
-        if block.opcode == OP_MUL:
-            np.bitwise_and(a, values[block.b_slots], out=out)
-        elif block.opcode == OP_ADD:
-            np.bitwise_or(a, values[block.b_slots], out=out)
-        else:  # OP_NOT
-            np.bitwise_xor(a, _ONES_U64, out=out)
-    return {
-        name: values[slot].reshape(shape) for name, slot in program.net_slot.items()
-    }

@@ -2,8 +2,8 @@
 
 With everything NumPy can vectorise already vectorised, the remaining
 engine wall-clock lives in the executor's per-block dispatch.  This package
-provides compiled implementations of that loop — forward, backward, bool and
-packed modes — each pinned to the NumPy path by the equivalence suite in
+provides compiled implementations of that loop — forward, backward and the
+boolean mode — each pinned to the NumPy path by the equivalence suite in
 ``tests/native/``: small dependency-free C kernels compiled on demand with
 the system compiler and loaded via :mod:`ctypes` (:mod:`repro.native.cext`),
 reported as the ``"cext"`` tier.
@@ -29,7 +29,7 @@ import os
 import threading
 from typing import Optional, Tuple
 
-from repro.native.kernels import NativeKernels, clear_artifact_caches
+from repro.native.kernels import NativeKernels
 
 
 class BackendUnavailableError(ImportError):
@@ -109,21 +109,11 @@ def compile_seconds() -> float:
     return cext.compile_seconds()
 
 
-def clear_caches() -> None:
-    """Drop the per-program native memos (flattened op arrays).
-
-    Folded into :func:`repro.clear_caches`; the compiled library itself
-    stays loaded (it is artifact-independent).
-    """
-    clear_artifact_caches()
-
-
 __all__ = [
     "BackendUnavailableError",
     "NATIVE_ENV_VAR",
     "NativeKernels",
     "active_tier",
-    "clear_caches",
     "compile_seconds",
     "kernels_for",
     "native_available",

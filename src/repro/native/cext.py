@@ -26,13 +26,14 @@ all degrade to "tier unavailable"
 Kernel inventory (all operate on caller-allocated C-contiguous buffers):
 
 * ``repro_engine_forward`` / ``repro_engine_backward`` — the levelized
-  ``float32`` program as one C loop over flat per-op arrays; forward is
+  ``float32`` program as one C loop over its flat per-op arrays (op ``i``
+  writes slot ``first + i``, so no out-slot array exists); forward is
   elementwise and therefore bitwise identical to the NumPy block path
   (``-ffp-contract=off`` keeps any toolchain from fusing a multiply-add),
   backward accumulates operand gradients sequentially per op (NumPy's
   scatter reductions use platform-dependent accumulation orders).
-* ``repro_engine_execute_bool`` / ``_packed`` — the boolean and bit-parallel
-  execution modes of the same program.
+* ``repro_engine_execute_bool`` — the boolean execution mode of the same
+  program.
 """
 
 from __future__ import annotations
@@ -68,17 +69,19 @@ C_SOURCE = r"""
 #include <stdint.h>
 
 /* ---------------- engine kernels (flat per-op straight-line program) ------------- */
-/* opcodes: 0 = MUL (a*b / &), 1 = ADD (a+b / |), 2 = NOT (1-a / ^ / ~).
-   values is the (num_slots, batch) C-contiguous slot matrix; the per-op slot
-   arrays index rows of it.  Operand rows always precede output rows, so the
-   single in-order pass reproduces the levelized block schedule exactly.      */
+/* opcodes: 0 = MUL (a*b / &), 1 = ADD (a+b / |), 2 = NOT (1-a / ^).
+   values is the (num_slots, batch) C-contiguous slot matrix; op i writes row
+   first + i and reads rows a[i] (and b[i]).  Operand rows always precede
+   output rows, so the single in-order pass reproduces the levelized block
+   schedule exactly.  Nothing here checks an index: callers pass programs
+   the compiler emitted or CompiledProgram.check accepted.                   */
 
 void repro_engine_forward(float *values, int64_t batch, int64_t nops,
-                          const uint8_t *opc, const int32_t *a,
-                          const int32_t *b, const int32_t *o)
+                          int64_t first, const uint8_t *opc, const int32_t *a,
+                          const int32_t *b)
 {
     for (int64_t i = 0; i < nops; ++i) {
-        float *out = values + (int64_t)o[i] * batch;
+        float *out = values + (first + i) * batch;
         const float *pa = values + (int64_t)a[i] * batch;
         if (opc[i] == 0) {
             const float *pb = values + (int64_t)b[i] * batch;
@@ -96,12 +99,11 @@ void repro_engine_forward(float *values, int64_t batch, int64_t nops,
 }
 
 void repro_engine_backward(const float *values, float *grads, int64_t batch,
-                           int64_t nops, const uint8_t *opc,
-                           const int32_t *a, const int32_t *b,
-                           const int32_t *o)
+                           int64_t nops, int64_t first, const uint8_t *opc,
+                           const int32_t *a, const int32_t *b)
 {
     for (int64_t i = nops - 1; i >= 0; --i) {
-        const float *g = grads + (int64_t)o[i] * batch;
+        const float *g = grads + (first + i) * batch;
         float *ga = grads + (int64_t)a[i] * batch;
         if (opc[i] == 0) {
             float *gb = grads + (int64_t)b[i] * batch;
@@ -125,11 +127,11 @@ void repro_engine_backward(const float *values, float *grads, int64_t batch,
 }
 
 void repro_engine_execute_bool(uint8_t *values, int64_t batch, int64_t nops,
-                               const uint8_t *opc, const int32_t *a,
-                               const int32_t *b, const int32_t *o)
+                               int64_t first, const uint8_t *opc,
+                               const int32_t *a, const int32_t *b)
 {
     for (int64_t i = 0; i < nops; ++i) {
-        uint8_t *out = values + (int64_t)o[i] * batch;
+        uint8_t *out = values + (first + i) * batch;
         const uint8_t *pa = values + (int64_t)a[i] * batch;
         if (opc[i] == 0) {
             const uint8_t *pb = values + (int64_t)b[i] * batch;
@@ -142,28 +144,6 @@ void repro_engine_execute_bool(uint8_t *values, int64_t batch, int64_t nops,
         } else {
             for (int64_t j = 0; j < batch; ++j)
                 out[j] = pa[j] ^ 1;
-        }
-    }
-}
-
-void repro_engine_execute_packed(uint64_t *values, int64_t lanes, int64_t nops,
-                                 const uint8_t *opc, const int32_t *a,
-                                 const int32_t *b, const int32_t *o)
-{
-    for (int64_t i = 0; i < nops; ++i) {
-        uint64_t *out = values + (int64_t)o[i] * lanes;
-        const uint64_t *pa = values + (int64_t)a[i] * lanes;
-        if (opc[i] == 0) {
-            const uint64_t *pb = values + (int64_t)b[i] * lanes;
-            for (int64_t j = 0; j < lanes; ++j)
-                out[j] = pa[j] & pb[j];
-        } else if (opc[i] == 1) {
-            const uint64_t *pb = values + (int64_t)b[i] * lanes;
-            for (int64_t j = 0; j < lanes; ++j)
-                out[j] = pa[j] | pb[j];
-        } else {
-            for (int64_t j = 0; j < lanes; ++j)
-                out[j] = ~pa[j];
         }
     }
 }
@@ -237,23 +217,14 @@ def _find_compiler() -> Optional[str]:
 
 def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     """Attach argtypes so a mismatched call fails loudly instead of corrupting."""
-    p_u8 = ctypes.POINTER(ctypes.c_uint8)
-    p_u64 = ctypes.POINTER(ctypes.c_uint64)
-    p_i32 = ctypes.POINTER(ctypes.c_int32)
-    p_f32 = ctypes.POINTER(ctypes.c_float)
-    i64 = ctypes.c_int64
-    lib.repro_engine_forward.argtypes = [p_f32, i64, i64, p_u8, p_i32, p_i32, p_i32]
+    # Buffers are passed as raw addresses of C-contiguous NumPy arrays.
+    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+    lib.repro_engine_forward.argtypes = [ptr, i64, i64, i64, ptr, ptr, ptr]
     lib.repro_engine_forward.restype = None
-    lib.repro_engine_backward.argtypes = [
-        p_f32, p_f32, i64, i64, p_u8, p_i32, p_i32, p_i32,
-    ]
+    lib.repro_engine_backward.argtypes = [ptr, ptr, i64, i64, i64, ptr, ptr, ptr]
     lib.repro_engine_backward.restype = None
-    lib.repro_engine_execute_bool.argtypes = [p_u8, i64, i64, p_u8, p_i32, p_i32, p_i32]
+    lib.repro_engine_execute_bool.argtypes = [ptr, i64, i64, i64, ptr, ptr, ptr]
     lib.repro_engine_execute_bool.restype = None
-    lib.repro_engine_execute_packed.argtypes = [
-        p_u64, i64, i64, p_u8, p_i32, p_i32, p_i32,
-    ]
-    lib.repro_engine_execute_packed.restype = None
     return lib
 
 

@@ -7,18 +7,17 @@ serialised in a versioned, checksummed binary container
 (:mod:`repro.store.format`), written crash-safely and pruned by recency
 (:mod:`repro.store.store`), and coordinated across processes with
 single-flight build leases so N cold workers pay for one build
-(:mod:`repro.store.artifacts`).  A hit decodes only the hot ``round`` entry;
-the ``transform`` entry is verified and decoded on demand.
+(:mod:`repro.store.artifacts`).  A hit decodes only the hot ``round`` entry,
+a pickle-free set of validated zero-copy arrays (:mod:`repro.store.schema`);
+the pickled ``transform`` entry is verified and decoded on demand.
 """
 
 from repro.store.artifacts import (
-    ALL_KINDS,
-    KIND_ROUND,
-    KIND_TRANSFORM,
     fetch_or_build_artifact,
     load_sampling_artifact,
     persist_artifact,
 )
+from repro.store.schema import ALL_KINDS, KIND_ROUND, KIND_TRANSFORM
 from repro.store.format import (
     FORMAT_VERSION,
     StoreFormatError,

@@ -1,23 +1,26 @@
 """Persisting and loading :class:`~repro.serve.cache.SamplingArtifact`.
 
-The store keeps two entry kinds under one formula signature:
+The store keeps two entry kinds under one formula signature (their schemas
+are in :mod:`repro.store.schema`):
 
 * ``round`` — the hot entry: the transform's
-  :class:`~repro.core.transform.RoundPlan` (row maps plus the compiled learn
+  :class:`~repro.core.transform.RoundPlan` (row maps plus the flat learn
   and fill programs) and the formula's
-  :class:`~repro.cnf.kernel.CNFEvalPlan`.  It holds no ``Circuit``, ``Expr``
-  or ``Clause``: exactly what a sampling round executes.
+  :class:`~repro.cnf.kernel.CNFEvalPlan`, as JSON fields plus named arrays
+  in the container's pickle-free layout (format v3).  It holds no
+  ``Circuit``, ``Expr`` or ``Clause``: exactly what a sampling round
+  executes, as zero-copy views into the read buffer, validated before use.
 * ``transform`` — the formula together with its
   :class:`~repro.core.transform.TransformResult` (recovered circuit,
-  definitions, constraints, replay).
+  definitions, constraints, replay); the one kind that is still pickled.
 
-A hit decodes only ``round``.  The ``transform`` entry is read and
-checksummed on every hit (so a corrupt one is still a miss) and its verified
-bytes ride along with the artifact as a :class:`PendingTransform`; they are
-unpickled — under a ``store.decode`` span, counted in the store's
-``transform_decodes`` — only when something other than a round needs the
-formula or the transform, such as an incremental derivation or the
-pipeline's summary.
+A hit decodes only ``round``, and unpickles nothing.  The ``transform``
+entry is read and checksummed on every hit (so a corrupt one is still a
+miss) and its verified bytes ride along with the artifact as a
+:class:`PendingTransform`; they are unpickled — under a ``store.decode``
+span, counted in the store's ``transform_decodes`` — only when something
+other than a round needs the formula or the transform, such as an
+incremental derivation or the pipeline's summary.
 
 The ``transform`` entry is written *last*: its presence marks the signature
 complete, so a crash between writes can only leave behind an orphaned
@@ -37,9 +40,8 @@ from __future__ import annotations
 import time
 from typing import Callable, Optional, Tuple
 
-from repro.cnf.kernel import CNFEvalPlan
-from repro.core.transform import RoundPlan
 from repro.store.format import StoreFormatError, VerifiedEntry
+from repro.store.schema import KIND_ROUND, KIND_TRANSFORM, encode_round
 from repro.store.store import ArtifactStore
 from repro import obs
 
@@ -47,13 +49,6 @@ _LOAD_SECONDS = obs.counter(
     "repro_store_load_seconds_total",
     "Wall-clock seconds spent materialising artifacts from the store.",
 )
-
-#: Entry kinds (directory names under ``objects/``).
-KIND_ROUND = "round"
-KIND_TRANSFORM = "transform"
-
-ALL_KINDS = (KIND_ROUND, KIND_TRANSFORM)
-
 
 class PendingTransform:
     """A verified ``transform`` entry, decoded on first use."""
@@ -90,7 +85,7 @@ def persist_artifact(store: ArtifactStore, artifact) -> bool:
     with obs.span("store.persist") as pspan:
         pspan.set("signature", signature[:12])
         if not store.contains(KIND_ROUND, signature):
-            store.put(KIND_ROUND, signature, {"round": artifact.round, "plan": artifact.plan})
+            store.put(KIND_ROUND, signature, encode_round(artifact.round, artifact.plan))
         if store.contains(KIND_TRANSFORM, signature):
             return True
         return store.put(
@@ -100,23 +95,14 @@ def persist_artifact(store: ArtifactStore, artifact) -> bool:
         )
 
 
-def _usable_round(hot) -> bool:
-    return (
-        isinstance(hot, dict)
-        and isinstance(hot.get("round"), RoundPlan)
-        and isinstance(hot.get("plan"), CNFEvalPlan)
-        and hot["round"].num_variables == hot["plan"].num_variables
-    )
-
-
 def load_sampling_artifact(store: ArtifactStore, signature: str):
     """Materialise the artifact for ``signature`` from the store, or ``None``.
 
-    A hit decodes the ``round`` entry and verifies, but does not decode, the
-    ``transform`` entry (see the module docstring); both entries' recency is
-    refreshed.  A missing or corrupt ``transform`` makes the load a miss.  A
-    missing or unusable ``round`` is rebuilt from the decoded transform and
-    written back.
+    A hit decodes and validates the ``round`` entry and verifies, but does
+    not decode, the ``transform`` entry (see the module docstring); both
+    entries' recency is refreshed.  A missing or corrupt ``transform`` makes
+    the load a miss.  A missing or invalid ``round`` (quarantined by the
+    store) is rebuilt from the decoded transform and written back.
     """
     from repro.serve.cache import SamplingArtifact
 
@@ -130,8 +116,8 @@ def load_sampling_artifact(store: ArtifactStore, signature: str):
         pending = PendingTransform(store, entry)
         hot = store.get(KIND_ROUND, signature)
         objects = None
-        if _usable_round(hot):
-            round_plan, plan = hot["round"], hot["plan"]
+        if hot is not None:
+            round_plan, plan = hot
         else:
             try:
                 formula, transform = pending.decode()
@@ -141,7 +127,7 @@ def load_sampling_artifact(store: ArtifactStore, signature: str):
             plan = formula.evaluation_plan()
             round_plan = transform.round_plan
             objects, pending = (formula, transform), None
-            store.put(KIND_ROUND, signature, {"round": round_plan, "plan": plan})
+            store.put(KIND_ROUND, signature, encode_round(round_plan, plan))
             lspan.set("round", "rebuilt")
 
         load_seconds = time.perf_counter() - start

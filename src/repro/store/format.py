@@ -11,33 +11,39 @@ bytes                     content
 ``[6, 10)``               little-endian ``u32`` header JSON length ``H``
 ``[10, 10 + H)``          header JSON (UTF-8)
 (padding to 64 bytes)     zeros
-``[payload ...]``         pickle bytes, then 64-byte-aligned array blobs
+``[payload ...]``         64-byte-aligned blobs (see the two layouts)
 ========================  =============================================
 
-The header records everything needed to decide *without unpickling anything*
+The header records everything needed to decide *without decoding anything*
 whether the payload is loadable here: the artifact ``kind`` and content
 ``signature`` it claims to hold, the ``repro`` version that wrote it, the
-writer's byte order, the payload span of the pickle and of every out-of-band
-array blob, and a SHA-256 checksum over the other header fields and the
-whole payload (so a damaged span can never re-slice intact bytes).  Any
-mismatch raises :class:`StoreFormatError`, which the store layer treats as a
-cache miss (and quarantines the file) — a corrupt, truncated, foreign or
-stale entry can only ever cost a cold build, never a wrong artifact.
+writer's byte order, the payload ``layout`` with the span of every blob,
+and a SHA-256 checksum over the other header fields and the whole payload
+(so a damaged span can never re-slice intact bytes).  Any mismatch raises
+:class:`StoreFormatError`, which the store layer treats as a cache miss (and
+quarantines the file) — a corrupt, truncated, foreign or stale entry can
+only ever cost a cold build, never a wrong artifact.
+
+An entry has one of two payload layouts:
+
+* ``"arrays"`` — pickle-free: a :class:`FlatPayload` of JSON-able
+  ``fields`` (kept in the header) and named arrays, each an aligned raw blob
+  described by ``[dtype, shape, offset]``.  Only the dtypes in
+  :data:`ALLOWED_DTYPES` are accepted, and decoding makes ``np.frombuffer``
+  views into the one read buffer — nothing executes, nothing is copied.
+  The store's hot ``round`` entry uses it (:mod:`repro.store.schema`
+  validates what the views hold before anything runs them).
+* ``"pickle"`` — pickle protocol 5 with *out-of-band buffers*: the object
+  graph pickles normally while every NumPy array is written as an aligned
+  raw blob and read back as a zero-copy view.  Only the cold ``transform``
+  entry (formula, circuit, expressions) still uses it.
 
 Reading is split in two: :func:`verify_entry` runs every check and returns
-a :class:`VerifiedEntry` still holding the pickle bytes, and
-:meth:`VerifiedEntry.decode` unpickles them.  The store verifies its cold
-``transform`` entry on every hit but decodes it only when something other
-than a sampling round needs it; :func:`decode_entry` is both steps at once.
-
-Serialisation itself is pickle protocol 5 with *out-of-band buffers*: the
-object graph (expression trees, dataclasses, dictionaries) pickles normally,
-while every NumPy array is extracted as a raw :class:`pickle.PickleBuffer`
-and written as an aligned binary blob — the ``np.save``-style layout that
-makes a load one sequential read plus zero-copy ``frombuffer`` views instead
-of a byte-by-byte reconstruction.  On read the blobs are wrapped as
-``memoryview`` windows into the single read buffer, so a multi-megabyte
-compiled artifact materialises in milliseconds.
+a :class:`VerifiedEntry` still holding the payload bytes, and
+:meth:`VerifiedEntry.decode` turns them into the object (unpickling only a
+``"pickle"`` entry).  The store verifies its cold ``transform`` entry on
+every hit but decodes it only when something other than a sampling round
+needs it; :func:`decode_entry` is both steps at once.
 """
 
 from __future__ import annotations
@@ -45,12 +51,15 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 import pickle
 import struct
 import sys
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
+
+import numpy as np
 
 #: First bytes of every store entry.
 MAGIC = b"RPRO"
@@ -59,8 +68,19 @@ MAGIC = b"RPRO"
 #: readers treat a mismatch as a miss, so old and new processes can share one
 #: store directory (under different ``v<N>`` roots) without ever mis-parsing.
 #: v2: the ``round``/``transform`` entry kinds, and a checksum that covers
-#: the header fields as well as the payload.
-FORMAT_VERSION = 2
+#: the header fields as well as the payload.  v3: the pickle-free
+#: ``"arrays"`` layout, used by the ``round`` entry.
+FORMAT_VERSION = 3
+
+#: Payload layouts (the header's ``layout`` field).
+LAYOUT_ARRAYS = "arrays"
+LAYOUT_PICKLE = "pickle"
+
+#: The dtypes an ``"arrays"`` blob may declare (native byte order).  Any
+#: other declaration is rejected before a view is made.
+ALLOWED_DTYPES = frozenset(
+    np.dtype(dtype).str for dtype in (np.bool_, np.uint8, np.int32, np.int64)
+)
 
 #: Alignment of the payload start and of each array blob, in bytes.  64
 #: covers every dtype and keeps blobs cache-line/mmap-page friendly.
@@ -94,21 +114,52 @@ def _checksum(header: Dict[str, Any], payload: memoryview) -> str:
     return "sha256:" + digest.hexdigest()
 
 
-def encode_entry(kind: str, signature: str, obj: Any) -> bytes:
-    """Serialise ``obj`` into one self-contained store-entry byte string."""
+@dataclass(frozen=True)
+class FlatPayload:
+    """A pickle-free entry: JSON-able ``fields`` plus named arrays."""
+
+    fields: Dict[str, Any]
+    arrays: Dict[str, np.ndarray]
+
+
+def _layout(obj: Any) -> Tuple[Dict[str, Any], List[memoryview], bytes]:
+    """``(header layout fields, blobs, leading bytes)`` for ``obj``'s payload."""
+    if isinstance(obj, FlatPayload):
+        arrays = {name: np.ascontiguousarray(array) for name, array in obj.arrays.items()}
+        for name, array in arrays.items():
+            if array.dtype.str not in ALLOWED_DTYPES:
+                raise TypeError(f"array {name!r} has unsupported dtype {array.dtype}")
+        blobs = [memoryview(array).cast("B") for array in arrays.values()]
+        specs = {
+            name: [array.dtype.str, list(array.shape)] for name, array in arrays.items()
+        }
+        return {"layout": LAYOUT_ARRAYS, "fields": obj.fields, "arrays": specs}, blobs, b""
     buffers: List[pickle.PickleBuffer] = []
     pickled = pickle.dumps(obj, protocol=_PICKLE_PROTOCOL, buffer_callback=buffers.append)
+    blobs = [buffer.raw() for buffer in buffers]
+    return {"layout": LAYOUT_PICKLE, "pickle": [0, len(pickled)]}, blobs, pickled
 
-    # Lay the payload out: pickle first, then each raw buffer, all aligned.
+
+def encode_entry(kind: str, signature: str, obj: Any) -> bytes:
+    """Serialise ``obj`` into one self-contained store-entry byte string.
+
+    A :class:`FlatPayload` is written in the pickle-free ``"arrays"``
+    layout; anything else is pickled.
+    """
+    layout, blobs, leading = _layout(obj)
+    # Lay the payload out: leading bytes (the pickle) first, then each blob,
+    # all aligned.
     spans: List[Tuple[int, int]] = []
-    cursor = _align(len(pickled))
-    raws: List[memoryview] = []
-    for buffer in buffers:
-        raw = buffer.raw()
-        spans.append((cursor, len(raw)))
-        cursor = _align(cursor + len(raw))
-        raws.append(raw)
+    cursor = _align(len(leading))
+    for blob in blobs:
+        spans.append((cursor, blob.nbytes))
+        cursor = _align(cursor + blob.nbytes)
     payload_length = cursor
+    if layout["layout"] == LAYOUT_ARRAYS:
+        for spec, (offset, _length) in zip(layout["arrays"].values(), spans):
+            spec.append(offset)
+    else:
+        layout["buffers"] = [list(span) for span in spans]
 
     header = {
         "kind": kind,
@@ -116,15 +167,14 @@ def encode_entry(kind: str, signature: str, obj: Any) -> bytes:
         "version": _repro_version(),
         "byte_order": sys.byteorder,
         "created": time.time(),
-        "pickle": [0, len(pickled)],
-        "buffers": [list(span) for span in spans],
         "payload_length": payload_length,
+        **layout,
     }
 
     payload = bytearray(payload_length)
-    payload[: len(pickled)] = pickled
-    for (offset, length), raw in zip(spans, raws):
-        payload[offset : offset + length] = raw
+    payload[: len(leading)] = leading
+    for (offset, length), blob in zip(spans, blobs):
+        payload[offset : offset + length] = blob
     header["checksum"] = _checksum(header, memoryview(payload))
 
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -175,9 +225,13 @@ def read_header(data: bytes) -> Tuple[Dict[str, Any], int]:
     return header, _align(header_end)
 
 
+#: One declared array of an ``"arrays"`` entry: ``(name, dtype, shape, offset)``.
+ArraySpec = Tuple[str, np.dtype, Tuple[int, ...], int]
+
+
 @dataclass(frozen=True)
 class VerifiedEntry:
-    """An entry that passed every check of :func:`verify_entry`, not yet unpickled.
+    """An entry that passed every check of :func:`verify_entry`, not yet decoded.
 
     Holds a view of the verified payload (which keeps the read buffer alive),
     so later changes to the file on disk cannot affect what it decodes to.
@@ -185,9 +239,15 @@ class VerifiedEntry:
 
     kind: str
     signature: str
+    #: :data:`LAYOUT_ARRAYS` or :data:`LAYOUT_PICKLE`.
+    layout: str
     payload: memoryview
-    pickle_span: Tuple[int, int]
-    buffer_spans: Tuple[Tuple[int, int], ...]
+    #: Pickle layout: the pickle stream's span and its out-of-band blobs.
+    pickle_span: Tuple[int, int] = (0, 0)
+    buffer_spans: Tuple[Tuple[int, int], ...] = ()
+    #: Arrays layout: the header fields and the declared arrays.
+    fields: Any = None
+    array_specs: Tuple[ArraySpec, ...] = ()
 
     @property
     def nbytes(self) -> int:
@@ -195,7 +255,21 @@ class VerifiedEntry:
         return self.payload.nbytes
 
     def decode(self) -> Any:
-        """Unpickle the payload; array blobs become zero-copy views into it."""
+        """The entry's object; array blobs become zero-copy views into the payload.
+
+        An ``"arrays"`` entry decodes to a :class:`FlatPayload` without
+        unpickling anything; a ``"pickle"`` entry is unpickled.
+        """
+        if self.layout == LAYOUT_ARRAYS:
+            arrays = {}
+            for name, dtype, shape, offset in self.array_specs:
+                count = math.prod(shape)
+                if count:
+                    view = np.frombuffer(self.payload, dtype=dtype, count=count, offset=offset)
+                else:
+                    view = np.empty(0, dtype=dtype)
+                arrays[name] = view.reshape(shape)
+            return FlatPayload(fields=self.fields, arrays=arrays)
         offset, length = self.pickle_span
         buffers = [self.payload[start : start + size] for start, size in self.buffer_spans]
         try:
@@ -204,20 +278,49 @@ class VerifiedEntry:
             raise StoreFormatError(f"payload does not unpickle: {error}") from error
 
 
+def _natural(value: Any) -> int:
+    """``value`` if it is a non-negative JSON integer (``bool`` excluded)."""
+    if type(value) is not int or value < 0:
+        raise StoreFormatError(f"expected a non-negative integer, got {value!r}")
+    return value
+
+
+def _array_specs(declared: Any, payload_length: int) -> Tuple[ArraySpec, ...]:
+    """Validate an ``"arrays"`` header: allowlisted dtypes, aligned in-payload spans."""
+    if not isinstance(declared, dict):
+        raise StoreFormatError("arrays header is not an object")
+    specs = []
+    for name, spec in declared.items():
+        if not (isinstance(spec, list) and len(spec) == 3 and isinstance(spec[1], list)):
+            raise StoreFormatError(f"array {name!r}: malformed spec {spec!r}")
+        dtype_str, shape, offset = spec
+        if dtype_str not in ALLOWED_DTYPES:
+            raise StoreFormatError(f"array {name!r}: dtype {dtype_str!r} is not allowed")
+        dtype = np.dtype(dtype_str)
+        shape = tuple(_natural(extent) for extent in shape)
+        offset = _natural(offset)
+        nbytes = dtype.itemsize * math.prod(shape)
+        if offset % ALIGNMENT or offset + nbytes > payload_length:
+            raise StoreFormatError(f"array {name!r}: span outside the payload")
+        specs.append((name, dtype, shape, offset))
+    return tuple(specs)
+
+
 def verify_entry(
     data: bytes,
     *,
     kind: Optional[str] = None,
     signature: Optional[str] = None,
 ) -> VerifiedEntry:
-    """Check one entry produced by :func:`encode_entry` without unpickling it.
+    """Check one entry produced by :func:`encode_entry` without decoding it.
 
     ``data`` should be a writable buffer (``bytearray``) so the zero-copy
     array views a later :meth:`VerifiedEntry.decode` hands out are writable
     like freshly built arrays; a read-only ``bytes`` works too but yields
     read-only arrays.  Raises :class:`StoreFormatError` on *any*
     inconsistency — wrong kind or signature, truncation, checksum mismatch,
-    foreign byte order, or a different repro/container version.
+    foreign byte order, a different repro/container version, an unknown
+    layout, a blob outside the payload or a disallowed array dtype.
     """
     header, payload_start = read_header(data)
     if kind is not None and header.get("kind") != kind:
@@ -226,11 +329,17 @@ def verify_entry(
         raise StoreFormatError(
             f"entry holds signature {header.get('signature')!r}, wanted {signature!r}"
         )
+    layout = header.get("layout")
     try:
         payload_length = int(header["payload_length"])
-        pickle_offset, pickle_length = (int(v) for v in header["pickle"])
-        spans = tuple((int(off), int(length)) for off, length in header["buffers"])
         checksum = header["checksum"]
+        if layout == LAYOUT_PICKLE:
+            pickle_offset, pickle_length = (int(v) for v in header["pickle"])
+            spans = tuple((int(off), int(length)) for off, length in header["buffers"])
+        elif layout == LAYOUT_ARRAYS:
+            declared, fields = header["arrays"], header["fields"]
+        else:
+            raise StoreFormatError(f"unknown payload layout {layout!r}")
     except (KeyError, TypeError, ValueError) as error:
         raise StoreFormatError(f"malformed header fields: {error}") from error
     if len(data) < payload_start + payload_length:
@@ -241,12 +350,22 @@ def verify_entry(
     payload = memoryview(data)[payload_start : payload_start + payload_length]
     if _checksum(header, payload) != checksum:
         raise StoreFormatError("checksum mismatch")
+    if layout == LAYOUT_ARRAYS:
+        return VerifiedEntry(
+            kind=str(header.get("kind")),
+            signature=str(header.get("signature")),
+            layout=layout,
+            payload=payload,
+            fields=fields,
+            array_specs=_array_specs(declared, payload_length),
+        )
     for offset, length in spans + ((pickle_offset, pickle_length),):
         if offset < 0 or length < 0 or offset + length > payload_length:
             raise StoreFormatError("buffer span outside the payload")
     return VerifiedEntry(
         kind=str(header.get("kind")),
         signature=str(header.get("signature")),
+        layout=layout,
         payload=payload,
         pickle_span=(pickle_offset, pickle_length),
         buffer_spans=spans,

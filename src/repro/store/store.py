@@ -13,11 +13,12 @@ filesystem.
 Layout (everything lives under a format-versioned root, so incompatible
 builds can share one directory without ever mis-reading each other)::
 
-    <root>/v2/objects/<kind>/<sig[:2]>/<sig>.bin     entries
-    <root>/v2/locks/<sig>.lock                       single-flight claims
-    <root>/v2/quarantine/                            corrupt entries
+    <root>/v3/objects/<kind>/<sig[:2]>/<sig>.bin     entries
+    <root>/v3/locks/<sig>.lock                       single-flight claims
+    <root>/v3/quarantine/                            corrupt entries
 
-(``v2`` is :data:`~repro.store.format.FORMAT_VERSION`.)
+(``v3`` is :data:`~repro.store.format.FORMAT_VERSION`; entries an older
+format wrote stay under their own root and are never read.)
 
 Guarantees:
 
@@ -29,7 +30,9 @@ Guarantees:
   ``quarantine/`` and reported as a miss, never raised to the caller.
   :meth:`ArtifactStore.read` stops there and hands back the verified bytes,
   which :meth:`ArtifactStore.decode` unpickles later, only when needed;
-  :meth:`ArtifactStore.get` does both at once;
+  :meth:`ArtifactStore.get` also decodes them by the kind's schema
+  (:mod:`repro.store.schema`), so a ``round`` entry that fails validation
+  is a quarantined miss too;
 * **graceful degradation** — an unreadable or unwritable directory turns
   the store into a no-op (counted in :meth:`stats`), it never breaks the
   caller: the in-memory tiers and cold builds keep everything working;
@@ -54,11 +57,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.store import schema
 from repro.store.format import (
     FORMAT_VERSION,
     StoreFormatError,
     VerifiedEntry,
-    decode_entry,
     encode_entry,
     verify_entry,
 )
@@ -203,7 +206,11 @@ class ArtifactStore:
         return self._load(kind, signature, decode=False)
 
     def get(self, kind: str, signature: str) -> Optional[Any]:
-        """Load, verify and unpickle one entry; any failure is a miss, never an error."""
+        """Load, verify and decode one entry by its kind's schema.
+
+        Any failure — including a ``round`` entry that fails validation — is
+        a quarantined miss, never an error.
+        """
         return self._load(kind, signature, decode=True)
 
     def decode(self, entry: VerifiedEntry) -> Any:
@@ -232,7 +239,7 @@ class ArtifactStore:
         try:
             loaded = verify_entry(data, kind=kind, signature=signature)
             if decode:
-                loaded = loaded.decode()
+                loaded = schema.decode(loaded)
         except StoreFormatError:
             self._count("corrupt")
             self._count("misses")
@@ -333,7 +340,9 @@ class ArtifactStore:
         return found
 
     def verify(self) -> Tuple[List[EntryInfo], List[Tuple[EntryInfo, str]]]:
-        """Checksum-walk every entry; returns ``(intact, [(bad, reason), ...])``.
+        """Checksum-walk and decode every entry; returns ``(intact, [(bad, reason), ...])``.
+
+        A ``round`` entry must also pass its schema's validation.
 
         Bad entries are left in place — ``repro-sat cache verify`` reports,
         it does not mutate; reads quarantine lazily on access.
@@ -343,7 +352,7 @@ class ArtifactStore:
         for entry in self.entries():
             try:
                 data = bytearray(entry.path.read_bytes())
-                decode_entry(data, kind=entry.kind, signature=entry.signature)
+                schema.decode(verify_entry(data, kind=entry.kind, signature=entry.signature))
             except (OSError, StoreFormatError) as error:
                 bad.append((entry, str(error)))
             else:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.circuit.builder import CircuitBuilder
-from repro.circuit.simulate import simulate, simulate_packed
+from repro.circuit.simulate import simulate
 from tests.conftest import all_assignments
 
 
@@ -49,39 +49,3 @@ class TestSimulate:
         results = simulate(builder.circuit, np.array([[True], [False]]))
         assert results["out"].tolist() == [True, False]
 
-
-class TestSimulatePacked:
-    def test_matches_boolean_simulation(self, small_circuit):
-        rng = np.random.default_rng(0)
-        matrix = rng.random((64, 3)) < 0.5
-        packed_inputs = {}
-        for column, name in enumerate(small_circuit.inputs):
-            bits = np.uint64(0)
-            for row in range(64):
-                if matrix[row, column]:
-                    bits |= np.uint64(1) << np.uint64(row)
-            packed_inputs[name] = np.array([bits], dtype=np.uint64)
-        packed_results = simulate_packed(small_circuit, packed_inputs)
-        bool_results = simulate(small_circuit, matrix)
-        for name in small_circuit.outputs:
-            for row in range(64):
-                packed_bit = bool((int(packed_results[name][0]) >> row) & 1)
-                assert packed_bit == bool(bool_results[name][row])
-
-    def test_shape_mismatch_rejected(self, small_circuit):
-        packed_inputs = {
-            "a": np.zeros(1, dtype=np.uint64),
-            "b": np.zeros(2, dtype=np.uint64),
-            "c": np.zeros(1, dtype=np.uint64),
-        }
-        with pytest.raises(ValueError):
-            simulate_packed(small_circuit, packed_inputs)
-
-    def test_constant_nets(self):
-        builder = CircuitBuilder()
-        a = builder.input("a")
-        zero = builder.constant(False)
-        out = builder.or_(a, zero, name="out")
-        builder.output(out)
-        packed = simulate_packed(builder.circuit, {"a": np.array([np.uint64(0b1010)])})
-        assert int(packed["out"][0]) == 0b1010

@@ -144,6 +144,20 @@ def rng():
     return np.random.default_rng(12345)
 
 
+_REGISTRY_TRANSFORMS: dict = {}
+
+
+def registry_instance(name: str):
+    """``(formula, transform)`` of a registry instance, built once per test run."""
+    if name not in _REGISTRY_TRANSFORMS:
+        from repro.core.transform import transform_cnf
+        from repro.instances.registry import get_instance
+
+        formula = get_instance(name).build_cnf()
+        _REGISTRY_TRANSFORMS[name] = (formula, transform_cnf(formula))
+    return _REGISTRY_TRANSFORMS[name]
+
+
 def all_assignments(num_variables: int) -> np.ndarray:
     """All 2**n boolean assignments as a matrix (helper importable from tests)."""
     rows = 1 << num_variables

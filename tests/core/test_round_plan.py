@@ -25,10 +25,11 @@ from repro.core.extraction import VAR_PREFIX
 from repro.core.sampler import GradientSATSampler
 from repro.core.task import DEFAULT_TASK, SamplingTask
 from repro.core.transform import transform_cnf
-from repro.instances.registry import get_instance, list_instances
+from repro.instances.registry import list_instances
 from repro.serve.cache import build_artifact
 from repro.store.artifacts import load_sampling_artifact, persist_artifact
 from repro.store.store import ArtifactStore
+from tests.conftest import registry_instance
 from tests.oracles.completion import complete_reference, use_reference_assembly
 from tests.oracles.interpreter import use_interpreter
 
@@ -38,15 +39,7 @@ TASKS = ("default", "weighted", "projected")
 #: ``float64`` interpreter oracle, ``"numpy:float32"`` on the engine itself.
 DTYPES = ("numpy", "numpy:float32")
 
-_TRANSFORMS = {}
-
-
-def _instance(name):
-    """``(formula, transform)`` of a registry instance, built once per test run."""
-    if name not in _TRANSFORMS:
-        formula = get_instance(name).build_cnf()
-        _TRANSFORMS[name] = (formula, transform_cnf(formula))
-    return _TRANSFORMS[name]
+_instance = registry_instance
 
 
 def _variable(name: str) -> int:
@@ -233,3 +226,57 @@ def test_warm_sampler_skips_transitive_fanin(monkeypatch):
     monkeypatch.setattr(Circuit, "transitive_fanin", counted)
     GradientSATSampler(formula, transform, _config(seed=12)).sample(10)
     assert calls == []
+
+
+def _assert_same_arrays(left, right, names):
+    for name in names:
+        a, b = getattr(left, name), getattr(right, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+@pytest.mark.parametrize("name", list_instances())
+def test_round_entry_round_trips_every_registry_instance(name):
+    # The pickle-free store entry accepts every real round and gives it back
+    # field for field: row maps, both programs and the CNF plan.
+    from repro.store import KIND_ROUND
+    from repro.store.format import encode_entry, verify_entry
+    from repro.store.schema import decode_round, encode_round
+
+    formula, transform = _instance(name)
+    plan, cnf_plan = transform.round_plan, formula.evaluation_plan()
+    blob = encode_entry(KIND_ROUND, "sig", encode_round(plan, cnf_plan))
+    loaded, loaded_cnf = decode_round(verify_entry(bytearray(blob), kind=KIND_ROUND))
+    assert loaded.num_variables == plan.num_variables
+    for names in ("constrained_inputs", "unconstrained_inputs", "defined_nets"):
+        assert getattr(loaded, names) == getattr(plan, names)
+    _assert_same_arrays(
+        loaded,
+        plan,
+        ("input_rows", "constrained_rows", "unconstrained_rows", "free_rows", "defined_rows"),
+    )
+    for role in ("learn", "fill"):
+        program, original = getattr(loaded, role), getattr(plan, role)
+        assert (program is None) == (original is None)
+        if program is None:
+            continue
+        assert program.describe() == original.describe()
+        for field in ("source_name", "cone_inputs", "output_nets", "input_width"):
+            assert getattr(program, field) == getattr(original, field)
+        assert (program.const0_slot, program.const1_slot) == (
+            original.const0_slot,
+            original.const1_slot,
+        )
+        _assert_same_arrays(
+            program,
+            original,
+            ("input_columns", "opcodes", "a_slots", "b_slots", "block_bounds", "block_levels", "output_slots"),
+        )
+    assert (loaded_cnf.num_clauses, loaded_cnf.num_empty, loaded_cnf.width_groups) == (
+        cnf_plan.num_clauses,
+        cnf_plan.num_empty,
+        cnf_plan.width_groups,
+    )
+    _assert_same_arrays(
+        loaded_cnf, cnf_plan, ("literal_columns", "literal_negated", "reduce_offsets")
+    )

@@ -6,8 +6,9 @@ import pytest
 from repro.baselines.dpll import DPLLSolver
 from repro.circuit.tseitin import circuit_to_cnf
 from repro.cnf.formula import CNF
-from repro.core.transform import transform_cnf
+from repro.core.transform import _free_variables, transform_cnf
 from repro.instances.or_chain import generate_or_instance
+from repro.instances.registry import get_instance, list_instances
 from tests.conftest import all_assignments
 
 
@@ -180,3 +181,43 @@ class TestRoundTripFromCircuit:
         # The transformed instance must reach at least as many distinct full
         # assignments (PI space may be a superset of the circuit inputs).
         assert int(valid.sum()) >= reference
+
+
+def _free_variables_reference(clauses, num_variables):
+    """Variables no literal mentions, by a plain set scan."""
+    mentioned = {abs(literal) for clause in clauses for literal in clause.literals}
+    return [f"x{v}" for v in range(1, num_variables + 1) if v not in mentioned]
+
+
+class TestFreeVariables:
+    """The flat literal scan equals a set scan on every shape of clause list."""
+
+    @staticmethod
+    def _scan(formula):
+        names = [""] + [f"x{v}" for v in range(1, formula.num_variables + 1)]
+        return _free_variables(formula.clauses, formula.num_variables, names)
+
+    @pytest.mark.parametrize("name", list_instances())
+    def test_registry_instances(self, name):
+        formula = get_instance(name).build_cnf()
+        assert self._scan(formula) == _free_variables_reference(
+            formula.clauses, formula.num_variables
+        )
+
+    @pytest.mark.parametrize(
+        "clauses, num_variables",
+        [
+            ([], 0),
+            ([], 3),
+            ([[]], 2),
+            ([[], [2]], 4),
+            ([[1], [-3]], 3),
+            ([[-2]], 2),
+            ([[1, -1], [], [-4]], 5),
+        ],
+    )
+    def test_empty_and_unit_clauses(self, clauses, num_variables):
+        formula = CNF(clauses, num_variables=num_variables)
+        assert self._scan(formula) == _free_variables_reference(
+            formula.clauses, num_variables
+        )

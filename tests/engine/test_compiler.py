@@ -10,6 +10,11 @@ from repro.engine.program import OP_ADD, OP_MUL, OP_NOT
 from tests.engine.conftest import random_circuit
 
 
+def _opcode_counts(program):
+    counts = np.bincount(program.opcodes, minlength=3).tolist()
+    return {OP_MUL: counts[OP_MUL], OP_ADD: counts[OP_ADD], OP_NOT: counts[OP_NOT]}
+
+
 class TestLowering:
     def test_and_gate_is_mul_chain(self):
         builder = CircuitBuilder()
@@ -17,7 +22,7 @@ class TestLowering:
         builder.output(builder.and_(a, b, c, name="out"))
         program = compile_circuit(builder.circuit, ["out"])
         assert program.num_ops == 2
-        assert all(block.opcode == OP_MUL for block in program.blocks)
+        assert (program.opcodes == OP_MUL).all()
 
     def test_xor_gate_lowering(self):
         builder = CircuitBuilder()
@@ -25,25 +30,25 @@ class TestLowering:
         builder.output(builder.xor_(a, b, name="out"))
         program = compile_circuit(builder.circuit, ["out"])
         # r = a(1-b) + (1-a)b: two NOTs, two MULs, one ADD.
-        opcode_counts = {OP_MUL: 0, OP_ADD: 0, OP_NOT: 0}
-        for block in program.blocks:
-            opcode_counts[block.opcode] += block.size
-        assert opcode_counts == {OP_NOT: 2, OP_MUL: 2, OP_ADD: 1}
+        assert _opcode_counts(program) == {OP_NOT: 2, OP_MUL: 2, OP_ADD: 1}
 
     def test_buffer_gates_are_aliased_away(self):
         builder = CircuitBuilder()
         a = builder.input("a")
         buffered = builder.buf(a, name="buffered")
         builder.output(builder.not_(buffered, name="out"))
-        program = compile_circuit(builder.circuit, ["out"])
-        assert program.net_slot["buffered"] == program.net_slot["a"]
+        program = compile_circuit(builder.circuit, ["out", "buffered", "a"])
+        out_slot, buffered_slot, a_slot = program.output_slots.tolist()
+        assert buffered_slot == a_slot
+        assert out_slot != a_slot
         assert program.num_ops == 1
 
     def test_cone_restriction_excludes_unrelated_gates(self, small_circuit):
         # g = a ^ c: the f-cone gates (AND/OR over b) must not be compiled.
         program = compile_circuit(small_circuit, ["g"])
         assert program.cone_inputs == ["a", "c"]
-        assert "f" not in program.net_slot
+        # Exactly the XOR lowering: no op of f's AND/OR cone was emitted.
+        assert _opcode_counts(program) == {OP_NOT: 2, OP_MUL: 2, OP_ADD: 1}
 
     def test_constant_slots(self):
         builder = CircuitBuilder()
@@ -61,24 +66,33 @@ class TestProgramInvariants:
         program = compile_circuit(circuit, list(circuit.outputs))
         previous_level = 0
         next_slot = program.num_slots - program.num_ops
-        for block in program.blocks:
-            assert block.level >= previous_level
-            previous_level = block.level
-            assert block.out_start == next_slot
-            next_slot = block.out_stop
+        for level, (opcode, out_start, out_stop, a_slots, b_slots) in zip(
+            program.block_levels.tolist(), program.blocks
+        ):
+            assert level >= previous_level
+            previous_level = level
+            assert out_start == next_slot
+            next_slot = out_stop
+            ops = slice(out_start - program.first_op_slot, out_stop - program.first_op_slot)
+            assert (program.opcodes[ops] == opcode).all()
             # Operands must be computed strictly before the block's level.
-            for slots in (block.a_slots, block.b_slots):
+            for slots in (a_slots, b_slots):
                 for slot in slots:
-                    assert slot < block.out_start
+                    assert slot < out_start
         assert next_slot == program.num_slots
+        program.check()
 
     def test_scatter_plans_are_sound(self, rng):
         circuit = random_circuit(rng, num_gates=60)
         program = compile_circuit(circuit, list(circuit.outputs))
-        for block in program.blocks:
-            plans = [(block.a_plan, block.a_slots)]
-            if block.opcode != OP_NOT:
-                plans.append((block.b_plan, block.b_slots))
+        for (opcode, _, _, a_slots, b_slots), (a_plan, b_plan) in zip(
+            program.blocks, program.scatter_plans
+        ):
+            plans = [(a_plan, a_slots)]
+            if opcode != OP_NOT:
+                plans.append((b_plan, b_slots))
+            else:
+                assert b_plan is None
             for plan, slots in plans:
                 if plan.unique:
                     assert len(np.unique(slots)) == len(slots)

@@ -1,15 +1,14 @@
-"""Boolean and bit-packed engine execution modes vs independent references.
+"""The boolean engine execution mode vs an independent reference.
 
 The scalar dict-walking evaluator in :mod:`repro.circuit.netlist` is kept
 deliberately engine-free, which makes it an independent oracle for the
-compiled boolean mode; the packed mode is then cross-checked bit-for-bit
-against the boolean mode on the same samples.
+compiled boolean mode.
 """
 
 import numpy as np
 import pytest
 
-from repro.circuit.simulate import simulate, simulate_packed
+from repro.circuit.simulate import simulate
 from repro.engine.compiler import compile_circuit
 from repro.engine.executor import execute_bool
 from tests.engine.conftest import random_circuit
@@ -51,45 +50,3 @@ class TestBooleanMode:
         with pytest.raises(ValueError):
             execute_bool(program, np.zeros((4, 99), dtype=bool))
 
-
-class TestPackedMode:
-    @pytest.mark.parametrize("seed", range(5))
-    def test_matches_boolean_mode(self, seed):
-        rng = np.random.default_rng(4000 + seed)
-        circuit = random_circuit(rng, num_inputs=5, num_gates=25, num_outputs=3)
-        matrix = _random_matrix(rng, 64, len(circuit.inputs))
-        packed_inputs = {}
-        for column, name in enumerate(circuit.inputs):
-            word = 0
-            for row in range(64):
-                if matrix[row, column]:
-                    word |= 1 << row
-            packed_inputs[name] = np.array([word], dtype=np.uint64)
-        packed = simulate_packed(circuit, packed_inputs)
-        plain = simulate(circuit, matrix)
-        for name in circuit.outputs:
-            for row in range(64):
-                packed_bit = bool((int(packed[name][0]) >> row) & 1)
-                assert packed_bit == bool(plain[name][row])
-
-    def test_constant_driven_output_keeps_input_shape(self):
-        from repro.circuit.builder import CircuitBuilder
-
-        builder = CircuitBuilder()
-        builder.input("a")
-        one = builder.constant(True)
-        builder.output(builder.not_(one, name="out"))  # cone has no inputs
-        lanes = np.array([1, 2, 3, 4], dtype=np.uint64)
-        results = simulate_packed(builder.circuit, {"a": lanes})
-        assert results["out"].shape == lanes.shape
-        assert results["out"].tolist() == [0, 0, 0, 0]
-
-    def test_multiword_shapes_are_preserved(self, small_circuit):
-        rng = np.random.default_rng(5000)
-        packed_inputs = {
-            name: rng.integers(0, 2**63, size=(3, 2), dtype=np.uint64)
-            for name in small_circuit.inputs
-        }
-        results = simulate_packed(small_circuit, packed_inputs)
-        for name in small_circuit.outputs:
-            assert results[name].shape == (3, 2)

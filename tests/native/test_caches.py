@@ -1,15 +1,18 @@
-"""Lifecycle of the per-program native memo (the flattened op arrays)."""
+"""Programs carry their own native layout; caches release it with the program.
+
+The C kernels read a compiled program's per-op arrays directly, so there is
+no separate native memo to build, keep in step or clear: the arrays live and
+die with the program object.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
 import repro
-from repro import native
 from repro.cnf.formula import CNF
 from repro.engine.compiler import cached_programs, compile_circuit
 from repro.engine.executor import forward
-from repro.native.kernels import engine_native_state
 from repro.serve.cache import ArtifactCache
 from tests.engine.conftest import random_circuit
 
@@ -25,47 +28,43 @@ def _program(seed: int, num_gates: int):
 
 class TestMemoisation:
     def test_program_state_is_memoised_on_the_program(self, kernels):
-        circuit = random_circuit(np.random.default_rng(0), num_gates=15)
-        program = compile_circuit(circuit, list(circuit.outputs))
-        first = engine_native_state(program)
-        assert engine_native_state(program) is first
-        assert program._native_state is first
+        # The kernels' view of a program is its own arrays' addresses,
+        # cached on the program and dropped when it is pickled.
+        import pickle
+
+        program = _program(seed=0, num_gates=15)
+        first = program.stream_args
+        assert program.stream_args is first
+        assert first == (
+            program.num_ops,
+            program.first_op_slot,
+            program.opcodes.ctypes.data,
+            program.a_slots.ctypes.data,
+            program.b_slots.ctypes.data,
+        )
+        assert "stream_args" not in pickle.loads(pickle.dumps(program)).__dict__
 
     def test_flattened_state_matches_the_blocks(self, kernels):
-        circuit = random_circuit(np.random.default_rng(1), num_gates=20)
-        program = compile_circuit(circuit, list(circuit.outputs))
-        state = engine_native_state(program)
-        assert state.num_ops == program.num_ops
-        assert state.opcodes.shape == state.a_slots.shape == state.out_slots.shape
+        program = _program(seed=1, num_gates=20)
+        assert program.opcodes.dtype == np.uint8
+        assert program.a_slots.dtype == program.b_slots.dtype == np.int32
+        assert program.opcodes.shape == program.a_slots.shape == program.b_slots.shape
+        assert all(
+            array.flags.c_contiguous
+            for array in (program.opcodes, program.a_slots, program.b_slots)
+        )
         position = 0
-        for block in program.blocks:
-            stop = position + block.size
-            assert (state.opcodes[position:stop] == block.opcode).all()
-            np.testing.assert_array_equal(state.a_slots[position:stop], block.a_slots)
-            np.testing.assert_array_equal(
-                state.out_slots[position:stop],
-                np.arange(block.out_start, block.out_stop),
-            )
+        for opcode, out_start, out_stop, a_slots, b_slots in program.blocks:
+            stop = position + out_stop - out_start
+            assert out_start == program.first_op_slot + position
+            assert (program.opcodes[position:stop] == opcode).all()
+            np.testing.assert_array_equal(program.a_slots[position:stop], a_slots)
+            np.testing.assert_array_equal(program.b_slots[position:stop], b_slots)
             position = stop
+        assert position == program.num_ops
 
 
 class TestClearCaches:
-    def test_native_clear_caches_strips_both_memos(self, kernels):
-        # The program memo is the only native memo left: CNF plans carry
-        # none (CNF evaluation has one implementation, the NumPy plan).
-        plan = _formula().evaluation_plan()
-        program = _program(seed=2, num_gates=10)
-        engine_native_state(program)
-        native.clear_caches()
-        assert "_native_state" not in program.__dict__
-        assert not hasattr(plan, "_native_arrays")
-
-    def test_xp_clear_caches_folds_in_native(self, kernels):
-        program = _program(seed=2, num_gates=10)
-        engine_native_state(program)
-        repro.clear_caches()
-        assert "_native_state" not in program.__dict__
-
     def test_memos_rebuild_after_clearing(self, tier, kernels):
         program = _program(seed=3, num_gates=12)
         probabilities = np.random.default_rng(3).random((16, program.input_width))
@@ -73,7 +72,6 @@ class TestClearCaches:
         repro.clear_caches()
         after, _ = forward(program, probabilities)
         np.testing.assert_array_equal(before, after)
-        assert "_native_state" in program.__dict__
 
 
 class TestArtifactCacheEviction:
@@ -90,10 +88,9 @@ class TestArtifactCacheEviction:
         assert any(cached is program for cached in cached_programs(circuit))
         probabilities = np.random.default_rng(4).random((8, program.input_width))
         forward(program, probabilities)
-        assert "_native_state" in program.__dict__
         cache.get_or_build(formula=_formula())
-        # Eviction released the memoised program — and with it the flattened
-        # native arrays, which ride the program object — and the CNF plan.
+        # Eviction released the memoised program — and with it the per-op
+        # arrays the native kernels read — and the CNF plan.
         assert cached_programs(circuit) == []
         assert artifact.formula._plan is None
 

@@ -1,7 +1,7 @@
 """Native engine kernels pinned to the pure-NumPy executor paths.
 
-Contract: ``float32`` forward outputs and the discrete bool/packed modes are
-**bitwise** identical; input gradients match within a few ``float32`` ulps
+Contract: ``float32`` forward outputs and the boolean mode are **bitwise**
+identical; input gradients match within a few ``float32`` ulps
 (the two tiers accumulate operand gradients in different orders); and a
 fixed-seed end-to-end sampling run produces the byte-identical solution
 stream.
@@ -15,7 +15,7 @@ import pytest
 from repro.core.config import SamplerConfig
 from repro.core.pipeline import sample_cnf
 from repro.engine.compiler import compile_circuit
-from repro.engine.executor import backward, execute_bool, execute_packed, forward
+from repro.engine.executor import backward, execute_bool, forward
 from tests.engine.conftest import random_circuit
 from tests.native.conftest import numpy_tier
 
@@ -61,19 +61,6 @@ class TestExecutorEquivalence:
         np.testing.assert_array_equal(
             values[program.output_slots], reference[program.output_slots]
         )
-
-    def test_packed_mode_is_bitwise(self, tier, seed):
-        program, circuit = _program(seed)
-        rng = np.random.default_rng(seed)
-        packed_inputs = {
-            name: rng.integers(0, 2**63, size=5, dtype=np.uint64)
-            for name in program.cone_inputs
-        }
-        with numpy_tier():
-            reference = execute_packed(program, dict(packed_inputs))
-        values = execute_packed(program, dict(packed_inputs))
-        for net in circuit.outputs:
-            np.testing.assert_array_equal(values[net], reference[net])
 
 
 class TestFloat32Policy:

@@ -9,8 +9,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.boolalg.expr import Expr
-from repro.circuit.gates import Gate
 from repro.circuit.netlist import Circuit
 from repro.cnf import planted_ksat
 from repro.cnf.clause import Clause
@@ -28,6 +26,7 @@ from repro.store import (
     persist_artifact,
     verify_entry,
 )
+from repro.store.format import LAYOUT_ARRAYS, FlatPayload
 
 
 def _solutions(artifact, seed=0):
@@ -72,12 +71,14 @@ class TestRoundTrip:
         persist_artifact(store, fig1_artifact)
         signature = fig1_artifact.signature
         data = bytearray(store.object_path(KIND_ROUND, signature).read_bytes())
-        classes = _classes_unpickled(verify_entry(data, kind=KIND_ROUND))
-        forbidden = (Circuit, Gate, CNF, Clause, Expr)
-        assert classes and not [
-            cls for cls in classes if isinstance(cls, type) and issubclass(cls, forbidden)
-        ]
-        # ... while the cold entry carries exactly those objects.
+        entry = verify_entry(data, kind=KIND_ROUND)
+        # No pickle stream at all: JSON fields plus named plain-dtype arrays.
+        assert entry.layout == LAYOUT_ARRAYS
+        assert entry.pickle_span == (0, 0) and entry.buffer_spans == ()
+        flat = entry.decode()
+        assert isinstance(flat, FlatPayload)
+        assert {array.dtype.kind for array in flat.arrays.values()} <= {"b", "u", "i"}
+        # ... while the cold entry carries exactly the circuit, CNF and clauses.
         data = bytearray(store.object_path(KIND_TRANSFORM, signature).read_bytes())
         classes = _classes_unpickled(verify_entry(data, kind=KIND_TRANSFORM))
         assert {Circuit, CNF, Clause} <= set(classes)

@@ -64,3 +64,45 @@ def test_env_var_names_the_store(populated_dir, capsys, monkeypatch):
     monkeypatch.setenv("REPRO_STORE_DIR", str(populated_dir))
     assert main(["cache", "stats"]) == 0
     assert str(populated_dir) in capsys.readouterr().out
+
+
+@pytest.fixture
+def artifact_dir(tmp_path):
+    """A store holding one built artifact: a v3 round entry plus its transform."""
+    from repro.cnf.dimacs import parse_dimacs
+    from repro.serve.cache import build_artifact
+    from repro.store import persist_artifact
+    from tests.conftest import FIG1_DIMACS
+
+    store = ArtifactStore(tmp_path / "store")
+    artifact = build_artifact(parse_dimacs(FIG1_DIMACS, name="fig1"))
+    assert persist_artifact(store, artifact)
+    return store, artifact
+
+
+def test_verify_accepts_v3_round_entries(artifact_dir, capsys):
+    from repro.store import KIND_ROUND
+    from repro.store.format import LAYOUT_ARRAYS
+
+    store, artifact = artifact_dir
+    assert store.read(KIND_ROUND, artifact.signature).layout == LAYOUT_ARRAYS
+    assert main(["cache", "verify", "--store-dir", str(store.root)]) == 0
+    assert "2 intact, 0 bad" in capsys.readouterr().out
+
+
+def test_verify_rejects_a_checksummed_but_invalid_round(artifact_dir, capsys):
+    # A valid checksum is not enough: the round must pass its schema.
+    from repro.store import KIND_ROUND
+    from repro.store.schema import encode_round
+
+    store, artifact = artifact_dir
+    flat = encode_round(artifact.round, artifact.plan)
+    opcodes = flat.arrays["learn.opcodes"].copy()
+    opcodes[0] = 3
+    flat.arrays["learn.opcodes"] = opcodes
+    store.object_path(KIND_ROUND, artifact.signature).unlink()
+    assert store.put(KIND_ROUND, artifact.signature, flat)
+    assert main(["cache", "verify", "--store-dir", str(store.root)]) == 1
+    captured = capsys.readouterr()
+    assert "1 intact, 1 bad" in captured.out
+    assert "BAD" in captured.err and "opcode" in captured.err

@@ -21,6 +21,40 @@ def fig1():
 
 
 class TestInlineService:
+    def test_round_only_store_hit_never_unpickles(
+        self, tmp_path, fig1, engine_tier, monkeypatch
+    ):
+        # The hot round entry is pickle-free and an inline job needs nothing
+        # else: with unpickling made to fail, a store-warm job still hits
+        # the store and yields the built artifact's rows bit for bit.
+        import pickle
+
+        from repro.serve.cache import build_artifact
+        from repro.store import persist_artifact
+
+        store_dir = tmp_path / "store"
+        assert persist_artifact(ArtifactStore(store_dir), build_artifact(fig1))
+        with SamplingService(num_workers=0) as service:
+            built = service.result(
+                service.submit(fig1, num_solutions=8, config=CONFIG, coalesce=False)
+            )
+        unpickled = []
+
+        def refuse(*args, **kwargs):
+            unpickled.append(args)
+            raise AssertionError("a round-only store hit unpickled something")
+
+        monkeypatch.setattr(pickle, "loads", refuse)
+        with SamplingService(num_workers=0, store_dir=store_dir) as service:
+            warm = service.result(
+                service.submit(fig1, num_solutions=8, config=CONFIG, coalesce=False)
+            )
+        assert unpickled == []
+        assert warm.status == "done"
+        assert warm.summary["store_hits"] == 1 and warm.summary["cold_builds"] == 0
+        assert warm.members[0]["artifact_source"] == "store"
+        np.testing.assert_array_equal(warm.solutions.to_matrix(), built.solutions.to_matrix())
+
     def test_cold_then_store_warm_across_service_instances(self, tmp_path, fig1):
         store_dir = tmp_path / "store"
 
@@ -51,15 +85,18 @@ class TestInlineService:
         self, tmp_path, fig1, monkeypatch
     ):
         # Stores written before the native CNF kernel was deleted pickled
-        # each CNFEvalPlan with a ``_native_arrays`` memo field.  Such an
-        # entry must load (or miss) cleanly and never fail a job.
+        # each CNFEvalPlan with a ``_native_arrays`` memo field, and every
+        # round entry before format v3 was a pickle.  Such an entry is never
+        # unpickled: it must be a clean miss, rebuilt, and never fail a job.
         from repro.cnf.kernel import CNFEvalPlan
         from repro.core.signatures import formula_signature
         from repro.serve.cache import build_artifact
         from repro.store import KIND_ROUND, persist_artifact
+        from repro.store.format import LAYOUT_ARRAYS, LAYOUT_PICKLE
 
         store = ArtifactStore(tmp_path / "store")
         signature = formula_signature(fig1)
+        artifact = build_artifact(fig1, signature)
         with monkeypatch.context() as patch:
             patch.setattr(
                 CNFEvalPlan,
@@ -67,8 +104,11 @@ class TestInlineService:
                 lambda plan: {**plan.__dict__, "_native_arrays": {}},
                 raising=False,
             )
-            assert persist_artifact(store, build_artifact(fig1, signature))
-        assert "_native_arrays" in vars(store.get(KIND_ROUND, signature)["plan"])
+            assert store.put(
+                KIND_ROUND, signature, {"round": artifact.round, "plan": artifact.plan}
+            )
+        assert persist_artifact(store, artifact)
+        assert store.read(KIND_ROUND, signature).layout == LAYOUT_PICKLE
 
         with SamplingService(num_workers=0, store_dir=store.root) as service:
             old = service.result(
@@ -81,6 +121,8 @@ class TestInlineService:
         assert old.status == "done"
         assert old.summary["store_hits"] == 1 and old.summary["cold_builds"] == 0
         assert np.array_equal(old.solutions.to_matrix(), fresh.solutions.to_matrix())
+        # The rejected entry was set aside and the round rewritten pickle-free.
+        assert store.read(KIND_ROUND, signature).layout == LAYOUT_ARRAYS
 
     def test_store_hit_decodes_no_transform_entry(self, tmp_path, fig1):
         store_dir = tmp_path / "store"

@@ -3,8 +3,7 @@
 ``REPRO_ARRAY_BACKEND`` used to pick the float dtype of the learning
 arrays.  Learning is ``float32`` now and the variable is not read, so a
 shell that still exports one of the old ``float64`` specs (``numpy``,
-``numpy:float64``) must see the same engine passes, boolean/packed
-execution, CNF kernel results and sampled solutions as one that does not.
+``numpy:float64``) must see the same engine passes, boolean execution, CNF kernel results and sampled solutions as one that does not.
 The golden stream at the bottom pins the fixed-seed solution rows of the
 engine and of the interpreter oracle in both dtypes.
 """
@@ -22,7 +21,7 @@ from repro.cnf.formula import CNF
 from repro.core.config import SamplerConfig
 from repro.core.sampler import GradientSATSampler
 from repro.engine.compiler import compile_circuit
-from repro.engine.executor import backward, execute_bool, execute_packed, forward
+from repro.engine.executor import backward, execute_bool, forward
 from tests.engine.conftest import random_circuit
 from tests.oracles.cnf import evaluate_batch_reference
 from tests.oracles.interpreter import use_interpreter
@@ -68,35 +67,16 @@ class TestEngineEquivalence:
         assert grads.dtype == np.float32
         np.testing.assert_array_equal(grads, reference)
 
-    def test_bool_and_packed_modes_match_reference(self, backend_name, spec_default):
+    def test_bool_mode_matches_reference(self, backend_name, spec_default):
         program, circuit = _program(seed=3)
         rng = np.random.default_rng(3)
         matrix = rng.random((32, program.input_width)) < 0.5
         values = execute_bool(program, matrix)
         probabilities, _ = forward(program, matrix)
-        for column, net in enumerate(circuit.outputs):
+        assert program.output_nets == list(circuit.outputs)
+        for column, slot in enumerate(program.output_slots.tolist()):
             # Boolean execution is the probabilistic pass on 0/1 inputs.
-            np.testing.assert_array_equal(
-                values[program.net_slot[net]], probabilities[:, column] == 1.0
-            )
-        packed_inputs = {
-            name: rng.integers(0, 2**63, size=4, dtype=np.uint64)
-            for name in program.cone_inputs
-        }
-        packed = execute_packed(program, dict(packed_inputs))
-        lane_bits = {
-            name: np.unpackbits(words.view(np.uint8), bitorder="little")
-            for name, words in packed_inputs.items()
-        }
-        unpacked = np.zeros((256, program.input_width), dtype=bool)
-        for name, bits in lane_bits.items():
-            unpacked[:, program.input_columns[program.cone_inputs.index(name)]] = bits
-        expected = execute_bool(program, unpacked)
-        for net in circuit.outputs:
-            np.testing.assert_array_equal(
-                np.unpackbits(packed[net].view(np.uint8), bitorder="little").astype(bool),
-                expected[program.net_slot[net]],
-            )
+            np.testing.assert_array_equal(values[slot], probabilities[:, column] == 1.0)
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)
@@ -132,7 +112,7 @@ class TestKernelEquivalence:
 
 @pytest.mark.parametrize("backend_name", BACKENDS)
 class TestPackedPrimitives:
-    """The uint8/uint64 word layer of the packed kernels, under each old spec."""
+    """The retired packed CNF kernel stays retired under each old spec."""
 
     def test_packbits_unpackbits_roundtrip(self, backend_name, spec_default):
         # The bit-packed CNF kernel is deleted (it lost to the compiled one
@@ -153,18 +133,6 @@ class TestPackedPrimitives:
         np.testing.assert_array_equal(
             formula.evaluate_batch(matrix), evaluate_batch_reference(formula, matrix)
         )
-
-    def test_uint64_words_roundtrip_as_bit_views(self, backend_name, spec_default):
-        from repro.circuit.gates import GateType
-        from repro.circuit.netlist import Circuit
-
-        circuit = Circuit("inv")
-        circuit.add_input("a")
-        circuit.add_gate("y", GateType.NOT, ["a"])
-        circuit.set_output("y")
-        program = compile_circuit(circuit, ["y"])
-        words = np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)
-        np.testing.assert_array_equal(execute_packed(program, {"a": words})["y"], ~words)
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)
