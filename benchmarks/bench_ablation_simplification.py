@@ -1,6 +1,6 @@
 """Ablation: design choices inside the transformation itself.
 
-Two switches called out in DESIGN.md are measured on the ablation instances:
+Two switches of ``transform_cnf`` are measured on the ablation instances:
 
 * expression simplification before adoption (Algorithm 1 simplifies every
   accepted expression; turning it off shows how much of the ops reduction

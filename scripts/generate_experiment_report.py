@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Generate the measured numbers recorded in EXPERIMENTS.md.
+"""Regenerate the paper's Table II and Figs. 2-4 at a CPU-friendly scale.
 
-Runs the full Table II protocol plus every figure builder at the scale used
-for the committed EXPERIMENTS.md, and prints the results as plain text (the
-maintainer pastes/updates the tables from this output).
+Runs the full Table II protocol plus every figure builder and prints the
+results as plain text; the qualitative shapes are asserted on small
+instances in ``tests/eval/``.
 
 Usage:  python scripts/generate_experiment_report.py [--quick]
 """

@@ -47,7 +47,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -187,7 +186,7 @@ class RoundPlan:
     maps, and fills the defined variables with :attr:`fill` (the defined nets
     over the primary inputs, ``None`` without definitions).  Each map is an
     ``intp`` array of 0-based variable rows (empty maps too, so they index as
-    no-ops).
+    no-ops); the input, defined and free rows write every row exactly once.
 
     The plan holds only names, index arrays and compiled programs — no
     ``Circuit``, ``Expr`` or ``Clause`` — so it is the artifact store's hot
@@ -243,7 +242,8 @@ class TransformResult:
         The lowered :class:`~repro.circuit.netlist.Circuit`; its primary
         outputs are the constraint nets.
     free_variables:
-        Original variables that occur in no clause at all (any value works).
+        Original variables that are neither primary inputs nor defined (no
+        record reads them, so any value works), ascending.
     """
 
     source_name: str
@@ -761,8 +761,8 @@ def clear_transform_caches() -> None:
 
     Clears the boolalg truth-table/minimization memos and the extraction
     layer's literal/remainder memos.  Long-lived services streaming many
-    distinct formulas call this to bound memory; the cold-start benchmark
-    calls it before each timed pass so both contenders start genuinely cold.
+    distinct formulas call this to bound memory; a timed cold transform
+    calls it first so it starts genuinely cold.
     """
     import repro.boolalg as boolalg
     from repro.core import extraction
@@ -773,22 +773,12 @@ def clear_transform_caches() -> None:
     extraction.variable_name.cache_clear()
 
 
-def _free_variables(
-    clauses: Sequence[Clause], num_variables: int, names: List[str]
-) -> List[str]:
-    """Vectorised free-variable scan: one flat pass over every literal."""
-    literals = [clause.literals for clause in clauses]
-    total_literals = sum(map(len, literals))
-    if total_literals:
-        flat = np.abs(
-            np.fromiter(chain.from_iterable(literals), dtype=np.int64, count=total_literals)
-        )
-        mentioned = np.zeros(max(num_variables, int(flat.max())) + 1, dtype=bool)
-        mentioned[flat] = True
-    else:
-        mentioned = np.zeros(num_variables + 1, dtype=bool)
-    unmentioned = np.flatnonzero(~mentioned[1 : num_variables + 1]) + 1
-    return [names[index] for index in unmentioned]
+def _free_variables(num_variables: int, state: _TransformState) -> List[str]:
+    """Every original variable the stream neither took as a primary input
+    nor defined, ascending: no record reads it, so any value works (a
+    variable no clause mentions, or one only tautological clauses do)."""
+    covered = state.input_vars | state.defined_vars
+    return [state.names[v] for v in range(1, num_variables + 1) if v not in covered]
 
 
 def transform_cnf(
@@ -871,9 +861,8 @@ def _transform_cnf_impl(formula: CNF, options: Dict[str, object]) -> TransformRe
     stats.add_stage("stream", _perf() - stream_start)
     state.add_attempt_stages()
 
-    # Original variables never mentioned by any clause are free.
     free_start = _perf()
-    free_variables = _free_variables(clauses, formula.num_variables, state.names)
+    free_variables = _free_variables(formula.num_variables, state)
     stats.add_stage("free_vars", _perf() - free_start)
     return finish_transform(
         formula, clauses, state, free_variables, checkpoints, options, start
@@ -1193,7 +1182,7 @@ def _retransform_impl(prev: TransformResult, delta) -> TransformResult:
     state.add_attempt_stages()
 
     free_start = _perf()
-    free_variables = _free_variables(mutated, num_variables, state.names)
+    free_variables = _free_variables(num_variables, state)
     stats.add_stage("free_vars", _perf() - free_start)
 
     graft_start = _perf()

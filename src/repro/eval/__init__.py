@@ -1,9 +1,8 @@
 """Evaluation harness: throughput runner, Table II builder and figure builders.
 
 Each public function regenerates the data behind one table or figure of the
-paper's evaluation section (see DESIGN.md's per-experiment index); the
-benchmarks in ``benchmarks/`` are thin wrappers that call these functions and
-print the resulting rows/series.
+paper's evaluation section; ``scripts/generate_experiment_report.py`` prints
+them all, and ``tests/eval/`` asserts their qualitative shapes.
 """
 
 from repro.eval.runner import RunRecord, ThisWorkSampler, run_sampler_on_instance, default_samplers

@@ -1,7 +1,7 @@
 """Figure builders: the data series behind Fig. 2, Fig. 3 and Fig. 4.
 
 Each function returns plain data structures (dicts of series / scalars) so
-that the benchmark scripts can print them and tests can assert on their
+that the report script can print them and tests can assert on their
 shapes; no plotting library is required.
 """
 

@@ -5,7 +5,7 @@ minimum number of unique solutions within a timeout) over the representative
 instances and assembles one row per instance with the measured throughputs and
 the speedup of this work over the best baseline — the same quantities the
 paper reports.  The paper's own numbers (when available from the registry
-metadata) ride along in each row so EXPERIMENTS.md can show both side by side.
+metadata) ride along in each row so a report can show both side by side.
 """
 
 from __future__ import annotations

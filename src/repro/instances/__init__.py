@@ -5,8 +5,8 @@ uniform-sampling benchmark suite (Zenodo 3793090), drawn from four families
 that Table II samples: ``or-*`` constrained-random instances, ``*-q``
 blocked/mux instances, ``s15850a_*`` ISCAS'89-derived circuit CNFs and
 ``Prod-*`` product (multiplier) instances.  The original DIMACS files are not
-redistributable here, so (per DESIGN.md) each family is rebuilt from the kind
-of circuit it was Tseitin-encoded from, at a configurable scale.  Every
+redistributable here, so each family is rebuilt from the kind of circuit it
+was Tseitin-encoded from, at a configurable scale.  Every
 generator returns both the CNF (what samplers consume) and the originating
 circuit (ground truth for the transformation tests).
 

@@ -4,10 +4,10 @@ Every entry pairs a deterministic generator configuration with the metadata
 needed by the evaluation harness: the family it models, the scaled-down
 generation parameters used here, and — for the 14 representative instances of
 Table II — the variable/clause counts and throughputs the paper reports, so
-EXPERIMENTS.md can put paper numbers and measured numbers side by side.
+a report can put paper numbers and measured numbers side by side.
 
-The parameters are scaled down relative to the original suite (see DESIGN.md:
-this reproduction runs on CPU-hosted NumPy rather than a V100), but each
+The parameters are scaled down relative to the original suite (this
+reproduction runs on CPU-hosted NumPy rather than a V100), but each
 instance keeps its family's structure, so the transformation and the sampler
 exercise the same code paths at every scale.
 """

@@ -1,19 +1,16 @@
 """The one benchmark timing helper (median-of-N with untimed warm-up).
 
-Every ``benchmarks/bench_*.py`` script used to carry its own copy of the
-same loop — warm up once outside the clock, collect the heap, repeat the
-step, keep a robust statistic.  This module is the single shared
-implementation.
+The ``benchmarks/bench_*.py`` scripts share this loop — warm up once
+outside the clock, collect the heap, repeat the step, keep a robust
+statistic — instead of each carrying a copy.
 
 Why these defaults:
 
 * **untimed warm-up** — one-time costs (native kernel builds, plan
-  compilation, lazy imports) must land outside every timed loop; they
-  are reported separately (``repro.native.compile_seconds``) where they
-  matter;
-* **gc.collect() per repeat** — garbage from one contender (e.g. the
-  reference oracle's autodiff tape, allocating thousands of nodes per
-  pass) must not be collected on the other contender's clock;
+  compilation, lazy imports) must land outside every timed loop;
+* **gc.collect() per repeat** — garbage from one contender (e.g. a cold
+  transform's expression graph) must not be collected on the other
+  contender's clock;
 * **median** (of per-repeat times) — robust to one noisy repeat on shared
   hardware while not underestimating like best-of can on thermally
   throttled machines.  ``reduce="best"`` remains available for
@@ -25,7 +22,7 @@ from __future__ import annotations
 import gc
 import time
 from statistics import median
-from typing import Callable, Iterable, List
+from typing import Callable, List
 
 
 def time_passes(
@@ -58,15 +55,6 @@ def time_passes(
             step()
         samples.append(time.perf_counter() - start)
     return median(samples) if reduce == "median" else min(samples)
-
-
-def median_seconds(samples: Iterable[float]) -> float:
-    """Median of already-collected per-run seconds (one-shot measurements
-    — e.g. store loads — that cannot be repeated under a shared warm-up)."""
-    values = list(samples)
-    if not values:
-        raise ValueError("median_seconds needs at least one sample")
-    return median(values)
 
 
 class timed:

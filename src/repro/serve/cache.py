@@ -281,29 +281,12 @@ class ArtifactCache:
         if formula is None and loader is None:
             raise ValueError("either a formula or a loader is required")
         if signature is None:
-            if formula is None:
-                formula = loader()
+            formula = formula if formula is not None else loader()
             signature = formula_signature(formula)
-        artifact = self._cache_get(signature)
-        if artifact is not None:
-            return artifact, False
-        if self._store is None:
-            if formula is None:
-                formula = loader()
-            artifact = build_artifact(formula, signature)
-        else:
-            def _build() -> SamplingArtifact:
-                built_from = formula if formula is not None else loader()
-                return build_artifact(built_from, signature)
-
-            artifact, source = fetch_or_build_artifact(self._store, signature, _build)
-            if source == "store":
-                _CACHE_OPS.inc(1.0, "store_hit")
-                self._cache.put(signature, artifact, artifact.nbytes)
-                return artifact, False
-        _CACHE_OPS.inc(1.0, "built")
-        self._cache.put(signature, artifact, artifact.nbytes)
-        return artifact, True
+        artifact, was_built, _ = self.get_or_build_task(
+            None, signature, signature, loader if formula is None else lambda: formula
+        )
+        return artifact, was_built
 
     def get_or_build_task(
         self,

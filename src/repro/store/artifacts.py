@@ -7,7 +7,7 @@ are in :mod:`repro.store.schema`):
   :class:`~repro.core.transform.RoundPlan` (row maps plus the flat learn
   and fill programs) and the formula's
   :class:`~repro.cnf.kernel.CNFEvalPlan`, as JSON fields plus named arrays
-  in the container's pickle-free layout (format v3).  It holds no
+  in the container's pickle-free layout.  It holds no
   ``Circuit``, ``Expr`` or ``Clause``: exactly what a sampling round
   executes, as zero-copy views into the read buffer, validated before use.
 * ``transform`` — the formula together with its

@@ -69,8 +69,10 @@ MAGIC = b"RPRO"
 #: store directory (under different ``v<N>`` roots) without ever mis-parsing.
 #: v2: the ``round``/``transform`` entry kinds, and a checksum that covers
 #: the header fields as well as the payload.  v3: the pickle-free
-#: ``"arrays"`` layout, used by the ``round`` entry.
-FORMAT_VERSION = 3
+#: ``"arrays"`` layout, used by the ``round`` entry.  v4: free variables are
+#: every variable neither an input nor defined, so input, defined and free
+#: rows cover every variable row (a v3 entry may leave one unwritten).
+FORMAT_VERSION = 4
 
 #: Payload layouts (the header's ``layout`` field).
 LAYOUT_ARRAYS = "arrays"

@@ -21,9 +21,8 @@ array; each program's :meth:`~repro.engine.program.CompiledProgram.check`
 (operands below their own out slot, known opcodes, a consistent block
 table, input columns and output slots in range); row maps inside the
 variable range and sized like the programs that fill them; and a CNF plan
-whose width groups, clause offsets and literal columns agree; every
-variable row written at most once, with the free rows exactly the
-variables the plan's literals leave out.  Any
+whose width groups, clause offsets and literal columns agree; and input,
+defined and free rows that write every variable row exactly once.  Any
 violation is a :class:`~repro.store.format.StoreFormatError` — a miss, never
 a crash or wrong rows.
 """
@@ -223,23 +222,18 @@ def _cnf_plan(reader: _Reader, fields: Any, num_variables: int) -> CNFEvalPlan:
     )
 
 
-def _check_rows(rows: Dict[str, np.ndarray], plan: CNFEvalPlan) -> None:
-    """The row maps write each variable at most once, as a transform does.
+def _check_rows(rows: Dict[str, np.ndarray], num_variables: int) -> None:
+    """The row maps write each variable exactly once, as a transform does.
 
-    Input, defined and free rows are disjoint; the constrained and
-    unconstrained rows split the input rows; and the free rows are exactly
-    the variables no literal of the CNF plan mentions.
+    Input, defined and free rows partition the variable rows, and the
+    constrained and unconstrained rows split the input rows.
     """
     written = np.concatenate((rows["input_rows"], rows["defined_rows"], rows["free_rows"]))
-    if written.size and int(np.bincount(written).max()) > 1:
-        raise ValueError("a variable row is written twice")
+    if not np.array_equal(np.bincount(written, minlength=num_variables), np.ones(num_variables)):
+        raise ValueError("the row maps do not write every variable row exactly once")
     split = np.concatenate((rows["constrained_rows"], rows["unconstrained_rows"]))
     if not np.array_equal(np.sort(split), np.sort(rows["input_rows"])):
         raise ValueError("input rows are not the constrained plus unconstrained rows")
-    mentioned = np.zeros(plan.num_variables, dtype=bool)
-    mentioned[plan.literal_columns] = True
-    if not np.array_equal(np.flatnonzero(~mentioned), rows["free_rows"]):
-        raise ValueError("free rows are not the variables the formula leaves out")
 
 
 def _round(payload: FlatPayload) -> Tuple[RoundPlan, CNFEvalPlan]:
@@ -256,7 +250,7 @@ def _round(payload: FlatPayload) -> Tuple[RoundPlan, CNFEvalPlan]:
         for key, sized in _ROW_MAPS.items()
     }
     plan = _cnf_plan(reader, fields["plan"], num_variables)
-    _check_rows(rows, plan)
+    _check_rows(rows, num_variables)
     learn = _program(reader, "learn", fields["learn"])
     fill = _program(reader, "fill", fields["fill"], list(names["defined_nets"]))
     if (learn.input_width if learn else 0) != len(rows["constrained_rows"]):

@@ -13,11 +13,11 @@ filesystem.
 Layout (everything lives under a format-versioned root, so incompatible
 builds can share one directory without ever mis-reading each other)::
 
-    <root>/v3/objects/<kind>/<sig[:2]>/<sig>.bin     entries
-    <root>/v3/locks/<sig>.lock                       single-flight claims
-    <root>/v3/quarantine/                            corrupt entries
+    <root>/v4/objects/<kind>/<sig[:2]>/<sig>.bin     entries
+    <root>/v4/locks/<sig>.lock                       single-flight claims
+    <root>/v4/quarantine/                            corrupt entries
 
-(``v3`` is :data:`~repro.store.format.FORMAT_VERSION`; entries an older
+(``v4`` is :data:`~repro.store.format.FORMAT_VERSION`; entries an older
 format wrote stay under their own root and are never read.)
 
 Guarantees:

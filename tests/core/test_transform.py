@@ -6,10 +6,12 @@ import pytest
 from repro.baselines.dpll import DPLLSolver
 from repro.circuit.tseitin import circuit_to_cnf
 from repro.cnf.formula import CNF
-from repro.core.transform import _free_variables, transform_cnf
+from repro.core.config import SamplerConfig
+from repro.core.pipeline import sample_cnf
+from repro.core.transform import transform_cnf
 from repro.instances.or_chain import generate_or_instance
-from repro.instances.registry import get_instance, list_instances
-from tests.conftest import all_assignments
+from repro.instances.registry import list_instances
+from tests.conftest import all_assignments, registry_instance
 
 
 class TestFig1Example:
@@ -184,23 +186,19 @@ class TestRoundTripFromCircuit:
 
 
 def _free_variables_reference(clauses, num_variables):
-    """Variables no literal mentions, by a plain set scan."""
+    """Variables no literal of ``clauses`` mentions, by a plain set scan."""
     mentioned = {abs(literal) for clause in clauses for literal in clause.literals}
     return [f"x{v}" for v in range(1, num_variables + 1) if v not in mentioned]
 
 
 class TestFreeVariables:
-    """The flat literal scan equals a set scan on every shape of clause list."""
-
-    @staticmethod
-    def _scan(formula):
-        names = [""] + [f"x{v}" for v in range(1, formula.num_variables + 1)]
-        return _free_variables(formula.clauses, formula.num_variables, names)
+    """Free variables are every variable neither a primary input nor defined."""
 
     @pytest.mark.parametrize("name", list_instances())
     def test_registry_instances(self, name):
-        formula = get_instance(name).build_cnf()
-        assert self._scan(formula) == _free_variables_reference(
+        """On the registry the rule gives exactly the unmentioned variables."""
+        formula, transform = registry_instance(name)
+        assert transform.free_variables == _free_variables_reference(
             formula.clauses, formula.num_variables
         )
 
@@ -217,7 +215,20 @@ class TestFreeVariables:
         ],
     )
     def test_empty_and_unit_clauses(self, clauses, num_variables):
+        """A variable only tautological clauses mention is free too."""
         formula = CNF(clauses, num_variables=num_variables)
-        assert self._scan(formula) == _free_variables_reference(
-            formula.clauses, num_variables
+        kept = [clause for clause in formula.clauses if not clause.is_tautology]
+        assert transform_cnf(formula).free_variables == _free_variables_reference(
+            kept, num_variables
         )
+
+    def test_tautology_only_variable_is_sampled(self):
+        """x3 occurs only in a tautology: all 6 models come out, x3 both ways."""
+        formula = CNF([[1, 2], [3, -3]], num_variables=3)
+        result = sample_cnf(
+            formula, num_solutions=6, config=SamplerConfig(batch_size=64, seed=0)
+        )
+        matrix = result.sample.solution_matrix()
+        assert sorted(map(tuple, matrix.astype(int).tolist())) == [
+            (a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1) if a or b
+        ]

@@ -220,6 +220,27 @@ class TestTransformEquivalence:
         assert_transforms_identical(fast, reference)
         assert_completions_identical(fast, reference)
 
+    @pytest.mark.parametrize("name", ["or-100-20-8-UC-10", "s15850a_3_2", "Prod-8"])
+    def test_cold_start_instances(self, name):
+        """Records, completions and fixed-seed streams on one instance per
+        family, the largest ISCAS one included."""
+        from repro.core.config import SamplerConfig
+        from repro.core.pipeline import sample_cnf
+        from repro.instances.registry import get_instance
+
+        formula = get_instance(name).build_cnf()
+        fast = transform_cnf(formula)
+        reference = oracle.transform_reference(formula)
+        assert_transforms_identical(fast, reference)
+        assert_completions_identical(fast, reference)
+        config = SamplerConfig(seed=1234, batch_size=64, iterations=30)
+        streams = []
+        for transform in (fast, reference):
+            result = sample_cnf(formula, num_solutions=32, config=config, transform=transform)
+            matrix = result.sample.solution_matrix()
+            streams.append((matrix.shape, matrix.tobytes()))
+        assert streams[0] == streams[1]
+
     def test_sampler_stream_bitwise_identical(self):
         """Fixed-seed NumPy sampler streams agree through both transforms."""
         from repro.core.config import SamplerConfig
@@ -236,6 +257,19 @@ class TestTransformEquivalence:
             matrix = np.asarray(result.sample.solution_matrix(), dtype=bool)
             streams.append((matrix.shape, np.packbits(matrix).tobytes()))
         assert streams[0] == streams[1]
+
+
+class TestRoundPlanRows:
+    @given(random_cnfs())
+    @settings(max_examples=100, deadline=None)
+    def test_every_variable_row_written_once(self, formula):
+        """Input, defined and free rows partition the variable rows, also when
+        a variable occurs only in tautological clauses."""
+        plan = transform_cnf(formula).round_plan
+        written = np.concatenate((plan.input_rows, plan.defined_rows, plan.free_rows))
+        assert np.bincount(written, minlength=formula.num_variables).tolist() == [
+            1
+        ] * formula.num_variables
 
 
 # -- sub-component equivalence (bitmask kernel vs dictionary enumeration) ----------------

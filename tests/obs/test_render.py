@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import obs
-from repro.obs.bench import median_seconds, time_passes, timed
+from repro.obs.bench import time_passes, timed
 from repro.obs.render import group_spans_by_trace, render_trace
 
 
@@ -85,11 +85,6 @@ class TestBenchHelpers:
             time_passes(step, passes=0)
         with pytest.raises(ValueError, match="reduce"):
             time_passes(step, reduce="mean")
-
-    def test_median_seconds(self):
-        assert median_seconds([3.0, 1.0, 2.0]) == 2.0
-        with pytest.raises(ValueError):
-            median_seconds([])
 
     def test_timed_context_manager(self):
         with timed() as timer:

@@ -9,7 +9,8 @@ this module keeps the originals, verbatim, as the oracle it is pinned to
 field for field:
 
 * :func:`transform_reference` — the rescan-everything stream loop with its
-  own accept/flush bookkeeping and the set-based free-variable scan;
+  own accept/flush bookkeeping and free variables as every variable it
+  neither took as a primary input nor defined;
 * :func:`retransform_reference` — a full reference rebuild of a
   delta-mutated formula, under the previous transform's options;
 * :func:`equivalent`, :func:`is_complement`, :func:`minimize_expr`,
@@ -23,8 +24,8 @@ the expression AST, the gate-signature matcher, the Quine--McCluskey
 tabulation (:func:`~repro.boolalg.quine_mccluskey.minimize_minterms`), the
 algebraic rewriter, the BDD fallback for wide supports, and the post-stream
 tail (:func:`~repro.core.transform.finish_transform`: circuit lowering,
-optimization, stats).  Being uncached like the seed, it is also the
-reference side of ``benchmarks/bench_transform_cold.py``.
+optimization, stats).  It is uncached like the seed, so a transform
+timed against it measures the indexed stream and the memos alone.
 """
 
 from __future__ import annotations
@@ -368,14 +369,12 @@ def transform_reference(
     _stream_reference(
         clauses, state, use_signature_fast_path, max_group_size, max_candidate_vars
     )
-    # Original variables never mentioned by any clause are free.
-    mentioned: Set[int] = set()
-    for clause in clauses:
-        mentioned.update(abs(lit) for lit in clause)
+    # Variables the stream neither took as inputs nor defined are free.
+    covered = state.input_vars | state.defined_vars
     free_variables = [
         variable_name(index)
         for index in range(1, formula.num_variables + 1)
-        if index not in mentioned
+        if index not in covered
     ]
     options = dict(
         simplify_expressions=simplify_expressions,

@@ -12,6 +12,7 @@ import pytest
 
 from repro import obs
 from repro.cnf.dimacs import DimacsError, parse_dimacs
+from repro.cnf.formula import CNF
 from repro.core.config import SamplerConfig
 from repro.core.sampler import GradientSATSampler
 from repro.core.signatures import formula_signature
@@ -47,6 +48,15 @@ class TestBasics:
         member = result.members[0]
         assert member["status"] == "done"
         assert member["cache_hit"] is False
+
+    def test_tautology_only_variable_takes_both_values(self, service):
+        """x3 occurs only in a tautology, so all 6 models are reachable."""
+        formula = CNF([[1, 2], [3, -3]], num_variables=3)
+        result = service.result(
+            service.submit(formula, num_solutions=6, config=SamplerConfig(batch_size=64, seed=0))
+        )
+        assert result.status == "done" and result.num_unique == 6
+        assert set(result.solutions.to_matrix()[:, 2].tolist()) == {False, True}
 
     def test_solutions_satisfy_formula(self, service, fig1):
         result = service.result(service.submit(fig1, num_solutions=16, config=CONFIG))

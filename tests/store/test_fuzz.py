@@ -26,6 +26,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cnf.dimacs import parse_dimacs
+from repro.cnf.formula import CNF
 from repro.core.config import SamplerConfig
 from repro.core.sampler import GradientSATSampler
 from repro.core.signatures import formula_signature
@@ -307,8 +308,30 @@ def test_reencoded_round_without_mutation_is_a_hit():
         np.testing.assert_array_equal(_rows(artifact), cold_rows)
 
 
+def test_round_leaving_a_row_unwritten_is_a_miss(tmp_path):
+    # x3 occurs only in a tautology; a round without its free row (what a v3
+    # build wrote) passes every range and length check but must not serve.
+    formula = CNF([[1, 2], [3, -3]], num_variables=3)
+    artifact = build_artifact(formula)
+    store = ArtifactStore(tmp_path)
+    assert persist_artifact(store, artifact)
+    path = store.object_path(KIND_ROUND, artifact.signature)
+    flat = verify_entry(bytearray(path.read_bytes()), kind=KIND_ROUND).decode()
+    arrays = {name: array.copy() for name, array in flat.arrays.items()}
+    assert arrays["free_rows"].tolist() == [2]
+    arrays["free_rows"] = arrays["free_rows"][:0]
+    blob = encode_entry(KIND_ROUND, artifact.signature, FlatPayload(flat.fields, arrays))
+    with pytest.raises(StoreFormatError, match="exactly once"):
+        decode_round(verify_entry(bytearray(blob), kind=KIND_ROUND))
+    path.write_bytes(blob)
+    reader = ArtifactStore(tmp_path)
+    loaded = load_sampling_artifact(reader, artifact.signature)
+    assert reader.counters()["corrupt"] == 1
+    assert loaded.round.free_rows.tolist() == [2]
+
+
 def test_v2_round_entry_is_a_clean_miss(tmp_path):
-    # Format v2 pickled the round; such an entry, even at the v3 path, is
+    # Format v2 pickled the round; such an entry, even at the current path, is
     # rejected from its prelude and never unpickled.
     signature, _, cold_rows = _pristine()
     artifact = build_artifact(_fig1())
