@@ -13,14 +13,20 @@ cache from the store instead of recompiling, so what the faulted pass pays
 is the kill, the respawn backoff, the store load and the deterministic
 replay of the dead worker's in-flight tasks.
 
-The grid rewrites ``BENCH_resilience.json`` each run:
+The grid rewrites ``BENCH_resilience.json`` each run.  It times
+``PAIRS`` pairs of passes:
 
 * ``clean``   — the 8-job manifest on a fresh 2-worker pool (store-warm);
 * ``faulted`` — the identical manifest and pool, with worker 1's original
   incarnation killed as it dequeues its 2nd task.
 
-Before any timing is trusted the faulted pass must report every job
-``done`` with per-job unique counts identical to the clean pass (seed
+Which pass runs first alternates from pair to pair, and the gate reads the
+*median* faulted/clean ratio.  A single clean-then-faulted shot measured
+the first pass's start-up cost (larger than the kill's) as much as the
+kill, and read anywhere from 1.07x to 1.65x on a 2-CPU host.
+
+Before any timing is trusted every faulted pass must report every job
+``done`` with per-job unique counts identical to the clean passes (seed
 determinism + exact dedup make the replay bitwise-equivalent), and at
 least one task must actually have been requeued — a benchmark where the
 fault never fired measures nothing.
@@ -29,6 +35,7 @@ fault never fired measures nothing.
 from __future__ import annotations
 
 import json
+import statistics
 from pathlib import Path
 
 import pytest
@@ -45,6 +52,8 @@ NUM_JOBS = 8
 NUM_SOLUTIONS = 200
 BATCH_SIZE = 256
 WORKERS = 2
+#: Clean/faulted pairs; even, so each pass runs first equally often.
+PAIRS = 4
 
 #: Kill worker 1's original process as it dequeues its 2nd task; the
 #: respawned incarnation no longer matches, so the replay completes.
@@ -108,21 +117,35 @@ def test_resilience_throughput(benchmark, largest_instance, tmp_path):
         warm = service.submit(formula_path, num_solutions=8, config=configs[0])
         assert service.result(warm).status == "done"
 
-    clean = benchmark.pedantic(
-        lambda: _run_pool_pass(formula_path, configs, store_dir),
-        rounds=1, iterations=1,
-    )
-    faulted = _run_pool_pass(formula_path, configs, store_dir, faults=FAULT_SPEC)
+    def run_pairs():
+        pairs = []
+        for index in range(PAIRS):
+            order = ("clean", "faulted") if index % 2 == 0 else ("faulted", "clean")
+            passes = {
+                mode: _run_pool_pass(
+                    formula_path, configs, store_dir,
+                    faults=FAULT_SPEC if mode == "faulted" else None,
+                )
+                for mode in order
+            }
+            pairs.append({"first": order[0], **passes})
+        return pairs
 
-    # The kill must actually have happened and the replay must be exact.
-    assert faulted["tasks_requeued"] >= 1, (
-        "the injected worker kill never fired — the benchmark measured nothing"
-    )
-    assert faulted["unique_counts"] == clean["unique_counts"], (
-        "replayed jobs diverged from the fault-free run"
-    )
+    pairs = benchmark.pedantic(run_pairs, rounds=1, iterations=1)
 
-    ratio = faulted["unique_per_second"] / clean["unique_per_second"]
+    # In every pair the kill must actually have happened and the replay
+    # must be exact.
+    for pair in pairs:
+        clean, faulted = pair["clean"], pair["faulted"]
+        assert faulted["tasks_requeued"] >= 1, (
+            "the injected worker kill never fired — the benchmark measured nothing"
+        )
+        assert faulted["unique_counts"] == clean["unique_counts"], (
+            "replayed jobs diverged from the fault-free run"
+        )
+        pair["ratio"] = faulted["unique_per_second"] / clean["unique_per_second"]
+
+    ratio = statistics.median(pair["ratio"] for pair in pairs)
     minimum = resilience_min_ratio()
     gate_skipped = None
     if minimum <= 0:
@@ -139,7 +162,8 @@ def test_resilience_throughput(benchmark, largest_instance, tmp_path):
         "batch_size": BATCH_SIZE,
         "workers": WORKERS,
         "fault_spec": FAULT_SPEC,
-        "modes": {"clean": clean, "faulted": faulted},
+        "pairs": pairs,
+        "ratio_statistic": f"median of {PAIRS} pairs, first pass alternating",
         "ratio_faulted_vs_clean": ratio,
         "min_ratio": minimum,
     }
@@ -148,13 +172,20 @@ def test_resilience_throughput(benchmark, largest_instance, tmp_path):
     benchmark.extra_info.update(record)
     BENCH_RESILIENCE_JSON.write_text(json.dumps(record, indent=2) + "\n")
     print()
-    for name, mode in record["modes"].items():
-        print(
-            f"{name:>8}: {mode['jobs_per_second']:.2f} jobs/s, "
-            f"{mode['unique_per_second']:,.0f} unique solutions/s "
-            f"({mode['seconds']:.2f} s, {mode['tasks_requeued']} task(s) requeued)"
-        )
-    print(f"faulted pool vs fault-free pool: {ratio:.2f}x (floor {minimum}x)")
+    for index, pair in enumerate(pairs):
+        for name in ("clean", "faulted"):
+            mode = pair[name]
+            print(
+                f"pair {index} {name:>8}{' (first)' if pair['first'] == name else '':8}: "
+                f"{mode['jobs_per_second']:.2f} jobs/s, "
+                f"{mode['unique_per_second']:,.0f} unique solutions/s "
+                f"({mode['seconds']:.2f} s, {mode['tasks_requeued']} task(s) requeued)"
+            )
+        print(f"pair {index} faulted/clean: {pair['ratio']:.2f}x")
+    print(
+        f"faulted pool vs fault-free pool: median {ratio:.2f}x over {PAIRS} pairs "
+        f"(floor {minimum}x)"
+    )
     if gate_skipped is not None:
         # Never let the gate silently check nothing.
         print(f"WARNING: no-regression gate SKIPPED — {gate_skipped}")

@@ -6,6 +6,12 @@ assignments.  :class:`SolutionSet` keys each full assignment by its packed
 byte representation and keeps insertion order, so the first ``k`` solutions
 can be exported deterministically.  Rows are stored in the blocks they
 arrived in, so exporting a batch's new rows is one concatenation.
+
+A row is deduplicated once.  The sampler's set runs :meth:`SolutionSet.add_batch`
+on every round; a consumer that receives those already-unique rows (a serving
+job's member set) appends them with :meth:`SolutionSet.extend_unique`, which
+stores them without keying them again.  A second dedup runs only where it can
+find something: a replayed attempt, or a merge across portfolio members.
 """
 
 from __future__ import annotations
@@ -37,6 +43,12 @@ def packed_rows(matrix: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(packed.view(np.uint8)[:, :batch].T)
 
 
+def _key_blobs(keys: np.ndarray) -> np.ndarray:
+    """Packed key rows of nonzero width as one 1-D array of opaque
+    fixed-width blobs; ``.tolist()`` gives each row's key bytes."""
+    return np.ascontiguousarray(keys).view(np.dtype((np.void, keys.shape[1]))).ravel()
+
+
 class SolutionSet:
     """An ordered set of unique boolean assignment vectors.
 
@@ -46,6 +58,10 @@ class SolutionSet:
     This is the dedup semantics of projected sampling — ``len(solution_set)``
     counts distinct projected patterns.  ``project=None`` (default) keys on
     the full row, exactly as before.
+
+    Rows appended with :meth:`extend_unique` are keyed lazily: the first
+    later :meth:`add`, :meth:`add_batch` or :meth:`contains` keys them, and a
+    set nothing probes again never keys them at all.
     """
 
     def __init__(
@@ -68,6 +84,8 @@ class SolutionSet:
         self._keys: set = set()
         #: ``(k, num_variables)`` blocks of stored rows, in insertion order.
         self._blocks: List[np.ndarray] = []
+        #: Blocks :meth:`extend_unique` stored whose keys are not in ``_keys``.
+        self._unkeyed: List[np.ndarray] = []
         self._count = 0
 
     def _key_columns(self, matrix: np.ndarray) -> np.ndarray:
@@ -75,6 +93,18 @@ class SolutionSet:
         if self.project is None:
             return matrix
         return matrix[..., list(self.project)]
+
+    def _keyed(self) -> set:
+        """The key set, after keying every row :meth:`extend_unique` stored."""
+        if self._unkeyed:
+            pending = np.concatenate(self._unkeyed)
+            self._unkeyed = []
+            keys = packed_rows(self._key_columns(pending))
+            if keys.shape[1]:
+                self._keys.update(_key_blobs(keys).tolist())
+            else:  # zero-width rows all share the empty key
+                self._keys.add(b"")
+        return self._keys
 
     def __len__(self) -> int:
         return self._count
@@ -90,9 +120,10 @@ class SolutionSet:
                 f"expected assignment of shape ({self.num_variables},), got {row.shape}"
             )
         key = np.packbits(self._key_columns(row)).tobytes()
-        if key in self._keys:
+        keys = self._keyed()
+        if key in keys:
             return False
-        self._keys.add(key)
+        keys.add(key)
         self._blocks.append(row.copy()[np.newaxis])
         self._count += 1
         return True
@@ -127,16 +158,17 @@ class SolutionSet:
             # One np.unique over the packed rows viewed as opaque fixed-width
             # blobs — much faster than the axis=0 form, which re-sorts
             # column-wise — keeping the *first* occurrence of each duplicate.
-            blobs = np.ascontiguousarray(keys).view(np.dtype((np.void, keys.shape[1])))
-            _, first_occurrence = np.unique(blobs.ravel(), return_index=True)
+            blobs = _key_blobs(keys)
+            _, first_occurrence = np.unique(blobs, return_index=True)
             order = np.sort(first_occurrence).tolist()
-            candidates = blobs.ravel()[order].tolist()
+            candidates = blobs[order].tolist()
         else:  # zero-width rows are all identical
             order, candidates = [0], [b""]
+        stored = self._keyed()
         new_rows = []
         for row_index, key in zip(order, candidates):
-            if key not in self._keys:
-                self._keys.add(key)
+            if key not in stored:
+                stored.add(key)
                 new_rows.append(row_index)
         if new_rows:
             unpacked = np.unpackbits(packed[new_rows], axis=1, count=self.num_variables)
@@ -148,7 +180,28 @@ class SolutionSet:
         """Whether the assignment (its projected pattern, when projected) is
         already present."""
         row = np.asarray(assignment, dtype=bool)
-        return np.packbits(self._key_columns(row)).tobytes() in self._keys
+        return np.packbits(self._key_columns(row)).tobytes() in self._keyed()
+
+    def extend_unique(self, rows: np.ndarray) -> int:
+        """Append rows the caller guarantees are new; returns how many.
+
+        ``rows`` must be unique among themselves and absent from the set (on
+        the projected columns, when projected) — rows another set's
+        :meth:`add_batch` just accepted, such as the sampler's per-round
+        :meth:`matrix_since`.  They are stored as given, with no copy,
+        packing, ``np.unique`` or key probe, so the caller must not write
+        into ``rows`` afterwards (the serving layer marks it read-only).
+        """
+        rows = np.asarray(rows, dtype=bool)
+        if rows.ndim != 2 or rows.shape[1] != self.num_variables:
+            raise ValueError(
+                f"expected (batch, {self.num_variables}) matrix, got {rows.shape}"
+            )
+        if rows.shape[0]:
+            self._blocks.append(rows)
+            self._unkeyed.append(rows)
+            self._count += rows.shape[0]
+        return rows.shape[0]
 
     def _matrix(self, rows: range) -> np.ndarray:
         """The stored rows at positions ``rows`` (a step-1 range), copied."""

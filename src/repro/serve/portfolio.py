@@ -25,7 +25,9 @@ Semantics pinned down here:
   pair the merged set is bitwise-reproducible whenever
   member execution is deterministic — in particular always for the inline
   and single-worker services, where members run in a fixed sequential
-  order.
+  order.  It is the one dedup *across* members; within a member the
+  sampler's set already made every row unique, and a one-member job skips
+  the merge (its member's set is the result).
 """
 
 from __future__ import annotations
@@ -115,6 +117,10 @@ def merge_member_solutions(
     order.  ``project`` (0-based columns) applies projected-task dedup to
     the merge: members may find different witnesses of one projected
     pattern, and the pattern must still count once.
+
+    Each matrix is already unique within itself (a member's set); what the
+    merge finds is the rows one member shares with an earlier one, so the
+    service calls it only for jobs with more than one member.
     """
     with obs.span("serve.merge_members") as mspan:
         merged = SolutionSet(num_variables, project=project)

@@ -142,7 +142,8 @@ class JobResult:
     #: its worker), or ``"interrupted"`` (a graceful drain checkpointed the
     #: job before it reached its target — re-runnable via ``--resume``).
     status: str
-    #: Merged, exactly-deduplicated unique solutions (member-index order).
+    #: Merged, exactly-deduplicated unique solutions (member-index order);
+    #: a one-member job's is its member's set, with no merge.
     solutions: SolutionSet
     num_requested: int
     #: Wall-clock seconds from entry to :meth:`SamplingService.submit` (so
@@ -209,9 +210,12 @@ class _JobState:
     #: 0-based projection columns of the job's task (``None`` unprojected).
     project: Optional[Tuple[int, ...]] = None
     tasks: List[_TaskState] = field(default_factory=list)
-    #: Arrival-order merged pool driving the first-to-target cancellation.
+    #: Arrival-order merged pool driving the first-to-target cancellation
+    #: (portfolio jobs only: one member has nothing to cancel).
     progress: Optional[SolutionSet] = None
-    #: Round matrices in arrival order, for :meth:`SamplingService.stream`.
+    #: Each round's new rows in arrival order, for
+    #: :meth:`SamplingService.stream`; read-only, and shared with the member
+    #: sets that accepted them.
     stream_buffer: List[np.ndarray] = field(default_factory=list)
     cancelled: bool = False
     done: bool = False
@@ -590,7 +594,8 @@ class SamplingService:
             )
             for index, member_config in enumerate(configs)
         ]
-        state.progress = SolutionSet(num_variables, project=state.project)
+        if len(state.tasks) > 1:
+            state.progress = SolutionSet(num_variables, project=state.project)
 
         if self.num_workers == 0:
             self._pending_inline.append(job_id)
@@ -633,9 +638,12 @@ class SamplingService:
 
         Matrices arrive in completion order across the job's (or its
         coalesce primary's) portfolio members; rows are unique within a
-        member but may repeat across members — :meth:`result` returns the
-        exactly-deduplicated merge.  With ``num_workers=0`` the job runs to
-        completion on first pull, then the buffered rounds are yielded.
+        member, a retried attempt included, but may repeat across members —
+        :meth:`result` returns the exactly-deduplicated merge.  A one-member
+        job's streamed rows, concatenated, are exactly its result's rows.
+        The matrices are read-only: they are the rows the result holds, not
+        copies.  With ``num_workers=0`` the job runs to completion on first
+        pull, then the buffered rounds are yielded.
         """
         state = self._state(job_id)
         primary = self._resolve_primary(state)
@@ -726,7 +734,24 @@ class SamplingService:
             payload["trace_id"] = state.job_id
         return payload
 
+    def _handle_queued(self, kind: str, key: Tuple, payload: Dict[str, object]) -> None:
+        """Handle one message read from the pool's result queue, whose round
+        rows a worker bit-packed for the trip."""
+        if kind == MSG_ROUND:
+            payload["rows"] = unpack_rows(*payload["rows"])
+        self._handle_message(kind, key, payload)
+
     def _handle_message(self, kind: str, key: Tuple, payload: Dict[str, object]) -> None:
+        """Apply one worker message; a round carries its new rows as a matrix.
+
+        A row is deduplicated once.  The sampler's set already made a round's
+        rows unique within its attempt, so attempt 0 appends them to the
+        member's set as they are (:meth:`SolutionSet.extend_unique`).  A
+        retried attempt replays its predecessor's deterministic rounds — a
+        deadline-halted round need not be — so its rows go through
+        :meth:`SolutionSet.add_batch`, and only the rows the member's set
+        accepted are streamed.
+        """
         job_id, member_index = key
         state = self._jobs.get(job_id)
         if state is None or state.done:
@@ -740,15 +765,21 @@ class SamplingService:
             # was requeued: the live attempt supersedes it.
             return
         if kind == MSG_ROUND:
-            rows, cols = payload["shape"]
-            matrix = unpack_rows(payload["rows"], rows, cols)
-            added = task_state.solutions.add_batch(matrix)
-            # A retried attempt deterministically replays its predecessor's
-            # rounds; rounds that add nothing to the member's set were
-            # already streamed by the dead attempt and are not re-streamed.
-            if matrix.shape[0] and added:
-                state.stream_buffer.append(matrix)
-                state.progress.add_batch(matrix)
+            rows = payload["rows"]
+            # The member set and the stream buffer share the array.
+            rows.flags.writeable = False
+            solutions = task_state.solutions
+            if task_state.attempt == 0:
+                solutions.extend_unique(rows)
+            else:
+                before = len(solutions)
+                solutions.add_batch(rows)
+                rows = solutions.matrix_since(before)
+                rows.flags.writeable = False
+            if rows.shape[0]:
+                state.stream_buffer.append(rows)
+                if state.progress is not None:
+                    state.progress.add_batch(rows)
             self._maybe_cancel_rest(state)
         elif kind == MSG_DONE:
             task_state.done = True
@@ -815,7 +846,6 @@ class SamplingService:
         if self._drain_requested:
             self._apply_drain()
         members = []
-        matrices = []
         any_ok = False
         for task_state in state.tasks:
             config = task_state.config
@@ -832,7 +862,6 @@ class SamplingService:
             if task_state.error is not None:
                 record["status"] = "poisoned" if task_state.poisoned else "error"
                 record["error"] = task_state.error
-                matrices.append(None)
             else:
                 any_ok = True
                 if task_state.skipped:
@@ -868,7 +897,6 @@ class SamplingService:
                 record["load_seconds"] = payload.get("load_seconds", 0.0)
                 if payload.get("cache_stats") is not None:
                     record["cache_stats"] = payload["cache_stats"]
-                matrices.append(task_state.solutions.to_matrix())
             if task_state.attempts:
                 # The failed-attempt history (worker, error, died) and how
                 # many requeues the member consumed.
@@ -876,9 +904,20 @@ class SamplingService:
                 record["retries"] = task_state.attempt
             members.append(record)
 
-        merged = merge_member_solutions(
-            state.num_variables, matrices, project=state.project
-        )
+        if len(state.tasks) > 1:
+            merged = merge_member_solutions(
+                state.num_variables,
+                [
+                    None if task.error is not None else task.solutions.to_matrix()
+                    for task in state.tasks
+                ],
+                project=state.project,
+            )
+        elif any_ok:
+            # One member: its set is the result; there is nothing to merge.
+            merged = state.tasks[0].solutions
+        else:
+            merged = SolutionSet(state.num_variables, project=state.project)
         elapsed = time.perf_counter() - state.start
         status = "done" if any_ok else "error"
         if not any_ok and any(task_state.poisoned for task_state in state.tasks):
@@ -1225,7 +1264,7 @@ class SamplingService:
                     pass
                 else:
                     received = True
-                    self._handle_message(kind, key, payload)
+                    self._handle_queued(kind, key, payload)
             else:
                 from multiprocessing.connection import wait as mp_wait
 
@@ -1251,7 +1290,7 @@ class SamplingService:
             except Empty:
                 return received
             received = True
-            self._handle_message(kind, key, payload)
+            self._handle_queued(kind, key, payload)
 
     def _wait_timeout(self) -> float:
         """How long the pump may sleep before housekeeping is due."""

@@ -20,12 +20,15 @@ row maps) and CNF plan across jobs — the warm-cache path the serving
 benchmark measures.  A task samples from the artifact's round alone, so a
 store-loaded artifact never decodes its formula or transform here.
 
-Results stream back over a single shared queue as ``(kind, task_key,
-payload)`` messages: a ``"round"`` message per sampling round carrying the
-round's new unique solutions (bit-packed), then one terminal ``"done"`` or
-``"error"``.  Message order per task is the emission order (one queue, one
-producer process per task), which the service relies on when it rebuilds
-the per-task solution sets.
+Results stream back as ``(kind, task_key, payload)`` messages: a
+``"round"`` message per sampling round carrying the round's new unique
+solutions as a boolean matrix, then one terminal ``"done"`` or ``"error"``.
+Inline execution hands the matrix straight to the service; a pool worker
+bit-packs it with :func:`pack_rows` for the single shared result queue, and
+the service unpacks it with :func:`unpack_rows` as it reads the queue.
+Message order per task is the emission order (one queue, one producer
+process per task), which the service relies on when it rebuilds the
+per-task solution sets.
 
 Cancellation rides a dedicated per-worker queue rather than shared memory:
 the service broadcasts a cancelled *group id* to every worker, and the
@@ -68,7 +71,7 @@ def unpack_rows(blob: bytes, rows: int, cols: int) -> np.ndarray:
     if rows == 0:
         return np.zeros((0, cols), dtype=bool)
     packed = np.frombuffer(blob, dtype=np.uint8).reshape(rows, -1)
-    return np.unpackbits(packed, axis=1, count=cols).astype(bool)
+    return np.unpackbits(packed, axis=1, count=cols).view(bool)
 
 
 def execute_task(
@@ -167,7 +170,6 @@ def execute_task(
         sampler = GradientSATSampler(artifact, config=config, task=task_spec)
 
         def on_round(record, new_rows) -> None:
-            blob, rows, cols = pack_rows(new_rows)
             emit(
                 MSG_ROUND,
                 key,
@@ -177,8 +179,7 @@ def execute_task(
                     "num_valid": record.num_valid,
                     "num_new_unique": record.num_new_unique,
                     "seconds": record.seconds,
-                    "rows": blob,
-                    "shape": (rows, cols),
+                    "rows": new_rows,
                 },
             )
 
@@ -298,6 +299,8 @@ def worker_main(
 
     def emit(kind: str, key, payload: Dict[str, object]) -> None:
         payload.setdefault("attempt", current_attempt["value"])
+        if kind == MSG_ROUND:
+            payload["rows"] = pack_rows(payload["rows"])
         delay_rule = faults.fire("delay")
         if delay_rule is not None:
             time.sleep(delay_rule.seconds)
