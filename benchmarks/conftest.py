@@ -3,9 +3,11 @@
 The end-to-end benchmark is ``perfbench/`` (see ``BENCHMARK.json``).  The
 scripts here measure what no perfbench workload exercises — clause deltas
 (``bench_workloads``), injected faults (``bench_resilience``), telemetry
-accounting (``bench_obs``) — plus the ungated ablation and uniformity
-studies.  Each prints its rows and records them in
-``benchmark.extra_info``.
+accounting (``bench_obs``) — plus the ungated studies: the transform
+against GD on raw clauses (``bench_ablation_transform``), the sampler's
+hyper-parameters (``bench_ablation_hyperparameters``) and uniformity
+(``bench_extension_uniformity``).  Each prints its rows and records them
+in ``benchmark.extra_info``.
 
 Environment variables:
 

@@ -181,8 +181,6 @@ def _build_parser() -> argparse.ArgumentParser:
     transform.add_argument("cnf", help="path to a DIMACS .cnf file")
     transform.add_argument("--verilog", default=None, help="write the recovered circuit as Verilog")
     transform.add_argument("--bench", default=None, help="write the recovered circuit as .bench")
-    transform.add_argument("--no-simplify", action="store_true",
-                           help="skip expression simplification before adoption")
     transform.add_argument("--profile", action="store_true",
                            help="print per-stage wall-clock timings "
                                 "(TransformStats.stage_seconds)")
@@ -506,7 +504,7 @@ def _command_transform(arguments: argparse.Namespace) -> int:
     if formula is None:
         return 2
     with obs.trace_scope(arguments.trace):
-        result = transform_cnf(formula, simplify_expressions=not arguments.no_simplify)
+        result = transform_cnf(formula)
         obs.write_metrics_to_trace()
     stats = result.stats
     print(f"instance              : {formula.name or arguments.cnf}")

@@ -1,4 +1,4 @@
-"""CNF substrate: literals, clauses, formulas, DIMACS I/O and generators.
+"""CNF substrate: literals, clauses, formulas, deltas, DIMACS I/O and evaluation.
 
 All samplers in this library (the paper's gradient-based sampler and the
 CNF-level baselines) consume :class:`~repro.cnf.formula.CNF` objects, and the
@@ -15,7 +15,6 @@ from repro.cnf.kernel import (
     extend_evaluation_plan,
 )
 from repro.cnf.dimacs import parse_dimacs, parse_dimacs_file, write_dimacs, write_dimacs_file
-from repro.cnf.generators import random_ksat, random_horn, planted_ksat
 
 __all__ = [
     "Clause",
@@ -31,7 +30,4 @@ __all__ = [
     "parse_dimacs_file",
     "write_dimacs",
     "write_dimacs_file",
-    "random_ksat",
-    "random_horn",
-    "planted_ksat",
 ]

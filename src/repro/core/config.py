@@ -1,8 +1,9 @@
 """Configuration of the gradient-descent sampler.
 
-Defaults follow Section IV of the paper: plain gradient descent with learning
-rate 10, 5 iterations, and a batch size chosen per instance (the paper sweeps
-100 to 1,000,000; the default here is sized for CPU-hosted NumPy execution).
+Defaults follow Section IV of the paper: plain gradient descent (Eq. 10, the
+one update rule) with learning rate 10, 5 iterations, and a batch size chosen
+per instance (the paper sweeps 100 to 1,000,000; the default here is sized
+for CPU-hosted NumPy execution).
 
 Neither the float dtype nor the engine tier is a field here.  The learning
 arrays are always ``float32`` (:mod:`repro.engine.train`); the platform picks
@@ -28,8 +29,6 @@ class SamplerConfig:
     iterations: int = 5
     #: Learning rate of Eq. 10 (paper: 10).
     learning_rate: float = 10.0
-    #: Optimizer: "sgd" (the paper's choice) or "adam" (ablation only).
-    optimizer: str = "sgd"
     #: Standard deviation of the Gaussian initialisation of the soft inputs V.
     init_scale: float = 1.0
     #: Random seed for initialisation and unconstrained-input sampling.
@@ -73,8 +72,6 @@ class SamplerConfig:
         check_positive("learning_rate", self.learning_rate)
         check_positive("max_rounds", self.max_rounds)
         check_positive("init_scale", self.init_scale)
-        if self.optimizer not in ("sgd", "adam"):
-            raise ValueError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
         if self.timeout_seconds is not None and self.timeout_seconds <= 0:
             raise ValueError("timeout_seconds must be positive or None")
         if self.stall_rounds is not None and self.stall_rounds <= 0:
@@ -87,11 +84,5 @@ class SamplerConfig:
 
     @classmethod
     def paper_defaults(cls, batch_size: int = 2048, **overrides) -> "SamplerConfig":
-        """The hyper-parameters reported in the paper (lr=10, 5 iterations, SGD)."""
-        return cls(
-            batch_size=batch_size,
-            iterations=5,
-            learning_rate=10.0,
-            optimizer="sgd",
-            **overrides,
-        )
+        """The hyper-parameters reported in the paper (lr=10, 5 iterations)."""
+        return cls(batch_size=batch_size, iterations=5, learning_rate=10.0, **overrides)

@@ -82,7 +82,6 @@ def sample_cnf(
     should_stop: Optional[Callable[[], bool]] = None,
     on_round: Optional[Callable] = None,
     task: Optional[SamplingTask] = None,
-    **transform_options,
 ) -> PipelineResult:
     """Run the full pipeline on a CNF instance.
 
@@ -111,9 +110,6 @@ def sample_cnf(
         clause delta is applied to the formula *before* transforming, its
         projection drives solution dedup and its weights bias initialization.
         ``None`` (the default task) reproduces the pre-task pipeline bitwise.
-    transform_options:
-        Keyword arguments forwarded to :func:`repro.core.transform.transform_cnf`
-        when the transformation is not supplied.
 
     When the config names a persistent artifact store
     (``config.store_dir``, or the ``REPRO_STORE_DIR`` environment variable
@@ -121,9 +117,7 @@ def sample_cnf(
     stage first consults the store for the formula's signature and persists
     after a cold build, so repeated runs over the same formula skip
     Algorithm 1 entirely.  The store path is bypassed when a pre-computed
-    ``transform`` is supplied or non-default ``transform_options`` are given
-    (store entries are keyed by formula content alone, so option variants
-    must not share them).
+    ``transform`` is supplied.
     """
     with obs.trace_scope(config.telemetry if config is not None else None):
         with obs.span("pipeline.sample_cnf") as pspan:
@@ -132,28 +126,30 @@ def sample_cnf(
                 formula = task.apply_to(formula)
             transform_start = time.perf_counter()
             if transform is None:
-                store_spec = config.store_dir if config is not None else None
-                if not transform_options:
-                    from repro.store import open_store
+                from repro.store import open_store
 
-                    store = open_store(store_spec)
-                else:
-                    store = None
+                store = open_store(config.store_dir if config is not None else None)
                 if store is not None:
                     from repro.core.signatures import formula_signature
                     from repro.serve.cache import build_artifact
-                    from repro.store import fetch_or_build_artifact
+                    from repro.store import StoreFormatError, fetch_or_build_artifact
 
                     signature = formula_signature(formula)
                     artifact, _source = fetch_or_build_artifact(
                         store, signature, lambda: build_artifact(formula, signature)
                     )
-                    # Sample on the artifact's formula object so its memoised
-                    # evaluation plan (store-loaded or freshly compiled) is shared.
-                    formula = artifact.formula
-                    transform = artifact.transform
+                    try:
+                        # Sample on the artifact's formula object so its memoised
+                        # evaluation plan (store-loaded or freshly compiled) is
+                        # shared.
+                        formula, transform = artifact.formula, artifact.transform
+                    except StoreFormatError:
+                        # A store hit whose transform entry does not decode:
+                        # the store is only an accelerator, so build instead.
+                        artifact = build_artifact(formula, signature)
+                        formula, transform = artifact.formula, artifact.transform
                 else:
-                    transform = transform_cnf(formula, **transform_options)
+                    transform = transform_cnf(formula)
             transform_seconds = time.perf_counter() - transform_start
 
             sampler = GradientSATSampler(

@@ -25,10 +25,10 @@ Groups that cannot be interpreted as a definition — the paper's
 *under-specified* sub-clauses — are flushed verbatim: their conjunction
 becomes an auxiliary output constrained to 1.  Flushing happens when the
 buffered group shares no variable with the next clause, when the buffer
-exceeds ``max_group_size``, or at the end of the clause stream.  This keeps
-the transformation *exactly equivalence-preserving over the original
-variables*: every original clause is represented either inside a definition
-or inside a constrained auxiliary output.
+reaches :data:`MAX_GROUP_SIZE` clauses, or at the end of the clause stream.
+This keeps the transformation *exactly equivalence-preserving over the
+original variables*: every original clause is represented either inside a
+definition or inside a constrained auxiliary output.
 
 The clause-stream loop keeps a literal-occurrence index over the buffer, so
 each appended clause only re-examines the candidate variables whose sub-group
@@ -40,6 +40,10 @@ loop.  That loop, with the seed's uncached truth-table, minimization and
 extraction routines, is kept as the test oracle in
 ``tests/oracles/transform.py``; it shares :func:`finish_transform` (circuit
 lowering, optimization, stats) with :func:`transform_cnf`.
+
+There is one recipe, the paper's: every attempt tries the signature match
+first, every adopted expression is simplified, and the lowered circuit is
+always optimized.
 """
 
 from __future__ import annotations
@@ -53,7 +57,6 @@ import numpy as np
 
 from repro.boolalg.expr import And, Const, Expr, Not, Or, Var, Xor
 from repro.boolalg.simplify import simplify
-from repro.boolalg.truth_table import MAX_ENUMERATION_VARS
 from repro.circuit.builder import circuit_from_expressions
 from repro.circuit.netlist import Circuit
 from repro.circuit.optimize import optimize_circuit
@@ -76,6 +79,13 @@ from repro.circuit.gates import Gate, GateType
 from repro import obs
 
 _perf = time.perf_counter
+
+#: The clause buffer is flushed as an under-specified group once it holds
+#: this many clauses.
+MAX_GROUP_SIZE = 64
+#: Widest support a complement check enumerates; a candidate wider than this
+#: is not a definition, and a flushed group wider than this is not simplified.
+MAX_CANDIDATE_VARS = 12
 
 #: Registered form of :attr:`TransformStats.stage_seconds` — every stage
 #: bucket also accumulates here, process-wide, so ``repro-sat obs`` and the
@@ -153,21 +163,12 @@ _Checkpoint = Tuple[int, int, int, int, int, int, int, int, bool]
 
 @dataclass
 class TransformReplay:
-    """Everything :func:`retransform` needs to resume a previous transform.
-
-    Carries the exact clause sequence the transform consumed, the
-    stream's empty-buffer checkpoints, and the option set — incremental
-    re-transforms must replay under identical options or the decision
-    sequence (and therefore the records) would diverge from the oracle.
-    """
+    """Everything :func:`retransform` needs to resume a previous transform:
+    the exact clause sequence the transform consumed and the stream's
+    empty-buffer checkpoints."""
 
     clauses: Tuple[Clause, ...]
     checkpoints: Tuple[_Checkpoint, ...]
-    simplify_expressions: bool
-    use_signature_fast_path: bool
-    optimize: bool
-    max_group_size: int
-    max_candidate_vars: int
 
 
 def _variable_rows(names: Sequence[str]) -> np.ndarray:
@@ -256,8 +257,8 @@ class TransformResult:
     circuit: Circuit
     free_variables: List[str] = field(default_factory=list)
     stats: TransformStats = field(default_factory=TransformStats)
-    #: Replay record consumed by :func:`retransform` (clause sequence,
-    #: stream checkpoints, option set).  Not part of the result's value.
+    #: Replay record consumed by :func:`retransform` (clause sequence and
+    #: stream checkpoints).  Not part of the result's value.
     replay: Optional[TransformReplay] = field(default=None, repr=False, compare=False)
 
     # -- path analysis -------------------------------------------------------------
@@ -442,13 +443,7 @@ class _TransformState:
     :attr:`TransformResult.primary_inputs`).
     """
 
-    def __init__(
-        self,
-        num_names: int,
-        stats: TransformStats,
-        simplify_expressions: bool,
-        max_candidate_vars: int,
-    ) -> None:
+    def __init__(self, num_names: int, stats: TransformStats) -> None:
         self.stats = stats
         #: Plain-float accumulators for the per-attempt stages; flushed into
         #: ``stats.stage_seconds`` once per transform (a dict update per
@@ -456,8 +451,6 @@ class _TransformState:
         self.signature_seconds = 0.0
         self.extraction_seconds = 0.0
         self.simplify_seconds = 0.0
-        self.simplify_expressions = simplify_expressions
-        self.max_candidate_vars = max_candidate_vars
         #: ``names[v]`` is the expression-domain name of DIMACS variable v.
         self.names: List[str] = [""] + [
             variable_name(index) for index in range(1, num_names + 1)
@@ -493,10 +486,9 @@ class _TransformState:
 
     def accept_definition(self, variable: int, expr: Expr) -> None:
         name = self.name_of(variable)
-        if self.simplify_expressions:
-            start = _perf()
-            expr = simplify(expr)
-            self.simplify_seconds += _perf() - start
+        start = _perf()
+        expr = simplify(expr)
+        self.simplify_seconds += _perf() - start
         for support_name in sorted(expr.support()):
             self.mark_input(support_name)
         self.definitions.append((name, expr))
@@ -511,13 +503,11 @@ class _TransformState:
             return
         start = _perf()
         expr = group_to_constraint_expr(buffer)
-        if self.simplify_expressions:
-            # The simplify gate tracks the generic extraction's complement
-            # budget (``max_candidate_vars``) instead of a hardcoded width.
-            if len(expr.support()) <= self.max_candidate_vars:
-                simplify_start = _perf()
-                expr = simplify(expr)
-                self.simplify_seconds += _perf() - simplify_start
+        # The simplify gate tracks the generic extraction's complement budget.
+        if len(expr.support()) <= MAX_CANDIDATE_VARS:
+            simplify_start = _perf()
+            expr = simplify(expr)
+            self.simplify_seconds += _perf() - simplify_start
         for support_name in sorted(expr.support()):
             self.mark_input(support_name)
         # Variables simplified away from the constraint expression still need a
@@ -546,24 +536,21 @@ def _try_definition(
     variable: int,
     subgroup: Sequence[Clause],
     literal_sets: Sequence[frozenset],
-    use_signature_fast_path: bool,
-    max_candidate_vars: int,
 ) -> Optional[Expr]:
     """Signature match then generic extraction for one candidate variable."""
     stats = state.stats
-    if use_signature_fast_path:
-        start = _perf()
-        match = match_gate_signature(variable, subgroup, literal_sets=literal_sets)
-        state.signature_seconds += _perf() - start
-        if match is not None and not any(
-            abs(literal) == variable for literal in match.fanin_literals
-        ):
-            stats.signature_matches += 1
-            return _expr_from_gate_match(match)
+    start = _perf()
+    match = match_gate_signature(variable, subgroup, literal_sets=literal_sets)
+    state.signature_seconds += _perf() - start
+    if match is not None and not any(
+        abs(literal) == variable for literal in match.fanin_literals
+    ):
+        stats.signature_matches += 1
+        return _expr_from_gate_match(match)
     start = _perf()
     # The occurrence index builds sub-groups that mention the candidate by
     # construction, so the extraction core runs without the mention check.
-    expr = extract_definition(variable, subgroup, max_vars=max_candidate_vars)
+    expr = extract_definition(variable, subgroup, max_vars=MAX_CANDIDATE_VARS)
     state.extraction_seconds += _perf() - start
     if expr is not None:
         stats.generic_matches += 1
@@ -573,9 +560,6 @@ def _try_definition(
 def _stream(
     clauses: Sequence[Clause],
     state: _TransformState,
-    use_signature_fast_path: bool,
-    max_group_size: int,
-    max_candidate_vars: int,
     checkpoints: Optional[List[_Checkpoint]] = None,
     position_offset: int = 0,
     seen_clause_keys: Optional[Set[frozenset]] = None,
@@ -649,8 +633,6 @@ def _stream(
                     variable,
                     subgroup,
                     [slot_sets[sid] for sid in subgroup_key],
-                    use_signature_fast_path,
-                    max_candidate_vars,
                 )
                 if expr is None:
                     failed_version[variable] = versions[variable]
@@ -738,7 +720,7 @@ def _stream(
             pass
         if not order:
             continue
-        if len(order) >= max_group_size:
+        if len(order) >= MAX_GROUP_SIZE:
             flush()
             continue
         if position + 1 < total:
@@ -781,92 +763,38 @@ def _free_variables(num_variables: int, state: _TransformState) -> List[str]:
     return [state.names[v] for v in range(1, num_variables + 1) if v not in covered]
 
 
-def transform_cnf(
-    formula: CNF,
-    simplify_expressions: bool = True,
-    use_signature_fast_path: bool = True,
-    optimize: bool = True,
-    max_group_size: int = 64,
-    max_candidate_vars: int = 12,
-) -> TransformResult:
+def transform_cnf(formula: CNF) -> TransformResult:
     """Run the transformation algorithm on ``formula``.
 
     Traced as a ``transform.cnf`` span when telemetry is enabled; stage
     timings always accumulate into ``repro_transform_stage_seconds_total``.
-
-    Parameters
-    ----------
-    simplify_expressions:
-        Simplify each accepted expression before adoption (the paper always
-        does; the ablation benchmark turns it off to measure its effect).
-    use_signature_fast_path:
-        Try gate-signature pattern matching before the generic extraction.
-    optimize:
-        Run structural optimization (constant propagation, strashing,
-        dangling-gate sweep) on the lowered circuit.
-    max_group_size:
-        Force-flush the clause buffer past this many clauses.
-    max_candidate_vars:
-        Skip complement checks whose support exceeds this width; the same
-        width gates simplification of flushed under-specified groups.  At
-        most :data:`~repro.boolalg.truth_table.MAX_ENUMERATION_VARS` (the
-        widest support the truth-table checks enumerate), else
-        ``ValueError``.
     """
-    if max_candidate_vars > MAX_ENUMERATION_VARS:
-        raise ValueError(
-            f"max_candidate_vars must be at most {MAX_ENUMERATION_VARS}, "
-            f"got {max_candidate_vars}"
-        )
     with obs.span("transform.cnf") as tspan:
-        result = _transform_cnf_impl(
-            formula,
-            dict(
-                simplify_expressions=simplify_expressions,
-                use_signature_fast_path=use_signature_fast_path,
-                optimize=optimize,
-                max_group_size=max_group_size,
-                max_candidate_vars=max_candidate_vars,
-            ),
-        )
+        result = _transform_cnf_impl(formula)
         tspan.set("clauses", result.stats.num_clauses)
         tspan.set("definitions", result.stats.num_definitions)
     _TRANSFORM_RUNS.inc(1.0, "cold")
     return result
 
 
-def _transform_cnf_impl(formula: CNF, options: Dict[str, object]) -> TransformResult:
+def _transform_cnf_impl(formula: CNF) -> TransformResult:
     start = _perf()
     clauses = list(formula.clauses)
     stats = TransformStats(num_clauses=len(clauses))
     stats.cnf_operations = formula.two_input_operation_count()
 
-    state = _TransformState(
-        num_names=formula.num_variables,
-        stats=stats,
-        simplify_expressions=options["simplify_expressions"],
-        max_candidate_vars=options["max_candidate_vars"],
-    )
+    state = _TransformState(num_names=formula.num_variables, stats=stats)
 
     checkpoints: List[_Checkpoint] = []
     stream_start = _perf()
-    _stream(
-        clauses,
-        state,
-        options["use_signature_fast_path"],
-        options["max_group_size"],
-        options["max_candidate_vars"],
-        checkpoints=checkpoints,
-    )
+    _stream(clauses, state, checkpoints=checkpoints)
     stats.add_stage("stream", _perf() - stream_start)
     state.add_attempt_stages()
 
     free_start = _perf()
     free_variables = _free_variables(formula.num_variables, state)
     stats.add_stage("free_vars", _perf() - free_start)
-    return finish_transform(
-        formula, clauses, state, free_variables, checkpoints, options, start
-    )
+    return finish_transform(formula, clauses, state, free_variables, checkpoints, start)
 
 
 def finish_transform(
@@ -875,16 +803,14 @@ def finish_transform(
     state,
     free_variables: List[str],
     checkpoints: Sequence[_Checkpoint],
-    options: Dict[str, object],
     start: float,
 ) -> TransformResult:
     """Lower a finished clause stream's records and package the result.
 
     The post-stream tail of :func:`transform_cnf`, shared with the reference
     oracle: ``state`` carries the ``definitions``, ``primary_inputs``,
-    ``primary_outputs``, ``constraints`` and ``stats`` the stream produced,
-    ``options`` the five transform options (recorded on the replay) and
-    ``start`` the transform's ``perf_counter`` start.
+    ``primary_outputs``, ``constraints`` and ``stats`` the stream produced
+    and ``start`` is the transform's ``perf_counter`` start.
     """
     stats = state.stats
     definitions = state.definitions
@@ -901,7 +827,7 @@ def finish_transform(
         name=formula.name or "recovered",
     )
     stats.add_stage("circuit_build", _perf() - build_start)
-    if options["optimize"] and constraints:
+    if constraints:
         optimize_start = _perf()
         # Keep the defined nets alive (and named) through optimization by
         # marking them as outputs, so complete_assignments can still read them.
@@ -917,9 +843,7 @@ def finish_transform(
     intermediate_variables = [
         name for name, _ in definitions if name not in primary_outputs
     ]
-    replay = TransformReplay(
-        clauses=tuple(clauses), checkpoints=tuple(checkpoints), **options
-    )
+    replay = TransformReplay(clauses=tuple(clauses), checkpoints=tuple(checkpoints))
     return TransformResult(
         source_name=formula.name,
         num_variables=formula.num_variables,
@@ -945,7 +869,6 @@ def _graft_circuit(
     state: _TransformState,
     num_kept_definitions: int,
     num_kept_constraints: int,
-    mark_definition_outputs: bool,
     name: str,
 ) -> Circuit:
     """Build the incremental circuit: copy kept cones, lower new records.
@@ -957,9 +880,11 @@ def _graft_circuit(
     gates with *identical* fanins only, so a cone's leaf inputs never change.
     Copying those cones verbatim skips the global re-optimization that
     dominates a cold transform; new records are lowered on top with fresh
-    internal names.  Raises :class:`_GraftUnsafe` in the rare case a new
-    record's net name already exists in the copied region (possible when
-    structural hashing merged a prefix gate into a suffix record's net).
+    internal names.  Raises :class:`_GraftUnsafe` in the rare case a net
+    name would be defined twice: a new record's net already exists in the
+    copied region, or a copied gate is named after a variable the new
+    stream takes as a primary input (both possible when structural hashing
+    merged a prefix gate into a suffix record's net).
     """
     kept_nets = [net for net, _ in state.definitions[:num_kept_definitions]]
     kept_nets += [net for net, _ in state.constraints[:num_kept_constraints]]
@@ -979,6 +904,8 @@ def _graft_circuit(
             gate = gates[net]
             if gate.gate_type == GateType.INPUT:
                 continue  # cone leaves are prefix inputs, pre-declared above
+            if circuit.has_net(net):
+                raise _GraftUnsafe(net)  # a gate named after a new input
             circuit._define_unchecked(gate)
 
     counter = 0
@@ -1023,7 +950,7 @@ def _graft_circuit(
 
     for net, _ in state.constraints:
         circuit.set_output(net)
-    if mark_definition_outputs:
+    if state.constraints:
         # Mirror transform_cnf's optimize path, which keeps defined nets
         # readable by marking them as outputs.
         for net, _ in state.definitions:
@@ -1069,12 +996,10 @@ def _retransform_impl(prev: TransformResult, delta) -> TransformResult:
     of the mutated formula, and ``complete_assignments`` is bitwise
     identical; the grafted *circuit* is functionally equivalent but not
     re-optimized globally, so its gate structure may differ from a cold
-    build's.  The oracle, a full reference rebuild under ``prev``'s transform
-    options, lives in ``tests/oracles/transform.py``.
+    build's.  The oracle, a full reference rebuild, lives in
+    ``tests/oracles/transform.py``.
 
-    An empty delta returns ``prev`` itself.  Transform options are inherited
-    from ``prev`` — replaying under different options would change the
-    decision sequence.
+    An empty delta returns ``prev`` itself.
     """
     replay = prev.replay
     if replay is None:
@@ -1091,13 +1016,6 @@ def _retransform_impl(prev: TransformResult, delta) -> TransformResult:
             variable = -literal if literal < 0 else literal
             if variable > num_variables:
                 num_variables = variable
-    options = dict(
-        simplify_expressions=replay.simplify_expressions,
-        use_signature_fast_path=replay.use_signature_fast_path,
-        optimize=replay.optimize,
-        max_group_size=replay.max_group_size,
-        max_candidate_vars=replay.max_candidate_vars,
-    )
     name = prev.source_name
 
     checkpoint: Optional[_Checkpoint] = None
@@ -1112,7 +1030,7 @@ def _retransform_impl(prev: TransformResult, delta) -> TransformResult:
     if checkpoint is None or checkpoint[0] == 0:
         # No reusable prefix (or a prev recorded without checkpoints): a
         # full transform also rebuilds the optimized circuit.
-        return transform_cnf(_mutated_formula(mutated, num_variables, name), **options)
+        return transform_cnf(_mutated_formula(mutated, num_variables, name))
 
     start = _perf()
     (
@@ -1134,12 +1052,7 @@ def _retransform_impl(prev: TransformResult, delta) -> TransformResult:
     stats.fallback_groups = fallback_groups
     stats.constant_definitions = constant_definitions
 
-    state = _TransformState(
-        num_names=num_variables,
-        stats=stats,
-        simplify_expressions=replay.simplify_expressions,
-        max_candidate_vars=replay.max_candidate_vars,
-    )
+    state = _TransformState(num_names=num_variables, stats=stats)
     state.definitions = list(prev.definitions[:num_definitions])
     state.defined = {net for net, _ in state.definitions}
     state.defined_vars = {
@@ -1170,9 +1083,6 @@ def _retransform_impl(prev: TransformResult, delta) -> TransformResult:
     _stream(
         mutated[position:],
         state,
-        replay.use_signature_fast_path,
-        replay.max_group_size,
-        replay.max_candidate_vars,
         checkpoints=checkpoints,
         position_offset=position,
         seen_clause_keys=seen_clause_keys,
@@ -1192,11 +1102,10 @@ def _retransform_impl(prev: TransformResult, delta) -> TransformResult:
             state,
             num_definitions,
             num_constraints,
-            mark_definition_outputs=replay.optimize and bool(state.constraints),
             name=name or "recovered",
         )
     except _GraftUnsafe:
-        return transform_cnf(_mutated_formula(mutated, num_variables, name), **options)
+        return transform_cnf(_mutated_formula(mutated, num_variables, name))
     stats.add_stage("circuit_graft", _perf() - graft_start)
 
     stats.circuit_operations = two_input_gate_equivalents(circuit)
@@ -1206,15 +1115,7 @@ def _retransform_impl(prev: TransformResult, delta) -> TransformResult:
     intermediate_variables = [
         net for net, _ in state.definitions if net not in state.primary_outputs
     ]
-    new_replay = TransformReplay(
-        clauses=tuple(mutated),
-        checkpoints=tuple(checkpoints),
-        simplify_expressions=replay.simplify_expressions,
-        use_signature_fast_path=replay.use_signature_fast_path,
-        optimize=replay.optimize,
-        max_group_size=replay.max_group_size,
-        max_candidate_vars=replay.max_candidate_vars,
-    )
+    new_replay = TransformReplay(clauses=tuple(mutated), checkpoints=tuple(checkpoints))
     return TransformResult(
         source_name=name,
         num_variables=num_variables,

@@ -2,7 +2,7 @@
 
 One :func:`learn_batch` call runs a sampling round's whole training:
 sigmoid embedding, compiled forward, closed-form L2-loss gradient, compiled
-backward, sigmoid adjoint and optimizer step — five fused NumPy statements
+backward, sigmoid adjoint and the Eq. 10 step — five fused NumPy statements
 per iteration (:func:`descend`), with no autodiff tape.  This is the only
 gradient-descent implementation in the library; the sampler's rounds and
 the Fig. 3 learning curve run it.
@@ -14,8 +14,7 @@ the engine replaced (kept as the reference oracle under ``tests/oracles/``):
   ``square = mul(x, x)`` accumulates its two branches; every target of
   Eq. 8 is 1, so the loop subtracts the scalar instead of a target matrix);
 * the sigmoid adjoint multiplies left to right (``(dP * P) * (1 - P)``);
-* :class:`SGD` and :class:`Adam` update the parameter array with the
-  reference optimizers' arithmetic, in the same order.
+* the Eq. 10 step is ``V - lr * grad``, the reference SGD's arithmetic.
 
 Chunking happens here at the program level: the batch is split into spans
 of ``config.chunk_size`` rows (0 = the whole batch as one launch) and each
@@ -24,9 +23,8 @@ Python-sliced path, same RNG consumption order.
 
 The loop runs in ``float32``: the initial soft inputs are cast once (the
 sampler draws them in ``float64``, so the random stream is the reference
-oracle's), and the compiled passes and the optimizer state follow them.
-Under NumPy's weak Python scalars, ``Y - 1.0`` and the optimizer constants
-stay ``float32``.
+oracle's), and the compiled passes follow them.  Under NumPy's weak Python
+scalars, ``Y - 1.0`` and the learning rate stay ``float32``.
 """
 
 from __future__ import annotations
@@ -49,48 +47,6 @@ if TYPE_CHECKING:  # imported lazily to keep the engine free of core imports
     from repro.core.config import SamplerConfig
 
 
-class SGD:
-    """Plain gradient descent, Eq. 10: ``V <- V - lr * dL/dV``."""
-
-    def __init__(self, lr: float) -> None:
-        self.lr = lr
-
-    def step(self, parameter, grad):
-        """The updated parameter array."""
-        return parameter - self.lr * grad
-
-
-class Adam:
-    """Adam (Kingma & Ba) over one parameter array (ablation only)."""
-
-    def __init__(self, lr: float, betas: tuple = (0.9, 0.999), eps: float = 1e-8) -> None:
-        self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self._step_count = 0
-        self._first_moment = None
-        self._second_moment = None
-
-    def step(self, parameter, grad):
-        """The updated parameter array; advances the moment estimates."""
-        self._step_count += 1
-        if self._first_moment is None:
-            self._first_moment = np.zeros_like(parameter)
-            self._second_moment = np.zeros_like(parameter)
-        first = self.beta1 * self._first_moment + (1.0 - self.beta1) * grad
-        second = self.beta2 * self._second_moment + (1.0 - self.beta2) * grad**2
-        self._first_moment = first
-        self._second_moment = second
-        first_hat = first / (1.0 - self.beta1**self._step_count)
-        second_hat = second / (1.0 - self.beta2**self._step_count)
-        return parameter - self.lr * first_hat / (np.sqrt(second_hat) + self.eps)
-
-
-#: Optimizer classes by ``SamplerConfig.optimizer`` name (the config
-#: validates the name and the learning rate).
-OPTIMIZERS = {"sgd": SGD, "adam": Adam}
-
-
 def sigmoid_embedding(soft_inputs):
     """Eq. 6: ``P = sigma(V)``, in ``float32``."""
     return 1.0 / (1.0 + np.exp(-float_array(soft_inputs)))
@@ -104,12 +60,12 @@ def descend(
     """Gradient descent from ``initial_soft_inputs``, one step per ``next()``.
 
     Each step yields the updated soft inputs ``V`` and the Eq. 8 loss
-    (against the all-ones target) evaluated *before* the update.  One
-    optimizer (``config.optimizer`` at ``config.learning_rate``) carries its
-    state across the steps.  Runs in ``float32``.
+    (against the all-ones target) evaluated *before* the update; the update
+    is Eq. 10, ``V <- V - lr * dL/dV`` at ``config.learning_rate``.  Runs in
+    ``float32``.
     """
     soft_inputs = float_array(initial_soft_inputs)
-    optimizer = OPTIMIZERS[config.optimizer](config.learning_rate)
+    lr = config.learning_rate
     while True:
         probabilities = sigmoid_embedding(soft_inputs)
         outputs, cache = forward(program, probabilities)
@@ -117,7 +73,7 @@ def descend(
         loss = float((difference * difference).sum())
         input_grads = backward(program, cache, difference + difference)
         grad = input_grads * probabilities * (1.0 - probabilities)
-        soft_inputs = optimizer.step(soft_inputs, grad)
+        soft_inputs = soft_inputs - lr * grad
         yield soft_inputs, loss
 
 

@@ -46,6 +46,7 @@ from repro.cnf.kernel import CNFEvalPlan
 from repro.core.signatures import formula_signature
 from repro.core.transform import RoundPlan, TransformResult, retransform, transform_cnf
 from repro.store.artifacts import PendingTransform, fetch_or_build_artifact
+from repro.store.format import StoreFormatError
 from repro.store.store import ArtifactStore
 from repro.utils.weakcache import BoundedLRUCache
 from repro import obs
@@ -100,7 +101,9 @@ class SamplingArtifact:
     load_seconds: float = 0.0
     #: ``(formula, transform)``, or ``None`` until :attr:`pending` is decoded.
     objects: Optional[Tuple[CNF, TransformResult]] = field(default=None, repr=False)
-    #: The store's verified, still-encoded ``transform`` entry (store hits only).
+    #: The store's verified, still-encoded ``transform`` entry (store hits
+    #: only).  It is decoded at most once: when both this and
+    #: :attr:`objects` are ``None``, the decode failed.
     pending: Optional[PendingTransform] = field(default=None, repr=False)
 
     @property
@@ -118,8 +121,14 @@ class SamplingArtifact:
         return self._decoded()[1]
 
     def _decoded(self) -> Tuple[CNF, TransformResult]:
+        """``(formula, transform)``; raises :class:`StoreFormatError` when the
+        store's ``transform`` entry does not decode (on every later call too,
+        without retrying the bytes)."""
         if self.objects is None:
-            formula, transform = self.pending.decode()
+            if self.pending is None:
+                raise StoreFormatError("the store's transform entry did not decode")
+            pending, self.pending = self.pending, None
+            formula, transform = pending.decode()
             formula.install_evaluation_plan(self.plan)
             transform.adopt_programs(self.round)
             self.objects = (formula, transform)
@@ -216,6 +225,17 @@ def build_incremental_artifact(
             incremental=True,
             parent_signature=parent.signature,
         )
+
+
+def _replays(artifact: SamplingArtifact) -> bool:
+    """Whether an incremental build can derive from ``artifact``: its
+    transform decodes and carries a replay record.  The store is only an
+    accelerator, so a parent whose entry does not decode counts as no warm
+    parent and the job builds cold."""
+    try:
+        return artifact.transform.replay is not None
+    except StoreFormatError:
+        return False
 
 
 class ArtifactCache:
@@ -317,7 +337,7 @@ class ArtifactCache:
             # cold transform of the effective formula.
             if delta is not None and not delta.is_empty:
                 parent = self._cache.get(base_signature)
-                if parent is not None and parent.transform.replay is not None:
+                if parent is not None and _replays(parent):
                     return build_incremental_artifact(parent, delta, signature)
                 formula = loader().with_delta(delta)
             else:

@@ -26,7 +26,7 @@ or JSON Lines (one job object per line).  Job object keys:
     Unique-solution target (default 1000).
 ``config``
     :class:`SamplerConfig` field overrides — ``batch_size``, ``iterations``,
-    ``learning_rate``, ``optimizer``, ``init_scale``, ``seed``,
+    ``learning_rate``, ``init_scale``, ``seed``,
     ``max_rounds``, ``stall_rounds``, ``timeout_seconds``, ``telemetry``
     and ``chunk_size``.  Any other key is a :class:`ManifestError` naming
     it.
@@ -85,7 +85,6 @@ CONFIG_FIELDS = (
     "batch_size",
     "iterations",
     "learning_rate",
-    "optimizer",
     "init_scale",
     "seed",
     "max_rounds",
@@ -182,7 +181,6 @@ def config_to_dict(config: SamplerConfig) -> Dict[str, object]:
         "batch_size": config.batch_size,
         "iterations": config.iterations,
         "learning_rate": config.learning_rate,
-        "optimizer": config.optimizer,
         "init_scale": config.init_scale,
         "seed": config.seed,
         "max_rounds": config.max_rounds,

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.baselines.cdcl import CDCLSolver, _luby
 from repro.baselines.dpll import DPLLSolver
 from repro.cnf.formula import CNF
-from repro.cnf.generators import planted_ksat, random_ksat
+from tests.corpus.generators import planted_ksat, random_ksat
 
 
 class TestLuby:

@@ -4,7 +4,7 @@ import numpy as np
 
 from repro.baselines.dpll import DPLLSolver
 from repro.cnf.formula import CNF
-from repro.cnf.generators import planted_ksat, planted_solution
+from tests.corpus.generators import planted_ksat, planted_solution
 
 
 class TestSolve:

@@ -12,7 +12,7 @@ from repro.baselines import (
 from repro.baselines.base import SamplerOutput
 from repro.baselines.dpll import DPLLSolver
 from repro.cnf.formula import CNF
-from repro.cnf.generators import planted_ksat
+from tests.corpus.generators import planted_ksat
 
 ALL_SAMPLERS = [
     CMSGenStyleSampler,

@@ -5,7 +5,7 @@ import pytest
 
 from repro.cnf.clause import Clause
 from repro.cnf.formula import CNF, two_input_operation_count
-from repro.cnf.generators import planted_ksat, random_horn, random_ksat
+from tests.corpus.generators import planted_ksat, random_horn, random_ksat
 from repro.instances.registry import get_instance, list_instances
 from tests.conftest import all_assignments
 

@@ -10,7 +10,6 @@ class TestDefaults:
         config = SamplerConfig.paper_defaults()
         assert config.learning_rate == 10.0
         assert config.iterations == 5
-        assert config.optimizer == "sgd"
 
     def test_default_device_is_vectorised(self):
         # chunk_size 0 is one launch over the whole batch.
@@ -26,7 +25,7 @@ class TestValidation:
             {"learning_rate": 0.0},
             {"max_rounds": 0},
             {"init_scale": 0.0},
-            {"optimizer": "rmsprop"},
+            {"chunk_size": -1},
             {"timeout_seconds": 0.0},
             {"stall_rounds": 0},
             {"learning_rate": -10.0},
@@ -56,6 +55,12 @@ class TestValidation:
         # Learning always runs in float32; no config field picks a dtype.
         with pytest.raises(TypeError, match="array_backend"):
             SamplerConfig(array_backend=value)
+
+    @pytest.mark.parametrize("value", ["sgd", "adam", "bogus"])
+    def test_removed_optimizer_field_rejected(self, value):
+        # Learning is plain gradient descent (Eq. 10); no field picks another.
+        with pytest.raises(TypeError, match="optimizer"):
+            SamplerConfig(optimizer=value)
 
     def test_negative_chunk_size_names_the_field(self):
         with pytest.raises(ValueError, match="chunk_size"):

@@ -65,14 +65,6 @@ class TestSampleCnf:
         )
         assert result.transform is transform
 
-    def test_transform_options_forwarded(self, fig1_formula):
-        result = sample_cnf(
-            fig1_formula, num_solutions=4,
-            config=SamplerConfig(batch_size=32, seed=0, max_rounds=2),
-            use_signature_fast_path=False,
-        )
-        assert result.transform.stats.signature_matches == 0
-
     def test_all_solutions_valid(self, tiny_sat_formula):
         result = sample_cnf(
             tiny_sat_formula, num_solutions=4,

@@ -184,11 +184,6 @@ class TestDevicesAndOptimizers:
         )
         assert loop_result.num_generated == batch_result.num_generated
 
-    def test_adam_optimizer(self, fig1_formula):
-        config = _small_config(optimizer="adam", learning_rate=0.5)
-        result = GradientSATSampler(fig1_formula, config=config).sample(8)
-        assert result.num_unique >= 8
-
     def test_learning_curve_monotone(self, fig1_formula):
         sampler = GradientSATSampler(fig1_formula, config=_small_config(batch_size=128))
         curve = sampler.learning_curve(max_iterations=5, batch_size=128)

@@ -125,39 +125,6 @@ class TestClassification:
         assert summary["primary_inputs"] == 6
         assert summary["constraints"] == 1
 
-
-class TestOptions:
-    def test_no_simplification_still_equivalent(self, fig1_formula):
-        result = transform_cnf(fig1_formula, simplify_expressions=False)
-        matrix = all_assignments(len(result.primary_inputs))
-        completed = result.complete_assignments(matrix)
-        assert fig1_formula.evaluate_batch(completed).sum() == 32
-
-    def test_no_signature_fast_path(self, fig1_formula):
-        result = transform_cnf(fig1_formula, use_signature_fast_path=False)
-        assert result.stats.signature_matches == 0
-        assert len(result.constraints) == 1
-
-    def test_no_optimization(self, fig1_formula):
-        result = transform_cnf(fig1_formula, optimize=False)
-        matrix = all_assignments(len(result.primary_inputs))
-        completed = result.complete_assignments(matrix)
-        assert fig1_formula.evaluate_batch(completed).sum() == 32
-
-    def test_small_group_size_forces_fallback(self, fig1_formula):
-        result = transform_cnf(fig1_formula, max_group_size=2)
-        # Even with aggressive flushing the transformation stays sound.
-        matrix = all_assignments(len(result.primary_inputs))
-        completed = result.complete_assignments(matrix)
-        valid = fig1_formula.evaluate_batch(completed)
-        assert valid.any()
-
-    def test_candidate_width_capped_at_enumeration_limit(self, fig1_formula):
-        # Complement checks enumerate truth tables of at most 20 variables.
-        assert transform_cnf(fig1_formula, max_candidate_vars=20).stats.num_definitions
-        with pytest.raises(ValueError, match="max_candidate_vars"):
-            transform_cnf(fig1_formula, max_candidate_vars=21)
-
     def test_stats_counters(self, fig1_formula):
         stats = transform_cnf(fig1_formula).stats
         assert stats.num_clauses == 21

@@ -11,17 +11,17 @@ properties cross-check the bitmask kernel and every memo against it.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.boolalg.expr import And, Not, Or, Var, Xor
-from repro.boolalg.simplify import is_flat_literal_gate, simplify
+from repro.boolalg.simplify import EXACT_SIMPLIFY_MAX_VARS, is_flat_literal_gate, simplify
 from repro.boolalg.truth_table import equivalent, is_complement, truth_table
 from repro.cnf.clause import Clause
 from repro.cnf.formula import CNF
-from repro.core.extraction import find_boolean_expression
+from repro.core.extraction import find_boolean_expression, group_to_constraint_expr
 from repro.core.signatures import gate_signature_clauses
-from repro.core.transform import transform_cnf
+from repro.core.transform import MAX_CANDIDATE_VARS, MAX_GROUP_SIZE, transform_cnf
 from repro.circuit.gates import GateType
 from tests.conftest import all_assignments
 from tests.oracles import transform as oracle
@@ -90,6 +90,62 @@ def gate_stream_cnfs(draw):
     if draw(st.booleans()):
         clauses.append([available[-1]])
     return CNF(clauses, num_variables=next_var - 1, name="gates")
+
+
+@st.composite
+def long_group_cnfs(draw):
+    """A buffer that fills to exactly :data:`MAX_GROUP_SIZE` clauses, then a tail.
+
+    The head is distinct clauses of one polarity that all mention variable
+    1: a variable occurring in one polarity only is never definable (no unit
+    clauses) and matches no gate signature, and every next clause shares
+    variable 1 with the buffer, so only the size bound can flush it.  The
+    tail is a small random formula over fresh variables.
+    """
+    pool = draw(st.integers(12, 16))
+    sign = draw(st.sampled_from([1, -1]))
+    head = draw(
+        st.lists(
+            st.sets(st.integers(2, pool), min_size=1, max_size=3),
+            min_size=MAX_GROUP_SIZE,
+            max_size=MAX_GROUP_SIZE,
+            unique_by=frozenset,
+        )
+    )
+    # Exact minimization of a large monotone group can take minutes; with
+    # more than EXACT_SIMPLIFY_MAX_VARS variables (1 and the drawn ones) the
+    # flush simplifies algebraically instead.
+    assume(len(set().union(*head)) >= EXACT_SIMPLIFY_MAX_VARS)
+    clauses = [[sign, *(sign * v for v in sorted(others))] for others in head]
+    tail = draw(random_cnfs())
+    clauses += [[lit + pool if lit > 0 else lit - pool for lit in c] for c in tail.clauses]
+    return CNF(clauses, num_variables=pool + tail.num_variables, name="long")
+
+
+@st.composite
+def wide_candidate_cnfs(draw):
+    """``v <-> (a1 & ... & ak) | b`` with ``k + 1 > MAX_CANDIDATE_VARS`` inputs.
+
+    The group defines ``v`` (the two sides are complements), matches no
+    gate signature, and no partial group defines anything, so the only
+    reason ``v`` stays undefined is the candidate width gate.  A prefix
+    ``y <-> x`` makes ``x`` a primary input, so the group's trailing
+    ``(x | b) & x`` is no definition either; simplifying the flushed group
+    would absorb ``x | b``.  Clause order, input polarities and a tail
+    formula over fresh variables vary.  Returns the formula and the slice
+    of its clauses that forms the group.
+    """
+    k = draw(st.integers(MAX_CANDIDATE_VARS, MAX_CANDIDATE_VARS + 3))
+    v, b, x, y = 1, k + 2, k + 3, k + 4
+    inputs = [a if draw(st.booleans()) else -a for a in range(2, k + 2)]
+    group = [[-v, a, b] for a in inputs] + [[v, *(-a for a in inputs)], [v, -b]]
+    # Every group clause mentions v, so no lookahead flush splits the group.
+    group = draw(st.permutations(group)) + [[x, b], [x]]
+    clauses = [[-y, x], [y, -x]] + group
+    tail = draw(random_cnfs())
+    clauses += [[lit + y if lit > 0 else lit - y for lit in c] for c in tail.clauses]
+    formula = CNF(clauses, num_variables=y + tail.num_variables, name="wide")
+    return formula, slice(2, 2 + len(group))
 
 
 @st.composite
@@ -178,38 +234,43 @@ class TestTransformEquivalence:
         assert_transforms_identical(fast, reference)
         assert_completions_identical(fast, reference)
 
-    @given(random_cnfs(), st.booleans(), st.booleans())
-    @settings(max_examples=40, deadline=None)
-    def test_option_combinations(self, formula, use_signatures, simplify_exprs):
-        fast = transform_cnf(
-            formula,
-            simplify_expressions=simplify_exprs,
-            use_signature_fast_path=use_signatures,
-        )
-        reference = oracle.transform_reference(
-            formula,
-            simplify_expressions=simplify_exprs,
-            use_signature_fast_path=use_signatures,
-        )
+    @given(long_group_cnfs())
+    @settings(max_examples=20, deadline=None)
+    def test_size_bound_flush(self, formula):
+        """A buffer of MAX_GROUP_SIZE clauses is flushed as one group."""
+        fast = transform_cnf(formula)
+        reference = oracle.transform_reference(formula)
         assert_transforms_identical(fast, reference)
+        assert_completions_identical(fast, reference)
+        # The path was taken: the stream's first empty-buffer boundary after
+        # the start is right after the bound, reached by a flush (not the
+        # lookahead) with nothing defined and exactly one group flushed.
+        checkpoint = fast.replay.checkpoints[1]
+        assert checkpoint[0] == MAX_GROUP_SIZE and checkpoint[8]
+        assert checkpoint[1] == 0 and checkpoint[6] == 1
+        assert fast.constraints[0] == reference.constraints[0]
 
-    @given(random_cnfs(), st.integers(2, 4))
-    @settings(max_examples=40, deadline=None)
-    def test_narrow_candidate_budget(self, formula, max_candidate_vars):
-        """The width gate (which also gates flush simplification) agrees."""
-        fast = transform_cnf(formula, max_candidate_vars=max_candidate_vars)
-        reference = oracle.transform_reference(
-            formula, max_candidate_vars=max_candidate_vars
-        )
+    @given(wide_candidate_cnfs())
+    @settings(max_examples=30, deadline=None)
+    def test_wide_candidate_and_group(self, case):
+        """A candidate wider than MAX_CANDIDATE_VARS is no definition, and
+        the group it leaves is flushed without simplification."""
+        formula, group_slice = case
+        fast = transform_cnf(formula)
+        reference = oracle.transform_reference(formula)
         assert_transforms_identical(fast, reference)
-
-    @given(random_cnfs(), st.integers(1, 3))
-    @settings(max_examples=40, deadline=None)
-    def test_small_group_flushes(self, formula, max_group_size):
-        """Frequent forced flushes exercise the under-specified path."""
-        fast = transform_cnf(formula, max_group_size=max_group_size)
-        reference = oracle.transform_reference(formula, max_group_size=max_group_size)
-        assert_transforms_identical(fast, reference)
+        assert_completions_identical(fast, reference)
+        group = formula.clauses[group_slice]
+        # Only the width gate rejects v: a wider budget defines it.
+        v_group = [clause for clause in group if clause.contains(1) or clause.contains(-1)]
+        assert find_boolean_expression(1, v_group, max_vars=20) is not None
+        assert "x1" not in dict(fast.definitions)
+        # The group is the first flushed one, kept verbatim: simplification
+        # would have absorbed a clause.
+        expr = fast.constraints[0][1]
+        assert expr == group_to_constraint_expr(group)
+        assert simplify(expr) != expr
+        assert len(expr.support()) > MAX_CANDIDATE_VARS
 
     def test_registry_instance_equivalence(self):
         from repro.instances.registry import get_instance

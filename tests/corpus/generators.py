@@ -1,9 +1,10 @@
-"""Random CNF generators.
+"""Random CNF generators for the tests.
 
-These generators provide additional workloads beyond the four benchmark
-families of Table II: random k-SAT (for stress-testing the samplers away from
-circuit-structured CNFs), planted-solution k-SAT (guaranteed satisfiable, used
-by the property-based tests), and random Horn formulas.
+They provide workloads beyond the four benchmark families of Table II:
+random k-SAT (for stress-testing the samplers away from circuit-structured
+CNFs), planted-solution k-SAT (guaranteed satisfiable, used by the
+property-based tests), and random Horn formulas.  Every generator is a pure
+function of its seed.
 """
 
 from __future__ import annotations

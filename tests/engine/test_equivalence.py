@@ -37,9 +37,6 @@ GRAD_TOLERANCE = 1e-6
 FIG1_ROWS_SHA256 = "5956b847733f03a7ddc16252ef9e2db40014b4d7ce631661ac29472d1aa32665"
 #: xor chain, ``SamplerConfig(batch_size=32, max_rounds=2, seed=7)`` (2 x 3).
 XOR_ROWS_SHA256 = "6d1bccaa2d62ae6f83d99207620a37e3518e35594179767dc1a5e12b72e7c5a6"
-#: fig1 under Adam, ``SamplerConfig(batch_size=32, max_rounds=2, seed=99,
-#: optimizer="adam", learning_rate=0.5)`` (18 x 14).
-ADAM_ROWS_SHA256 = "10e70a1b2af1cdbc1adfa9114258fa9a5887766b64ba143388c7a7ad93f94a38"
 
 
 def _compare_forward_backward(circuit, outputs, rng, batch=8):
@@ -129,15 +126,6 @@ class TestSamplerEquivalence:
         )
         assert digests == (XOR_ROWS_SHA256, XOR_ROWS_SHA256)
 
-    def test_adam_optimizer_equivalence(self, fig1_formula, monkeypatch):
-        config = SamplerConfig(
-            batch_size=32, max_rounds=2, seed=99, optimizer="adam", learning_rate=0.5
-        )
-        digests = _on_both_learners(
-            monkeypatch, lambda: self._solution_digest(fig1_formula, config)
-        )
-        assert digests == (ADAM_ROWS_SHA256, ADAM_ROWS_SHA256)
-
     def test_learning_curves_identical(self, fig1_formula, monkeypatch):
         config = SamplerConfig(batch_size=32, seed=5)
         curves = _on_both_learners(
@@ -150,32 +138,15 @@ class TestSamplerEquivalence:
 
 
 #: Fig. 3 learning curves (unique valid solutions after each of 6 GD
-#: iterations) at ``SamplerConfig(batch_size=256, seed=3, optimizer=...)``,
-#: recorded in float32 from the tape-based loop the engine step replaced:
-#: ``{instance: {optimizer: curve}}``.  The float64 reference gives the same
-#: curves except Adam on Prod-32, one unique solution lower from iteration 2
-#: on (156, 179, 196, 208, 212); Adam is an ablation.
+#: iterations) at ``SamplerConfig(batch_size=256, seed=3)``, recorded in
+#: float32 from the tape-based loop the engine step replaced; the float64
+#: reference gives the same curves.
 GOLDEN_LEARNING_CURVES = {
-    "s15850a_3_2": {
-        "sgd": [241, 484, 728, 977, 1226, 1476, 1727],
-        "adam": [241, 497, 753, 1009, 1265, 1521, 1777],
-    },
-    "Prod-20": {
-        "sgd": [76, 192, 321, 459, 605, 754, 898],
-        "adam": [76, 118, 153, 218, 297, 386, 466],
-    },
-    "Prod-32": {
-        "sgd": [71, 77, 88, 98, 110, 126, 143],
-        "adam": [71, 150, 157, 180, 197, 209, 213],
-    },
-    "75-10-1-q": {
-        "sgd": [132, 370, 624, 879, 1135, 1391, 1647],
-        "adam": [132, 388, 644, 900, 1156, 1412, 1668],
-    },
-    "or-50-10-7-UC-10": {
-        "sgd": [251, 503, 755, 1007, 1259, 1511, 1761],
-        "adam": [251, 506, 760, 1013, 1267, 1521, 1771],
-    },
+    "s15850a_3_2": [241, 484, 728, 977, 1226, 1476, 1727],
+    "Prod-20": [76, 192, 321, 459, 605, 754, 898],
+    "Prod-32": [71, 77, 88, 98, 110, 126, 143],
+    "75-10-1-q": [132, 370, 624, 879, 1135, 1391, 1647],
+    "or-50-10-7-UC-10": [251, 503, 755, 1007, 1259, 1511, 1761],
 }
 
 
@@ -184,8 +155,6 @@ def test_golden_learning_curves(name):
     from repro.instances.registry import get_instance
 
     formula = get_instance(name).build_cnf()
-    transform = transform_cnf(formula)
-    for optimizer, expected in GOLDEN_LEARNING_CURVES[name].items():
-        config = SamplerConfig(batch_size=256, seed=3, optimizer=optimizer)
-        sampler = GradientSATSampler(formula, transform=transform, config=config)
-        assert sampler.learning_curve(6) == expected, optimizer
+    config = SamplerConfig(batch_size=256, seed=3)
+    sampler = GradientSATSampler(formula, transform=transform_cnf(formula), config=config)
+    assert sampler.learning_curve(6) == GOLDEN_LEARNING_CURVES[name]

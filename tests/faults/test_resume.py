@@ -95,14 +95,19 @@ class TestPlanResume:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("backend", "engine"), ("array_backend", None), ("array_backend", "numpy:float32")],
+        [
+            ("backend", "engine"),
+            ("array_backend", None),
+            ("array_backend", "numpy:float32"),
+            ("optimizer", "sgd"),
+        ],
     )
     def test_completion_fingerprinted_with_removed_backend_field_reruns(
         self, tmp_path, monkeypatch, field, value
     ):
-        # Journals written while SamplerConfig had a ``backend`` or an
-        # ``array_backend`` field fingerprinted it; those completions must
-        # miss and re-run.
+        # Journals written while SamplerConfig had a ``backend``, an
+        # ``array_backend`` or an ``optimizer`` field fingerprinted it; those
+        # completions must miss and re-run.
         import repro.serve.journal as journal_module
 
         job = make_job(seed=0)

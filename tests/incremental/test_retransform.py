@@ -20,7 +20,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cnf import CNF, ClauseDelta, planted_ksat
+from repro.cnf import CNF, ClauseDelta
+from tests.corpus.generators import planted_ksat
+from repro.circuit.gates import GateType
 from repro.circuit.simulate import simulate
 from repro.core.transform import retransform, transform_cnf
 from tests.oracles.transform import retransform_reference
@@ -193,3 +195,25 @@ def test_appended_clause_can_widen_the_variable_range():
     assert fast.num_variables == 10
     assert_records_match(fast, cold)
     assert_completions_match(fast, cold)
+
+
+@pytest.mark.parametrize("name", ["90-10-10-q", "90-10-3-q"])
+def test_graft_never_redefines_a_new_primary_input(name):
+    # Retracting this clause turns a variable the parent defined into a
+    # primary input, while a kept cone of the parent's optimized circuit
+    # still holds a gate named after it (structural hashing merged a prefix
+    # gate into that definition's net).  Copying the gate over the input
+    # used to close a combinational cycle; the graft must rebuild instead.
+    from repro.instances.registry import get_instance
+
+    formula = get_instance(name).build_cnf()
+    clauses = list(formula.clauses)
+    delta = ClauseDelta(retract=(tuple(clauses[len(clauses) // 2].literals),))
+    fast = retransform(transform_cnf(formula), delta)
+    cold = transform_cnf(formula.with_delta(delta))
+    assert_records_match(fast, cold)
+    for net in fast.primary_inputs:
+        assert fast.circuit.gate(net).gate_type == GateType.INPUT
+    assert_completions_match(fast, cold)
+    assert_constraint_nets_equivalent(fast, cold)
+    retransform(fast, ClauseDelta(assume=(1,)))  # the result keeps going

@@ -19,7 +19,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.cnf import ClauseDelta, planted_ksat
+from repro.cnf import ClauseDelta
+from tests.corpus.generators import planted_ksat
 from repro.core.config import SamplerConfig
 from repro.core.signatures import formula_signature
 from repro.core.task import SamplingTask

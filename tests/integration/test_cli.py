@@ -103,6 +103,14 @@ class TestBadInputFile:
         assert completed.returncode == 2
         assert "unrecognized arguments: --reference" in completed.stderr
 
+    def test_no_simplify_flag_is_gone(self, tmp_path):
+        # Algorithm 1 always simplifies: no flag turns a step of it off.
+        path = tmp_path / "fig1.cnf"
+        path.write_text(FIG1_DIMACS)
+        completed = run_cli("transform", str(path), "--no-simplify")
+        assert completed.returncode == 2
+        assert "unrecognized arguments: --no-simplify" in completed.stderr
+
 
 class TestInstancesSubcommand:
     def test_list_registry(self):

@@ -13,7 +13,7 @@ from repro.baselines.dpll import DPLLSolver
 from repro.circuit.builder import CircuitBuilder
 from repro.circuit.gates import GateType
 from repro.circuit.tseitin import circuit_to_cnf
-from repro.cnf.generators import planted_ksat
+from tests.corpus.generators import planted_ksat
 from repro.core.config import SamplerConfig
 from repro.core.sampler import GradientSATSampler
 from repro.core.transform import transform_cnf

@@ -44,7 +44,7 @@ from tests.oracles.tensor.functional import (
     prob_xor,
     sigmoid,
 )
-from tests.oracles.tensor.optim import make_optimizer
+from tests.oracles.tensor.optim import SGD
 from tests.oracles.tensor.tensor import (
     Tensor,
     as_tensor,
@@ -136,7 +136,7 @@ def _learn_chunk(
     should_stop: Optional[Callable[[], bool]],
 ) -> Tuple[np.ndarray, List[float], bool]:
     """The configured GD iterations on one chunk; returns hard bits (``V > 0``)."""
-    optimizer = make_optimizer([soft_inputs], config.optimizer, config.learning_rate)
+    optimizer = SGD([soft_inputs], lr=config.learning_rate)
     loss_history: List[float] = []
     halted = False
     for _ in range(config.iterations):
@@ -236,9 +236,7 @@ def learning_curve(
     soft_inputs = Tensor(
         sampler._draw_initial_soft_inputs(batch).astype(dtype), requires_grad=True
     )
-    optimizer = make_optimizer(
-        [soft_inputs], sampler.config.optimizer, sampler.config.learning_rate
-    )
+    optimizer = SGD([soft_inputs], lr=sampler.config.learning_rate)
     targets = target_matrix(batch, model.output_nets)
     for iteration in range(max_iterations + 1):
         if iteration > 0:

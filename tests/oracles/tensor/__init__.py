@@ -3,7 +3,7 @@
 The paper implements its sampler in PyTorch.  Before the compiled engine
 (:mod:`repro.engine`) existed, this small tensor type — reverse-mode
 autodiff, the Table I gate relaxations, the sigmoid embedding, the L2 loss
-and plain gradient-descent/Adam optimizers — *was* the sampler.  It now
+and the plain gradient-descent step — *was* the sampler.  It now
 lives under ``tests/`` only: the per-gate interpreter of
 :mod:`tests.oracles.interpreter` runs on it, and the engine's equivalence
 tests and the engine-vs-interpreter benchmark compare against it.
@@ -27,7 +27,7 @@ from tests.oracles.tensor.functional import (
     square,
     l2_loss,
 )
-from tests.oracles.tensor.optim import SGD, Adam, Optimizer
+from tests.oracles.tensor.optim import SGD, Optimizer
 
 __all__ = [
     "Tensor",
@@ -44,6 +44,5 @@ __all__ = [
     "square",
     "l2_loss",
     "SGD",
-    "Adam",
     "Optimizer",
 ]

@@ -12,7 +12,7 @@ field for field:
   own accept/flush bookkeeping and free variables as every variable it
   neither took as a primary input nor defined;
 * :func:`retransform_reference` — a full reference rebuild of a
-  delta-mutated formula, under the previous transform's options;
+  delta-mutated formula;
 * :func:`equivalent`, :func:`is_complement`, :func:`minimize_expr`,
   :func:`simplify`, :func:`expression_for_literal` and
   :func:`find_boolean_expression` — the per-row enumeration, uncached
@@ -24,8 +24,11 @@ the expression AST, the gate-signature matcher, the Quine--McCluskey
 tabulation (:func:`~repro.boolalg.quine_mccluskey.minimize_minterms`), the
 algebraic rewriter, the BDD fallback for wide supports, and the post-stream
 tail (:func:`~repro.core.transform.finish_transform`: circuit lowering,
-optimization, stats).  It is uncached like the seed, so a transform
-timed against it measures the indexed stream and the memos alone.
+optimization, stats) and the recipe's two bounds,
+:data:`~repro.core.transform.MAX_GROUP_SIZE` and
+:data:`~repro.core.transform.MAX_CANDIDATE_VARS`.  It is uncached like the
+seed, so a transform timed against it measures the indexed stream and the
+memos alone.
 """
 
 from __future__ import annotations
@@ -47,6 +50,8 @@ from repro.core.extraction import (
 )
 from repro.core.signatures import match_gate_signature
 from repro.core.transform import (
+    MAX_CANDIDATE_VARS,
+    MAX_GROUP_SIZE,
     TransformResult,
     TransformStats,
     _expr_from_gate_match,
@@ -194,11 +199,8 @@ def find_boolean_expression(
 class _ReferenceState:
     """The records a stream builds, in the order the seed discovered them."""
 
-    def __init__(self, num_names: int, stats: TransformStats,
-                 simplify_expressions: bool, max_candidate_vars: int) -> None:
+    def __init__(self, num_names: int, stats: TransformStats) -> None:
         self.stats = stats
-        self.simplify_expressions = simplify_expressions
-        self.max_candidate_vars = max_candidate_vars
         self.names: List[str] = [""] + [
             variable_name(index) for index in range(1, num_names + 1)
         ]
@@ -232,8 +234,7 @@ class _ReferenceState:
 
     def accept_definition(self, variable: int, expr: Expr) -> None:
         name = self.name_of(variable)
-        if self.simplify_expressions:
-            expr = simplify(expr)
+        expr = simplify(expr)
         for support_name in sorted(expr.support()):
             self.mark_input(support_name)
         self.definitions.append((name, expr))
@@ -247,7 +248,7 @@ class _ReferenceState:
         if not buffer:
             return
         expr = group_to_constraint_expr(buffer)
-        if self.simplify_expressions and len(expr.support()) <= self.max_candidate_vars:
+        if len(expr.support()) <= MAX_CANDIDATE_VARS:
             expr = simplify(expr)
         for support_name in sorted(expr.support()):
             self.mark_input(support_name)
@@ -263,29 +264,20 @@ def _try_definition(
     state: _ReferenceState,
     variable: int,
     subgroup: Sequence[Clause],
-    use_signature_fast_path: bool,
-    max_candidate_vars: int,
 ) -> Optional[Expr]:
-    if use_signature_fast_path:
-        match = match_gate_signature(variable, subgroup)
-        if match is not None and not any(
-            abs(literal) == variable for literal in match.fanin_literals
-        ):
-            state.stats.signature_matches += 1
-            return _expr_from_gate_match(match)
-    expr = find_boolean_expression(variable, subgroup, max_vars=max_candidate_vars)
+    match = match_gate_signature(variable, subgroup)
+    if match is not None and not any(
+        abs(literal) == variable for literal in match.fanin_literals
+    ):
+        state.stats.signature_matches += 1
+        return _expr_from_gate_match(match)
+    expr = find_boolean_expression(variable, subgroup, max_vars=MAX_CANDIDATE_VARS)
     if expr is not None:
         state.stats.generic_matches += 1
     return expr
 
 
-def _stream_reference(
-    clauses: Sequence[Clause],
-    state: _ReferenceState,
-    use_signature_fast_path: bool,
-    max_group_size: int,
-    max_candidate_vars: int,
-) -> None:
+def _stream_reference(clauses: Sequence[Clause], state: _ReferenceState) -> None:
     """Append each clause, rescan the buffer for a definition, flush."""
     buffer: List[Clause] = []
 
@@ -306,9 +298,7 @@ def _stream_reference(
                 for clause in buffer
                 if clause.contains(variable) or clause.contains(-variable)
             ]
-            expr = _try_definition(
-                state, variable, subgroup, use_signature_fast_path, max_candidate_vars
-            )
+            expr = _try_definition(state, variable, subgroup)
             if expr is not None:
                 state.accept_definition(variable, expr)
                 name = state.name_of(variable)
@@ -335,7 +325,7 @@ def _stream_reference(
             pass
         if not buffer:
             continue
-        if len(buffer) >= max_group_size:
+        if len(buffer) >= MAX_GROUP_SIZE:
             state.flush_group(buffer)
             buffer.clear()
             continue
@@ -350,25 +340,14 @@ def _stream_reference(
     buffer.clear()
 
 
-def transform_reference(
-    formula: CNF,
-    simplify_expressions: bool = True,
-    use_signature_fast_path: bool = True,
-    optimize: bool = True,
-    max_group_size: int = 64,
-    max_candidate_vars: int = 12,
-) -> TransformResult:
-    """The seed's ``transform_cnf``: same options, same result, no index or memo."""
+def transform_reference(formula: CNF) -> TransformResult:
+    """The seed's ``transform_cnf``: same result, no index or memo."""
     start = time.perf_counter()
     clauses = list(formula.clauses)
     stats = TransformStats(num_clauses=len(clauses))
     stats.cnf_operations = formula.two_input_operation_count()
-    state = _ReferenceState(
-        formula.num_variables, stats, simplify_expressions, max_candidate_vars
-    )
-    _stream_reference(
-        clauses, state, use_signature_fast_path, max_group_size, max_candidate_vars
-    )
+    state = _ReferenceState(formula.num_variables, stats)
+    _stream_reference(clauses, state)
     # Variables the stream neither took as inputs nor defined are free.
     covered = state.input_vars | state.defined_vars
     free_variables = [
@@ -376,23 +355,16 @@ def transform_reference(
         for index in range(1, formula.num_variables + 1)
         if index not in covered
     ]
-    options = dict(
-        simplify_expressions=simplify_expressions,
-        use_signature_fast_path=use_signature_fast_path,
-        optimize=optimize,
-        max_group_size=max_group_size,
-        max_candidate_vars=max_candidate_vars,
-    )
-    return finish_transform(formula, clauses, state, free_variables, (), options, start)
+    return finish_transform(formula, clauses, state, free_variables, (), start)
 
 
 def retransform_reference(prev: TransformResult, delta) -> TransformResult:
     """Rebuild ``prev``'s formula under ``delta`` from scratch, on the oracle.
 
     The clause sequence is ``delta`` applied to the exact sequence ``prev``
-    consumed, the variable range widens to the appended clauses, and the
-    transform options are ``prev``'s — what :func:`repro.core.transform.
-    retransform` must reproduce record for record.
+    consumed and the variable range widens to the appended clauses — what
+    :func:`repro.core.transform.retransform` must reproduce record for
+    record.
     """
     replay = prev.replay
     if delta.is_empty:
@@ -405,11 +377,4 @@ def retransform_reference(prev: TransformResult, delta) -> TransformResult:
     formula = CNF(num_variables=num_variables, name=prev.source_name)
     for clause in mutated:
         formula.add_clause(clause)
-    return transform_reference(
-        formula,
-        simplify_expressions=replay.simplify_expressions,
-        use_signature_fast_path=replay.use_signature_fast_path,
-        optimize=replay.optimize,
-        max_group_size=replay.max_group_size,
-        max_candidate_vars=replay.max_candidate_vars,
-    )
+    return transform_reference(formula)

@@ -49,7 +49,6 @@ class TestConfigRoundTrip:
             batch_size=128,
             iterations=7,
             learning_rate=2.5,
-            optimizer="adam",
             init_scale=0.5,
             seed=42,
             max_rounds=9,
@@ -77,11 +76,14 @@ class TestConfigRoundTrip:
             pytest.param("device", {"kind": "cpu", "chunk_size": 4}, id="value2"),
             pytest.param("array_backend", "numpy", id="array_backend-numpy"),
             pytest.param("array_backend", "numpy:float32", id="array_backend-float32"),
+            pytest.param("optimizer", "sgd", id="optimizer-sgd"),
+            pytest.param("optimizer", "adam", id="optimizer-adam"),
         ],
     )
     def test_removed_device_key_rejected(self, key, value):
         # Removed config fields (the device object; the float dtype policy,
-        # now always float32) fail naming the key, in a manifest too.
+        # now always float32; the optimizer, now always Eq. 10's plain
+        # gradient descent) fail naming the key, in a manifest too.
         with pytest.raises(ManifestError, match=f"unknown config field '{key}'"):
             config_from_dict({key: value})
         with pytest.raises(ManifestError, match=f"job #0.*'{key}'"):

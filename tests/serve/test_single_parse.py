@@ -14,7 +14,7 @@ import pytest
 
 import repro.cnf.dimacs as dimacs_module
 import repro.serve.jobs as jobs_module
-from repro.cnf import planted_ksat
+from tests.corpus.generators import planted_ksat
 from repro.cnf.dimacs import write_dimacs
 from repro.core.config import SamplerConfig
 from repro.core.task import SamplingTask

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.circuit.netlist import Circuit
-from repro.cnf import planted_ksat
+from tests.corpus.generators import planted_ksat
 from repro.cnf.clause import Clause
 from repro.cnf.formula import CNF
 from repro.core.config import SamplerConfig

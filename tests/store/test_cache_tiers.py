@@ -4,14 +4,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cnf import planted_ksat
 from repro.cnf.dimacs import parse_dimacs
 from repro.cnf.formula import CNF
+from repro.core.config import SamplerConfig
+from repro.core.pipeline import sample_cnf
 from repro.core.signatures import formula_signature
 from repro.core.task import SamplingTask
+from repro.core.transform import transform_cnf
 from repro.serve.cache import ArtifactCache
-from repro.store import ArtifactStore, KIND_TRANSFORM
+from repro.store import ArtifactStore, KIND_TRANSFORM, StoreFormatError
+from repro.store.format import LAYOUT_ARRAYS, VerifiedEntry
 from tests.conftest import FIG1_DIMACS
+from tests.corpus.generators import planted_ksat
 
 
 def _fig1():
@@ -153,3 +157,60 @@ class TestGetOrBuildTask:
         assert artifact.incremental
         # The derived artifact was persisted under the effective signature.
         assert store.contains(KIND_TRANSFORM, effective_signature)
+
+
+class TestUndecodableTransform:
+    """A ``transform`` entry that verifies but does not unpickle (say, one a
+    build with another ``TransformReplay`` layout wrote) is a miss: the
+    store is only an accelerator."""
+
+    @staticmethod
+    def _fail_decodes(monkeypatch):
+        """Make every pickled entry fail to decode; ``round`` entries, in
+        the pickle-free layout, still load."""
+        decode = VerifiedEntry.decode
+
+        def fail_pickled(entry):
+            if entry.layout == LAYOUT_ARRAYS:
+                return decode(entry)
+            raise StoreFormatError("payload does not unpickle: layout drift")
+
+        monkeypatch.setattr(VerifiedEntry, "decode", fail_pickled)
+
+    def test_incremental_job_over_it_builds_cold(self, tmp_path, monkeypatch):
+        directory = tmp_path / "shared"
+        base_signature = formula_signature(_base())
+        ArtifactCache(store=ArtifactStore(directory)).get_or_build_task(
+            None, base_signature, base_signature, loader=_base
+        )
+        store = ArtifactStore(directory)
+        cache = ArtifactCache(store=store)
+        parent, _, _ = cache.get_or_build_task(
+            None, base_signature, base_signature, loader=_base
+        )
+        assert parent.source == "store" and parent.pending is not None
+        self._fail_decodes(monkeypatch)
+        for assume in ((2,), (3,)):
+            task = SamplingTask.build(assume=assume)
+            effective = task.apply_to(_base())
+            artifact, built, derived = cache.get_or_build_task(
+                task, formula_signature(effective), base_signature, loader=_base
+            )
+            assert (built, derived) == (True, False)  # no warm parent: cold
+            cold = transform_cnf(effective)
+            assert artifact.transform.definitions == cold.definitions
+            assert artifact.transform.constraints == cold.constraints
+        # The bad bytes were decoded once, not once per job.
+        assert store.counters()["transform_decodes"] == 1
+
+    def test_pipeline_store_hit_falls_back_to_a_build(self, tmp_path, monkeypatch):
+        config = SamplerConfig(
+            batch_size=32, seed=3, max_rounds=3, store_dir=str(tmp_path / "store")
+        )
+        first = sample_cnf(_fig1(), num_solutions=10, config=config)
+        self._fail_decodes(monkeypatch)
+        second = sample_cnf(_fig1(), num_solutions=10, config=config)
+        assert second.transform.definitions == first.transform.definitions
+        assert np.array_equal(
+            second.sample.solution_matrix(), first.sample.solution_matrix()
+        )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tests.oracles.tensor.functional import square
-from tests.oracles.tensor.optim import SGD, Adam, Optimizer
+from tests.oracles.tensor.optim import SGD, Optimizer
 from tests.oracles.tensor.tensor import Tensor
 
 
@@ -58,38 +58,3 @@ class TestSGD:
         optimizer = SGD([parameter], lr=0.5)
         optimizer.step()  # no backward yet; must not crash
         assert np.allclose(parameter.numpy(), [1.0])
-
-
-class TestAdam:
-    def test_converges_on_quadratic(self):
-        parameter = Tensor([4.0], requires_grad=True)
-        optimizer = Adam([parameter], lr=0.3)
-        for _ in range(200):
-            optimizer.zero_grad()
-            square(parameter).sum().backward()
-            optimizer.step()
-        assert abs(parameter.item()) < 1e-2
-
-    def test_invalid_learning_rate(self):
-        parameter = Tensor([1.0], requires_grad=True)
-        with pytest.raises(ValueError):
-            Adam([parameter], lr=-0.1)
-
-    def test_first_step_magnitude_close_to_lr(self):
-        parameter = Tensor([10.0], requires_grad=True)
-        optimizer = Adam([parameter], lr=0.5)
-        square(parameter).sum().backward()
-        optimizer.step()
-        assert np.isclose(abs(10.0 - parameter.item()), 0.5, atol=0.05)
-
-    def test_moments_keyed_by_position_not_id(self):
-        """Regression: id() keys can be recycled by a freed tensor, silently
-        handing its moments to an unrelated parameter."""
-        first = Tensor([1.0], requires_grad=True)
-        second = Tensor([2.0], requires_grad=True)
-        optimizer = Adam([first, second], lr=0.1)
-        first.grad = np.array([1.0])
-        second.grad = np.array([1.0])
-        optimizer.step()
-        assert set(optimizer._first_moment) == {0, 1}
-        assert set(optimizer._second_moment) == {0, 1}

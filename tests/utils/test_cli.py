@@ -66,9 +66,6 @@ class TestTransformCommand:
         assert verilog_path.read_text().startswith("module")
         assert "INPUT(" in bench_path.read_text()
 
-    def test_no_simplify_flag(self, fig1_path, capsys):
-        assert main(["transform", str(fig1_path), "--no-simplify"]) == 0
-
 
 class TestInstancesCommand:
     def test_listing(self, capsys):

@@ -21,7 +21,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cnf import CNF, planted_ksat
+from repro.cnf import CNF
+from tests.corpus.generators import planted_ksat
 from repro.core.config import SamplerConfig
 from repro.core.pipeline import sample_cnf
 from repro.core.sampler import GradientSATSampler
