@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.config import SamplerConfig
-from repro.serve import SamplingService, plan_resume, read_journal
+from repro.serve import RetryPolicy, SamplingService, plan_resume, read_journal
 from repro.serve.jobs import SamplingJob
 from repro.serve.journal import JOURNAL_NAME, job_fingerprint
 
@@ -72,7 +72,7 @@ def main() -> None:
     with SamplingService(
         num_workers=1,
         store_dir=False,
-        retry={"attempts": 2, "backoff": 0.1},
+        retry=RetryPolicy(max_attempts=2, backoff_seconds=0.1),
         faults="seed=7;kill:at=1",
     ) as service:
         doomed = service.submit(INSTANCE, num_solutions=50, config=CONFIG)

@@ -5,8 +5,9 @@ This walks through the telemetry layer (:mod:`repro.obs`) on a registry
 instance:
 
 1. run one pipeline job with a JSONL trace file open
-   (``SamplerConfig(telemetry=...)`` — the library-level switch behind
-   ``repro-sat sample --trace`` and ``$REPRO_TRACE``),
+   (``obs.trace_scope(path)`` around the call — what
+   ``repro-sat sample --trace`` does, and what ``$REPRO_TRACE`` does when
+   no scope names a spec),
 2. read the trace back and print the per-stage flame summary
    (what ``repro-sat obs TRACE`` prints),
 3. tabulate the run's metric counters from the trace file's metrics line,
@@ -34,8 +35,8 @@ CONFIG = SamplerConfig(batch_size=256, seed=0, max_rounds=8)
 
 def trace_one_pipeline_job(trace_path: Path) -> None:
     formula = get_instance(INSTANCE).build_cnf()
-    config = CONFIG.with_(telemetry=str(trace_path))  # <- the only change
-    result = sample_cnf(formula, num_solutions=50, config=config)
+    with obs.trace_scope(str(trace_path)):  # <- the only change
+        result = sample_cnf(formula, num_solutions=50, config=CONFIG)
     print(f"[pipeline] {len(result.sample.solutions)} unique solutions on "
           f"{INSTANCE}; trace written to {trace_path}")
 

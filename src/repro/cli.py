@@ -102,14 +102,14 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="persistent artifact store: skip the transform "
                              "when this formula was compiled before, persist "
                              "it otherwise ('off' disables; overrides the "
-                             "REPRO_STORE_DIR environment variable — "
-                             "precedence: env < config < CLI; default: off "
-                             "unless REPRO_STORE_DIR is set)")
+                             "REPRO_STORE_DIR environment variable; default: "
+                             "off unless REPRO_STORE_DIR is set)")
     sample.add_argument("--trace", default=None, metavar="FILE",
                         help="record a telemetry trace of the run to this "
                              "JSONL file (inspect with 'repro-sat obs'; "
-                             "'mem' buffers spans without a file; overrides "
-                             "the REPRO_TRACE environment variable)")
+                             "'mem' buffers spans without a file, 'off' "
+                             "records none; overrides the REPRO_TRACE "
+                             "environment variable)")
 
     serve = subparsers.add_parser(
         "serve", help="run a jobs manifest through the multi-worker sampling service"
@@ -142,15 +142,12 @@ def _build_parser() -> argparse.ArgumentParser:
                             "to trace.jsonl in --output-dir (or the current "
                             "directory); inspect with 'repro-sat obs'")
     serve.add_argument("--retry", default=None, metavar="SPEC",
-                       help="service retry policy for failed tasks: an integer "
-                            "max attempts or a spec like "
-                            "'attempts=5,backoff=0.5,deadline=60' (layered "
-                            "over $REPRO_RETRY; per-job 'retry' manifest keys "
-                            "override)")
-    serve.add_argument("--no-supervise", action="store_true",
-                       help="do not respawn dead workers or requeue their "
-                            "tasks (a worker death fails its jobs, the "
-                            "pre-supervision behaviour)")
+                       help="retry policy for every failed task: N (max "
+                            "attempts, default 3) or 'attempts=N,backoff=S' "
+                            "(S = seconds before the first retry, default "
+                            "0.1, doubling per retry up to 30); a worker "
+                            "death spends an attempt, and a task whose last "
+                            "attempt died is 'poisoned'")
     serve.add_argument("--resume", default=None, metavar="DIR",
                        help="resume an interrupted run from DIR's journal: "
                             "jobs whose completion was journaled (and whose "
@@ -250,6 +247,8 @@ def _read_formula(path: str) -> Optional[CNF]:
 
 
 def _command_sample(arguments: argparse.Namespace) -> int:
+    from repro import obs
+
     formula = _read_formula(arguments.cnf)
     if formula is None:
         return 2
@@ -260,12 +259,15 @@ def _command_sample(arguments: argparse.Namespace) -> int:
         learning_rate=arguments.learning_rate,
         seed=arguments.seed,
         timeout_seconds=arguments.timeout,
-        store_dir=arguments.store_dir,
-        telemetry=arguments.trace,
     )
-    result = sample_cnf(
-        formula, num_solutions=arguments.num_solutions, config=config, task=task
-    )
+    with obs.trace_scope(arguments.trace):
+        result = sample_cnf(
+            formula,
+            num_solutions=arguments.num_solutions,
+            config=config,
+            task=task,
+            store_dir=arguments.store_dir,
+        )
     sample = result.sample
     print(f"instance           : {formula.name or arguments.cnf}")
     print(f"variables / clauses: {result.formula.num_variables} / {result.formula.num_clauses}")
@@ -306,11 +308,11 @@ def _command_serve(arguments: argparse.Namespace) -> int:
         plan_resume,
     )
     from repro.serve.journal import JOURNAL_NAME
-    from repro.serve.retry import RetrySpecError, resolve_retry_policy
+    from repro.serve.retry import RetrySpecError, parse_retry_spec
 
     try:
         jobs = load_manifest(arguments.manifest)
-        resolve_retry_policy(arguments.retry)  # $REPRO_RETRY under --retry
+        retry = None if arguments.retry is None else parse_retry_spec(arguments.retry)
     except (ManifestError, RetrySpecError) as error:
         print(f"repro-sat: error: {error}", file=sys.stderr)
         return 2
@@ -382,8 +384,7 @@ def _command_serve(arguments: argparse.Namespace) -> int:
             cache_bytes=cache_bytes,
             store_dir=store_spec,
             trace=trace,
-            retry=arguments.retry,
-            supervise=not arguments.no_supervise,
+            retry=retry,
             journal=journal,
             faults=arguments.faults,
         ) as service:
@@ -476,7 +477,7 @@ def _command_serve(arguments: argparse.Namespace) -> int:
                 f"{key}={int(value)}" for key, value in sorted(counters.items())
             )
             print(f"artifact counters   : {pairs}")
-    if trace:
+    if trace and trace not in ("off", "mem"):
         print(f"trace written       : {trace} (repro-sat obs {trace})")
 
     def status_of(result) -> str:

@@ -9,6 +9,13 @@ Neither the float dtype nor the engine tier is a field here.  The learning
 arrays are always ``float32`` (:mod:`repro.engine.train`); the platform picks
 the tier (the on-demand C kernels or the NumPy paths, bitwise identical), and
 ``REPRO_NATIVE=off`` is the one process-wide switch (:mod:`repro.native`).
+
+Nor is any deployment setting: a config holds the sampler's
+hyper-parameters and nothing else.  The artifact store is an argument of
+the entry point that owns it (``sample_cnf(store_dir=)``,
+``SamplingService(store_dir=)``), and tracing is scoped by the caller with
+:func:`repro.obs.trace_scope` (``SamplingService(trace=)`` and the CLI's
+``--trace`` open one).
 """
 
 from __future__ import annotations
@@ -49,22 +56,6 @@ class SamplerConfig:
     #: instances sample a round as one vectorised step, their overshoot is
     #: that single step).
     timeout_seconds: Optional[float] = None
-    #: Persistent artifact-store directory (:mod:`repro.store`) consulted by
-    #: :func:`repro.core.pipeline.sample_cnf` before running the CNF->circuit
-    #: transform, and populated after a cold build.  ``None`` defers to the
-    #: ``REPRO_STORE_DIR`` environment variable (off when unset); ``"off"``
-    #: is explicitly off — precedence: environment < config < CLI (the CLI
-    #: writes this field, so ``--store-dir`` wins).  The library default is
-    #: *off*: enable it for workloads that resample the same formulas across
-    #: processes or runs.
-    store_dir: Optional[str] = None
-    #: Telemetry spec (:mod:`repro.obs`): ``"off"`` forces tracing off,
-    #: ``"mem"``/``"on"`` enable the in-memory span ring, any other string is
-    #: a JSONL trace-file path.  ``None`` defers to the ``REPRO_TRACE``
-    #: environment variable (off when unset) — precedence: environment <
-    #: config < CLI (the CLI writes this field, so ``--trace`` wins).
-    #: Metrics counters are always live regardless of this spec.
-    telemetry: Optional[str] = None
 
     def __post_init__(self) -> None:
         check_positive("batch_size", self.batch_size)

@@ -82,6 +82,7 @@ def sample_cnf(
     should_stop: Optional[Callable[[], bool]] = None,
     on_round: Optional[Callable] = None,
     task: Optional[SamplingTask] = None,
+    store_dir: Union[None, bool, str, Path] = None,
 ) -> PipelineResult:
     """Run the full pipeline on a CNF instance.
 
@@ -110,16 +111,21 @@ def sample_cnf(
         clause delta is applied to the formula *before* transforming, its
         projection drives solution dedup and its weights bias initialization.
         ``None`` (the default task) reproduces the pre-task pipeline bitwise.
+    store_dir:
+        Persistent artifact store (:mod:`repro.store`), read the way
+        ``SamplingService(store_dir=)`` reads it: ``None`` defers to the
+        ``REPRO_STORE_DIR`` environment variable (off when unset),
+        ``False``/``"off"`` is off, ``True`` is the conventional
+        ``~/.cache/repro-sat/store`` and a path is that directory.  With a
+        store, the transform stage first consults it for the formula's
+        signature and persists after a cold build, so repeated runs over the
+        same formula skip Algorithm 1 entirely.  The store is bypassed when
+        a pre-computed ``transform`` is supplied.
 
-    When the config names a persistent artifact store
-    (``config.store_dir``, or the ``REPRO_STORE_DIR`` environment variable
-    when that field is ``None`` — see :mod:`repro.store`), the transform
-    stage first consults the store for the formula's signature and persists
-    after a cold build, so repeated runs over the same formula skip
-    Algorithm 1 entirely.  The store path is bypassed when a pre-computed
-    ``transform`` is supplied.
+    Tracing follows the caller's :func:`repro.obs.trace_scope`; with none
+    open, the ``REPRO_TRACE`` environment variable decides.
     """
-    with obs.trace_scope(config.telemetry if config is not None else None):
+    with obs.trace_scope(None):
         with obs.span("pipeline.sample_cnf") as pspan:
             formula = load_formula(source)
             if task is not None:
@@ -128,7 +134,7 @@ def sample_cnf(
             if transform is None:
                 from repro.store import open_store
 
-                store = open_store(config.store_dir if config is not None else None)
+                store = open_store(store_dir)
                 if store is not None:
                     from repro.core.signatures import formula_signature
                     from repro.serve.cache import build_artifact

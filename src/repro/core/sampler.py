@@ -259,12 +259,11 @@ class GradientSATSampler:
         round's *new unique* solutions as a boolean matrix — the streaming
         hook ``repro.serve`` uses to forward incremental results.
         """
-        with obs.trace_scope(self.config.telemetry):
-            with obs.span("sampler.sample") as sspan:
-                result = self._sample(num_solutions, should_stop, on_round)
-                sspan.set("rounds", len(result.rounds))
-                sspan.set("unique_solutions", result.num_unique)
-                return result
+        with obs.span("sampler.sample") as sspan:
+            result = self._sample(num_solutions, should_stop, on_round)
+            sspan.set("rounds", len(result.rounds))
+            sspan.set("unique_solutions", result.num_unique)
+            return result
 
     def _sample(
         self,

@@ -14,9 +14,13 @@ Three pillars, all dependency-free:
   queue back to :class:`~repro.serve.service.SamplingService`, which merges
   worker spans/metrics into one coherent per-job timeline.
 
-Enablement precedence mirrors every other knob in the repo — environment
-(``REPRO_TRACE``) < ``SamplerConfig(telemetry=)`` < CLI (``--trace``); the
-metrics registry is always live (counter increments are a dict update).
+Tracing is enabled by the entry point that owns a run, for its extent
+(:func:`trace_scope`): ``SamplingService(trace=)``, the CLI's ``--trace``,
+or the ``REPRO_TRACE`` environment variable, which only a scope with no
+spec of its own reads (``sample_cnf`` opens one) — so an explicit spec
+wins, and ``"off"`` keeps tracing off for its whole extent.  The sampler
+itself opens no scope.  The metrics registry is always live (counter
+increments are a dict update).
 ``repro-sat obs TRACE`` pretty-prints a recorded trace; see the README's
 "Observability" section for naming conventions and the trace-file format.
 """

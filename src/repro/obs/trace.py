@@ -38,14 +38,15 @@ from typing import Any, Dict, List, Optional, Tuple
 
 #: Environment variable enabling tracing process-wide.  ``1``/``on``/``mem``
 #: enable the in-memory ring only; any other non-empty value is a JSONL
-#: trace-file path.  Precedence: environment < ``SamplerConfig(telemetry=)``
-#: < CLI ``--trace`` (the CLI writes the config field, so it wins).
+#: trace-file path.  Only a scope with no spec of its own reads it
+#: (:func:`trace_scope`), so an explicit spec — ``SamplingService(trace=)``,
+#: the CLI's ``--trace`` — wins, and an open ``"off"`` scope keeps it unread.
 TRACE_ENV_VAR = "REPRO_TRACE"
 
 #: Ring-buffer-only tracing specs (no trace file).
 _MEMORY_SPECS = ("1", "on", "mem", "memory", "ring")
 
-#: Specs that force tracing off (also what ``telemetry="off"`` means).
+#: Specs that force tracing off for a scope's extent.
 _OFF_SPECS = ("", "0", "off", "none", "disabled")
 
 #: Default bound of the in-memory ring of finished spans.
@@ -197,6 +198,10 @@ class Tracer:
     def __init__(self, ring_size: int = DEFAULT_RING_SIZE) -> None:
         #: The single attribute the disabled fast path checks.
         self.enabled = False
+        #: How many ``"off"`` scopes are open.  While any is, a scope with
+        #: no spec of its own leaves tracing off instead of reading
+        #: ``$REPRO_TRACE`` (see :func:`trace_scope`).
+        self.off_scopes = 0
         self._ring: deque = deque(maxlen=ring_size)
         self._sink: Optional[TraceSink] = None
         self._local = threading.local()
@@ -363,27 +368,35 @@ class _TraceScope:
     """Context manager applying a telemetry spec for a dynamic extent.
 
     Reentrancy: when tracing is already enabled, an inner scope is a no-op —
-    the outermost scope owns the sink — so a pipeline-level scope and the
-    sampler's own scope compose without double-opening trace files.
+    the outermost scope owns the sink — so an entry point's scope and a
+    library call's own scope compose without double-opening trace files.
+    An ``"off"`` scope holds tracing off for its whole extent: an inner
+    scope that defers to the environment (spec ``None``) does not read
+    ``$REPRO_TRACE`` while it is open.
     """
 
     def __init__(self, spec: Optional[str]) -> None:
-        self._spec = resolve_trace_spec(spec)
+        self._spec = spec
         self._action: Optional[str] = None
 
     def __enter__(self) -> "_TraceScope":
-        spec = self._spec
-        if spec is None or _TRACER.enabled:
+        if self._spec is None and _TRACER.off_scopes:
             return self
+        spec = resolve_trace_spec(self._spec)
         if spec == "off":
-            return self
-        enable_tracing(sink=None if spec == "mem" else spec)
-        self._action = "enabled"
+            _TRACER.off_scopes += 1
+            self._action = "held off"
+        elif spec is not None and not _TRACER.enabled:
+            enable_tracing(sink=None if spec == "mem" else spec)
+            self._action = "enabled"
         return self
 
     def __exit__(self, *_exc) -> None:
         if self._action == "enabled":
             disable_tracing()
+        elif self._action == "held off":
+            _TRACER.off_scopes -= 1
+        self._action = None
 
 
 def trace_scope(spec: Optional[str]) -> _TraceScope:

@@ -15,9 +15,9 @@ sampler, not inside it:
 * portfolio fan-out with first-to-target cancellation and exact-dedup
   merging (:mod:`repro.serve.portfolio`);
 * the spawn-safe worker processes (:mod:`repro.serve.workers`);
-* fault tolerance: worker supervision with bounded respawns
-  (:mod:`repro.serve.supervisor`), per-job retry policies
-  (:mod:`repro.serve.retry`) and the crash-safe job journal behind
+* fault tolerance: every pool is supervised, with bounded respawns
+  (:mod:`repro.serve.supervisor`), under one service-wide retry policy
+  (:mod:`repro.serve.retry`), and the crash-safe job journal behind
   ``repro-sat serve --resume`` (:mod:`repro.serve.journal`).
 
 Quick start::
@@ -56,7 +56,7 @@ from repro.serve.journal import (
     read_journal,
 )
 from repro.serve.portfolio import member_configs, merge_member_solutions, normalize_portfolio
-from repro.serve.retry import RetryPolicy, RetrySpecError, resolve_retry_policy
+from repro.serve.retry import RetryPolicy, RetrySpecError, parse_retry_spec
 from repro.serve.service import JobResult, SamplingService
 from repro.serve.supervisor import RestartPolicy, WorkerSupervisor
 
@@ -83,7 +83,7 @@ __all__ = [
     "merge_member_solutions",
     "normalize_portfolio",
     "parse_manifest",
+    "parse_retry_spec",
     "plan_resume",
     "read_journal",
-    "resolve_retry_policy",
 ]

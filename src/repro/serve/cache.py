@@ -73,8 +73,8 @@ class SamplingArtifact:
     A sampling round reads only :attr:`round` and :attr:`plan`.  The formula
     and its :class:`TransformResult` are needed only off that path (summaries,
     incremental derivation, the pipeline's result): a built artifact holds
-    them, a store-loaded one holds its verified ``transform`` entry and
-    decodes it on the first access to :attr:`formula` or :attr:`transform`.
+    them, a store-loaded one reads and decodes its ``transform`` entry on
+    the first access to :attr:`formula` or :attr:`transform`.
     """
 
     #: Content signature the artifact is keyed by.
@@ -101,9 +101,9 @@ class SamplingArtifact:
     load_seconds: float = 0.0
     #: ``(formula, transform)``, or ``None`` until :attr:`pending` is decoded.
     objects: Optional[Tuple[CNF, TransformResult]] = field(default=None, repr=False)
-    #: The store's verified, still-encoded ``transform`` entry (store hits
-    #: only).  It is decoded at most once: when both this and
-    #: :attr:`objects` are ``None``, the decode failed.
+    #: The store's still-unread ``transform`` entry (store hits only).  It
+    #: is decoded at most once: when both this and :attr:`objects` are
+    #: ``None``, the decode failed.
     pending: Optional[PendingTransform] = field(default=None, repr=False)
 
     @property
@@ -137,14 +137,12 @@ class SamplingArtifact:
 
     @property
     def nbytes(self) -> int:
-        """Byte cost charged to the cache: the plan, the round's programs
-        and any still-encoded store bytes the artifact keeps."""
+        """Byte cost charged to the cache: the plan and the round's programs
+        (a pending ``transform`` entry stays on disk until decoded)."""
         total = self.plan.nbytes
         for program in (self.round.learn, self.round.fill):
             if program is not None:
                 total += program.nbytes
-        if self.pending is not None:
-            total += self.pending.nbytes
         return total
 
     def release(self) -> None:

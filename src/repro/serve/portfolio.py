@@ -2,8 +2,8 @@
 
 CDCL portfolio solvers race restart/heuristic variants of one solver and
 take the first answer.  The GD sampler's analogue races *sampling runs* —
-different seeds, learning rates, batch sizes or float dtypes over the
-same formula — and, because sampling is an anytime accumulation rather than
+different seeds, learning rates or batch sizes over the same
+formula — and, because sampling is an anytime accumulation rather than
 a single answer, every member contributes: the portfolio's result is the
 **deduplicated union** of all member solution sets.
 

@@ -1,53 +1,37 @@
-"""Per-task retry policy: how many attempts, how spaced, how bounded.
+"""The service-wide retry policy: how many attempts, how spaced.
 
 A :class:`RetryPolicy` governs what the service does when a task *fails* —
 its worker died mid-task, or the task raised (e.g. a transient artifact
 build error).  Failed attempts are re-dispatched with exponential backoff
-until the attempt or wall-clock budget runs out; a task whose failures
-kept *killing workers* is then quarantined as ``poisoned`` (see
+until the attempt budget runs out; a task whose failures kept *killing
+workers* is then quarantined as ``poisoned`` (see
 :meth:`repro.serve.service.SamplingService._record_task_failure`) so one
 pathological formula cannot grind the pool through its restart budget.
 
-Resolution precedence (weakest first), mirroring the store/kernel knobs:
-
-1. the ``REPRO_RETRY`` environment variable (``"attempts=3,backoff=0.5"``),
-2. the service-level policy (``SamplingService(retry=...)``),
-3. the per-job override (manifest ``retry`` key / ``submit(retry=...)``),
-
-each layer overriding only the fields it names.  Retry never changes
-*results*: a replayed attempt samples with the same seed and the solution
-sets dedup exactly, so a job that succeeds after a retry is bitwise
-identical to one that never failed.
+There is one policy per service: ``SamplingService(retry=RetryPolicy(...))``,
+or ``repro-sat serve --retry SPEC`` (parsed by :func:`parse_retry_spec`).
+A job carries none of its own, because retry never changes *results*: a
+replayed attempt samples with the same seed and the solution sets dedup
+exactly, so a job that succeeds after a retry is bitwise identical to one
+that never failed.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, replace
-from typing import Dict, Optional, Union
+from dataclasses import dataclass
 
-#: Environment variable carrying the process-default retry overrides.
-ENV_VAR = "REPRO_RETRY"
+#: Multiplier applied to the delay per subsequent retry.
+BACKOFF_FACTOR = 2.0
 
-#: Spec/manifest key aliases -> :class:`RetryPolicy` field names.
-_KEY_ALIASES = {
-    "attempts": "max_attempts",
-    "max_attempts": "max_attempts",
-    "backoff": "backoff_seconds",
-    "backoff_seconds": "backoff_seconds",
-    "factor": "backoff_factor",
-    "backoff_factor": "backoff_factor",
-    "max_backoff": "backoff_max_seconds",
-    "backoff_max_seconds": "backoff_max_seconds",
-    "deadline": "deadline_budget_seconds",
-    "deadline_budget_seconds": "deadline_budget_seconds",
-}
+#: Ceiling on any single retry delay (seconds).
+BACKOFF_MAX_SECONDS = 30.0
 
-_INT_FIELDS = ("max_attempts",)
+#: ``--retry`` spec keys -> :class:`RetryPolicy` field names.
+_SPEC_KEYS = {"attempts": "max_attempts", "backoff": "backoff_seconds"}
 
 
 class RetrySpecError(ValueError):
-    """A retry spec (env string, manifest object, CLI flag) is malformed."""
+    """A retry spec (the ``--retry`` flag) is malformed."""
 
 
 @dataclass(frozen=True)
@@ -56,120 +40,55 @@ class RetryPolicy:
 
     #: Total attempts a task may consume (1 = never retry).
     max_attempts: int = 3
-    #: Delay before the first retry.
+    #: Delay before the first retry; each later one doubles it, up to
+    #: :data:`BACKOFF_MAX_SECONDS`.
     backoff_seconds: float = 0.1
-    #: Multiplier applied per subsequent retry.
-    backoff_factor: float = 2.0
-    #: Ceiling on any single delay.
-    backoff_max_seconds: float = 30.0
-    #: Wall-clock budget across *all* attempts of one task, measured from
-    #: its first dispatch (``None`` = unbounded).
-    deadline_budget_seconds: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise RetrySpecError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
             )
-        if self.backoff_seconds < 0 or self.backoff_max_seconds < 0:
+        if self.backoff_seconds < 0:
             raise RetrySpecError("backoff delays must be non-negative")
-        if self.backoff_factor < 1.0:
-            raise RetrySpecError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
-        if self.deadline_budget_seconds is not None and self.deadline_budget_seconds <= 0:
-            raise RetrySpecError("deadline_budget_seconds must be positive")
 
     def delay_for(self, failed_attempts: int) -> float:
         """Backoff before the retry following the Nth failure (1-based)."""
-        delay = self.backoff_seconds * (self.backoff_factor ** max(0, failed_attempts - 1))
-        return min(delay, self.backoff_max_seconds)
-
-    def with_overrides(self, overrides: Optional[Dict[str, object]]) -> "RetryPolicy":
-        """A copy with the (already-normalised) override fields applied."""
-        if not overrides:
-            return self
-        return replace(self, **overrides)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "max_attempts": self.max_attempts,
-            "backoff_seconds": self.backoff_seconds,
-            "backoff_factor": self.backoff_factor,
-            "backoff_max_seconds": self.backoff_max_seconds,
-            "deadline_budget_seconds": self.deadline_budget_seconds,
-        }
+        delay = self.backoff_seconds * (BACKOFF_FACTOR ** max(0, failed_attempts - 1))
+        return min(delay, BACKOFF_MAX_SECONDS)
 
 
-def normalize_retry_overrides(
-    value: Union[None, int, str, Dict[str, object], RetryPolicy],
-) -> Optional[Dict[str, object]]:
-    """Canonicalise one override layer to ``{field: value}`` (or ``None``).
+def parse_retry_spec(spec: str) -> RetryPolicy:
+    """Parse a ``--retry`` spec: ``"N"`` or ``"attempts=N,backoff=S"``.
 
-    Accepts an integer or an integer string (shorthand for
-    ``max_attempts``), a spec string
-    (``"attempts=3,backoff=0.5,factor=2,max_backoff=30,deadline=60"``), a
-    mapping using either the alias or the full field names, or a ready
-    :class:`RetryPolicy` (meaning: replace every field).
+    A bare integer means ``max_attempts``; a key the spec omits keeps its
+    :class:`RetryPolicy` default.  Anything else is a
+    :class:`RetrySpecError` naming the offending part.
     """
-    if value is None:
-        return None
-    if isinstance(value, RetryPolicy):
-        return value.to_dict()
-    if isinstance(value, bool):
-        raise RetrySpecError(f"cannot interpret {value!r} as a retry policy")
-    if isinstance(value, int):
-        return {"max_attempts": value}
-    if isinstance(value, str):
-        try:
-            return {"max_attempts": int(value)}
-        except ValueError:
-            pass  # a key=value spec
-        parsed: Dict[str, object] = {}
-        for item in value.split(","):
-            item = item.strip()
-            if not item:
-                continue
-            key, separator, raw = item.partition("=")
-            if not separator:
-                raise RetrySpecError(f"retry option {item!r} is not key=value")
-            parsed[key.strip()] = raw.strip()
-        value = parsed
-    if not isinstance(value, dict):
-        raise RetrySpecError(
-            f"cannot interpret {type(value).__name__} as a retry policy"
-        )
-    overrides: Dict[str, object] = {}
-    for key, raw in value.items():
-        field = _KEY_ALIASES.get(str(key))
-        if field is None:
-            raise RetrySpecError(
-                f"unknown retry option {key!r} (accepted: "
-                f"{', '.join(sorted(set(_KEY_ALIASES)))})"
-            )
-        if raw is None or raw == "" or (isinstance(raw, str) and raw.lower() == "none"):
-            overrides[field] = None
+    if not isinstance(spec, str):
+        raise RetrySpecError(f"cannot interpret {spec!r} as a retry spec")
+    try:
+        attempts = int(spec)
+    except ValueError:
+        pass  # a key=value spec
+    else:
+        return RetryPolicy(max_attempts=attempts)
+    fields = {}
+    for item in spec.split(","):
+        item = item.strip()
+        if not item:
             continue
+        key, separator, raw = item.partition("=")
+        key = key.strip()
+        if not separator:
+            raise RetrySpecError(f"retry option {item!r} is not key=value")
+        if key not in _SPEC_KEYS:
+            raise RetrySpecError(
+                f"unknown retry option {key!r} (accepted: {', '.join(_SPEC_KEYS)})"
+            )
+        field = _SPEC_KEYS[key]
         try:
-            overrides[field] = int(raw) if field in _INT_FIELDS else float(raw)
-        except (TypeError, ValueError) as error:
-            raise RetrySpecError(f"bad retry option {key}={raw!r}") from error
-    return overrides
-
-
-def resolve_retry_policy(*layers) -> RetryPolicy:
-    """Fold override layers (weakest first) over the env-seeded default.
-
-    ``None`` layers are skipped.  The ``REPRO_RETRY`` environment variable
-    is always the weakest layer; callers pass service config then per-job/
-    CLI overrides, in that order.
-    """
-    policy = RetryPolicy()
-    env = os.environ.get(ENV_VAR, "").strip()
-    if env:
-        policy = policy.with_overrides(normalize_retry_overrides(env))
-    for layer in layers:
-        overrides = normalize_retry_overrides(layer)
-        if overrides:
-            policy = policy.with_overrides(overrides)
-    return policy
+            fields[field] = int(raw) if field == "max_attempts" else float(raw)
+        except ValueError as error:
+            raise RetrySpecError(f"bad retry option {key}={raw.strip()!r}") from error
+    return RetryPolicy(**fields)

@@ -39,14 +39,15 @@ workers are pumped while a caller waits inside :meth:`result`,
 :meth:`stream` or :meth:`drain`.  It is not itself thread-safe; wrap calls
 in a lock to share one service across threads.
 
-Fault tolerance (with a worker pool): dead workers are *supervised* — the
-pool respawns them with per-slot exponential backoff under a bounded
+Fault tolerance (with a worker pool): dead workers are always *supervised*
+— the pool respawns them with per-slot exponential backoff under a bounded
 restart budget (:mod:`repro.serve.supervisor`), the replacement re-primes
 its artifact cache through the persistent store, and the dead worker's
-in-flight tasks are requeued under a per-job :class:`RetryPolicy`
-(:mod:`repro.serve.retry`) instead of erroring.  A task whose retries keep
-killing workers is quarantined as ``poisoned`` with its attempt history in
-the :class:`JobResult`.  Because sampling is seed-deterministic and the
+in-flight tasks are requeued under the service's one :class:`RetryPolicy`
+(:mod:`repro.serve.retry`) instead of erroring.  A worker death consumes
+the task's retry budget, and a task whose budget ran out that way is
+quarantined as ``poisoned`` with its attempt history in the
+:class:`JobResult`.  Because sampling is seed-deterministic and the
 solution sets dedup exactly, a job that survives a worker kill returns a
 solution set bitwise identical to an undisturbed run.  An optional
 :class:`~repro.serve.journal.JobJournal` records submissions, attempts and
@@ -75,8 +76,8 @@ from repro.serve.jobs import SamplingJob, config_to_dict, read_source
 from repro.serve.journal import JobJournal, job_fingerprint
 from repro.serve.portfolio import member_configs, merge_member_solutions
 from repro.serve.queue import CoalesceTable, Dispatcher, coalesce_key
-from repro.serve.retry import RetryPolicy, normalize_retry_overrides, resolve_retry_policy
-from repro.serve.supervisor import RestartPolicy, WorkerSupervisor
+from repro.serve.retry import RetryPolicy
+from repro.serve.supervisor import WorkerSupervisor
 from repro.serve.workers import (
     MSG_DONE,
     MSG_ERROR,
@@ -138,8 +139,8 @@ class JobResult:
 
     job_id: str
     #: ``"done"``, ``"error"`` (every member failed), ``"poisoned"`` (every
-    #: member failed and at least one was quarantined for repeatedly killing
-    #: its worker), or ``"interrupted"`` (a graceful drain checkpointed the
+    #: member failed and at least one was quarantined because a worker death
+    #: spent its last attempt), or ``"interrupted"`` (a graceful drain checkpointed the
     #: job before it reached its target — re-runnable via ``--resume``).
     status: str
     #: Merged, exactly-deduplicated unique solutions (member-index order);
@@ -187,10 +188,7 @@ class _TaskState:
     attempts: List[Dict[str, object]] = field(default_factory=list)
     #: Whether the task sits in some worker's queue / is executing there.
     in_flight: bool = False
-    #: Monotonic time of the first dispatch (anchors the deadline budget).
-    first_dispatch: Optional[float] = None
-    #: Quarantined: the task's failures kept killing workers until the
-    #: retry budget ran out.
+    #: Quarantined: a worker death spent the task's last attempt.
     poisoned: bool = False
 
 
@@ -222,8 +220,6 @@ class _JobState:
     #: Set when a graceful drain checkpointed this job (finalizes as
     #: ``"interrupted"`` unless the target was already reached).
     drained: bool = False
-    #: Effective retry policy (service policy + per-job overrides).
-    retry_policy: RetryPolicy = field(default_factory=RetryPolicy)
     result: Optional[JobResult] = None
     #: Follower jobs resolved from this primary when it finishes.
     primary: Optional[str] = None
@@ -297,22 +293,15 @@ class SamplingService:
         Telemetry spec (:mod:`repro.obs`) scoped to this service's lifetime:
         ``True``/``"mem"`` enables the in-memory span ring, a path streams
         the merged trace — service job spans plus every worker's task spans,
-        correctly parented — to that JSONL file, ``False``/``"off"`` forces
-        tracing off, and ``None`` defers to ``$REPRO_TRACE``.  On
+        correctly parented — to that JSONL file, ``False``/``"off"`` keeps
+        tracing off (here and in every worker, whatever ``$REPRO_TRACE``
+        says), and ``None`` defers to ``$REPRO_TRACE``.  On
         :meth:`close` the merged metrics dump is appended to the trace file.
     retry:
-        Service-level retry policy for failed tasks: a
-        :class:`~repro.serve.retry.RetryPolicy`, an override mapping/spec
-        string, or an integer (= ``max_attempts``).  Layered over the
-        ``REPRO_RETRY`` environment default; per-job ``retry`` overrides
-        layer over this (precedence env < service < job).
-    supervise:
-        Whether dead workers are respawned and their in-flight tasks
-        requeued (the default).  ``False`` restores the fail-fast
-        semantics: a worker death finalizes its tasks as errors and the
-        pool shrinks permanently.
-    restart_policy:
-        Bounds on worker respawns (:class:`~repro.serve.supervisor.RestartPolicy`).
+        The :class:`~repro.serve.retry.RetryPolicy` every failed task of
+        every job is retried under (``None``: the default policy).  With a
+        pool, dead workers are always respawned and their in-flight tasks
+        requeued; a death spends one attempt of the task's budget.
     journal:
         Crash-safe job journal: a :class:`~repro.serve.journal.JobJournal`
         or a path to create one at.  Records submissions, attempts,
@@ -333,9 +322,7 @@ class SamplingService:
         cache_bytes: Optional[int] = DEFAULT_MAX_BYTES,
         store_dir: Union[None, bool, str, Path] = None,
         trace: Union[None, bool, str, Path] = None,
-        retry: Union[None, int, str, Dict[str, object], RetryPolicy] = None,
-        supervise: bool = True,
-        restart_policy: Optional[RestartPolicy] = None,
+        retry: Optional[RetryPolicy] = None,
         journal: Union[None, str, Path, JobJournal] = None,
         faults: Optional[str] = None,
     ) -> None:
@@ -358,8 +345,11 @@ class SamplingService:
             max_entries=SOURCE_MEMO_ENTRIES, max_bytes=None
         )
         self._closed = False
-        self._retry_policy = resolve_retry_policy(retry)
-        self._supervise = supervise and num_workers > 0
+        if retry is not None and not isinstance(retry, RetryPolicy):
+            raise TypeError(
+                f"retry must be a RetryPolicy or None, got {type(retry).__name__}"
+            )
+        self._retry_policy = retry if retry is not None else RetryPolicy()
         self._journal: Optional[JobJournal] = (
             journal if isinstance(journal, (JobJournal, type(None))) else JobJournal(journal)
         )
@@ -407,7 +397,7 @@ class SamplingService:
             self._inline_cache = None
             self._result_queue = context.Queue()
             self._dispatcher = Dispatcher(num_workers)
-            self._supervisor = WorkerSupervisor(num_workers, restart_policy)
+            self._supervisor = WorkerSupervisor(num_workers)
             self._workers = [
                 _WorkerHandle(
                     context, worker_id, self._result_queue, cache_entries, cache_bytes, self.store_dir,
@@ -464,19 +454,16 @@ class SamplingService:
         coalesce: bool = True,
         job_id: Optional[str] = None,
         task: Optional[SamplingTask] = None,
-        retry: Union[None, int, str, Dict[str, object], RetryPolicy] = None,
     ) -> str:
         """Submit one sampling job; returns its job id immediately.
 
         ``source`` may be a ready :class:`SamplingJob` (remaining arguments
-        are then ignored, except ``retry`` which still overrides the job's
-        own policy) or anything
+        are then ignored) or anything
         :func:`~repro.serve.jobs.normalize_source` accepts — a
         :class:`CNF`, DIMACS text, a ``.cnf`` path, a registry-instance
         spec.  ``task`` attaches a workload spec
         (:class:`~repro.core.task.SamplingTask`): projection, weights
-        and/or a clause delta.  ``retry`` overrides the service retry
-        policy for this job only.
+        and/or a clause delta.
         """
         start = time.perf_counter()
         if self._closed:
@@ -541,10 +528,6 @@ class SamplingService:
             project=job.task.projection_columns(num_variables) or None,
         )
         job.task.weight_map(num_variables)  # fail fast on out-of-range weights
-        effective_retry = retry if retry is not None else job.retry
-        state.retry_policy = self._retry_policy.with_overrides(
-            normalize_retry_overrides(effective_retry)
-        )
         self._jobs[job_id] = state
         if self._journal is not None:
             state.fingerprint = job_fingerprint(job, digest)
@@ -1100,8 +1083,6 @@ class SamplingService:
                     # worker skips a task whose group flag is set.
                     self._skip_task(state, task_state, worker=0)
                     continue
-                if task_state.first_dispatch is None:
-                    task_state.first_dispatch = time.monotonic()
                 execute_task(
                     self._task_payload(state, task_state),
                     self._inline_cache,
@@ -1139,8 +1120,6 @@ class SamplingService:
         self._dispatcher.record_dispatch(worker, state.signature)
         task_state.worker = worker
         task_state.in_flight = True
-        if task_state.first_dispatch is None:
-            task_state.first_dispatch = time.monotonic()
         self._workers[worker].task_queue.put(self._task_payload(state, task_state))
         if self._journal is not None:
             self._journal.record(
@@ -1164,9 +1143,9 @@ class SamplingService:
     def _record_task_failure(
         self, state: _JobState, task_state: _TaskState, error: str, *, died: bool
     ) -> None:
-        """One attempt failed: requeue under the job's retry policy, or make
-        the failure terminal (quarantined as *poisoned* when worker deaths
-        spent the budget under supervision)."""
+        """One attempt failed: requeue under the service's retry policy, or
+        make the failure terminal (quarantined as *poisoned* when a worker
+        death spent the last attempt)."""
         now = time.monotonic()
         task_state.in_flight = False
         task_state.attempts.append(
@@ -1177,18 +1156,8 @@ class SamplingService:
                 "died": died,
             }
         )
-        policy = state.retry_policy
         attempts_used = task_state.attempt + 1
-        retryable = attempts_used < policy.max_attempts
-        if died and not self._supervise:
-            retryable = False  # fail-fast mode: a worker death is terminal
-        if (
-            retryable
-            and policy.deadline_budget_seconds is not None
-            and task_state.first_dispatch is not None
-            and now - task_state.first_dispatch >= policy.deadline_budget_seconds
-        ):
-            retryable = False  # the member's wall-clock budget is spent
+        retryable = attempts_used < self._retry_policy.max_attempts
         if retryable and not self._closed and not state.cancelled and not state.drained:
             task_state.attempt += 1
             _SERVE_RETRIES.inc(1.0, "died" if died else "error")
@@ -1204,13 +1173,13 @@ class SamplingService:
                 return  # the inline sweep re-runs the task immediately
             heapq.heappush(
                 self._retry_ready,
-                (now + policy.delay_for(attempts_used), state.job_id,
+                (now + self._retry_policy.delay_for(attempts_used), state.job_id,
                  task_state.member_index),
             )
             return
         task_state.done = True
         task_state.error = error
-        task_state.poisoned = died and self._supervise
+        task_state.poisoned = died
         if state.tasks_remaining == 0:
             self._finalize(state)
 
@@ -1254,30 +1223,21 @@ class SamplingService:
         """
         received = self._drain_message_queue()
         if block and not received:
-            reader = getattr(self._result_queue, "_reader", None)
-            if reader is None:  # pragma: no cover - non-CPython queue impl
-                try:
-                    kind, key, payload = self._result_queue.get(
-                        timeout=self._wait_timeout()
-                    )
-                except Empty:
-                    pass
-                else:
-                    received = True
-                    self._handle_queued(kind, key, payload)
-            else:
-                from multiprocessing.connection import wait as mp_wait
+            from multiprocessing.connection import wait as mp_wait
 
-                sentinels = [
-                    worker.process.sentinel
-                    for worker in self._workers
-                    if not worker.dead_handled
-                ]
-                try:
-                    mp_wait([reader] + sentinels, timeout=self._wait_timeout())
-                except OSError:  # pragma: no cover - sentinel raced a death
-                    time.sleep(0.001)
-                received = self._drain_message_queue()
+            sentinels = [
+                worker.process.sentinel
+                for worker in self._workers
+                if not worker.dead_handled
+            ]
+            try:
+                mp_wait(
+                    [self._result_queue._reader] + sentinels,
+                    timeout=self._wait_timeout(),
+                )
+            except OSError:  # pragma: no cover - sentinel raced a death
+                time.sleep(0.001)
+            received = self._drain_message_queue()
         self._check_workers_alive()
         self._maintenance()
         return received
@@ -1346,7 +1306,7 @@ class SamplingService:
                     and task_state.worker == slot
                 ):
                     self._record_task_failure(state, task_state, error, died=True)
-        if self._supervise and not self._supervisor.is_failed(slot):
+        if not self._supervisor.is_failed(slot):
             restart_at = self._supervisor.record_death(slot, time.monotonic())
             if restart_at is None:
                 # Restart budget spent: the slot stays down for good.

@@ -14,13 +14,15 @@ are in :mod:`repro.store.schema`):
   :class:`~repro.core.transform.TransformResult` (recovered circuit,
   definitions, constraints, replay); the one kind that is still pickled.
 
-A hit decodes only ``round``, and unpickles nothing.  The ``transform``
-entry is read and checksummed on every hit (so a corrupt one is still a
-miss) and its verified bytes ride along with the artifact as a
-:class:`PendingTransform`; they are unpickled — under a ``store.decode``
-span, counted in the store's ``transform_decodes`` — only when something
-other than a round needs the formula or the transform, such as an
-incremental derivation or the pipeline's summary.
+A hit decodes only ``round``, and unpickles nothing.  Of the ``transform``
+entry a hit checks only that it exists (refreshing its recency for the LRU
+prune); the artifact carries a :class:`PendingTransform` that reads,
+verifies and unpickles it — under a ``store.decode`` span, counted in the
+store's ``transform_decodes`` — only when something other than a round
+needs the formula or the transform, such as an incremental derivation or
+the pipeline's summary.  An entry that is missing or corrupt by then raises
+:class:`StoreFormatError` (a corrupt one is quarantined), and the callers
+fall back to a cold build.
 
 The ``transform`` entry is written *last*: its presence marks the signature
 complete, so a crash between writes can only leave behind an orphaned
@@ -40,7 +42,7 @@ from __future__ import annotations
 import time
 from typing import Callable, Optional, Tuple
 
-from repro.store.format import StoreFormatError, VerifiedEntry
+from repro.store.format import StoreFormatError
 from repro.store.schema import KIND_ROUND, KIND_TRANSFORM, encode_round
 from repro.store.store import ArtifactStore
 from repro import obs
@@ -51,22 +53,24 @@ _LOAD_SECONDS = obs.counter(
 )
 
 class PendingTransform:
-    """A verified ``transform`` entry, decoded on first use."""
+    """A store's ``transform`` entry for one signature, read on first use."""
 
-    def __init__(self, store: ArtifactStore, entry: VerifiedEntry) -> None:
+    def __init__(self, store: ArtifactStore, signature: str) -> None:
         self._store = store
-        self._entry = entry
-
-    @property
-    def nbytes(self) -> int:
-        """Encoded bytes kept in memory until the decode."""
-        return self._entry.nbytes
+        self._signature = signature
 
     def decode(self):
-        """``(formula, transform)`` from the verified bytes."""
+        """``(formula, transform)``: read, verify and unpickle the entry.
+
+        Raises :class:`StoreFormatError` when the entry is gone or does not
+        verify (the store quarantines a corrupt one) or does not unpickle.
+        """
         with obs.span("store.decode") as dspan:
-            dspan.set("signature", self._entry.signature[:12])
-            payload = self._store.decode(self._entry)
+            dspan.set("signature", self._signature[:12])
+            entry = self._store.read(KIND_TRANSFORM, self._signature)
+            if entry is None:
+                raise StoreFormatError("the transform entry is missing or corrupt")
+            payload = self._store.decode(entry)
         try:
             return payload["formula"], payload["transform"]
         except (TypeError, KeyError) as error:
@@ -98,22 +102,21 @@ def persist_artifact(store: ArtifactStore, artifact) -> bool:
 def load_sampling_artifact(store: ArtifactStore, signature: str):
     """Materialise the artifact for ``signature`` from the store, or ``None``.
 
-    A hit decodes and validates the ``round`` entry and verifies, but does
-    not decode, the ``transform`` entry (see the module docstring); both
-    entries' recency is refreshed.  A missing or corrupt ``transform`` makes
-    the load a miss.  A missing or invalid ``round`` (quarantined by the
-    store) is rebuilt from the decoded transform and written back.
+    A hit decodes and validates the ``round`` entry and only checks that
+    the ``transform`` entry exists (see the module docstring); both
+    entries' recency is refreshed.  A missing ``transform`` makes the load
+    a miss.  A missing or invalid ``round`` (quarantined by the store) is
+    rebuilt from the decoded transform and written back.
     """
     from repro.serve.cache import SamplingArtifact
 
     start = time.perf_counter()
     with obs.span("store.load") as lspan:
         lspan.set("signature", signature[:12])
-        entry = store.read(KIND_TRANSFORM, signature)
-        if entry is None:
+        if not store.touch(KIND_TRANSFORM, signature):
             lspan.set("outcome", "miss")
             return None
-        pending = PendingTransform(store, entry)
+        pending = PendingTransform(store, signature)
         hot = store.get(KIND_ROUND, signature)
         objects = None
         if hot is not None:

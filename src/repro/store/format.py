@@ -251,11 +251,6 @@ class VerifiedEntry:
     fields: Any = None
     array_specs: Tuple[ArraySpec, ...] = ()
 
-    @property
-    def nbytes(self) -> int:
-        """Bytes of payload this entry keeps alive until it is decoded."""
-        return self.payload.nbytes
-
     def decode(self) -> Any:
         """The entry's object; array blobs become zero-copy views into the payload.
 

@@ -196,6 +196,14 @@ class ArtifactStore:
         """Whether an entry file exists (no verification)."""
         return self.object_path(kind, signature).exists()
 
+    def touch(self, kind: str, signature: str) -> bool:
+        """Refresh an entry's recency without reading it; whether it exists."""
+        path = self.object_path(kind, signature)
+        if not path.exists():
+            return False
+        self._touch(path)
+        return True
+
     def read(self, kind: str, signature: str) -> Optional[VerifiedEntry]:
         """Read and verify one entry without unpickling it; a failure is a miss.
 

@@ -62,6 +62,14 @@ class TestValidation:
         with pytest.raises(TypeError, match="optimizer"):
             SamplerConfig(optimizer=value)
 
+    @pytest.mark.parametrize("key", ["telemetry", "store_dir"])
+    @pytest.mark.parametrize("value", [None, "off", "/tmp/x"])
+    def test_removed_deployment_field_rejected(self, key, value):
+        # Tracing and the artifact store belong to the entry point
+        # (sample_cnf, SamplingService, the CLI), not to the config.
+        with pytest.raises(TypeError, match=key):
+            SamplerConfig(**{key: value})
+
     def test_negative_chunk_size_names_the_field(self):
         with pytest.raises(ValueError, match="chunk_size"):
             SamplerConfig(chunk_size=-1)

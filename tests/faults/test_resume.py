@@ -199,6 +199,28 @@ class TestPlanResume:
         pending, rows = plan_resume([job], tmp_path / JOURNAL_NAME, tmp_path)
         assert [index for index, _job in pending] == [0] and rows == [None]
 
+    def test_completion_fingerprinted_with_telemetry_field_reruns(self, tmp_path):
+        # While SamplerConfig had a ``telemetry`` field, the fingerprint
+        # covered ``"telemetry": null``: this is the one such a journal
+        # recorded for make_job(seed=0).  It matches no job now, so the job
+        # re-runs instead of being skipped.
+        parent_fingerprint = (
+            "21befa03e743918f1d98f9f23a2e4354f60e6b48938953d6b2c17fe90194ab6b"
+        )
+        job = make_job(seed=0)
+        assert job_fingerprint(job) != parent_fingerprint
+        (tmp_path / "old.solutions").write_text("0 1\n")
+        with JobJournal(tmp_path / JOURNAL_NAME) as journal:
+            journal.record(
+                "done",
+                job="old",
+                fingerprint=parent_fingerprint,
+                status="done",
+                result={"job_id": "old", "status": "done"},
+            )
+        pending, rows = plan_resume([job], tmp_path / JOURNAL_NAME, tmp_path)
+        assert [index for index, _job in pending] == [0] and rows == [None]
+
     def test_edited_cnf_file_is_not_resumed(self, tmp_path):
         from repro.serve import SamplingService
 

@@ -1,4 +1,4 @@
-"""RetryPolicy resolution, WorkerSupervisor bookkeeping, journal units."""
+"""RetryPolicy and its spec, WorkerSupervisor bookkeeping, journal units."""
 
 import json
 
@@ -7,10 +7,10 @@ import pytest
 from repro.serve.journal import JobJournal, job_fingerprint, read_journal
 from repro.serve.jobs import SamplingJob
 from repro.serve.retry import (
+    BACKOFF_MAX_SECONDS,
     RetryPolicy,
     RetrySpecError,
-    normalize_retry_overrides,
-    resolve_retry_policy,
+    parse_retry_spec,
 )
 from repro.serve.service import SamplingService
 from repro.serve.supervisor import RestartPolicy, WorkerSupervisor
@@ -23,65 +23,70 @@ class TestRetryPolicy:
         with pytest.raises(RetrySpecError):
             RetryPolicy(max_attempts=0)
         with pytest.raises(RetrySpecError):
-            RetryPolicy(backoff_factor=0.5)
-        with pytest.raises(RetrySpecError):
-            RetryPolicy(deadline_budget_seconds=0)
+            RetryPolicy(backoff_seconds=-1.0)
 
     def test_delay_grows_and_caps(self):
-        policy = RetryPolicy(
-            backoff_seconds=0.1, backoff_factor=2.0, backoff_max_seconds=0.35
-        )
-        assert policy.delay_for(1) == pytest.approx(0.1)
-        assert policy.delay_for(2) == pytest.approx(0.2)
-        assert policy.delay_for(3) == pytest.approx(0.35)  # capped
+        # The factor (2) and the ceiling (30 s) are module constants.
+        policy = RetryPolicy(backoff_seconds=10.0)
+        assert policy.delay_for(1) == pytest.approx(10.0)
+        assert policy.delay_for(2) == pytest.approx(20.0)
+        assert policy.delay_for(3) == pytest.approx(BACKOFF_MAX_SECONDS)  # capped
+        assert RetryPolicy(backoff_seconds=0.1).delay_for(3) == pytest.approx(0.4)
 
     def test_normalize_accepts_every_form(self):
-        assert normalize_retry_overrides(None) is None
-        assert normalize_retry_overrides(5) == {"max_attempts": 5}
-        assert normalize_retry_overrides("attempts=4,backoff=0.5") == {
-            "max_attempts": 4,
-            "backoff_seconds": 0.5,
-        }
-        assert normalize_retry_overrides({"deadline": 60}) == {
-            "deadline_budget_seconds": 60.0
-        }
-        assert normalize_retry_overrides({"deadline": "none"}) == {
-            "deadline_budget_seconds": None
-        }
-        full = normalize_retry_overrides(RetryPolicy(max_attempts=7))
-        assert full["max_attempts"] == 7
+        # The two --retry forms: N, and key=value pairs over the defaults.
+        assert parse_retry_spec("5") == RetryPolicy(max_attempts=5)
+        assert parse_retry_spec("attempts=4,backoff=0.5") == RetryPolicy(
+            max_attempts=4, backoff_seconds=0.5
+        )
+        assert parse_retry_spec("backoff=0") == RetryPolicy(backoff_seconds=0.0)
+        assert parse_retry_spec("") == RetryPolicy()
 
     @pytest.mark.parametrize("spec", ["3", " 3 "])
     def test_integer_string_means_max_attempts(self, spec):
-        assert normalize_retry_overrides(spec) == {"max_attempts": 3}
-
-    def test_integer_env_spec_builds_a_service(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RETRY", "3")
-        assert resolve_retry_policy().max_attempts == 3
-        with SamplingService(num_workers=0, store_dir=False) as service:
-            job_id = service.submit(
-                {"dimacs": "p cnf 2 1\n1 2 0\n"}, num_solutions=2, retry="2"
-            )
-            result = service.result(job_id)
-        assert result.status == "done"
+        assert parse_retry_spec(spec) == RetryPolicy(max_attempts=3)
 
     @pytest.mark.parametrize("bad", [True, "attempts", "wat=3", {"wat": 1}, 3.5])
     def test_normalize_rejects_garbage(self, bad):
         with pytest.raises(RetrySpecError):
-            normalize_retry_overrides(bad)
+            parse_retry_spec(bad)
 
-    def test_resolution_precedence(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RETRY", "attempts=9,backoff=9")
-        # env is the weakest layer; later layers override per-field
-        policy = resolve_retry_policy("attempts=4", {"backoff": 0.25})
-        assert policy.max_attempts == 4
-        assert policy.backoff_seconds == 0.25
+    @pytest.mark.parametrize(
+        "spec, named",
+        [
+            ("factor=2", "'factor'"),
+            ("deadline=60", "'deadline'"),
+            ("max_attempts=3", "'max_attempts'"),
+            ("attempts=x", "attempts='x'"),
+            ("0", "max_attempts"),
+        ],
+    )
+    def test_spec_error_names_the_part(self, spec, named):
+        with pytest.raises(RetrySpecError, match=named):
+            parse_retry_spec(spec)
 
-    def test_env_only(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RETRY", "attempts=2")
-        assert resolve_retry_policy().max_attempts == 2
-        monkeypatch.delenv("REPRO_RETRY")
-        assert resolve_retry_policy().max_attempts == 3
+    def test_env_var_is_not_read(self, monkeypatch):
+        # One policy, set by whoever builds the service: the environment
+        # has no say, even a malformed value.
+        monkeypatch.setenv("REPRO_RETRY", "attempts=9,bogus=1")
+        with SamplingService(num_workers=0, store_dir=False) as service:
+            assert service._retry_policy == RetryPolicy()  # noqa: SLF001
+            result = service.result(
+                service.submit({"dimacs": "p cnf 2 1\n1 2 0\n"}, num_solutions=2)
+            )
+        assert result.status == "done"
+
+    @pytest.mark.parametrize("retry", [3, "attempts=3", {"attempts": 3}])
+    def test_service_takes_only_a_policy(self, retry):
+        with pytest.raises(TypeError, match="RetryPolicy"):
+            SamplingService(num_workers=0, store_dir=False, retry=retry)
+
+    def test_submit_and_job_take_no_retry(self):
+        with SamplingService(num_workers=0, store_dir=False) as service:
+            with pytest.raises(TypeError, match="retry"):
+                service.submit({"dimacs": "p cnf 1 1\n1 0\n"}, retry=2)
+        with pytest.raises(TypeError, match="retry"):
+            SamplingJob.build({"dimacs": "p cnf 1 1\n1 0\n"}, retry=2)
 
 
 class TestWorkerSupervisor:
@@ -154,10 +159,11 @@ class TestJournalUnits:
         assert isinstance(record["weird"], str)
 
     def test_fingerprint_ignores_id_and_retry(self):
+        # Retry is the service's policy, so no job field can carry it.
         a = SamplingJob.build({"dimacs": "p cnf 1 1\n1 0\n"}, num_solutions=10,
-                              job_id="a", retry=5)
+                              job_id="a")
         b = SamplingJob.build({"dimacs": "p cnf 1 1\n1 0\n"}, num_solutions=10,
-                              job_id="b", retry=None)
+                              job_id="b")
         assert job_fingerprint(a) == job_fingerprint(b)
         c = SamplingJob.build({"dimacs": "p cnf 1 1\n1 0\n"}, num_solutions=11)
         assert job_fingerprint(a) != job_fingerprint(c)

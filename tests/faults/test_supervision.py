@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import SamplerConfig
-from repro.serve import SamplingService, read_journal
+from repro.serve import RetryPolicy, SamplingService, read_journal
 from tests.conftest import FIG1_DIMACS
 
 CONFIG = SamplerConfig(batch_size=32, seed=0)
@@ -106,7 +106,7 @@ class TestPoisoning:
         with SamplingService(
             num_workers=1,
             store_dir=False,
-            retry={"attempts": 2, "backoff": 0.05},
+            retry=RetryPolicy(max_attempts=2, backoff_seconds=0.05),
             faults="seed=3;kill:at=1",
         ) as service:
             job_id = service.submit(FIG1_DIMACS, num_solutions=10, config=CONFIG)
@@ -119,26 +119,15 @@ class TestPoisoning:
         assert all(attempt["died"] for attempt in member["attempts"])
         assert result.summary["poisoned_members"] == 1
 
-    def test_unsupervised_death_fails_fast(self):
-        with SamplingService(
-            num_workers=1,
-            store_dir=False,
-            supervise=False,
-            faults="seed=3;kill:at=1",
-        ) as service:
-            job_id = service.submit(FIG1_DIMACS, num_solutions=10, config=CONFIG)
-            result = service.result(job_id, timeout=TIMEOUT)
-        # fail-fast semantics: one death, no retries, a plain error
-        assert result.status == "error"
-        assert result.summary["retries"] == 0
-
 
 class TestPromptWake:
     def test_worker_death_wakes_blocked_result_promptly(self):
         # an unreachable target with no stall cutoff: the job would run for
         # minutes; the only way result() returns fast is the death wake
         config = CONFIG.with_(max_rounds=10**6, stall_rounds=None)
-        service = SamplingService(num_workers=1, store_dir=False, supervise=False)
+        service = SamplingService(
+            num_workers=1, store_dir=False, retry=RetryPolicy(max_attempts=1)
+        )
         try:
             job_id = service.submit(FIG1_DIMACS, num_solutions=10**9, config=config)
             # wait for sampling to actually start (first streamed round)
@@ -149,14 +138,14 @@ class TestPromptWake:
             elapsed = time.perf_counter() - start
         finally:
             service.close()
-        assert result.status == "error"
+        assert result.status == "poisoned"
         assert elapsed < 5.0
 
     def test_retry_exhaustion_error_mentions_death(self):
         with SamplingService(
             num_workers=1,
             store_dir=False,
-            retry=1,  # never retry
+            retry=RetryPolicy(max_attempts=1),  # never retry
             faults="seed=3;kill:at=1",
         ) as service:
             job_id = service.submit(FIG1_DIMACS, num_solutions=10, config=CONFIG)

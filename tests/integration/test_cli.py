@@ -57,6 +57,19 @@ class TestSampleSubcommand:
         assert output.exists()
         assert sum(1 for line in output.read_text().splitlines() if line.strip()) >= 1
 
+    def test_sample_trace_flag_scopes_the_run(self, fig1_path, tmp_path):
+        # --trace FILE records the run there; --trace off records nothing,
+        # also where REPRO_TRACE names a file.
+        trace = tmp_path / "run.jsonl"
+        leak = tmp_path / "leak.jsonl"
+        base = ("sample", str(fig1_path), "-n", "8", "-b", "32")
+        completed = run_cli(*base, "--trace", str(trace))
+        assert completed.returncode == 0, completed.stderr
+        assert '"pipeline.sample_cnf"' in trace.read_text()
+        completed = run_cli(*base, "--trace", "off", env_extra={"REPRO_TRACE": str(leak)})
+        assert completed.returncode == 0, completed.stderr
+        assert not leak.exists()
+
     @pytest.mark.parametrize(
         "flag", [("--array-backend", "numpy"), ("--kernel", "auto")]
     )
@@ -191,17 +204,48 @@ class TestServeSubcommand:
             "repro-sat: error: job #0: unknown keys ['colour']"
         ]
 
-    @pytest.mark.parametrize("how", ["flag", "env"])
+    @pytest.mark.parametrize("how", ["flag"])
     def test_serve_integer_retry_means_max_attempts(self, fig1_path, tmp_path, how):
         manifest = tmp_path / "jobs.json"
         manifest.write_text(json.dumps([{"path": str(fig1_path), "num_solutions": 4}]))
-        if how == "flag":
-            completed = run_cli("serve", str(manifest), "--no-store", "--retry", "3")
-        else:
-            completed = run_cli(
-                "serve", str(manifest), "--no-store", env_extra={"REPRO_RETRY": "3"}
-            )
+        completed = run_cli("serve", str(manifest), "--no-store", "--retry", "3")
         assert completed.returncode == 0, completed.stderr
+
+    def test_serve_ignores_repro_retry(self, fig1_path, tmp_path):
+        # The policy is --retry's alone: the environment is not read, so
+        # even a malformed value changes nothing.
+        manifest = tmp_path / "jobs.json"
+        manifest.write_text(json.dumps([{"path": str(fig1_path), "num_solutions": 4}]))
+        completed = run_cli(
+            "serve", str(manifest), "--no-store", env_extra={"REPRO_RETRY": "bogus=1"}
+        )
+        assert completed.returncode == 0, completed.stderr
+
+    def test_serve_no_supervise_flag_is_gone(self, fig1_path, tmp_path):
+        # Every pool is supervised: no flag opts out.
+        manifest = tmp_path / "jobs.json"
+        manifest.write_text(json.dumps([{"path": str(fig1_path)}]))
+        completed = run_cli("serve", str(manifest), "--no-supervise")
+        assert completed.returncode == 2
+        assert "unrecognized arguments: --no-supervise" in completed.stderr
+
+    @pytest.mark.parametrize(
+        "entry, named",
+        [
+            ({"retry": 3}, "unknown keys ['retry']"),
+            ({"config": {"telemetry": "mem"}}, "'telemetry'"),
+        ],
+    )
+    def test_serve_retry_and_telemetry_manifest_keys_are_gone(
+        self, fig1_path, tmp_path, entry, named
+    ):
+        manifest = tmp_path / "jobs.json"
+        manifest.write_text(json.dumps([{"path": str(fig1_path), **entry}]))
+        completed = run_cli("serve", str(manifest), "--no-store")
+        assert completed.returncode == 2
+        assert "Traceback" not in completed.stderr
+        (line,) = completed.stderr.strip().splitlines()
+        assert line.startswith("repro-sat: error: job #0: ") and named in line
 
     def test_serve_bad_retry_is_a_usage_error(self, fig1_path, tmp_path):
         manifest = tmp_path / "jobs.json"

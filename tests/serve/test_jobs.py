@@ -1,5 +1,6 @@
 """Tests for job specs, config round-trips and manifest parsing."""
 
+import dataclasses
 import json
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from repro.cnf.dimacs import parse_dimacs
 from repro.core.config import SamplerConfig
 from repro.serve.jobs import (
+    CONFIG_FIELDS,
     ManifestError,
     SamplingJob,
     config_from_dict,
@@ -109,6 +111,30 @@ class TestConfigRoundTrip:
             parse_manifest(json.dumps([{"instance": "x", "config": {"kernel": value}}]))
 
 
+    @pytest.mark.parametrize("key", ["telemetry", "store_dir"])
+    def test_removed_deployment_key_rejected(self, key):
+        # Tracing and the store are settings of the entry point, not of a
+        # job's config; a job or portfolio member carrying one fails naming
+        # the key.
+        with pytest.raises(ManifestError, match=f"unknown config field '{key}'"):
+            config_from_dict({key: "mem"})
+        with pytest.raises(ManifestError, match=f"job #0.*'{key}'"):
+            parse_manifest(json.dumps([{"instance": "x", "config": {key: "mem"}}]))
+        with pytest.raises(ManifestError, match=f"job #0: portfolio member #1.*'{key}'"):
+            parse_manifest(
+                json.dumps([{"instance": "x", "portfolio": [{}, {key: "mem"}]}])
+            )
+
+    def test_config_fields_are_the_dataclass_fields(self):
+        # One field list: the manifest keys, the worker payload, the
+        # coalescing key and the journal fingerprint all read config_to_dict.
+        config = SamplerConfig(seed=9, chunk_size=2, timeout_seconds=1.5)
+        assert config_to_dict(config) == dataclasses.asdict(config)
+        assert tuple(config_to_dict(config)) == CONFIG_FIELDS
+        assert CONFIG_FIELDS == tuple(SamplerConfig.__dataclass_fields__)
+        assert len(CONFIG_FIELDS) == 9
+
+
 class TestManifests:
     def test_json_array(self, tmp_path):
         manifest = [
@@ -170,6 +196,12 @@ class TestManifests:
                         [{"instance": "x"}, {"instance": "x", "config": config}]
                     )
                 )
+
+    @pytest.mark.parametrize("retry", [3, "attempts=5,backoff=0.5", {"attempts": 2}])
+    def test_retry_key_rejected(self, retry):
+        # Retry is the service's one policy (--retry), not a job key.
+        with pytest.raises(ManifestError, match=r"job #0: unknown keys \['retry'\]"):
+            parse_manifest(json.dumps([{"instance": "x", "retry": retry}]))
 
     def test_portfolio_validation(self):
         with pytest.raises(ManifestError, match="portfolio size"):

@@ -13,7 +13,7 @@ from repro import obs
 from repro.cnf.dimacs import parse_dimacs
 from repro.core.config import SamplerConfig
 from repro.core.sampler import GradientSATSampler
-from repro.serve import SamplingService
+from repro.serve import RetryPolicy, SamplingService
 from repro.serve.workers import MSG_DONE, MSG_ERROR, MSG_ROUND, execute_task, pack_rows, unpack_rows
 from tests.conftest import FIG1_DIMACS
 
@@ -104,9 +104,9 @@ class TestPoolFailureModes:
         config = CONFIG.with_(
             batch_size=4096, iterations=10, max_rounds=64, stall_rounds=None
         )
-        # supervise=False opts into the fail-fast semantics this test pins
-        # down; the supervised recovery path is covered in tests/faults/.
-        service = SamplingService(num_workers=1, supervise=False)
+        # One attempt: the death spends the whole retry budget, so the job
+        # finalizes at once; the recovery path is covered in tests/faults/.
+        service = SamplingService(num_workers=1, retry=RetryPolicy(max_attempts=1))
         try:
             job_id = service.submit(formula, num_solutions=10**9, config=config)
             # the timeout must fire on schedule even while the worker is
@@ -115,11 +115,11 @@ class TestPoolFailureModes:
             with pytest.raises(TimeoutError):
                 service.result(job_id, timeout=0.3)
             assert time.perf_counter() - start < 2.0
-            # kill the worker outright: the job must finalize as an error
+            # kill the worker outright: the job must finalize as poisoned
             # instead of blocking result() forever
             service._workers[0].process.terminate()  # noqa: SLF001
             result = service.result(job_id, timeout=TIMEOUT)
-            assert result.status == "error"
+            assert result.status == "poisoned"
             assert "died" in (result.error or "")
         finally:
             service.close()

@@ -26,7 +26,7 @@ from repro.store import (
     persist_artifact,
     verify_entry,
 )
-from repro.store.format import LAYOUT_ARRAYS, FlatPayload
+from repro.store.format import LAYOUT_ARRAYS, FlatPayload, StoreFormatError
 
 
 def _solutions(artifact, seed=0):
@@ -121,10 +121,9 @@ class TestRoundTrip:
     def test_loaded_nbytes_matches_built(self, store, fig1_artifact):
         persist_artifact(store, fig1_artifact)
         loaded = load_sampling_artifact(store, fig1_artifact.signature)
-        # Until the decode, the verified transform bytes are charged too.
-        encoded = loaded.pending.nbytes
-        assert encoded > 0
-        assert loaded.nbytes == fig1_artifact.nbytes + encoded
+        # The pending transform entry stays on disk, so it costs nothing.
+        assert loaded.pending is not None
+        assert loaded.nbytes == fig1_artifact.nbytes
         loaded.transform
         assert loaded.pending is None
         assert loaded.nbytes == fig1_artifact.nbytes
@@ -224,6 +223,13 @@ class TestDegradedLoads:
         data = bytearray(path.read_bytes())
         data[len(data) // 2] ^= 0xFF
         path.write_bytes(bytes(data))
+        # A hit does not read the transform entry; its first decode does,
+        # finds it corrupt and quarantines it, so the next load is a miss.
+        loaded = load_sampling_artifact(store, fig1_artifact.signature)
+        assert loaded is not None
+        with pytest.raises(StoreFormatError):
+            loaded.transform
+        assert not store.contains(KIND_TRANSFORM, fig1_artifact.signature)
         assert load_sampling_artifact(store, fig1_artifact.signature) is None
 
 

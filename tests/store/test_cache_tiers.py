@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.cnf.dimacs import parse_dimacs
 from repro.cnf.formula import CNF
 from repro.core.config import SamplerConfig
 from repro.core.pipeline import sample_cnf
+from repro.core.sampler import GradientSATSampler
 from repro.core.signatures import formula_signature
 from repro.core.task import SamplingTask
 from repro.core.transform import transform_cnf
@@ -20,6 +22,14 @@ from tests.corpus.generators import planted_ksat
 
 def _fig1():
     return parse_dimacs(FIG1_DIMACS, name="fig1")
+
+
+def _corrupt_transform(store, signature):
+    """Flip one byte in the middle of the store's ``transform`` entry."""
+    path = store.object_path(KIND_TRANSFORM, signature)
+    blob = bytearray(path.read_bytes())
+    blob[len(blob) // 2] ^= 0xFF
+    path.write_bytes(bytes(blob))
 
 
 class TestGetOrBuild:
@@ -79,11 +89,14 @@ class TestGetOrBuild:
     def test_corrupt_store_entry_falls_back_to_build(self, store):
         warmer = ArtifactCache(store=store)
         artifact, _ = warmer.get_or_build(_fig1())
-        path = store.object_path(KIND_TRANSFORM, artifact.signature)
-        blob = bytearray(path.read_bytes())
-        blob[len(blob) // 2] ^= 0xFF
-        path.write_bytes(bytes(blob))
+        _corrupt_transform(store, artifact.signature)
 
+        # The hit samples from its round; the transform's first decode finds
+        # the entry corrupt and quarantines it.
+        hit, built = ArtifactCache(store=ArtifactStore(store.root)).get_or_build(_fig1())
+        assert not built and hit.source == "store"
+        with pytest.raises(StoreFormatError):
+            hit.transform
         fresh = ArtifactCache(store=ArtifactStore(store.root))
         rebuilt, built = fresh.get_or_build(_fig1())
         assert built and rebuilt.source == "built"
@@ -204,13 +217,57 @@ class TestUndecodableTransform:
         assert store.counters()["transform_decodes"] == 1
 
     def test_pipeline_store_hit_falls_back_to_a_build(self, tmp_path, monkeypatch):
-        config = SamplerConfig(
-            batch_size=32, seed=3, max_rounds=3, store_dir=str(tmp_path / "store")
-        )
-        first = sample_cnf(_fig1(), num_solutions=10, config=config)
+        config = SamplerConfig(batch_size=32, seed=3, max_rounds=3)
+        store_dir = str(tmp_path / "store")
+        first = sample_cnf(_fig1(), num_solutions=10, config=config, store_dir=store_dir)
         self._fail_decodes(monkeypatch)
-        second = sample_cnf(_fig1(), num_solutions=10, config=config)
+        second = sample_cnf(_fig1(), num_solutions=10, config=config, store_dir=store_dir)
         assert second.transform.definitions == first.transform.definitions
         assert np.array_equal(
             second.sample.solution_matrix(), first.sample.solution_matrix()
         )
+
+
+class TestCorruptTransformEntry:
+    """A hit reads only the ``round`` entry, so a corrupt ``transform`` entry
+    surfaces at its first decode, not at the hit."""
+
+    def test_hit_samples_from_the_round_alone(self, tmp_path):
+        directory = tmp_path / "shared"
+        built, _ = ArtifactCache(store=ArtifactStore(directory)).get_or_build(_fig1())
+        store = ArtifactStore(directory)
+        _corrupt_transform(store, built.signature)
+        loaded, was_built = ArtifactCache(store=store).get_or_build(_fig1())
+        assert not was_built and loaded.source == "store"
+        config = SamplerConfig(batch_size=64, seed=3, max_rounds=4)
+        rows = GradientSATSampler(loaded, config=config).sample(20).solution_matrix()
+        expected = GradientSATSampler(built, config=config).sample(20).solution_matrix()
+        assert np.array_equal(rows, expected)
+        counters = store.counters()
+        assert counters["transform_decodes"] == 0 and counters["corrupt"] == 0
+
+    def test_incremental_job_over_it_builds_cold(self, tmp_path):
+        directory = tmp_path / "shared"
+        base_signature = formula_signature(_base())
+        ArtifactCache(store=ArtifactStore(directory)).get_or_build_task(
+            None, base_signature, base_signature, loader=_base
+        )
+        store = ArtifactStore(directory)
+        _corrupt_transform(store, base_signature)
+        cache = ArtifactCache(store=store)
+        parent, _, _ = cache.get_or_build_task(
+            None, base_signature, base_signature, loader=_base
+        )
+        assert parent.source == "store" and parent.pending is not None
+        task = SamplingTask.build(assume=(2,))
+        effective = task.apply_to(_base())
+        artifact, built, derived = cache.get_or_build_task(
+            task, formula_signature(effective), base_signature, loader=_base
+        )
+        assert (built, derived) == (True, False)  # no warm parent: cold
+        cold = transform_cnf(effective)
+        assert artifact.transform.definitions == cold.definitions
+        assert artifact.transform.constraints == cold.constraints
+        # The corrupt entry was quarantined when the derivation read it.
+        assert store.counters()["corrupt"] == 1
+        assert not store.contains(KIND_TRANSFORM, base_signature)

@@ -1,9 +1,10 @@
 """Store readers under byte flips, truncations and structural mutations.
 
 Every mutated entry must either be a miss — quarantined and rebuilt — or
-load as the exact artifact.  Nothing may raise out of ``ArtifactStore.get``,
-a load, or the deferred decode, and no mutation may yield a wrong artifact:
-the fixed-seed rows always equal a cold build's.
+load as the exact artifact.  Nothing may raise out of ``ArtifactStore.get``
+or a load; the deferred decode of a ``transform`` entry, which a hit does
+not read, raises only :class:`StoreFormatError`.  No mutation may yield a
+wrong artifact: the fixed-seed rows always equal a cold build's.
 
 A checksum only catches accidents, so the pickle-free ``round`` entry is
 also fuzzed structurally: its decoded fields and arrays are mutated into
@@ -29,7 +30,6 @@ from repro.cnf.dimacs import parse_dimacs
 from repro.cnf.formula import CNF
 from repro.core.config import SamplerConfig
 from repro.core.sampler import GradientSATSampler
-from repro.core.signatures import formula_signature
 from repro.serve.cache import ArtifactCache, build_artifact
 from repro.store import (
     ALL_KINDS,
@@ -112,20 +112,31 @@ def test_mutated_entry_is_a_miss_or_the_exact_artifact(mutation):
         store = _seeded_store(directory, kind, mutated)
         cache = ArtifactCache(store=store)
         artifact, built = cache.get_or_build(formula=_fig1(), signature=signature)
+        # A hit samples from the round alone: a mutated round is rebuilt from
+        # the transform, and a mutated transform is not read yet.
+        assert not built and artifact.source == "store"
+        np.testing.assert_array_equal(_rows(artifact), cold_rows)
+        try:
+            formula, transform = artifact.formula, artifact.transform
+        except StoreFormatError:
+            assert kind == KIND_TRANSFORM  # the deferred read caught it
+        else:
+            assert formula.clauses == _fig1().clauses
+            assert transform.num_variables == _fig1().num_variables
         quarantined = list((store.version_root / "quarantine").glob("*"))
         if store.counters()["corrupt"]:
-            # A miss: the mutated bytes were set aside and the entry rebuilt.
+            # A miss: the mutated bytes were set aside, and the next lookup
+            # finds the round rebuilt or builds the transform afresh.
             assert [path.read_bytes() for path in quarantined] == [mutated]
-            assert built == (kind == KIND_TRANSFORM)
+            _, rebuilt = ArtifactCache(store=ArtifactStore(directory)).get_or_build(
+                formula=_fig1(), signature=signature
+            )
+            assert rebuilt == (kind == KIND_TRANSFORM)
             fresh = ArtifactStore(directory)
             assert load_sampling_artifact(fresh, signature) is not None
             assert fresh.counters()["corrupt"] == 0
         else:
-            assert not quarantined and not built and artifact.source == "store"
-        np.testing.assert_array_equal(_rows(artifact), cold_rows)
-        # The deferred decode (if still pending) never raises.
-        assert artifact.formula.clauses == _fig1().clauses
-        assert artifact.transform.num_variables == _fig1().num_variables
+            assert not quarantined
 
 
 @settings(max_examples=60, deadline=None)
@@ -144,7 +155,7 @@ def test_store_get_never_raises(mutation):
             assert store.counters()["hits"] == 1
 
 
-def test_transform_corrupted_after_a_hit_still_decodes(tmp_path):
+def test_transform_corrupted_after_a_hit_is_caught_at_decode(tmp_path):
     signature, entries, cold_rows = _pristine()
     store = _seeded_store(tmp_path, None, b"")
     artifact = load_sampling_artifact(store, signature)
@@ -153,11 +164,15 @@ def test_transform_corrupted_after_a_hit_still_decodes(tmp_path):
     damaged = bytearray(path.read_bytes())
     damaged[len(damaged) // 2] ^= 0xFF
     path.write_bytes(bytes(damaged))
-    # The artifact decodes from the bytes it verified, not from the file.
-    assert artifact.formula.clauses == _fig1().clauses
-    assert artifact.transform.constraints
+    # The hit read only the round, so its rows are unaffected; the transform
+    # is read and verified at its first decode, which catches the damage.
     np.testing.assert_array_equal(_rows(artifact), cold_rows)
-    assert formula_signature(artifact.formula) == signature
+    with pytest.raises(StoreFormatError):
+        artifact.formula
+    with pytest.raises(StoreFormatError):
+        artifact.transform  # decoded at most once: no second read
+    assert store.counters()["corrupt"] == 1
+    assert not store.contains(KIND_TRANSFORM, signature)  # quarantined
 
 
 # -- structural mutations of the round entry ----------------------------------------------
