@@ -13,7 +13,7 @@ the 2-input gate count and the node count — is computed once and shared by
 every consumer (``simplify``, the transformation's ``accept_definition``,
 ``circuit_from_expressions``, the truth-table memos, ...).  Equality remains
 structural with an identity fast path, so expressions that bypass the intern
-table (e.g. unpickled in another process) still compare correctly.
+table still compare correctly.
 
 The node types intentionally mirror the operators whose CNF signatures the
 paper enumerates in Section III-A (Eqs. 1--4): NOT, AND, OR, NAND, NOR, XOR
@@ -25,13 +25,15 @@ those gates.
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, Tuple, Union
-from weakref import WeakValueDictionary
+from weakref import KeyedRef
+
+from _weakref import _remove_dead_weakref
 
 BoolLike = Union[bool, int]
 
-#: The global hash-cons table.  Values are the canonical node per structural
-#: key; entries disappear automatically when the last reference dies.
-_INTERN: "WeakValueDictionary" = WeakValueDictionary()
+#: The global hash-cons table: a weak reference to the canonical node per
+#: structural key.  An entry disappears when its node's last reference dies.
+_INTERN: Dict[tuple, KeyedRef] = {}
 
 
 class Expr:
@@ -128,9 +130,27 @@ class Expr:
         return str(self)
 
 
+def _interned(key: tuple):
+    """The live canonical node under ``key``, or ``None``."""
+    ref = _INTERN.get(key)
+    return None if ref is None else ref()
+
+
+def _forget(ref: KeyedRef) -> None:
+    # A node died: drop its entry, unless a newer node already took the key.
+    _remove_dead_weakref(_INTERN, ref.key)
+
+
 def _intern(key: tuple, instance: Expr) -> Expr:
     """Publish ``instance`` under ``key``, returning the canonical winner."""
-    return _INTERN.setdefault(key, instance)
+    ref = KeyedRef(instance, _forget, key)
+    winner = _INTERN.setdefault(key, ref)
+    if winner is not ref:
+        existing = winner()
+        if existing is not None:
+            return existing
+        _INTERN[key] = ref  # the previous node died before its entry went
+    return instance
 
 
 class Const(Expr):
@@ -141,7 +161,7 @@ class Const(Expr):
     def __new__(cls, value: BoolLike):
         value = bool(value)
         key = ("c", value)
-        existing = _INTERN.get(key)
+        existing = _interned(key)
         if existing is not None:
             return existing
         instance = object.__new__(cls)
@@ -151,9 +171,6 @@ class Const(Expr):
 
     def __setattr__(self, *args) -> None:
         raise AttributeError("Const is immutable")
-
-    def __reduce__(self):
-        return (Const, (self.value,))
 
     def evaluate(self, assignment: Dict[str, BoolLike]) -> bool:
         return self.value
@@ -189,7 +206,7 @@ class Var(Expr):
         if not isinstance(name, str) or not name:
             raise ValueError(f"variable name must be a non-empty string, got {name!r}")
         key = ("v", name)
-        existing = _INTERN.get(key)
+        existing = _interned(key)
         if existing is not None:
             return existing
         instance = object.__new__(cls)
@@ -199,9 +216,6 @@ class Var(Expr):
 
     def __setattr__(self, *args) -> None:
         raise AttributeError("Var is immutable")
-
-    def __reduce__(self):
-        return (Var, (self.name,))
 
     def evaluate(self, assignment: Dict[str, BoolLike]) -> bool:
         try:
@@ -238,7 +252,7 @@ class Not(Expr):
         if isinstance(operand, Not):
             return operand.operand
         key = ("~", operand)
-        existing = _INTERN.get(key)
+        existing = _interned(key)
         if existing is not None:
             return existing
         instance = object.__new__(cls)
@@ -248,9 +262,6 @@ class Not(Expr):
 
     def __setattr__(self, *args) -> None:
         raise AttributeError("Not is immutable")
-
-    def __reduce__(self):
-        return (Not, (self.operand,))
 
     def evaluate(self, assignment: Dict[str, BoolLike]) -> bool:
         return not self.operand.evaluate(assignment)
@@ -286,9 +297,6 @@ class _NaryOp(Expr):
     def __setattr__(self, *args) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def __reduce__(self):
-        return (type(self), tuple(self.operands))
-
     def children(self) -> Tuple[Expr, ...]:
         return self.operands
 
@@ -314,7 +322,7 @@ class _NaryOp(Expr):
 def _new_nary(cls, operands: Tuple[Expr, ...]) -> Expr:
     """Intern an n-ary node with the given (already normalised) operands."""
     key = (cls._symbol, operands)
-    existing = _INTERN.get(key)
+    existing = _interned(key)
     if existing is not None:
         return existing
     instance = object.__new__(cls)

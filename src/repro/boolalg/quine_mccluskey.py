@@ -10,7 +10,7 @@ compact sum-of-products form that the circuit builder then turns into gates.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from repro.boolalg.expr import And, Expr, FALSE, Not, Or, TRUE, Var
 from repro.boolalg.truth_table import minterms as expr_minterms
@@ -20,53 +20,40 @@ from repro.boolalg.truth_table import minterms as expr_minterms
 Implicant = Tuple[Tuple[int, int], ...]
 
 
-def _implicant_from_minterm(minterm: int, num_vars: int) -> Implicant:
-    return tuple((i, (minterm >> i) & 1) for i in range(num_vars))
-
-
-def _try_combine(a: Implicant, b: Implicant) -> Optional[Implicant]:
-    """Combine two implicants differing in exactly one specified position."""
-    if len(a) != len(b):
-        return None
-    positions_a = {pos for pos, _ in a}
-    positions_b = {pos for pos, _ in b}
-    if positions_a != positions_b:
-        return None
-    diff = [
-        pos
-        for (pos, val_a), (_, val_b) in zip(a, b)
-        if val_a != val_b
-    ]
-    if len(diff) != 1:
-        return None
-    removed = diff[0]
-    return tuple(item for item in a if item[0] != removed)
-
-
 def _covers(implicant: Implicant, minterm: int) -> bool:
     return all(((minterm >> pos) & 1) == val for pos, val in implicant)
 
 
 def prime_implicants(minterm_list: Sequence[int], num_vars: int) -> List[Implicant]:
-    """Compute all prime implicants of the given on-set."""
-    current: Set[Implicant] = {
-        _implicant_from_minterm(m, num_vars) for m in set(minterm_list)
-    }
-    primes: Set[Implicant] = set()
+    """Compute all prime implicants of the given on-set.
+
+    The tabulation keeps each implicant as ``(value, care mask)`` integers:
+    two implicants merge exactly when they share a mask and their values
+    differ in one cared-for bit, so each implicant looks up its partners
+    (one per set bit it could clear) instead of trying every pair.
+    """
+    full = (1 << num_vars) - 1
+    current: Set[Tuple[int, int]] = {(minterm & full, full) for minterm in set(minterm_list)}
+    primes: Set[Tuple[int, int]] = set()
     while current:
-        combined: Set[Implicant] = set()
-        used: Set[Implicant] = set()
-        current_list = sorted(current)
-        for i, a in enumerate(current_list):
-            for b in current_list[i + 1:]:
-                merged = _try_combine(a, b)
-                if merged is not None:
-                    combined.add(merged)
-                    used.add(a)
-                    used.add(b)
+        combined: Set[Tuple[int, int]] = set()
+        used: Set[Tuple[int, int]] = set()
+        for value, mask in current:
+            bits = mask & ~value  # cared-for bits this implicant has at 0
+            while bits:
+                bit = bits & -bits
+                bits ^= bit
+                partner = (value | bit, mask)
+                if partner in current:
+                    combined.add((value, mask & ~bit))
+                    used.add((value, mask))
+                    used.add(partner)
         primes |= current - used
         current = combined
-    return sorted(primes)
+    return sorted(
+        tuple((i, (value >> i) & 1) for i in range(num_vars) if (mask >> i) & 1)
+        for value, mask in primes
+    )
 
 
 def _essential_cover(

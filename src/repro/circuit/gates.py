@@ -88,9 +88,10 @@ class Gate:
     def unchecked(name: str, gate_type: GateType, fanins: Tuple[str, ...] = ()) -> "Gate":
         """Build a gate skipping arity validation.
 
-        For internal rebuild paths (optimizer, sweeps) whose gates come from
-        an already-validated circuit; constructing via ``__init__`` showed up
-        in transform profiles at tens of thousands of calls per instance.
+        For internal rebuild paths (optimizer, sweeps, store decoding) whose
+        gates come from an already-validated circuit; constructing via
+        ``__init__`` showed up in transform profiles at tens of thousands of
+        calls per instance.
         """
         gate = object.__new__(Gate)
         object.__setattr__(gate, "name", name)

@@ -55,11 +55,16 @@ class Clause:
     def __setattr__(self, *args) -> None:
         raise AttributeError("Clause is immutable")
 
-    def __reduce__(self):
-        # The default slots-based protocol would call __setattr__ and hit the
-        # immutability guard; rebuild through __init__ instead (idempotent:
-        # the stored literals are already deduplicated, order preserved).
-        return (Clause, (self._literals,))
+    @staticmethod
+    def unchecked(literals: Tuple[int, ...]) -> "Clause":
+        """A clause over ``literals`` as given, skipping the deduplication.
+
+        For rebuild paths whose literals are already validated (nonzero, no
+        repeat), such as decoding a stored formula.
+        """
+        clause = object.__new__(Clause)
+        object.__setattr__(clause, "_literals", literals)
+        return clause
 
     @property
     def literals(self) -> Tuple[int, ...]:

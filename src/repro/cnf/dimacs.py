@@ -25,9 +25,15 @@ def parse_dimacs(text: str, name: str = "") -> CNF:
 
     Stray ``0`` tokens with no pending literals (trailer lines emitted by some
     generators) are ignored rather than being interpreted as empty clauses.
+    A header's counts must be non-negative, and with a header every literal
+    must lie within its declared variables; either violation is a
+    :class:`DimacsError` naming the offending line.
     """
     declared_vars = 0
     declared_clauses = -1
+    header_line = 0
+    #: The literal of largest magnitude read so far, and its line.
+    widest, widest_line = 0, 0
     comments: List[str] = []
     clauses: List[List[int]] = []
     pending: List[int] = []
@@ -50,6 +56,11 @@ def parse_dimacs(text: str, name: str = "") -> CNF:
                 declared_clauses = int(parts[3])
             except ValueError as exc:
                 raise DimacsError(f"line {line_number}: non-integer header fields") from exc
+            if declared_vars < 0 or declared_clauses < 0:
+                raise DimacsError(f"line {line_number}: negative header count in {line!r}")
+            header_line = line_number
+            if widest > declared_vars:
+                _beyond_header(widest, widest_line, declared_vars, header_line)
             continue
         for token in line.split():
             try:
@@ -62,8 +73,12 @@ def parse_dimacs(text: str, name: str = "") -> CNF:
                 if pending:
                     clauses.append(pending)
                     pending = []
-            else:
-                pending.append(literal)
+                continue
+            if abs(literal) > widest:
+                widest, widest_line = abs(literal), line_number
+                if header_line and widest > declared_vars:
+                    _beyond_header(widest, widest_line, declared_vars, header_line)
+            pending.append(literal)
     if pending:
         clauses.append(pending)
 
@@ -76,6 +91,13 @@ def parse_dimacs(text: str, name: str = "") -> CNF:
             f"header declared {declared_clauses} clauses but {formula.num_clauses} were read"
         )
     return formula
+
+
+def _beyond_header(variable: int, line_number: int, declared: int, header_line: int) -> None:
+    raise DimacsError(
+        f"line {line_number}: variable {variable} is beyond the {declared} "
+        f"declared on line {header_line}"
+    )
 
 
 def parse_dimacs_file(path: Union[str, Path]) -> CNF:

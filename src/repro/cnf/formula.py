@@ -209,14 +209,6 @@ class CNF:
         self._plan = plan
         register_plan_owner(self)
 
-    def __getstate__(self):
-        # The memoised plan is serialised separately (repro.store keeps it as
-        # its own entry); a pickled formula travels without it so plan bytes
-        # are never embedded twice.
-        state = dict(self.__dict__)
-        state["_plan"] = None
-        return state
-
     def _check_assignment_matrix(self, assignments) -> np.ndarray:
         """Validate and coerce a ``(batch, num_variables)`` boolean matrix.
 

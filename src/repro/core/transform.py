@@ -296,8 +296,8 @@ class TransformResult:
 
         Built on first use and memoised, so every sampler over this transform
         shares one plan; its programs come from (and stay in) the circuit's
-        program memo.  Pickling drops the memo (see :meth:`__getstate__`): the
-        store keeps the plan as an entry of its own.
+        program memo.  The store keeps the plan as an entry of its own, and a
+        decoded transform adopts its programs (:meth:`adopt_programs`).
         """
         cone = self.circuit.transitive_fanin(self.constraint_nets())
         constrained = tuple(name for name in self.primary_inputs if name in cone)
@@ -339,13 +339,6 @@ class TransformResult:
             adopt_program(
                 self.circuit, program_key(plan.defined_nets, self.primary_inputs), plan.fill
             )
-
-    def __getstate__(self):
-        # Process-local memos: store entries and workers rebuild them on use.
-        state = dict(self.__dict__)
-        state.pop("round_plan", None)
-        state.pop("model", None)
-        return state
 
     def fill_defined_rows(self, rows: np.ndarray) -> None:
         """Simulate the defined variables into variable-major ``rows`` in place.

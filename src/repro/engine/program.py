@@ -30,8 +30,8 @@ into contiguous runs; the NumPy tier executes each run as one fused array
 statement over views of the op arrays, and builds its gradient
 :class:`ScatterPlan` s lazily on its first backward pass.  No dicts and no
 string keys survive compilation, and the program is nothing but named
-arrays plus a few scalars and names — the artifact store persists it
-without pickle (:mod:`repro.store.schema`), after checking
+arrays plus a few scalars and names — the artifact store persists it as
+arrays (:mod:`repro.store.schema`), after checking
 :meth:`CompiledProgram.check` on what it read.
 """
 
@@ -160,15 +160,6 @@ class CompiledProgram:
     output_slots: np.ndarray
     output_nets: List[str]
 
-    def __getstate__(self):
-        # The NumPy tier's block views and scatter plans and the native
-        # stream addresses are derived lazily (cached_property) and are
-        # rebuilt after unpickling.
-        state = dict(self.__dict__)
-        for lazy in ("blocks", "scatter_plans", "output_plan", "stream_args"):
-            state.pop(lazy, None)
-        return state
-
     @property
     def num_ops(self) -> int:
         """Total primitive ops (fused NumPy statements touch many at once)."""
@@ -189,7 +180,7 @@ class CompiledProgram:
         """``(num_ops, first_op_slot, opcodes, a_slots, b_slots addresses)``.
 
         The op stream as the native kernels take it; the addresses point
-        into this program's own arrays, so they are never pickled.
+        into this program's own arrays, so they are never stored.
         """
         return (
             self.num_ops,

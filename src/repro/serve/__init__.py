@@ -58,14 +58,13 @@ from repro.serve.journal import (
 from repro.serve.portfolio import member_configs, merge_member_solutions, normalize_portfolio
 from repro.serve.retry import RetryPolicy, RetrySpecError, parse_retry_spec
 from repro.serve.service import JobResult, SamplingService
-from repro.serve.supervisor import RestartPolicy, WorkerSupervisor
+from repro.serve.supervisor import WorkerSupervisor
 
 __all__ = [
     "ArtifactCache",
     "JobJournal",
     "JobResult",
     "ManifestError",
-    "RestartPolicy",
     "RetryPolicy",
     "RetrySpecError",
     "SamplingArtifact",

@@ -30,8 +30,8 @@ build, and coordinates concurrent cold starts on one signature through the
 store's single-flight build lease, so the first process to ever compile a
 formula warms every other process sharing the store directory.  A store hit
 carries only the round plan and the CNF plan decoded; its formula and
-transform stay encoded until first accessed, and evicting it never decodes
-them.
+transform stay on disk until first accessed (then decoded from validated
+arrays, never unpickled), and evicting it never decodes them.
 """
 
 from __future__ import annotations

@@ -293,7 +293,7 @@ def _task_from_manifest_entry(
             retract=tuple(entry.get("retract", ())),
             assume=tuple(entry.get("assume", ())),
         )
-    except (ValueError, TypeError) as error:
+    except (ValueError, TypeError, OverflowError) as error:
         raise ManifestError(f"job {job_name!r}: {error}") from error
 
 
@@ -316,7 +316,12 @@ def job_from_manifest_entry(entry: Dict[str, object], index: int = 0) -> Samplin
     config_data = entry.get("config", {})
     if not isinstance(config_data, dict):
         raise ManifestError(f"job #{index}: 'config' must be an object")
-    task = _task_from_manifest_entry(entry, str(entry.get("id", f"job-{index}")))
+    job_id = str(entry["id"]) if "id" in entry else None
+    if job_id is not None and not is_plain_name(job_id):
+        # The id names the job's ``<id>.solutions`` file in the output
+        # directory, so it may not reach outside it.
+        raise ManifestError(f"job #{index}: id {job_id!r} is not a plain file name")
+    task = _task_from_manifest_entry(entry, job_id or f"job-{index}")
     try:
         return SamplingJob.build(
             source={sources[0]: entry[sources[0]]},
@@ -327,11 +332,16 @@ def job_from_manifest_entry(entry: Dict[str, object], index: int = 0) -> Samplin
             # No default id here: the service assigns a process-unique one,
             # so the same manifest (or two manifests with defaulted ids) can
             # be replayed on one long-lived service without collisions.
-            job_id=str(entry["id"]) if "id" in entry else None,
+            job_id=job_id,
             task=task,
         )
-    except (ValueError, TypeError) as error:
+    except (ValueError, TypeError, OverflowError) as error:
         raise ManifestError(f"job #{index}: {error}") from error
+
+
+def is_plain_name(name: str) -> bool:
+    """Whether ``name`` is one file name: no separator, NUL, ``.`` or ``..``."""
+    return name not in ("", ".", "..") and not any(char in name for char in "/\\\0")
 
 
 def parse_manifest(text: str) -> List[SamplingJob]:
@@ -344,6 +354,8 @@ def parse_manifest(text: str) -> List[SamplingJob]:
             document = json.loads(stripped)
         except json.JSONDecodeError:
             document = None
+        except RecursionError as error:
+            raise ManifestError("manifest nests too deeply") from error
         if isinstance(document, list):
             return [job_from_manifest_entry(e, i) for i, e in enumerate(document)]
         if isinstance(document, dict):
@@ -360,7 +372,7 @@ def parse_manifest(text: str) -> List[SamplingJob]:
     for index, line in enumerate(line for line in stripped.splitlines() if line.strip()):
         try:
             entry = json.loads(line)
-        except json.JSONDecodeError as error:
+        except (json.JSONDecodeError, RecursionError) as error:
             raise ManifestError(f"job #{index}: invalid JSON line: {error}") from error
         jobs.append(job_from_manifest_entry(entry, index))
     return jobs

@@ -30,7 +30,7 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.serve.jobs import SamplingJob, config_to_dict, read_source
+from repro.serve.jobs import SamplingJob, config_to_dict, is_plain_name, read_source
 
 #: Journal file name inside a serve output directory.
 JOURNAL_NAME = "journal.jsonl"
@@ -137,11 +137,20 @@ def read_journal(path: Union[str, Path]) -> List[Dict[str, object]]:
             continue
         try:
             entry = json.loads(line)
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):
             continue  # torn trailing line from a crashed writer
         if isinstance(entry, dict):
             records.append(entry)
     return records
+
+
+def _is_file(path: Path) -> bool:
+    """Whether ``path`` is a file; a name the filesystem refuses (too long,
+    say) names none."""
+    try:
+        return path.is_file()
+    except OSError:
+        return False
 
 
 def plan_resume(
@@ -178,8 +187,11 @@ def plan_resume(
         row = candidates.pop(0) if candidates else None
         if row is not None:
             job_id = row.get("job_id")
-            solutions = output_dir / f"{job_id}.solutions"
-            if not isinstance(job_id, str) or not solutions.exists():
+            if not (
+                isinstance(job_id, str)
+                and is_plain_name(job_id)
+                and _is_file(output_dir / f"{job_id}.solutions")
+            ):
                 row = None
         if row is None:
             pending.append((index, job))

@@ -6,10 +6,11 @@ unit-testable.  The service (:mod:`repro.serve.service`) feeds it worker
 deaths and asks which slots are due a respawn; the supervisor answers with
 exponential per-slot backoff (a slot that keeps crashing waits longer each
 time, resetting once a task completes on it) and a restart budget per
-sliding window (a slot that died more than ``max_restarts`` times inside
-``window_seconds`` is abandoned — whatever keeps killing it would keep
-killing replacements, and the rest of the pool is better off without the
-churn).
+sliding window (a slot that died more than :data:`MAX_RESTARTS` times
+inside :data:`WINDOW_SECONDS` is abandoned — whatever keeps killing it
+would keep killing replacements, and the rest of the pool is better off
+without the churn).  The bounds are module constants: one policy serves
+every pool.
 
 Respawn mechanics — process creation, cache re-priming through the
 persistent store, task requeueing — live in the service; see
@@ -19,32 +20,25 @@ persistent store, task requeueing — live in the service; see
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional
 
+#: Deaths tolerated per slot inside the sliding window; one more and the
+#: slot is abandoned (the pool keeps running degraded).
+MAX_RESTARTS = 5
+#: Length of the sliding death-counting window.
+WINDOW_SECONDS = 60.0
+#: Delay before the first respawn of a slot.
+BACKOFF_SECONDS = 0.2
+#: Multiplier per *consecutive* crash (reset by a completed task).
+BACKOFF_FACTOR = 2.0
+#: Ceiling on any single respawn delay.
+BACKOFF_MAX_SECONDS = 10.0
 
-@dataclass(frozen=True)
-class RestartPolicy:
-    """Bounds on how eagerly dead worker slots are replaced."""
 
-    #: Deaths tolerated per slot inside the sliding window; one more and
-    #: the slot is abandoned (the pool keeps running degraded).
-    max_restarts: int = 5
-    #: Length of the sliding death-counting window.
-    window_seconds: float = 60.0
-    #: Delay before the first respawn of a slot.
-    backoff_seconds: float = 0.2
-    #: Multiplier per *consecutive* crash (reset by a completed task).
-    backoff_factor: float = 2.0
-    #: Ceiling on any single respawn delay.
-    backoff_max_seconds: float = 10.0
-
-    def delay_for(self, consecutive_deaths: int) -> float:
-        """Respawn delay after the Nth consecutive death (1-based)."""
-        delay = self.backoff_seconds * (
-            self.backoff_factor ** max(0, consecutive_deaths - 1)
-        )
-        return min(delay, self.backoff_max_seconds)
+def restart_delay(consecutive_deaths: int) -> float:
+    """Respawn delay after the Nth consecutive death (1-based)."""
+    delay = BACKOFF_SECONDS * BACKOFF_FACTOR ** max(0, consecutive_deaths - 1)
+    return min(delay, BACKOFF_MAX_SECONDS)
 
 
 class WorkerSupervisor:
@@ -54,10 +48,9 @@ class WorkerSupervisor:
     decision deterministic under test.
     """
 
-    def __init__(self, num_workers: int, policy: Optional[RestartPolicy] = None) -> None:
+    def __init__(self, num_workers: int) -> None:
         if num_workers < 1:
             raise ValueError(f"num_workers must be positive, got {num_workers}")
-        self.policy = policy or RestartPolicy()
         self._deaths: List[Deque[float]] = [deque() for _ in range(num_workers)]
         self._consecutive: List[int] = [0] * num_workers
         self._incarnations: List[int] = [0] * num_workers
@@ -73,14 +66,14 @@ class WorkerSupervisor:
         """
         window = self._deaths[slot]
         window.append(now)
-        while window and now - window[0] > self.policy.window_seconds:
+        while window and now - window[0] > WINDOW_SECONDS:
             window.popleft()
-        if len(window) > self.policy.max_restarts:
+        if len(window) > MAX_RESTARTS:
             self._failed.add(slot)
             self._pending.pop(slot, None)
             return None
         self._consecutive[slot] += 1
-        restart_at = now + self.policy.delay_for(self._consecutive[slot])
+        restart_at = now + restart_delay(self._consecutive[slot])
         self._pending[slot] = restart_at
         return restart_at
 

@@ -7,9 +7,11 @@ serialised in a versioned, checksummed binary container
 (:mod:`repro.store.format`), written crash-safely and pruned by recency
 (:mod:`repro.store.store`), and coordinated across processes with
 single-flight build leases so N cold workers pay for one build
-(:mod:`repro.store.artifacts`).  A hit decodes only the hot ``round`` entry,
-a pickle-free set of validated zero-copy arrays (:mod:`repro.store.schema`);
-the pickled ``transform`` entry is verified and decoded on demand.
+(:mod:`repro.store.artifacts`).  Every entry is JSON fields plus named
+arrays, validated by its kind's schema (:mod:`repro.store.schema`) before
+any object is built, so loading never executes anything from disk.  A hit
+decodes only the hot ``round`` entry, as zero-copy views; the ``transform``
+entry (formula, circuit, expressions, replay) is decoded on demand.
 """
 
 from repro.store.artifacts import (

@@ -6,23 +6,24 @@ are in :mod:`repro.store.schema`):
 * ``round`` — the hot entry: the transform's
   :class:`~repro.core.transform.RoundPlan` (row maps plus the flat learn
   and fill programs) and the formula's
-  :class:`~repro.cnf.kernel.CNFEvalPlan`, as JSON fields plus named arrays
-  in the container's pickle-free layout.  It holds no
-  ``Circuit``, ``Expr`` or ``Clause``: exactly what a sampling round
-  executes, as zero-copy views into the read buffer, validated before use.
+  :class:`~repro.cnf.kernel.CNFEvalPlan`.  It holds no ``Circuit``,
+  ``Expr`` or ``Clause``: exactly what a sampling round executes, as
+  zero-copy views into the read buffer, validated before use.
 * ``transform`` — the formula together with its
   :class:`~repro.core.transform.TransformResult` (recovered circuit,
-  definitions, constraints, replay); the one kind that is still pickled.
+  definitions, constraints, replay checkpoints), as CSR arrays and an
+  interned expression table that are validated before any object is built.
 
-A hit decodes only ``round``, and unpickles nothing.  Of the ``transform``
-entry a hit checks only that it exists (refreshing its recency for the LRU
-prune); the artifact carries a :class:`PendingTransform` that reads,
-verifies and unpickles it — under a ``store.decode`` span, counted in the
-store's ``transform_decodes`` — only when something other than a round
-needs the formula or the transform, such as an incremental derivation or
-the pipeline's summary.  An entry that is missing or corrupt by then raises
-:class:`StoreFormatError` (a corrupt one is quarantined), and the callers
-fall back to a cold build.
+Both are JSON fields plus named arrays, so no load ever unpickles or
+otherwise executes anything from disk.  A hit decodes only ``round``.  Of
+the ``transform`` entry a hit checks only that it exists (refreshing its
+recency for the LRU prune); the artifact carries a :class:`PendingTransform`
+that reads, verifies and decodes it — under a ``store.decode`` span,
+counted in the store's ``transform_decodes`` — only when something other
+than a round needs the formula or the transform, such as an incremental
+derivation or the pipeline's summary.  An entry that is missing, corrupt or
+invalid by then raises :class:`StoreFormatError` (a corrupt or invalid one
+is quarantined), and the callers fall back to a cold build.
 
 The ``transform`` entry is written *last*: its presence marks the signature
 complete, so a crash between writes can only leave behind an orphaned
@@ -43,7 +44,7 @@ import time
 from typing import Callable, Optional, Tuple
 
 from repro.store.format import StoreFormatError
-from repro.store.schema import KIND_ROUND, KIND_TRANSFORM, encode_round
+from repro.store.schema import KIND_ROUND, KIND_TRANSFORM, encode_round, encode_transform
 from repro.store.store import ArtifactStore
 from repro import obs
 
@@ -60,21 +61,17 @@ class PendingTransform:
         self._signature = signature
 
     def decode(self):
-        """``(formula, transform)``: read, verify and unpickle the entry.
+        """``(formula, transform)``: read, verify and decode the entry.
 
-        Raises :class:`StoreFormatError` when the entry is gone or does not
-        verify (the store quarantines a corrupt one) or does not unpickle.
+        Raises :class:`StoreFormatError` when the entry is gone, or does not
+        verify or validate (the store quarantines such an entry).
         """
         with obs.span("store.decode") as dspan:
             dspan.set("signature", self._signature[:12])
-            entry = self._store.read(KIND_TRANSFORM, self._signature)
-            if entry is None:
-                raise StoreFormatError("the transform entry is missing or corrupt")
-            payload = self._store.decode(entry)
-        try:
-            return payload["formula"], payload["transform"]
-        except (TypeError, KeyError) as error:
-            raise StoreFormatError(f"not a transform entry: {error}") from error
+            decoded = self._store.get(KIND_TRANSFORM, self._signature)
+        if decoded is None:
+            raise StoreFormatError("the transform entry is missing, corrupt or invalid")
+        return decoded
 
 
 def persist_artifact(store: ArtifactStore, artifact) -> bool:
@@ -92,11 +89,11 @@ def persist_artifact(store: ArtifactStore, artifact) -> bool:
             store.put(KIND_ROUND, signature, encode_round(artifact.round, artifact.plan))
         if store.contains(KIND_TRANSFORM, signature):
             return True
-        return store.put(
-            KIND_TRANSFORM,
-            signature,
-            {"formula": artifact.formula, "transform": artifact.transform},
-        )
+        try:
+            payload = encode_transform(artifact.formula, artifact.transform)
+        except ValueError:
+            return False  # not a transform the entry can hold exactly
+        return store.put(KIND_TRANSFORM, signature, payload)
 
 
 def load_sampling_artifact(store: ArtifactStore, signature: str):

@@ -11,39 +11,30 @@ bytes                     content
 ``[6, 10)``               little-endian ``u32`` header JSON length ``H``
 ``[10, 10 + H)``          header JSON (UTF-8)
 (padding to 64 bytes)     zeros
-``[payload ...]``         64-byte-aligned blobs (see the two layouts)
+``[payload ...]``         64-byte-aligned array blobs
 ========================  =============================================
 
 The header records everything needed to decide *without decoding anything*
 whether the payload is loadable here: the artifact ``kind`` and content
 ``signature`` it claims to hold, the ``repro`` version that wrote it, the
-writer's byte order, the payload ``layout`` with the span of every blob,
-and a SHA-256 checksum over the other header fields and the whole payload
-(so a damaged span can never re-slice intact bytes).  Any mismatch raises
-:class:`StoreFormatError`, which the store layer treats as a cache miss (and
-quarantines the file) — a corrupt, truncated, foreign or stale entry can
-only ever cost a cold build, never a wrong artifact.
+writer's byte order, and a SHA-256 checksum over the other header fields
+and the whole payload (so a damaged span can never re-slice intact bytes).
+Any mismatch raises :class:`StoreFormatError`, which the store layer treats
+as a cache miss (and quarantines the file) — a corrupt, truncated, foreign
+or stale entry can only ever cost a cold build, never a wrong artifact.
 
-An entry has one of two payload layouts:
+Every entry holds a :class:`FlatPayload`: JSON ``fields`` (kept in the
+header) and named arrays, each an aligned raw blob described by ``[dtype,
+shape, offset]``.  Only the dtypes in :data:`ALLOWED_DTYPES` are accepted,
+and decoding makes ``np.frombuffer`` views into the one read buffer —
+nothing executes and nothing is copied.  What the fields and arrays of each
+entry kind must hold is :mod:`repro.store.schema`'s business, which
+validates them before any object is built.
 
-* ``"arrays"`` — pickle-free: a :class:`FlatPayload` of JSON-able
-  ``fields`` (kept in the header) and named arrays, each an aligned raw blob
-  described by ``[dtype, shape, offset]``.  Only the dtypes in
-  :data:`ALLOWED_DTYPES` are accepted, and decoding makes ``np.frombuffer``
-  views into the one read buffer — nothing executes, nothing is copied.
-  The store's hot ``round`` entry uses it (:mod:`repro.store.schema`
-  validates what the views hold before anything runs them).
-* ``"pickle"`` — pickle protocol 5 with *out-of-band buffers*: the object
-  graph pickles normally while every NumPy array is written as an aligned
-  raw blob and read back as a zero-copy view.  Only the cold ``transform``
-  entry (formula, circuit, expressions) still uses it.
-
-Reading is split in two: :func:`verify_entry` runs every check and returns
-a :class:`VerifiedEntry` still holding the payload bytes, and
-:meth:`VerifiedEntry.decode` turns them into the object (unpickling only a
-``"pickle"`` entry).  The store verifies its cold ``transform`` entry on
-every hit but decodes it only when something other than a sampling round
-needs it; :func:`decode_entry` is both steps at once.
+Reading is split in two: :func:`verify_entry` runs every container check
+and returns a :class:`VerifiedEntry` still holding the payload bytes, and
+:meth:`VerifiedEntry.decode` makes the array views; :func:`decode_entry` is
+both steps at once.
 """
 
 from __future__ import annotations
@@ -52,12 +43,11 @@ import hashlib
 import io
 import json
 import math
-import pickle
 import struct
 import sys
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -71,14 +61,11 @@ MAGIC = b"RPRO"
 #: the header fields as well as the payload.  v3: the pickle-free
 #: ``"arrays"`` layout, used by the ``round`` entry.  v4: free variables are
 #: every variable neither an input nor defined, so input, defined and free
-#: rows cover every variable row (a v3 entry may leave one unwritten).
-FORMAT_VERSION = 4
+#: rows cover every variable row (a v3 entry may leave one unwritten).  v5:
+#: the ``transform`` entry is arrays too, and the pickle layout is gone.
+FORMAT_VERSION = 5
 
-#: Payload layouts (the header's ``layout`` field).
-LAYOUT_ARRAYS = "arrays"
-LAYOUT_PICKLE = "pickle"
-
-#: The dtypes an ``"arrays"`` blob may declare (native byte order).  Any
+#: The dtypes an array blob may declare (native byte order).  Any
 #: other declaration is rejected before a view is made.
 ALLOWED_DTYPES = frozenset(
     np.dtype(dtype).str for dtype in (np.bool_, np.uint8, np.int32, np.int64)
@@ -89,9 +76,6 @@ ALLOWED_DTYPES = frozenset(
 ALIGNMENT = 64
 
 _PRELUDE = struct.Struct("<4sHI")
-
-#: Pickle protocol carrying out-of-band buffers (Python >= 3.8).
-_PICKLE_PROTOCOL = 5
 
 
 class StoreFormatError(ValueError):
@@ -118,50 +102,31 @@ def _checksum(header: Dict[str, Any], payload: memoryview) -> str:
 
 @dataclass(frozen=True)
 class FlatPayload:
-    """A pickle-free entry: JSON-able ``fields`` plus named arrays."""
+    """An entry's content: JSON-able ``fields`` plus named arrays."""
 
     fields: Dict[str, Any]
     arrays: Dict[str, np.ndarray]
 
 
-def _layout(obj: Any) -> Tuple[Dict[str, Any], List[memoryview], bytes]:
-    """``(header layout fields, blobs, leading bytes)`` for ``obj``'s payload."""
-    if isinstance(obj, FlatPayload):
-        arrays = {name: np.ascontiguousarray(array) for name, array in obj.arrays.items()}
-        for name, array in arrays.items():
-            if array.dtype.str not in ALLOWED_DTYPES:
-                raise TypeError(f"array {name!r} has unsupported dtype {array.dtype}")
-        blobs = [memoryview(array).cast("B") for array in arrays.values()]
-        specs = {
-            name: [array.dtype.str, list(array.shape)] for name, array in arrays.items()
-        }
-        return {"layout": LAYOUT_ARRAYS, "fields": obj.fields, "arrays": specs}, blobs, b""
-    buffers: List[pickle.PickleBuffer] = []
-    pickled = pickle.dumps(obj, protocol=_PICKLE_PROTOCOL, buffer_callback=buffers.append)
-    blobs = [buffer.raw() for buffer in buffers]
-    return {"layout": LAYOUT_PICKLE, "pickle": [0, len(pickled)]}, blobs, pickled
+def encode_entry(kind: str, signature: str, payload: FlatPayload) -> bytes:
+    """Serialise ``payload`` into one self-contained store-entry byte string.
 
-
-def encode_entry(kind: str, signature: str, obj: Any) -> bytes:
-    """Serialise ``obj`` into one self-contained store-entry byte string.
-
-    A :class:`FlatPayload` is written in the pickle-free ``"arrays"``
-    layout; anything else is pickled.
+    Raises :class:`TypeError` for anything but a :class:`FlatPayload` whose
+    arrays all have an allowed dtype.
     """
-    layout, blobs, leading = _layout(obj)
-    # Lay the payload out: leading bytes (the pickle) first, then each blob,
-    # all aligned.
-    spans: List[Tuple[int, int]] = []
-    cursor = _align(len(leading))
-    for blob in blobs:
-        spans.append((cursor, blob.nbytes))
-        cursor = _align(cursor + blob.nbytes)
+    if not isinstance(payload, FlatPayload):
+        raise TypeError(f"a store entry holds a FlatPayload, not {type(payload).__name__}")
+    arrays = {name: np.ascontiguousarray(array) for name, array in payload.arrays.items()}
+    for name, array in arrays.items():
+        if array.dtype.str not in ALLOWED_DTYPES:
+            raise TypeError(f"array {name!r} has unsupported dtype {array.dtype}")
+    # Lay the payload out: each array blob, aligned.
+    specs = {}
+    cursor = 0
+    for name, array in arrays.items():
+        specs[name] = [array.dtype.str, list(array.shape), cursor]
+        cursor = _align(cursor + array.nbytes)
     payload_length = cursor
-    if layout["layout"] == LAYOUT_ARRAYS:
-        for spec, (offset, _length) in zip(layout["arrays"].values(), spans):
-            spec.append(offset)
-    else:
-        layout["buffers"] = [list(span) for span in spans]
 
     header = {
         "kind": kind,
@@ -170,14 +135,14 @@ def encode_entry(kind: str, signature: str, obj: Any) -> bytes:
         "byte_order": sys.byteorder,
         "created": time.time(),
         "payload_length": payload_length,
-        **layout,
+        "fields": payload.fields,
+        "arrays": specs,
     }
 
-    payload = bytearray(payload_length)
-    payload[: len(leading)] = leading
-    for (offset, length), blob in zip(spans, blobs):
-        payload[offset : offset + length] = blob
-    header["checksum"] = _checksum(header, memoryview(payload))
+    data = bytearray(payload_length)
+    for (_dtype, _shape, offset), array in zip(specs.values(), arrays.values()):
+        data[offset : offset + array.nbytes] = memoryview(array).cast("B")
+    header["checksum"] = _checksum(header, memoryview(data))
 
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     payload_start = _align(_PRELUDE.size + len(header_bytes))
@@ -186,7 +151,7 @@ def encode_entry(kind: str, signature: str, obj: Any) -> bytes:
     out.write(_PRELUDE.pack(MAGIC, FORMAT_VERSION, len(header_bytes)))
     out.write(header_bytes)
     out.write(b"\0" * (payload_start - _PRELUDE.size - len(header_bytes)))
-    out.write(payload)
+    out.write(data)
     return out.getvalue()
 
 
@@ -210,7 +175,7 @@ def read_header(data: bytes) -> Tuple[Dict[str, Any], int]:
         raise StoreFormatError("entry truncated inside the header")
     try:
         header = json.loads(data[_PRELUDE.size : header_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as error:
         raise StoreFormatError(f"unreadable header: {error}") from error
     if not isinstance(header, dict):
         raise StoreFormatError("header is not an object")
@@ -227,7 +192,7 @@ def read_header(data: bytes) -> Tuple[Dict[str, Any], int]:
     return header, _align(header_end)
 
 
-#: One declared array of an ``"arrays"`` entry: ``(name, dtype, shape, offset)``.
+#: One declared array of an entry: ``(name, dtype, shape, offset)``.
 ArraySpec = Tuple[str, np.dtype, Tuple[int, ...], int]
 
 
@@ -241,38 +206,23 @@ class VerifiedEntry:
 
     kind: str
     signature: str
-    #: :data:`LAYOUT_ARRAYS` or :data:`LAYOUT_PICKLE`.
-    layout: str
     payload: memoryview
-    #: Pickle layout: the pickle stream's span and its out-of-band blobs.
-    pickle_span: Tuple[int, int] = (0, 0)
-    buffer_spans: Tuple[Tuple[int, int], ...] = ()
-    #: Arrays layout: the header fields and the declared arrays.
-    fields: Any = None
-    array_specs: Tuple[ArraySpec, ...] = ()
+    #: The header's JSON fields.
+    fields: Any
+    #: The declared arrays, each inside the payload with an allowed dtype.
+    array_specs: Tuple[ArraySpec, ...]
 
-    def decode(self) -> Any:
-        """The entry's object; array blobs become zero-copy views into the payload.
-
-        An ``"arrays"`` entry decodes to a :class:`FlatPayload` without
-        unpickling anything; a ``"pickle"`` entry is unpickled.
-        """
-        if self.layout == LAYOUT_ARRAYS:
-            arrays = {}
-            for name, dtype, shape, offset in self.array_specs:
-                count = math.prod(shape)
-                if count:
-                    view = np.frombuffer(self.payload, dtype=dtype, count=count, offset=offset)
-                else:
-                    view = np.empty(0, dtype=dtype)
-                arrays[name] = view.reshape(shape)
-            return FlatPayload(fields=self.fields, arrays=arrays)
-        offset, length = self.pickle_span
-        buffers = [self.payload[start : start + size] for start, size in self.buffer_spans]
-        try:
-            return pickle.loads(self.payload[offset : offset + length], buffers=buffers)
-        except Exception as error:  # pickle raises a zoo of types on bad input
-            raise StoreFormatError(f"payload does not unpickle: {error}") from error
+    def decode(self) -> FlatPayload:
+        """The entry's payload; each array is a zero-copy view into the bytes."""
+        arrays = {}
+        for name, dtype, shape, offset in self.array_specs:
+            count = math.prod(shape)
+            if count:
+                view = np.frombuffer(self.payload, dtype=dtype, count=count, offset=offset)
+            else:
+                view = np.empty(0, dtype=dtype)
+            arrays[name] = view.reshape(shape)
+        return FlatPayload(fields=self.fields, arrays=arrays)
 
 
 def _natural(value: Any) -> int:
@@ -283,7 +233,7 @@ def _natural(value: Any) -> int:
 
 
 def _array_specs(declared: Any, payload_length: int) -> Tuple[ArraySpec, ...]:
-    """Validate an ``"arrays"`` header: allowlisted dtypes, aligned in-payload spans."""
+    """Validate the ``arrays`` header: allowlisted dtypes, aligned in-payload spans."""
     if not isinstance(declared, dict):
         raise StoreFormatError("arrays header is not an object")
     specs = []
@@ -316,8 +266,8 @@ def verify_entry(
     like freshly built arrays; a read-only ``bytes`` works too but yields
     read-only arrays.  Raises :class:`StoreFormatError` on *any*
     inconsistency — wrong kind or signature, truncation, checksum mismatch,
-    foreign byte order, a different repro/container version, an unknown
-    layout, a blob outside the payload or a disallowed array dtype.
+    foreign byte order, a different repro/container version, a malformed
+    header, an array outside the payload or a disallowed array dtype.
     """
     header, payload_start = read_header(data)
     if kind is not None and header.get("kind") != kind:
@@ -326,18 +276,11 @@ def verify_entry(
         raise StoreFormatError(
             f"entry holds signature {header.get('signature')!r}, wanted {signature!r}"
         )
-    layout = header.get("layout")
     try:
-        payload_length = int(header["payload_length"])
+        payload_length = _natural(header["payload_length"])
         checksum = header["checksum"]
-        if layout == LAYOUT_PICKLE:
-            pickle_offset, pickle_length = (int(v) for v in header["pickle"])
-            spans = tuple((int(off), int(length)) for off, length in header["buffers"])
-        elif layout == LAYOUT_ARRAYS:
-            declared, fields = header["arrays"], header["fields"]
-        else:
-            raise StoreFormatError(f"unknown payload layout {layout!r}")
-    except (KeyError, TypeError, ValueError) as error:
+        declared, fields = header["arrays"], header["fields"]
+    except KeyError as error:
         raise StoreFormatError(f"malformed header fields: {error}") from error
     if len(data) < payload_start + payload_length:
         raise StoreFormatError(
@@ -347,25 +290,12 @@ def verify_entry(
     payload = memoryview(data)[payload_start : payload_start + payload_length]
     if _checksum(header, payload) != checksum:
         raise StoreFormatError("checksum mismatch")
-    if layout == LAYOUT_ARRAYS:
-        return VerifiedEntry(
-            kind=str(header.get("kind")),
-            signature=str(header.get("signature")),
-            layout=layout,
-            payload=payload,
-            fields=fields,
-            array_specs=_array_specs(declared, payload_length),
-        )
-    for offset, length in spans + ((pickle_offset, pickle_length),):
-        if offset < 0 or length < 0 or offset + length > payload_length:
-            raise StoreFormatError("buffer span outside the payload")
     return VerifiedEntry(
         kind=str(header.get("kind")),
         signature=str(header.get("signature")),
-        layout=layout,
         payload=payload,
-        pickle_span=(pickle_offset, pickle_length),
-        buffer_spans=spans,
+        fields=fields,
+        array_specs=_array_specs(declared, payload_length),
     )
 
 
@@ -374,6 +304,6 @@ def decode_entry(
     *,
     kind: Optional[str] = None,
     signature: Optional[str] = None,
-) -> Any:
-    """Verify and deserialise one entry: :func:`verify_entry`, then decode it."""
+) -> FlatPayload:
+    """Verify and decode one entry: :func:`verify_entry`, then its arrays."""
     return verify_entry(data, kind=kind, signature=signature).decode()

@@ -1,42 +1,71 @@
 """Per-kind entry schemas: what each store entry holds and how it is checked.
 
-The store keeps two entry kinds under one formula signature:
+The store keeps two entry kinds under one formula signature, both
+:class:`~repro.store.format.FlatPayload` s — JSON ``fields`` plus named
+arrays, read back as zero-copy views — so loading an entry never executes
+anything from disk:
 
-* ``round`` — the hot entry, written in the container's pickle-free
-  ``"arrays"`` layout (:mod:`repro.store.format`).  It holds the
-  transform's :class:`~repro.core.transform.RoundPlan` — its row maps, its
-  ``learn`` and ``fill`` :class:`~repro.engine.program.CompiledProgram` s —
-  and the formula's :class:`~repro.cnf.kernel.CNFEvalPlan`.  Scalars and
-  names sit in the header's JSON ``fields``; every array is a named blob
-  (``input_rows``, ``learn.opcodes``, ``plan.literal_columns``, ...) read
-  back as a zero-copy view.
+* ``round`` — the hot entry: the transform's
+  :class:`~repro.core.transform.RoundPlan` — its row maps, its ``learn`` and
+  ``fill`` :class:`~repro.engine.program.CompiledProgram` s — and the
+  formula's :class:`~repro.cnf.kernel.CNFEvalPlan`.  Scalars and names sit
+  in ``fields``; every array is a named blob (``input_rows``,
+  ``learn.opcodes``, ``plan.literal_columns``, ...).
 * ``transform`` — the formula and its
-  :class:`~repro.core.transform.TransformResult`, still pickled (circuits
-  and expression trees are object graphs), decoded only on demand.
+  :class:`~repro.core.transform.TransformResult`, decoded only on demand.
+  The formula is CSR (``formula.literals`` ``int32`` plus
+  ``formula.offsets`` ``int64``; its name, comments and variable count are
+  fields).  Definitions and constraints share one interned expression DAG:
+  a node table of ``expr.opcodes`` (``uint8``), ``expr.variables``
+  (``int32``) and CSR ``expr.children`` that point only to earlier nodes,
+  rebuilt in one forward pass through the :mod:`~repro.boolalg.expr`
+  constructors; ``definitions.variables``/``definitions.roots`` and
+  ``constraints.roots`` index it.  The circuit is its gate names, ``uint8``
+  gate types and CSR fanins that point to earlier gates; the stream
+  checkpoints are one ``(N, 9)`` ``int64`` table and
+  :class:`~repro.core.transform.TransformStats` is a field.  The primary
+  outputs, intermediate and free variables, the circuit's inputs and
+  outputs and the replay's clause sequence (the formula's own clauses) are
+  derived, not stored.
 
 A checksum is not a MAC, and the C kernels index the slot matrix without
-bounds checks, so :func:`decode_round` validates every field of a round
-entry before anything can execute it: exact dtypes, lengths and names per
-array; each program's :meth:`~repro.engine.program.CompiledProgram.check`
-(operands below their own out slot, known opcodes, a consistent block
-table, input columns and output slots in range); row maps inside the
-variable range and sized like the programs that fill them; and a CNF plan
-whose width groups, clause offsets and literal columns agree; and input,
-defined and free rows that write every variable row exactly once.  Any
-violation is a :class:`~repro.store.format.StoreFormatError` — a miss, never
-a crash or wrong rows.
+bounds checks, so every field is validated before any object is built.
+:func:`decode_round` checks exact dtypes, lengths and names per array; each
+program's :meth:`~repro.engine.program.CompiledProgram.check` (operands
+below their own out slot, known opcodes, a consistent block table, input
+columns and output slots in range); row maps inside the variable range and
+sized like the programs that fill them; a CNF plan whose width groups,
+clause offsets and literal columns agree; and input, defined and free rows
+that write every variable row exactly once.  :func:`decode_transform`
+checks literals inside the declared variables with no repeat within a
+clause; known opcodes and gate types with the right arity; children and
+fanins that point backwards; expressions that the constructors rebuild
+node for node; distinct definition and input variables; circuit inputs
+that are the primary inputs and nets for every record; stats that agree
+with the records; and checkpoints that start at the stream's start and
+only move forward within the records.  Any violation is a
+:class:`~repro.store.format.StoreFormatError` — a miss, never a crash or
+wrong rows.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+import dataclasses
+from itertools import chain
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.boolalg.expr import FALSE, TRUE, And, Const, Expr, Not, Or, Var, Xor
+from repro.circuit.gates import Gate, GateType
+from repro.circuit.netlist import Circuit
+from repro.cnf.clause import Clause
+from repro.cnf.formula import CNF
 from repro.cnf.kernel import CNFEvalPlan
-from repro.core.transform import RoundPlan
+from repro.core.extraction import VAR_PREFIX, variable_name
+from repro.core.transform import RoundPlan, TransformReplay, TransformResult, TransformStats
 from repro.engine.program import ARRAY_DTYPES, CompiledProgram
-from repro.store.format import LAYOUT_ARRAYS, FlatPayload, StoreFormatError, VerifiedEntry
+from repro.store.format import FlatPayload, StoreFormatError, VerifiedEntry
 
 #: Entry kinds (directory names under ``objects/``).
 KIND_ROUND = "round"
@@ -59,6 +88,36 @@ _PLAN_ARRAYS = {
     "literal_negated": np.bool_,
     "reduce_offsets": np.intp,
 }
+
+#: Expression node opcodes of the ``transform`` entry's DAG table.
+OP_FALSE, OP_TRUE, OP_VAR, OP_NOT, OP_AND, OP_OR, OP_XOR = range(7)
+_NARY = {OP_AND: And, OP_OR: Or, OP_XOR: Xor}
+_NARY_OPS = {cls: op for op, cls in _NARY.items()}
+#: Gate type codes of the ``transform`` entry's circuit (index = code).
+GATE_TYPES = (
+    GateType.INPUT,
+    GateType.CONST0,
+    GateType.CONST1,
+    GateType.BUF,
+    GateType.NOT,
+    GateType.AND,
+    GateType.OR,
+    GateType.NAND,
+    GateType.NOR,
+    GateType.XOR,
+    GateType.XNOR,
+)
+_GATE_CODES = {gate_type: code for code, gate_type in enumerate(GATE_TYPES)}
+#: Columns of a stream checkpoint the counts of which are bounded by a record
+#: list (1-3) or a stats counter (4-7); see ``core.transform._Checkpoint``.
+_CHECKPOINT_STATS = (
+    "signature_matches",
+    "generic_matches",
+    "fallback_groups",
+    "constant_definitions",
+)
+#: Largest variable count a transform entry stores (literals are ``int32``).
+_MAX_VARIABLES = 2**31 - 1
 
 
 # -- encoding -----------------------------------------------------------------------------
@@ -109,6 +168,180 @@ def encode_round(round_plan: RoundPlan, plan: CNFEvalPlan) -> FlatPayload:
     return FlatPayload(fields=fields, arrays=arrays)
 
 
+def _variable_id(name: str) -> int:
+    """``k`` of the net name ``x<k>``; ``ValueError`` for any other name."""
+    digits = name[len(VAR_PREFIX):]
+    if not (
+        name.startswith(VAR_PREFIX) and digits.isdigit() and variable_name(int(digits)) == name
+    ):
+        raise ValueError(f"net {name!r} is not a variable and cannot be stored")
+    return int(digits)
+
+
+def _csr(rows: List[List[int]], dtype) -> Tuple[np.ndarray, np.ndarray]:
+    """``(int64 offsets, flat values)`` of a list of index lists."""
+    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(row) for row in rows], out=offsets[1:])
+    return offsets, np.fromiter(chain.from_iterable(rows), dtype=dtype, count=int(offsets[-1]))
+
+
+class _ExprTable:
+    """Interns expressions into one node table, children before parents."""
+
+    def __init__(self) -> None:
+        self.index: Dict[Expr, int] = {}
+        self.opcodes: List[int] = []
+        self.variables: List[int] = []
+        self.children: List[List[int]] = []
+
+    def add(self, root: Expr) -> int:
+        index = self.index
+        stack = [root]
+        while stack:
+            node = stack[-1]
+            if node in index:
+                stack.pop()
+                continue
+            pending = [child for child in node.children() if child not in index]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            variable = 0
+            if isinstance(node, Const):
+                opcode = OP_TRUE if node.value else OP_FALSE
+            elif isinstance(node, Var):
+                opcode, variable = OP_VAR, _variable_id(node.name)
+            elif isinstance(node, Not):
+                opcode = OP_NOT
+            else:
+                opcode = _NARY_OPS[type(node)]
+            index[node] = len(self.opcodes)
+            self.opcodes.append(opcode)
+            self.variables.append(variable)
+            self.children.append([index[child] for child in node.children()])
+        return index[root]
+
+    def arrays(self) -> Dict[str, np.ndarray]:
+        offsets, children = _csr(self.children, np.int32)
+        return {
+            "expr.opcodes": np.asarray(self.opcodes, dtype=np.uint8),
+            "expr.variables": np.asarray(self.variables, dtype=np.int32),
+            "expr.child_offsets": offsets,
+            "expr.children": children,
+        }
+
+
+def _check_variables(covered: np.ndarray, num_variables: int) -> None:
+    """The defined and input variables are distinct variables of the formula."""
+    _check_range("defined and input variables", covered, 1, num_variables + 1)
+    if _repeats(covered):
+        raise ValueError("a variable is defined twice or both defined and an input")
+
+
+def _derived_records(
+    num_variables: int, definitions: List[Tuple[str, Expr]], covered: np.ndarray
+) -> Tuple[Dict[str, bool], List[str], List[str]]:
+    """``(primary outputs, intermediate variables, free variables)``.
+
+    The records a transform derives from its definitions: the definitions
+    that collapsed to a constant, the others, and every variable not in
+    ``covered`` (the defined and input variables), ascending.
+    """
+    outputs = {net: expr.value for net, expr in definitions if isinstance(expr, Const)}
+    intermediate = [net for net, _ in definitions if net not in outputs]
+    free = np.ones(num_variables + 1, dtype=np.bool_)
+    free[0] = False
+    free[covered] = False
+    return outputs, intermediate, [variable_name(v) for v in np.flatnonzero(free).tolist()]
+
+
+def encode_transform(formula: CNF, transform: TransformResult) -> FlatPayload:
+    """The ``transform`` entry of one artifact as fields plus named arrays.
+
+    Raises :class:`ValueError` when the transform is not one a
+    :class:`TransformResult` decodes back to exactly (say, it was not built
+    from ``formula``, or carries no replay record).
+    """
+    replay = transform.replay
+    clauses = formula.clauses
+    if (
+        replay is None
+        or len(replay.clauses) != len(clauses)
+        or any(a.literals != b.literals for a, b in zip(replay.clauses, clauses))
+    ):
+        raise ValueError("the transform's replay is not the formula's clause sequence")
+    num_variables = formula.num_variables
+    if num_variables > _MAX_VARIABLES or (
+        transform.num_variables,
+        transform.source_name,
+    ) != (num_variables, formula.name):
+        raise ValueError("the transform was not built from this formula")
+    for index, (net, _) in enumerate(transform.constraints):
+        if net != f"__constraint_{index}":
+            raise ValueError(f"constraint net {net!r} cannot be stored")
+    circuit = transform.circuit
+    if list(circuit.outputs) != _outputs(transform.definitions, transform.constraints) or list(
+        circuit.inputs
+    ) != list(transform.primary_inputs):
+        raise ValueError("the circuit's inputs or outputs are not the transform's")
+    inputs = np.asarray([_variable_id(net) for net in transform.primary_inputs], dtype=np.int32)
+    defined = np.asarray([_variable_id(net) for net, _ in transform.definitions], dtype=np.int32)
+    covered = np.concatenate((defined, inputs))
+    _check_variables(covered, num_variables)
+    if _derived_records(num_variables, transform.definitions, covered) != (
+        transform.primary_outputs,
+        transform.intermediate_variables,
+        transform.free_variables,
+    ):
+        raise ValueError("the transform's derived records disagree with its definitions")
+
+    table = _ExprTable()
+    arrays = {
+        "definitions.variables": defined,
+        "definitions.roots": np.asarray(
+            [table.add(expr) for _, expr in transform.definitions], dtype=np.int32
+        ),
+        "constraints.roots": np.asarray(
+            [table.add(expr) for _, expr in transform.constraints], dtype=np.int32
+        ),
+        "primary_inputs": inputs,
+        **table.arrays(),
+    }
+    arrays["formula.offsets"], arrays["formula.literals"] = _csr(
+        [clause.literals for clause in clauses], np.int32
+    )
+
+    order = circuit.net_names()
+    position = {net: index for index, net in enumerate(order)}
+    fanins = []
+    for index, gate in enumerate(circuit.gates):
+        fanins.append([position[fanin] for fanin in gate.fanins])
+        if any(fanin >= index for fanin in fanins[-1]):
+            raise ValueError(f"gate {gate.name!r} is defined before its fanins")
+    arrays["circuit.fanin_offsets"], arrays["circuit.fanins"] = _csr(fanins, np.int32)
+    arrays["circuit.types"] = np.asarray(
+        [_GATE_CODES[gate.gate_type] for gate in circuit.gates], dtype=np.uint8
+    )
+    arrays["checkpoints"] = np.asarray(replay.checkpoints, dtype=np.int64).reshape(-1, 9)
+    fields = {
+        "formula": {
+            "name": formula.name,
+            "comments": list(formula.comments),
+            "num_variables": num_variables,
+        },
+        "circuit": {
+            "name": circuit.name,
+            "gate_names": _join(order),
+            # The optimizer installs its emitted order as the topological
+            # order; any other circuit computes it on first use.
+            "topological": circuit._topo_cache == list(order),
+        },
+        "stats": dataclasses.asdict(transform.stats),
+    }
+    return FlatPayload(fields=fields, arrays=arrays)
+
+
 # -- decoding -----------------------------------------------------------------------------
 class _Reader:
     """Typed access to an entry's fields and arrays; ``ValueError`` on a mismatch."""
@@ -143,9 +376,40 @@ class _Reader:
 
     def rows(self, key: str, num_variables: int, length: Optional[int]) -> np.ndarray:
         rows = self.array(key, np.intp, length)
-        if rows.size and not (0 <= int(rows.min()) and int(rows.max()) < num_variables):
-            raise ValueError(f"{key} indexes a row outside [0, {num_variables})")
+        _check_range(key, rows, 0, num_variables)
         return rows
+
+    def csr(
+        self,
+        offsets_key: str,
+        values_key: str,
+        num_rows: Optional[int] = None,
+        earlier: bool = True,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(offsets, values)`` of a CSR pair; with ``earlier``, row ``i``
+        only indexes rows before ``i`` (children and fanins point backwards)."""
+        offsets = self.array(offsets_key, np.int64, None if num_rows is None else num_rows + 1)
+        values = self.array(values_key, np.int32)
+        widths = np.diff(offsets)
+        if not offsets.size or offsets[0] != 0 or offsets[-1] != values.size or np.any(widths < 0):
+            raise ValueError(f"{offsets_key} are not offsets into {values_key}")
+        if earlier and values.size:
+            owners = np.repeat(np.arange(widths.size), widths)
+            if int(values.min()) < 0 or np.any(values >= owners):
+                raise ValueError(f"{values_key} must point to earlier rows")
+        return offsets, values
+
+
+def _repeats(values: np.ndarray) -> bool:
+    """Whether some value occurs twice."""
+    ordered = np.sort(values)
+    return bool(np.any(ordered[1:] == ordered[:-1]))
+
+
+def _check_range(key: str, values: np.ndarray, low: int, high: int) -> None:
+    """Every value of ``values`` lies in ``[low, high)``."""
+    if values.size and not (low <= int(values.min()) and int(values.max()) < high):
+        raise ValueError(f"{key} has a value outside [{low}, {high})")
 
 
 def _program(
@@ -267,24 +531,259 @@ def _round(payload: FlatPayload) -> Tuple[RoundPlan, CNFEvalPlan]:
     return RoundPlan(num_variables=num_variables, learn=learn, fill=fill, **names, **rows), plan
 
 
-def decode_round(entry: VerifiedEntry) -> Tuple[RoundPlan, CNFEvalPlan]:
-    """The ``(RoundPlan, CNFEvalPlan)`` of a verified ``round`` entry.
+def _formula(reader: _Reader, fields: Any) -> CNF:
+    if not isinstance(fields, dict):
+        raise ValueError("formula must be an object")
+    num_variables = reader.integer(fields, "num_variables")
+    name, comments = fields["name"], fields["comments"]
+    if num_variables > _MAX_VARIABLES or not isinstance(name, str):
+        raise ValueError("malformed formula fields")
+    if not (isinstance(comments, list) and all(isinstance(line, str) for line in comments)):
+        raise ValueError("formula comments must be strings")
+    offsets, literals = reader.csr("formula.offsets", "formula.literals", earlier=False)
+    if literals.size:
+        if np.any(literals == 0):
+            raise ValueError("formula.literals holds a 0")
+        _check_range("formula.literals", literals, -num_variables, num_variables + 1)
+        clauses = np.repeat(np.arange(offsets.size - 1, dtype=np.int64), np.diff(offsets))
+        if _repeats(clauses * (2 * num_variables + 1) + literals):
+            raise ValueError("a clause repeats a literal")
+    flat, bounds = literals.tolist(), offsets.tolist()
+    formula = CNF(num_variables=num_variables, comments=comments, name=name)
+    unchecked = Clause.unchecked
+    formula._clauses = [
+        unchecked(tuple(flat[start:stop])) for start, stop in zip(bounds, bounds[1:])
+    ]
+    return formula
 
-    Never unpickles: an entry in any layout other than ``"arrays"`` is
-    rejected before its payload is touched.
-    """
-    if entry.layout != LAYOUT_ARRAYS:
-        raise StoreFormatError(f"round entry in the {entry.layout!r} layout")
+
+def _expressions(reader: _Reader, num_variables: int) -> List[Expr]:
+    """The DAG node table, rebuilt node by node through the constructors."""
+    opcodes = reader.array("expr.opcodes", np.uint8)
+    count = opcodes.size
+    variables = reader.array("expr.variables", np.int32, count)
+    offsets, children = reader.csr("expr.child_offsets", "expr.children", count)
+    arity = np.diff(offsets)
+    is_var = opcodes == OP_VAR
+    if (
+        np.any(opcodes > OP_XOR)
+        or np.any(arity[opcodes <= OP_VAR] != 0)
+        or np.any(arity[opcodes == OP_NOT] != 1)
+        or np.any(arity[opcodes > OP_NOT] < 2)
+    ):
+        raise ValueError("an expression node has an unknown opcode or a wrong arity")
+    if np.any(variables[~is_var] != 0):
+        raise ValueError("only variable nodes carry a variable")
+    _check_range("expr.variables", variables[is_var], 1, num_variables + 1)
+    # Leaves first, then each operator over its (earlier) operands, in order.
+    nodes: List[Expr] = [TRUE] * count
+    for index, variable in zip(np.flatnonzero(is_var).tolist(), variables[is_var].tolist()):
+        nodes[index] = Var(variable_name(variable))
+    for index in np.flatnonzero(opcodes == OP_FALSE).tolist():
+        nodes[index] = FALSE
+    inner = np.flatnonzero(opcodes > OP_VAR)
+    node_at, children = nodes.__getitem__, children.tolist()
+    starts, stops = offsets[inner].tolist(), offsets[inner + 1].tolist()
+    for index, opcode, start, stop in zip(inner.tolist(), opcodes[inner].tolist(), starts, stops):
+        if opcode == OP_NOT:
+            node = Not(nodes[children[start]])
+            canonical = type(node) is Not
+        else:
+            cls = _NARY[opcode]
+            operands = tuple(map(node_at, children[start:stop]))
+            node = cls(*operands)
+            canonical = type(node) is cls and node.operands == operands
+        if not canonical:
+            raise ValueError(f"expression node {index} is not in constructor form")
+        nodes[index] = node
+    return nodes
+
+
+def _circuit(reader: _Reader, fields: Any, outputs: List[str]) -> Circuit:
+    """The netlist, its inputs being its ``INPUT`` gates in order."""
+    if not isinstance(fields, dict):
+        raise ValueError("circuit must be an object")
+    name, topological = fields["name"], fields["topological"]
+    if not isinstance(name, str) or not isinstance(topological, bool):
+        raise ValueError("malformed circuit fields")
+    names = reader.names(fields, "gate_names")
+    count = len(names)
+    if len(set(names)) != count:
+        raise ValueError("gate names repeat")
+    types = reader.array("circuit.types", np.uint8, count)
+    offsets, fanins = reader.csr("circuit.fanin_offsets", "circuit.fanins", count)
+    arity = np.diff(offsets)
+    source = types <= _GATE_CODES[GateType.CONST1]
+    unary = (types == _GATE_CODES[GateType.BUF]) | (types == _GATE_CODES[GateType.NOT])
+    if (
+        np.any(types >= len(GATE_TYPES))
+        or np.any(arity[source] != 0)
+        or np.any(arity[unary] != 1)
+        or np.any(arity[~(source | unary)] < 2)
+    ):
+        raise ValueError("a gate has an unknown type or a wrong arity")
+    bounds = offsets.tolist()
+    fanin_names = list(map(names.__getitem__, fanins.tolist()))
+    circuit = Circuit(name)
+    unchecked, define = Gate.unchecked, circuit._define_unchecked
+    input_type = GateType.INPUT
+    gate_types = map(GATE_TYPES.__getitem__, types.tolist())
+    for gate_name, gate_type, start, stop in zip(names, gate_types, bounds, bounds[1:]):
+        gate = unchecked(gate_name, gate_type, tuple(fanin_names[start:stop]))
+        define(gate, gate_type is input_type)
+    for output in outputs:
+        circuit.set_output(output)  # a CircuitError (ValueError) when missing
+    if topological:
+        circuit._topo_cache = list(names)
+    return circuit
+
+
+def _outputs(definitions: List[Tuple[str, Expr]], constraints: List[Tuple[str, Expr]]) -> List[str]:
+    """The circuit's outputs: the constraint nets, then (to keep them alive
+    through optimization) the definition nets when there are constraints."""
+    nets = [net for net, _ in constraints]
+    if constraints:
+        nets += [net for net, _ in definitions]
+    return nets
+
+
+def _stats(fields: Any) -> TransformStats:
+    if not isinstance(fields, dict) or set(fields) != {
+        field.name for field in dataclasses.fields(TransformStats)
+    }:
+        raise ValueError("stats must hold exactly the TransformStats fields")
+    stages = fields["stage_seconds"]
+    if not (
+        type(fields["seconds"]) is float
+        and isinstance(stages, dict)
+        and all(type(seconds) is float for seconds in stages.values())
+    ):
+        raise ValueError("stats seconds must be floats")
+    counts = {
+        key: _Reader.integer(fields, key)
+        for key in fields
+        if key not in ("seconds", "stage_seconds")
+    }
+    return TransformStats(seconds=fields["seconds"], stage_seconds=dict(stages), **counts)
+
+
+def _checkpoints(reader: _Reader, limits: List[int]) -> Tuple[Tuple[Any, ...], ...]:
+    """The stream checkpoints: from the stream's start (position 0, nothing
+    recorded), positions strictly increasing, counts never decreasing and
+    never past ``limits`` (clauses, records and stats counters)."""
+    table = reader.arrays["checkpoints"]
+    reader.used.add("checkpoints")
+    if table.dtype != np.int64 or table.ndim != 2 or table.shape[1] != 9 or not table.shape[0]:
+        raise ValueError("checkpoints must be an (N, 9) int64 table, N > 0")
+    steps = np.diff(table[:, :8], axis=0)
+    if (
+        np.any(table[0] != (0,) * 8 + (1,))
+        or np.any(steps[:, 0] <= 0)
+        or np.any(steps[:, 1:] < 0)
+        or np.any(table[-1, :8] > np.asarray(limits))
+        or np.any((table[:, 8] != 0) & (table[:, 8] != 1))
+    ):
+        raise ValueError("checkpoints do not move forward within the records")
+    return tuple(zip(*table[:, :8].T.tolist(), table[:, 8].astype(bool).tolist()))
+
+
+def _transform(payload: FlatPayload) -> Tuple[CNF, TransformResult]:
+    fields, reader = payload.fields, _Reader(payload.arrays)
+    if not isinstance(fields, dict):
+        raise ValueError("fields must be an object")
+    formula = _formula(reader, fields["formula"])
+    num_variables = formula.num_variables
+    nodes = _expressions(reader, num_variables)
+    roots = {
+        key: reader.array(key, np.int32)
+        for key in ("definitions.roots", "constraints.roots")
+    }
+    for key, indices in roots.items():
+        _check_range(key, indices, 0, len(nodes))
+    defined = reader.array("definitions.variables", np.int32, roots["definitions.roots"].size)
+    inputs = reader.array("primary_inputs", np.int32)
+    variables = np.concatenate((defined, inputs))
+    _check_variables(variables, num_variables)
+    node_at = nodes.__getitem__
+    definitions = list(
+        zip(map(variable_name, defined.tolist()), map(node_at, roots["definitions.roots"].tolist()))
+    )
+    constraints = [
+        (f"__constraint_{index}", node)
+        for index, node in enumerate(map(node_at, roots["constraints.roots"].tolist()))
+    ]
+    primary_inputs = list(map(variable_name, inputs.tolist()))
+    primary_outputs, intermediate, free = _derived_records(num_variables, definitions, variables)
+    stats = _stats(fields["stats"])
+    if (
+        stats.num_clauses != formula.num_clauses
+        or stats.num_definitions != len(definitions)
+        or stats.signature_matches + stats.generic_matches != len(definitions)
+        or stats.fallback_groups != len(constraints)
+        or stats.constant_definitions != len(primary_outputs)
+    ):
+        raise ValueError("the stats disagree with the records")
+    checkpoints = _checkpoints(
+        reader,
+        [
+            formula.num_clauses,
+            len(definitions),
+            len(primary_inputs),
+            len(constraints),
+            *(getattr(stats, name) for name in _CHECKPOINT_STATS),
+        ],
+    )
+    circuit = _circuit(reader, fields["circuit"], _outputs(definitions, constraints))
+    if list(circuit.inputs) != primary_inputs:
+        raise ValueError("the circuit's inputs are not the primary inputs")
+    if not all(circuit.has_net(net) for net, _ in definitions):
+        raise ValueError("a definition has no net in the circuit")
+    if reader.used != set(payload.arrays):
+        raise ValueError(f"unexpected arrays {sorted(set(payload.arrays) - reader.used)}")
+    transform = TransformResult(
+        source_name=formula.name,
+        num_variables=num_variables,
+        definitions=definitions,
+        primary_inputs=primary_inputs,
+        intermediate_variables=intermediate,
+        primary_outputs=primary_outputs,
+        constraints=constraints,
+        circuit=circuit,
+        free_variables=free,
+        stats=stats,
+        replay=TransformReplay(clauses=formula.clauses, checkpoints=checkpoints),
+    )
+    return formula, transform
+
+
+def _decoded(entry: VerifiedEntry, build):
+    """``build(payload)``, with every malformation a :class:`StoreFormatError`."""
     try:
-        return _round(entry.decode())
+        return build(entry.decode())
+    except StoreFormatError:
+        raise
     except (KeyError, TypeError, ValueError) as error:
-        if isinstance(error, StoreFormatError):
-            raise
-        raise StoreFormatError(f"invalid round entry: {error}") from error
+        raise StoreFormatError(f"invalid {entry.kind} entry: {error}") from error
+
+
+def decode_round(entry: VerifiedEntry) -> Tuple[RoundPlan, CNFEvalPlan]:
+    """The ``(RoundPlan, CNFEvalPlan)`` of a verified ``round`` entry."""
+    return _decoded(entry, _round)
+
+
+def decode_transform(entry: VerifiedEntry) -> Tuple[CNF, TransformResult]:
+    """The ``(formula, TransformResult)`` of a verified ``transform`` entry."""
+    return _decoded(entry, _transform)
+
+
+_DECODERS = {KIND_ROUND: decode_round, KIND_TRANSFORM: decode_transform}
 
 
 def decode(entry: VerifiedEntry) -> Any:
-    """Decode a verified entry by its kind's schema (the store's read path)."""
-    if entry.kind == KIND_ROUND:
-        return decode_round(entry)
-    return entry.decode()
+    """Decode a verified entry by its kind's schema (the store's read path).
+
+    An entry of a kind without a schema decodes to its bare
+    :class:`~repro.store.format.FlatPayload`.
+    """
+    decoder = _DECODERS.get(entry.kind)
+    return entry.decode() if decoder is None else decoder(entry)

@@ -13,11 +13,11 @@ filesystem.
 Layout (everything lives under a format-versioned root, so incompatible
 builds can share one directory without ever mis-reading each other)::
 
-    <root>/v4/objects/<kind>/<sig[:2]>/<sig>.bin     entries
-    <root>/v4/locks/<sig>.lock                       single-flight claims
-    <root>/v4/quarantine/                            corrupt entries
+    <root>/v5/objects/<kind>/<sig[:2]>/<sig>.bin     entries
+    <root>/v5/locks/<sig>.lock                       single-flight claims
+    <root>/v5/quarantine/                            corrupt entries
 
-(``v4`` is :data:`~repro.store.format.FORMAT_VERSION`; entries an older
+(``v5`` is :data:`~repro.store.format.FORMAT_VERSION`; entries an older
 format wrote stay under their own root and are never read.)
 
 Guarantees:
@@ -25,14 +25,12 @@ Guarantees:
 * **crash-safe writes** — entries are written to a temp file in the target
   directory, fsynced, then atomically ``os.replace``d into place; a reader
   never observes a half-written entry;
-* **verified reads** — every read re-checks the container header and the
-  checksum; a corrupt/truncated/foreign/stale entry is moved to
-  ``quarantine/`` and reported as a miss, never raised to the caller.
-  :meth:`ArtifactStore.read` stops there and hands back the verified bytes,
-  which :meth:`ArtifactStore.decode` unpickles later, only when needed;
-  :meth:`ArtifactStore.get` also decodes them by the kind's schema
-  (:mod:`repro.store.schema`), so a ``round`` entry that fails validation
-  is a quarantined miss too;
+* **verified reads** — :meth:`ArtifactStore.get` re-checks the container
+  header and the checksum, then decodes the entry by its kind's schema
+  (:mod:`repro.store.schema`), which validates every field before any
+  object is built; a corrupt/truncated/foreign/stale entry, or one that
+  fails validation, is moved to ``quarantine/`` and reported as a miss,
+  never raised to the caller;
 * **graceful degradation** — an unreadable or unwritable directory turns
   the store into a no-op (counted in :meth:`stats`), it never breaks the
   caller: the in-memory tiers and cold builds keep everything working;
@@ -60,8 +58,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.store import schema
 from repro.store.format import (
     FORMAT_VERSION,
+    FlatPayload,
     StoreFormatError,
-    VerifiedEntry,
     encode_entry,
     verify_entry,
 )
@@ -161,9 +159,9 @@ class ArtifactStore:
             # to a local build.
             "lease_broken": 0,
             "lease_wait_timeouts": 0,
-            # Verified entries unpickled on demand (decode), after a read
-            # that only checked them.  Only the cold ``transform`` entry is
-            # read that way, so a pure sampling workload keeps this at 0.
+            # ``transform`` entries that verified and went on to be decoded.
+            # A store hit reads only the ``round`` entry, so a pure sampling
+            # workload keeps this at 0.
             "transform_decodes": 0,
         }
         # After the first failed write the store stops attempting writes (an
@@ -204,40 +202,15 @@ class ArtifactStore:
         self._touch(path)
         return True
 
-    def read(self, kind: str, signature: str) -> Optional[VerifiedEntry]:
-        """Read and verify one entry without unpickling it; a failure is a miss.
-
-        A present-but-unloadable entry (corrupt, truncated, foreign byte
-        order, other repro version) is quarantined so it is not re-verified
-        on every subsequent miss.  A hit refreshes the entry's recency.
-        """
-        return self._load(kind, signature, decode=False)
-
     def get(self, kind: str, signature: str) -> Optional[Any]:
         """Load, verify and decode one entry by its kind's schema.
 
-        Any failure — including a ``round`` entry that fails validation — is
-        a quarantined miss, never an error.
+        Any failure is a miss, never an error.  A present-but-unloadable
+        entry (corrupt, truncated, foreign byte order, other repro version,
+        or one that fails its schema's validation) is quarantined so it is
+        not re-read on every subsequent miss.  A hit refreshes the entry's
+        recency.
         """
-        return self._load(kind, signature, decode=True)
-
-    def decode(self, entry: VerifiedEntry) -> Any:
-        """Unpickle an entry :meth:`read` verified (counted in ``transform_decodes``).
-
-        The bytes were checksummed when read and are held in memory, so
-        later changes to the file cannot reach them.  Raises
-        :class:`StoreFormatError` (and quarantines the entry) only if the
-        writer pickled something this build cannot load.
-        """
-        self._count("transform_decodes")
-        try:
-            return entry.decode()
-        except StoreFormatError:
-            self._count("corrupt")
-            self._quarantine(self.object_path(entry.kind, entry.signature))
-            raise
-
-    def _load(self, kind: str, signature: str, decode: bool) -> Optional[Any]:
         path = self.object_path(kind, signature)
         try:
             data = bytearray(path.read_bytes())
@@ -245,9 +218,10 @@ class ArtifactStore:
             self._count("misses")
             return None
         try:
-            loaded = verify_entry(data, kind=kind, signature=signature)
-            if decode:
-                loaded = schema.decode(loaded)
+            entry = verify_entry(data, kind=kind, signature=signature)
+            if kind == schema.KIND_TRANSFORM:
+                self._count("transform_decodes")
+            loaded = schema.decode(entry)
         except StoreFormatError:
             self._count("corrupt")
             self._count("misses")
@@ -275,7 +249,7 @@ class ArtifactStore:
             pass
 
     # -- writes -------------------------------------------------------------------------
-    def put(self, kind: str, signature: str, obj: Any) -> bool:
+    def put(self, kind: str, signature: str, payload: FlatPayload) -> bool:
         """Serialise and atomically publish one entry; ``False`` on failure.
 
         Failures (unwritable directory, disk full) are counted, never
@@ -285,9 +259,9 @@ class ArtifactStore:
             return False
         path = self.object_path(kind, signature)
         try:
-            blob = encode_entry(kind, signature, obj)
+            blob = encode_entry(kind, signature, payload)
         except Exception:
-            # Unpicklable payloads are a programming error upstream, but a
+            # An unencodable payload is a programming error upstream, but a
             # cache must not take the build path down with it.
             self._count("write_errors")
             return False
@@ -350,7 +324,7 @@ class ArtifactStore:
     def verify(self) -> Tuple[List[EntryInfo], List[Tuple[EntryInfo, str]]]:
         """Checksum-walk and decode every entry; returns ``(intact, [(bad, reason), ...])``.
 
-        A ``round`` entry must also pass its schema's validation.
+        Every entry must also pass its kind's schema validation.
 
         Bad entries are left in place — ``repro-sat cache verify`` reports,
         it does not mutate; reads quarantine lazily on access.

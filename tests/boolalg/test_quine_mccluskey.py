@@ -1,6 +1,10 @@
 """Tests for Quine-McCluskey minimization (repro.boolalg.quine_mccluskey)."""
 
+import random
+import time
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.boolalg.expr import And, FALSE, Not, Or, TRUE, Var
 from repro.boolalg.quine_mccluskey import (
@@ -9,6 +13,7 @@ from repro.boolalg.quine_mccluskey import (
     prime_implicants,
 )
 from repro.boolalg.truth_table import equivalent, minterms as expr_minterms
+from tests.oracles.quine_mccluskey import prime_implicants_reference
 
 
 class TestPrimeImplicants:
@@ -24,6 +29,41 @@ class TestPrimeImplicants:
     def test_single_minterm(self):
         primes = prime_implicants([5], num_vars=3)
         assert primes == [((0, 1), (1, 0), (2, 1))]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda n: st.tuples(
+                st.just(n), st.lists(st.integers(0, 2**n - 1), max_size=2**n)
+            )
+        )
+    )
+    def test_matches_the_pairwise_tabulation(self, case):
+        num_vars, on_set = case
+        assert prime_implicants(on_set, num_vars) == prime_implicants_reference(
+            on_set, num_vars
+        )
+
+    def test_ten_variable_group_simplifies_in_seconds(self):
+        # 40 positive clauses of 2-4 literals sharing variable 1, over 10
+        # variables: trying every pair of implicants took about a minute.
+        from repro.boolalg import clear_caches
+        from repro.boolalg.simplify import simplify
+        from repro.cnf.clause import Clause
+        from repro.core.extraction import group_to_constraint_expr
+
+        rng = random.Random(0)
+        groups = set()
+        while len(groups) < 40:
+            groups.add(frozenset([1, *rng.sample(range(2, 11), rng.randint(1, 3))]))
+        group = [Clause(sorted(clause)) for clause in sorted(groups, key=sorted)]
+        expr = group_to_constraint_expr(group)
+        assert len(expr.support()) == 10
+        clear_caches()
+        start = time.perf_counter()
+        simplified = simplify(expr)
+        assert time.perf_counter() - start < 5.0
+        assert equivalent(simplified, expr)
 
 
 class TestMinimizeMinterms:

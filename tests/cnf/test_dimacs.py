@@ -50,6 +50,23 @@ class TestParsing:
         formula = parse_dimacs("p cnf 14 1\n1 2 0\n")
         assert formula.num_variables == 14
 
+    def test_literal_beyond_the_header_names_its_line(self):
+        # It used to widen the formula to 99,999,999,999 variables.
+        with pytest.raises(DimacsError, match=r"^line 2: variable 99999999999"):
+            parse_dimacs("p cnf 3 1\n1 99999999999 0\n")
+        with pytest.raises(DimacsError, match=r"^line 3: variable 4"):
+            parse_dimacs("p cnf 3 2\n1 2 0\n-4 0\n")
+
+    def test_literal_before_a_narrower_header_names_its_line(self):
+        with pytest.raises(DimacsError, match=r"^line 1: variable 7 .* line 2"):
+            parse_dimacs("1 7 0\np cnf 3 1\n")
+
+    @pytest.mark.parametrize("header", ["p cnf -5 1", "p cnf 5 -1"])
+    def test_negative_header_count_names_its_line(self, header):
+        # ``p cnf -5 1`` used to be accepted silently as one variable.
+        with pytest.raises(DimacsError, match=r"^line 2: negative header count"):
+            parse_dimacs(f"c x\n{header}\n1 0\n")
+
     def test_fig1_example(self, fig1_formula):
         assert fig1_formula.num_variables == 14
         assert fig1_formula.num_clauses == 21

@@ -129,10 +129,11 @@ class TestProductionSites:
 
     def test_store_corruption_is_quarantined_as_miss(self, tmp_path):
         from repro.store import ArtifactStore
+        from repro.store.format import FlatPayload
 
         store = ArtifactStore(tmp_path / "store")
         faults.install_plan("seed=3;corrupt:at=1")
-        assert store.put("plan", "a" * 16, {"x": np.arange(64)})
+        assert store.put("plan", "a" * 16, FlatPayload(fields={}, arrays={"x": np.arange(64)}))
         # checksum verification catches the injected flip: miss + quarantine
         assert store.get("plan", "a" * 16) is None
         counters = store.counters()

@@ -13,7 +13,7 @@ from repro.serve.retry import (
     parse_retry_spec,
 )
 from repro.serve.service import SamplingService
-from repro.serve.supervisor import RestartPolicy, WorkerSupervisor
+from repro.serve.supervisor import MAX_RESTARTS, WINDOW_SECONDS, WorkerSupervisor
 
 
 class TestRetryPolicy:
@@ -90,47 +90,56 @@ class TestRetryPolicy:
 
 
 class TestWorkerSupervisor:
+    """Against the module's constants: a 0.2 s first delay doubling per
+    consecutive death up to 10 s, and 5 restarts per 60 s window."""
+
     def test_backoff_grows_then_resets_on_success(self):
-        policy = RestartPolicy(backoff_seconds=1.0, backoff_factor=2.0,
-                               backoff_max_seconds=100.0, max_restarts=10)
-        supervisor = WorkerSupervisor(1, policy)
-        assert supervisor.record_death(0, now=0.0) == pytest.approx(1.0)
-        supervisor.record_respawn(0)
-        assert supervisor.record_death(0, now=10.0) == pytest.approx(12.0)
-        supervisor.record_respawn(0)
+        supervisor = WorkerSupervisor(1)
+        # Deaths a window apart never exhaust the budget, so the streak
+        # alone drives the delay: 0.2 s doubling, capped at 10 s.
+        delays = []
+        for death in range(8):
+            now = 100.0 * death
+            delays.append(supervisor.record_death(0, now=now) - now)
+            supervisor.record_respawn(0)
+        assert delays == pytest.approx([0.2, 0.4, 0.8, 1.6, 3.2, 6.4, 10.0, 10.0])
         supervisor.record_success(0)  # a completed task ends the streak
-        assert supervisor.record_death(0, now=20.0) == pytest.approx(21.0)
+        assert supervisor.record_death(0, now=1000.0) == pytest.approx(1000.2)
 
     def test_restart_budget_abandons_slot(self):
-        policy = RestartPolicy(max_restarts=2, window_seconds=100.0)
-        supervisor = WorkerSupervisor(1, policy)
-        assert supervisor.record_death(0, now=0.0) is not None
-        assert supervisor.record_death(0, now=1.0) is not None
-        assert supervisor.record_death(0, now=2.0) is None  # third in window
+        supervisor = WorkerSupervisor(1)
+        for now in range(MAX_RESTARTS):
+            assert supervisor.record_death(0, now=float(now)) is not None
+        assert supervisor.record_death(0, now=float(MAX_RESTARTS)) is None  # one too many
         assert supervisor.is_failed(0)
         assert not supervisor.any_pending()
 
     def test_window_slides(self):
-        policy = RestartPolicy(max_restarts=2, window_seconds=10.0)
-        supervisor = WorkerSupervisor(1, policy)
-        supervisor.record_death(0, now=0.0)
-        supervisor.record_death(0, now=1.0)
+        supervisor = WorkerSupervisor(1)
+        for now in range(MAX_RESTARTS):
+            supervisor.record_death(0, now=float(now))
         # old deaths age out of the window: no abandonment
-        assert supervisor.record_death(0, now=50.0) is not None
+        assert supervisor.record_death(0, now=WINDOW_SECONDS + 10.0) is not None
         assert not supervisor.is_failed(0)
 
     def test_due_and_deadline(self):
-        policy = RestartPolicy(backoff_seconds=5.0, backoff_factor=1.0)
-        supervisor = WorkerSupervisor(2, policy)
+        supervisor = WorkerSupervisor(2)
         supervisor.record_death(0, now=0.0)
-        supervisor.record_death(1, now=2.0)
-        assert supervisor.due(4.0) == []
-        assert supervisor.due(6.0) == [0]
-        assert supervisor.due(10.0) == [0, 1]
-        assert supervisor.next_deadline() == pytest.approx(5.0)
+        supervisor.record_death(1, now=0.1)
+        assert supervisor.due(0.1) == []
+        assert supervisor.due(0.25) == [0]
+        assert supervisor.due(1.0) == [0, 1]
+        assert supervisor.next_deadline() == pytest.approx(0.2)
         assert supervisor.record_respawn(0) == 1
         assert supervisor.incarnation(0) == 1
-        assert supervisor.next_deadline() == pytest.approx(7.0)
+        assert supervisor.next_deadline() == pytest.approx(0.3)
+
+    def test_restart_values_are_not_settable(self):
+        with pytest.raises(TypeError):
+            WorkerSupervisor(1, policy=None)
+        import repro.serve
+
+        assert not hasattr(repro.serve, "RestartPolicy")
 
 
 class TestJournalUnits:

@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.cnf.dimacs import parse_dimacs
 from repro.core.signatures import formula_signature
 from repro.serve.cache import build_artifact
 from repro.store import ArtifactStore
+from repro.store.format import FlatPayload
 from tests.conftest import FIG1_DIMACS
+
+
+def flat(values) -> FlatPayload:
+    """A test entry holding ``values`` as its one ``int64`` array, ``x``."""
+    return FlatPayload(fields={}, arrays={"x": np.asarray(values, dtype=np.int64)})
 
 
 @pytest.fixture

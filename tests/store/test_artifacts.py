@@ -2,16 +2,12 @@
 
 from __future__ import annotations
 
-import io
-import pickle
 import time
 
 import numpy as np
 import pytest
 
-from repro.circuit.netlist import Circuit
 from tests.corpus.generators import planted_ksat
-from repro.cnf.clause import Clause
 from repro.cnf.formula import CNF
 from repro.core.config import SamplerConfig
 from repro.core.sampler import GradientSATSampler
@@ -26,7 +22,7 @@ from repro.store import (
     persist_artifact,
     verify_entry,
 )
-from repro.store.format import LAYOUT_ARRAYS, FlatPayload, StoreFormatError
+from repro.store.format import FlatPayload, StoreFormatError
 
 
 def _solutions(artifact, seed=0):
@@ -43,22 +39,6 @@ def _round_solutions(artifact, seed=0):
     return sampler.sample(num_solutions=20).solutions.to_matrix()
 
 
-def _classes_unpickled(entry):
-    """Every class the entry's pickle stream names, in load order."""
-    seen = []
-
-    class Recorder(pickle.Unpickler):
-        def find_class(self, module, name):
-            found = super().find_class(module, name)
-            seen.append(found)
-            return found
-
-    offset, length = entry.pickle_span
-    buffers = [entry.payload[start : start + size] for start, size in entry.buffer_spans]
-    Recorder(io.BytesIO(entry.payload[offset : offset + length]), buffers=buffers).load()
-    return seen
-
-
 class TestRoundTrip:
     def test_both_kinds_are_written(self, store, fig1_artifact):
         assert persist_artifact(store, fig1_artifact)
@@ -70,18 +50,18 @@ class TestRoundTrip:
     def test_round_entry_holds_no_circuit_expr_or_clause(self, store, fig1_artifact):
         persist_artifact(store, fig1_artifact)
         signature = fig1_artifact.signature
-        data = bytearray(store.object_path(KIND_ROUND, signature).read_bytes())
-        entry = verify_entry(data, kind=KIND_ROUND)
-        # No pickle stream at all: JSON fields plus named plain-dtype arrays.
-        assert entry.layout == LAYOUT_ARRAYS
-        assert entry.pickle_span == (0, 0) and entry.buffer_spans == ()
-        flat = entry.decode()
-        assert isinstance(flat, FlatPayload)
-        assert {array.dtype.kind for array in flat.arrays.values()} <= {"b", "u", "i"}
-        # ... while the cold entry carries exactly the circuit, CNF and clauses.
-        data = bytearray(store.object_path(KIND_TRANSFORM, signature).read_bytes())
-        classes = _classes_unpickled(verify_entry(data, kind=KIND_TRANSFORM))
-        assert {Circuit, CNF, Clause} <= set(classes)
+        # Both entries are JSON fields plus named plain-dtype arrays; the
+        # round's fields and arrays name no formula, circuit or expression.
+        for kind in (KIND_ROUND, KIND_TRANSFORM):
+            data = bytearray(store.object_path(kind, signature).read_bytes())
+            flat = verify_entry(data, kind=kind).decode()
+            assert isinstance(flat, FlatPayload)
+            assert {array.dtype.kind for array in flat.arrays.values()} <= {"b", "u", "i"}
+            if kind == KIND_ROUND:
+                assert not {"formula", "circuit", "stats"} & set(flat.fields)
+                assert not any(name.startswith(("expr.", "circuit.")) for name in flat.arrays)
+            else:
+                assert {"formula", "circuit", "stats"} <= set(flat.fields)
 
     def test_persist_is_idempotent(self, store, fig1_artifact):
         persist_artifact(store, fig1_artifact)

@@ -15,7 +15,7 @@ from repro.core.task import SamplingTask
 from repro.core.transform import transform_cnf
 from repro.serve.cache import ArtifactCache
 from repro.store import ArtifactStore, KIND_TRANSFORM, StoreFormatError
-from repro.store.format import LAYOUT_ARRAYS, VerifiedEntry
+from repro.store.format import FlatPayload, encode_entry, verify_entry
 from tests.conftest import FIG1_DIMACS
 from tests.corpus.generators import planted_ksat
 
@@ -30,6 +30,16 @@ def _corrupt_transform(store, signature):
     blob = bytearray(path.read_bytes())
     blob[len(blob) // 2] ^= 0xFF
     path.write_bytes(bytes(blob))
+
+
+def _invalidate_transform(store, signature):
+    """Rewrite the store's ``transform`` entry with a valid checksum but an
+    expression child that points forward, which its schema rejects."""
+    path = store.object_path(KIND_TRANSFORM, signature)
+    flat = verify_entry(bytearray(path.read_bytes()), kind=KIND_TRANSFORM).decode()
+    arrays = {name: array.copy() for name, array in flat.arrays.items()}
+    arrays["expr.children"][0] = len(arrays["expr.opcodes"])
+    path.write_bytes(encode_entry(KIND_TRANSFORM, signature, FlatPayload(flat.fields, arrays)))
 
 
 class TestGetOrBuild:
@@ -173,24 +183,11 @@ class TestGetOrBuildTask:
 
 
 class TestUndecodableTransform:
-    """A ``transform`` entry that verifies but does not unpickle (say, one a
-    build with another ``TransformReplay`` layout wrote) is a miss: the
+    """A ``transform`` entry that verifies but fails its schema's validation
+    (say, one whose arrays were damaged and re-checksummed) is a miss: the
     store is only an accelerator."""
 
-    @staticmethod
-    def _fail_decodes(monkeypatch):
-        """Make every pickled entry fail to decode; ``round`` entries, in
-        the pickle-free layout, still load."""
-        decode = VerifiedEntry.decode
-
-        def fail_pickled(entry):
-            if entry.layout == LAYOUT_ARRAYS:
-                return decode(entry)
-            raise StoreFormatError("payload does not unpickle: layout drift")
-
-        monkeypatch.setattr(VerifiedEntry, "decode", fail_pickled)
-
-    def test_incremental_job_over_it_builds_cold(self, tmp_path, monkeypatch):
+    def test_incremental_job_over_it_builds_cold(self, tmp_path):
         directory = tmp_path / "shared"
         base_signature = formula_signature(_base())
         ArtifactCache(store=ArtifactStore(directory)).get_or_build_task(
@@ -202,7 +199,7 @@ class TestUndecodableTransform:
             None, base_signature, base_signature, loader=_base
         )
         assert parent.source == "store" and parent.pending is not None
-        self._fail_decodes(monkeypatch)
+        _invalidate_transform(store, base_signature)
         for assume in ((2,), (3,)):
             task = SamplingTask.build(assume=assume)
             effective = task.apply_to(_base())
@@ -213,19 +210,23 @@ class TestUndecodableTransform:
             cold = transform_cnf(effective)
             assert artifact.transform.definitions == cold.definitions
             assert artifact.transform.constraints == cold.constraints
-        # The bad bytes were decoded once, not once per job.
+        # The bad entry was decoded once, not once per job, and quarantined.
         assert store.counters()["transform_decodes"] == 1
+        assert store.counters()["corrupt"] == 1
+        assert not store.contains(KIND_TRANSFORM, base_signature)
 
-    def test_pipeline_store_hit_falls_back_to_a_build(self, tmp_path, monkeypatch):
+    def test_pipeline_store_hit_falls_back_to_a_build(self, tmp_path):
         config = SamplerConfig(batch_size=32, seed=3, max_rounds=3)
         store_dir = str(tmp_path / "store")
         first = sample_cnf(_fig1(), num_solutions=10, config=config, store_dir=store_dir)
-        self._fail_decodes(monkeypatch)
+        _invalidate_transform(ArtifactStore(store_dir), formula_signature(_fig1()))
         second = sample_cnf(_fig1(), num_solutions=10, config=config, store_dir=store_dir)
         assert second.transform.definitions == first.transform.definitions
         assert np.array_equal(
             second.sample.solution_matrix(), first.sample.solution_matrix()
         )
+        # The invalid entry was read, rejected and set aside.
+        assert list((ArtifactStore(store_dir).version_root / "quarantine").iterdir())
 
 
 class TestCorruptTransformEntry:

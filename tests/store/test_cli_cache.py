@@ -7,13 +7,14 @@ import pytest
 
 from repro.cli import main
 from repro.store import ArtifactStore
+from tests.store.conftest import flat
 
 
 @pytest.fixture
 def populated_dir(tmp_path):
     store = ArtifactStore(tmp_path / "store")
-    store.put("plan", "aaaa1111", np.zeros(2048))
-    store.put("transform", "bbbb2222", {"x": np.ones(512)})
+    store.put("plan", "aaaa1111", flat(np.zeros(2048)))
+    store.put("misc", "bbbb2222", flat(np.ones(512)))
     return tmp_path / "store"
 
 
@@ -21,7 +22,7 @@ def test_stats(populated_dir, capsys):
     assert main(["cache", "stats", "--store-dir", str(populated_dir)]) == 0
     out = capsys.readouterr().out
     assert "entries         : 2" in out
-    assert "plan" in out and "transform" in out
+    assert "plan" in out and "misc" in out
 
 
 def test_ls(populated_dir, capsys):
@@ -68,7 +69,7 @@ def test_env_var_names_the_store(populated_dir, capsys, monkeypatch):
 
 @pytest.fixture
 def artifact_dir(tmp_path):
-    """A store holding one built artifact: a v3 round entry plus its transform."""
+    """A store holding one built artifact: its round and transform entries."""
     from repro.cnf.dimacs import parse_dimacs
     from repro.serve.cache import build_artifact
     from repro.store import persist_artifact
@@ -81,11 +82,11 @@ def artifact_dir(tmp_path):
 
 
 def test_verify_accepts_v3_round_entries(artifact_dir, capsys):
-    from repro.store import KIND_ROUND
-    from repro.store.format import LAYOUT_ARRAYS
+    from repro.store import KIND_ROUND, KIND_TRANSFORM
 
     store, artifact = artifact_dir
-    assert store.read(KIND_ROUND, artifact.signature).layout == LAYOUT_ARRAYS
+    assert store.get(KIND_ROUND, artifact.signature) is not None
+    assert store.get(KIND_TRANSFORM, artifact.signature) is not None
     assert main(["cache", "verify", "--store-dir", str(store.root)]) == 0
     assert "2 intact, 0 bad" in capsys.readouterr().out
 

@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 from repro.store import ArtifactStore, KIND_TRANSFORM
+from repro.store.format import FlatPayload
 
 _SPAWN = multiprocessing.get_context("spawn")
 
@@ -25,7 +26,7 @@ def _writer(root, signature, barrier_dir, done_dir):
         if time.monotonic() > deadline:
             raise RuntimeError("barrier never opened")
         time.sleep(0.001)
-    payload = {"signature": signature, "data": np.arange(50_000)}
+    payload = FlatPayload(fields={"signature": signature}, arrays={"data": np.arange(50_000)})
     for _ in range(5):
         store.put("plan", signature, payload)
     with open(os.path.join(done_dir, f"{os.getpid()}.done"), "w") as handle:
@@ -82,7 +83,8 @@ class TestConcurrentWriters:
         store = ArtifactStore(root)
         loaded = store.get("plan", "shared-sig")
         assert loaded is not None
-        assert np.array_equal(loaded["data"], np.arange(50_000))
+        assert loaded.fields == {"signature": "shared-sig"}
+        assert np.array_equal(loaded.arrays["data"], np.arange(50_000))
         intact, bad = store.verify()
         assert not bad and len(intact) == 1
         # No temp droppings anywhere in the objects tree.

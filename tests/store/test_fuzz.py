@@ -6,13 +6,18 @@ or a load; the deferred decode of a ``transform`` entry, which a hit does
 not read, raises only :class:`StoreFormatError`.  No mutation may yield a
 wrong artifact: the fixed-seed rows always equal a cold build's.
 
-A checksum only catches accidents, so the pickle-free ``round`` entry is
-also fuzzed structurally: its decoded fields and arrays are mutated into
-something the C kernels or the row maps must never run (an operand reading
-its own or a later slot, an unknown opcode, a row or literal column out of
-range, a length that disagrees, broken width groups, a wrong or disallowed
-dtype) and re-encoded with a *valid* checksum.  Each must be rejected by
-the schema and served as a miss.
+A checksum only catches accidents, so both entry kinds are also fuzzed
+structurally: their decoded fields and arrays are mutated and re-encoded
+with a *valid* checksum.  The ``round`` entry is mutated into something the
+C kernels or the row maps must never run (an operand reading its own or a
+later slot, an unknown opcode, a row or literal column out of range, a
+length that disagrees, broken width groups, a wrong or disallowed dtype);
+the ``transform`` entry has every array and every field broken (a length,
+a dtype, a value out of range, a child or fanin pointing forward, an
+expression not in constructor form, a gate of the wrong arity, junk
+fields).  Each must be rejected by the schema and served as a miss, and
+any in-range overwrite of any array element either is a miss or decodes —
+never another exception.
 """
 
 from __future__ import annotations
@@ -26,10 +31,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cnf.delta import ClauseDelta
 from repro.cnf.dimacs import parse_dimacs
 from repro.cnf.formula import CNF
 from repro.core.config import SamplerConfig
 from repro.core.sampler import GradientSATSampler
+from repro.core.transform import retransform
 from repro.serve.cache import ArtifactCache, build_artifact
 from repro.store import (
     ALL_KINDS,
@@ -47,7 +54,7 @@ from repro.store.format import (
     encode_entry,
     verify_entry,
 )
-from repro.store.schema import decode_round
+from repro.store.schema import decode_round, decode_transform
 from tests.conftest import FIG1_DIMACS
 
 CONFIG = SamplerConfig.paper_defaults(batch_size=64, seed=5, max_rounds=4)
@@ -346,18 +353,31 @@ def test_round_leaving_a_row_unwritten_is_a_miss(tmp_path):
 
 
 def test_v2_round_entry_is_a_clean_miss(tmp_path):
-    # Format v2 pickled the round; such an entry, even at the current path, is
-    # rejected from its prelude and never unpickled.
-    signature, _, cold_rows = _pristine()
-    artifact = build_artifact(_fig1())
-    blob = bytearray(
-        encode_entry(KIND_ROUND, signature, {"round": artifact.round, "plan": artifact.plan})
-    )
+    # Format v2 pickled the round; an entry stamped with an older container
+    # version, even at the current path, is rejected from its prelude.
+    signature, entries, cold_rows = _pristine()
+    blob = bytearray(entries[KIND_ROUND])
     struct.pack_into("<H", blob, 4, 2)
     store = _seeded_store(tmp_path, KIND_ROUND, bytes(blob))
     loaded = load_sampling_artifact(store, signature)
     assert store.counters()["corrupt"] == 1
     np.testing.assert_array_equal(_rows(loaded), cold_rows)
+
+
+def test_v4_transform_entry_is_a_clean_miss(tmp_path):
+    # Format v4 pickled the transform.  Such an entry is rejected from its
+    # prelude: a hit whose round is fine still samples, and the first decode
+    # of the transform is a quarantined miss that never unpickles.
+    signature, entries, cold_rows = _pristine()
+    blob = bytearray(entries[KIND_TRANSFORM])
+    struct.pack_into("<H", blob, 4, 4)
+    store = _seeded_store(tmp_path, KIND_TRANSFORM, bytes(blob))
+    artifact = load_sampling_artifact(store, signature)
+    np.testing.assert_array_equal(_rows(artifact), cold_rows)
+    with pytest.raises(StoreFormatError):
+        artifact.transform
+    assert store.counters()["corrupt"] == 1
+    assert load_sampling_artifact(store, signature) is None  # quarantined
 
 
 def test_v2_store_directory_is_never_read(tmp_path):
@@ -370,3 +390,207 @@ def test_v2_store_directory_is_never_read(tmp_path):
     assert load_sampling_artifact(store, signature) is None
     assert store.counters()["corrupt"] == 0
     assert (tmp_path / "v2" / "objects" / KIND_ROUND).exists()
+
+
+# -- structural mutations of the transform entry ------------------------------------------
+def _decoded_transform():
+    """Writable copies of the pristine transform entry's fields and arrays."""
+    _, entries, _ = _pristine()
+    flat = verify_entry(bytearray(entries[KIND_TRANSFORM]), kind=KIND_TRANSFORM).decode()
+    fields = json.loads(json.dumps(flat.fields))
+    return fields, {name: array.copy() for name, array in flat.arrays.items()}
+
+
+def _transform_blob(fields, arrays) -> bytes:
+    return encode_entry(KIND_TRANSFORM, _pristine()[0], FlatPayload(fields, arrays))
+
+
+def _owners(arrays, offsets: str) -> np.ndarray:
+    """The row each CSR value under ``offsets`` belongs to."""
+    bounds = arrays[offsets]
+    return np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
+
+
+def _broken_transform(case: str, data) -> bytes:
+    """A transform entry broken the way ``case`` names, with a valid checksum."""
+    fields, arrays = _decoded_transform()
+    names = sorted(arrays)
+    if case == "drop":
+        # Removing the first element (row) of any array breaks a length, an
+        # offset, a stats total or the checkpoints' start.
+        name = data.draw(st.sampled_from(names), label="array")
+        arrays[name] = arrays[name][1:]
+    elif case == "append":
+        name = data.draw(st.sampled_from(names), label="array")
+        array = arrays[name]
+        arrays[name] = np.concatenate((array, array[-1:])).astype(array.dtype)
+    elif case == "wrong_dtype":
+        name = data.draw(st.sampled_from(names), label="array")
+        other = [t for t in (np.bool_, np.uint8, np.int32, np.int64) if arrays[name].dtype != t]
+        arrays[name] = arrays[name].astype(data.draw(st.sampled_from(other), label="dtype"))
+    elif case == "wrong_shape":
+        name = data.draw(st.sampled_from(names), label="array")
+        array = arrays[name]
+        arrays[name] = array.reshape(-1) if array.ndim == 2 else array.reshape(1, -1)
+    elif case == "out_of_range":
+        num_variables = fields["formula"]["num_variables"]
+        num_nodes = arrays["expr.opcodes"].size
+        invalid = {
+            "formula.literals": (0, num_variables + 1, -num_variables - 1),
+            "expr.opcodes": (7, 255),
+            "circuit.types": (11, 255),
+            "definitions.variables": (0, -1, num_variables + 1),
+            "primary_inputs": (0, -1, num_variables + 1),
+            "definitions.roots": (-1, num_nodes),
+            "constraints.roots": (-1, num_nodes),
+            "expr.children": "expr.child_offsets",
+            "circuit.fanins": "circuit.fanin_offsets",
+        }
+        name = data.draw(st.sampled_from(sorted(invalid)), label="array")
+        index = data.draw(st.integers(0, arrays[name].size - 1), label="index")
+        choices = invalid[name]
+        if isinstance(choices, str):  # point to itself, to a later row or before 0
+            owner = int(_owners(arrays, choices)[index])
+            choices = (-1, owner, owner + 1)
+        arrays[name][index] = data.draw(st.sampled_from(choices), label="value")
+    elif case == "offsets":
+        name = data.draw(
+            st.sampled_from(("formula.offsets", "expr.child_offsets", "circuit.fanin_offsets")),
+            label="array",
+        )
+        array = arrays[name]
+        index = data.draw(st.integers(0, array.size - 1), label="index")
+        array[index] = data.draw(st.sampled_from((-1, int(array[-1]) + 1)), label="offset")
+    elif case == "checkpoint":
+        table = arrays["checkpoints"]
+        row = data.draw(st.integers(0, table.shape[0] - 1), label="row")
+        column = data.draw(st.integers(0, 8), label="column")
+        table[row, column] = data.draw(
+            st.sampled_from((-1, 2) if column == 8 else (-1, 10**6)), label="value"
+        )
+    elif case == "not_canonical":
+        opcodes, bounds = arrays["expr.opcodes"], arrays["expr.child_offsets"]
+        children = arrays["expr.children"]
+        nary = [i for i in range(opcodes.size) if opcodes[i] >= 4]
+        node = data.draw(st.sampled_from(nary), label="node")
+        # Repeat the node's first operand: the constructor folds it away.
+        children[bounds[node] + 1] = children[bounds[node]]
+    elif case == "gate_arity":
+        types = arrays["circuit.types"]
+        unary = [i for i in range(types.size) if types[i] in (3, 4)]
+        types[data.draw(st.sampled_from(unary), label="gate")] = data.draw(
+            st.sampled_from((0, 5, 9)), label="type"
+        )
+    elif case == "gate_names":
+        gate_names = fields["circuit"]["gate_names"].split(" ")[:-1]
+        how = data.draw(st.sampled_from(("repeat", "drop", "unterminated", "empty")), label="how")
+        if how == "repeat":
+            gate_names[-1] = gate_names[0]
+        elif how == "drop":
+            del gate_names[-1]
+        joined = "".join(f"{name} " for name in gate_names)
+        broken = {"unterminated": joined[:-1], "empty": ""}
+        fields["circuit"]["gate_names"] = broken.get(how, joined)
+    else:  # junk in a field
+        section, key = data.draw(
+            st.sampled_from(
+                [("formula", key) for key in ("name", "comments", "num_variables")]
+                + [("circuit", key) for key in ("name", "topological", "gate_names")]
+                + [("stats", key) for key in sorted(fields["stats"])]
+                + [(None, key) for key in ("formula", "circuit", "stats")]
+            ),
+            label="field",
+        )
+        valid = {"name": str, "topological": bool, "seconds": float}.get(key, ())
+        junk = [None, -1, 1.5, "x", [1], {"a": 1}, True]
+        if key == "num_variables":
+            junk.append(2**40)  # beyond the int32 literals
+        junk = data.draw(
+            st.sampled_from([j for j in junk if not isinstance(j, valid)]), label="junk"
+        )
+        target = fields if section is None else fields[section]
+        if data.draw(st.booleans(), label="delete"):
+            del target[key]
+        else:
+            target[key] = junk
+    return _transform_blob(fields, arrays)
+
+
+TRANSFORM_CASES = (
+    "drop",
+    "append",
+    "wrong_dtype",
+    "wrong_shape",
+    "out_of_range",
+    "offsets",
+    "checkpoint",
+    "not_canonical",
+    "gate_arity",
+    "gate_names",
+    "fields",
+)
+
+
+@settings(max_examples=220, deadline=None)
+@given(case=st.sampled_from(TRANSFORM_CASES), data=st.data())
+def test_structurally_invalid_transform_is_a_miss(case, data):
+    blob = _broken_transform(case, data)
+    # The container checks pass (the checksum is valid) ...
+    entry = verify_entry(bytearray(blob), kind=KIND_TRANSFORM)
+    # ... but the schema rejects the entry before any object is built.
+    with pytest.raises(StoreFormatError):
+        decode_transform(entry)
+    # Served, the hit still samples the cold rows, the decode is a
+    # quarantined miss, and the next lookup rebuilds the transform.
+    signature, _, cold_rows = _pristine()
+    with tempfile.TemporaryDirectory() as directory:
+        store = _seeded_store(directory, KIND_TRANSFORM, blob)
+        artifact = load_sampling_artifact(store, signature)
+        np.testing.assert_array_equal(_rows(artifact), cold_rows)
+        with pytest.raises(StoreFormatError):
+            artifact.transform
+        assert store.counters()["corrupt"] == 1
+        assert not store.contains(KIND_TRANSFORM, signature)
+        _, rebuilt = ArtifactCache(store=ArtifactStore(directory)).get_or_build(
+            formula=_fig1(), signature=signature
+        )
+        assert rebuilt
+
+
+def test_reencoded_transform_without_mutation_is_the_exact_transform():
+    # The harness itself: decode, re-encode, and the entry decodes to the
+    # very transform a cold build makes.
+    from tests.store.test_transform_schema import assert_same_transform
+
+    signature = _pristine()[0]
+    blob = _transform_blob(*_decoded_transform())
+    built = build_artifact(_fig1())
+    with tempfile.TemporaryDirectory() as directory:
+        store = _seeded_store(directory, KIND_TRANSFORM, blob)
+        artifact = load_sampling_artifact(store, signature)
+        assert artifact.formula == built.formula
+        assert_same_transform(artifact.transform, built.transform, timings=False)
+        assert store.counters()["corrupt"] == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_any_in_range_overwrite_is_a_miss_or_decodes(data):
+    # Values that pass every range check may still describe another
+    # transform; what must never happen is any exception but a miss.
+    fields, arrays = _decoded_transform()
+    name = data.draw(st.sampled_from(sorted(arrays)), label="array")
+    flat = arrays[name].reshape(-1)
+    index = data.draw(st.integers(0, flat.size - 1), label="index")
+    info = np.iinfo(flat.dtype) if flat.dtype != np.bool_ else None
+    low, high = (0, 1) if info is None else (max(info.min, -64), min(info.max, 64))
+    flat[index] = data.draw(st.integers(low, high), label="value")
+    blob = _transform_blob(fields, arrays)
+    try:
+        formula, transform = decode_transform(verify_entry(bytearray(blob), kind=KIND_TRANSFORM))
+    except StoreFormatError:
+        return
+    # What decodes is a transform its users can run: a round compiles and
+    # an incremental derivation replays from it.
+    transform.round_plan
+    retransform(transform, ClauseDelta(assume=(1,)))

@@ -9,13 +9,15 @@ import pytest
 
 from repro.store import ArtifactStore
 from repro.store.format import encode_entry
+from tests.store.conftest import flat
 
 
 class TestPutGet:
     def test_round_trip(self, store):
-        assert store.put("plan", "a" * 16, {"x": np.arange(32)})
+        assert store.put("plan", "a" * 16, flat(np.arange(32)))
         loaded = store.get("plan", "a" * 16)
-        assert np.array_equal(loaded["x"], np.arange(32))
+        assert loaded.fields == {}
+        assert np.array_equal(loaded.arrays["x"], np.arange(32))
         counters = store.counters()
         assert counters["writes"] == 1 and counters["hits"] == 1
 
@@ -25,25 +27,25 @@ class TestPutGet:
 
     def test_contains(self, store):
         assert not store.contains("plan", "s")
-        store.put("plan", "s", [1])
+        store.put("plan", "s", flat([1]))
         assert store.contains("plan", "s")
 
     def test_entries_and_stats(self, store):
-        store.put("plan", "aa11", [1, 2, 3])
-        store.put("transform", "bb22", {"k": np.ones(8)})
+        store.put("plan", "aa11", flat([1, 2, 3]))
+        store.put("misc", "bb22", flat(np.ones(8)))
         entries = store.entries()
         assert {(e.kind, e.signature) for e in entries} == {
             ("plan", "aa11"),
-            ("transform", "bb22"),
+            ("misc", "bb22"),
         }
         stats = store.stats()
         assert stats["entries"] == 2
         assert stats["bytes"] == sum(e.nbytes for e in entries)
-        assert stats["kinds"] == {"plan": 1, "transform": 1}
+        assert stats["kinds"] == {"plan": 1, "misc": 1}
 
     def test_no_partial_entry_files(self, store):
         # Atomic rename: the objects tree never holds temp files after a put.
-        store.put("plan", "cc33", np.zeros(1024))
+        store.put("plan", "cc33", flat(np.zeros(1024)))
         kind_dir = store.version_root / "objects" / "plan"
         names = [p.name for p in kind_dir.rglob("*") if p.is_file()]
         assert names == ["cc33.bin"]
@@ -51,7 +53,7 @@ class TestPutGet:
 
 class TestCorruption:
     def test_corrupt_entry_is_quarantined(self, store):
-        store.put("plan", "dd44", np.arange(100))
+        store.put("plan", "dd44", flat(np.arange(100)))
         path = store.object_path("plan", "dd44")
         data = bytearray(path.read_bytes())
         data[-1] ^= 0xFF
@@ -63,14 +65,14 @@ class TestCorruption:
         assert list((store.version_root / "quarantine").iterdir())
 
     def test_truncated_entry_is_a_miss(self, store):
-        store.put("plan", "ee55", np.arange(100))
+        store.put("plan", "ee55", flat(np.arange(100)))
         path = store.object_path("plan", "ee55")
         path.write_bytes(path.read_bytes()[:100])
         assert store.get("plan", "ee55") is None
 
     def test_entry_under_wrong_signature_is_rejected(self, store):
         # A foreign entry renamed into place must not be served.
-        blob = encode_entry("plan", "actual-sig", [1, 2, 3])
+        blob = encode_entry("plan", "actual-sig", flat([1, 2, 3]))
         path = store.object_path("plan", "claimed-sig")
         path.parent.mkdir(parents=True)
         path.write_bytes(blob)
@@ -78,8 +80,8 @@ class TestCorruption:
         assert store.counters()["corrupt"] == 1
 
     def test_verify_reports_without_mutating(self, store):
-        store.put("plan", "good", [1])
-        store.put("plan", "badd", [2])
+        store.put("plan", "good", flat([1]))
+        store.put("plan", "badd", flat([2]))
         path = store.object_path("plan", "badd")
         data = bytearray(path.read_bytes())
         data[-1] ^= 0xFF
@@ -94,7 +96,7 @@ class TestCorruption:
 class TestPrune:
     def test_prune_respects_byte_bound(self, store):
         for index in range(6):
-            store.put("plan", f"sig{index}", np.zeros(4096))
+            store.put("plan", f"sig{index}", flat(np.zeros(4096)))
             time.sleep(0.01)  # distinct mtimes for a deterministic LRU order
         total = store.stats()["bytes"]
         bound = total // 2
@@ -105,9 +107,9 @@ class TestPrune:
         assert [e.signature for e in removed] == [f"sig{i}" for i in range(len(removed))]
 
     def test_get_refreshes_recency(self, store):
-        store.put("plan", "old1", np.zeros(4096))
+        store.put("plan", "old1", flat(np.zeros(4096)))
         time.sleep(0.01)
-        store.put("plan", "new2", np.zeros(4096))
+        store.put("plan", "new2", flat(np.zeros(4096)))
         time.sleep(0.01)
         store.get("plan", "old1")  # touch: now most recently used
         one_entry = max(e.nbytes for e in store.entries())
@@ -116,7 +118,7 @@ class TestPrune:
         assert not store.contains("plan", "new2")
 
     def test_prune_zero_empties_the_store(self, store):
-        store.put("plan", "x", [1])
+        store.put("plan", "x", flat([1]))
         store.prune(0)
         assert store.stats()["entries"] == 0
 
@@ -133,7 +135,7 @@ class TestDegradedModes:
         root = tmp_path / "blocked"
         root.write_text("not a directory")
         store = ArtifactStore(root)
-        assert store.put("plan", "sig", [1]) is False
+        assert store.put("plan", "sig", flat([1])) is False
         assert store.get("plan", "sig") is None  # miss, no exception
         assert store.counters()["write_errors"] == 1
         assert store.stats()["entries"] == 0
@@ -144,11 +146,13 @@ class TestDegradedModes:
         root = tmp_path / "blocked"
         root.write_text("not a directory")
         store = ArtifactStore(root)
-        store.put("plan", "one", [1])
-        store.put("plan", "two", [2])
+        store.put("plan", "one", flat([1]))
+        store.put("plan", "two", flat([2]))
         assert store.counters()["write_errors"] == 1  # second put short-circuits
 
     def test_unpicklable_payload_is_counted_not_raised(self, store):
+        # Only a FlatPayload of allowed dtypes encodes; anything else is an
+        # encode failure.
         assert store.put("plan", "sig", lambda: None) is False
         assert store.counters()["write_errors"] == 1
         assert store._writes_disabled is False  # encode failures don't disable
@@ -170,9 +174,9 @@ class TestBuildLease:
         assert lease.acquire()
         waiter = store.lease("sig")
         assert not waiter.acquire()
-        store.put("plan", "sig", [42])
+        store.put("plan", "sig", flat([42]))
         loaded = waiter.wait(lambda: store.get("plan", "sig"), timeout=5.0)
-        assert loaded == [42]
+        assert loaded.arrays["x"].tolist() == [42]
         lease.release()
 
     def test_wait_times_out_to_local_build(self, store):
