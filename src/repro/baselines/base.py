@@ -9,7 +9,7 @@ metric) is derived.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -74,14 +74,3 @@ class BaselineSampler:
             elapsed_seconds=elapsed,
             timed_out=timed_out,
         )
-
-    @staticmethod
-    def _validate_and_store(
-        formula: CNF, solutions: SolutionSet, candidates: List[np.ndarray]
-    ) -> int:
-        """Validate candidate assignments against ``formula`` and store the valid ones."""
-        if not candidates:
-            return 0
-        matrix = np.stack(candidates, axis=0)
-        valid = formula.evaluate_batch(matrix)
-        return solutions.add_batch(matrix, valid)

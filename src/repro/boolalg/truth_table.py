@@ -130,11 +130,6 @@ def truth_table_bits(expr: Expr, names: Sequence[str]) -> int:
     return _bits_uncached(expr, key)
 
 
-def clear_truth_table_caches() -> None:
-    """Drop the memoised truth tables (mainly for tests and benchmarks)."""
-    _bits_cached.cache_clear()
-
-
 def truth_table(
     expr: Expr, over: Optional[Sequence[str]] = None, max_vars: int = MAX_ENUMERATION_VARS
 ) -> np.ndarray:

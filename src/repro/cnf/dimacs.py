@@ -5,19 +5,45 @@ suites: comment lines anywhere, clauses spanning multiple physical lines,
 missing or under-counted ``p cnf`` headers, and ``%`` / ``0`` trailer lines
 produced by some generators.  Comments are preserved because the paper's
 Fig. 1 example annotates each clause group with the gate it encodes.
+
+It reads a whole document in one vectorised pass: the text's code points
+give every token's start and line, the ``c``/``p``/``%`` lines are picked
+out by their first character, and the clause tokens go through ``int`` in
+one C-level ``map`` straight into the formula's CSR arrays
+(:meth:`~repro.cnf.formula.CNF.from_csr`).  Lines end at ``\n`` only and
+tokens split where :meth:`str.split` splits.  Errors are
+:class:`DimacsError` s that name the line that causes them, raised in line
+order: a malformed or negative header, a token ``int`` rejects, a literal
+beyond the header's variables, and a literal beyond ``2**31 - 1`` (the
+largest an ``int32`` literal holds), with or without a header.  Files are
+UTF-8: a byte that is not is a :class:`DimacsError` naming its line.
 """
 
 from __future__ import annotations
 
-import io
+from itertools import compress
 from pathlib import Path
-from typing import List, Union
+from typing import List, Tuple, Union
 
-from repro.cnf.formula import CNF
+import numpy as np
+
+from repro.cnf.formula import CNF, MAX_VARIABLE
 
 
 class DimacsError(ValueError):
     """Raised when a DIMACS document is malformed beyond recovery."""
+
+
+#: Code points :meth:`str.split` and :meth:`str.strip` treat as whitespace.
+_WHITESPACE = (
+    9, 10, 11, 12, 13, 28, 29, 30, 31, 32, 133, 160, 5760, *range(8192, 8203),
+    8232, 8233, 8239, 8287, 12288,
+)
+_IS_SPACE = np.zeros(_WHITESPACE[-1] + 2, dtype=np.bool_)
+_IS_SPACE[list(_WHITESPACE)] = True
+_NEWLINE, _COMMENT, _HEADER, _TRAILER = (ord(char) for char in "\ncp%")
+#: Clip for tokens too wide for ``int64``: still beyond every bound.
+_CLIP = 2**62
 
 
 def parse_dimacs(text: str, name: str = "") -> CNF:
@@ -27,70 +53,131 @@ def parse_dimacs(text: str, name: str = "") -> CNF:
     generators) are ignored rather than being interpreted as empty clauses.
     A header's counts must be non-negative, and with a header every literal
     must lie within its declared variables; either violation is a
-    :class:`DimacsError` naming the offending line.
+    :class:`DimacsError` naming the offending line, as is a literal beyond
+    ``2**31 - 1``.
     """
-    declared_vars = 0
-    declared_clauses = -1
-    header_line = 0
-    #: The literal of largest magnitude read so far, and its line.
-    widest, widest_line = 0, 0
-    comments: List[str] = []
-    clauses: List[List[int]] = []
-    pending: List[int] = []
+    if text.isascii():
+        codes = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+        space = _IS_SPACE[codes]
+    else:
+        codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+        space = _IS_SPACE[np.minimum(codes, _IS_SPACE.size - 1)]
+    after_space = np.ones(codes.size, dtype=np.bool_)
+    after_space[1:] = space[:-1]
+    starts = np.flatnonzero(~space & after_space)
+    breaks = np.flatnonzero(codes == _NEWLINE)
+    token_lines = np.searchsorted(breaks, starts) + 1
+    tokens = text.split()
 
-    for line_number, raw_line in enumerate(io.StringIO(text), start=1):
-        line = raw_line.strip()
-        if not line:
-            continue
+    # The first token of each line decides what the line is.
+    leading = np.flatnonzero(np.diff(token_lines, prepend=0))
+    kinds = codes[starts[leading]]
+    special = leading[(kinds == _COMMENT) | (kinds == _HEADER) | (kinds == _TRAILER)]
+    trailers = special[codes[starts[special]] == _TRAILER]
+    stop = int(trailers[0]) if trailers.size else len(tokens)
+    special = special[special < stop].tolist()
+
+    def line_text(token: int) -> str:
+        line = int(token_lines[token])
+        end = int(breaks[line - 1]) if line <= breaks.size else len(text)
+        return text[int(starts[token]) : end].rstrip()
+
+    comments: List[str] = []
+    headers: List[Tuple[int, str]] = []
+    is_special = np.zeros(breaks.size + 2, dtype=np.bool_)
+    for token in special:
+        line = line_text(token)
         if line.startswith("c"):
             comments.append(line[1:].strip())
-            continue
-        if line.startswith("%"):
-            break
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) < 4 or parts[1] != "cnf":
-                raise DimacsError(f"line {line_number}: malformed header {line!r}")
-            try:
-                declared_vars = int(parts[2])
-                declared_clauses = int(parts[3])
-            except ValueError as exc:
-                raise DimacsError(f"line {line_number}: non-integer header fields") from exc
-            if declared_vars < 0 or declared_clauses < 0:
-                raise DimacsError(f"line {line_number}: negative header count in {line!r}")
-            header_line = line_number
-            if widest > declared_vars:
-                _beyond_header(widest, widest_line, declared_vars, header_line)
-            continue
-        for token in line.split():
-            try:
-                literal = int(token)
-            except ValueError as exc:
-                raise DimacsError(
-                    f"line {line_number}: expected integer literal, got {token!r}"
-                ) from exc
-            if literal == 0:
-                if pending:
-                    clauses.append(pending)
-                    pending = []
-                continue
-            if abs(literal) > widest:
-                widest, widest_line = abs(literal), line_number
-                if header_line and widest > declared_vars:
-                    _beyond_header(widest, widest_line, declared_vars, header_line)
-            pending.append(literal)
-    if pending:
-        clauses.append(pending)
+        else:
+            headers.append((int(token_lines[token]), line))
+        is_special[token_lines[token]] = True
 
-    formula = CNF(num_variables=declared_vars, comments=comments, name=name)
-    for clause in clauses:
-        formula.add_clause(clause)
+    lines = token_lines[:stop]
+    keep = ~is_special[lines]
+    clause_tokens = list(compress(tokens, keep.tolist())) if special else tokens[:stop]
+    lines = lines[keep]
+    values, readable = _integers(clause_tokens)
+    magnitudes = np.abs(values)
+
+    declared_vars, declared_clauses, header_line = 0, -1, 0
+    checked = 0
+    for line_number, line in headers + [(0, "")]:
+        # The clause tokens before this header (all that remain after the
+        # last one), up to the first token ``int`` rejects.
+        end = int(np.searchsorted(lines, line_number)) if line_number else len(lines)
+        end = min(end, readable)
+        bound = min(declared_vars, MAX_VARIABLE) if header_line else MAX_VARIABLE
+        beyond = np.flatnonzero(magnitudes[checked:end] > bound)
+        if beyond.size:
+            index = checked + int(beyond[0])
+            if header_line and magnitudes[index] > declared_vars:
+                _beyond_header(int(magnitudes[index]), int(lines[index]), declared_vars, header_line)
+            raise DimacsError(
+                f"line {lines[index]}: literal {clause_tokens[index]} is beyond "
+                f"the largest variable, {MAX_VARIABLE}"
+            )
+        checked = end
+        if not line_number or (readable < len(lines) and lines[readable] < line_number):
+            break
+        declared_vars, declared_clauses = _header(line, line_number)
+        header_line = line_number
+        if checked:
+            widest = int(np.argmax(magnitudes[:checked]))
+            if magnitudes[widest] > declared_vars:
+                _beyond_header(
+                    int(magnitudes[widest]), int(lines[widest]), declared_vars, header_line
+                )
+    if readable < len(clause_tokens):
+        raise DimacsError(
+            f"line {lines[readable]}: expected integer literal, got {clause_tokens[readable]!r}"
+        )
+
+    # Each 0 ends the clause its run of literals makes; a run ending the
+    # body is a clause too, and a 0 after a 0 ends nothing.
+    nonzero = values != 0
+    literals = values[nonzero]
+    runs = np.cumsum(~nonzero)[nonzero]
+    offsets = np.append(np.flatnonzero(np.diff(runs, prepend=-1)), literals.size)
+    formula = CNF.from_csr(literals, offsets, declared_vars, comments, name)
     if declared_clauses >= 0 and formula.num_clauses != declared_clauses:
         # Header mismatches are common in the wild; record rather than fail.
         formula.comments.append(
             f"header declared {declared_clauses} clauses but {formula.num_clauses} were read"
         )
     return formula
+
+
+def _integers(tokens: List[str]) -> Tuple[np.ndarray, int]:
+    """``int64`` values of ``tokens`` before the first one ``int`` rejects,
+    and that token's index (``len(tokens)`` when there is none)."""
+    try:
+        return np.fromiter(map(int, tokens), dtype=np.int64, count=len(tokens)), len(tokens)
+    except (ValueError, OverflowError):
+        pass
+    values = []
+    for token in tokens:
+        try:
+            value = int(token)
+        except ValueError:
+            break
+        values.append(max(-_CLIP, min(value, _CLIP)))
+    return np.asarray(values, dtype=np.int64), len(values)
+
+
+def _header(line: str, line_number: int) -> Tuple[int, int]:
+    """``(variables, clauses)`` a ``p cnf`` line declares."""
+    parts = line.split()
+    if len(parts) < 4 or parts[1] != "cnf":
+        raise DimacsError(f"line {line_number}: malformed header {line!r}")
+    try:
+        declared_vars = int(parts[2])
+        declared_clauses = int(parts[3])
+    except ValueError as exc:
+        raise DimacsError(f"line {line_number}: non-integer header fields") from exc
+    if declared_vars < 0 or declared_clauses < 0:
+        raise DimacsError(f"line {line_number}: negative header count in {line!r}")
+    return declared_vars, declared_clauses
 
 
 def _beyond_header(variable: int, line_number: int, declared: int, header_line: int) -> None:
@@ -100,10 +187,30 @@ def _beyond_header(variable: int, line_number: int, declared: int, header_line: 
     )
 
 
+def decode_dimacs(data: bytes) -> str:
+    """The text of a DIMACS file's bytes: UTF-8, with ``\r\n`` and ``\r``
+    read as ``\n`` (as text-mode reads translate them).
+
+    A byte sequence that is not UTF-8 is a :class:`DimacsError` naming the
+    line it is on.
+    """
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as error:
+        before = data[: error.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        line_number = before.count(b"\n") + 1
+        raise DimacsError(
+            f"line {line_number}: byte 0x{data[error.start]:02x} is not UTF-8"
+        ) from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 def parse_dimacs_file(path: Union[str, Path]) -> CNF:
-    """Parse a DIMACS CNF file."""
+    """Parse a DIMACS CNF file (UTF-8; see :func:`decode_dimacs`)."""
     path = Path(path)
-    return parse_dimacs(path.read_text(), name=path.stem)
+    return parse_dimacs(decode_dimacs(path.read_bytes()), name=path.stem)
 
 
 def write_dimacs(formula: CNF, include_comments: bool = True) -> str:

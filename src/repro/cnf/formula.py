@@ -1,4 +1,16 @@
-"""The CNF formula container used throughout the library."""
+"""The CNF formula container used throughout the library.
+
+A formula's clauses are CSR arrays: ``literals`` (``int32``, every clause's
+literals in order) and ``offsets`` (``int64``, clause ``i`` is
+``literals[offsets[i]:offsets[i + 1]]``).  The DIMACS reader and the
+store's formula entry build them directly through :meth:`CNF.from_csr`, the
+one validating constructor; the content signature, the evaluation plan and
+the operation count read them without touching a :class:`Clause`.  The
+:class:`Clause` objects are views built once, on first use, from the
+arrays.  A formula built clause by clause (:meth:`CNF.add_clause`) derives
+its arrays from its clauses on first use, so every way of building the same
+clauses gives the same arrays.
+"""
 
 from __future__ import annotations
 
@@ -15,21 +27,56 @@ from repro.cnf.kernel import (
     register_plan_owner,
 )
 
+#: Largest variable index a formula holds: its literals are ``int32``.
+MAX_VARIABLE = 2**31 - 1
 
-def two_input_operation_count(clauses: Sequence[Clause]) -> int:
-    """2-input gate equivalents to evaluate the conjunction of ``clauses``.
 
-    See :meth:`CNF.two_input_operation_count`; this is its one vectorised
-    pass over the flat literals, shared with the incremental transform
-    (which counts a mutated clause list that is not a :class:`CNF`).
+def clause_csr(clauses: Sequence[Clause]) -> Tuple[np.ndarray, np.ndarray]:
+    """``(int32 literals, int64 offsets)`` of a clause sequence."""
+    rows = [clause.literals for clause in clauses]
+    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(list(map(len, rows)), out=offsets[1:])
+    literals = np.fromiter(chain.from_iterable(rows), dtype=np.int32, count=int(offsets[-1]))
+    return _frozen(literals), _frozen(offsets)
+
+
+def two_input_operation_count(literals: np.ndarray, offsets: np.ndarray) -> int:
+    """2-input gate equivalents to evaluate the conjunction of a CSR clause list.
+
+    See :meth:`CNF.two_input_operation_count`; the incremental transform
+    also counts a mutated clause list that is not a :class:`CNF`.
     """
-    literals = [clause.literals for clause in clauses]
-    total = sum(map(len, literals))
-    flat = np.fromiter(chain.from_iterable(literals), dtype=np.int64, count=total)
+    num_clauses = offsets.size - 1
     # sum(max(width - 1, 0)) over clauses is the literal count less the
     # number of non-empty clauses.
-    ors = total - (len(literals) - literals.count(()))
-    return ors + int(np.count_nonzero(flat < 0)) + max(len(literals) - 1, 0)
+    ors = literals.size - int(np.count_nonzero(np.diff(offsets)))
+    return ors + int(np.count_nonzero(literals < 0)) + max(num_clauses - 1, 0)
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _drop_repeats(literals: np.ndarray, offsets: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The CSR without repeated literals in a clause (the first one stays),
+    as :class:`Clause` deduplicates."""
+    widths = np.diff(offsets)
+    owners = np.repeat(np.arange(widths.size, dtype=np.int64), widths)
+    # One int64 key per literal occurrence: its clause, then the literal.
+    keys = (owners << 32) + (literals.astype(np.int64) + 2**31)
+    # Stable, so the first occurrence of a repeated key sorts first.
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    repeat = ordered[1:] == ordered[:-1]
+    if not repeat.any():
+        return literals, offsets
+    keep = np.ones(literals.size, dtype=np.bool_)
+    keep[order[1:][repeat]] = False
+    counts = np.bincount(owners[keep], minlength=widths.size)
+    offsets = np.zeros(widths.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return literals[keep], offsets
 
 
 class CNF:
@@ -37,9 +84,9 @@ class CNF:
 
     The container is mutable only through :meth:`add_clause` /
     :meth:`retract_clause` (both of which invalidate the memoised evaluation
-    plan); everything else returns new objects.  ``num_variables`` may exceed
-    the largest referenced variable (DIMACS headers frequently over-declare),
-    but never undercounts.
+    plan and the CSR arrays); everything else returns new objects.
+    ``num_variables`` may exceed the largest referenced variable (DIMACS
+    headers frequently over-declare), but never undercounts.
     """
 
     def __init__(
@@ -49,7 +96,10 @@ class CNF:
         comments: Optional[List[str]] = None,
         name: str = "",
     ) -> None:
-        self._clauses: List[Clause] = []
+        #: The clause views (``None`` until first use on a CSR-built formula).
+        self._clauses: Optional[List[Clause]] = []
+        #: ``(literals, offsets)`` (``None`` until first use after a mutation).
+        self._csr: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._num_variables = int(num_variables)
         self._plan: Optional[CNFEvalPlan] = None
         self.comments: List[str] = list(comments or [])
@@ -57,21 +107,66 @@ class CNF:
         for clause in clauses or []:
             self.add_clause(clause)
 
+    @classmethod
+    def from_csr(
+        cls,
+        literals: np.ndarray,
+        offsets: np.ndarray,
+        num_variables: int = 0,
+        comments: Optional[List[str]] = None,
+        name: str = "",
+    ) -> "CNF":
+        """A formula over CSR arrays: the one validating constructor.
+
+        ``offsets`` must start at 0, never decrease and end at
+        ``len(literals)``; every literal must be nonzero and at most
+        :data:`MAX_VARIABLE` in magnitude, or this raises
+        :class:`ValueError`.  A literal repeated within a clause is dropped
+        (the first stays), as :class:`Clause` does, and ``num_variables``
+        grows to the largest variable referenced, as :meth:`add_clause`
+        does.
+        """
+        literals = np.asarray(literals)
+        offsets = np.asarray(offsets)
+        if literals.ndim != 1 or offsets.ndim != 1 or not (
+            np.issubdtype(literals.dtype, np.integer) and np.issubdtype(offsets.dtype, np.integer)
+        ):
+            raise ValueError("CSR literals and offsets must be 1-D integer arrays")
+        if (
+            not offsets.size
+            or offsets[0] != 0
+            or offsets[-1] != literals.size
+            or np.any(offsets[1:] < offsets[:-1])
+        ):
+            raise ValueError("offsets are not clause bounds into the literals")
+        widest = 0
+        if literals.size:
+            magnitudes = np.abs(literals.astype(np.int64))
+            if not magnitudes.all():
+                raise ValueError("0 is not a valid literal (it terminates DIMACS lines)")
+            widest = int(magnitudes.max())
+            if widest > MAX_VARIABLE:
+                raise ValueError(f"variable {widest} is beyond the largest, {MAX_VARIABLE}")
+        literals, offsets = _drop_repeats(
+            literals.astype(np.int32), offsets.astype(np.int64)
+        )
+        formula = cls(num_variables=max(int(num_variables), widest), comments=comments, name=name)
+        formula._clauses = None
+        formula._csr = (_frozen(literals), _frozen(offsets))
+        return formula
+
     # -- construction --------------------------------------------------------------
     def add_clause(self, clause: Sequence[int]) -> Clause:
         """Append a clause (sequence of literals or :class:`Clause`) and return it."""
         if not isinstance(clause, Clause):
             clause = Clause(clause)
-        self._clauses.append(clause)
-        self._plan = None
-        for literal in clause:
-            self._num_variables = max(self._num_variables, abs(literal))
+        widest = max(map(abs, clause), default=0)
+        if widest > MAX_VARIABLE:
+            raise ValueError(f"variable {widest} is beyond the largest, {MAX_VARIABLE}")
+        self._clause_list().append(clause)
+        self._mutated()
+        self._num_variables = max(self._num_variables, widest)
         return clause
-
-    def add_clauses(self, clauses: Iterable[Sequence[int]]) -> None:
-        """Append several clauses."""
-        for clause in clauses:
-            self.add_clause(clause)
 
     def retract_clause(self, clause: Sequence[int]) -> Clause:
         """Remove (and return) the first clause equal to ``clause``.
@@ -83,15 +178,36 @@ class CNF:
         """
         if not isinstance(clause, Clause):
             clause = Clause(clause)
+        clauses = self._clause_list()
         try:
-            index = self._clauses.index(clause)
+            index = clauses.index(clause)
         except ValueError:
             raise ValueError(
                 f"cannot retract {clause!r}: no matching clause in the formula"
             ) from None
-        removed = self._clauses.pop(index)
-        self._plan = None
+        removed = clauses.pop(index)
+        self._mutated()
         return removed
+
+    def _mutated(self) -> None:
+        self._csr = None
+        self._plan = None
+
+    def _clause_list(self) -> List[Clause]:
+        """The clause views, built from the CSR arrays on first use."""
+        if self._clauses is None:
+            literals, offsets = self._csr
+            flat, bounds = literals.tolist(), offsets.tolist()
+            unchecked = Clause.unchecked
+            self._clauses = [
+                unchecked(tuple(flat[start:stop])) for start, stop in zip(bounds, bounds[1:])
+            ]
+        return self._clauses
+
+    def _arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        if self._csr is None:
+            self._csr = clause_csr(self._clauses)
+        return self._csr
 
     def with_delta(self, delta) -> "CNF":
         """A copy of this formula with a :class:`~repro.cnf.delta.ClauseDelta`
@@ -107,7 +223,7 @@ class CNF:
         """
         if delta is None or delta.is_empty:
             return self
-        mutated_clauses, _ = delta.apply(self._clauses)
+        mutated_clauses, _ = delta.apply(self._clause_list())
         mutated = CNF(
             num_variables=self._num_variables,
             comments=list(self.comments),
@@ -123,7 +239,8 @@ class CNF:
     def copy(self) -> "CNF":
         """Return a deep copy."""
         duplicate = CNF(num_variables=self._num_variables, comments=list(self.comments), name=self.name)
-        duplicate._clauses = list(self._clauses)
+        duplicate._clauses = None if self._clauses is None else list(self._clauses)
+        duplicate._csr = self._csr  # read-only arrays: safe to share
         duplicate._plan = self._plan  # immutable plan, same clauses: safe to share
         if duplicate._plan is not None:
             register_plan_owner(duplicate)
@@ -133,7 +250,17 @@ class CNF:
     @property
     def clauses(self) -> Tuple[Clause, ...]:
         """The clauses, in insertion order."""
-        return tuple(self._clauses)
+        return tuple(self._clause_list())
+
+    @property
+    def literals(self) -> np.ndarray:
+        """Every clause's literals in order, one read-only ``int32`` array."""
+        return self._arrays()[0]
+
+    @property
+    def offsets(self) -> np.ndarray:
+        """Clause bounds into :attr:`literals`, read-only ``int64`` (``num_clauses + 1``)."""
+        return self._arrays()[1]
 
     @property
     def num_variables(self) -> int:
@@ -142,7 +269,7 @@ class CNF:
 
     @num_variables.setter
     def num_variables(self, value: int) -> None:
-        largest = max((max(abs(l) for l in c) for c in self._clauses if len(c)), default=0)
+        largest = int(np.abs(self.literals).max(initial=0))
         if value < largest:
             raise ValueError(
                 f"num_variables={value} is smaller than the largest referenced variable {largest}"
@@ -153,18 +280,17 @@ class CNF:
     @property
     def num_clauses(self) -> int:
         """Number of clauses."""
+        if self._clauses is None:
+            return self._csr[1].size - 1
         return len(self._clauses)
 
     def variables(self) -> List[int]:
         """Sorted list of variables actually referenced by some clause."""
-        seen = set()
-        for clause in self._clauses:
-            seen.update(abs(lit) for lit in clause)
-        return sorted(seen)
+        return np.unique(np.abs(self.literals)).tolist()
 
     def literal_count(self) -> int:
         """Total number of literal occurrences (the CNF 'size')."""
-        return sum(len(clause) for clause in self._clauses)
+        return int(self.literals.size)
 
     def two_input_operation_count(self) -> int:
         """Number of 2-input gate equivalents to evaluate the CNF directly.
@@ -174,8 +300,7 @@ class CNF:
         ``m - 1`` two-input ANDs.  This is the "operations in the CNF" numerator
         of the Fig. 4 (middle) ops-reduction metric.
         """
-        return two_input_operation_count(self._clauses)
-
+        return two_input_operation_count(self.literals, self.offsets)
     # -- evaluation --------------------------------------------------------------------
     def evaluation_plan(self) -> CNFEvalPlan:
         """The memoised compiled evaluation plan (rebuilt after any mutation)."""
@@ -231,7 +356,7 @@ class CNF:
 
     def evaluate(self, assignment: Dict[int, bool]) -> bool:
         """Evaluate the formula under a complete assignment ``{variable: bool}``."""
-        return all(clause.evaluate(assignment) for clause in self._clauses)
+        return all(clause.evaluate(assignment) for clause in self._clause_list())
 
     def evaluate_batch(self, assignments: np.ndarray) -> np.ndarray:
         """Vectorised evaluation of a ``(batch, num_variables)`` boolean matrix.
@@ -246,17 +371,17 @@ class CNF:
 
     # -- protocol -----------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._clauses)
+        return self.num_clauses
 
     def __iter__(self) -> Iterator[Clause]:
-        return iter(self._clauses)
+        return iter(self._clause_list())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CNF):
             return NotImplemented
         return (
             self._num_variables == other._num_variables
-            and list(self._clauses) == list(other._clauses)
+            and self._clause_list() == other._clause_list()
         )
 
     def __repr__(self) -> str:

@@ -24,6 +24,11 @@ Empty clauses cannot ride the reduction (a zero-length segment is not an
 identity reduction), so they are counted separately: one empty clause makes
 every assignment unsatisfying.
 
+The compile is array operations over the formula's CSR ``literals`` and
+``offsets`` (a stable sort of the clause widths and one gather); the
+clause loop it replaced is the test oracle
+``tests/oracles/cnf.py::compile_evaluation_plan_reference``.
+
 Plans are memoised per :class:`~repro.cnf.formula.CNF` via
 :meth:`~repro.cnf.formula.CNF.evaluation_plan` and invalidated whenever the
 formula mutates (``add_clause`` or a ``num_variables`` change), mirroring the
@@ -157,36 +162,35 @@ def clear_plan_caches() -> None:
 
 
 def compile_evaluation_plan(formula: "CNF") -> CNFEvalPlan:
-    """Flatten ``formula`` into a :class:`CNFEvalPlan` (one pass over the clauses)."""
+    """Flatten ``formula`` into a :class:`CNFEvalPlan` (array operations
+    over its CSR ``literals``/``offsets``, no per-clause Python)."""
     _PLAN_COMPILES.inc()
-    clauses = formula.clauses
+    literals, offsets = formula.literals, formula.offsets
+    widths = np.diff(offsets)
     # Stable sort: clauses keep their insertion order within a width.
-    nonempty = sorted((clause for clause in clauses if len(clause)), key=len)
-    num_empty = len(clauses) - len(nonempty)
-    columns = []
-    negated = []
-    offsets = []
-    groups = []
-    position = 0
-    for sorted_position, clause in enumerate(nonempty):
-        width = len(clause)
-        if groups and groups[-1][2] == width:
-            groups[-1][1] = sorted_position + 1
-        else:
-            groups.append([sorted_position, sorted_position + 1, width])
-        offsets.append(position)
-        for literal in clause:
-            columns.append(abs(literal) - 1)
-            negated.append(literal < 0)
-            position += 1
+    order = np.argsort(widths, kind="stable")
+    order = order[widths[order] > 0]
+    sorted_widths = widths[order]
+    reduce_offsets = np.zeros(order.size, dtype=np.intp)
+    np.cumsum(sorted_widths[:-1], out=reduce_offsets[1:])
+    # Flat position of every literal of the width-sorted clauses.
+    gather = np.arange(int(sorted_widths.sum()), dtype=np.intp) + np.repeat(
+        offsets[order] - reduce_offsets, sorted_widths
+    )
+    values = literals[gather]
+    # Bucket edges: where the sorted width changes, plus both ends.
+    edges = np.flatnonzero(np.diff(sorted_widths)) + 1
+    edges = [0, *edges.tolist(), order.size] if order.size else []
     return CNFEvalPlan(
         num_variables=formula.num_variables,
         num_clauses=formula.num_clauses,
-        literal_columns=np.asarray(columns, dtype=np.intp),
-        literal_negated=np.asarray(negated, dtype=bool),
-        reduce_offsets=np.asarray(offsets, dtype=np.intp),
-        width_groups=tuple((start, stop, width) for start, stop, width in groups),
-        num_empty=num_empty,
+        literal_columns=np.abs(values).astype(np.intp) - 1,
+        literal_negated=values < 0,
+        reduce_offsets=reduce_offsets,
+        width_groups=tuple(
+            (start, stop, int(sorted_widths[start])) for start, stop in zip(edges, edges[1:])
+        ),
+        num_empty=int(widths.size - order.size),
     )
 
 

@@ -20,15 +20,23 @@ the entry point that owns it (``sample_cnf(store_dir=)``,
 
 from __future__ import annotations
 
+import dataclasses
+import numbers
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Dict, Optional, Tuple, get_args, get_type_hints
 
 from repro.utils.validation import check_non_negative, check_positive
 
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Hyper-parameters of :class:`repro.core.sampler.GradientSATSampler`."""
+    """Hyper-parameters of :class:`repro.core.sampler.GradientSATSampler`.
+
+    Every field is checked against its annotation: an ``int`` field takes
+    any integral number but not a ``bool``, a ``float`` field any real
+    number but not a ``bool``, and ``Optional`` adds ``None``; anything else
+    is a :class:`TypeError` naming the field.
+    """
 
     #: Number of candidate solutions learned in parallel per round (paper: 100..1e6).
     batch_size: int = 2048
@@ -58,6 +66,17 @@ class SamplerConfig:
     timeout_seconds: Optional[float] = None
 
     def __post_init__(self) -> None:
+        for name, (kind, optional) in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if not (
+                (value is None and optional)
+                or (isinstance(value, kind) and not isinstance(value, bool))
+            ):
+                noun = "an integer" if kind is numbers.Integral else "a number"
+                raise TypeError(
+                    f"config field {name!r} must be {noun}"
+                    f"{' or None' if optional else ''}, got {value!r}"
+                )
         check_positive("batch_size", self.batch_size)
         check_positive("iterations", self.iterations)
         check_positive("learning_rate", self.learning_rate)
@@ -77,3 +96,21 @@ class SamplerConfig:
     def paper_defaults(cls, batch_size: int = 2048, **overrides) -> "SamplerConfig":
         """The hyper-parameters reported in the paper (lr=10, 5 iterations)."""
         return cls(batch_size=batch_size, iterations=5, learning_rate=10.0, **overrides)
+
+
+def _field_types() -> Dict[str, Tuple[type, bool]]:
+    """``{field: (numbers.Integral or numbers.Real, whether None is allowed)}``,
+    read from :class:`SamplerConfig`'s annotations."""
+    types = {}
+    hints = get_type_hints(SamplerConfig)
+    for field in dataclasses.fields(SamplerConfig):
+        hint = hints[field.name]
+        arguments = get_args(hint)
+        optional = type(None) in arguments
+        if optional:
+            (hint,) = [argument for argument in arguments if argument is not type(None)]
+        types[field.name] = ({int: numbers.Integral, float: numbers.Real}[hint], optional)
+    return types
+
+
+_FIELD_TYPES = _field_types()

@@ -9,8 +9,14 @@ fixed clause pattern — its *CNF signature*.  This module provides
   transformation: recognise a signature group and return the gate it encodes
   without running the generic extraction + complement check, and
 * :func:`formula_signature` — a whole-*formula* signature: a stable content
-  hash two equal CNF objects share, used by :mod:`repro.serve` to key
-  artifact caches and coalesce requests for the same instance.
+  hash of the formula's CSR arrays, used by :mod:`repro.serve` and
+  :mod:`repro.store` to key artifact caches and coalesce requests for the
+  same instance.  It is version 2: a SHA-256 over the tag
+  ``repro-cnf-v2``, the variable, clause and literal counts and the
+  little-endian ``int32`` literals and ``int64`` offsets, so one formula
+  has one key however it was built — parsed, added clause by clause or
+  decoded from the store.  Version 1 hashed the clauses' DIMACS text, so
+  its keys never equal a version 2 key.
 
 The paper stresses that pattern matching alone is insufficient ("it is
 impractical to store all possible Boolean patterns"); the generic extraction
@@ -23,6 +29,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.cnf.clause import Clause
 from repro.circuit.gates import GateType
@@ -43,22 +51,24 @@ class GateMatch:
 def formula_signature(formula: "CNF") -> str:
     """Stable content hash of a CNF formula (hex digest).
 
-    Two formulas compare equal under :meth:`CNF.__eq__` — same
-    ``num_variables`` and the same clause sequence, literal order included —
-    exactly when their signatures match.  Clause *order* is deliberately
-    significant: Algorithm 1 scans clauses in order, so reordered formulas
-    can recover different circuits and must not share compiled artifacts.
+    Two formulas have the same signature exactly when they have the same
+    ``num_variables`` and the same clause sequence, literal order included.
+    Clause *order* is deliberately significant: Algorithm 1 scans clauses in
+    order, so reordered formulas can recover different circuits and must not
+    share compiled artifacts.
 
-    The digest is independent of the process, the formula's ``name`` and its
-    comments, so it is a safe cross-process cache key — the property
-    :mod:`repro.serve` relies on to coalesce requests and to route jobs to
-    workers that already hold the compiled artifact.
+    The digest is independent of the process, the host's byte order, the
+    formula's ``name`` and its comments, so it is a safe cross-process cache
+    key — the property :mod:`repro.serve` relies on to coalesce requests and
+    to route jobs to workers that already hold the compiled artifact.
     """
-    digest = hashlib.sha256()
-    digest.update(f"p {formula.num_variables}\n".encode())
-    for clause in formula.clauses:
-        digest.update(" ".join(str(literal) for literal in clause.literals).encode())
-        digest.update(b"\n")
+    literals, offsets = formula.literals, formula.offsets
+    digest = hashlib.sha256(
+        f"repro-cnf-v2 {formula.num_variables} "
+        f"{offsets.size - 1} {literals.size}\n".encode()
+    )
+    digest.update(np.ascontiguousarray(literals, dtype="<i4"))
+    digest.update(np.ascontiguousarray(offsets, dtype="<i8"))
     return digest.hexdigest()
 
 

@@ -62,7 +62,7 @@ from repro.circuit.netlist import Circuit
 from repro.circuit.optimize import optimize_circuit
 from repro.circuit.stats import two_input_gate_equivalents
 from repro.cnf.clause import Clause
-from repro.cnf.formula import CNF, two_input_operation_count
+from repro.cnf.formula import CNF, clause_csr, two_input_operation_count
 from repro.core.extraction import (
     VAR_PREFIX,
     extract_definition,
@@ -1039,7 +1039,7 @@ def _retransform_impl(prev: TransformResult, delta) -> TransformResult:
     ) = checkpoint
 
     stats = TransformStats(num_clauses=len(mutated))
-    stats.cnf_operations = two_input_operation_count(mutated)
+    stats.cnf_operations = two_input_operation_count(*clause_csr(mutated))
     stats.signature_matches = signature_matches
     stats.generic_matches = generic_matches
     stats.fallback_groups = fallback_groups

@@ -111,14 +111,6 @@ def write_job_results_json(
     return path
 
 
-def load_job_results_json(text: str) -> List[dict]:
-    """Load previously exported job results back into plain dictionaries."""
-    data = json.loads(text)
-    if not isinstance(data, list):
-        raise ValueError("expected a JSON array of job results")
-    return data
-
-
 # -- telemetry exports ---------------------------------------------------------------------
 
 def write_metrics_prometheus(dump: dict, path: Union[str, Path]) -> Path:

@@ -64,13 +64,12 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.cnf.dimacs import parse_dimacs, parse_dimacs_file, write_dimacs
+from repro.cnf.dimacs import decode_dimacs, parse_dimacs, parse_dimacs_file, write_dimacs
 from repro.cnf.formula import CNF
 from repro.core.config import SamplerConfig
 from repro.core.task import DEFAULT_TASK, SamplingTask
@@ -147,8 +146,9 @@ def load_source(spec: Dict[str, str], data: Optional[bytes] = None) -> CNF:
     """Re-materialise the formula a :func:`normalize_source` spec names.
 
     ``data`` is a path spec's already-read file bytes (see
-    :func:`read_source`); they are decoded as :meth:`Path.read_text` would
-    and the file is not read again.
+    :func:`read_source`); they are decoded as :func:`parse_dimacs_file`
+    decodes a file (UTF-8, see :func:`~repro.cnf.dimacs.decode_dimacs`) and
+    the file is not read again.
     """
     if "dimacs" in spec:
         return parse_dimacs(spec["dimacs"])
@@ -156,7 +156,7 @@ def load_source(spec: Dict[str, str], data: Optional[bytes] = None) -> CNF:
         path = Path(spec["path"])
         if data is None:
             return parse_dimacs_file(path)
-        return parse_dimacs(io.TextIOWrapper(io.BytesIO(data)).read(), name=path.stem)
+        return parse_dimacs(decode_dimacs(data), name=path.stem)
     if "instance" in spec:
         from repro.instances.registry import get_instance
 
@@ -181,16 +181,18 @@ def config_from_dict(data: Dict[str, object]) -> SamplerConfig:
     """Rebuild a :class:`SamplerConfig` from :func:`config_to_dict` output.
 
     Also accepts the manifest's override form, a subset of the keys;
-    unknown keys are rejected with a precise error.
+    unknown keys, and values of the wrong type for their field (see
+    :class:`SamplerConfig`), are :class:`ManifestError` s naming the key.
     """
-    fields: Dict[str, object] = {}
-    for key, value in data.items():
+    for key in data:
         if key not in CONFIG_FIELDS:
             raise ManifestError(
                 f"unknown config field {key!r} (accepted: {', '.join(CONFIG_FIELDS)})"
             )
-        fields[key] = value
-    return SamplerConfig(**fields)
+    try:
+        return SamplerConfig(**data)
+    except TypeError as error:
+        raise ManifestError(str(error)) from error
 
 
 # -- jobs --------------------------------------------------------------------------------

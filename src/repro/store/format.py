@@ -63,7 +63,10 @@ MAGIC = b"RPRO"
 #: every variable neither an input nor defined, so input, defined and free
 #: rows cover every variable row (a v3 entry may leave one unwritten).  v5:
 #: the ``transform`` entry is arrays too, and the pickle layout is gone.
-FORMAT_VERSION = 5
+#: v6: entries are keyed by version 2 formula signatures (a hash of the
+#: formula's CSR arrays), so no v5 entry, keyed by a version 1 signature, is
+#: ever read as one.
+FORMAT_VERSION = 6
 
 #: The dtypes an array blob may declare (native byte order).  Any
 #: other declaration is rejected before a view is made.

@@ -59,8 +59,7 @@ import numpy as np
 from repro.boolalg.expr import FALSE, TRUE, And, Const, Expr, Not, Or, Var, Xor
 from repro.circuit.gates import Gate, GateType
 from repro.circuit.netlist import Circuit
-from repro.cnf.clause import Clause
-from repro.cnf.formula import CNF
+from repro.cnf.formula import CNF, MAX_VARIABLE
 from repro.cnf.kernel import CNFEvalPlan
 from repro.core.extraction import VAR_PREFIX, variable_name
 from repro.core.transform import RoundPlan, TransformReplay, TransformResult, TransformStats
@@ -116,8 +115,6 @@ _CHECKPOINT_STATS = (
     "fallback_groups",
     "constant_definitions",
 )
-#: Largest variable count a transform entry stores (literals are ``int32``).
-_MAX_VARIABLES = 2**31 - 1
 
 
 # -- encoding -----------------------------------------------------------------------------
@@ -272,7 +269,7 @@ def encode_transform(formula: CNF, transform: TransformResult) -> FlatPayload:
     ):
         raise ValueError("the transform's replay is not the formula's clause sequence")
     num_variables = formula.num_variables
-    if num_variables > _MAX_VARIABLES or (
+    if num_variables > MAX_VARIABLE or (
         transform.num_variables,
         transform.source_name,
     ) != (num_variables, formula.name):
@@ -308,9 +305,7 @@ def encode_transform(formula: CNF, transform: TransformResult) -> FlatPayload:
         "primary_inputs": inputs,
         **table.arrays(),
     }
-    arrays["formula.offsets"], arrays["formula.literals"] = _csr(
-        [clause.literals for clause in clauses], np.int32
-    )
+    arrays["formula.offsets"], arrays["formula.literals"] = formula.offsets, formula.literals
 
     order = circuit.net_names()
     position = {net: index for index, net in enumerate(order)}
@@ -380,20 +375,16 @@ class _Reader:
         return rows
 
     def csr(
-        self,
-        offsets_key: str,
-        values_key: str,
-        num_rows: Optional[int] = None,
-        earlier: bool = True,
+        self, offsets_key: str, values_key: str, num_rows: int
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(offsets, values)`` of a CSR pair; with ``earlier``, row ``i``
-        only indexes rows before ``i`` (children and fanins point backwards)."""
-        offsets = self.array(offsets_key, np.int64, None if num_rows is None else num_rows + 1)
+        """``(offsets, values)`` of a CSR pair whose row ``i`` only indexes
+        rows before ``i`` (children and fanins point backwards)."""
+        offsets = self.array(offsets_key, np.int64, num_rows + 1)
         values = self.array(values_key, np.int32)
         widths = np.diff(offsets)
         if not offsets.size or offsets[0] != 0 or offsets[-1] != values.size or np.any(widths < 0):
             raise ValueError(f"{offsets_key} are not offsets into {values_key}")
-        if earlier and values.size:
+        if values.size:
             owners = np.repeat(np.arange(widths.size), widths)
             if int(values.min()) < 0 or np.any(values >= owners):
                 raise ValueError(f"{values_key} must point to earlier rows")
@@ -536,24 +527,17 @@ def _formula(reader: _Reader, fields: Any) -> CNF:
         raise ValueError("formula must be an object")
     num_variables = reader.integer(fields, "num_variables")
     name, comments = fields["name"], fields["comments"]
-    if num_variables > _MAX_VARIABLES or not isinstance(name, str):
+    if num_variables > MAX_VARIABLE or not isinstance(name, str):
         raise ValueError("malformed formula fields")
     if not (isinstance(comments, list) and all(isinstance(line, str) for line in comments)):
         raise ValueError("formula comments must be strings")
-    offsets, literals = reader.csr("formula.offsets", "formula.literals", earlier=False)
-    if literals.size:
-        if np.any(literals == 0):
-            raise ValueError("formula.literals holds a 0")
-        _check_range("formula.literals", literals, -num_variables, num_variables + 1)
-        clauses = np.repeat(np.arange(offsets.size - 1, dtype=np.int64), np.diff(offsets))
-        if _repeats(clauses * (2 * num_variables + 1) + literals):
-            raise ValueError("a clause repeats a literal")
-    flat, bounds = literals.tolist(), offsets.tolist()
-    formula = CNF(num_variables=num_variables, comments=comments, name=name)
-    unchecked = Clause.unchecked
-    formula._clauses = [
-        unchecked(tuple(flat[start:stop])) for start, stop in zip(bounds, bounds[1:])
-    ]
+    literals = reader.array("formula.literals", np.int32)
+    offsets = reader.array("formula.offsets", np.int64)
+    formula = CNF.from_csr(literals, offsets, num_variables, comments, name)
+    if formula.num_variables != num_variables:
+        raise ValueError("formula.literals reach beyond the declared variables")
+    if formula.literals.size != literals.size:
+        raise ValueError("a clause repeats a literal")
     return formula
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cnf.clause import Clause
-from repro.cnf.formula import CNF, two_input_operation_count
+from repro.cnf.formula import CNF, clause_csr, two_input_operation_count
 from tests.corpus.generators import planted_ksat, random_horn, random_ksat
 from repro.instances.registry import get_instance, list_instances
 from tests.conftest import all_assignments
@@ -131,4 +131,4 @@ def test_operation_count_matches_the_per_literal_count(name):
     formula = _GENERATED[name]() if name in _GENERATED else get_instance(name).build_cnf()
     expected = _operation_count_per_literal(formula.clauses)
     assert formula.two_input_operation_count() == expected
-    assert two_input_operation_count(list(formula.clauses)) == expected
+    assert two_input_operation_count(*clause_csr(list(formula.clauses))) == expected

@@ -6,7 +6,12 @@ every result must be exact or a typed error, within a time bound:
 
 * ``parse_dimacs`` returns a formula whose every literal lies within its
   variables and which survives a write/parse round trip, or raises a
-  :class:`DimacsError` whose message names a line of the input;
+  :class:`DimacsError` whose message names a line of the input; read from
+  a file's bytes (``load_source``), a byte that is not UTF-8 is such an
+  error too, and a literal beyond ``2**31 - 1`` is one with or without a
+  header;
+* ``config_from_dict`` rejects a value of the wrong type for its field with
+  a :class:`ManifestError` naming the field;
 * ``parse_manifest`` returns jobs or raises a :class:`ManifestError`;
 * ``read_journal`` returns exactly the lines that still parse as JSON
   objects (torn lines are skipped), and ``plan_resume`` resumes only jobs
@@ -24,9 +29,16 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cnf.dimacs import DimacsError, parse_dimacs, write_dimacs
+from repro.cnf.dimacs import DimacsError, parse_dimacs, parse_dimacs_file, write_dimacs
 from repro.core.config import SamplerConfig
-from repro.serve.jobs import ManifestError, SamplingJob, parse_manifest
+from repro.serve.jobs import (
+    ManifestError,
+    SamplingJob,
+    config_from_dict,
+    load_source,
+    parse_manifest,
+    read_source,
+)
 from repro.serve.journal import JOURNAL_NAME, JobJournal, job_fingerprint, plan_resume, read_journal
 from tests.conftest import FIG1_DIMACS
 
@@ -99,6 +111,86 @@ def test_dimacs_is_exact_or_names_a_line(document, steps):
         assert all(0 < abs(literal) <= formula.num_variables for literal in clause)
     again = parse_dimacs(write_dimacs(formula))
     assert again == formula
+
+
+@settings(max_examples=200, deadline=None)
+@given(document=st.sampled_from(DIMACS_DOCUMENTS), steps=mutations)
+def test_dimacs_bytes_are_exact_or_name_a_line(document, steps, tmp_path_factory):
+    data = mutate(document.encode(), steps)
+    path = tmp_path_factory.mktemp("dimacs") / "formula.cnf"
+    path.write_bytes(data)
+    spec = {"path": str(path)}
+    try:
+        formula = timed(load_source, spec, read_source(spec)[1])
+    except DimacsError as error:
+        match = re.match(r"line (\d+): ", str(error))
+        assert match, str(error)
+        assert 1 <= int(match.group(1)) <= max(1, len(data.splitlines()) + 1)
+        with pytest.raises(DimacsError, match=f"^line {match.group(1)}: "):
+            parse_dimacs_file(path)
+        return
+    assert parse_dimacs(write_dimacs(formula)) == formula
+    assert formula == parse_dimacs_file(path)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("1 99999999999 0\n", 1),
+        ("c x\n1 2 0\n-2 -2147483648 0\n", 3),
+        ("c\n1 2\n3 " + "9" * 40 + " 0\n", 3),
+        # A header wider than int32 does not widen the literals.
+        ("p cnf 99999999999 1\n2 0\n5000000000 0\n", 3),
+    ],
+)
+def test_a_literal_beyond_int32_names_its_line(text, line):
+    with pytest.raises(DimacsError, match=rf"^line {line}: literal -?\d+ is beyond"):
+        parse_dimacs(text)
+
+
+@pytest.mark.parametrize("reader", ["file", "path spec", "path spec with bytes"])
+def test_a_byte_that_is_not_utf8_names_its_line(tmp_path, reader):
+    path = tmp_path / "formula.cnf"
+    # The bad byte sits in a comment: it still fails the decode, on line 3.
+    path.write_bytes(b"p cnf 2 1\r\n1 2 0\nc caf\xe9\n")
+    spec = {"path": str(path)}
+    with pytest.raises(DimacsError, match=r"^line 3: byte 0xe9 is not UTF-8"):
+        if reader == "file":
+            parse_dimacs_file(path)
+        elif reader == "path spec":
+            load_source(spec)
+        else:
+            load_source(spec, read_source(spec)[1])
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("batch_size", 16.5),
+        ("iterations", True),
+        ("seed", "3"),
+        ("stall_rounds", 2.0),
+        ("learning_rate", "10"),
+        ("timeout_seconds", [1]),
+    ],
+)
+def test_a_config_value_of_the_wrong_type_is_a_manifest_error(key, value):
+    with pytest.raises(ManifestError, match=f"config field '{key}' must be"):
+        config_from_dict({key: value})
+    with pytest.raises(TypeError, match=f"config field '{key}' must be"):
+        SamplerConfig(**{key: value})
+    entry = {"id": "j", "dimacs": "p cnf 1 1\n1 0\n", "config": {key: value}}
+    with pytest.raises(ManifestError, match=f"job #0: config field '{key}'"):
+        parse_manifest(json.dumps([entry]))
+
+
+def test_config_values_of_the_annotated_kinds_are_accepted():
+    import numpy as np
+
+    config = config_from_dict(
+        {"batch_size": np.int64(8), "learning_rate": 3, "seed": None, "timeout_seconds": 2}
+    )
+    assert (config.batch_size, config.learning_rate, config.timeout_seconds) == (8, 3, 2)
 
 
 # -- manifests ----------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Reference oracle: the clause-by-clause CNF evaluation loops.
+"""Reference oracles: the clause-by-clause CNF evaluation loops.
 
 Before the compiled evaluation plan (:mod:`repro.cnf.kernel`),
 ``CNF.evaluate_batch`` walked the clause list in Python, one literal column
@@ -7,11 +7,17 @@ for bit on every batch.
 
 It takes a ``(batch, num_variables)`` boolean matrix whose column ``j``
 holds variable ``j + 1``, exactly like the library method.
+
+:func:`compile_evaluation_plan_reference` is the plan compiler's original
+clause loop, verbatim; the array compiler over the formula's CSR must give
+an equal plan, field for field.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from repro.cnf.kernel import CNFEvalPlan
 
 
 def evaluate_batch_reference(formula, assignments: np.ndarray) -> np.ndarray:
@@ -27,3 +33,35 @@ def evaluate_batch_reference(formula, assignments: np.ndarray) -> np.ndarray:
             break
     return satisfied
 
+
+def compile_evaluation_plan_reference(formula: "CNF") -> CNFEvalPlan:
+    """Flatten ``formula`` into a :class:`CNFEvalPlan` (one pass over the clauses)."""
+    clauses = formula.clauses
+    # Stable sort: clauses keep their insertion order within a width.
+    nonempty = sorted((clause for clause in clauses if len(clause)), key=len)
+    num_empty = len(clauses) - len(nonempty)
+    columns = []
+    negated = []
+    offsets = []
+    groups = []
+    position = 0
+    for sorted_position, clause in enumerate(nonempty):
+        width = len(clause)
+        if groups and groups[-1][2] == width:
+            groups[-1][1] = sorted_position + 1
+        else:
+            groups.append([sorted_position, sorted_position + 1, width])
+        offsets.append(position)
+        for literal in clause:
+            columns.append(abs(literal) - 1)
+            negated.append(literal < 0)
+            position += 1
+    return CNFEvalPlan(
+        num_variables=formula.num_variables,
+        num_clauses=formula.num_clauses,
+        literal_columns=np.asarray(columns, dtype=np.intp),
+        literal_negated=np.asarray(negated, dtype=bool),
+        reduce_offsets=np.asarray(offsets, dtype=np.intp),
+        width_groups=tuple((start, stop, width) for start, stop, width in groups),
+        num_empty=num_empty,
+    )

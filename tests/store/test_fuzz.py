@@ -392,6 +392,36 @@ def test_v2_store_directory_is_never_read(tmp_path):
     assert (tmp_path / "v2" / "objects" / KIND_ROUND).exists()
 
 
+def test_v5_store_directory_keyed_by_v1_signatures_is_never_read(tmp_path):
+    # Format v5 keyed entries by version 1 signatures (a hash of the clause
+    # text).  Its directory is never read: not under the formula's version 1
+    # key, nor under its version 2 key.  Moved to the current path, a v5
+    # round is rejected from its prelude and rebuilt from the transform.
+    from tests.oracles.signatures import formula_signature_v1
+
+    signature, entries, cold_rows = _pristine()
+    v1 = formula_signature_v1(_fig1())
+    assert v1 != signature
+    for kind, data in entries.items():
+        blob = bytearray(data)
+        struct.pack_into("<H", blob, 4, 5)
+        for key in (v1, signature):
+            path = tmp_path / "v5" / "objects" / kind / key[:2] / f"{key}.bin"
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(bytes(blob))
+    store = ArtifactStore(tmp_path)
+    assert load_sampling_artifact(store, signature) is None
+    assert load_sampling_artifact(store, v1) is None
+    assert store.counters()["corrupt"] == 0
+
+    blob = bytearray(entries[KIND_ROUND])
+    struct.pack_into("<H", blob, 4, 5)
+    store = _seeded_store(tmp_path / "current", KIND_ROUND, bytes(blob))
+    loaded = load_sampling_artifact(store, signature)
+    assert store.counters()["corrupt"] == 1
+    np.testing.assert_array_equal(_rows(loaded), cold_rows)
+
+
 # -- structural mutations of the transform entry ------------------------------------------
 def _decoded_transform():
     """Writable copies of the pristine transform entry's fields and arrays."""
