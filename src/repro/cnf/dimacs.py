@@ -6,22 +6,23 @@ missing or under-counted ``p cnf`` headers, and ``%`` / ``0`` trailer lines
 produced by some generators.  Comments are preserved because the paper's
 Fig. 1 example annotates each clause group with the gate it encodes.
 
-It reads a whole document in one vectorised pass: the text's code points
-give every token's start and line, the ``c``/``p``/``%`` lines are picked
-out by their first character, and the clause tokens go through ``int`` in
-one C-level ``map`` straight into the formula's CSR arrays
-(:meth:`~repro.cnf.formula.CNF.from_csr`).  Lines end at ``\n`` only and
-tokens split where :meth:`str.split` splits.  Errors are
-:class:`DimacsError` s that name the line that causes them, raised in line
-order: a malformed or negative header, a token ``int`` rejects, a literal
-beyond the header's variables, and a literal beyond ``2**31 - 1`` (the
-largest an ``int32`` literal holds), with or without a header.  Files are
-UTF-8: a byte that is not is a :class:`DimacsError` naming its line.
+Lines end at ``\n`` only.  One regular expression finds the ``c``/``p``/``%``
+lines; the clause text between two of them is split and read by ``int`` in
+one C-level ``map``, and every literal of the document lands in the
+formula's CSR arrays (:meth:`~repro.cnf.formula.CNF.from_csr`) with no
+:class:`~repro.cnf.clause.Clause` built.  A run of clause text that does
+not read cleanly is walked again line by line and token by token to name
+the line at fault.  Errors are :class:`DimacsError` s raised in line order:
+a malformed or negative header, a token ``int`` rejects, a literal beyond
+the header's variables, and a literal beyond ``2**31 - 1`` (the largest an
+``int32`` literal holds), with or without a header.  Files are UTF-8: a
+byte that is not is a :class:`DimacsError` naming its line.
 """
 
 from __future__ import annotations
 
-from itertools import compress
+import re
+from itertools import chain
 from pathlib import Path
 from typing import List, Tuple, Union
 
@@ -34,16 +35,9 @@ class DimacsError(ValueError):
     """Raised when a DIMACS document is malformed beyond recovery."""
 
 
-#: Code points :meth:`str.split` and :meth:`str.strip` treat as whitespace.
-_WHITESPACE = (
-    9, 10, 11, 12, 13, 28, 29, 30, 31, 32, 133, 160, 5760, *range(8192, 8203),
-    8232, 8233, 8239, 8287, 12288,
-)
-_IS_SPACE = np.zeros(_WHITESPACE[-1] + 2, dtype=np.bool_)
-_IS_SPACE[list(_WHITESPACE)] = True
-_NEWLINE, _COMMENT, _HEADER, _TRAILER = (ord(char) for char in "\ncp%")
-#: Clip for tokens too wide for ``int64``: still beyond every bound.
-_CLIP = 2**62
+#: A comment, header or trailer line: the first character that is not
+#: blank (in the sense of :meth:`str.strip`) is ``c``, ``p`` or ``%``.
+_SPECIAL_LINE = re.compile(r"^[^\S\n]*[cp%].*", re.MULTILINE)
 
 
 def parse_dimacs(text: str, name: str = "") -> CNF:
@@ -56,85 +50,46 @@ def parse_dimacs(text: str, name: str = "") -> CNF:
     :class:`DimacsError` naming the offending line, as is a literal beyond
     ``2**31 - 1``.
     """
-    if text.isascii():
-        codes = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-        space = _IS_SPACE[codes]
-    else:
-        codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-        space = _IS_SPACE[np.minimum(codes, _IS_SPACE.size - 1)]
-    after_space = np.ones(codes.size, dtype=np.bool_)
-    after_space[1:] = space[:-1]
-    starts = np.flatnonzero(~space & after_space)
-    breaks = np.flatnonzero(codes == _NEWLINE)
-    token_lines = np.searchsorted(breaks, starts) + 1
-    tokens = text.split()
-
-    # The first token of each line decides what the line is.
-    leading = np.flatnonzero(np.diff(token_lines, prepend=0))
-    kinds = codes[starts[leading]]
-    special = leading[(kinds == _COMMENT) | (kinds == _HEADER) | (kinds == _TRAILER)]
-    trailers = special[codes[starts[special]] == _TRAILER]
-    stop = int(trailers[0]) if trailers.size else len(tokens)
-    special = special[special < stop].tolist()
-
-    def line_text(token: int) -> str:
-        line = int(token_lines[token])
-        end = int(breaks[line - 1]) if line <= breaks.size else len(text)
-        return text[int(starts[token]) : end].rstrip()
-
-    comments: List[str] = []
-    headers: List[Tuple[int, str]] = []
-    is_special = np.zeros(breaks.size + 2, dtype=np.bool_)
-    for token in special:
-        line = line_text(token)
-        if line.startswith("c"):
-            comments.append(line[1:].strip())
-        else:
-            headers.append((int(token_lines[token]), line))
-        is_special[token_lines[token]] = True
-
-    lines = token_lines[:stop]
-    keep = ~is_special[lines]
-    clause_tokens = list(compress(tokens, keep.tolist())) if special else tokens[:stop]
-    lines = lines[keep]
-    values, readable = _integers(clause_tokens)
-    magnitudes = np.abs(values)
-
     declared_vars, declared_clauses, header_line = 0, -1, 0
-    checked = 0
-    for line_number, line in headers + [(0, "")]:
-        # The clause tokens before this header (all that remain after the
-        # last one), up to the first token ``int`` rejects.
-        end = int(np.searchsorted(lines, line_number)) if line_number else len(lines)
-        end = min(end, readable)
-        bound = min(declared_vars, MAX_VARIABLE) if header_line else MAX_VARIABLE
-        beyond = np.flatnonzero(magnitudes[checked:end] > bound)
-        if beyond.size:
-            index = checked + int(beyond[0])
-            if header_line and magnitudes[index] > declared_vars:
-                _beyond_header(int(magnitudes[index]), int(lines[index]), declared_vars, header_line)
-            raise DimacsError(
-                f"line {lines[index]}: literal {clause_tokens[index]} is beyond "
-                f"the largest variable, {MAX_VARIABLE}"
-            )
-        checked = end
-        if not line_number or (readable < len(lines) and lines[readable] < line_number):
+    #: The largest literal magnitude so far, and the clause text (with its
+    #: first line) where it first appears.
+    widest, widest_run = 0, ("", 0)
+    comments: List[str] = []
+    values: List[int] = []
+    position, line_number = 0, 1
+    for match in chain(_SPECIAL_LINE.finditer(text), [None]):
+        run = text[position : match.start() if match else len(text)]
+        tokens = run.split()
+        if tokens:
+            bound = min(declared_vars, MAX_VARIABLE) if header_line else MAX_VARIABLE
+            try:
+                run_values = [*map(int, tokens)]
+                magnitude = max(max(run_values), -min(run_values))
+            except ValueError:
+                magnitude = bound + 1
+            if magnitude > bound:
+                _refuse(run, line_number, declared_vars, header_line)
+            if magnitude > widest:
+                widest, widest_run = magnitude, (run, line_number)
+            values += run_values
+        if match is None:
             break
+        line_number += run.count("\n")
+        position = match.end()
+        line = match.group().strip()
+        if line[0] == "%":
+            break
+        if line[0] == "c":
+            comments.append(line[1:].strip())
+            continue
         declared_vars, declared_clauses = _header(line, line_number)
         header_line = line_number
-        if checked:
-            widest = int(np.argmax(magnitudes[:checked]))
-            if magnitudes[widest] > declared_vars:
-                _beyond_header(
-                    int(magnitudes[widest]), int(lines[widest]), declared_vars, header_line
-                )
-    if readable < len(clause_tokens):
-        raise DimacsError(
-            f"line {lines[readable]}: expected integer literal, got {clause_tokens[readable]!r}"
-        )
+        if widest > declared_vars:
+            _beyond_header(widest, _line_of(widest, *widest_run), declared_vars, header_line)
 
     # Each 0 ends the clause its run of literals makes; a run ending the
     # body is a clause too, and a 0 after a 0 ends nothing.
+    values = np.array(values, dtype=np.int64)
     nonzero = values != 0
     literals = values[nonzero]
     runs = np.cumsum(~nonzero)[nonzero]
@@ -148,21 +103,33 @@ def parse_dimacs(text: str, name: str = "") -> CNF:
     return formula
 
 
-def _integers(tokens: List[str]) -> Tuple[np.ndarray, int]:
-    """``int64`` values of ``tokens`` before the first one ``int`` rejects,
-    and that token's index (``len(tokens)`` when there is none)."""
-    try:
-        return np.fromiter(map(int, tokens), dtype=np.int64, count=len(tokens)), len(tokens)
-    except (ValueError, OverflowError):
-        pass
-    values = []
-    for token in tokens:
-        try:
-            value = int(token)
-        except ValueError:
-            break
-        values.append(max(-_CLIP, min(value, _CLIP)))
-    return np.asarray(values, dtype=np.int64), len(values)
+def _refuse(run: str, first_line: int, declared_vars: int, header_line: int) -> None:
+    """Raise the error of the first token of ``run`` that is not an
+    integer or is beyond the variables a literal may name."""
+    for line_number, line in enumerate(run.split("\n"), start=first_line):
+        for token in line.split():
+            try:
+                magnitude = abs(int(token))
+            except ValueError:
+                raise DimacsError(
+                    f"line {line_number}: expected integer literal, got {token!r}"
+                ) from None
+            if header_line and magnitude > declared_vars:
+                _beyond_header(magnitude, line_number, declared_vars, header_line)
+            if magnitude > MAX_VARIABLE:
+                raise DimacsError(
+                    f"line {line_number}: literal {token} is beyond the largest "
+                    f"variable, {MAX_VARIABLE}"
+                )
+    raise AssertionError("a refused run holds a bad token")
+
+
+def _line_of(magnitude: int, run: str, first_line: int) -> int:
+    """The first line of ``run`` with a literal of ``magnitude``."""
+    for line_number, line in enumerate(run.split("\n"), start=first_line):
+        if any(abs(int(token)) == magnitude for token in line.split()):
+            return line_number
+    raise AssertionError("the run holds its widest literal")
 
 
 def _header(line: str, line_number: int) -> Tuple[int, int]:

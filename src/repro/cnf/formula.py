@@ -31,12 +31,16 @@ from repro.cnf.kernel import (
 MAX_VARIABLE = 2**31 - 1
 
 
-def clause_csr(clauses: Sequence[Clause]) -> Tuple[np.ndarray, np.ndarray]:
-    """``(int32 literals, int64 offsets)`` of a clause sequence."""
-    rows = [clause.literals for clause in clauses]
+def rows_csr(rows: Sequence[Sequence[int]], dtype) -> Tuple[np.ndarray, np.ndarray]:
+    """``(int64 offsets, flat dtype values)`` of a sequence of rows."""
     offsets = np.zeros(len(rows) + 1, dtype=np.int64)
     np.cumsum(list(map(len, rows)), out=offsets[1:])
-    literals = np.fromiter(chain.from_iterable(rows), dtype=np.int32, count=int(offsets[-1]))
+    return offsets, np.fromiter(chain.from_iterable(rows), dtype=dtype, count=int(offsets[-1]))
+
+
+def clause_csr(clauses: Sequence[Clause]) -> Tuple[np.ndarray, np.ndarray]:
+    """``(int32 literals, int64 offsets)`` of a clause sequence."""
+    offsets, literals = rows_csr([clause.literals for clause in clauses], np.int32)
     return _frozen(literals), _frozen(offsets)
 
 
@@ -141,12 +145,12 @@ class CNF:
             raise ValueError("offsets are not clause bounds into the literals")
         widest = 0
         if literals.size:
-            magnitudes = np.abs(literals.astype(np.int64))
-            if not magnitudes.all():
-                raise ValueError("0 is not a valid literal (it terminates DIMACS lines)")
-            widest = int(magnitudes.max())
+            # Python ints: no cast or abs can wrap a value into range.
+            widest = max(int(literals.max()), -int(literals.min()))
             if widest > MAX_VARIABLE:
                 raise ValueError(f"variable {widest} is beyond the largest, {MAX_VARIABLE}")
+            if np.count_nonzero(literals) != literals.size:
+                raise ValueError("0 is not a valid literal (it terminates DIMACS lines)")
         literals, offsets = _drop_repeats(
             literals.astype(np.int32), offsets.astype(np.int64)
         )

@@ -51,7 +51,6 @@ wrong rows.
 from __future__ import annotations
 
 import dataclasses
-from itertools import chain
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -59,7 +58,7 @@ import numpy as np
 from repro.boolalg.expr import FALSE, TRUE, And, Const, Expr, Not, Or, Var, Xor
 from repro.circuit.gates import Gate, GateType
 from repro.circuit.netlist import Circuit
-from repro.cnf.formula import CNF, MAX_VARIABLE
+from repro.cnf.formula import CNF, MAX_VARIABLE, rows_csr
 from repro.cnf.kernel import CNFEvalPlan
 from repro.core.extraction import VAR_PREFIX, variable_name
 from repro.core.transform import RoundPlan, TransformReplay, TransformResult, TransformStats
@@ -175,13 +174,6 @@ def _variable_id(name: str) -> int:
     return int(digits)
 
 
-def _csr(rows: List[List[int]], dtype) -> Tuple[np.ndarray, np.ndarray]:
-    """``(int64 offsets, flat values)`` of a list of index lists."""
-    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum([len(row) for row in rows], out=offsets[1:])
-    return offsets, np.fromiter(chain.from_iterable(rows), dtype=dtype, count=int(offsets[-1]))
-
-
 class _ExprTable:
     """Interns expressions into one node table, children before parents."""
 
@@ -220,7 +212,7 @@ class _ExprTable:
         return index[root]
 
     def arrays(self) -> Dict[str, np.ndarray]:
-        offsets, children = _csr(self.children, np.int32)
+        offsets, children = rows_csr(self.children, np.int32)
         return {
             "expr.opcodes": np.asarray(self.opcodes, dtype=np.uint8),
             "expr.variables": np.asarray(self.variables, dtype=np.int32),
@@ -314,7 +306,7 @@ def encode_transform(formula: CNF, transform: TransformResult) -> FlatPayload:
         fanins.append([position[fanin] for fanin in gate.fanins])
         if any(fanin >= index for fanin in fanins[-1]):
             raise ValueError(f"gate {gate.name!r} is defined before its fanins")
-    arrays["circuit.fanin_offsets"], arrays["circuit.fanins"] = _csr(fanins, np.int32)
+    arrays["circuit.fanin_offsets"], arrays["circuit.fanins"] = rows_csr(fanins, np.int32)
     arrays["circuit.types"] = np.asarray(
         [_GATE_CODES[gate.gate_type] for gate in circuit.gates], dtype=np.uint8
     )

@@ -8,6 +8,8 @@ hypothesis writes DIMACS text with every irregularity the reader tolerates
 ``%`` trailers, repeated literals, tautologies, under-counted headers and
 the odd tokens ``int`` accepts) and the two must agree on clauses, comments,
 variable count and, for malformed text, the error and the line it names.
+The one place they part is a literal beyond ``2**31 - 1`` with no header
+before it: the loop read it, the reader refuses it on its line.
 
 The version 2 signature hashes the CSR arrays, so every way of building one
 formula gives one key; the Fig. 1 key is pinned.
@@ -15,13 +17,15 @@ formula gives one key; the Fig. 1 key is pinned.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cnf.delta import ClauseDelta
 from repro.cnf.dimacs import DimacsError, parse_dimacs, write_dimacs
-from repro.cnf.formula import CNF, clause_csr
+from repro.cnf.formula import CNF, MAX_VARIABLE, clause_csr
 from repro.cnf.kernel import compile_evaluation_plan
 from repro.core.signatures import formula_signature
 from repro.core.transform import transform_cnf
@@ -44,9 +48,10 @@ BAD_TOKENS = ("x", "1.5", "--1", "1__0", "_1", "c", "p", "%1")
 separators = st.sampled_from(SEPARATORS)
 padding = st.one_of(st.just(""), separators)
 small_literals = st.integers(min_value=-12, max_value=12).filter(bool).map(str)
-literals = st.one_of(
-    *[small_literals] * 6, st.sampled_from(("2147483647", "-2147483647"))
-)
+#: Literals at and beyond the ``int32`` bound, ``int64``'s minimum (which
+#: ``np.abs`` leaves negative) and one wider than ``int64``.
+WIDE_LITERALS = ("2147483647", "-2147483647", "2147483648", "-9223372036854775808", "9" * 25)
+literals = st.one_of(*[small_literals] * 8, st.sampled_from(WIDE_LITERALS))
 tokens = st.one_of(
     literals,
     literals,
@@ -100,6 +105,9 @@ def outcome(parse, text: str):
         formula = parse(text)
     except DimacsError as error:
         return "error", str(error)
+    except ValueError as error:
+        # The loop reads a literal beyond int32; the formula refuses it.
+        return "refused", str(error)
     return (
         "formula",
         [clause.literals for clause in formula.clauses],
@@ -108,12 +116,30 @@ def outcome(parse, text: str):
     )
 
 
+def assert_matches_the_line_loop(text):
+    expected = outcome(parse_dimacs_reference, text)
+    actual = outcome(parse_dimacs, text)
+    refused = actual[0] == "error" and re.match(
+        r"line (\d+): literal (\S+) is beyond the largest variable", actual[1]
+    )
+    if refused:
+        # The loop read the literal and failed later, if at all.
+        assert abs(int(refused.group(2))) > MAX_VARIABLE
+        line = int(refused.group(1))
+        assert refused.group(2) in text.split("\n")[line - 1].split()
+        if expected[0] == "error":
+            assert int(re.match(r"line (\d+)", expected[1]).group(1)) >= line
+        else:
+            assert expected[0] == "refused"
+    else:
+        assert actual == expected
+    return actual
+
+
 @settings(max_examples=500, deadline=None)
 @given(documents())
 def test_the_reader_matches_the_line_loop(text):
-    expected = outcome(parse_dimacs_reference, text)
-    assert outcome(parse_dimacs, text) == expected
-    if expected[0] == "formula":
+    if assert_matches_the_line_loop(text)[0] == "formula":
         formula = parse_dimacs(text)
         literals, offsets = clause_csr(parse_dimacs_reference(text).clauses)
         np.testing.assert_array_equal(formula.literals, literals)
@@ -143,10 +169,46 @@ def test_the_reader_matches_the_line_loop(text):
         "１　２ 0\n",
         "\x85c not a comment\n",
         "1\x002 0\n",
+        "p cnf 2 1\n-9223372036854775808 0\n",
+        "p cnf 3 1\n1 99999999999999999999999 0\n",
+        "-9223372036854775808 0\np cnf 2 1\n",
+        "1 -9223372036854775808 0\n",
+        "c\n1 99999999999999999999999 x 0\n",
     ],
 )
 def test_the_reader_matches_the_line_loop_on_edge_cases(text):
-    assert outcome(parse_dimacs, text) == outcome(parse_dimacs_reference, text)
+    assert_matches_the_line_loop(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # int64's minimum is its own np.abs: it must still be refused.
+        (
+            "p cnf 2 1\n-9223372036854775808 0\n",
+            "line 2: variable 9223372036854775808 is beyond the 2 declared on line 1",
+        ),
+        (
+            "-9223372036854775808 0\n",
+            "line 1: literal -9223372036854775808 is beyond the largest variable, 2147483647",
+        ),
+        # A token wider than int64 is named as written.
+        (
+            "p cnf 3 1\n1 99999999999999999999999 0\n",
+            "line 2: variable 99999999999999999999999 is beyond the 3 declared on line 1",
+        ),
+    ],
+)
+def test_a_literal_wider_than_int64_is_named_as_written(text, message):
+    with pytest.raises(DimacsError) as error:
+        parse_dimacs(text)
+    assert str(error.value) == message
+
+
+@pytest.mark.parametrize("literal", [-(2**63), 2**31, -(2**31)])
+def test_from_csr_refuses_a_literal_beyond_int32(literal):
+    with pytest.raises(ValueError, match="is beyond the largest"):
+        CNF.from_csr(np.array([1, literal], dtype=np.int64), np.array([0, 2]))
 
 
 def test_the_largest_int32_literal_is_read():

@@ -1,12 +1,13 @@
 """Reference oracle: the line-by-line DIMACS reader.
 
-Before the reader tokenised a whole document into CSR arrays
+Before the reader read a whole document into CSR arrays
 (:func:`repro.cnf.dimacs.parse_dimacs`), it walked the text one line and one
 token at a time and built the formula clause by clause.  This is that loop,
 verbatim; the shipped reader must agree with it on clauses, comments,
 variable count, error class and the line an error names, for every
-literal within ``2**31 - 1`` (beyond it the shipped reader refuses what
-this loop accepted).
+literal within ``2**31 - 1``.  Beyond it this loop reads the literal and
+its formula's ``add_clause`` raises a bare :class:`ValueError`, while the
+shipped reader raises a :class:`DimacsError` naming the line.
 """
 
 from __future__ import annotations
