@@ -180,31 +180,6 @@ def test_the_reader_matches_the_line_loop_on_edge_cases(text):
     assert_matches_the_line_loop(text)
 
 
-@pytest.mark.parametrize(
-    "text, message",
-    [
-        # int64's minimum is its own np.abs: it must still be refused.
-        (
-            "p cnf 2 1\n-9223372036854775808 0\n",
-            "line 2: variable 9223372036854775808 is beyond the 2 declared on line 1",
-        ),
-        (
-            "-9223372036854775808 0\n",
-            "line 1: literal -9223372036854775808 is beyond the largest variable, 2147483647",
-        ),
-        # A token wider than int64 is named as written.
-        (
-            "p cnf 3 1\n1 99999999999999999999999 0\n",
-            "line 2: variable 99999999999999999999999 is beyond the 3 declared on line 1",
-        ),
-    ],
-)
-def test_a_literal_wider_than_int64_is_named_as_written(text, message):
-    with pytest.raises(DimacsError) as error:
-        parse_dimacs(text)
-    assert str(error.value) == message
-
-
 @pytest.mark.parametrize("literal", [-(2**63), 2**31, -(2**31)])
 def test_from_csr_refuses_a_literal_beyond_int32(literal):
     with pytest.raises(ValueError, match="is beyond the largest"):

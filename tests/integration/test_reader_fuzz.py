@@ -137,6 +137,8 @@ def test_dimacs_bytes_are_exact_or_name_a_line(document, steps, tmp_path_factory
     "text, line",
     [
         ("1 99999999999 0\n", 1),
+        # int64's minimum, which np.abs leaves negative.
+        ("1 0\n-9223372036854775808 0\n", 2),
         ("c x\n1 2 0\n-2 -2147483648 0\n", 3),
         ("c\n1 2\n3 " + "9" * 40 + " 0\n", 3),
         # A header wider than int32 does not widen the literals.
