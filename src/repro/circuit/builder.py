@@ -2,19 +2,33 @@
 
 The transformation algorithm produces an ordered list of
 ``output variable -> Boolean expression`` definitions; :func:`circuit_from_expressions`
-lowers that list into a :class:`~repro.circuit.netlist.Circuit`, allocating
-gates for each operator node.  :class:`CircuitBuilder` offers a lower-level
-fluent API used by the benchmark-instance generators to describe circuits
-directly (adders, comparators, ISCAS-style random logic blocks, ...).
+lowers that list into a :class:`~repro.circuit.netlist.Circuit` by appending
+one gate-table row per operator node (:func:`expression_lowerer`, shared with
+the incremental transform's graft); no gate record is built on the way.  The
+object builder it replaced is the reference in ``tests/oracles/circuit.py``.
+
+:class:`CircuitBuilder` offers a lower-level fluent API used by the
+benchmark-instance generators to describe circuits directly (adders,
+comparators, ISCAS-style random logic blocks, ...).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.boolalg.expr import And, Const, Expr, Not, Or, Var, Xor
-from repro.circuit.gates import Gate, GateType
+from repro.circuit.gates import GATE_CODES, GateType
 from repro.circuit.netlist import Circuit
+
+_INPUT, _CONST0, _CONST1, _BUF, _NOT = (
+    GATE_CODES[t]
+    for t in (GateType.INPUT, GateType.CONST0, GateType.CONST1, GateType.BUF, GateType.NOT)
+)
+_NARY_CODES = {
+    And: GATE_CODES[GateType.AND],
+    Or: GATE_CODES[GateType.OR],
+    Xor: GATE_CODES[GateType.XOR],
+}
 
 
 class CircuitBuilder:
@@ -136,6 +150,48 @@ class CircuitBuilder:
         return sums
 
 
+def expression_lowerer(
+    circuit: Circuit, variable: Callable[[str], int]
+) -> Callable[[Expr], int]:
+    """A function appending the gate rows of one expression to ``circuit``.
+
+    It returns the row driving the expression's value.  Every operator node
+    becomes a fresh ``n<k>`` row (a repeated subexpression is lowered again;
+    the optimizer merges the copies), every constant a fresh ``const<k>``
+    row, with ``k`` counting up across both names from the first free one,
+    and a variable is the row ``variable(name)`` returns.
+    """
+    index = circuit._index
+    counter = 0
+
+    def fresh(prefix: str = "n") -> str:
+        nonlocal counter
+        while True:
+            counter += 1
+            candidate = f"{prefix}{counter}"
+            if candidate not in index:
+                return candidate
+
+    append = circuit._append
+
+    def lower(expr: Expr) -> int:
+        if isinstance(expr, Var):
+            return variable(expr.name)
+        if isinstance(expr, Const):
+            return append(fresh("const"), _CONST1 if expr.value else _CONST0, ())
+        if isinstance(expr, Not):
+            fanins = (lower(expr.operand),)
+            code = _NOT
+        else:
+            code = _NARY_CODES.get(type(expr))
+            if code is None:
+                raise TypeError(f"unsupported expression node {type(expr).__name__}")
+            fanins = tuple([lower(operand) for operand in expr.operands])
+        return append(fresh(), code, fanins)
+
+    return lower
+
+
 def circuit_from_expressions(
     definitions: Sequence[Tuple[str, Expr]],
     outputs: Optional[Iterable[str]] = None,
@@ -147,66 +203,45 @@ def circuit_from_expressions(
     Expressions may reference primary inputs and previously defined nets by
     name.  ``inputs`` may pre-declare primary inputs (and fixes their order);
     any referenced variable that is neither defined nor declared is added as a
-    primary input on first use.  ``outputs`` marks primary outputs; when
-    omitted, nets that no other definition consumes are marked automatically.
+    primary input on first use.  Each definition's net is a buffer of its
+    expression's row.  ``outputs`` marks primary outputs; when omitted, nets
+    that no other definition consumes are marked automatically.
     """
-    builder = CircuitBuilder(name)
-    circuit = builder.circuit
+    circuit = Circuit(name)
     defined_names = {net for net, _ in definitions}
 
     for input_name in inputs or []:
         circuit.add_input(input_name)
 
-    def ensure_net(variable: str) -> str:
-        if circuit.has_net(variable):
-            return variable
-        if variable in defined_names:
+    index = circuit._index
+
+    def variable(net: str) -> int:
+        row = index.get(net)
+        if row is not None:
+            return row
+        if net in defined_names:
             raise ValueError(
-                f"definition of {variable!r} is used before it is defined; "
+                f"definition of {net!r} is used before it is defined; "
                 "definitions must be topologically ordered"
             )
-        circuit.add_input(variable)
-        return variable
+        return circuit._append(net, _INPUT, ())
 
-    fresh = builder._fresh
-
-    def lower_gate(gate_type: GateType, fanins: Tuple[str, ...]) -> str:
-        # Fanins come from recursive lowering, so they are defined by
-        # construction; define directly instead of re-validating per gate
-        # (this loop dominated the transform's circuit-build stage).
-        name = fresh()
-        circuit._define(Gate.unchecked(name, gate_type, fanins))
-        return name
-
-    def lower(expr: Expr) -> str:
-        if isinstance(expr, Const):
-            return builder.constant(expr.value)
-        if isinstance(expr, Var):
-            return ensure_net(expr.name)
-        if isinstance(expr, Not):
-            return lower_gate(GateType.NOT, (lower(expr.operand),))
-        if isinstance(expr, And):
-            return lower_gate(GateType.AND, tuple(lower(op) for op in expr.operands))
-        if isinstance(expr, Or):
-            return lower_gate(GateType.OR, tuple(lower(op) for op in expr.operands))
-        if isinstance(expr, Xor):
-            return lower_gate(GateType.XOR, tuple(lower(op) for op in expr.operands))
-        raise TypeError(f"unsupported expression node {type(expr).__name__}")
-
+    lower = expression_lowerer(circuit, variable)
     for net_name, expr in definitions:
-        if circuit.has_net(net_name):
+        if net_name in index:
             raise ValueError(f"net {net_name!r} defined twice")
         driver = lower(expr)
-        circuit._define(Gate.unchecked(net_name, GateType.BUF, (driver,)))
+        circuit._append(net_name, _BUF, (driver,))
 
     if outputs is not None:
         for output_name in outputs:
             circuit.set_output(output_name)
     else:
         consumed = set()
-        for gate in circuit.gates:
-            consumed.update(gate.fanins)
+        for fanins in circuit._fanins:
+            consumed.update(fanins)
         for net_name, _ in definitions:
-            if net_name not in consumed:
-                circuit.set_output(net_name)
+            row = index[net_name]
+            if row not in consumed:
+                circuit._mark_output(row)
     return circuit

@@ -53,6 +53,11 @@ class GateType(str, Enum):
 _SOURCE_TYPES = frozenset((GateType.INPUT, GateType.CONST0, GateType.CONST1))
 _UNARY_TYPES = frozenset((GateType.BUF, GateType.NOT))
 
+#: The netlist's ``uint8`` gate type codes (index = code, the declaration
+#: order above).  The artifact store persists them, so they never change.
+GATE_TYPES = tuple(GateType)
+GATE_CODES = {gate_type: code for code, gate_type in enumerate(GATE_TYPES)}
+
 
 @dataclass(frozen=True)
 class Gate:

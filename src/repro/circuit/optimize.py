@@ -14,19 +14,25 @@ techniques in one topological walk:
 
 These reduce the 2-input gate-equivalent count the probabilistic model must
 evaluate, which is precisely what the Fig. 4 (middle) ops-reduction ablation
-measures.  The separate passes iterated to a fixed point are kept as the
-reference in ``tests/oracles/optimize.py``.
+measures.  The walk reads the netlist's integer gate table, and its result
+is a new table.  The same pass over named gate records is the reference in
+``tests/oracles/circuit.py``, and the separate passes iterated to a fixed
+point are the reference in ``tests/oracles/optimize.py``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.circuit.gates import Gate, GateType, _SOURCE_TYPES
+from repro.circuit.gates import GATE_CODES, GATE_TYPES, GateType
 from repro.circuit.netlist import Circuit
 
-#: (gate type, canonically ordered fanins) key used for structural hashing.
-_StrashKey = Tuple[GateType, Tuple[str, ...]]
+#: (gate type code, canonically ordered fanin rows) key used for structural hashing.
+_StrashKey = Tuple[int, Tuple[int, ...]]
+
+_INPUT, _CONST0, _CONST1, _BUF = (
+    GATE_CODES[t] for t in (GateType.INPUT, GateType.CONST0, GateType.CONST1, GateType.BUF)
+)
 
 _COMMUTATIVE = {
     GateType.AND,
@@ -36,11 +42,12 @@ _COMMUTATIVE = {
     GateType.XOR,
     GateType.XNOR,
 }
+_COMMUTATIVE_CODES = frozenset(GATE_CODES[gate_type] for gate_type in _COMMUTATIVE)
 
 
 def _fold_gate(
-    gate_type: GateType, fanins: Tuple[str, ...], fanin_consts: Sequence[Optional[bool]]
-) -> Tuple[GateType, Tuple[str, ...], Optional[bool]]:
+    gate_type: GateType, fanins: Tuple, fanin_consts: Sequence[Optional[bool]]
+) -> Tuple[GateType, Tuple, Optional[bool]]:
     """Fold constant fanins of one gate.
 
     Returns ``(type, fanins, constant)`` where ``constant`` is a bool when the
@@ -98,18 +105,6 @@ def _fold_gate(
     return gate_type, fanins, None
 
 
-def _strash_key(gate_type: GateType, fanins: Tuple[str, ...]) -> _StrashKey:
-    """The structural-hashing key: commutative fanins in sorted order."""
-    if gate_type in _COMMUTATIVE:
-        if len(fanins) == 2:
-            first, second = fanins
-            if second < first:
-                fanins = (second, first)
-        else:
-            fanins = tuple(sorted(fanins))
-    return gate_type, fanins
-
-
 def optimize_circuit(circuit: Circuit) -> Circuit:
     """Fold constants, collapse buffers, hash and sweep in one topological pass.
 
@@ -120,96 +115,99 @@ def optimize_circuit(circuit: Circuit) -> Circuit:
     so the consumers of both end up reading one net.  Later duplicates that
     are outputs become buffers of it, and an output whose value folds
     becomes a constant.  The gates are emitted in topological order and that
-    order is installed as the result's cached
+    order is installed as the result's
     :meth:`~repro.circuit.netlist.Circuit.topological_order`, so compiling the
     result does not sort it again.  The pass is idempotent: optimizing the
     result returns the same gate list.
-    """
-    gates = circuit._gates
-    output_set = circuit._output_set
-    unchecked = Gate.unchecked
-    alias: Dict[str, str] = {}  # collapsed net -> the net that replaces it
-    constant: Dict[str, bool] = {}  # constant-valued net -> its value
-    canonical: Dict[_StrashKey, str] = {}
-    owner: Dict[str, str] = {}  # kept non-output net -> the output taking it over
-    kept: Dict[str, Gate] = {}
-    order: List[str] = []
 
-    for name in circuit.topological_order():
-        gate = gates[name]
-        gate_type = gate.gate_type
-        if gate_type is GateType.INPUT:
+    The walk reads the integer gate table: a structural-hashing key is the
+    gate type code plus its resolved fanin rows, sorted for commutative
+    types, which makes the same gates equal as sorting fanin names would.
+    """
+    types, fanins_of = circuit._types, circuit._fanins
+    output_set = circuit._output_set
+    count = len(types)
+    alias = list(range(count))  # row -> the row that replaces it (itself if kept)
+    constant: List[Optional[bool]] = [None] * count  # constant-valued row -> its value
+    has_constant = False
+    canonical: Dict[_StrashKey, int] = {}
+    owner: Dict[int, int] = {}  # kept non-output row -> the output taking it over
+    kept_types = bytearray(count)
+    kept: List[Optional[Tuple[int, ...]]] = [None] * count  # kept row -> its fanins
+    order: List[int] = []
+
+    for row in circuit._topological():
+        code = types[row]
+        if code == _INPUT:
             continue
-        if gate_type in _SOURCE_TYPES:
-            constant[name] = gate_type is GateType.CONST1
-            kept[name] = gate
-            order.append(name)
+        if code <= _CONST1:
+            constant[row] = code == _CONST1
+            has_constant = True
+            kept_types[row], kept[row] = code, ()
+            order.append(row)
             continue
-        fanins = gate.fanins
-        if alias:
-            fanins = tuple([alias.get(f, f) for f in fanins])
-        if constant:
-            fanin_consts = [constant.get(f) for f in fanins]
+        fanins = tuple([alias[f] for f in fanins_of[row]])
+        if has_constant:
+            fanin_consts = [constant[f] for f in fanins]
             if fanin_consts.count(None) < len(fanin_consts):
-                gate_type, fanins, value = _fold_gate(gate_type, fanins, fanin_consts)
+                gate_type, fanins, value = _fold_gate(GATE_TYPES[code], fanins, fanin_consts)
+                code = GATE_CODES[gate_type]
                 if value is not None:
                     # Swept below unless it is an output: every consumer folds it.
-                    constant[name] = value
-                    kept[name] = unchecked(
-                        name, GateType.CONST1 if value else GateType.CONST0
-                    )
-                    order.append(name)
+                    constant[row] = value
+                    kept_types[row], kept[row] = _CONST1 if value else _CONST0, ()
+                    order.append(row)
                     continue
-        is_output = name in output_set
-        if gate_type is GateType.BUF and not is_output:
-            alias[name] = fanins[0]
+        is_output = row in output_set
+        if code == _BUF and not is_output:
+            alias[row] = fanins[0]
             continue
-        key = _strash_key(gate_type, fanins)
+        key = (code, tuple(sorted(fanins))) if code in _COMMUTATIVE_CODES else (code, fanins)
         existing = canonical.get(key)
         if existing is not None:
             if not is_output:
-                alias[name] = existing
+                alias[row] = existing
                 continue
             if existing not in output_set and existing not in owner:
                 # The first output duplicating a non-output net takes it
                 # over: the kept gate is emitted under the output's name.
-                owner[existing] = name
-                alias[name] = existing
+                owner[existing] = row
+                alias[row] = existing
                 continue
             # Any other output becomes the last buffer of the chain behind
             # ``existing`` (no two buffers share a fanin).
-            key = (GateType.BUF, (existing,))
+            key = (_BUF, (existing,))
             while key in canonical:
-                key = (GateType.BUF, (canonical[key],))
-            gate_type, fanins = key
-        canonical[key] = name
-        if gate_type is not gate.gate_type or fanins != gate.fanins:
-            gate = unchecked(name, gate_type, fanins)
-        kept[name] = gate
-        order.append(name)
+                key = (_BUF, (canonical[key],))
+            code, fanins = key
+        canonical[key] = row
+        kept_types[row], kept[row] = code, fanins
+        order.append(row)
+    del canonical, constant  # not needed for the table below
 
-    live: Set[str] = {alias.get(output, output) for output in circuit._outputs}
-    stack = list(live)
+    live = bytearray(count)
+    stack = [alias[output] for output in circuit._outputs]
     while stack:
-        gate = kept.get(stack.pop())  # None for a primary input
-        if gate is not None:
-            for fanin in gate.fanins:
-                if fanin not in live:
-                    live.add(fanin)
-                    stack.append(fanin)
+        row = stack.pop()
+        if not live[row]:
+            live[row] = 1
+            fanins = kept[row]  # None for a primary input
+            if fanins:
+                stack.extend(fanins)
 
-    optimized = Circuit(circuit.name)
-    for name in circuit._inputs:
-        optimized._define_unchecked(gates[name], is_input=True)
-    for name in order:
-        if name in live:
-            gate = kept[name]
-            if owner:
-                fanins = tuple([owner.get(f, f) for f in gate.fanins])
-                if name in owner or fanins != gate.fanins:
-                    gate = unchecked(owner.get(name, name), gate.gate_type, fanins)
-            optimized._define_unchecked(gate)
-    for output in circuit._outputs:
-        optimized.set_output(output)
-    optimized._topo_cache = list(optimized._order)
-    return optimized
+    old_names = circuit._names
+    names = [old_names[row] for row in circuit._inputs]
+    new_row = [0] * count
+    for position, row in enumerate(circuit._inputs):
+        new_row[row] = position
+    table_types = bytearray(len(names))  # _INPUT is code 0
+    table_fanins: List[Tuple[int, ...]] = [()] * len(names)
+    for row in order:
+        if live[row]:
+            new_row[row] = len(names)
+            names.append(old_names[owner.get(row, row)])
+            table_types.append(kept_types[row])
+            table_fanins.append(tuple([new_row[f] for f in kept[row]]))
+    # Every output is a kept row, or the alias of the kept row it took over.
+    outputs = [new_row[alias[output]] for output in circuit._outputs]
+    return Circuit._from_rows(circuit.name, names, table_types, table_fanins, outputs, True)

@@ -12,8 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.circuit.gates import GateType
+from repro.circuit.gates import GATE_CODES, GateType
 from repro.circuit.netlist import Circuit
+
+_NOT = GATE_CODES[GateType.NOT]
+_INVERTED_CODES = frozenset(
+    GATE_CODES[gate_type] for gate_type in (GateType.NAND, GateType.NOR, GateType.XNOR)
+)
 
 
 @dataclass(frozen=True)
@@ -44,8 +49,18 @@ class CircuitStats:
 
 
 def two_input_gate_equivalents(circuit: Circuit) -> int:
-    """Total cost of the circuit in 2-input gate equivalents."""
-    return sum(gate.two_input_equivalents() for gate in circuit.gates)
+    """Total cost of the circuit in 2-input gate equivalents.
+
+    The sum of :meth:`Gate.two_input_equivalents <repro.circuit.gates.Gate.two_input_equivalents>`
+    over every gate, read from the gate table.
+    """
+    total = 0
+    for code, fanins in zip(circuit._types, circuit._fanins):
+        if code == _NOT:
+            total += 1
+        elif code > _NOT:  # AND .. XNOR
+            total += max(len(fanins) - 1, 1) + (code in _INVERTED_CODES)
+    return total
 
 
 def gate_type_histogram(circuit: Circuit) -> Dict[str, int]:

@@ -45,10 +45,10 @@ def parse_dimacs(text: str, name: str = "") -> CNF:
 
     Stray ``0`` tokens with no pending literals (trailer lines emitted by some
     generators) are ignored rather than being interpreted as empty clauses.
-    A header's counts must be non-negative, and with a header every literal
-    must lie within its declared variables; either violation is a
-    :class:`DimacsError` naming the offending line, as is a literal beyond
-    ``2**31 - 1``.
+    A header's counts must be non-negative and its variable count at most
+    ``2**31 - 1``, and with a header every literal must lie within its
+    declared variables; each violation is a :class:`DimacsError` naming the
+    offending line, as is a literal beyond ``2**31 - 1``.
     """
     declared_vars, declared_clauses, header_line = 0, -1, 0
     #: The largest literal magnitude so far, and the clause text (with its
@@ -61,7 +61,7 @@ def parse_dimacs(text: str, name: str = "") -> CNF:
         run = text[position : match.start() if match else len(text)]
         tokens = run.split()
         if tokens:
-            bound = min(declared_vars, MAX_VARIABLE) if header_line else MAX_VARIABLE
+            bound = declared_vars if header_line else MAX_VARIABLE
             try:
                 run_values = [*map(int, tokens)]
                 magnitude = max(max(run_values), -min(run_values))
@@ -144,6 +144,11 @@ def _header(line: str, line_number: int) -> Tuple[int, int]:
         raise DimacsError(f"line {line_number}: non-integer header fields") from exc
     if declared_vars < 0 or declared_clauses < 0:
         raise DimacsError(f"line {line_number}: negative header count in {line!r}")
+    if declared_vars > MAX_VARIABLE:
+        raise DimacsError(
+            f"line {line_number}: header count {declared_vars} is beyond the "
+            f"largest variable, {MAX_VARIABLE}"
+        )
     return declared_vars, declared_clauses
 
 

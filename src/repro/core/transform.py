@@ -55,9 +55,9 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.boolalg.expr import And, Const, Expr, Not, Or, Var, Xor
+from repro.boolalg.expr import And, Const, Expr, Not, Or, Xor
 from repro.boolalg.simplify import simplify
-from repro.circuit.builder import circuit_from_expressions
+from repro.circuit.builder import circuit_from_expressions, expression_lowerer
 from repro.circuit.netlist import Circuit
 from repro.circuit.optimize import optimize_circuit
 from repro.circuit.stats import two_input_gate_equivalents
@@ -75,8 +75,10 @@ from repro.core.signatures import GateMatch, match_gate_signature
 from repro.engine.compiler import adopt_program, compiled_program_for, program_key
 from repro.engine.executor import execute_bool
 from repro.engine.program import CompiledProgram
-from repro.circuit.gates import Gate, GateType
+from repro.circuit.gates import GATE_CODES, GateType
 from repro import obs
+
+_INPUT, _BUF = GATE_CODES[GateType.INPUT], GATE_CODES[GateType.BUF]
 
 _perf = time.perf_counter
 
@@ -887,59 +889,36 @@ def _graft_circuit(
     )
     circuit = Circuit(name)
     for input_name in state.primary_inputs:
-        circuit._define_unchecked(Gate(input_name, GateType.INPUT), is_input=True)
+        circuit.add_input(input_name)
+    index = circuit._index
     if kept_nets:
-        cone = prev_circuit.transitive_fanin(kept_nets)
-        gates = prev_circuit._gates
-        for net in prev_circuit.topological_order():
-            if net not in cone:
-                continue
-            gate = gates[net]
-            if gate.gate_type == GateType.INPUT:
+        cone = prev_circuit._cone(prev_circuit._rows_of(kept_nets))
+        prev_names, prev_types, prev_fanins = (
+            prev_circuit._names,
+            prev_circuit._types,
+            prev_circuit._fanins,
+        )
+        for row in prev_circuit._topological():
+            if not cone[row] or prev_types[row] == _INPUT:
                 continue  # cone leaves are prefix inputs, pre-declared above
-            if circuit.has_net(net):
+            net = prev_names[row]
+            if net in index:
                 raise _GraftUnsafe(net)  # a gate named after a new input
-            circuit._define_unchecked(gate)
+            fanins = tuple([index[prev_names[fanin]] for fanin in prev_fanins[row]])
+            circuit._append(net, prev_types[row], fanins)
 
-    counter = 0
+    def variable(net: str) -> int:
+        row = index.get(net)
+        if row is None:
+            raise _GraftUnsafe(net)
+        return row
 
-    def fresh(prefix: str = "n") -> str:
-        nonlocal counter
-        while True:
-            counter += 1
-            candidate = f"{prefix}{counter}"
-            if not circuit.has_net(candidate):
-                return candidate
-
-    unchecked = Gate.unchecked
-
-    def lower_gate(gate_type: GateType, fanins: Tuple[str, ...]) -> str:
-        gate_name = fresh()
-        circuit._define(unchecked(gate_name, gate_type, fanins))
-        return gate_name
-
-    def lower(expr: Expr) -> str:
-        if isinstance(expr, Const):
-            return circuit.add_constant(fresh("const"), expr.value)
-        if isinstance(expr, Var):
-            if not circuit.has_net(expr.name):
-                raise _GraftUnsafe(expr.name)
-            return expr.name
-        if isinstance(expr, Not):
-            return lower_gate(GateType.NOT, (lower(expr.operand),))
-        if isinstance(expr, And):
-            return lower_gate(GateType.AND, tuple(lower(op) for op in expr.operands))
-        if isinstance(expr, Or):
-            return lower_gate(GateType.OR, tuple(lower(op) for op in expr.operands))
-        if isinstance(expr, Xor):
-            return lower_gate(GateType.XOR, tuple(lower(op) for op in expr.operands))
-        raise TypeError(f"unsupported expression node {type(expr).__name__}")
-
+    lower = expression_lowerer(circuit, variable)
     for net, expr in new_records:
-        if circuit.has_net(net):
+        if net in index:
             raise _GraftUnsafe(net)
         driver = lower(expr)
-        circuit._define(unchecked(net, GateType.BUF, (driver,)))
+        circuit._append(net, _BUF, (driver,))
 
     for net, _ in state.constraints:
         circuit.set_output(net)

@@ -4,13 +4,15 @@ Compilation happens once per (circuit, outputs, input order) triple; the
 resulting program is a pure-array artifact that the executor can run forever
 after without touching the netlist, its dicts, or its string keys again.
 
+The circuit's gate table is lowered once, every gate in topological order,
+and memoised beside its programs; each program is a slice of that lowering.
 Lowering rules (chosen to reproduce the gate-by-gate Table I relaxation
 *bitwise* — each rule mirrors the operation chain of the per-gate reference
 oracle kept under ``tests/oracles/``):
 
 * ``INPUT`` — a base slot loaded from the caller's input matrix;
 * ``CONST0`` / ``CONST1`` — shared constant slots filled at execution time;
-* ``BUF`` — aliased away (the net shares its fanin's slot);
+* ``BUF`` — aliased away (the net shares its fanin's value);
 * ``NOT`` — one ``NOT`` op;
 * ``AND`` — left-to-right ``MUL`` chain;
 * ``NAND`` — the ``AND`` chain followed by ``NOT``;
@@ -20,104 +22,145 @@ oracle kept under ``tests/oracles/``):
   ``NOT`` results, one ``ADD``);
 * ``XNOR`` — the ``XOR`` chain followed by ``NOT``.
 
-After lowering, ops are assigned levels (longest distance from a source
-slot) and levelized in one vectorised step: a stable ``lexsort`` on
-``(level, opcode)`` renumbers every op into its output slot, operand
-references resolve through one index array, and the ``(level, opcode)``
-runs of the sorted stream become the block table (see
-:mod:`repro.engine.program`).
+An op's level is its longest distance from a source row, which depends
+only on its own operands, so the ops of a cone keep the levels and the
+relative emission order they would have in a lowering of the cone alone.
+:func:`compile_circuit` takes the ops of the gates in its cone, maps the
+cone's source rows to base slots (its inputs in declaration order, then one
+shared ``CONST0`` and one ``CONST1`` slot), and levelizes in one vectorised
+step: a stable ``lexsort`` on ``(level, opcode)`` renumbers every op into its
+output slot, operand references resolve through two index arrays, and the
+``(level, opcode)`` runs of the sorted stream become the block table (see
+:mod:`repro.engine.program`).  A round's learn and fill programs therefore
+lower the gates they share once, not twice.
 
 :func:`compiled_program_for` adds a per-circuit memo so repeated executions
 (every sampling round re-simulates the same recovered circuit) compile once.
-The cache lives on the :class:`~repro.circuit.netlist.Circuit` instance and
-is invalidated whenever the netlist is mutated.
+The memo, the lowering included, lives on the
+:class:`~repro.circuit.netlist.Circuit` instance and is cleared whenever a
+net is added.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.utils.weakcache import OwnerRegistry
 
-from repro.circuit.gates import GateType
+from repro.circuit.gates import GATE_CODES, GateType
 from repro.circuit.netlist import Circuit
 from repro.engine.program import OP_ADD, OP_MUL, OP_NOT, CompiledProgram
+
+_CONST0, _CONST1, _BUF, _NOT = (
+    GATE_CODES[t] for t in (GateType.CONST0, GateType.CONST1, GateType.BUF, GateType.NOT)
+)
+_AND_CODES = frozenset((GATE_CODES[GateType.AND], GATE_CODES[GateType.NAND]))
+_OR_CODES = frozenset((GATE_CODES[GateType.OR], GATE_CODES[GateType.NOR]))
+_INVERTED_CODES = frozenset(
+    GATE_CODES[t] for t in (GateType.NAND, GateType.NOR, GateType.XNOR)
+)
+#: The engine-cache key the circuit's lowering is memoised under.
+_LOWERING = "lowering"
 
 
 class CompileError(ValueError):
     """Raised when a circuit cone cannot be lowered (unknown nets, missing inputs)."""
 
 
-class _Lowering:
-    """Mutable state while emitting primitive ops for one cone."""
+@dataclass(frozen=True)
+class _Lowered:
+    """Every gate of a circuit lowered to primitive ops once, in topological order.
 
-    def __init__(self, num_base_slots: int) -> None:
-        self.num_base_slots = num_base_slots
-        # Parallel per-op arrays indexed by temporary op id.
-        self.opcodes: List[int] = []
-        self.a_ops: List[int] = []  # operand slot (base) or ~op_id (temp)
-        self.b_ops: List[int] = []
-        self.levels: List[int] = []
-        self.base_levels: Dict[int, int] = {}
+    An operand reference is an op id (``>= 0``) or ``~row`` of the source
+    row (``INPUT``/``CONST0``/``CONST1``) it reads; each program maps those
+    rows to its own base slots.
+    """
 
-    def _operand_level(self, ref: int) -> int:
-        return 0 if ref >= 0 else self.levels[~ref]
+    opcodes: np.ndarray  # uint8 per op
+    levels: np.ndarray  # int32 per op: longest distance from a source
+    a_refs: np.ndarray  # int32 per op
+    b_refs: np.ndarray  # int32 per op (0 for NOT)
+    owners: np.ndarray  # int32 per op: the row whose gate emitted it
+    net_refs: np.ndarray  # int32 per row: the reference of its value
+    types: np.ndarray  # uint8 per row
 
-    def emit(self, opcode: int, a: int, b: int = 0) -> int:
-        """Emit one op; operands are base-slot ids (>= 0) or ``~op_id`` refs."""
-        level = 1 + self._operand_level(a)
+
+def _lower(circuit: Circuit) -> _Lowered:
+    """Emit the op chain of every gate (see the lowering rules above)."""
+    types, fanins_of = circuit._types, circuit._fanins
+    opcodes: List[int] = []
+    a_refs: List[int] = []
+    b_refs: List[int] = []
+    levels: List[int] = []
+    owners: List[int] = []
+    net_refs = [0] * len(types)
+
+    def emit(opcode: int, a: int, b: int = 0) -> int:
+        level = levels[a] + 1 if a >= 0 else 1
         if opcode != OP_NOT:
-            level = max(level, 1 + self._operand_level(b))
-        self.opcodes.append(opcode)
-        self.a_ops.append(a)
-        self.b_ops.append(b)
-        self.levels.append(level)
-        return ~(len(self.opcodes) - 1)  # negative refs denote op outputs
+            other = levels[b] + 1 if b >= 0 else 1
+            if other > level:
+                level = other
+        opcodes.append(opcode)
+        a_refs.append(a)
+        b_refs.append(b)
+        levels.append(level)
+        return len(opcodes) - 1
 
-    def emit_not(self, a: int) -> int:
-        """Emit ``1 - a``."""
-        return self.emit(OP_NOT, a)
+    for row in circuit._topological():
+        code = types[row]
+        if code <= _CONST1:
+            net_refs[row] = ~row
+            continue
+        fanins = [net_refs[f] for f in fanins_of[row]]
+        if code == _BUF:
+            net_refs[row] = fanins[0]
+            continue
+        first = len(opcodes)
+        if code == _NOT:
+            result = emit(OP_NOT, fanins[0])
+        elif code in _AND_CODES:
+            result = fanins[0]
+            for operand in fanins[1:]:
+                result = emit(OP_MUL, result, operand)
+        elif code in _OR_CODES:
+            complement = emit(OP_NOT, fanins[0])
+            for operand in fanins[1:]:
+                complement = emit(OP_MUL, complement, emit(OP_NOT, operand))
+            result = emit(OP_NOT, complement)
+        else:  # XOR / XNOR: r <- r(1-x) + (1-r)x
+            result = fanins[0]
+            for operand in fanins[1:]:
+                left = emit(OP_MUL, result, emit(OP_NOT, operand))
+                right = emit(OP_MUL, emit(OP_NOT, result), operand)
+                result = emit(OP_ADD, left, right)
+        if code in _INVERTED_CODES:
+            result = emit(OP_NOT, result)
+        net_refs[row] = result
+        owners.extend([row] * (len(opcodes) - first))
 
-    def emit_mul(self, a: int, b: int) -> int:
-        """Emit ``a * b``."""
-        return self.emit(OP_MUL, a, b)
+    return _Lowered(
+        opcodes=np.array(opcodes, dtype=np.uint8),
+        levels=np.array(levels, dtype=np.int32),
+        a_refs=np.array(a_refs, dtype=np.int32),
+        b_refs=np.array(b_refs, dtype=np.int32),
+        owners=np.array(owners, dtype=np.int32),
+        net_refs=np.array(net_refs, dtype=np.int32),
+        types=circuit.types,
+    )
 
-    def emit_add(self, a: int, b: int) -> int:
-        """Emit ``a + b``."""
-        return self.emit(OP_ADD, a, b)
 
-
-def _lower_gate(lowering: _Lowering, gate_type: GateType, fanins: List[int]) -> int:
-    """Emit the primitive-op chain for one logic gate; returns its value ref."""
-    if gate_type == GateType.NOT:
-        return lowering.emit_not(fanins[0])
-    if gate_type in (GateType.AND, GateType.NAND):
-        result = fanins[0]
-        for operand in fanins[1:]:
-            result = lowering.emit_mul(result, operand)
-        if gate_type == GateType.NAND:
-            result = lowering.emit_not(result)
-        return result
-    if gate_type in (GateType.OR, GateType.NOR):
-        complement = lowering.emit_not(fanins[0])
-        for operand in fanins[1:]:
-            complement = lowering.emit_mul(complement, lowering.emit_not(operand))
-        result = lowering.emit_not(complement)
-        if gate_type == GateType.NOR:
-            result = lowering.emit_not(result)
-        return result
-    if gate_type in (GateType.XOR, GateType.XNOR):
-        result = fanins[0]
-        for operand in fanins[1:]:
-            left = lowering.emit_mul(result, lowering.emit_not(operand))
-            right = lowering.emit_mul(lowering.emit_not(result), operand)
-            result = lowering.emit_add(left, right)
-        if gate_type == GateType.XNOR:
-            result = lowering.emit_not(result)
-        return result
-    raise CompileError(f"unsupported gate type {gate_type}")
+def _lowered(circuit: Circuit) -> _Lowered:
+    """The circuit's lowering, memoised beside its programs."""
+    cache = circuit.engine_cache()
+    lowered = cache.get(_LOWERING)
+    if lowered is None:
+        lowered = cache[_LOWERING] = _lower(circuit)
+        _CACHE_OWNERS.register(circuit)
+    return lowered
 
 
 def compile_circuit(
@@ -136,64 +179,59 @@ def compile_circuit(
     outputs = list(output_nets)
     if not outputs:
         raise CompileError("compile_circuit needs at least one output net")
+    index = circuit._index
+    output_rows = []
     for name in outputs:
-        if not circuit.has_net(name):
+        row = index.get(name)
+        if row is None:
             raise CompileError(f"unknown output net {name!r}")
+        output_rows.append(row)
     order_names = list(input_order) if input_order is not None else list(circuit.inputs)
     column_of = {name: i for i, name in enumerate(order_names)}
 
-    cone = circuit.transitive_fanin(outputs)
-    schedule = [name for name in circuit.topological_order() if name in cone]
-
-    cone_inputs = [name for name in circuit.inputs if name in cone]
+    cone = circuit._cone(output_rows)
+    names = circuit._names
+    cone_input_rows = [row for row in circuit._inputs if cone[row]]
+    cone_inputs = [names[row] for row in cone_input_rows]
     missing = [name for name in cone_inputs if name not in column_of]
     if missing:
         raise CompileError(
             f"input_order is missing constrained inputs: {sorted(missing)}"
         )
     num_inputs = len(cone_inputs)
-    input_slot = {name: i for i, name in enumerate(cone_inputs)}
 
-    has_const0 = any(
-        circuit.gate(name).gate_type == GateType.CONST0 for name in schedule
-    )
-    has_const1 = any(
-        circuit.gate(name).gate_type == GateType.CONST1 for name in schedule
-    )
+    lowered = _lowered(circuit)
+    in_cone = np.frombuffer(bytes(cone), dtype=np.bool_)
+    types = lowered.types
+    const0 = types == _CONST0
+    const1 = types == _CONST1
+    has_const0 = bool(np.any(const0 & in_cone))
+    has_const1 = bool(np.any(const1 & in_cone))
     const0_slot = num_inputs if has_const0 else -1
     const1_slot = num_inputs + int(has_const0) if has_const1 else -1
     num_base_slots = num_inputs + int(has_const0) + int(has_const1)
+    base_slot = np.zeros(types.size, dtype=np.int64)  # source row -> base slot
+    base_slot[cone_input_rows] = np.arange(num_inputs)
+    base_slot[const0] = const0_slot
+    base_slot[const1] = const1_slot
 
-    lowering = _Lowering(num_base_slots)
-    net_ref: Dict[str, int] = {}  # net -> base slot (>= 0) or ~op_id
-    for name in schedule:
-        gate = circuit.gate(name)
-        if gate.gate_type == GateType.INPUT:
-            net_ref[name] = input_slot[name]
-        elif gate.gate_type == GateType.CONST0:
-            net_ref[name] = const0_slot
-        elif gate.gate_type == GateType.CONST1:
-            net_ref[name] = const1_slot
-        elif gate.gate_type == GateType.BUF:
-            net_ref[name] = net_ref[gate.fanins[0]]
-        else:
-            fanin_refs = [net_ref[f] for f in gate.fanins]
-            net_ref[name] = _lower_gate(lowering, gate.gate_type, fanin_refs)
-
-    # -- levelize: stable sort ops by (level, opcode), renumber into slots ----------
-    levels = np.asarray(lowering.levels, dtype=np.int32)
-    opcodes = np.asarray(lowering.opcodes, dtype=np.uint8)
+    # -- the cone's ops, in emission order; levelize: stable sort by (level,
+    # opcode), renumber into slots ---------------------------------------------------
+    ops = np.flatnonzero(in_cone[lowered.owners])
+    levels = lowered.levels[ops]
+    opcodes = lowered.opcodes[ops]
     order = np.lexsort((opcodes, levels))
-    num_ops = order.shape[0]
-    op_slot = np.empty(num_ops, dtype=np.int64)
-    op_slot[order] = np.arange(num_base_slots, num_base_slots + num_ops)
+    ops = ops[order]
+    num_ops = ops.shape[0]
+    op_slot = np.zeros(lowered.opcodes.shape[0], dtype=np.int64)
+    op_slot[ops] = np.arange(num_base_slots, num_base_slots + num_ops)
 
-    def resolve(refs) -> np.ndarray:
-        # Base slots are >= 0; op outputs are ~op_id references.
-        slots = np.asarray(refs, dtype=np.int64)
-        temp = slots < 0
-        slots[temp] = op_slot[~slots[temp]]
-        return slots.astype(np.int32)
+    def resolve(refs: np.ndarray) -> np.ndarray:
+        slots = np.empty(refs.shape[0], dtype=np.int32)
+        is_op = refs >= 0
+        slots[is_op] = op_slot[refs[is_op]]
+        slots[~is_op] = base_slot[~refs[~is_op]]
+        return slots
 
     levels, opcodes = levels[order], opcodes[order]
     # A new block starts wherever the (level, opcode) key changes.
@@ -201,7 +239,7 @@ def compile_circuit(
     block_bounds = np.zeros(1, dtype=np.int64)
     if num_ops:
         block_bounds = np.concatenate(([0], starts + 1, [num_ops])).astype(np.int64)
-    b_slots = resolve(lowering.b_ops)[order]
+    b_slots = resolve(lowered.b_refs[ops])
     b_slots[opcodes == OP_NOT] = 0
     return CompiledProgram(
         source_name=circuit.name,
@@ -215,11 +253,11 @@ def compile_circuit(
         const0_slot=const0_slot,
         const1_slot=const1_slot,
         opcodes=opcodes,
-        a_slots=resolve(lowering.a_ops)[order],
+        a_slots=resolve(lowered.a_refs[ops]),
         b_slots=b_slots,
         block_bounds=block_bounds,
         block_levels=levels[block_bounds[:-1]],
-        output_slots=resolve([net_ref[name] for name in outputs]),
+        output_slots=resolve(lowered.net_refs[output_rows]),
         output_nets=outputs,
     )
 
@@ -232,8 +270,8 @@ def compiled_program_for(
     """Memoized :func:`compile_circuit` — one program per cone per netlist state.
 
     The memo is stored on the circuit and cleared by the netlist whenever a
-    gate is added or replaced, so callers can hold a circuit and mutate it
-    between executions without ever seeing a stale program.
+    net is added, so callers can hold a circuit and extend it between
+    executions without ever seeing a stale program.
     """
     cache = circuit.engine_cache()
     key = (
@@ -269,21 +307,10 @@ def adopt_program(circuit: Circuit, key: ProgramKey, program: CompiledProgram) -
     decoded after it (:meth:`TransformResult.adopt_programs`): a subsequent
     :func:`compiled_program_for` with the same cone becomes a pure cache hit
     instead of a recompile.  The memo participates in the usual
-    invalidation — any netlist mutation clears it, adopted entries included.
+    invalidation — adding a net clears it, adopted entries included.
     """
     circuit.engine_cache()[key] = program
     _CACHE_OWNERS.register(circuit)
-
-
-def cached_programs(circuit: Circuit) -> List[CompiledProgram]:
-    """The programs currently memoised on ``circuit`` (no compilation).
-
-    This is the read-only cache handle services use to account for compiled
-    state they keep alive — e.g. :mod:`repro.serve.cache` sums
-    :attr:`CompiledProgram.nbytes <repro.engine.program.CompiledProgram.nbytes>`
-    over it for the byte-bounded artifact cache.
-    """
-    return list(circuit.engine_cache().values())
 
 
 #: Circuits holding at least one memoised program.
@@ -293,7 +320,7 @@ _CACHE_OWNERS = OwnerRegistry()
 def clear_program_caches() -> None:
     """Drop every memoised compiled program in the process.
 
-    Complements the automatic mutation-driven invalidation: long-lived
+    Complements the automatic invalidation when a net is added: long-lived
     processes (servers, notebook sessions) can release compiled state or
     force a recompile without touching the netlists.  Exposed to users as
     :func:`repro.clear_caches`.

@@ -21,7 +21,11 @@ anything from disk:
   rebuilt in one forward pass through the :mod:`~repro.boolalg.expr`
   constructors; ``definitions.variables``/``definitions.roots`` and
   ``constraints.roots`` index it.  The circuit is its gate names, ``uint8``
-  gate types and CSR fanins that point to earlier gates; the stream
+  gate types and CSR fanins that point to earlier gates: the netlist's own
+  gate table (:attr:`Circuit.types <repro.circuit.netlist.Circuit.types>`,
+  :meth:`~repro.circuit.netlist.Circuit.fanin_csr`), written and read back
+  (:meth:`~repro.circuit.netlist.Circuit.from_table`) with no per-gate
+  objects, plus whether its row order is its topological order; the stream
   checkpoints are one ``(N, 9)`` ``int64`` table and
   :class:`~repro.core.transform.TransformStats` is a field.  The primary
   outputs, intermediate and free variables, the circuit's inputs and
@@ -56,7 +60,6 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.boolalg.expr import FALSE, TRUE, And, Const, Expr, Not, Or, Var, Xor
-from repro.circuit.gates import Gate, GateType
 from repro.circuit.netlist import Circuit
 from repro.cnf.formula import CNF, MAX_VARIABLE, rows_csr
 from repro.cnf.kernel import CNFEvalPlan
@@ -91,21 +94,6 @@ _PLAN_ARRAYS = {
 OP_FALSE, OP_TRUE, OP_VAR, OP_NOT, OP_AND, OP_OR, OP_XOR = range(7)
 _NARY = {OP_AND: And, OP_OR: Or, OP_XOR: Xor}
 _NARY_OPS = {cls: op for op, cls in _NARY.items()}
-#: Gate type codes of the ``transform`` entry's circuit (index = code).
-GATE_TYPES = (
-    GateType.INPUT,
-    GateType.CONST0,
-    GateType.CONST1,
-    GateType.BUF,
-    GateType.NOT,
-    GateType.AND,
-    GateType.OR,
-    GateType.NAND,
-    GateType.NOR,
-    GateType.XOR,
-    GateType.XNOR,
-)
-_GATE_CODES = {gate_type: code for code, gate_type in enumerate(GATE_TYPES)}
 #: Columns of a stream checkpoint the counts of which are bounded by a record
 #: list (1-3) or a stats counter (4-7); see ``core.transform._Checkpoint``.
 _CHECKPOINT_STATS = (
@@ -299,17 +287,8 @@ def encode_transform(formula: CNF, transform: TransformResult) -> FlatPayload:
     }
     arrays["formula.offsets"], arrays["formula.literals"] = formula.offsets, formula.literals
 
-    order = circuit.net_names()
-    position = {net: index for index, net in enumerate(order)}
-    fanins = []
-    for index, gate in enumerate(circuit.gates):
-        fanins.append([position[fanin] for fanin in gate.fanins])
-        if any(fanin >= index for fanin in fanins[-1]):
-            raise ValueError(f"gate {gate.name!r} is defined before its fanins")
-    arrays["circuit.fanin_offsets"], arrays["circuit.fanins"] = rows_csr(fanins, np.int32)
-    arrays["circuit.types"] = np.asarray(
-        [_GATE_CODES[gate.gate_type] for gate in circuit.gates], dtype=np.uint8
-    )
+    arrays["circuit.fanin_offsets"], arrays["circuit.fanins"] = circuit.fanin_csr()
+    arrays["circuit.types"] = circuit.types
     arrays["checkpoints"] = np.asarray(replay.checkpoints, dtype=np.int64).reshape(-1, 9)
     fields = {
         "formula": {
@@ -319,10 +298,11 @@ def encode_transform(formula: CNF, transform: TransformResult) -> FlatPayload:
         },
         "circuit": {
             "name": circuit.name,
-            "gate_names": _join(order),
+            "gate_names": _join(circuit.net_names()),
             # The optimizer installs its emitted order as the topological
             # order; any other circuit computes it on first use.
-            "topological": circuit._topo_cache == list(order),
+            "topological": circuit._topo is not None
+            and list(circuit._topo) == list(range(len(circuit))),
         },
         "stats": dataclasses.asdict(transform.stats),
     }
@@ -576,42 +556,24 @@ def _expressions(reader: _Reader, num_variables: int) -> List[Expr]:
 
 
 def _circuit(reader: _Reader, fields: Any, outputs: List[str]) -> Circuit:
-    """The netlist, its inputs being its ``INPUT`` gates in order."""
+    """The netlist, its inputs being its ``INPUT`` gates in order
+    (:meth:`Circuit.from_table <repro.circuit.netlist.Circuit.from_table>`
+    checks the table)."""
     if not isinstance(fields, dict):
         raise ValueError("circuit must be an object")
     name, topological = fields["name"], fields["topological"]
     if not isinstance(name, str) or not isinstance(topological, bool):
         raise ValueError("malformed circuit fields")
     names = reader.names(fields, "gate_names")
-    count = len(names)
-    if len(set(names)) != count:
-        raise ValueError("gate names repeat")
-    types = reader.array("circuit.types", np.uint8, count)
-    offsets, fanins = reader.csr("circuit.fanin_offsets", "circuit.fanins", count)
-    arity = np.diff(offsets)
-    source = types <= _GATE_CODES[GateType.CONST1]
-    unary = (types == _GATE_CODES[GateType.BUF]) | (types == _GATE_CODES[GateType.NOT])
-    if (
-        np.any(types >= len(GATE_TYPES))
-        or np.any(arity[source] != 0)
-        or np.any(arity[unary] != 1)
-        or np.any(arity[~(source | unary)] < 2)
-    ):
-        raise ValueError("a gate has an unknown type or a wrong arity")
-    bounds = offsets.tolist()
-    fanin_names = list(map(names.__getitem__, fanins.tolist()))
-    circuit = Circuit(name)
-    unchecked, define = Gate.unchecked, circuit._define_unchecked
-    input_type = GateType.INPUT
-    gate_types = map(GATE_TYPES.__getitem__, types.tolist())
-    for gate_name, gate_type, start, stop in zip(names, gate_types, bounds, bounds[1:]):
-        gate = unchecked(gate_name, gate_type, tuple(fanin_names[start:stop]))
-        define(gate, gate_type is input_type)
-    for output in outputs:
-        circuit.set_output(output)  # a CircuitError (ValueError) when missing
-    if topological:
-        circuit._topo_cache = list(names)
-    return circuit
+    return Circuit.from_table(
+        name,
+        names,
+        reader.array("circuit.types", np.uint8, len(names)),
+        reader.array("circuit.fanin_offsets", np.int64, len(names) + 1),
+        reader.array("circuit.fanins", np.int32),
+        outputs,
+        topological,
+    )
 
 
 def _outputs(definitions: List[Tuple[str, Expr]], constraints: List[Tuple[str, Expr]]) -> List[str]:

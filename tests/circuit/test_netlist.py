@@ -61,16 +61,16 @@ class TestStructure:
             for fanin in gate.fanins:
                 assert position[fanin] < position[gate.name]
 
-    def test_cycle_detection(self):
+    def test_fanin_defined_later_rejected(self):
+        # Rows only point backwards, so no netlist can hold a cycle: a gate
+        # cannot read a net that is defined after it.
         circuit = Circuit()
         circuit.add_input("a")
-        circuit.add_gate("g1", GateType.BUF, ["a"])
-        # Force a cycle through the low-level replace API.
-        circuit.replace_gate("g1", GateType.AND, ["a", "g2"]) if circuit.has_net("g2") else None
-        circuit.add_gate("g2", GateType.BUF, ["g1"])
-        circuit.replace_gate("g1", GateType.BUF, ["g2"])
         with pytest.raises(CircuitError):
-            circuit.topological_order()
+            circuit.add_gate("g1", GateType.AND, ["a", "g2"])
+        circuit.add_gate("g1", GateType.BUF, ["a"])
+        circuit.add_gate("g2", GateType.BUF, ["g1"])
+        assert circuit.topological_order() == ["a", "g1", "g2"]
 
     def test_transitive_fanin(self, small_circuit):
         cone = small_circuit.transitive_fanin(["f"])
@@ -85,16 +85,21 @@ class TestStructure:
         fanouts = small_circuit.fanouts()
         assert any("f" in consumers or len(consumers) > 0 for consumers in fanouts.values())
 
-    def test_replace_gate_invalidates_topo_cache(self):
+    def test_add_gate_invalidates_topo_cache(self):
         circuit = _build_chain()
-        circuit.topological_order()
-        circuit.replace_gate("n2", GateType.NOT, ["n1"])
-        assert circuit.gate("n2").gate_type == GateType.NOT
+        assert circuit.topological_order() == ["a", "n1", "n2"]
+        circuit.add_gate("n3", GateType.NOT, ["n1"])
+        assert circuit.topological_order() == ["a", "n1", "n3", "n2"]
+        circuit.add_input("b")
+        assert circuit.topological_order()[0] == "b"
 
-    def test_replace_primary_input_rejected(self):
+    def test_redefining_primary_input_rejected(self):
         circuit = _build_chain()
         with pytest.raises(CircuitError):
-            circuit.replace_gate("a", GateType.NOT, ["n1"])
+            circuit.add_gate("a", GateType.NOT, ["n1"])
+        with pytest.raises(CircuitError):
+            circuit.add_input("a")
+        assert circuit.gate("a").gate_type == GateType.INPUT
 
 
 class TestEvaluation:

@@ -183,7 +183,7 @@ class TestOptimizeCircuit:
     def test_emits_its_topological_order(self, small_circuit):
         optimized = optimize_circuit(small_circuit)
         order = list(optimized.net_names())
-        assert optimized._topo_cache == order
+        assert optimized.topological_order() == order  # installed, not sorted again
         position = {name: index for index, name in enumerate(order)}
         for gate in optimized.gates:
             assert all(position[fanin] < position[gate.name] for fanin in gate.fanins)

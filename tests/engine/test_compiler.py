@@ -133,9 +133,13 @@ class TestMemoization:
         second = compiled_program_for(small_circuit, ["f"])
         assert first is not second
 
-    def test_replace_gate_invalidates_cache(self, small_circuit):
+    def test_add_input_invalidates_cache(self, small_circuit):
         first = compiled_program_for(small_circuit, ["f"])
-        small_circuit.replace_gate("f", GateType.AND, ["a", "b"])
+        assert small_circuit.engine_cache()
+        small_circuit.add_input("z")
+        assert not small_circuit.engine_cache()
         second = compiled_program_for(small_circuit, ["f"])
         assert first is not second
-        assert second.num_ops < first.num_ops or second.num_ops == 1
+        assert np.array_equal(second.a_slots, first.a_slots)
+        # The new input widens the default column layout; the cone is unchanged.
+        assert second.input_width == first.input_width + 1

@@ -9,7 +9,7 @@ every result must be exact or a typed error, within a time bound:
   :class:`DimacsError` whose message names a line of the input; read from
   a file's bytes (``load_source``), a byte that is not UTF-8 is such an
   error too, and a literal beyond ``2**31 - 1`` is one with or without a
-  header;
+  header, as is a header declaring more variables than that;
 * ``config_from_dict`` rejects a value of the wrong type for its field with
   a :class:`ManifestError` naming the field;
 * ``parse_manifest`` returns jobs or raises a :class:`ManifestError`;
@@ -141,13 +141,42 @@ def test_dimacs_bytes_are_exact_or_name_a_line(document, steps, tmp_path_factory
         ("1 0\n-9223372036854775808 0\n", 2),
         ("c x\n1 2 0\n-2 -2147483648 0\n", 3),
         ("c\n1 2\n3 " + "9" * 40 + " 0\n", 3),
-        # A header wider than int32 does not widen the literals.
-        ("p cnf 99999999999 1\n2 0\n5000000000 0\n", 3),
+        # A header wider than int32 is refused on its own line, before the
+        # literal it would have let through.
+        ("p cnf 99999999999 1\n2 0\n5000000000 0\n", 1),
     ],
 )
 def test_a_literal_beyond_int32_names_its_line(text, line):
-    with pytest.raises(DimacsError, match=rf"^line {line}: literal -?\d+ is beyond"):
+    with pytest.raises(
+        DimacsError, match=rf"^line {line}: (literal|header count) -?\d+ is beyond the largest"
+    ):
         parse_dimacs(text)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("p cnf 99999999999 1\n1 0\n", 1),
+        ("p cnf 2147483648 0\n", 1),
+        ("c x\np cnf 4294967296 1\n1 0\n", 2),
+        ("1 0\nc x\np cnf " + "9" * 40 + " 1\n", 3),
+    ],
+)
+def test_a_header_declaring_more_than_int32_variables_names_its_line(text, line):
+    with pytest.raises(
+        DimacsError, match=rf"^line {line}: header count \d+ is beyond the largest variable"
+    ):
+        parse_dimacs(text)
+
+
+def test_a_header_declaring_int32_max_variables_is_read(tmp_path):
+    text = "p cnf 2147483647 1\n1 -2147483647 0\n"
+    assert parse_dimacs(text).num_variables == 2**31 - 1
+    path = tmp_path / "formula.cnf"
+    path.write_text("p cnf 2147483648 1\n1 0\n")
+    spec = {"path": str(path)}
+    with pytest.raises(DimacsError, match="^line 1: header count 2147483648 is beyond"):
+        load_source(spec, read_source(spec)[1])
 
 
 @pytest.mark.parametrize("reader", ["file", "path spec", "path spec with bytes"])

@@ -11,7 +11,7 @@ import numpy as np
 
 import repro
 from repro.cnf.formula import CNF
-from repro.engine.compiler import cached_programs, compile_circuit
+from repro.engine.compiler import compile_circuit
 from repro.engine.executor import forward
 from repro.serve.cache import ArtifactCache
 from tests.engine.conftest import random_circuit
@@ -82,13 +82,13 @@ class TestArtifactCacheEviction:
         assert built
         circuit = artifact.transform.circuit
         program = artifact.round.learn
-        assert any(cached is program for cached in cached_programs(circuit))
+        assert any(cached is program for cached in circuit.engine_cache().values())
         probabilities = np.random.default_rng(4).random((8, program.input_width))
         forward(program, probabilities)
         cache.get_or_build(formula=_formula())
         # Eviction released the memoised program — and with it the per-op
         # arrays the native kernels read — and the CNF plan.
-        assert cached_programs(circuit) == []
+        assert circuit.engine_cache() == {}
         assert artifact.formula._plan is None
 
     def test_lru_eviction_releases_the_memoised_plan(self, fig1_formula):

@@ -6,7 +6,8 @@ propagation, structural hashing and the dangling sweep until a round changed
 no count, with at most four rounds.  Structural hashing keyed each gate on
 its fanin *names* as they stood when the pass began, so a cascade of
 duplicates took one round per level.  This module keeps those passes
-verbatim as the reference the one-pass optimizer is tested against.  It
+verbatim as the reference the one-pass optimizer is tested against,
+reaching the netlist through its public API.  It
 shares the constant-folding rules (:func:`~repro.circuit.optimize._fold_gate`)
 with the library, which has a single implementation of them.
 """
@@ -15,12 +16,20 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from repro.circuit.gates import Gate, GateType, _SOURCE_TYPES
+from repro.circuit.gates import GateType, _SOURCE_TYPES
 from repro.circuit.netlist import Circuit
 from repro.circuit.optimize import _COMMUTATIVE, _fold_gate
 
 #: (gate type, sorted fanins) key used for structural hashing.
 _StrashKey = Tuple[str, Tuple[str, ...]]
+
+
+def _add(circuit: Circuit, name: str, gate_type: GateType, fanins: Tuple[str, ...]) -> None:
+    """Append one gate through the netlist's public API."""
+    if gate_type in _SOURCE_TYPES:
+        circuit.add_constant(name, gate_type is GateType.CONST1)
+    else:
+        circuit.add_gate(name, gate_type, fanins)
 
 
 def _rebuild(
@@ -35,12 +44,7 @@ def _rebuild(
     """
     rebuilt = Circuit(circuit.name)
     alias: Dict[str, str] = {}
-    gates = circuit._gates
-    output_set = circuit._output_set
-    rebuilt_gates = rebuilt._gates
-    rebuilt_order = rebuilt._order
-    rebuilt_inputs = rebuilt._inputs
-    unchecked = Gate.unchecked
+    output_set = set(circuit.outputs)
 
     def resolve(name: str) -> str:
         seen = set()
@@ -50,16 +54,14 @@ def _rebuild(
         return name
 
     for name in circuit.topological_order():
-        gate = gates[name]
+        gate = circuit.gate(name)
         replaced = replacement.get(name)
         if replaced is None:
             gate_type, fanins = gate.gate_type, gate.fanins
         else:
             gate_type, fanins = replaced
         if gate_type == GateType.INPUT:
-            rebuilt_gates[name] = gate
-            rebuilt_order.append(name)
-            rebuilt_inputs.append(name)
+            rebuilt.add_input(name)
             continue
         if alias:
             fanins = tuple(resolve(f) for f in fanins)
@@ -68,13 +70,7 @@ def _rebuild(
             # (outputs must keep their name).
             alias[name] = fanins[0]
             continue
-        if replaced is None and fanins is gate.fanins:
-            rebuilt_gates[name] = gate  # unchanged: share the immutable record
-        else:
-            rebuilt_gates[name] = unchecked(name, gate_type, fanins)
-        rebuilt_order.append(name)
-        if gate_type not in _SOURCE_TYPES:
-            rebuilt._num_logic_gates += 1
+        _add(rebuilt, name, gate_type, fanins)
 
     for output in circuit.outputs:
         resolved = resolve(output)
@@ -88,10 +84,9 @@ def _rebuild(
 
 def constant_propagate(circuit: Circuit) -> Circuit:
     """Fold gates whose fanins include constants; returns a new circuit."""
-    gates = circuit._gates
     if not any(
         gate.gate_type is GateType.CONST0 or gate.gate_type is GateType.CONST1
-        for gate in gates.values()
+        for gate in circuit.gates
     ):
         # Without constant drivers no gate can fold, so the pass reduces to
         # the plain rebuild (which still collapses non-output buffers).
@@ -101,7 +96,7 @@ def constant_propagate(circuit: Circuit) -> Circuit:
     replacement: Dict[str, Tuple[GateType, Tuple[str, ...]]] = {}
 
     for name in circuit.topological_order():
-        gate = gates[name]
+        gate = circuit.gate(name)
         if gate.gate_type == GateType.CONST0:
             constant[name] = False
             continue
@@ -129,10 +124,9 @@ def strash(circuit: Circuit) -> Circuit:
     """Structural hashing: merge gates with identical (type, fanins) definitions."""
     canonical: Dict[_StrashKey, str] = {}
     replacement: Dict[str, Tuple[GateType, Tuple[str, ...]]] = {}
-    gates = circuit._gates
 
     for name in circuit.topological_order():
-        gate = gates[name]
+        gate = circuit.gate(name)
         if gate.gate_type in _SOURCE_TYPES:
             continue
         fanins = gate.fanins
@@ -156,15 +150,14 @@ def sweep_dangling(circuit: Circuit) -> Circuit:
     """Remove gates that feed no primary output (keep all primary inputs)."""
     keep = circuit.transitive_fanin(circuit.outputs)
     swept = Circuit(circuit.name)
-    gates = circuit._gates
     for name in circuit.topological_order():
-        gate = gates[name]
+        gate = circuit.gate(name)
         if gate.gate_type == GateType.INPUT:
-            swept._define_unchecked(gate, is_input=True)
+            swept.add_input(name)
             continue
         if name not in keep:
             continue
-        swept._define_unchecked(gate)
+        _add(swept, name, gate.gate_type, gate.fanins)
     for output in circuit.outputs:
         swept.set_output(output)
     return swept

@@ -56,9 +56,8 @@ class TestArtifactCache:
         assert artifact.transform.constraints  # fig1 has a constrained path
         assert artifact.plan is artifact.formula.evaluation_plan()
         # the engine program was compiled eagerly into the circuit memo
-        from repro.engine.compiler import cached_programs
-
-        assert cached_programs(artifact.transform.circuit)
+        memo = artifact.transform.circuit.engine_cache().values()
+        assert any(program is artifact.round.learn for program in memo)
         assert artifact.nbytes > 0
         assert artifact.build_seconds > 0.0
 
@@ -96,9 +95,7 @@ class TestArtifactCache:
         cache = ArtifactCache(max_entries=1)
         artifact, _ = cache.get_or_build(fig1)
         cache.get_or_build(tiny_sat_formula)  # evicts fig1's artifact
-        from repro.engine.compiler import cached_programs
-
-        assert not cached_programs(artifact.transform.circuit)
+        assert not artifact.transform.circuit.engine_cache()
 
     def test_clear(self, fig1):
         cache = ArtifactCache()
