@@ -273,15 +273,6 @@ class Circuit:
         """Number of primary outputs."""
         return len(self._outputs)
 
-    def fanouts(self) -> Dict[str, List[str]]:
-        """Map each net to the list of gate names that consume it."""
-        names = self._names
-        result: Dict[str, List[str]] = {name: [] for name in names}
-        for row, fanins in enumerate(self._fanins):
-            for fanin in fanins:
-                result[names[fanin]].append(names[row])
-        return result
-
     # -- structure -----------------------------------------------------------------------
     def topological_order(self) -> List[str]:
         """Return net names in topological order (fanins before fanouts).
@@ -361,19 +352,6 @@ class Circuit:
         """Evaluate and return only the primary-output values."""
         values = self.evaluate(input_values)
         return {name: values[name] for name in self.outputs}
-
-    # -- editing ---------------------------------------------------------------------------
-    def copy(self, name: Optional[str] = None) -> "Circuit":
-        """Return an independent copy (fanin rows are immutable and therefore shared)."""
-        duplicate = Circuit(name or self.name)
-        duplicate._names = list(self._names)
-        duplicate._index = dict(self._index)
-        duplicate._types = bytearray(self._types)
-        duplicate._fanins = list(self._fanins)
-        duplicate._inputs = list(self._inputs)
-        duplicate._outputs = list(self._outputs)
-        duplicate._output_set = set(self._output_set)
-        return duplicate  # fresh engine cache: the copy may be extended freely
 
     # -- protocol -----------------------------------------------------------------------------
     def __len__(self) -> int:

@@ -44,6 +44,15 @@ def clause_csr(clauses: Sequence[Clause]) -> Tuple[np.ndarray, np.ndarray]:
     return _frozen(literals), _frozen(offsets)
 
 
+def csr_rows(values: np.ndarray, offsets: np.ndarray) -> List[Tuple[int, ...]]:
+    """The rows of CSR arrays as int tuples, one ``tolist`` each.
+
+    Row ``i`` is ``values[offsets[i]:offsets[i + 1]]``.
+    """
+    flat, bounds = values.tolist(), offsets.tolist()
+    return [tuple(flat[start:stop]) for start, stop in zip(bounds, bounds[1:])]
+
+
 def two_input_operation_count(literals: np.ndarray, offsets: np.ndarray) -> int:
     """2-input gate equivalents to evaluate the conjunction of a CSR clause list.
 
@@ -200,12 +209,7 @@ class CNF:
     def _clause_list(self) -> List[Clause]:
         """The clause views, built from the CSR arrays on first use."""
         if self._clauses is None:
-            literals, offsets = self._csr
-            flat, bounds = literals.tolist(), offsets.tolist()
-            unchecked = Clause.unchecked
-            self._clauses = [
-                unchecked(tuple(flat[start:stop])) for start, stop in zip(bounds, bounds[1:])
-            ]
+            self._clauses = list(map(Clause.unchecked, csr_rows(*self._csr)))
         return self._clauses
 
     def _arrays(self) -> Tuple[np.ndarray, np.ndarray]:

@@ -13,6 +13,10 @@ clauses containing ``v`` positively.
 If the two extracted expressions are complements of each other, the group is
 exactly equivalent to the definition ``v <-> f`` and the transformation can
 adopt it.
+
+A clause here is any sequence of signed int literals read by iteration and
+``in``: the transformation passes the int-tuple rows of its clause buffer,
+and a :class:`~repro.cnf.clause.Clause` works the same way.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from typing import Dict, Iterable, Optional, Sequence
 
 from repro.boolalg.expr import And, Expr, FALSE, Not, Or, TRUE, Var
 from repro.boolalg.truth_table import _var_mask, is_complement
-from repro.cnf.clause import Clause
 
 #: Default variable-name prefix used when mapping DIMACS indices to expression names.
 VAR_PREFIX = "x"
@@ -47,9 +50,9 @@ def literal_to_expr(literal: int, prefix: str = VAR_PREFIX) -> Expr:
     return variable if literal > 0 else Not(variable)
 
 
-def clause_to_expr(clause: Clause, prefix: str = VAR_PREFIX) -> Expr:
+def clause_to_expr(clause: Sequence[int], prefix: str = VAR_PREFIX) -> Expr:
     """Convert a clause into the disjunction of its literals (an empty clause is FALSE)."""
-    if clause.is_empty:
+    if not clause:
         return FALSE
     return Or(*(literal_to_expr(literal, prefix) for literal in clause))
 
@@ -69,7 +72,7 @@ def _clause_remainder(literals: tuple, complement: int, prefix: str) -> Expr:
 
 
 def expression_for_literal(
-    literal: int, clauses: Sequence[Clause], prefix: str = VAR_PREFIX
+    literal: int, clauses: Sequence[Sequence[int]], prefix: str = VAR_PREFIX
 ) -> Expr:
     """Expression that must hold when ``literal`` is true, from ``clauses``.
 
@@ -81,9 +84,9 @@ def expression_for_literal(
     """
     complement = -literal
     conjuncts = [
-        _clause_remainder(clause.literals, complement, prefix)
+        _clause_remainder(tuple(clause), complement, prefix)
         for clause in clauses
-        if clause.contains(complement)
+        if complement in clause
     ]
     if not conjuncts:
         return TRUE
@@ -91,7 +94,7 @@ def expression_for_literal(
 
 
 def _raw_complement_check(
-    variable: int, clauses: Sequence[Clause], num_vars: int, positions: Dict[int, int]
+    variable: int, clauses: Sequence[Sequence[int]], num_vars: int, positions: Dict[int, int]
 ) -> bool:
     """Bitmask complement check straight off the clause literals.
 
@@ -117,8 +120,7 @@ def _raw_complement_check(
             disjunction |= mask if literal > 0 else full ^ mask
         return disjunction
 
-    for clause in clauses:
-        literals = clause.literals
+    for literals in clauses:
         # A clause containing both phases (a tautology w.r.t. ``variable``)
         # contributes a remainder to *both* sides, exactly like
         # ``expression_for_literal`` does.
@@ -131,7 +133,7 @@ def _raw_complement_check(
 
 def find_boolean_expression(
     variable: int,
-    clauses: Sequence[Clause],
+    clauses: Sequence[Sequence[int]],
     prefix: str = VAR_PREFIX,
     max_vars: int = 16,
 ) -> Optional[Expr]:
@@ -152,14 +154,14 @@ def find_boolean_expression(
     if not clauses:
         return None
     for clause in clauses:
-        if not clause.contains(variable) and not clause.contains(-variable):
+        if variable not in clause and -variable not in clause:
             return None
     return extract_definition(variable, clauses, prefix, max_vars)
 
 
 def extract_definition(
     variable: int,
-    clauses: Sequence[Clause],
+    clauses: Sequence[Sequence[int]],
     prefix: str = VAR_PREFIX,
     max_vars: int = 16,
 ) -> Optional[Expr]:
@@ -172,8 +174,7 @@ def extract_definition(
     """
     raw_support = set()
     keep_variable = False
-    for clause in clauses:
-        literals = clause.literals
+    for literals in clauses:
         for literal in literals:
             raw_support.add(abs(literal))
         if variable in literals and -variable in literals:
@@ -203,7 +204,7 @@ def extract_definition(
 
 
 def group_to_constraint_expr(
-    clauses: Iterable[Clause], prefix: str = VAR_PREFIX
+    clauses: Iterable[Sequence[int]], prefix: str = VAR_PREFIX
 ) -> Expr:
     """Conjunction of a clause group, used by the under-specified fallback path.
 

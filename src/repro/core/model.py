@@ -45,14 +45,7 @@ class ProbabilisticCircuitModel:
         self.circuit = circuit
         self.output_nets: List[str] = list(output_nets)
         cone = circuit.transitive_fanin(self.output_nets)
-        self._schedule: List[str] = [
-            name for name in circuit.topological_order() if name in cone
-        ]
-        cone_inputs = [
-            name
-            for name in circuit.inputs
-            if name in cone
-        ]
+        cone_inputs = [name for name in circuit.inputs if name in cone]
         if input_order is None:
             self.input_order: List[str] = cone_inputs
         else:

@@ -32,7 +32,6 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cnf.clause import Clause
 from repro.circuit.gates import GateType
 
 if TYPE_CHECKING:  # avoid a runtime import cycle with repro.cnf.formula
@@ -106,9 +105,7 @@ def gate_signature_clauses(
 
 
 def match_gate_signature(
-    candidate_output: int,
-    clauses: Sequence[Clause],
-    literal_sets: Optional[Sequence[frozenset]] = None,
+    candidate_output: int, clauses: Sequence[Sequence[int]]
 ) -> Optional[GateMatch]:
     """Recognise whether ``clauses`` form a gate signature with the given output.
 
@@ -118,31 +115,25 @@ def match_gate_signature(
     no missing or extra clauses are tolerated — so a successful match lets
     the transformation adopt the definition without a complement check.
 
-    The matcher dispatches on the group's *shape* (clause count and widths)
-    before comparing literal sets, and operates on plain integer-literal
-    frozensets.  Callers that already maintain per-clause literal sets (the
-    transformation's occurrence index) pass them via ``literal_sets`` to skip
-    rebuilding them per call.
+    The clauses are :class:`~repro.cnf.clause.Clause` s or int-literal
+    sequences (the transformation's rows); the matcher dispatches on the
+    group's *shape* (clause count and widths) before comparing literal sets,
+    and operates on plain integer-literal frozensets.
     """
     count = len(clauses)
-    if count == 0:
+    if count < 2:
         return None
-    if literal_sets is None:
-        groups = [frozenset(clause.literals) for clause in clauses]
-    else:
-        groups = list(literal_sets)
+    groups = [frozenset(clause) for clause in clauses]
     # Shape dispatch: an inverter/buffer signature is two binary clauses, an
     # n-fanin AND/OR signature is one n+1-wide clause plus n binary clauses,
     # a 2-fanin XOR/XNOR signature is four ternary clauses.  The AND/OR shape
     # is tried before XOR for groups of four, matching the historical order.
     if count == 2:
         return _match_inverter(candidate_output, groups)
-    if count >= 3:
-        result = _match_and_or(candidate_output, groups, count)
-        if result is None and count == 4:
-            result = _match_xor(candidate_output, groups)
-        return result
-    return None
+    result = _match_and_or(candidate_output, groups, count)
+    if result is None and count == 4:
+        result = _match_xor(candidate_output, groups)
+    return result
 
 
 def _match_inverter(output: int, groups: List[frozenset]) -> Optional[GateMatch]:

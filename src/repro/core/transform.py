@@ -30,16 +30,20 @@ This keeps the transformation *exactly equivalence-preserving over the
 original variables*: every original clause is represented either inside a
 definition or inside a constrained auxiliary output.
 
-The clause-stream loop keeps a literal-occurrence index over the buffer, so
-each appended clause only re-examines the candidate variables whose sub-group
-actually changed; failed ``(variable, sub-group)`` attempts are cached and
-never retried until the sub-group changes.  Both the candidate order and
-every accept/flush decision are a pure function of the buffer contents, so
-the loop is decision-for-decision identical to the seed's rescan-everything
-loop.  That loop, with the seed's uncached truth-table, minimization and
-extraction routines, is kept as the test oracle in
-``tests/oracles/transform.py``; it shares :func:`finish_transform` (circuit
-lowering, optimization, stats) with :func:`transform_cnf`.
+The clause-stream loop reads the formula's CSR arrays: one ``tolist`` each
+gives the int-tuple literal rows and variable rows its buffer slots hold, and
+one NumPy pass gives the keep mask (:func:`clause_keep_mask`) that drops
+tautologies and repeated literal sets before a clause reaches the buffer.
+It keeps a literal-occurrence index over the buffer, so each appended clause
+only re-examines the candidate variables whose sub-group actually changed;
+failed ``(variable, sub-group)`` attempts are cached and never retried until
+the sub-group changes.  Both the candidate order and every accept/flush
+decision are a pure function of the buffer contents, so the loop is
+decision-for-decision identical to the seed's rescan-everything loop.  That
+loop, with the seed's uncached truth-table, minimization and extraction
+routines, is kept as the test oracle in ``tests/oracles/transform.py``; it
+shares :func:`finish_transform` (circuit lowering, optimization, stats) with
+:func:`transform_cnf`.
 
 There is one recipe, the paper's: every attempt tries the signature match
 first, every adopted expression is simplified, and the lowered circuit is
@@ -62,7 +66,7 @@ from repro.circuit.netlist import Circuit
 from repro.circuit.optimize import optimize_circuit
 from repro.circuit.stats import two_input_gate_equivalents
 from repro.cnf.clause import Clause
-from repro.cnf.formula import CNF, clause_csr, two_input_operation_count
+from repro.cnf.formula import CNF, clause_csr, csr_rows, two_input_operation_count
 from repro.core.extraction import (
     VAR_PREFIX,
     extract_definition,
@@ -152,10 +156,11 @@ class TransformStats:
 #: constraints, signature matches, generic matches, fallback groups, constant
 #: definitions, lookahead-free)``.  Recorded only at *empty-buffer*
 #: boundaries, where the stream's entire forward-reaching state is the record
-#: lists plus the duplicate-clause filter — the occurrence index, versions
-#: and failure memo are all empty or unreachable (``failed_version`` can
-#: never spuriously match a fresh version: any consume bumps versions after a
-#: failure), so a replay from the checkpoint with fresh dictionaries is
+#: lists — the occurrence index, versions and failure memo are all empty or
+#: unreachable (``failed_version`` can never spuriously match a fresh
+#: version: any consume bumps versions after a failure), and the keep mask
+#: (:func:`clause_keep_mask`) is a function of the clause sequence alone — so
+#: a replay from the checkpoint with fresh dictionaries is
 #: decision-identical.  The final flag is ``False`` when the buffer was
 #: emptied by the disjoint-lookahead flush at the previous position — that
 #: flush *examined this position's clause*, so such a checkpoint is invalid
@@ -163,14 +168,22 @@ class TransformStats:
 _Checkpoint = Tuple[int, int, int, int, int, int, int, int, bool]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class TransformReplay:
     """Everything :func:`retransform` needs to resume a previous transform:
-    the exact clause sequence the transform consumed and the stream's
+    the exact clause sequence the transform consumed, as read-only CSR
+    ``literals`` (``int32``) and ``offsets`` (``int64``), and the stream's
     empty-buffer checkpoints."""
 
-    clauses: Tuple[Clause, ...]
+    literals: np.ndarray
+    offsets: np.ndarray
     checkpoints: Tuple[_Checkpoint, ...]
+
+    @cached_property
+    def clauses(self) -> Tuple[Clause, ...]:
+        """The clause sequence as :class:`Clause` views, built on first use
+        (:func:`retransform` applies its delta to them)."""
+        return tuple(map(Clause.unchecked, csr_rows(self.literals, self.offsets)))
 
 
 def _variable_rows(names: Sequence[str]) -> np.ndarray:
@@ -493,7 +506,7 @@ class _TransformState:
             self.primary_outputs[name] = expr.value
             self.stats.constant_definitions += 1
 
-    def flush_group(self, buffer: Sequence[Clause]) -> None:
+    def flush_group(self, buffer: Sequence[Sequence[int]]) -> None:
         if not buffer:
             return
         start = _perf()
@@ -527,15 +540,12 @@ class _TransformState:
 
 
 def _try_definition(
-    state: _TransformState,
-    variable: int,
-    subgroup: Sequence[Clause],
-    literal_sets: Sequence[frozenset],
+    state: _TransformState, variable: int, subgroup: Sequence[Tuple[int, ...]]
 ) -> Optional[Expr]:
     """Signature match then generic extraction for one candidate variable."""
     stats = state.stats
     start = _perf()
-    match = match_gate_signature(variable, subgroup, literal_sets=literal_sets)
+    match = match_gate_signature(variable, subgroup)
     state.signature_seconds += _perf() - start
     if match is not None and not any(
         abs(literal) == variable for literal in match.fanin_literals
@@ -552,50 +562,97 @@ def _try_definition(
     return expr
 
 
+def clause_keep_mask(literals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Which clauses of a CSR clause sequence the stream reads (``bool``).
+
+    A tautology is dropped, and so is every clause whose literal *set* an
+    earlier kept clause already has (duplicates are redundant in a
+    conjunction and would only linger in the group buffer); the first
+    occurrence stays.  The clauses must not repeat a literal, as a
+    :class:`~repro.cnf.formula.CNF`'s never do.  The mask depends on the
+    clause sequence alone, so a suffix replay reads the whole sequence's
+    mask.  The per-clause ``frozenset`` filter it replaced is the oracle in
+    ``tests/oracles/transform.py``.
+    """
+    widths = np.diff(offsets)
+    owners = np.repeat(np.arange(widths.size, dtype=np.int64), widths)
+    signed = literals.astype(np.int64)
+    # One key per literal: its clause, its variable, then its sign.  Sorted,
+    # each clause's literals sit together in one canonical order, and the two
+    # phases of a variable sit side by side.
+    keys = np.sort((owners << 32) | (np.abs(signed) << 1) | (signed < 0))
+    keep = np.ones(widths.size, dtype=np.bool_)
+    both_phases = (keys[1:] >> 1) == (keys[:-1] >> 1)
+    keep[keys[1:][both_phases] >> 32] = False
+    canonical = (keys & 0xFFFFFFFF).astype(np.uint32)
+    # Equal sets have equal widths: compare the canonical rows width by width.
+    by_width = np.argsort(widths, kind="stable")
+    for group in np.split(by_width, np.flatnonzero(np.diff(widths[by_width])) + 1):
+        width = int(widths[group[0]]) if group.size else 0
+        if width == 0:
+            keep[group[1:]] = False  # every empty clause after the first
+            continue
+        rows = canonical[offsets[group][:, None] + np.arange(width)]
+        # A stable sort: ``first`` holds each distinct row's first occurrence.
+        _, first = np.unique(
+            rows.view(np.dtype((np.void, 4 * width))).ravel(), return_index=True
+        )
+        repeat = np.ones(group.size, dtype=np.bool_)
+        repeat[first] = False
+        keep[group[repeat]] = False
+    return keep
+
+
 def _stream(
-    clauses: Sequence[Clause],
+    literals: np.ndarray,
+    offsets: np.ndarray,
     state: _TransformState,
     checkpoints: Optional[List[_Checkpoint]] = None,
-    position_offset: int = 0,
-    seen_clause_keys: Optional[Set[frozenset]] = None,
+    start: int = 0,
     resume_lookahead_flush: bool = False,
 ) -> None:
-    """Literal-occurrence-indexed clause-stream loop.
+    """Literal-occurrence-indexed clause-stream loop over clauses ``start..``
+    of a CSR clause sequence.
 
-    Buffer clauses live in integer *slots* (monotonically increasing ids, so
-    ascending slot order is buffer order).  ``occurrences[v]`` holds the live
-    slots mentioning variable ``v`` — a candidate's sub-group is read straight
-    from the index instead of rescanning the buffer.  ``versions[v]`` counts
-    how often ``occurrences[v]`` changed and ``failed_version[v]`` remembers
-    the version of the last unsuccessful attempt; since both the signature
-    match and the generic extraction are pure functions of ``(v, sub-group)``,
-    a candidate whose sub-group did not change since its last failure is
+    The clauses are read as int-tuple literal rows and variable rows, one
+    ``tolist`` each, and :func:`clause_keep_mask` says which of them enter
+    the buffer.  Buffer clauses live in integer *slots* (monotonically
+    increasing ids, so ascending slot order is buffer order).
+    ``occurrences[v]`` holds the live slots mentioning variable ``v`` — a
+    candidate's sub-group is read straight from the index instead of
+    rescanning the buffer.  ``versions[v]`` counts how often
+    ``occurrences[v]`` changed and ``failed_version[v]`` remembers the
+    version of the last unsuccessful attempt; since both the signature match
+    and the generic extraction are pure functions of ``(v, sub-group)``, a
+    candidate whose sub-group did not change since its last failure is
     skipped with two dictionary lookups.
 
     When ``checkpoints`` is a list, a :data:`_Checkpoint` is appended at every
     empty-buffer boundary (including one at end-of-stream when the final flush
     had nothing buffered); :func:`retransform` resumes suffix replays from
-    them, passing ``position_offset`` (the replay's absolute start position)
-    and the prefix's ``seen_clause_keys`` (the duplicate filter is the one
-    piece of forward-reaching state that survives flushes).
+    them by passing the checkpoint's position as ``start``.
     """
-    slots: Dict[int, Clause] = {}
-    slot_literals: Dict[int, Tuple[int, ...]] = {}
+    # Rows of the streamed clauses only; the mask reads the whole sequence.
+    base = offsets[start]
+    suffix, suffix_offsets = literals[base:], offsets[start:] - base
+    rows = csr_rows(suffix, suffix_offsets)
+    # Kept clauses mention each variable exactly once, so the literal order
+    # doubles as the distinct-variable order.
+    variable_rows = csr_rows(np.abs(suffix), suffix_offsets)
+    keep = clause_keep_mask(literals, offsets)[start:].tolist()
+    slots: Dict[int, Tuple[int, ...]] = {}
     slot_vars: Dict[int, Tuple[int, ...]] = {}
-    slot_sets: Dict[int, frozenset] = {}
     occurrences: Dict[int, Set[int]] = {}
     versions: Dict[int, int] = {}
     order: List[int] = []
     failed_version: Dict[int, int] = {}
-    if seen_clause_keys is None:
-        seen_clause_keys = set()
     next_slot = 0
     stats = state.stats
 
     def record_checkpoint(position: int, lookahead_free: bool) -> None:
         checkpoints.append(
             (
-                position_offset + position,
+                position,
                 len(state.definitions),
                 len(state.primary_inputs),
                 len(state.constraints),
@@ -622,12 +679,8 @@ def _stream(
                 if failed_version.get(variable) == versions[variable]:
                     continue
                 subgroup_key = sorted(occurrences[variable])
-                subgroup = [slots[sid] for sid in subgroup_key]
                 expr = _try_definition(
-                    state,
-                    variable,
-                    subgroup,
-                    [slot_sets[sid] for sid in subgroup_key],
+                    state, variable, [slots[sid] for sid in subgroup_key]
                 )
                 if expr is None:
                     failed_version[variable] = versions[variable]
@@ -637,9 +690,8 @@ def _stream(
                 # group that is not already defined becomes a primary input, even
                 # if simplification dropped it from the adopted expression —
                 # otherwise it would never receive a value during completion.
-                for clause in subgroup:
-                    for other_literal in clause:
-                        other = abs(other_literal)
+                for sid in subgroup_key:
+                    for other in slot_vars[sid]:
                         if other != variable:
                             state.mark_input_var(other)
                 consume(subgroup_key)
@@ -649,9 +701,7 @@ def _stream(
     def consume(subgroup_key: List[int]) -> None:
         for sid in subgroup_key:
             variables = slot_vars.pop(sid)
-            del slot_literals[sid]
             del slots[sid]
-            del slot_sets[sid]
             for variable in variables:
                 remaining = occurrences[variable]
                 remaining.discard(sid)
@@ -665,41 +715,25 @@ def _stream(
             return
         state.flush_group([slots[sid] for sid in order])
         slots.clear()
-        slot_literals.clear()
         slot_vars.clear()
-        slot_sets.clear()
         occurrences.clear()
         order.clear()
         failed_version.clear()
 
-    total = len(clauses)
+    last = len(rows) - 1
     # Resumed replays seed the flag so the checkpoint they re-record at their
     # first position carries the same lookahead provenance the original did.
     lookahead_flush = resume_lookahead_flush
-    for position, clause in enumerate(clauses):
+    for index, clause in enumerate(rows):
         if checkpoints is not None and not order:
-            record_checkpoint(position, not lookahead_flush)
+            record_checkpoint(start + index, not lookahead_flush)
         lookahead_flush = False
-        literals = clause.literals
-        literal_set = frozenset(literals)
-        if any(-literal in literal_set for literal in literal_set):
-            continue  # tautology
-        if literal_set in seen_clause_keys:
-            # Duplicate clauses are redundant in a conjunction; dropping them
-            # keeps them from lingering in the group buffer.
+        if not keep[index]:
             continue
-        seen_clause_keys.add(literal_set)
         slot = next_slot
         next_slot += 1
         slots[slot] = clause
-        slot_literals[slot] = literals
-        # Non-tautological deduped clauses mention each variable exactly once,
-        # so the literal order doubles as the distinct-variable order.
-        variables = tuple(
-            literal if literal > 0 else -literal for literal in literals
-        )
-        slot_vars[slot] = variables
-        slot_sets[slot] = literal_set
+        variables = slot_vars[slot] = variable_rows[index]
         order.append(slot)
         for variable in variables:
             occurrence_set = occurrences.get(variable)
@@ -718,18 +752,18 @@ def _stream(
         if len(order) >= MAX_GROUP_SIZE:
             flush()
             continue
-        if position + 1 < total:
-            next_clause = clauses[position + 1]
-            if all(abs(literal) not in occurrences for literal in next_clause):
-                flush()
-                lookahead_flush = True
+        if index < last and all(
+            variable not in occurrences for variable in variable_rows[index + 1]
+        ):
+            flush()
+            lookahead_flush = True
     if checkpoints is not None and not order:
         # End-of-stream checkpoint, recorded only when nothing was buffered: a
         # trailing under-specified group's flush depends on the stream ending
         # here, which an append-only delta would change.  The disjoint
         # lookahead cannot fire at the final position, so the flag is only
         # ever False here for an empty resumed stream carrying its seed.
-        record_checkpoint(total, not lookahead_flush)
+        record_checkpoint(start + len(rows), not lookahead_flush)
     flush()
 
 
@@ -774,27 +808,25 @@ def transform_cnf(formula: CNF) -> TransformResult:
 
 def _transform_cnf_impl(formula: CNF) -> TransformResult:
     start = _perf()
-    clauses = list(formula.clauses)
-    stats = TransformStats(num_clauses=len(clauses))
+    stats = TransformStats(num_clauses=formula.num_clauses)
     stats.cnf_operations = formula.two_input_operation_count()
 
     state = _TransformState(num_names=formula.num_variables, stats=stats)
 
     checkpoints: List[_Checkpoint] = []
     stream_start = _perf()
-    _stream(clauses, state, checkpoints=checkpoints)
+    _stream(formula.literals, formula.offsets, state, checkpoints=checkpoints)
     stats.add_stage("stream", _perf() - stream_start)
     state.add_attempt_stages()
 
     free_start = _perf()
     free_variables = _free_variables(formula.num_variables, state)
     stats.add_stage("free_vars", _perf() - free_start)
-    return finish_transform(formula, clauses, state, free_variables, checkpoints, start)
+    return finish_transform(formula, state, free_variables, checkpoints, start)
 
 
 def finish_transform(
     formula: CNF,
-    clauses: Sequence[Clause],
     state,
     free_variables: List[str],
     checkpoints: Sequence[_Checkpoint],
@@ -838,7 +870,7 @@ def finish_transform(
     intermediate_variables = [
         name for name, _ in definitions if name not in primary_outputs
     ]
-    replay = TransformReplay(clauses=tuple(clauses), checkpoints=tuple(checkpoints))
+    replay = TransformReplay(formula.literals, formula.offsets, tuple(checkpoints))
     return TransformResult(
         source_name=formula.name,
         num_variables=formula.num_variables,
@@ -930,15 +962,6 @@ def _graft_circuit(
     return circuit
 
 
-def _mutated_formula(
-    clauses: Sequence[Clause], num_variables: int, name: str
-) -> CNF:
-    formula = CNF(num_variables=num_variables, name=name)
-    for clause in clauses:
-        formula.add_clause(clause)
-    return formula
-
-
 def retransform(prev: TransformResult, delta) -> TransformResult:
     """Traced front end of :func:`_retransform_impl` (span
     ``transform.retransform``; counts under ``mode="incremental"``)."""
@@ -982,6 +1005,7 @@ def _retransform_impl(prev: TransformResult, delta) -> TransformResult:
     if delta.is_empty:
         return prev
     mutated, change_position = delta.apply(replay.clauses)
+    literals, offsets = clause_csr(mutated)
     num_variables = prev.num_variables
     for clause in delta.appended_clauses():
         for literal in clause:
@@ -1002,7 +1026,7 @@ def _retransform_impl(prev: TransformResult, delta) -> TransformResult:
     if checkpoint is None or checkpoint[0] == 0:
         # No reusable prefix (or a prev recorded without checkpoints): a
         # full transform also rebuilds the optimized circuit.
-        return transform_cnf(_mutated_formula(mutated, num_variables, name))
+        return transform_cnf(CNF.from_csr(literals, offsets, num_variables, name=name))
 
     start = _perf()
     (
@@ -1018,7 +1042,7 @@ def _retransform_impl(prev: TransformResult, delta) -> TransformResult:
     ) = checkpoint
 
     stats = TransformStats(num_clauses=len(mutated))
-    stats.cnf_operations = two_input_operation_count(*clause_csr(mutated))
+    stats.cnf_operations = two_input_operation_count(literals, offsets)
     stats.signature_matches = signature_matches
     stats.generic_matches = generic_matches
     stats.fallback_groups = fallback_groups
@@ -1042,22 +1066,14 @@ def _retransform_impl(prev: TransformResult, delta) -> TransformResult:
     }
     state.constraints = list(prev.constraints[:num_constraints])
 
-    # The duplicate-clause filter is the only buffer-independent stream state;
-    # rebuild it from the (unchanged) prefix.
-    seen_clause_keys: Set[frozenset] = set()
-    for clause in mutated[:position]:
-        literal_set = frozenset(clause.literals)
-        if not any(-literal in literal_set for literal in literal_set):
-            seen_clause_keys.add(literal_set)
-
     checkpoints = [c for c in replay.checkpoints if c[0] < position]
     stream_start = _perf()
     _stream(
-        mutated[position:],
+        literals,
+        offsets,
         state,
         checkpoints=checkpoints,
-        position_offset=position,
-        seen_clause_keys=seen_clause_keys,
+        start=position,
         resume_lookahead_flush=not lookahead_free,
     )
     stats.add_stage("stream", _perf() - stream_start)
@@ -1077,7 +1093,7 @@ def _retransform_impl(prev: TransformResult, delta) -> TransformResult:
             name=name or "recovered",
         )
     except _GraftUnsafe:
-        return transform_cnf(_mutated_formula(mutated, num_variables, name))
+        return transform_cnf(CNF.from_csr(literals, offsets, num_variables, name=name))
     stats.add_stage("circuit_graft", _perf() - graft_start)
 
     stats.circuit_operations = two_input_gate_equivalents(circuit)
@@ -1087,7 +1103,7 @@ def _retransform_impl(prev: TransformResult, delta) -> TransformResult:
     intermediate_variables = [
         net for net, _ in state.definitions if net not in state.primary_outputs
     ]
-    new_replay = TransformReplay(clauses=tuple(mutated), checkpoints=tuple(checkpoints))
+    new_replay = TransformReplay(literals, offsets, tuple(checkpoints))
     return TransformResult(
         source_name=name,
         num_variables=num_variables,

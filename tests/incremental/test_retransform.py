@@ -217,3 +217,52 @@ def test_graft_never_redefines_a_new_primary_input(name):
     assert_completions_match(fast, cold)
     assert_constraint_nets_equivalent(fast, cold)
     retransform(fast, ClauseDelta(assume=(1,)))  # the result keeps going
+
+
+def _resume_position(prev, change_position):
+    """The checkpoint position ``retransform`` resumes from (its own rule)."""
+    resume = 0
+    for position, *_, lookahead_free in prev.replay.checkpoints:
+        if position > change_position:
+            break
+        if position < change_position or lookahead_free:
+            resume = position
+    return resume
+
+
+@pytest.mark.parametrize("kind", ["append", "retract", "assume"])
+def test_a_duplicate_split_by_the_change_position_matches_the_reference(kind):
+    # The first copy of a duplicate sits in the reused prefix and a later,
+    # permuted copy in the replayed suffix: the suffix must still drop it,
+    # exactly as a stream over the whole mutated sequence does.
+    from repro.instances.registry import get_instance
+
+    rows = [list(clause.literals) for clause in get_instance("or-50-10-7-UC-10").build_cnf()]
+    unit = rows[0][0]
+    rows.insert(1, [unit])
+    middle = len(rows) // 2
+    # A copy of the clause at position 3 where the buffer is empty, so that
+    # reading it would start a group of its own.
+    later = next(
+        position
+        for position, *_, lookahead_free in transform_cnf(CNF(rows)).replay.checkpoints
+        if position > middle and lookahead_free
+    )
+    rows.insert(later, rows[3][::-1])
+    formula = CNF(rows, name="split-duplicate")
+    delta = {
+        "append": ClauseDelta(add=(tuple(rows[4][::-1]),)),
+        "retract": ClauseDelta(retract=(tuple(rows[middle]),)),
+        "assume": ClauseDelta(assume=(unit,)),
+    }[kind]
+    prev = transform_cnf(formula)
+    change_position = middle if kind == "retract" else len(rows)
+    assert _resume_position(prev, change_position) > 4
+    fast = retransform(prev, delta)
+    assert "circuit_graft" in fast.stats.stage_seconds  # resumed, not rebuilt
+    oracle = retransform_reference(prev, delta)
+    assert_records_match(fast, oracle)
+    assert_completions_match(fast, oracle)
+    cold = transform_cnf(formula.with_delta(delta))
+    assert fast.replay.checkpoints == cold.replay.checkpoints
+    assert fast.stats.fallback_groups == cold.stats.fallback_groups

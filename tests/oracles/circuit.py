@@ -200,3 +200,12 @@ def optimize_circuit_reference(circuit: Circuit) -> Circuit:
         outputs=circuit.outputs,
         topological=True,
     )
+
+
+def fanouts(circuit: Circuit) -> Dict[str, List[str]]:
+    """Map each net to the gates that read it, in row order (one entry per read)."""
+    readers: Dict[str, List[str]] = {name: [] for name in circuit.net_names()}
+    for gate in circuit.gates:
+        for fanin in gate.fanins:
+            readers[fanin].append(gate.name)
+    return readers

@@ -71,6 +71,11 @@ class InterpreterModel(ProbabilisticCircuitModel):
         """The interpreter for the same cone and input order as ``model``."""
         return cls(model.circuit, model.output_nets, model.input_order)
 
+    def schedule(self) -> List[str]:
+        """The cone's nets in the circuit's topological order."""
+        cone = self.circuit.transitive_fanin(self.output_nets)
+        return [name for name in self.circuit.topological_order() if name in cone]
+
     def forward(self, probabilities: Tensor) -> Tensor:
         """Compute output probabilities ``Y = F(P)`` for a batch of inputs.
 
@@ -86,7 +91,7 @@ class InterpreterModel(ProbabilisticCircuitModel):
         batch_size = probabilities.shape[0]
         dtype = probabilities.data.dtype
         values: Dict[str, Tensor] = {}
-        for name in self._schedule:
+        for name in self.schedule():
             gate = self.circuit.gate(name)
             if gate.gate_type == GateType.INPUT:
                 values[name] = take_column(probabilities, input_column[name])

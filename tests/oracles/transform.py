@@ -13,6 +13,8 @@ field for field:
   neither took as a primary input nor defined;
 * :func:`retransform_reference` — a full reference rebuild of a
   delta-mutated formula;
+* :func:`keep_mask_reference` — the stream's per-clause ``frozenset``
+  tautology and duplicate filter;
 * :func:`equivalent`, :func:`is_complement`, :func:`minimize_expr`,
   :func:`simplify`, :func:`expression_for_literal` and
   :func:`find_boolean_expression` — the per-row enumeration, uncached
@@ -194,6 +196,30 @@ def find_boolean_expression(
     return positive_expr
 
 
+# -- the per-clause duplicate filter -----------------------------------------------------
+
+def keep_mask_reference(clauses: Sequence[Sequence[int]]) -> List[bool]:
+    """Which clauses the indexed stream reads, one ``frozenset`` per clause.
+
+    The filter :func:`repro.core.transform.clause_keep_mask` replaced: a
+    tautology is skipped, and so is a clause whose literal set an earlier
+    kept clause had.
+    """
+    seen_clause_keys: Set[frozenset] = set()
+    keep = []
+    for clause in clauses:
+        literal_set = frozenset(clause)
+        if any(-literal in literal_set for literal in literal_set):
+            keep.append(False)  # tautology
+            continue
+        if literal_set in seen_clause_keys:
+            keep.append(False)  # duplicate
+            continue
+        seen_clause_keys.add(literal_set)
+        keep.append(True)
+    return keep
+
+
 # -- the rescan-everything transform -----------------------------------------------------
 
 class _ReferenceState:
@@ -355,7 +381,7 @@ def transform_reference(formula: CNF) -> TransformResult:
         for index in range(1, formula.num_variables + 1)
         if index not in covered
     ]
-    return finish_transform(formula, clauses, state, free_variables, (), start)
+    return finish_transform(formula, state, free_variables, (), start)
 
 
 def retransform_reference(prev: TransformResult, delta) -> TransformResult:

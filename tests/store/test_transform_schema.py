@@ -4,9 +4,9 @@ A decoded entry must be the built formula and transform, record for record:
 the formula (clauses with their literal order, name, comments), the
 definitions, inputs, intermediates, outputs, constraints and free
 variables, the stats, the circuit's gates in order with their fanins, its
-inputs, outputs and topological order, and the replay (clause sequence and
-checkpoints).  And an incremental transform derived from a decoded parent
-must equal one derived from the built parent.
+inputs, outputs and topological order, and the replay (the CSR clause
+sequence and checkpoints).  And an incremental transform derived from a
+decoded parent must equal one derived from the built parent.
 """
 
 from __future__ import annotations
@@ -71,9 +71,10 @@ def assert_same_transform(decoded, built, timings=True):
         assert _counters(decoded.stats) == _counters(built.stats)
     assert list(decoded.primary_outputs) == list(built.primary_outputs)
     assert_same_circuit(decoded.circuit, built.circuit)
-    assert [c.literals for c in decoded.replay.clauses] == [
-        c.literals for c in built.replay.clauses
-    ]
+    for array in ("literals", "offsets"):
+        decoded_array, built_array = getattr(decoded.replay, array), getattr(built.replay, array)
+        assert decoded_array.dtype == built_array.dtype, array
+        np.testing.assert_array_equal(decoded_array, built_array)
     assert decoded.replay.checkpoints == built.replay.checkpoints
 
 
@@ -83,6 +84,9 @@ def assert_round_trips(formula, transform):
     assert [c.literals for c in decoded_formula.clauses] == [c.literals for c in formula.clauses]
     assert (decoded_formula.name, decoded_formula.comments) == (formula.name, formula.comments)
     assert_same_transform(decoded, transform)
+    # The replay is the decoded formula's own read-only CSR, not a copy.
+    assert decoded.replay.literals is decoded_formula.literals
+    assert decoded.replay.offsets is decoded_formula.offsets
     return decoded_formula, decoded
 
 
@@ -160,6 +164,25 @@ def test_a_transform_the_entry_cannot_hold_exactly_is_not_written():
     other = parse_dimacs(FIG1_DIMACS, name="other")
     with pytest.raises(ValueError):
         encode_transform(other, transform)  # built from another formula
+    replay = transform.replay
+    transform.replay = dataclasses.replace(replay, offsets=replay.offsets[:-1])
+    with pytest.raises(ValueError, match="replay"):
+        encode_transform(formula, transform)  # a replay of another clause sequence
     transform.replay = None
     with pytest.raises(ValueError):
         encode_transform(formula, transform)
+
+
+def test_one_transform_encodes_to_one_entry():
+    """Whether the circuit's row order is its topological order is read off
+    the gate table, so encoding before and after the round plan (which
+    computes the order) gives the same payload."""
+    formula = parse_dimacs("p cnf 2 2\n1 2 0\n-1 -2 0\n")
+    transform = transform_cnf(formula)
+    before = encode_transform(formula, transform)
+    assert transform.round_plan.fill is not None
+    after = encode_transform(formula, transform)
+    assert after.fields == before.fields
+    assert after.arrays.keys() == before.arrays.keys()
+    for name, array in after.arrays.items():
+        np.testing.assert_array_equal(array, before.arrays[name])
