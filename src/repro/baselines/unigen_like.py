@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.baselines.base import BaselineSampler, SamplerOutput
 from repro.baselines.cdcl import CDCLSolver
+from repro.cnf.delta import ClauseDelta
 from repro.cnf.formula import CNF
 from repro.core.solutions import SolutionSet
 from repro.utils.rng import RandomState, new_rng
@@ -63,35 +64,34 @@ class UniGenStyleSampler(BaselineSampler):
         return [int(v) for v in variables], parity
 
     @staticmethod
-    def _encode_xor(
-        formula: CNF, variables: List[int], parity: bool, next_aux: int
-    ) -> Tuple[CNF, int]:
-        """Conjoin ``XOR(variables) == parity`` using a chain of auxiliary variables."""
-        extended = formula.copy()
-        extended.num_variables = max(extended.num_variables, next_aux - 1)
+    def _xor_clauses(
+        variables: List[int], parity: bool, next_aux: int
+    ) -> Tuple[List[List[int]], int]:
+        """The clauses of ``XOR(variables) == parity`` over a chain of auxiliary variables."""
+        clauses = []
         current = variables[0]
         for variable in variables[1:]:
             aux = next_aux
             next_aux += 1
-            extended.num_variables = max(extended.num_variables, aux)
             # aux == current XOR variable
-            extended.add_clause([-aux, current, variable])
-            extended.add_clause([-aux, -current, -variable])
-            extended.add_clause([aux, current, -variable])
-            extended.add_clause([aux, -current, variable])
+            clauses.append([-aux, current, variable])
+            clauses.append([-aux, -current, -variable])
+            clauses.append([aux, current, -variable])
+            clauses.append([aux, -current, variable])
             current = aux
-        extended.add_clause([current] if parity else [-current])
-        return extended, next_aux
+        clauses.append([current] if parity else [-current])
+        return clauses, next_aux
 
     def _hashed_formula(
         self, formula: CNF, rng: RandomState, num_hashes: int
     ) -> CNF:
-        hashed = formula.copy()
+        clauses: List[List[int]] = []
         next_aux = formula.num_variables + 1
         for _ in range(num_hashes):
             variables, parity = self._random_xor(rng, formula.num_variables)
-            hashed, next_aux = self._encode_xor(hashed, variables, parity, next_aux)
-        return hashed
+            xor_clauses, next_aux = self._xor_clauses(variables, parity, next_aux)
+            clauses.extend(xor_clauses)
+        return formula.with_delta(ClauseDelta(add=clauses))
 
     # -- cell enumeration ------------------------------------------------------------------
     def _enumerate_cell(
@@ -105,7 +105,7 @@ class UniGenStyleSampler(BaselineSampler):
             max_conflicts=self.max_conflicts_per_call,
         )
         cell: List[np.ndarray] = []
-        blocking = hashed.copy()
+        blocking = hashed
         while len(cell) <= self.pivot:
             result = solver.solve()
             if result.satisfiable is not True or result.assignment is None:
@@ -117,7 +117,7 @@ class UniGenStyleSampler(BaselineSampler):
                 -(index + 1) if value else (index + 1)
                 for index, value in enumerate(assignment)
             ]
-            blocking.add_clause(blocking_clause)
+            blocking = blocking.with_delta(ClauseDelta(add=[blocking_clause]))
             solver = CDCLSolver(
                 blocking,
                 seed=int(rng.integers(2**31 - 1)),

@@ -51,10 +51,11 @@ def circuit_to_cnf(
             gate = circuit.gate(name)
         return var_map[name]
 
-    formula = CNF(num_variables=next_index - 1, name=circuit.name)
     if output_constraints is None:
         output_constraints = {name: True for name in circuit.outputs}
 
+    clauses: List[List[int]] = []
+    comments: List[str] = []
     for name in circuit.topological_order():
         gate = circuit.gate(name)
         if gate.gate_type in (GateType.INPUT, GateType.BUF):
@@ -62,15 +63,15 @@ def circuit_to_cnf(
         output_lit = net_index(name)
         fanin_lits = [net_index(f) for f in gate.fanins]
         if annotate:
-            formula.comments.append(_gate_comment(gate))
-        for clause in _gate_clauses(gate.gate_type, output_lit, fanin_lits):
-            formula.add_clause(clause)
+            comments.append(_gate_comment(gate))
+        clauses.extend(_gate_clauses(gate.gate_type, output_lit, fanin_lits))
 
     for output_name, value in output_constraints.items():
         literal = net_index(output_name)
-        formula.add_clause([literal if value else -literal])
+        clauses.append([literal if value else -literal])
         if annotate:
-            formula.comments.append(f"{output_name} = {1 if value else 0}")
+            comments.append(f"{output_name} = {1 if value else 0}")
+    formula = CNF(clauses, num_variables=next_index - 1, comments=comments, name=circuit.name)
     return formula, dict(var_map)
 
 

@@ -9,11 +9,7 @@ CNF — never against the transformed circuit — exactly as the paper does.
 from repro.cnf.clause import Clause, literal_variable, literal_is_positive, negate_literal
 from repro.cnf.delta import ClauseDelta
 from repro.cnf.formula import CNF
-from repro.cnf.kernel import (
-    CNFEvalPlan,
-    compile_evaluation_plan,
-    extend_evaluation_plan,
-)
+from repro.cnf.kernel import CNFEvalPlan, compile_evaluation_plan
 from repro.cnf.dimacs import parse_dimacs, parse_dimacs_file, write_dimacs, write_dimacs_file
 
 __all__ = [
@@ -22,7 +18,6 @@ __all__ = [
     "CNF",
     "CNFEvalPlan",
     "compile_evaluation_plan",
-    "extend_evaluation_plan",
     "literal_variable",
     "literal_is_positive",
     "negate_literal",

@@ -6,7 +6,7 @@ variable ``v`` and ``-v`` denotes its negation.  Variable indices start at 1.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Tuple
+from typing import Iterable, Iterator, Tuple
 
 
 def literal_variable(literal: int) -> int:
@@ -34,8 +34,7 @@ class Clause:
     """An immutable disjunction of literals.
 
     Duplicate literals are removed at construction; a clause containing both a
-    literal and its negation is tautological (see :attr:`is_tautology`) and
-    always satisfied.
+    literal and its negation is tautological and always satisfied.
     """
 
     __slots__ = ("_literals",)
@@ -59,8 +58,8 @@ class Clause:
     def unchecked(literals: Tuple[int, ...]) -> "Clause":
         """A clause over ``literals`` as given, skipping the deduplication.
 
-        For rebuild paths whose literals are already validated (nonzero, no
-        repeat), such as decoding a stored formula.
+        For the views over a formula's CSR arrays, whose literals are
+        already validated (nonzero, no repeat).
         """
         clause = object.__new__(Clause)
         object.__setattr__(clause, "_literals", literals)
@@ -75,34 +74,6 @@ class Clause:
     def variables(self) -> Tuple[int, ...]:
         """The distinct variable indices referenced by the clause."""
         return tuple(sorted({abs(lit) for lit in self._literals}))
-
-    @property
-    def is_empty(self) -> bool:
-        """An empty clause is unsatisfiable."""
-        return not self._literals
-
-    @property
-    def is_unit(self) -> bool:
-        """Whether the clause contains exactly one literal."""
-        return len(self._literals) == 1
-
-    @property
-    def is_tautology(self) -> bool:
-        """Whether the clause contains a literal and its negation."""
-        literal_set = set(self._literals)
-        return any(-lit in literal_set for lit in literal_set)
-
-    def contains(self, literal: int) -> bool:
-        """Whether ``literal`` occurs in the clause."""
-        return literal in self._literals
-
-    def evaluate(self, assignment: Dict[int, bool]) -> bool:
-        """Evaluate under a complete assignment ``{variable: bool}``."""
-        for literal in self._literals:
-            value = assignment[abs(literal)]
-            if value == (literal > 0):
-                return True
-        return False
 
     def __len__(self) -> int:
         return len(self._literals)

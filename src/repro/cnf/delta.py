@@ -12,6 +12,12 @@ resulting clause sequence:
 2. the ``add`` clauses are appended, in order;
 3. each ``assume`` literal is appended as a unit clause, in order.
 
+:meth:`ClauseDelta.apply` makes that edit on a formula's CSR arrays and
+returns new ones: :meth:`CNF.with_delta <repro.cnf.formula.CNF.with_delta>`
+builds a new formula from them (whose evaluation plan compiles on first
+use, like any formula's), and ``retransform`` edits the arrays its parent
+transform consumed.
+
 Assumptions are just sugar for unit-clause adds — the form incremental SAT
 interfaces (IPASIR's ``assume``) use to pin variables for one solve; retract
 the unit to release the assumption.  Deltas are immutable and hashable, so
@@ -20,10 +26,14 @@ they can ride inside frozen task specs and coalescing keys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, List, Sequence, Tuple, Union
+from dataclasses import dataclass
+from itertools import chain
+from typing import Dict, Iterable, List, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.cnf.clause import Clause
+from repro.cnf.formula import MAX_VARIABLE, rows_csr
 
 ClauseLike = Union[Clause, Sequence[int]]
 
@@ -32,6 +42,19 @@ def _coerce_clauses(clauses: Iterable[ClauseLike]) -> Tuple[Clause, ...]:
     return tuple(
         clause if isinstance(clause, Clause) else Clause(clause) for clause in clauses
     )
+
+
+def _positions_with_literal_set(
+    literals: np.ndarray, offsets: np.ndarray, widths: np.ndarray, key: Tuple[int, ...]
+) -> List[int]:
+    """Positions, in order, of the clauses whose literal set is the sorted
+    ``key`` (clauses without repeated literals: equal sets, equal widths)."""
+    candidates = np.flatnonzero(widths == len(key))
+    if key:
+        rows = literals[offsets[candidates, None] + np.arange(len(key))]
+        rows.sort(axis=1)
+        candidates = candidates[(rows == np.asarray(key)).all(axis=1)]
+    return candidates.tolist()
 
 
 @dataclass(frozen=True)
@@ -62,9 +85,8 @@ class ClauseDelta:
     def is_append_only(self) -> bool:
         """Whether the delta only appends clauses (no retraction).
 
-        Append-only deltas preserve every existing clause position, which is
-        what lets the evaluation-plan patch and the transform replay reuse
-        the full parent prefix.
+        Append-only deltas preserve every existing clause position, so the
+        transform replay reuses the full parent prefix.
         """
         return not self.retract
 
@@ -72,27 +94,50 @@ class ClauseDelta:
         """The clauses this delta appends: ``add`` then the ``assume`` units."""
         return self.add + tuple(Clause([literal]) for literal in self.assume)
 
-    def apply(self, clauses: Sequence[Clause]) -> Tuple[List[Clause], int]:
-        """Apply the delta to a clause sequence.
+    def apply(
+        self, literals: np.ndarray, offsets: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, int]:
+        """Apply the delta to a clause sequence held as CSR arrays.
 
-        Returns ``(mutated clause list, change position)`` where the change
-        position is the smallest index at which the mutated list can differ
-        from the input (``len(clauses)`` for a pure append).  Raises
-        :class:`ValueError` when a ``retract`` clause has no match.
+        ``literals``/``offsets`` are a formula's arrays (no literal repeated
+        within a clause, as :meth:`CNF.from_csr
+        <repro.cnf.formula.CNF.from_csr>` guarantees).  Returns ``(literals,
+        offsets, change position)``: new read-only ``int32``/``int64``
+        arrays of the edited sequence, and the smallest clause index at
+        which it can differ from the input (the input's clause count for a
+        pure append).  Raises :class:`ValueError` when a ``retract`` clause
+        has no match, or an appended literal is beyond
+        :data:`~repro.cnf.formula.MAX_VARIABLE`.
         """
-        mutated = list(clauses)
-        change_position = len(mutated)
+        widths = np.diff(offsets)
+        # Literal set -> positions of the clauses with that set, in order; a
+        # clause matches one set only, so each retraction of a set takes the
+        # next of its positions.
+        matches: Dict[Tuple[int, ...], List[int]] = {}
+        removed: List[int] = []
         for clause in self.retract:
-            try:
-                index = mutated.index(clause)
-            except ValueError:
+            key = tuple(sorted(clause.literals))
+            if key not in matches:
+                matches[key] = _positions_with_literal_set(literals, offsets, widths, key)
+            if not matches[key]:
                 raise ValueError(
                     f"cannot retract {clause!r}: no matching clause in the formula"
-                ) from None
-            del mutated[index]
-            change_position = min(change_position, index)
-        mutated.extend(self.appended_clauses())
-        return mutated, change_position
+                )
+            removed.append(matches[key].pop(0))
+        appended = [clause.literals for clause in self.appended_clauses()]
+        widest = max(map(abs, chain.from_iterable(appended)), default=0)
+        if widest > MAX_VARIABLE:
+            raise ValueError(f"variable {widest} is beyond the largest, {MAX_VARIABLE}")
+        appended_offsets, appended_literals = rows_csr(appended, np.int32)
+        keep = np.ones(widths.size, dtype=np.bool_)
+        keep[removed] = False
+        edited_literals = np.concatenate([literals[np.repeat(keep, widths)], appended_literals])
+        edited_widths = np.concatenate([widths[keep], np.diff(appended_offsets)])
+        edited_offsets = np.zeros(edited_widths.size + 1, dtype=np.int64)
+        np.cumsum(edited_widths, out=edited_offsets[1:])
+        for array in (edited_literals, edited_offsets):
+            array.flags.writeable = False
+        return edited_literals, edited_offsets, min(removed, default=int(keep.size))
 
     def canonical(self) -> Tuple:
         """Hashable canonical form used by signatures and coalescing keys.

@@ -1,31 +1,29 @@
 """The CNF formula container used throughout the library.
 
-A formula's clauses are CSR arrays: ``literals`` (``int32``, every clause's
-literals in order) and ``offsets`` (``int64``, clause ``i`` is
-``literals[offsets[i]:offsets[i + 1]]``).  The DIMACS reader and the
-store's formula entry build them directly through :meth:`CNF.from_csr`, the
-one validating constructor; the content signature, the evaluation plan and
-the operation count read them without touching a :class:`Clause`.  The
-:class:`Clause` objects are views built once, on first use, from the
-arrays.  A formula built clause by clause (:meth:`CNF.add_clause`) derives
-its arrays from its clauses on first use, so every way of building the same
-clauses gives the same arrays.
+A formula is one immutable value: CSR arrays ``literals`` (``int32``, every
+clause's literals in order) and ``offsets`` (``int64``, clause ``i`` is
+``literals[offsets[i]:offsets[i + 1]]``) plus ``num_variables``, all fixed
+at construction.  The DIMACS reader and the store's formula entry build the
+arrays directly through :meth:`CNF.from_csr`, the one validating
+constructor; ``CNF(clauses)`` flattens a clause list and is checked the
+same way, so every way of building the same clauses gives the same arrays.
+The content signature, the evaluation plan and the operation count read the
+arrays without touching a :class:`Clause`; :class:`Clause` objects are read
+views, built once, on first use.  The evaluation plan is compiled once per
+formula, and a :class:`~repro.cnf.delta.ClauseDelta` edits the arrays into
+a new formula (:meth:`CNF.with_delta`).
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import chain
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.cnf.clause import Clause
-from repro.cnf.kernel import (
-    CNFEvalPlan,
-    compile_evaluation_plan,
-    extend_evaluation_plan,
-    register_plan_owner,
-)
+from repro.cnf.kernel import CNFEvalPlan, compile_evaluation_plan, register_plan_owner
 
 #: Largest variable index a formula holds: its literals are ``int32``.
 MAX_VARIABLE = 2**31 - 1
@@ -36,12 +34,6 @@ def rows_csr(rows: Sequence[Sequence[int]], dtype) -> Tuple[np.ndarray, np.ndarr
     offsets = np.zeros(len(rows) + 1, dtype=np.int64)
     np.cumsum(list(map(len, rows)), out=offsets[1:])
     return offsets, np.fromiter(chain.from_iterable(rows), dtype=dtype, count=int(offsets[-1]))
-
-
-def clause_csr(clauses: Sequence[Clause]) -> Tuple[np.ndarray, np.ndarray]:
-    """``(int32 literals, int64 offsets)`` of a clause sequence."""
-    offsets, literals = rows_csr([clause.literals for clause in clauses], np.int32)
-    return _frozen(literals), _frozen(offsets)
 
 
 def csr_rows(values: np.ndarray, offsets: np.ndarray) -> List[Tuple[int, ...]]:
@@ -95,11 +87,11 @@ def _drop_repeats(literals: np.ndarray, offsets: np.ndarray) -> Tuple[np.ndarray
 class CNF:
     """A conjunction of clauses over variables ``1..num_variables``.
 
-    The container is mutable only through :meth:`add_clause` /
-    :meth:`retract_clause` (both of which invalidate the memoised evaluation
-    plan and the CSR arrays); everything else returns new objects.
-    ``num_variables`` may exceed the largest referenced variable (DIMACS
-    headers frequently over-declare), but never undercounts.
+    Immutable: the clauses and ``num_variables`` are fixed at construction,
+    and an edit builds a new formula (:meth:`with_delta`); only ``comments``
+    and ``name`` are free-form labels.  ``num_variables`` may exceed the
+    largest referenced variable (DIMACS headers frequently over-declare),
+    but never undercounts.
     """
 
     def __init__(
@@ -109,16 +101,18 @@ class CNF:
         comments: Optional[List[str]] = None,
         name: str = "",
     ) -> None:
-        #: The clause views (``None`` until first use on a CSR-built formula).
-        self._clauses: Optional[List[Clause]] = []
-        #: ``(literals, offsets)`` (``None`` until first use after a mutation).
-        self._csr: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._num_variables = int(num_variables)
-        self._plan: Optional[CNFEvalPlan] = None
-        self.comments: List[str] = list(comments or [])
-        self.name = name
-        for clause in clauses or []:
-            self.add_clause(clause)
+        """A formula over a clause list (literal sequences or :class:`Clause`
+        objects), flattened to CSR arrays and checked as :meth:`from_csr`
+        checks them."""
+        rows = list(clauses or ())
+        try:
+            offsets, literals = rows_csr(rows, np.int64)
+        except OverflowError:
+            widest = max(abs(int(literal)) for row in rows for literal in row)
+            raise ValueError(
+                f"variable {widest} is beyond the largest, {MAX_VARIABLE}"
+            ) from None
+        self._init_csr(literals, offsets, num_variables, comments, name)
 
     @classmethod
     def from_csr(
@@ -136,9 +130,14 @@ class CNF:
         :data:`MAX_VARIABLE` in magnitude, or this raises
         :class:`ValueError`.  A literal repeated within a clause is dropped
         (the first stays), as :class:`Clause` does, and ``num_variables``
-        grows to the largest variable referenced, as :meth:`add_clause`
-        does.
+        grows to the largest variable referenced.
         """
+        formula = cls.__new__(cls)
+        formula._init_csr(literals, offsets, num_variables, comments, name)
+        return formula
+
+    def _init_csr(self, literals, offsets, num_variables, comments, name) -> None:
+        """Validate and adopt CSR arrays (see :meth:`from_csr`)."""
         literals = np.asarray(literals)
         offsets = np.asarray(offsets)
         if literals.ndim != 1 or offsets.ndim != 1 or not (
@@ -163,134 +162,54 @@ class CNF:
         literals, offsets = _drop_repeats(
             literals.astype(np.int32), offsets.astype(np.int64)
         )
-        formula = cls(num_variables=max(int(num_variables), widest), comments=comments, name=name)
-        formula._clauses = None
-        formula._csr = (_frozen(literals), _frozen(offsets))
-        return formula
-
-    # -- construction --------------------------------------------------------------
-    def add_clause(self, clause: Sequence[int]) -> Clause:
-        """Append a clause (sequence of literals or :class:`Clause`) and return it."""
-        if not isinstance(clause, Clause):
-            clause = Clause(clause)
-        widest = max(map(abs, clause), default=0)
-        if widest > MAX_VARIABLE:
-            raise ValueError(f"variable {widest} is beyond the largest, {MAX_VARIABLE}")
-        self._clause_list().append(clause)
-        self._mutated()
-        self._num_variables = max(self._num_variables, widest)
-        return clause
-
-    def retract_clause(self, clause: Sequence[int]) -> Clause:
-        """Remove (and return) the first clause equal to ``clause``.
-
-        Clause equality ignores literal order, so ``[2, -1]`` retracts a
-        clause added as ``[-1, 2]``.  ``num_variables`` never shrinks (it is a
-        declaration, not a census — consistent with DIMACS over-declaration).
-        Raises :class:`ValueError` when no clause matches.
-        """
-        if not isinstance(clause, Clause):
-            clause = Clause(clause)
-        clauses = self._clause_list()
-        try:
-            index = clauses.index(clause)
-        except ValueError:
-            raise ValueError(
-                f"cannot retract {clause!r}: no matching clause in the formula"
-            ) from None
-        removed = clauses.pop(index)
-        self._mutated()
-        return removed
-
-    def _mutated(self) -> None:
-        self._csr = None
-        self._plan = None
-
-    def _clause_list(self) -> List[Clause]:
-        """The clause views, built from the CSR arrays on first use."""
-        if self._clauses is None:
-            self._clauses = list(map(Clause.unchecked, csr_rows(*self._csr)))
-        return self._clauses
-
-    def _arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        if self._csr is None:
-            self._csr = clause_csr(self._clauses)
-        return self._csr
+        self._literals = _frozen(literals)
+        self._offsets = _frozen(offsets)
+        self._num_variables = max(int(num_variables), widest)
+        self._plan: Optional[CNFEvalPlan] = None
+        self.comments: List[str] = list(comments or [])
+        self.name = name
 
     def with_delta(self, delta) -> "CNF":
-        """A copy of this formula with a :class:`~repro.cnf.delta.ClauseDelta`
-        applied (retractions first, then ``add`` clauses, then ``assume``
-        units).
+        """A new formula: this one with a :class:`~repro.cnf.delta.ClauseDelta`
+        applied to its arrays (retractions first, then ``add`` clauses, then
+        ``assume`` units).  Its evaluation plan compiles on first use, like
+        any formula's.
 
         An empty (or ``None``) delta returns ``self`` unchanged — same object,
         so the default :class:`~repro.core.task.SamplingTask` costs nothing
-        and stays bitwise-identical.  When this formula has a memoised
-        evaluation plan and the delta is append-only, the copy's plan is
-        *patched* from the parent plan (:func:`extend_evaluation_plan`)
-        instead of scheduling a recompile.
+        and stays bitwise-identical.
         """
         if delta is None or delta.is_empty:
             return self
-        mutated_clauses, _ = delta.apply(self._clause_list())
-        mutated = CNF(
-            num_variables=self._num_variables,
-            comments=list(self.comments),
-            name=self.name,
-        )
-        for clause in mutated_clauses:
-            mutated.add_clause(clause)
-        if self._plan is not None and delta.is_append_only:
-            mutated._plan = extend_evaluation_plan(self._plan, mutated)
-            register_plan_owner(mutated)
-        return mutated
-
-    def copy(self) -> "CNF":
-        """Return a deep copy."""
-        duplicate = CNF(num_variables=self._num_variables, comments=list(self.comments), name=self.name)
-        duplicate._clauses = None if self._clauses is None else list(self._clauses)
-        duplicate._csr = self._csr  # read-only arrays: safe to share
-        duplicate._plan = self._plan  # immutable plan, same clauses: safe to share
-        if duplicate._plan is not None:
-            register_plan_owner(duplicate)
-        return duplicate
+        literals, offsets, _ = delta.apply(self._literals, self._offsets)
+        return CNF.from_csr(literals, offsets, self._num_variables, self.comments, self.name)
 
     # -- basic accessors -------------------------------------------------------------
-    @property
+    @cached_property
     def clauses(self) -> Tuple[Clause, ...]:
-        """The clauses, in insertion order."""
-        return tuple(self._clause_list())
+        """The clauses as read-only :class:`Clause` views, in order (built
+        from the arrays on first use)."""
+        return tuple(map(Clause.unchecked, csr_rows(self._literals, self._offsets)))
 
     @property
     def literals(self) -> np.ndarray:
         """Every clause's literals in order, one read-only ``int32`` array."""
-        return self._arrays()[0]
+        return self._literals
 
     @property
     def offsets(self) -> np.ndarray:
         """Clause bounds into :attr:`literals`, read-only ``int64`` (``num_clauses + 1``)."""
-        return self._arrays()[1]
+        return self._offsets
 
     @property
     def num_variables(self) -> int:
         """Number of declared variables (at least the largest referenced index)."""
         return self._num_variables
 
-    @num_variables.setter
-    def num_variables(self, value: int) -> None:
-        largest = int(np.abs(self.literals).max(initial=0))
-        if value < largest:
-            raise ValueError(
-                f"num_variables={value} is smaller than the largest referenced variable {largest}"
-            )
-        self._num_variables = int(value)
-        self._plan = None
-
     @property
     def num_clauses(self) -> int:
         """Number of clauses."""
-        if self._clauses is None:
-            return self._csr[1].size - 1
-        return len(self._clauses)
+        return self._offsets.size - 1
 
     def variables(self) -> List[int]:
         """Sorted list of variables actually referenced by some clause."""
@@ -309,9 +228,10 @@ class CNF:
         of the Fig. 4 (middle) ops-reduction metric.
         """
         return two_input_operation_count(self.literals, self.offsets)
+
     # -- evaluation --------------------------------------------------------------------
     def evaluation_plan(self) -> CNFEvalPlan:
-        """The memoised compiled evaluation plan (rebuilt after any mutation)."""
+        """The memoised compiled evaluation plan, compiled on first use."""
         if self._plan is None:
             self._plan = compile_evaluation_plan(self)
             register_plan_owner(self)
@@ -362,10 +282,6 @@ class CNF:
             )
         return matrix
 
-    def evaluate(self, assignment: Dict[int, bool]) -> bool:
-        """Evaluate the formula under a complete assignment ``{variable: bool}``."""
-        return all(clause.evaluate(assignment) for clause in self._clause_list())
-
     def evaluate_batch(self, assignments: np.ndarray) -> np.ndarray:
         """Vectorised evaluation of a ``(batch, num_variables)`` boolean matrix.
 
@@ -382,14 +298,14 @@ class CNF:
         return self.num_clauses
 
     def __iter__(self) -> Iterator[Clause]:
-        return iter(self._clause_list())
+        return iter(self.clauses)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CNF):
             return NotImplemented
         return (
             self._num_variables == other._num_variables
-            and self._clause_list() == other._clause_list()
+            and self.clauses == other.clauses
         )
 
     def __repr__(self) -> str:

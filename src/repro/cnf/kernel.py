@@ -29,11 +29,12 @@ The compile is array operations over the formula's CSR ``literals`` and
 clause loop it replaced is the test oracle
 ``tests/oracles/cnf.py::compile_evaluation_plan_reference``.
 
-Plans are memoised per :class:`~repro.cnf.formula.CNF` via
-:meth:`~repro.cnf.formula.CNF.evaluation_plan` and invalidated whenever the
-formula mutates (``add_clause`` or a ``num_variables`` change), mirroring the
-engine's compile-once design; :func:`clear_plan_caches` (surfaced as
-:func:`repro.clear_caches`) drops them explicitly.
+A formula is immutable, so its plan is compiled once, on first use, and
+memoised on the :class:`~repro.cnf.formula.CNF` via
+:meth:`~repro.cnf.formula.CNF.evaluation_plan`, mirroring the engine's
+compile-once design; a formula edited by a clause delta is a new formula
+with its own plan.  :func:`clear_plan_caches` (surfaced as
+:func:`repro.clear_caches`) drops the memos explicitly.
 
 The plan is the one CNF evaluator: every caller — the sampler's
 validation, the baselines, the metrics — runs it.  The clause-loop original
@@ -44,7 +45,7 @@ boolean; the sampler's ``float32`` learning arrays never reach it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Tuple
+from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
 
@@ -155,8 +156,7 @@ def register_plan_owner(formula: "CNF") -> None:
 def clear_plan_caches() -> None:
     """Drop every memoised CNF evaluation plan in the process.
 
-    Complements the automatic mutation-driven invalidation.  Exposed to users as
-    :func:`repro.clear_caches`.
+    Exposed to users as :func:`repro.clear_caches`.
     """
     _PLAN_OWNERS.clear(lambda formula: formula.clear_evaluation_plan())
 
@@ -191,79 +191,4 @@ def compile_evaluation_plan(formula: "CNF") -> CNFEvalPlan:
             (start, stop, int(sorted_widths[start])) for start, stop in zip(edges, edges[1:])
         ),
         num_empty=int(widths.size - order.size),
-    )
-
-
-def _concatenate(segments, dtype):
-    if not segments:
-        return np.asarray([], dtype=dtype)
-    if len(segments) == 1:
-        return np.asarray(segments[0], dtype=dtype)
-    return np.concatenate(segments).astype(dtype, copy=False)
-
-
-def extend_evaluation_plan(plan: CNFEvalPlan, formula: "CNF") -> CNFEvalPlan:
-    """Patch a parent plan into the plan of an append-only extended formula.
-
-    ``formula``'s first ``plan.num_clauses`` clauses must be exactly the
-    clauses the parent plan was compiled from; only appended clauses (and a
-    possibly larger variable count) may differ.  Because the width sort in
-    :func:`compile_evaluation_plan` is stable and appended clauses carry the
-    largest original indices, each appended clause lands at the *end* of its
-    width bucket — so the parent's flat arrays can be spliced per bucket
-    without recompiling the whole formula.  The result is equal, field for
-    field, to ``compile_evaluation_plan(formula)`` (pinned by tests).
-    """
-    clauses = formula.clauses
-    if len(clauses) < plan.num_clauses:
-        raise ValueError(
-            f"formula has {len(clauses)} clauses but the parent plan covers "
-            f"{plan.num_clauses}; extend_evaluation_plan is append-only"
-        )
-    appended = clauses[plan.num_clauses :]
-    num_empty = plan.num_empty + sum(1 for clause in appended if not len(clause))
-    new_by_width: Dict[int, list] = {}
-    for clause in appended:
-        if len(clause):
-            new_by_width.setdefault(len(clause), []).append(clause)
-
-    old_spans = {width: (start, stop) for start, stop, width in plan.width_groups}
-    boundaries = np.append(plan.reduce_offsets, plan.literal_columns.size)
-    columns_segments = []
-    negated_segments = []
-    offsets_segments = []
-    groups = []
-    position = 0
-    sorted_position = 0
-    for width in sorted(set(old_spans) | set(new_by_width)):
-        group_start = sorted_position
-        if width in old_spans:
-            start, stop = old_spans[width]
-            literal_start, literal_stop = boundaries[start], boundaries[stop]
-            columns_segments.append(plan.literal_columns[literal_start:literal_stop])
-            negated_segments.append(plan.literal_negated[literal_start:literal_stop])
-            offsets_segments.append(
-                plan.reduce_offsets[start:stop] - literal_start + position
-            )
-            position += int(literal_stop - literal_start)
-            sorted_position += stop - start
-        for clause in new_by_width.get(width, ()):
-            columns_segments.append(
-                np.asarray([abs(literal) - 1 for literal in clause], dtype=np.intp)
-            )
-            negated_segments.append(
-                np.asarray([literal < 0 for literal in clause], dtype=bool)
-            )
-            offsets_segments.append(np.asarray([position], dtype=np.intp))
-            position += width
-            sorted_position += 1
-        groups.append((group_start, sorted_position, width))
-    return CNFEvalPlan(
-        num_variables=formula.num_variables,
-        num_clauses=len(clauses),
-        literal_columns=_concatenate(columns_segments, np.intp),
-        literal_negated=_concatenate(negated_segments, bool),
-        reduce_offsets=_concatenate(offsets_segments, np.intp),
-        width_groups=tuple(groups),
-        num_empty=num_empty,
     )

@@ -65,8 +65,7 @@ from repro.circuit.builder import circuit_from_expressions, expression_lowerer
 from repro.circuit.netlist import Circuit
 from repro.circuit.optimize import optimize_circuit
 from repro.circuit.stats import two_input_gate_equivalents
-from repro.cnf.clause import Clause
-from repro.cnf.formula import CNF, clause_csr, csr_rows, two_input_operation_count
+from repro.cnf.formula import CNF, csr_rows, two_input_operation_count
 from repro.core.extraction import (
     VAR_PREFIX,
     extract_definition,
@@ -178,12 +177,6 @@ class TransformReplay:
     literals: np.ndarray
     offsets: np.ndarray
     checkpoints: Tuple[_Checkpoint, ...]
-
-    @cached_property
-    def clauses(self) -> Tuple[Clause, ...]:
-        """The clause sequence as :class:`Clause` views, built on first use
-        (:func:`retransform` applies its delta to them)."""
-        return tuple(map(Clause.unchecked, csr_rows(self.literals, self.offsets)))
 
 
 def _variable_rows(names: Sequence[str]) -> np.ndarray:
@@ -1004,8 +997,7 @@ def _retransform_impl(prev: TransformResult, delta) -> TransformResult:
         )
     if delta.is_empty:
         return prev
-    mutated, change_position = delta.apply(replay.clauses)
-    literals, offsets = clause_csr(mutated)
+    literals, offsets, change_position = delta.apply(replay.literals, replay.offsets)
     num_variables = prev.num_variables
     for clause in delta.appended_clauses():
         for literal in clause:
@@ -1041,7 +1033,7 @@ def _retransform_impl(prev: TransformResult, delta) -> TransformResult:
         lookahead_free,
     ) = checkpoint
 
-    stats = TransformStats(num_clauses=len(mutated))
+    stats = TransformStats(num_clauses=offsets.size - 1)
     stats.cnf_operations = two_input_operation_count(literals, offsets)
     stats.signature_matches = signature_matches
     stats.generic_matches = generic_matches

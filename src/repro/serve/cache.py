@@ -202,10 +202,11 @@ def build_incremental_artifact(
 
     The expensive stage — the transform — runs as an incremental
     :func:`~repro.core.transform.retransform` replay from the parent's
-    recorded stream checkpoints instead of a cold Algorithm 1 pass, and the
-    parent's compiled CNF evaluation plan is spliced rather than recompiled
-    when the delta is append-only (:meth:`CNF.with_delta`).  The result is
-    a fully independent artifact: equal to a cold build of the effective
+    recorded stream checkpoints instead of a cold Algorithm 1 pass.  The
+    effective formula is a new formula built from the parent's arrays with
+    the delta applied (:meth:`CNF.with_delta`), and its CNF evaluation plan
+    is compiled fresh, as for any formula.  The result is a fully
+    independent artifact: equal to a cold build of the effective
     formula (the ``tests/incremental`` equivalence suite pins this), cached
     and evicted on its own.  A store-loaded parent decodes its transform
     here.

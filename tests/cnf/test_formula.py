@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from repro.cnf.clause import Clause
-from repro.cnf.formula import CNF, clause_csr, two_input_operation_count
+from repro.cnf.formula import CNF, rows_csr, two_input_operation_count
 from tests.corpus.generators import planted_ksat, random_horn, random_ksat
 from repro.instances.registry import get_instance, list_instances
 from tests.conftest import all_assignments
+from tests.oracles.cnf import evaluate_reference
 
 
 class TestConstruction:
@@ -16,32 +17,24 @@ class TestConstruction:
         assert formula.num_clauses == 2
         assert formula.num_variables == 3
 
-    def test_add_clause_updates_variable_count(self):
-        formula = CNF()
-        formula.add_clause([5, -9])
-        assert formula.num_variables == 9
+    def test_variable_count_grows_to_the_largest_literal(self):
+        assert CNF([[5, -9]]).num_variables == 9
+        assert CNF([[5, -9]], num_variables=4).num_variables == 9
 
     def test_declared_variables_can_exceed_used(self):
         formula = CNF([[1]], num_variables=10)
         assert formula.num_variables == 10
 
     def test_num_variables_cannot_undercount(self):
-        formula = CNF([[1, -4]])
-        with pytest.raises(ValueError):
+        formula = CNF([[1, -4]], num_variables=2)
+        assert formula.num_variables == 4
+        with pytest.raises(AttributeError):
             formula.num_variables = 2
 
-    def test_copy_is_independent(self):
-        formula = CNF([[1, 2]], name="orig")
-        duplicate = formula.copy()
-        duplicate.add_clause([3])
-        assert formula.num_clauses == 1
-        assert duplicate.num_clauses == 2
-        assert duplicate.name == "orig"
-
     def test_accepts_clause_objects(self):
-        clause = Clause([1, -2])
-        formula = CNF()
-        assert formula.add_clause(clause) is clause
+        formula = CNF([Clause([1, -2]), [3, 3]])
+        assert formula.clauses == (Clause([1, -2]), Clause([3]))
+        assert formula == CNF([[1, -2], [3]])
 
 
 class TestAccessors:
@@ -72,15 +65,15 @@ class TestAccessors:
 
 class TestEvaluation:
     def test_evaluate_single(self, tiny_sat_formula):
-        assert tiny_sat_formula.evaluate({1: False, 2: True, 3: False})
-        assert not tiny_sat_formula.evaluate({1: True, 2: False, 3: False})
+        assert evaluate_reference(tiny_sat_formula, {1: False, 2: True, 3: False})
+        assert not evaluate_reference(tiny_sat_formula, {1: True, 2: False, 3: False})
 
     def test_evaluate_batch_matches_single(self, tiny_sat_formula):
         matrix = all_assignments(3)
         batch = tiny_sat_formula.evaluate_batch(matrix)
         for row in range(matrix.shape[0]):
             assignment = {i + 1: bool(matrix[row, i]) for i in range(3)}
-            assert batch[row] == tiny_sat_formula.evaluate(assignment)
+            assert batch[row] == evaluate_reference(tiny_sat_formula, assignment)
 
     def test_known_model_count(self, tiny_sat_formula):
         matrix = all_assignments(3)
@@ -131,4 +124,5 @@ def test_operation_count_matches_the_per_literal_count(name):
     formula = _GENERATED[name]() if name in _GENERATED else get_instance(name).build_cnf()
     expected = _operation_count_per_literal(formula.clauses)
     assert formula.two_input_operation_count() == expected
-    assert two_input_operation_count(*clause_csr(list(formula.clauses))) == expected
+    offsets, literals = rows_csr([clause.literals for clause in formula.clauses], np.int32)
+    assert two_input_operation_count(literals, offsets) == expected

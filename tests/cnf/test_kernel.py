@@ -105,34 +105,6 @@ class TestPlanLifecycle:
         formula = CNF([[1, 2]], num_variables=2)
         assert formula.evaluation_plan() is formula.evaluation_plan()
 
-    def test_add_clause_invalidates_plan(self):
-        formula = CNF([[1, 2]], num_variables=2)
-        stale = formula.evaluation_plan()
-        formula.add_clause([-1, -2])
-        fresh = formula.evaluation_plan()
-        assert fresh is not stale
-        matrix = all_assignments(2)
-        np.testing.assert_array_equal(
-            formula.evaluate_batch(matrix),
-            evaluate_batch_reference(formula, matrix),
-        )
-
-    def test_num_variables_change_invalidates_plan(self):
-        formula = CNF([[1]], num_variables=1)
-        stale = formula.evaluation_plan()
-        formula.num_variables = 3
-        assert formula.evaluation_plan() is not stale
-        assert formula.evaluate_batch(np.ones((2, 3), dtype=bool)).all()
-
-    def test_copy_shares_plan_until_mutation(self):
-        formula = CNF([[1, 2]], num_variables=2)
-        plan = formula.evaluation_plan()
-        duplicate = formula.copy()
-        assert duplicate.evaluation_plan() is plan
-        duplicate.add_clause([-1])
-        assert duplicate.evaluation_plan() is not plan
-        assert formula.evaluation_plan() is plan  # original untouched
-
     def test_plan_statistics(self):
         formula = CNF([[1, -2], [3], []], num_variables=3)
         plan = compile_evaluation_plan(formula)

@@ -196,7 +196,7 @@ def test_unconstrained_instance_and_learning_curve(dtype, monkeypatch):
 
 def test_store_loaded_artifact_samples_identical_rows(tmp_path):
     formula, _ = _instance("s9234a_3_2")
-    built = build_artifact(formula.copy())
+    built = build_artifact(formula)
     store = ArtifactStore(tmp_path / "store")
     assert persist_artifact(store, built)
     loaded = load_sampling_artifact(store, built.signature)

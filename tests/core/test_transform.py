@@ -184,7 +184,11 @@ class TestFreeVariables:
     def test_empty_and_unit_clauses(self, clauses, num_variables):
         """A variable only tautological clauses mention is free too."""
         formula = CNF(clauses, num_variables=num_variables)
-        kept = [clause for clause in formula.clauses if not clause.is_tautology]
+        kept = [
+            clause
+            for clause in formula.clauses
+            if not any(-literal in clause.literals for literal in clause.literals)
+        ]
         assert transform_cnf(formula).free_variables == _free_variables_reference(
             kept, num_variables
         )

@@ -262,7 +262,7 @@ class TestTransformEquivalence:
         assert_completions_identical(fast, reference)
         group = formula.clauses[group_slice]
         # Only the width gate rejects v: a wider budget defines it.
-        v_group = [clause for clause in group if clause.contains(1) or clause.contains(-1)]
+        v_group = [clause for clause in group if 1 in clause.literals or -1 in clause.literals]
         assert find_boolean_expression(1, v_group, max_vars=20) is not None
         assert "x1" not in dict(fast.definitions)
         # The group is the first flushed one, kept verbatim: simplification
@@ -371,7 +371,7 @@ class TestExtractionFastPath:
         clauses = [
             clause
             for clause in formula.clauses
-            if clause.contains(variable) or clause.contains(-variable)
+            if variable in clause.literals or -variable in clause.literals
         ]
         fast = find_boolean_expression(variable, clauses)
         reference = oracle.find_boolean_expression(variable, clauses)
@@ -383,7 +383,7 @@ class TestExtractionFastPath:
         clauses = [
             clause
             for clause in formula.clauses
-            if clause.contains(variable) or clause.contains(-variable)
+            if variable in clause.literals or -variable in clause.literals
         ]
         fast = find_boolean_expression(variable, clauses, max_vars=max_vars)
         reference = oracle.find_boolean_expression(variable, clauses, max_vars=max_vars)

@@ -32,13 +32,12 @@ def random_ksat(
     if k > num_variables:
         raise ValueError(f"k={k} exceeds the number of variables {num_variables}")
     generator = rng if rng is not None else new_rng(seed)
-    formula = CNF(num_variables=num_variables, name=name or f"random-{k}sat-{num_variables}")
+    clauses = []
     for _ in range(num_clauses):
         variables = generator.choice(num_variables, size=k, replace=False) + 1
         phases = generator.random(k) < 0.5
-        clause = [int(v) if p else -int(v) for v, p in zip(variables, phases)]
-        formula.add_clause(clause)
-    return formula
+        clauses.append([int(v) if p else -int(v) for v, p in zip(variables, phases)])
+    return CNF(clauses, num_variables=num_variables, name=name or f"random-{k}sat-{num_variables}")
 
 
 def planted_ksat(
@@ -60,7 +59,7 @@ def planted_ksat(
         raise ValueError(f"k={k} exceeds the number of variables {num_variables}")
     generator = rng if rng is not None else new_rng(seed)
     planted = generator.random(num_variables) < 0.5
-    formula = CNF(num_variables=num_variables, name=name or f"planted-{k}sat-{num_variables}")
+    clauses = []
     for _ in range(num_clauses):
         while True:
             variables = generator.choice(num_variables, size=k, replace=False) + 1
@@ -68,12 +67,16 @@ def planted_ksat(
             clause = [int(v) if p else -int(v) for v, p in zip(variables, phases)]
             if any(planted[abs(lit) - 1] == (lit > 0) for lit in clause):
                 break
-        formula.add_clause(clause)
+        clauses.append(clause)
     witness = " ".join(
         str(i + 1) if planted[i] else str(-(i + 1)) for i in range(num_variables)
     )
-    formula.comments.append(f"planted {witness}")
-    return formula
+    return CNF(
+        clauses,
+        num_variables=num_variables,
+        comments=[f"planted {witness}"],
+        name=name or f"planted-{k}sat-{num_variables}",
+    )
 
 
 def planted_solution(formula: CNF) -> Optional[np.ndarray]:
@@ -98,7 +101,7 @@ def random_horn(
 ) -> CNF:
     """Generate a random Horn formula (at most one positive literal per clause)."""
     generator = rng if rng is not None else new_rng(seed)
-    formula = CNF(num_variables=num_variables, name=name or f"horn-{num_variables}")
+    clauses = []
     for _ in range(num_clauses):
         width = int(generator.integers(1, max_width + 1))
         width = min(width, num_variables)
@@ -106,5 +109,5 @@ def random_horn(
         clause: List[int] = [-int(v) for v in variables]
         if generator.random() < 0.5:
             clause[0] = abs(clause[0])
-        formula.add_clause(clause)
-    return formula
+        clauses.append(clause)
+    return CNF(clauses, num_variables=num_variables, name=name or f"horn-{num_variables}")

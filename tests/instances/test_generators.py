@@ -69,7 +69,7 @@ class TestIscasInstances:
         # The unit clauses pin outputs to values the circuit actually attains.
         unit_values = {}
         for clause in formula.clauses:
-            if clause.is_unit:
+            if len(clause) == 1:
                 literal = clause.literals[0]
                 unit_values[abs(literal)] = literal > 0
         assert len(unit_values) >= 2

@@ -15,6 +15,7 @@ import os
 import pytest
 
 from repro import obs
+from repro.cnf.delta import ClauseDelta
 from repro.cnf.dimacs import parse_dimacs
 from repro.core.config import SamplerConfig
 from repro.obs.render import group_spans_by_trace, merge_metric_records, render_trace
@@ -42,7 +43,7 @@ def traced_pool(tmp_path_factory):
         for index, extra in enumerate(((), (1, 6), (-1, 14))):
             formula = parse_dimacs(FIG1_DIMACS, name=f"fig1-{index}")
             if extra:
-                formula.add_clause(extra)
+                formula = formula.with_delta(ClauseDelta(add=[extra]))
             formulas.append(formula)
         job_ids = [
             service.submit(formula, num_solutions=8,

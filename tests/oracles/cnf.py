@@ -11,13 +11,34 @@ holds variable ``j + 1``, exactly like the library method.
 :func:`compile_evaluation_plan_reference` is the plan compiler's original
 clause loop, verbatim; the array compiler over the formula's CSR must give
 an equal plan, field for field.
+
+:func:`evaluate_reference` and :func:`clause_evaluate_reference` are the
+formula's and the clause's one-assignment evaluators over a
+``{variable: bool}`` dictionary, verbatim, which the batch evaluation must
+agree with row by row.
 """
 
 from __future__ import annotations
 
+from typing import Dict
+
 import numpy as np
 
 from repro.cnf.kernel import CNFEvalPlan
+
+
+def clause_evaluate_reference(clause, assignment: Dict[int, bool]) -> bool:
+    """Evaluate ``clause`` under a complete assignment ``{variable: bool}``."""
+    for literal in clause.literals:
+        value = assignment[abs(literal)]
+        if value == (literal > 0):
+            return True
+    return False
+
+
+def evaluate_reference(formula, assignment: Dict[int, bool]) -> bool:
+    """Evaluate ``formula`` under a complete assignment ``{variable: bool}``."""
+    return all(clause_evaluate_reference(clause, assignment) for clause in formula.clauses)
 
 
 def evaluate_batch_reference(formula, assignments: np.ndarray) -> np.ndarray:

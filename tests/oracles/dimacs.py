@@ -6,8 +6,8 @@ token at a time and built the formula clause by clause.  This is that loop,
 verbatim; the shipped reader must agree with it on clauses, comments,
 variable count, error class and the line an error names, for every
 literal within ``2**31 - 1``.  Beyond it this loop reads the literal and
-its formula's ``add_clause`` raises a bare :class:`ValueError`, while the
-shipped reader raises a :class:`DimacsError` naming the line.
+the formula built from its clause list raises a bare :class:`ValueError`,
+while the shipped reader raises a :class:`DimacsError` naming the line.
 """
 
 from __future__ import annotations
@@ -81,9 +81,7 @@ def parse_dimacs_reference(text: str, name: str = "") -> CNF:
     if pending:
         clauses.append(pending)
 
-    formula = CNF(num_variables=declared_vars, comments=comments, name=name)
-    for clause in clauses:
-        formula.add_clause(clause)
+    formula = CNF(clauses, num_variables=declared_vars, comments=comments, name=name)
     if declared_clauses >= 0 and formula.num_clauses != declared_clauses:
         # Header mismatches are common in the wild; record rather than fail.
         formula.comments.append(

@@ -43,7 +43,7 @@ from repro.boolalg.quine_mccluskey import minimize_minterms
 from repro.boolalg.simplify import EXACT_SIMPLIFY_MAX_VARS, simplify_algebraic
 from repro.boolalg.truth_table import MAX_ENUMERATION_VARS
 from repro.cnf.clause import Clause
-from repro.cnf.formula import CNF
+from repro.cnf.formula import CNF, csr_rows
 from repro.core.extraction import (
     VAR_PREFIX,
     group_to_constraint_expr,
@@ -60,6 +60,7 @@ from repro.core.transform import (
     finish_transform,
 )
 from tests.oracles.bdd import BDD
+from tests.oracles.delta import apply_reference
 
 
 # -- truth-table queries by per-row enumeration ------------------------------------------
@@ -163,7 +164,7 @@ def expression_for_literal(
     complement = -literal
     conjuncts = []
     for clause in clauses:
-        if clause.contains(complement):
+        if complement in clause.literals:
             remaining = [lit for lit in clause if lit != complement]
             if not remaining:
                 conjuncts.append(FALSE)
@@ -184,7 +185,7 @@ def find_boolean_expression(
     if not clauses:
         return None
     for clause in clauses:
-        if not clause.contains(variable) and not clause.contains(-variable):
+        if variable not in clause.literals and -variable not in clause.literals:
             return None
     positive_expr = expression_for_literal(variable, clauses, prefix)
     negative_expr = expression_for_literal(-variable, clauses, prefix)
@@ -322,7 +323,7 @@ def _stream_reference(clauses: Sequence[Clause], state: _ReferenceState) -> None
             subgroup = [
                 clause
                 for clause in buffer
-                if clause.contains(variable) or clause.contains(-variable)
+                if variable in clause.literals or -variable in clause.literals
             ]
             expr = _try_definition(state, variable, subgroup)
             if expr is not None:
@@ -340,7 +341,7 @@ def _stream_reference(clauses: Sequence[Clause], state: _ReferenceState) -> None
 
     seen_clauses: Set[frozenset] = set()
     for position, clause in enumerate(clauses):
-        if clause.is_tautology:
+        if any(-literal in clause.literals for literal in clause.literals):
             continue
         clause_key = frozenset(clause.literals)
         if clause_key in seen_clauses:
@@ -395,12 +396,10 @@ def retransform_reference(prev: TransformResult, delta) -> TransformResult:
     replay = prev.replay
     if delta.is_empty:
         return prev
-    mutated, _ = delta.apply(replay.clauses)
+    consumed = [Clause.unchecked(row) for row in csr_rows(replay.literals, replay.offsets)]
+    mutated, _ = apply_reference(delta, consumed)
     num_variables = prev.num_variables
     for clause in delta.appended_clauses():
         for literal in clause:
             num_variables = max(num_variables, abs(literal))
-    formula = CNF(num_variables=num_variables, name=prev.source_name)
-    for clause in mutated:
-        formula.add_clause(clause)
-    return transform_reference(formula)
+    return transform_reference(CNF(mutated, num_variables=num_variables, name=prev.source_name))

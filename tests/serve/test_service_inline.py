@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.cnf.delta import ClauseDelta
 from repro.cnf.dimacs import DimacsError, parse_dimacs
 from repro.cnf.formula import CNF
 from repro.core.config import SamplerConfig
@@ -322,8 +323,7 @@ class TestSourceMemo:
             j for j in range(old_rows.shape[1]) if len(set(old_rows[:, j])) == 2
         )
         literal = (column + 1) if old_rows[0, column] else -(column + 1)
-        edited = parse_dimacs(FIG1_DIMACS)
-        edited.add_clause([literal])
+        edited = parse_dimacs(FIG1_DIMACS).with_delta(ClauseDelta(add=[[literal]]))
         (tmp_path / "fig1.cnf").write_text(
             FIG1_DIMACS.replace("p cnf 14 21", "p cnf 14 22") + f"{literal} 0\n"
         )

@@ -3,8 +3,8 @@
 The task layer is pure bookkeeping — no sampling here.  These tests pin the
 contracts every other layer builds on: normalization and rejection rules,
 the canonical/serialised forms used by signatures and serve coalescing, and
-the CNF-level delta application (including the append-only evaluation-plan
-splice, checked field-for-field against a cold ``compile_evaluation_plan``).
+the CNF-level delta application (the edited formula's plan checked
+field-for-field against a cold ``compile_evaluation_plan``).
 """
 
 from __future__ import annotations
@@ -15,9 +15,17 @@ import numpy as np
 import pytest
 
 from repro.cnf import CNF, Clause, ClauseDelta, compile_evaluation_plan
+from repro.cnf.formula import csr_rows
 from repro.core.task import DEFAULT_TASK, SamplingTask
 from repro.serve.jobs import SamplingJob, normalize_source
 from repro.serve.journal import job_fingerprint
+
+
+def apply_to_rows(delta: ClauseDelta, rows):
+    """``delta.apply`` on the arrays of ``CNF(rows)``, as ``(rows, change position)``."""
+    formula = CNF(rows)
+    literals, offsets, change_position = delta.apply(formula.literals, formula.offsets)
+    return csr_rows(literals, offsets), change_position
 
 
 def small_formula() -> CNF:
@@ -99,29 +107,24 @@ class TestClauseDelta:
             ClauseDelta(assume=(0,))
 
     def test_apply_appends_and_retracts(self):
-        clauses = [Clause([1, 2]), Clause([-1, 3]), Clause([2, -3])]
         delta = ClauseDelta(add=((1, 3),), retract=((-1, 3),), assume=(2,))
-        mutated, change_position = delta.apply(clauses)
-        assert [tuple(c.literals) for c in mutated] == [
-            (1, 2), (2, -3), (1, 3), (2,),
-        ]
+        mutated, change_position = apply_to_rows(delta, [[1, 2], [-1, 3], [2, -3]])
+        assert mutated == [(1, 2), (2, -3), (1, 3), (2,)]
         assert change_position == 1  # first mutated index: the retraction
 
     def test_apply_pure_append_change_position_is_length(self):
-        clauses = [Clause([1, 2]), Clause([-1, 3])]
         delta = ClauseDelta(assume=(4,))
-        mutated, change_position = delta.apply(clauses)
+        mutated, change_position = apply_to_rows(delta, [[1, 2], [-1, 3]])
         assert change_position == 2
-        assert tuple(mutated[-1].literals) == (4,)
+        assert mutated[-1] == (4,)
 
     def test_retract_missing_clause_raises(self):
         with pytest.raises(ValueError, match="cannot retract"):
-            ClauseDelta(retract=((9, 8),)).apply([Clause([1, 2])])
+            apply_to_rows(ClauseDelta(retract=((9, 8),)), [[1, 2]])
 
     def test_retract_matches_one_occurrence_per_entry(self):
-        clauses = [Clause([1, 2]), Clause([1, 2]), Clause([3])]
-        mutated, _ = ClauseDelta(retract=((1, 2),)).apply(clauses)
-        assert [tuple(c.literals) for c in mutated] == [(1, 2), (3,)]
+        mutated, _ = apply_to_rows(ClauseDelta(retract=((1, 2),)), [[1, 2], [1, 2], [3]])
+        assert mutated == [(1, 2), (3,)]
 
     def test_dict_round_trip(self):
         delta = ClauseDelta(add=((1, -2), (3,)), retract=((1, 2),), assume=(-4,))
@@ -130,7 +133,7 @@ class TestClauseDelta:
             ClauseDelta.from_dict({"append": [[1]]})
 
 
-# -- CNF.with_delta / retract_clause -----------------------------------------------------
+# -- CNF.with_delta ------------------------------------------------------------------------
 
 class TestFormulaDelta:
     def test_with_delta_empty_returns_self(self):
@@ -148,28 +151,30 @@ class TestFormulaDelta:
 
     def test_retract_clause(self):
         formula = small_formula()
-        removed = formula.retract_clause([-1, 3])
-        assert tuple(removed.literals) == (-1, 3)
-        assert formula.num_clauses == 3
+        retracted = formula.with_delta(ClauseDelta(retract=([3, -1],)))
+        assert Clause([-1, 3]) not in retracted.clauses
+        assert retracted.clauses == formula.clauses[:1] + formula.clauses[2:]
+        assert formula.num_clauses == 4  # original untouched
         with pytest.raises(ValueError, match="cannot retract"):
-            formula.retract_clause([9, 8])
+            formula.with_delta(ClauseDelta(retract=([9, 8],)))
 
-    def test_append_only_delta_patches_compiled_plan(self):
+    def test_append_only_delta_compiles_a_fresh_plan(self):
         formula = small_formula()
         plan = formula.evaluation_plan()  # compile before the delta
         delta = ClauseDelta(add=((4, -1), (1, 2, 3, -4)), assume=(2,))
         mutated = formula.with_delta(delta)
-        patched = mutated.evaluation_plan()
+        fresh = mutated.evaluation_plan()
+        assert fresh is not plan
         cold = compile_evaluation_plan(mutated)
-        assert patched.num_clauses == cold.num_clauses
-        assert patched.num_variables == cold.num_variables
-        assert patched.num_empty == cold.num_empty
-        assert patched.width_groups == cold.width_groups
-        np.testing.assert_array_equal(patched.literal_columns, cold.literal_columns)
-        np.testing.assert_array_equal(patched.literal_negated, cold.literal_negated)
-        np.testing.assert_array_equal(patched.reduce_offsets, cold.reduce_offsets)
+        assert fresh.num_clauses == cold.num_clauses
+        assert fresh.num_variables == cold.num_variables
+        assert fresh.num_empty == cold.num_empty
+        assert fresh.width_groups == cold.width_groups
+        np.testing.assert_array_equal(fresh.literal_columns, cold.literal_columns)
+        np.testing.assert_array_equal(fresh.literal_negated, cold.literal_negated)
+        np.testing.assert_array_equal(fresh.reduce_offsets, cold.reduce_offsets)
         matrix = np.random.default_rng(0).random((64, mutated.num_variables)) < 0.5
-        np.testing.assert_array_equal(patched.evaluate(matrix), cold.evaluate(matrix))
+        np.testing.assert_array_equal(fresh.evaluate(matrix), cold.evaluate(matrix))
         assert plan.num_clauses == 4  # parent plan untouched
 
     def test_retracting_delta_does_not_carry_stale_plan(self):
