@@ -105,7 +105,7 @@ class CDCLSolver:
         self._units: List[int] = []
 
         for clause in formula.clauses:
-            self._add_clause(list(clause.literals), learned=False)
+            self._add_clause(list(clause), learned=False)
 
     # -- clause management ------------------------------------------------------------
     def _add_clause(self, literals: List[int], learned: bool) -> Optional[int]:

@@ -23,9 +23,7 @@ class DPLLSolver:
         self.formula = formula
         self.num_variables = formula.num_variables
         self._rng: RandomState = new_rng(seed)
-        self._clauses: List[Tuple[int, ...]] = [
-            clause.literals for clause in formula.clauses
-        ]
+        self._clauses: List[Tuple[int, ...]] = list(formula.clauses)
 
     # -- public API ---------------------------------------------------------------------
     def solve(self, randomize: bool = False) -> Optional[np.ndarray]:

@@ -124,15 +124,6 @@ class CircuitBuilder:
             carry = self.or_(self.and_(a, b), self.and_(partial, carry))
         return sums, carry
 
-    def equality_comparator(self, a_bits: Sequence[str], b_bits: Sequence[str]) -> str:
-        """Return a net that is 1 iff the two words are bit-for-bit equal."""
-        if len(a_bits) != len(b_bits):
-            raise ValueError("operand widths differ")
-        bit_equal = [self.xnor_(a, b) for a, b in zip(a_bits, b_bits)]
-        if len(bit_equal) == 1:
-            return bit_equal[0]
-        return self.and_(*bit_equal)
-
     def multiplier(self, a_bits: Sequence[str], b_bits: Sequence[str]) -> List[str]:
         """Array multiplier; returns product bits LSB-first (width = len(a)+len(b))."""
         width = len(a_bits) + len(b_bits)

@@ -38,15 +38,6 @@ class GateType(str, Enum):
         """Whether the gate takes exactly one input."""
         return self in _UNARY_TYPES
 
-    @property
-    def min_arity(self) -> int:
-        """Minimum number of fanins for a well-formed gate of this type."""
-        if self.is_source:
-            return 0
-        if self.is_unary:
-            return 1
-        return 2
-
 
 #: Frozen membership sets back the hot-path type predicates (tuple-building
 #: properties showed up in transform profiles at ~100k calls per instance).

@@ -1,4 +1,4 @@
-"""Clause deltas: declarative add / retract / assume edits of a CNF.
+"""Deltas: declarative add / retract / assume edits of a CNF's clauses.
 
 Incremental SAT workflows (and the serving tier's ``incremental`` job type)
 describe a formula as *another formula plus a small edit* instead of a whole
@@ -7,8 +7,8 @@ every consumer — :meth:`CNF.with_delta <repro.cnf.formula.CNF.with_delta>`,
 :func:`repro.core.transform.retransform`, the task signature — agrees on the
 resulting clause sequence:
 
-1. every ``retract`` clause removes the *first* clause equal to it
-   (:class:`~repro.cnf.clause.Clause` equality ignores literal order);
+1. every ``retract`` clause removes the *first* clause with the same literal
+   set (a retraction ignores literal order);
 2. the ``add`` clauses are appended, in order;
 3. each ``assume`` literal is appended as a unit clause, in order.
 
@@ -17,6 +17,12 @@ returns new ones: :meth:`CNF.with_delta <repro.cnf.formula.CNF.with_delta>`
 builds a new formula from them (whose evaluation plan compiles on first
 use, like any formula's), and ``retransform`` edits the arrays its parent
 transform consumed.
+
+A clause is an ``int`` tuple, as a formula's rows are: ``0`` is refused and
+a repeated literal is dropped (the first stays).  Two deltas are equal
+exactly when their :meth:`~ClauseDelta.canonical` forms are, so literal
+order within a clause is significant there, as it is in the formula
+signature.
 
 Assumptions are just sugar for unit-clause adds — the form incremental SAT
 interfaces (IPASIR's ``assume``) use to pin variables for one solve; retract
@@ -28,20 +34,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.cnf.clause import Clause
 from repro.cnf.formula import MAX_VARIABLE, rows_csr
 
-ClauseLike = Union[Clause, Sequence[int]]
+
+def _clause(literals: Iterable[int]) -> Tuple[int, ...]:
+    """A clause as an ``int`` tuple: no ``0``, repeats dropped (first stays)."""
+    clause = tuple(dict.fromkeys(map(int, literals)))
+    if 0 in clause:
+        raise ValueError("0 is not a valid literal (it terminates DIMACS lines)")
+    return clause
 
 
-def _coerce_clauses(clauses: Iterable[ClauseLike]) -> Tuple[Clause, ...]:
-    return tuple(
-        clause if isinstance(clause, Clause) else Clause(clause) for clause in clauses
-    )
+def _clauses(clauses: Iterable[Sequence[int]]) -> Tuple[Tuple[int, ...], ...]:
+    return tuple(map(_clause, clauses))
 
 
 def _positions_with_literal_set(
@@ -62,15 +71,15 @@ class ClauseDelta:
     """An immutable edit of a clause list (see the module docstring for order)."""
 
     #: Clauses appended to the formula.
-    add: Tuple[Clause, ...] = ()
-    #: Clauses removed from the formula (first content-equal match each).
-    retract: Tuple[Clause, ...] = ()
+    add: Tuple[Tuple[int, ...], ...] = ()
+    #: Clauses removed from the formula (first literal-set match each).
+    retract: Tuple[Tuple[int, ...], ...] = ()
     #: Literals pinned true for this task; each becomes an appended unit clause.
     assume: Tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "add", _coerce_clauses(self.add))
-        object.__setattr__(self, "retract", _coerce_clauses(self.retract))
+        object.__setattr__(self, "add", _clauses(self.add))
+        object.__setattr__(self, "retract", _clauses(self.retract))
         assume = tuple(int(literal) for literal in self.assume)
         if any(literal == 0 for literal in assume):
             raise ValueError("0 is not a valid assumption literal")
@@ -81,18 +90,9 @@ class ClauseDelta:
         """Whether the delta changes nothing."""
         return not (self.add or self.retract or self.assume)
 
-    @property
-    def is_append_only(self) -> bool:
-        """Whether the delta only appends clauses (no retraction).
-
-        Append-only deltas preserve every existing clause position, so the
-        transform replay reuses the full parent prefix.
-        """
-        return not self.retract
-
-    def appended_clauses(self) -> Tuple[Clause, ...]:
+    def appended_clauses(self) -> Tuple[Tuple[int, ...], ...]:
         """The clauses this delta appends: ``add`` then the ``assume`` units."""
-        return self.add + tuple(Clause([literal]) for literal in self.assume)
+        return self.add + tuple((literal,) for literal in self.assume)
 
     def apply(
         self, literals: np.ndarray, offsets: np.ndarray
@@ -116,15 +116,15 @@ class ClauseDelta:
         matches: Dict[Tuple[int, ...], List[int]] = {}
         removed: List[int] = []
         for clause in self.retract:
-            key = tuple(sorted(clause.literals))
+            key = tuple(sorted(clause))
             if key not in matches:
                 matches[key] = _positions_with_literal_set(literals, offsets, widths, key)
             if not matches[key]:
                 raise ValueError(
-                    f"cannot retract {clause!r}: no matching clause in the formula"
+                    f"cannot retract {list(clause)}: no matching clause in the formula"
                 )
             removed.append(matches[key].pop(0))
-        appended = [clause.literals for clause in self.appended_clauses()]
+        appended = self.appended_clauses()
         widest = max(map(abs, chain.from_iterable(appended)), default=0)
         if widest > MAX_VARIABLE:
             raise ValueError(f"variable {widest} is beyond the largest, {MAX_VARIABLE}")
@@ -146,17 +146,13 @@ class ClauseDelta:
         order matters to Algorithm 1, and the literal sequence is part of the
         formula signature's identity too).
         """
-        return (
-            tuple(clause.literals for clause in self.add),
-            tuple(clause.literals for clause in self.retract),
-            self.assume,
-        )
+        return (self.add, self.retract, self.assume)
 
     def to_dict(self) -> dict:
         """JSON/pickle-safe form (inverse of :meth:`from_dict`)."""
         return {
-            "add": [list(clause.literals) for clause in self.add],
-            "retract": [list(clause.literals) for clause in self.retract],
+            "add": [list(clause) for clause in self.add],
+            "retract": [list(clause) for clause in self.retract],
             "assume": list(self.assume),
         }
 
@@ -167,9 +163,9 @@ class ClauseDelta:
         if unknown:
             raise ValueError(f"unknown delta fields {sorted(unknown)}")
         return cls(
-            add=tuple(Clause(clause) for clause in data.get("add", ())),
-            retract=tuple(Clause(clause) for clause in data.get("retract", ())),
-            assume=tuple(int(literal) for literal in data.get("assume", ())),
+            add=data.get("add", ()),
+            retract=data.get("retract", ()),
+            assume=data.get("assume", ()),
         )
 
     def __bool__(self) -> bool:

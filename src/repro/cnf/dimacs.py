@@ -10,7 +10,7 @@ Lines end at ``\n`` only.  One regular expression finds the ``c``/``p``/``%``
 lines; the clause text between two of them is split and read by ``int`` in
 one C-level ``map``, and every literal of the document lands in the
 formula's CSR arrays (:meth:`~repro.cnf.formula.CNF.from_csr`) with no
-:class:`~repro.cnf.clause.Clause` built.  A run of clause text that does
+per-clause object built.  A run of clause text that does
 not read cleanly is walked again line by line and token by token to name
 the line at fault.  Errors are :class:`DimacsError` s raised in line order:
 a malformed or negative header, a token ``int`` rejects, a literal beyond

@@ -7,11 +7,14 @@ at construction.  The DIMACS reader and the store's formula entry build the
 arrays directly through :meth:`CNF.from_csr`, the one validating
 constructor; ``CNF(clauses)`` flattens a clause list and is checked the
 same way, so every way of building the same clauses gives the same arrays.
-The content signature, the evaluation plan and the operation count read the
-arrays without touching a :class:`Clause`; :class:`Clause` objects are read
-views, built once, on first use.  The evaluation plan is compiled once per
-formula, and a :class:`~repro.cnf.delta.ClauseDelta` edits the arrays into
-a new formula (:meth:`CNF.with_delta`).
+A clause is a row of those arrays: :attr:`CNF.clauses` and iteration give
+``int`` tuples (:func:`csr_rows`), built once, on first use, and two
+formulas are equal exactly when their variable counts and arrays are, the
+identity the content signature hashes (literal order within a clause is
+significant).  The signature, the evaluation plan and the operation count
+read the arrays.  The evaluation plan is compiled once per formula, and a
+:class:`~repro.cnf.delta.ClauseDelta` edits the arrays into a new formula
+(:meth:`CNF.with_delta`).
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cnf.clause import Clause
 from repro.cnf.kernel import CNFEvalPlan, compile_evaluation_plan, register_plan_owner
 
 #: Largest variable index a formula holds: its literals are ``int32``.
@@ -64,8 +66,7 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 
 def _drop_repeats(literals: np.ndarray, offsets: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The CSR without repeated literals in a clause (the first one stays),
-    as :class:`Clause` deduplicates."""
+    """The CSR without repeated literals in a clause (the first one stays)."""
     widths = np.diff(offsets)
     owners = np.repeat(np.arange(widths.size, dtype=np.int64), widths)
     # One int64 key per literal occurrence: its clause, then the literal.
@@ -101,9 +102,8 @@ class CNF:
         comments: Optional[List[str]] = None,
         name: str = "",
     ) -> None:
-        """A formula over a clause list (literal sequences or :class:`Clause`
-        objects), flattened to CSR arrays and checked as :meth:`from_csr`
-        checks them."""
+        """A formula over a clause list (int sequences), flattened to CSR
+        arrays and checked as :meth:`from_csr` checks them."""
         rows = list(clauses or ())
         try:
             offsets, literals = rows_csr(rows, np.int64)
@@ -129,8 +129,8 @@ class CNF:
         ``len(literals)``; every literal must be nonzero and at most
         :data:`MAX_VARIABLE` in magnitude, or this raises
         :class:`ValueError`.  A literal repeated within a clause is dropped
-        (the first stays), as :class:`Clause` does, and ``num_variables``
-        grows to the largest variable referenced.
+        (the first stays), and ``num_variables`` grows to the largest
+        variable referenced.
         """
         formula = cls.__new__(cls)
         formula._init_csr(literals, offsets, num_variables, comments, name)
@@ -186,10 +186,10 @@ class CNF:
 
     # -- basic accessors -------------------------------------------------------------
     @cached_property
-    def clauses(self) -> Tuple[Clause, ...]:
-        """The clauses as read-only :class:`Clause` views, in order (built
-        from the arrays on first use)."""
-        return tuple(map(Clause.unchecked, csr_rows(self._literals, self._offsets)))
+    def clauses(self) -> Tuple[Tuple[int, ...], ...]:
+        """The clauses as ``int`` tuples, in order (read off the arrays on
+        first use)."""
+        return tuple(csr_rows(self._literals, self._offsets))
 
     @property
     def literals(self) -> np.ndarray:
@@ -198,7 +198,7 @@ class CNF:
 
     @property
     def offsets(self) -> np.ndarray:
-        """Clause bounds into :attr:`literals`, read-only ``int64`` (``num_clauses + 1``)."""
+        """Row bounds into :attr:`literals`, read-only ``int64`` (``num_clauses + 1``)."""
         return self._offsets
 
     @property
@@ -210,14 +210,6 @@ class CNF:
     def num_clauses(self) -> int:
         """Number of clauses."""
         return self._offsets.size - 1
-
-    def variables(self) -> List[int]:
-        """Sorted list of variables actually referenced by some clause."""
-        return np.unique(np.abs(self.literals)).tolist()
-
-    def literal_count(self) -> int:
-        """Total number of literal occurrences (the CNF 'size')."""
-        return int(self.literals.size)
 
     def two_input_operation_count(self) -> int:
         """Number of 2-input gate equivalents to evaluate the CNF directly.
@@ -297,7 +289,7 @@ class CNF:
     def __len__(self) -> int:
         return self.num_clauses
 
-    def __iter__(self) -> Iterator[Clause]:
+    def __iter__(self) -> Iterator[Tuple[int, ...]]:
         return iter(self.clauses)
 
     def __eq__(self, other: object) -> bool:
@@ -305,7 +297,8 @@ class CNF:
             return NotImplemented
         return (
             self._num_variables == other._num_variables
-            and self.clauses == other.clauses
+            and np.array_equal(self._offsets, other._offsets)
+            and np.array_equal(self._literals, other._literals)
         )
 
     def __repr__(self) -> str:

@@ -30,7 +30,6 @@ from repro.core.transform import (
     retransform,
     transform_cnf,
 )
-from repro.core.model import ProbabilisticCircuitModel
 from repro.core.sampler import GradientSATSampler, SampleResult
 from repro.core.solutions import SolutionSet
 from repro.core.pipeline import sample_cnf, PipelineResult
@@ -49,7 +48,6 @@ __all__ = [
     "TransformResult",
     "retransform",
     "transform_cnf",
-    "ProbabilisticCircuitModel",
     "GradientSATSampler",
     "SampleResult",
     "SolutionSet",

@@ -14,9 +14,9 @@ If the two extracted expressions are complements of each other, the group is
 exactly equivalent to the definition ``v <-> f`` and the transformation can
 adopt it.
 
-A clause here is any sequence of signed int literals read by iteration and
-``in``: the transformation passes the int-tuple rows of its clause buffer,
-and a :class:`~repro.cnf.clause.Clause` works the same way.
+A clause here is an ``int`` tuple of signed literals, a row of the
+formula's CSR arrays (:func:`~repro.cnf.formula.csr_rows`): the
+transformation passes the rows of its clause buffer.
 """
 
 from __future__ import annotations
@@ -219,8 +219,3 @@ def index_of_variable(name: str, prefix: str = VAR_PREFIX) -> int:
     if not name.startswith(prefix):
         raise ValueError(f"variable name {name!r} does not start with prefix {prefix!r}")
     return int(name[len(prefix):])
-
-
-def support_indices(expr: Expr, prefix: str = VAR_PREFIX) -> Dict[str, int]:
-    """Map each support variable name of ``expr`` to its DIMACS index."""
-    return {name: index_of_variable(name, prefix) for name in expr.support()}

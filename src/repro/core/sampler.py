@@ -5,8 +5,9 @@ The sampler learns a batch of candidate solutions in parallel:
 1. the trainable matrix ``V`` in ``R^{b x n}`` holds one soft assignment per
    batch element over the constrained primary inputs;
 2. the sigmoid embedding ``P = sigma(V)`` (Eq. 6) maps it to probabilities;
-3. the probabilistic circuit model computes output probabilities
-   ``Y = F(P)`` (Eq. 7);
+3. the probabilistic circuit model — the constrained cone's compiled
+   program, :attr:`RoundPlan.learn <repro.core.transform.RoundPlan.learn>` —
+   computes output probabilities ``Y = F(P)`` (Eq. 7);
 4. the L2 loss against the all-ones target (Eq. 8) is minimised by plain
    gradient descent (Eq. 10) for a handful of iterations;
 5. the learned soft inputs are thresholded to hard bits, the unconstrained
@@ -54,7 +55,6 @@ import numpy as np
 from repro.cnf.formula import CNF
 from repro.cnf.kernel import CNFEvalPlan
 from repro.core.config import SamplerConfig
-from repro.core.model import ProbabilisticCircuitModel
 from repro.core.solutions import SolutionSet
 from repro.core.task import DEFAULT_TASK, SamplingTask
 from repro.core.transform import RoundPlan, TransformResult, transform_cnf
@@ -220,15 +220,6 @@ class GradientSATSampler:
     def transform(self) -> TransformResult:
         """The transform whose round plan this sampler runs."""
         return self._compiled.transform
-
-    @property
-    def model(self) -> Optional[ProbabilisticCircuitModel]:
-        """The constrained cone's circuit model (``None`` without constraints).
-
-        Rounds run the plan's compiled program, not this; it is derived on
-        demand for callers that walk the circuit gate by gate.
-        """
-        return self.transform.model
 
     # -- public API ---------------------------------------------------------------------
     def reset_rng(self) -> None:

@@ -14,9 +14,11 @@ fixed clause pattern — its *CNF signature*.  This module provides
   same instance.  It is version 2: a SHA-256 over the tag
   ``repro-cnf-v2``, the variable, clause and literal counts and the
   little-endian ``int32`` literals and ``int64`` offsets, so one formula
-  has one key however it was built — parsed, added clause by clause or
-  decoded from the store.  Version 1 hashed the clauses' DIMACS text, so
-  its keys never equal a version 2 key.
+  has one key however it was built — parsed, built from int rows, edited
+  by a delta or decoded from the store — and two formulas share a key
+  exactly when they are equal (:meth:`CNF.__eq__
+  <repro.cnf.formula.CNF.__eq__>` compares the same arrays).  Version 1
+  hashed the clauses' DIMACS text, so its keys never equal a version 2 key.
 
 The paper stresses that pattern matching alone is insufficient ("it is
 impractical to store all possible Boolean patterns"); the generic extraction
@@ -52,9 +54,9 @@ def formula_signature(formula: "CNF") -> str:
 
     Two formulas have the same signature exactly when they have the same
     ``num_variables`` and the same clause sequence, literal order included.
-    Clause *order* is deliberately significant: Algorithm 1 scans clauses in
-    order, so reordered formulas can recover different circuits and must not
-    share compiled artifacts.
+    The *order* of clauses is deliberately significant: Algorithm 1 scans
+    them in order, so reordered formulas can recover different circuits and
+    must not share compiled artifacts.
 
     The digest is independent of the process, the host's byte order, the
     formula's ``name`` and its comments, so it is a safe cross-process cache
@@ -115,8 +117,8 @@ def match_gate_signature(
     no missing or extra clauses are tolerated — so a successful match lets
     the transformation adopt the definition without a complement check.
 
-    The clauses are :class:`~repro.cnf.clause.Clause` s or int-literal
-    sequences (the transformation's rows); the matcher dispatches on the
+    The clauses are ``int`` tuples, the formula's rows as the
+    transformation reads them; the matcher dispatches on the
     group's *shape* (clause count and widths) before comparing literal sets,
     and operates on plain integer-literal frozensets.
     """

@@ -73,7 +73,6 @@ from repro.core.extraction import (
     literal_to_expr,
     variable_name,
 )
-from repro.core.model import ProbabilisticCircuitModel
 from repro.core.signatures import GateMatch, match_gate_signature
 from repro.engine.compiler import adopt_program, compiled_program_for, program_key
 from repro.engine.executor import execute_bool
@@ -189,17 +188,19 @@ class RoundPlan:
     """Everything a sampling round executes, compiled once per transform.
 
     A round learns the constrained inputs with :attr:`learn` (the
-    constrained cone's program, ``None`` without constraints — then the round
-    is pure random draws), routes learned bits and random draws into a
-    variable-major ``(num_variables, batch)`` matrix through the ``*_rows``
-    maps, and fills the defined variables with :attr:`fill` (the defined nets
-    over the primary inputs, ``None`` without definitions).  Each map is an
-    ``intp`` array of 0-based variable rows (empty maps too, so they index as
-    no-ops); the input, defined and free rows write every row exactly once.
+    constrained cone's program: the paper's differentiable circuit model,
+    Eq. 7, with the constrained inputs as its columns; ``None`` without
+    constraints — then the round is pure random draws), routes learned bits
+    and random draws into a variable-major ``(num_variables, batch)`` matrix
+    through the ``*_rows`` maps, and fills the defined variables with
+    :attr:`fill` (the defined nets over the primary inputs, ``None`` without
+    definitions).  Each map is an ``intp`` array of 0-based variable rows
+    (empty maps too, so they index as no-ops); the input, defined and free
+    rows write every row exactly once.
 
     The plan holds only names, index arrays and compiled programs — no
-    ``Circuit``, ``Expr`` or ``Clause`` — so it is the artifact store's hot
-    ``round`` entry: a store hit decodes it (with the formula's
+    ``Circuit``, no ``Expr`` and no clause list — so it is the artifact
+    store's hot ``round`` entry: a store hit decodes it (with the formula's
     :class:`~repro.cnf.kernel.CNFEvalPlan`) and nothing else.
     """
 
@@ -281,21 +282,6 @@ class TransformResult:
     def unconstrained_inputs(self) -> List[str]:
         """Primary inputs only on unconstrained paths (any random value works)."""
         return list(self.round_plan.unconstrained_inputs)
-
-    @cached_property
-    def model(self) -> Optional[ProbabilisticCircuitModel]:
-        """The constrained cone's differentiable model (``None`` without constraints).
-
-        Sampling runs :attr:`RoundPlan.learn` directly; the model is the
-        circuit-level view of the same program for callers that walk gates.
-        """
-        if not self.constraints:
-            return None
-        return ProbabilisticCircuitModel(
-            self.circuit,
-            self.constraint_nets(),
-            input_order=self.round_plan.constrained_inputs,
-        )
 
     # -- reconstruction of full CNF assignments ------------------------------------------
     @cached_property

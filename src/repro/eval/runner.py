@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.baselines.base import BaselineSampler, SamplerOutput
 from repro.baselines.cmsgen_like import CMSGenStyleSampler
@@ -136,22 +136,3 @@ def run_sampler_on_instance(
         transform_seconds=transform_seconds,
         extra=dict(output.extra),
     )
-
-
-def run_matrix(
-    samplers: Sequence[BaselineSampler],
-    formulas: Sequence[CNF],
-    num_solutions: int = 1000,
-    timeout_seconds: Optional[float] = None,
-) -> List[RunRecord]:
-    """Run every sampler on every instance; returns the flat list of records."""
-    records: List[RunRecord] = []
-    for formula in formulas:
-        for sampler in samplers:
-            records.append(
-                run_sampler_on_instance(
-                    sampler, formula, num_solutions=num_solutions,
-                    timeout_seconds=timeout_seconds,
-                )
-            )
-    return records

@@ -13,7 +13,7 @@ the family from an array multiplier:
   reference constant, which mirrors the "does this product match?" texture of
   the original instances.
 
-Clause count grows roughly quadratically with ``width``, so small widths give
+The clause count grows roughly quadratically with ``width``, so small widths give
 tractable stand-ins while large widths approach the paper's scales.
 """
 

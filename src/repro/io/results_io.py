@@ -13,7 +13,7 @@ import csv
 import io
 import json
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, List, Union
+from typing import TYPE_CHECKING, Iterable, Union
 
 from repro.eval.runner import RunRecord
 
@@ -58,14 +58,6 @@ def run_records_to_csv(records: Iterable[RunRecord]) -> str:
     for record in records:
         writer.writerow(_record_row(record))
     return buffer.getvalue()
-
-
-def load_run_records_json(text: str) -> List[dict]:
-    """Load previously exported JSON back into plain dictionaries."""
-    data = json.loads(text)
-    if not isinstance(data, list):
-        raise ValueError("expected a JSON array of run records")
-    return data
 
 
 # -- service job results ------------------------------------------------------------------

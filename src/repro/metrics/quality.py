@@ -8,7 +8,7 @@ that the gradient sampler's solutions are not clustered around a single mode.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -71,12 +71,3 @@ def pairwise_hamming_histogram(
     first, second = np.triu_indices(count, k=1)
     distances = (assignments[first] ^ assignments[second]).sum(axis=1) / width
     return np.histogram(distances, bins=bins, range=(0.0, 1.0))
-
-
-def solution_statistics(formula: CNF, assignments: np.ndarray) -> Dict[str, float]:
-    """Bundle of quality metrics for one batch of assignments."""
-    return {
-        "validity_rate": validity_rate(formula, assignments),
-        "uniqueness_rate": uniqueness_rate(assignments),
-        "hamming_diversity": hamming_diversity(assignments),
-    }

@@ -15,8 +15,9 @@ both as plain, synchronously-tested data structures:
   that already holds the compiled artifact.  The dispatcher remembers which
   workers have seen which formula signatures and routes by warm-affinity
   first, load second (a cold worker is preferred over queueing behind a
-  long backlog: ``spill_threshold`` bounds how much longer the warm worker's
-  queue may be before the job spills to the least-loaded cold one).
+  long backlog: :data:`SPILL_THRESHOLD` bounds how much longer the warm
+  worker's queue may be before the job spills to the least-loaded cold
+  one).
 """
 
 from __future__ import annotations
@@ -92,21 +93,25 @@ class _WorkerState:
     online: bool = True
 
 
+#: How many more outstanding tasks than the least-loaded worker a warm
+#: worker may hold before a task for its formula spills to a cold one.
+SPILL_THRESHOLD = 2
+
+
 class Dispatcher:
     """Pick a worker for each task: warm artifact first, load second."""
 
-    def __init__(self, num_workers: int, spill_threshold: int = 2) -> None:
+    def __init__(self, num_workers: int) -> None:
         if num_workers <= 0:
             raise ValueError(f"num_workers must be positive, got {num_workers}")
         self._workers = [_WorkerState() for _ in range(num_workers)]
-        self.spill_threshold = spill_threshold
 
     def choose(self, signature: str) -> int:
         """The *online* worker the next task for ``signature`` should go to.
 
         A worker that already compiled this formula wins unless its backlog
         exceeds the globally least-loaded worker's by more than
-        ``spill_threshold`` tasks — then the work spills (the cold worker
+        :data:`SPILL_THRESHOLD` tasks — then the work spills (the cold worker
         will recompile once, after which both are warm and the formula's
         traffic parallelises).  Raises :class:`RuntimeError` when every
         slot is offline (the service checks :attr:`has_online` first).
@@ -126,7 +131,7 @@ class Dispatcher:
         if warm:
             best_warm = min(warm, key=lambda i: (self._workers[i].outstanding, i))
             floor = self._workers[least_loaded].outstanding
-            if self._workers[best_warm].outstanding - floor <= self.spill_threshold:
+            if self._workers[best_warm].outstanding - floor <= SPILL_THRESHOLD:
                 return best_warm
         return least_loaded
 

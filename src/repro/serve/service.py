@@ -15,7 +15,11 @@ What the service layer adds over calling the sampler directly:
   primary's solution pool (:mod:`repro.serve.queue`);
 * **source memo** — a submit resolves its source to a signature through a
   memo keyed by the SHA-256 of the source's raw bytes, so a warm source is
-  read and hashed but never re-parsed or re-signed;
+  read and hashed but never re-parsed or re-signed.  The digest rides with
+  every task: a build that re-reads a path (a pool worker, or an inline
+  job whose submit was a memo hit) refuses bytes that no longer have it,
+  so a file edited after submit fails its job instead of yielding rows of
+  another formula under the submitted signature;
 * **artifact affinity** — jobs are routed to a worker that already compiled
   the formula, so a hot formula never recompiles
   (:class:`~repro.serve.cache.ArtifactCache` per worker, signature-affinity
@@ -198,6 +202,9 @@ class _JobState:
     job_id: str
     #: Signature of the *effective* (post-delta) formula — the artifact key.
     signature: str
+    #: Raw-content digest of the source at submit (:func:`read_source`):
+    #: a build re-reading the source refuses content that no longer has it.
+    digest: str
     num_variables: int
     key: Optional[Tuple]
     #: Monotonic time :meth:`SamplingService.submit` was entered.
@@ -521,6 +528,7 @@ class SamplingService:
             job=job,
             job_id=job_id,
             signature=signature,
+            digest=digest,
             num_variables=num_variables,
             key=None,
             start=start,
@@ -704,6 +712,7 @@ class SamplingService:
             "key": (state.job_id, task_state.member_index),
             "group": state.job_id,
             "source": state.job.source,
+            "digest": state.digest,
             "signature": state.signature,
             "base_signature": state.base_signature,
             "task": None if state.job.task.is_default else state.job.task.to_dict(),

@@ -51,7 +51,7 @@ from repro.cnf.formula import CNF
 from repro.core.sampler import GradientSATSampler
 from repro.core.task import SamplingTask
 from repro.serve.cache import ArtifactCache, DEFAULT_MAX_BYTES, DEFAULT_MAX_ENTRIES
-from repro.serve.jobs import config_from_dict, load_source
+from repro.serve.jobs import config_from_dict, load_source, read_source
 from repro import obs
 
 #: Message kinds a worker emits.
@@ -74,6 +74,19 @@ def unpack_rows(blob: bytes, rows: int, cols: int) -> np.ndarray:
     return np.unpackbits(packed, axis=1, count=cols).view(bool)
 
 
+def _load_submitted(task: Dict[str, object]) -> CNF:
+    """The formula of ``task["source"]`` as it was when the job was submitted.
+
+    Raises :class:`ValueError` naming the path when the file's bytes no
+    longer have the submit-side digest (only a file can change).
+    """
+    spec = task["source"]
+    digest, data = read_source(spec)
+    if digest != task["digest"]:
+        raise ValueError(f"{spec['path']}: the source changed since the job was submitted")
+    return load_source(spec, data)
+
+
 def execute_task(
     task: Dict[str, object],
     cache: ArtifactCache,
@@ -88,8 +101,11 @@ def execute_task(
     Never raises: failures are reported as an ``"error"`` message so a bad
     job cannot take its worker down.  ``formula`` is the task's base
     formula when the caller already parsed it (inline execution hands over
-    the parse ``submit`` made); otherwise a build loads it from
-    ``task["source"]``.
+    the parse ``submit`` made); otherwise a build reads
+    ``task["source"]`` once and parses those bytes, unless their digest is
+    not ``task["digest"]``, the one ``submit`` signed: a file edited since
+    then fails the task rather than building rows of another formula under
+    the submitted signature.
 
     Telemetry: a ``task["trace"]`` flag turns on ring-only tracing in this
     process (workers never open trace files — the service owns the trace
@@ -153,7 +169,7 @@ def execute_task(
             task_spec,
             signature=task["signature"],
             base_signature=task.get("base_signature", task["signature"]),
-            loader=lambda: formula if formula is not None else load_source(task["source"]),
+            loader=lambda: formula if formula is not None else _load_submitted(task),
         )
         # Which tier satisfied this task: compiled here, memory-cache hit, or
         # loaded from the persistent store.  The worker runs tasks serially,

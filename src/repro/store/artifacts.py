@@ -6,8 +6,8 @@ are in :mod:`repro.store.schema`):
 * ``round`` — the hot entry: the transform's
   :class:`~repro.core.transform.RoundPlan` (row maps plus the flat learn
   and fill programs) and the formula's
-  :class:`~repro.cnf.kernel.CNFEvalPlan`.  It holds no ``Circuit``,
-  ``Expr`` or ``Clause``: exactly what a sampling round executes, as
+  :class:`~repro.cnf.kernel.CNFEvalPlan`.  It holds no ``Circuit``, no
+  ``Expr`` and no clause list: exactly what a sampling round executes, as
   zero-copy views into the read buffer, validated before use.
 * ``transform`` — the formula together with its
   :class:`~repro.core.transform.TransformResult` (recovered circuit,

@@ -39,7 +39,7 @@ Guarantees:
   every other process waits for the entry to land and then loads it, so N
   concurrent cold starts on one signature cost one build and N-1 fast
   loads.  Claims from dead processes (same host) or older than
-  ``stale_lock_seconds`` are broken, so a crashed builder can only ever
+  :data:`STALE_LOCK_SECONDS` are broken, so a crashed builder can only ever
   delay its waiters, not deadlock them.
 """
 
@@ -80,11 +80,11 @@ STORE_ENV_VAR = "REPRO_STORE_DIR"
 #: Claims older than this are considered abandoned (crashed builder on a
 #: foreign host); same-host claims are additionally broken as soon as the
 #: owning pid is gone.  Builds of the paper's instances run well under this.
-DEFAULT_STALE_LOCK_SECONDS = 120.0
+STALE_LOCK_SECONDS = 120.0
 
 #: How long a waiter polls for the builder's entry before giving up and
 #: building itself (correctness never depends on the wait succeeding).
-DEFAULT_WAIT_TIMEOUT_SECONDS = 300.0
+WAIT_TIMEOUT_SECONDS = 300.0
 
 #: Base poll interval while waiting on another process's build.  Each sleep
 #: is jittered to 0.5x-1.5x of this so N waiters released by one publish do
@@ -136,16 +136,8 @@ class EntryInfo:
 class ArtifactStore:
     """Directory-backed artifact store (see the module docstring)."""
 
-    def __init__(
-        self,
-        root: os.PathLike,
-        *,
-        stale_lock_seconds: float = DEFAULT_STALE_LOCK_SECONDS,
-        wait_timeout_seconds: float = DEFAULT_WAIT_TIMEOUT_SECONDS,
-    ) -> None:
+    def __init__(self, root: os.PathLike) -> None:
         self.root = Path(os.fspath(root))
-        self.stale_lock_seconds = stale_lock_seconds
-        self.wait_timeout_seconds = wait_timeout_seconds
         self._counters: Dict[str, int] = {
             "hits": 0,
             "misses": 0,
@@ -370,7 +362,7 @@ class ArtifactStore:
         if not locks.is_dir():
             return
         for path in locks.glob("*.lock"):
-            if _lock_is_stale(path, self.stale_lock_seconds):
+            if _lock_is_stale(path, STALE_LOCK_SECONDS):
                 try:
                     os.unlink(path)
                 except OSError:
@@ -468,7 +460,7 @@ class BuildLease:
             try:
                 fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
             except FileExistsError:
-                if attempt == 0 and _lock_is_stale(self.path, self._store.stale_lock_seconds):
+                if attempt == 0 and _lock_is_stale(self.path, STALE_LOCK_SECONDS):
                     try:
                         os.unlink(self.path)
                     except OSError:
@@ -509,7 +501,7 @@ class BuildLease:
         """
         self._store._count("lease_waits")
         deadline = time.monotonic() + (
-            timeout if timeout is not None else self._store.wait_timeout_seconds
+            timeout if timeout is not None else WAIT_TIMEOUT_SECONDS
         )
         while True:
             loaded = loader()
@@ -525,7 +517,7 @@ class BuildLease:
                 else:
                     self._store._count("lease_wait_timeouts")
                 return loaded
-            if _lock_is_stale(self.path, self._store.stale_lock_seconds):
+            if _lock_is_stale(self.path, STALE_LOCK_SECONDS):
                 try:
                     os.unlink(self.path)
                 except OSError:

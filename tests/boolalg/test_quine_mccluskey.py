@@ -49,14 +49,13 @@ class TestPrimeImplicants:
         # variables: trying every pair of implicants took about a minute.
         from repro.boolalg import clear_caches
         from repro.boolalg.simplify import simplify
-        from repro.cnf.clause import Clause
         from repro.core.extraction import group_to_constraint_expr
 
         rng = random.Random(0)
         groups = set()
         while len(groups) < 40:
             groups.add(frozenset([1, *rng.sample(range(2, 11), rng.randint(1, 3))]))
-        group = [Clause(sorted(clause)) for clause in sorted(groups, key=sorted)]
+        group = [tuple(sorted(clause)) for clause in sorted(groups, key=sorted)]
         expr = group_to_constraint_expr(group)
         assert len(expr.support()) == 10
         clear_caches()

@@ -55,18 +55,6 @@ class TestWordLevelHelpers:
                 total += values[carry] << 3
                 assert total == a_value + b_value
 
-    def test_equality_comparator(self):
-        builder = CircuitBuilder()
-        a_bits = builder.inputs(2, prefix="a")
-        b_bits = builder.inputs(2, prefix="b")
-        equal = builder.equality_comparator(a_bits, b_bits)
-        circuit = builder.circuit
-        for a_value in range(4):
-            for b_value in range(4):
-                inputs = {f"a{i}": bool((a_value >> i) & 1) for i in range(2)}
-                inputs.update({f"b{i}": bool((b_value >> i) & 1) for i in range(2)})
-                assert circuit.evaluate(inputs)[equal] == (a_value == b_value)
-
     def test_multiplier(self):
         builder = CircuitBuilder()
         a_bits = builder.inputs(3, prefix="a")

@@ -17,11 +17,6 @@ class TestGateType:
         assert GateType.BUF.is_unary
         assert not GateType.OR.is_unary
 
-    def test_min_arity(self):
-        assert GateType.INPUT.min_arity == 0
-        assert GateType.NOT.min_arity == 1
-        assert GateType.XOR.min_arity == 2
-
 
 class TestGateValidation:
     def test_source_with_fanins_rejected(self):

@@ -110,7 +110,7 @@ def outcome(parse, text: str):
         return "refused", str(error)
     return (
         "formula",
-        [clause.literals for clause in formula.clauses],
+        list(formula.clauses),
         formula.comments,
         formula.num_variables,
     )
@@ -142,7 +142,7 @@ def test_the_reader_matches_the_line_loop(text):
     if assert_matches_the_line_loop(text)[0] == "formula":
         formula = parse_dimacs(text)
         reference = parse_dimacs_reference(text)
-        offsets, literals = rows_csr([c.literals for c in reference.clauses], np.int32)
+        offsets, literals = rows_csr(reference.clauses, np.int32)
         np.testing.assert_array_equal(formula.literals, literals)
         np.testing.assert_array_equal(formula.offsets, offsets)
         assert (formula.literals.dtype, formula.offsets.dtype) == (np.int32, np.int64)
@@ -240,7 +240,7 @@ def test_the_fig1_signature_is_pinned():
 
 def test_parse_clauses_and_store_decode_share_one_signature():
     parsed = parse_dimacs(FIG1_DIMACS, name="fig1")
-    built = CNF([clause.literals for clause in parsed.clauses], num_variables=14)
+    built = CNF(parsed.clauses, num_variables=14)
     one_by_one = CNF([list(clause) for clause in parsed.clauses], num_variables=14)
     payload = encode_transform(parsed, transform_cnf(parsed))
     blob = encode_entry(KIND_TRANSFORM, FIG1_SIGNATURE, payload)

@@ -41,7 +41,7 @@ def formulas_and_deltas(draw):
         for row in draw(st.lists(st.sampled_from(rows), max_size=3)):
             rows.insert(draw(st.integers(0, len(rows))), list(draw(st.permutations(row))))
     formula = CNF(rows, num_variables=draw(st.integers(0, 8)))
-    present = [list(clause.literals) for clause in formula.clauses]
+    present = [list(clause) for clause in formula.clauses]
     retract = []
     for _ in range(draw(st.integers(0, 4))):
         if present and draw(st.integers(0, 3)):
@@ -77,7 +77,7 @@ def test_the_array_edit_matches_the_clause_list_edit(case):
             assert str(raised.value) == str(error)
         return
     edited_literals, edited_offsets, position = delta.apply(formula.literals, formula.offsets)
-    assert csr_rows(edited_literals, edited_offsets) == [clause.literals for clause in mutated]
+    assert csr_rows(edited_literals, edited_offsets) == mutated
     assert position == change_position
     assert (edited_literals.dtype, edited_offsets.dtype) == (np.int32, np.int64)
     assert not (edited_literals.flags.writeable or edited_offsets.flags.writeable)

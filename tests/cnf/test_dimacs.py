@@ -10,7 +10,7 @@ class TestParsing:
     def test_basic_document(self):
         formula = parse_dimacs("p cnf 3 2\n1 -2 0\n2 3 0\n")
         assert formula.num_variables == 3
-        assert [clause.literals for clause in formula] == [(1, -2), (2, 3)]
+        assert list(formula) == [(1, -2), (2, 3)]
 
     def test_comments_preserved(self):
         formula = parse_dimacs("c hello\np cnf 1 1\nc mid comment\n1 0\n")
@@ -19,7 +19,7 @@ class TestParsing:
 
     def test_clause_spanning_lines(self):
         formula = parse_dimacs("p cnf 3 1\n1 2\n3 0\n")
-        assert formula.clauses[0].literals == (1, 2, 3)
+        assert formula.clauses[0] == (1, 2, 3)
 
     def test_missing_header_tolerated(self):
         formula = parse_dimacs("1 -2 0\n")
@@ -77,7 +77,7 @@ class TestWriting:
         text = write_dimacs(fig1_formula)
         reparsed = parse_dimacs(text)
         assert reparsed.num_variables == fig1_formula.num_variables
-        assert [c.literals for c in reparsed] == [c.literals for c in fig1_formula]
+        assert list(reparsed) == [c for c in fig1_formula]
 
     def test_header_line(self):
         text = write_dimacs(CNF([[1, -2]], num_variables=4))

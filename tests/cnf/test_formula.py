@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.cnf.clause import Clause
 from repro.cnf.formula import CNF, rows_csr, two_input_operation_count
 from tests.corpus.generators import planted_ksat, random_horn, random_ksat
 from repro.instances.registry import get_instance, list_instances
@@ -31,19 +30,15 @@ class TestConstruction:
         with pytest.raises(AttributeError):
             formula.num_variables = 2
 
-    def test_accepts_clause_objects(self):
-        formula = CNF([Clause([1, -2]), [3, 3]])
-        assert formula.clauses == (Clause([1, -2]), Clause([3]))
+    def test_accepts_int_sequences(self):
+        formula = CNF([(1, -2), np.array([3, 3])])
+        assert formula.clauses == ((1, -2), (3,))
         assert formula == CNF([[1, -2], [3]])
 
 
 class TestAccessors:
-    def test_variables_lists_referenced_only(self):
-        formula = CNF([[1, -5]], num_variables=9)
-        assert formula.variables() == [1, 5]
-
     def test_literal_count(self):
-        assert CNF([[1, 2], [3]]).literal_count() == 3
+        assert CNF([[1, 2], [3]]).literals.size == 3
 
     def test_two_input_operation_count(self):
         # (a | ~b) & (c): one OR (1 op) + one inverter + conjunction of 2 clauses (1 op).
@@ -60,7 +55,7 @@ class TestAccessors:
     def test_iteration_and_len(self):
         formula = CNF([[1], [2]])
         assert len(formula) == 2
-        assert [clause.literals for clause in formula] == [(1,), (2,)]
+        assert list(formula) == [(1,), (2,)]
 
 
 class TestEvaluation:
@@ -94,6 +89,9 @@ class TestEquality:
 
     def test_different_clauses(self):
         assert CNF([[1, 2]]) != CNF([[1, -2]])
+        assert CNF([[1, 2]]) != CNF([[2, 1]])
+        assert CNF([[1, 2]]) != CNF([[1, 2]], num_variables=3)
+        assert CNF([[1], [2]]) != CNF([[1, 2]], num_variables=2)
 
     def test_repr_contains_counts(self):
         text = repr(CNF([[1, 2]], name="x"))
@@ -124,5 +122,5 @@ def test_operation_count_matches_the_per_literal_count(name):
     formula = _GENERATED[name]() if name in _GENERATED else get_instance(name).build_cnf()
     expected = _operation_count_per_literal(formula.clauses)
     assert formula.two_input_operation_count() == expected
-    offsets, literals = rows_csr([clause.literals for clause in formula.clauses], np.int32)
+    offsets, literals = rows_csr(formula.clauses, np.int32)
     assert two_input_operation_count(literals, offsets) == expected

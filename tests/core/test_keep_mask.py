@@ -71,6 +71,6 @@ def test_keep_mask_reads_csr_built_formulas_and_wide_variables():
         np.array([widest, -widest, -widest, widest, 1, widest, -1], dtype=np.int32),
         np.array([0, 1, 2, 3, 4, 6, 7], dtype=np.int64),
     )
-    rows = [clause.literals for clause in formula.clauses]
+    rows = list(formula.clauses)
     assert clause_keep_mask(formula.literals, formula.offsets).tolist() == keep_mask_reference(rows)
     assert keep_mask_reference(rows) == [True, True, False, False, True, True]

@@ -25,6 +25,7 @@ from repro.core.extraction import VAR_PREFIX
 from repro.core.sampler import GradientSATSampler
 from repro.core.task import DEFAULT_TASK, SamplingTask
 from repro.core.transform import transform_cnf
+from repro.engine.compiler import compiled_program_for
 from repro.instances.registry import list_instances
 from repro.serve.cache import build_artifact
 from repro.store.artifacts import load_sampling_artifact, persist_artifact
@@ -144,9 +145,11 @@ def test_round_plan_is_the_shared_skeleton():
     first = GradientSATSampler(formula, transform, _config())
     second = GradientSATSampler(formula, transform, _config(seed=12))
     assert first._plan is second._plan is transform.round_plan
-    assert first.model is second.model is transform.model
-    assert transform.round_plan.learn is first.model.program
-    assert transform.constrained_inputs() == first.model.input_order
+    assert first.transform is second.transform is transform
+    assert transform.round_plan.learn is compiled_program_for(
+        transform.circuit, transform.constraint_nets(), transform.constrained_inputs()
+    )
+    assert transform.round_plan.learn.input_width == len(transform.constrained_inputs())
     split = transform.constrained_inputs() + transform.unconstrained_inputs()
     assert sorted(split) == sorted(transform.primary_inputs)
 
@@ -182,7 +185,7 @@ def test_unconstrained_instance_and_learning_curve(dtype, monkeypatch):
     # x2 = x1 is a pure definition: no constraints, so no model to learn.
     formula = CNF([[2, -1], [-2, 1]], num_variables=4, name="buf-free")
     transform = transform_cnf(formula)
-    assert transform.round_plan.learn is None and transform.model is None
+    assert transform.round_plan.learn is None
     config = _config(batch_size=8)
     assert_rounds_match_oracle(formula, transform, config, DEFAULT_TASK, monkeypatch, dtype)
     for source in (formula, _instance("s9234a_3_2")[0]):

@@ -3,12 +3,11 @@
 import pytest
 
 from repro.circuit.gates import GateType
-from repro.cnf.clause import Clause
 from repro.core.signatures import gate_signature_clauses, match_gate_signature
 
 
 def _as_clauses(raw):
-    return [Clause(clause) for clause in raw]
+    return [tuple(clause) for clause in raw]
 
 
 class TestSignatureGeneration:

@@ -154,7 +154,7 @@ class TestRoundTripFromCircuit:
 
 def _free_variables_reference(clauses, num_variables):
     """Variables no literal of ``clauses`` mentions, by a plain set scan."""
-    mentioned = {abs(literal) for clause in clauses for literal in clause.literals}
+    mentioned = {abs(literal) for clause in clauses for literal in clause}
     return [f"x{v}" for v in range(1, num_variables + 1) if v not in mentioned]
 
 
@@ -187,7 +187,7 @@ class TestFreeVariables:
         kept = [
             clause
             for clause in formula.clauses
-            if not any(-literal in clause.literals for literal in clause.literals)
+            if not any(-literal in clause for literal in clause)
         ]
         assert transform_cnf(formula).free_variables == _free_variables_reference(
             kept, num_variables

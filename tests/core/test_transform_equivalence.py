@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from repro.boolalg.expr import And, Not, Or, Var, Xor
 from repro.boolalg.simplify import EXACT_SIMPLIFY_MAX_VARS, is_flat_literal_gate, simplify
 from repro.boolalg.truth_table import equivalent, is_complement, truth_table
-from repro.cnf.clause import Clause
 from repro.cnf.formula import CNF
 from repro.core.extraction import find_boolean_expression, group_to_constraint_expr
 from repro.core.signatures import gate_signature_clauses
@@ -262,7 +261,7 @@ class TestTransformEquivalence:
         assert_completions_identical(fast, reference)
         group = formula.clauses[group_slice]
         # Only the width gate rejects v: a wider budget defines it.
-        v_group = [clause for clause in group if 1 in clause.literals or -1 in clause.literals]
+        v_group = [clause for clause in group if 1 in clause or -1 in clause]
         assert find_boolean_expression(1, v_group, max_vars=20) is not None
         assert "x1" not in dict(fast.definitions)
         # The group is the first flushed one, kept verbatim: simplification
@@ -371,7 +370,7 @@ class TestExtractionFastPath:
         clauses = [
             clause
             for clause in formula.clauses
-            if variable in clause.literals or -variable in clause.literals
+            if variable in clause or -variable in clause
         ]
         fast = find_boolean_expression(variable, clauses)
         reference = oracle.find_boolean_expression(variable, clauses)
@@ -383,7 +382,7 @@ class TestExtractionFastPath:
         clauses = [
             clause
             for clause in formula.clauses
-            if variable in clause.literals or -variable in clause.literals
+            if variable in clause or -variable in clause
         ]
         fast = find_boolean_expression(variable, clauses, max_vars=max_vars)
         reference = oracle.find_boolean_expression(variable, clauses, max_vars=max_vars)
@@ -391,10 +390,10 @@ class TestExtractionFastPath:
 
     def test_unit_clause_pair_definitions(self):
         # (v) alone defines v := TRUE; (v) & (~v) defines nothing.
-        assert find_boolean_expression(1, [Clause([1])]) == oracle.find_boolean_expression(
-            1, [Clause([1])]
+        assert find_boolean_expression(1, [(1,)]) == oracle.find_boolean_expression(
+            1, [(1,)]
         )
-        pair = [Clause([1]), Clause([-1])]
+        pair = [(1,), (-1,)]
         assert find_boolean_expression(1, pair) is None
         assert oracle.find_boolean_expression(1, pair) is None
 

@@ -20,9 +20,9 @@ import numpy as np
 import pytest
 
 from repro.core.config import SamplerConfig
-from repro.core.model import ProbabilisticCircuitModel
 from repro.core.sampler import GradientSATSampler
 from repro.core.transform import transform_cnf
+from repro.engine.compiler import compiled_program_for
 from repro.engine.executor import backward, forward
 from tests.engine.conftest import random_circuit
 from tests.oracles.interpreter import InterpreterModel, use_interpreter
@@ -40,15 +40,15 @@ XOR_ROWS_SHA256 = "6d1bccaa2d62ae6f83d99207620a37e3518e35594179767dc1a5e12b72e7c
 
 
 def _compare_forward_backward(circuit, outputs, rng, batch=8):
-    engine = ProbabilisticCircuitModel(circuit, output_nets=outputs)
     interpreter = InterpreterModel(circuit, output_nets=outputs)
-    probabilities = rng.random((batch, engine.num_inputs)).astype(np.float32)
-    out_e, cache = forward(engine.program, probabilities)
+    program = compiled_program_for(circuit, outputs, interpreter.input_order)
+    probabilities = rng.random((batch, program.input_width)).astype(np.float32)
+    out_e, cache = forward(program, probabilities)
     tensor_i = Tensor(probabilities.copy(), requires_grad=True)
     out_i = interpreter.forward(tensor_i)
     assert np.array_equal(out_e, out_i.data), "forward passes diverged"
     seed_grad = rng.random(out_e.shape).astype(np.float32)
-    grad_e = backward(engine.program, cache, seed_grad)
+    grad_e = backward(program, cache, seed_grad)
     out_i.backward(seed_grad)
     assert tensor_i.grad is not None
     np.testing.assert_allclose(grad_e, tensor_i.grad, rtol=0.0, atol=GRAD_TOLERANCE)
@@ -63,22 +63,21 @@ class TestForwardBackwardEquivalence:
 
     def test_fig1_cone(self, fig1_formula, rng):
         transform = transform_cnf(fig1_formula)
-        engine = ProbabilisticCircuitModel.from_transform(transform)
+        program = transform.round_plan.learn
         interpreter = InterpreterModel.from_transform(transform)
-        probabilities = rng.random((16, engine.num_inputs)).astype(np.float32)
-        out_e, cache = forward(engine.program, probabilities)
+        probabilities = rng.random((16, program.input_width)).astype(np.float32)
+        out_e, cache = forward(program, probabilities)
         tensor_i = Tensor(probabilities.copy(), requires_grad=True)
         out_i = interpreter.forward(tensor_i)
         assert np.array_equal(out_e, out_i.data)
-        grad_e = backward(engine.program, cache, np.ones_like(out_e))
+        grad_e = backward(program, cache, np.ones_like(out_e))
         out_i.sum().backward()
         np.testing.assert_allclose(grad_e, tensor_i.grad, rtol=0.0, atol=GRAD_TOLERANCE)
 
     def test_gradients_match_finite_differences(self, rng):
         circuit = random_circuit(rng, num_inputs=4, num_gates=12, num_outputs=2)
-        model = ProbabilisticCircuitModel(circuit, list(circuit.outputs))
-        program = model.program
         reference = InterpreterModel(circuit, list(circuit.outputs))
+        program = compiled_program_for(circuit, reference.output_nets, reference.input_order)
         base = rng.random((1, program.input_width)) * 0.8 + 0.1
         outputs, cache = forward(program, base)
         grad = backward(program, cache, np.ones_like(outputs))

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.core.config import SamplerConfig
-from repro.core.model import ProbabilisticCircuitModel
 from repro.core.transform import transform_cnf
 from repro.engine.train import descend
 from tests.oracles.interpreter import InterpreterModel, regression_loss, target_matrix
@@ -31,18 +30,17 @@ def test_descend_matches_the_interpreter_loop(instance, dtype):
     from repro.instances.registry import get_instance
 
     rng = np.random.default_rng(11)
-    model = ProbabilisticCircuitModel.from_transform(
-        transform_cnf(get_instance(instance).build_cnf())
-    )
-    interpreter = InterpreterModel.of(model)
+    transform = transform_cnf(get_instance(instance).build_cnf())
+    program = transform.round_plan.learn
+    interpreter = InterpreterModel.from_transform(transform)
     config = SamplerConfig(learning_rate=10.0)
     # float64, like the sampler's draws: descend casts, the tape follows.
-    start = rng.normal(size=(16, model.num_inputs))
-    targets = target_matrix(16, model.output_nets)
+    start = rng.normal(size=(16, program.input_width))
+    targets = target_matrix(16, program.output_nets)
 
     parameter = Tensor(start.astype(dtype), requires_grad=True)
     tape_optimizer = tape_optim.SGD([parameter], lr=config.learning_rate)
-    steps = descend(model.program, start, config)
+    steps = descend(program, start, config)
     for _ in range(4):
         tape_optimizer.zero_grad()
         loss = regression_loss(interpreter(sigmoid(parameter)), targets)

@@ -2,13 +2,11 @@
 
 import pytest
 
-from repro.baselines.cmsgen_like import CMSGenStyleSampler
 from repro.core.config import SamplerConfig
 from repro.eval.runner import (
     RunRecord,
     ThisWorkSampler,
     default_samplers,
-    run_matrix,
     run_sampler_on_instance,
 )
 
@@ -65,13 +63,3 @@ class TestRunners:
         line_up = default_samplers(config=quick_config)
         names = [sampler.name for sampler in line_up]
         assert names == ["this-work", "unigen-style", "cmsgen-style", "diffsampler-style"]
-
-    def test_run_matrix(self, fig1_formula, tiny_sat_formula, quick_config):
-        records = run_matrix(
-            [ThisWorkSampler(config=quick_config), CMSGenStyleSampler(seed=0)],
-            [fig1_formula, tiny_sat_formula],
-            num_solutions=4,
-            timeout_seconds=20,
-        )
-        assert len(records) == 4
-        assert {record.sampler_name for record in records} == {"this-work", "cmsgen-style"}

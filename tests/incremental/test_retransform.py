@@ -147,7 +147,7 @@ def test_retransform_matches_reference_path(case):
 def test_chained_deltas_compose():
     formula = planted_ksat(14, 36, 3, seed=5)
     first = ClauseDelta(assume=(3,))
-    second = ClauseDelta(add=((1, -2, 14),), retract=(tuple(formula.clauses[0].literals),))
+    second = ClauseDelta(add=((1, -2, 14),), retract=(formula.clauses[0],))
     prev = transform_cnf(formula)
     step_one = retransform(prev, first)
     step_two = retransform(step_one, second)
@@ -208,7 +208,7 @@ def test_graft_never_redefines_a_new_primary_input(name):
 
     formula = get_instance(name).build_cnf()
     clauses = list(formula.clauses)
-    delta = ClauseDelta(retract=(tuple(clauses[len(clauses) // 2].literals),))
+    delta = ClauseDelta(retract=(clauses[len(clauses) // 2],))
     fast = retransform(transform_cnf(formula), delta)
     cold = transform_cnf(formula.with_delta(delta))
     assert_records_match(fast, cold)
@@ -237,7 +237,7 @@ def test_a_duplicate_split_by_the_change_position_matches_the_reference(kind):
     # exactly as a stream over the whole mutated sequence does.
     from repro.instances.registry import get_instance
 
-    rows = [list(clause.literals) for clause in get_instance("or-50-10-7-UC-10").build_cnf()]
+    rows = [list(clause) for clause in get_instance("or-50-10-7-UC-10").build_cnf()]
     unit = rows[0][0]
     rows.insert(1, [unit])
     middle = len(rows) // 2

@@ -25,7 +25,7 @@ class TestOrInstances:
     def test_deterministic(self):
         a, _ = generate_or_instance(num_inputs=15, seed=3)
         b, _ = generate_or_instance(num_inputs=15, seed=3)
-        assert [c.literals for c in a] == [c.literals for c in b]
+        assert list(a) == list(b)
 
     def test_too_few_inputs_rejected(self):
         with pytest.raises(ValueError):
@@ -70,7 +70,7 @@ class TestIscasInstances:
         unit_values = {}
         for clause in formula.clauses:
             if len(clause) == 1:
-                literal = clause.literals[0]
+                literal = clause[0]
                 unit_values[abs(literal)] = literal > 0
         assert len(unit_values) >= 2
 

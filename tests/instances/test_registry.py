@@ -63,7 +63,7 @@ class TestBuilding:
         entry = get_instance(name)
         first, _ = entry.build()
         second, _ = entry.build()
-        assert [c.literals for c in first] == [c.literals for c in second]
+        assert list(first) == list(second)
         assert first.name == name
 
     def test_build_cnf_shortcut(self):
@@ -73,4 +73,4 @@ class TestBuilding:
     def test_different_instances_differ(self):
         first = get_instance("75-10-1-q").build_cnf()
         second = get_instance("75-10-10-q").build_cnf()
-        assert [c.literals for c in first] != [c.literals for c in second]
+        assert list(first) != list(second)

@@ -48,7 +48,7 @@ class TestRoundTripCounts:
         builder = CircuitBuilder("cmp")
         a_bits = builder.inputs(3, prefix="a")
         b_bits = builder.inputs(3, prefix="b")
-        equal = builder.equality_comparator(a_bits, b_bits)
+        equal = builder.and_(*(builder.xnor_(a, b) for a, b in zip(a_bits, b_bits)))
         builder.output(equal)
         formula, _ = circuit_to_cnf(builder.circuit, output_constraints={equal: True})
         formula.name = "cmp-eq"

@@ -6,7 +6,6 @@ from repro.cnf.formula import CNF
 from repro.metrics.quality import (
     hamming_diversity,
     pairwise_hamming_histogram,
-    solution_statistics,
     uniqueness_rate,
     validity_rate,
 )
@@ -66,9 +65,3 @@ class TestHistogramAndBundle:
         counts, edges = pairwise_hamming_histogram(matrix, bins=4)
         assert counts.sum() == 3  # C(3, 2)
         assert len(edges) == 5
-
-    def test_solution_statistics_bundle(self, tiny_sat_formula):
-        matrix = np.array([[False, True, False], [True, False, True]])
-        stats = solution_statistics(tiny_sat_formula, matrix)
-        assert set(stats) == {"validity_rate", "uniqueness_rate", "hamming_diversity"}
-        assert stats["uniqueness_rate"] == 1.0

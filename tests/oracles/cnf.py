@@ -29,7 +29,7 @@ from repro.cnf.kernel import CNFEvalPlan
 
 def clause_evaluate_reference(clause, assignment: Dict[int, bool]) -> bool:
     """Evaluate ``clause`` under a complete assignment ``{variable: bool}``."""
-    for literal in clause.literals:
+    for literal in clause:
         value = assignment[abs(literal)]
         if value == (literal > 0):
             return True

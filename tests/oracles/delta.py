@@ -1,21 +1,22 @@
-"""Reference oracle: a clause delta applied to a list of clause objects.
+"""Reference oracle: a clause delta applied to a list of clause rows.
 
 Before :meth:`ClauseDelta.apply <repro.cnf.delta.ClauseDelta.apply>` edited
-a formula's CSR arrays, it walked a list of :class:`Clause` objects: each
-retraction searched the remaining list for an equal clause (equal literal
-set) and deleted it, then the ``add`` clauses and the ``assume`` units were
-appended.  This is that method, verbatim; the array edit must give the
-same clauses, change position and error.
+a formula's CSR arrays, it walked a list of clauses: each retraction
+searched the remaining list for the first clause with the same literal set
+and deleted it, then the ``add`` clauses and the ``assume`` units were
+appended.  This is that walk over ``int`` tuples (clauses have no repeated
+literal, so equal sets are equal sorted tuples); the array edit must give
+the same clauses, change position and error.
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from repro.cnf.clause import Clause
+Row = Tuple[int, ...]
 
 
-def apply_reference(delta, clauses: Sequence[Clause]) -> Tuple[List[Clause], int]:
+def apply_reference(delta, clauses: Sequence[Row]) -> Tuple[List[Row], int]:
     """Apply ``delta`` to a clause sequence.
 
     Returns ``(mutated clause list, change position)`` where the change
@@ -26,12 +27,12 @@ def apply_reference(delta, clauses: Sequence[Clause]) -> Tuple[List[Clause], int
     mutated = list(clauses)
     change_position = len(mutated)
     for clause in delta.retract:
-        try:
-            index = mutated.index(clause)
-        except ValueError:
+        key = sorted(clause)
+        index = next((i for i, row in enumerate(mutated) if sorted(row) == key), None)
+        if index is None:
             raise ValueError(
-                f"cannot retract {clause!r}: no matching clause in the formula"
-            ) from None
+                f"cannot retract {list(clause)}: no matching clause in the formula"
+            )
         del mutated[index]
         change_position = min(change_position, index)
     mutated.extend(delta.appended_clauses())

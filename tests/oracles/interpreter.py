@@ -7,9 +7,10 @@ the engine (:mod:`repro.engine`); this module keeps the interpreter as
 executable documentation of Table I and as the oracle the engine is pinned
 to, bit for bit:
 
-* :class:`InterpreterModel` — the per-gate forward pass (a
-  :class:`~repro.core.model.ProbabilisticCircuitModel` whose ``forward``
-  returns a tape :class:`~tests.oracles.tensor.tensor.Tensor`);
+* :class:`InterpreterModel` — the per-gate forward pass over a circuit
+  cone, returning a tape :class:`~tests.oracles.tensor.tensor.Tensor`; for
+  a transform it is the cone and column order of
+  :attr:`RoundPlan.learn <repro.core.transform.RoundPlan.learn>`;
 * :func:`learn_constrained_inputs` and :func:`learning_curve` — the
   interpreter's learning loops, written as drop-in replacements for the
   sampler's engine-backed methods;
@@ -25,14 +26,15 @@ dtype=np.float32)`` casts the draws first, for a same-precision comparison.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.circuit.gates import GateType
-from repro.core.model import ProbabilisticCircuitModel
+from repro.circuit.netlist import Circuit
 from repro.core.sampler import GradientSATSampler
 from repro.core.solutions import SolutionSet
+from repro.core.transform import TransformResult
 from tests.oracles.tensor.functional import (
     l2_loss,
     prob_and,
@@ -63,13 +65,38 @@ _GATE_FUNCTIONS = {
 }
 
 
-class InterpreterModel(ProbabilisticCircuitModel):
-    """The constrained cone evaluated gate by gate on the autodiff tape."""
+class InterpreterModel:
+    """The cone of ``output_nets`` evaluated gate by gate on the autodiff tape.
+
+    Its columns are ``input_order``, by default the cone's primary inputs in
+    the circuit's input order.
+    """
+
+    def __init__(
+        self,
+        circuit: Circuit,
+        output_nets: Sequence[str],
+        input_order: Optional[Sequence[str]] = None,
+    ) -> None:
+        self.circuit = circuit
+        self.output_nets: List[str] = list(output_nets)
+        if input_order is None:
+            cone = circuit.transitive_fanin(self.output_nets)
+            input_order = [name for name in circuit.inputs if name in cone]
+        self.input_order: List[str] = list(input_order)
+
+    @property
+    def num_inputs(self) -> int:
+        return len(self.input_order)
 
     @classmethod
-    def of(cls, model: ProbabilisticCircuitModel) -> "InterpreterModel":
-        """The interpreter for the same cone and input order as ``model``."""
-        return cls(model.circuit, model.output_nets, model.input_order)
+    def from_transform(cls, transform: TransformResult) -> "InterpreterModel":
+        """The constrained cone with the columns of ``round_plan.learn``."""
+        return cls(
+            transform.circuit,
+            transform.constraint_nets(),
+            transform.round_plan.constrained_inputs,
+        )
 
     def schedule(self) -> List[str]:
         """The cone's nets in the circuit's topological order."""
@@ -208,7 +235,7 @@ def learn_constrained_inputs(
 
     Learns in ``dtype``: the sampler's ``float64`` draws are cast to it.
     """
-    model = InterpreterModel.of(sampler.model)
+    model = InterpreterModel.from_transform(sampler.transform)
     return _learn_batch(
         model,
         batch_size,
@@ -230,14 +257,14 @@ def learning_curve(
     batch = batch_size or sampler.config.batch_size
     solutions = SolutionSet(sampler.formula.num_variables, project=sampler._projection)
     curve: List[int] = []
-    if sampler.model is None:
+    if sampler._plan.learn is None:
         for _ in range(max_iterations + 1):
             assignments, valid_mask, _ = sampler._random_round(batch)
             solutions.add_batch(assignments, valid_mask)
             curve.append(len(solutions))
         return curve
 
-    model = InterpreterModel.of(sampler.model)
+    model = InterpreterModel.from_transform(sampler.transform)
     soft_inputs = Tensor(
         sampler._draw_initial_soft_inputs(batch).astype(dtype), requires_grad=True
     )

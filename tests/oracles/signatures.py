@@ -16,6 +16,6 @@ def formula_signature_v1(formula) -> str:
     digest = hashlib.sha256()
     digest.update(f"p {formula.num_variables}\n".encode())
     for clause in formula.clauses:
-        digest.update(" ".join(str(literal) for literal in clause.literals).encode())
+        digest.update(" ".join(str(literal) for literal in clause).encode())
         digest.update(b"\n")
     return digest.hexdigest()

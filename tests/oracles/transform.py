@@ -42,7 +42,6 @@ from repro.boolalg.expr import And, Const, Expr, FALSE, Not, Or, TRUE, Var, Xor
 from repro.boolalg.quine_mccluskey import minimize_minterms
 from repro.boolalg.simplify import EXACT_SIMPLIFY_MAX_VARS, simplify_algebraic
 from repro.boolalg.truth_table import MAX_ENUMERATION_VARS
-from repro.cnf.clause import Clause
 from repro.cnf.formula import CNF, csr_rows
 from repro.core.extraction import (
     VAR_PREFIX,
@@ -60,7 +59,7 @@ from repro.core.transform import (
     finish_transform,
 )
 from tests.oracles.bdd import BDD
-from tests.oracles.delta import apply_reference
+from tests.oracles.delta import Row, apply_reference
 
 
 # -- truth-table queries by per-row enumeration ------------------------------------------
@@ -158,13 +157,13 @@ def simplify(expr: Expr, exact_max_vars: int = EXACT_SIMPLIFY_MAX_VARS) -> Expr:
 # -- extraction with rebuilt clause remainders -------------------------------------------
 
 def expression_for_literal(
-    literal: int, clauses: Sequence[Clause], prefix: str = VAR_PREFIX
+    literal: int, clauses: Sequence[Row], prefix: str = VAR_PREFIX
 ) -> Expr:
     """Conjunction of the remainders of the clauses containing ``-literal``."""
     complement = -literal
     conjuncts = []
     for clause in clauses:
-        if complement in clause.literals:
+        if complement in clause:
             remaining = [lit for lit in clause if lit != complement]
             if not remaining:
                 conjuncts.append(FALSE)
@@ -177,7 +176,7 @@ def expression_for_literal(
 
 def find_boolean_expression(
     variable: int,
-    clauses: Sequence[Clause],
+    clauses: Sequence[Row],
     prefix: str = VAR_PREFIX,
     max_vars: int = 16,
 ) -> Optional[Expr]:
@@ -185,7 +184,7 @@ def find_boolean_expression(
     if not clauses:
         return None
     for clause in clauses:
-        if variable not in clause.literals and -variable not in clause.literals:
+        if variable not in clause and -variable not in clause:
             return None
     positive_expr = expression_for_literal(variable, clauses, prefix)
     negative_expr = expression_for_literal(-variable, clauses, prefix)
@@ -271,7 +270,7 @@ class _ReferenceState:
             self.primary_outputs[name] = expr.value
             self.stats.constant_definitions += 1
 
-    def flush_group(self, buffer: Sequence[Clause]) -> None:
+    def flush_group(self, buffer: Sequence[Row]) -> None:
         if not buffer:
             return
         expr = group_to_constraint_expr(buffer)
@@ -290,7 +289,7 @@ class _ReferenceState:
 def _try_definition(
     state: _ReferenceState,
     variable: int,
-    subgroup: Sequence[Clause],
+    subgroup: Sequence[Row],
 ) -> Optional[Expr]:
     match = match_gate_signature(variable, subgroup)
     if match is not None and not any(
@@ -304,9 +303,9 @@ def _try_definition(
     return expr
 
 
-def _stream_reference(clauses: Sequence[Clause], state: _ReferenceState) -> None:
+def _stream_reference(clauses: Sequence[Row], state: _ReferenceState) -> None:
     """Append each clause, rescan the buffer for a definition, flush."""
-    buffer: List[Clause] = []
+    buffer: List[Row] = []
 
     def try_accept() -> bool:
         candidate_order: List[int] = []
@@ -323,7 +322,7 @@ def _stream_reference(clauses: Sequence[Clause], state: _ReferenceState) -> None
             subgroup = [
                 clause
                 for clause in buffer
-                if variable in clause.literals or -variable in clause.literals
+                if variable in clause or -variable in clause
             ]
             expr = _try_definition(state, variable, subgroup)
             if expr is not None:
@@ -341,9 +340,9 @@ def _stream_reference(clauses: Sequence[Clause], state: _ReferenceState) -> None
 
     seen_clauses: Set[frozenset] = set()
     for position, clause in enumerate(clauses):
-        if any(-literal in clause.literals for literal in clause.literals):
+        if any(-literal in clause for literal in clause):
             continue
-        clause_key = frozenset(clause.literals)
+        clause_key = frozenset(clause)
         if clause_key in seen_clauses:
             continue
         seen_clauses.add(clause_key)
@@ -396,8 +395,7 @@ def retransform_reference(prev: TransformResult, delta) -> TransformResult:
     replay = prev.replay
     if delta.is_empty:
         return prev
-    consumed = [Clause.unchecked(row) for row in csr_rows(replay.literals, replay.offsets)]
-    mutated, _ = apply_reference(delta, consumed)
+    mutated, _ = apply_reference(delta, csr_rows(replay.literals, replay.offsets))
     num_variables = prev.num_variables
     for clause in delta.appended_clauses():
         for literal in clause:

@@ -64,14 +64,14 @@ class TestDispatcher:
         assert dispatcher.choose("hot") == 1
 
     def test_spill_when_warm_worker_backlogged(self):
-        dispatcher = Dispatcher(num_workers=2, spill_threshold=2)
+        dispatcher = Dispatcher(num_workers=2)
         for _ in range(4):
             dispatcher.record_dispatch(0, "hot")
         # backlog 4 vs 0: exceeds threshold, spill to the cold worker
         assert dispatcher.choose("hot") == 1
 
     def test_within_threshold_stays_warm(self):
-        dispatcher = Dispatcher(num_workers=2, spill_threshold=2)
+        dispatcher = Dispatcher(num_workers=2)
         dispatcher.record_dispatch(0, "hot")
         dispatcher.record_dispatch(0, "hot")
         assert dispatcher.choose("hot") == 0

@@ -349,6 +349,26 @@ class TestSourceMemo:
             )
         assert hit.solutions.to_matrix().tobytes() == miss.solutions.to_matrix().tobytes()
 
+    def test_file_edited_after_a_memo_hit_submit_fails_its_job(self, tmp_path):
+        # One cache entry: the second formula evicts the first one's
+        # artifact, so the memo-hit job re-reads the path when it runs.
+        text = "p cnf 3 2\n1 2 0\n-1 3 0\n"
+        path = tmp_path / "a.cnf"
+        path.write_text(text)
+        with SamplingService(num_workers=0, cache_entries=1) as service:
+            first = service.result(service.submit(str(path), num_solutions=4, config=CONFIG))
+            assert first.status == "done"
+            service.result(service.submit(FIG1_DIMACS, num_solutions=4, config=CONFIG))
+            edited = service.submit(str(path), num_solutions=4, config=CONFIG)
+            path.write_text("p cnf 3 3\n-1 0\n-2 0\n-3 0\n")
+            result = service.result(edited)
+            assert result.status == "error"
+            assert f"{path}: the source changed since the job was submitted" in result.error
+            later = service.result(service.submit(text, num_solutions=4, config=CONFIG))
+        rows = later.solutions.to_matrix()
+        assert later.status == "done" and rows.shape[0] > 0
+        assert parse_dimacs(text).evaluate_batch(rows).all()
+
     def test_malformed_dimacs_raises_on_every_submit(self, service, tmp_path):
         path = tmp_path / "bad.cnf"
         path.write_text("p cnf 2 1\n1 x 0\n")

@@ -13,6 +13,7 @@ from repro import obs
 from repro.cnf.dimacs import parse_dimacs
 from repro.core.config import SamplerConfig
 from repro.core.sampler import GradientSATSampler
+from repro.core.signatures import formula_signature
 from repro.serve import RetryPolicy, SamplingService
 from repro.serve.workers import MSG_DONE, MSG_ERROR, MSG_ROUND, execute_task, pack_rows, unpack_rows
 from tests.conftest import FIG1_DIMACS
@@ -209,6 +210,42 @@ class TestWorkerUnits:
         assert kind == MSG_ERROR
         assert key == ("job", 0)
         assert "FileNotFoundError" in payload["error"]
+
+    def test_execute_task_refuses_a_source_changed_since_submit(self, tmp_path):
+        from repro.serve.cache import ArtifactCache
+        from repro.serve.jobs import config_to_dict, read_source
+
+        text = "p cnf 3 2\n1 2 0\n-1 3 0\n"
+        path = tmp_path / "a.cnf"
+        path.write_text(text)
+        source = {"path": str(path)}
+        task = {
+            "key": ("job", 0),
+            "group": "job",
+            "source": source,
+            "digest": read_source(source)[0],
+            "signature": formula_signature(parse_dimacs(text)),
+            "config": config_to_dict(CONFIG),
+            "num_solutions": 4,
+        }
+        cache = ArtifactCache()
+        messages = []
+
+        def run():
+            messages.clear()
+            execute_task(
+                task, cache, should_stop=None, emit=lambda *message: messages.append(message)
+            )
+            return messages[-1]
+
+        path.write_text("p cnf 3 3\n-1 0\n-2 0\n-3 0\n")
+        kind, _, payload = run()
+        assert [message[0] for message in messages] == [MSG_ERROR]
+        assert f"{path}: the source changed since the job was submitted" in payload["error"]
+        assert len(cache) == 0
+        path.write_text(text)
+        kind, _, payload = run()
+        assert kind == MSG_DONE and payload["summary"]["unique_solutions"] > 0
 
     def test_execute_task_skips_cancelled_group(self, fig1):
         from repro.serve.cache import ArtifactCache

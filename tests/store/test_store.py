@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.store import ArtifactStore
+from repro.store import store as store_module
 from repro.store.format import encode_entry
 from tests.store.conftest import flat
 
@@ -196,8 +197,9 @@ class TestBuildLease:
         path.write_text(f"{dead_pid} {socket.gethostname()} {time.time()}\n")
         assert store.lease("sig").acquire()
 
-    def test_stale_lock_is_broken_by_age(self, tmp_path):
-        store = ArtifactStore(tmp_path, stale_lock_seconds=0.01)
+    def test_stale_lock_is_broken_by_age(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(store_module, "STALE_LOCK_SECONDS", 0.01)
+        store = ArtifactStore(tmp_path)
         path = store.lock_path("sig")
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text("not-a-pid\n")

@@ -81,7 +81,7 @@ def assert_same_transform(decoded, built, timings=True):
 def assert_round_trips(formula, transform):
     decoded_formula, decoded = round_trip(formula, transform)
     assert decoded_formula == formula
-    assert [c.literals for c in decoded_formula.clauses] == [c.literals for c in formula.clauses]
+    assert list(decoded_formula.clauses) == list(formula.clauses)
     assert (decoded_formula.name, decoded_formula.comments) == (formula.name, formula.comments)
     assert_same_transform(decoded, transform)
     # The replay is the decoded formula's own read-only CSR, not a copy.

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.solutions import SolutionSet
 from repro.eval.runner import RunRecord
-from repro.io.results_io import load_run_records_json, run_records_to_csv, run_records_to_json
+from repro.io.results_io import run_records_to_csv, run_records_to_json
 from repro.io.solutions_io import (
     parse_solutions_text,
     read_solutions_file,
@@ -70,14 +70,10 @@ class TestResultsIO:
 
     def test_json_export_and_load(self):
         text = run_records_to_json(self._records())
-        rows = load_run_records_json(text)
+        rows = json.loads(text)
         assert len(rows) == 2
         assert rows[0]["throughput"] == pytest.approx(200.0)
         assert rows[1]["timed_out"] is True
-
-    def test_json_rejects_non_list(self):
-        with pytest.raises(ValueError):
-            load_run_records_json(json.dumps({"not": "a list"}))
 
     def test_csv_export(self):
         text = run_records_to_csv(self._records())

@@ -149,7 +149,7 @@ def test_weighted_solutions_stay_valid_and_marginals_shift():
     # Bernoulli draws are directly observable in the solutions.
     base = planted()
     formula = CNF(
-        [list(clause.literals) for clause in base.clauses],
+        [list(clause) for clause in base.clauses],
         num_variables=18,
         name="free-tail",
     )

@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.cnf import CNF, Clause, ClauseDelta, compile_evaluation_plan
+from repro.cnf import CNF, ClauseDelta, compile_evaluation_plan
 from repro.cnf.formula import csr_rows
 from repro.core.task import DEFAULT_TASK, SamplingTask
 from repro.serve.jobs import SamplingJob, normalize_source
@@ -99,8 +99,8 @@ class TestClauseDelta:
     def test_empty_and_append_only(self):
         assert ClauseDelta().is_empty
         assert not ClauseDelta(add=((1, 2),)).is_empty
-        assert ClauseDelta(add=((1, 2),), assume=(3,)).is_append_only
-        assert not ClauseDelta(retract=((1, 2),)).is_append_only
+        assert ClauseDelta(add=((1, 2),), assume=(3,)).appended_clauses() == ((1, 2), (3,))
+        assert ClauseDelta(retract=((1, 2),)).appended_clauses() == ()
 
     def test_assume_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -152,7 +152,7 @@ class TestFormulaDelta:
     def test_retract_clause(self):
         formula = small_formula()
         retracted = formula.with_delta(ClauseDelta(retract=([3, -1],)))
-        assert Clause([-1, 3]) not in retracted.clauses
+        assert (-1, 3) not in retracted.clauses
         assert retracted.clauses == formula.clauses[:1] + formula.clauses[2:]
         assert formula.num_clauses == 4  # original untouched
         with pytest.raises(ValueError, match="cannot retract"):
@@ -194,7 +194,7 @@ class TestFormulaDelta:
         batch = rng.random((64, mutated.num_variables)) < 0.5
         slow = np.array([
             all(c.evaluate_bool_row(row) if hasattr(c, "evaluate_bool_row")
-                else any(row[abs(l) - 1] == (l > 0) for l in c.literals)
+                else any(row[abs(l) - 1] == (l > 0) for l in c)
                 for c in mutated.clauses)
             for row in batch
         ])

@@ -119,7 +119,7 @@ class TestBackendRNG:
         sampler = GradientSATSampler(fig1_formula, config=SamplerConfig(seed=4))
         draw = sampler._draw_initial_soft_inputs(6)
         expected = np.random.default_rng(4).normal(
-            0.0, 1.0, size=(6, sampler.model.num_inputs)
+            0.0, 1.0, size=(6, sampler.transform.round_plan.learn.input_width)
         )
         # Drawn in float64 (the stream of the float64 reference); the GD
         # loop casts it.
