@@ -48,7 +48,7 @@ def warm_native_kernels():
     """
     from repro import native
 
-    native.kernels_for(None)  # build the C tier, or silently none
+    native.kernels_for(None)  # build the C tier; raises BackendUnavailableError if it cannot
 
 
 def obs_max_overhead() -> float:

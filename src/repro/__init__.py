@@ -6,15 +6,14 @@ Public API surface: the most common entry points are re-exported here.
 * :func:`repro.transform_cnf` — Algorithm 1 only (CNF -> multi-level function)
 * :class:`repro.GradientSATSampler` — the paper's sampler
 * :class:`repro.SamplerConfig` — hyper-parameters (lr=10, 5 iterations, ...)
-* :mod:`repro.engine` — the compiled levelized execution engine: the one
+* :mod:`repro.engine` — the compiled execution engine: the one
   evaluation path and the one gradient-descent loop of the differentiable
   circuit core
 * learning runs in ``float32`` on NumPy arrays, with no dtype option; the
   ``float64`` reference lives in the test oracles
 * :func:`repro.clear_caches` — drop every memoised compiled artifact
-* :mod:`repro.native` — the on-demand C tier for the engine's hot loops,
-  used exactly when it builds (``REPRO_NATIVE=off`` switches it off for the
-  whole process)
+* :mod:`repro.native` — the C kernels the engine runs on, compiled on
+  demand with the system C compiler (required; there is no fallback)
 * :mod:`repro.baselines` — UniGen/CMSGen/QuickSampler/DiffSampler-style baselines
 * :mod:`repro.instances` — synthetic benchmark-instance generators (Table II families)
 * :mod:`repro.eval` — throughput harness and table/figure builders

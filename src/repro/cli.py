@@ -657,8 +657,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro import native
 
         try:
-            native.active_tier()  # probe the engine tier, reading $REPRO_NATIVE
-        except ValueError as error:
+            native.active_tier()  # the engine needs the C tier; fail before any work
+        except native.BackendUnavailableError as error:
             print(f"repro-sat: error: {error}", file=sys.stderr)
             return 2
     if arguments.command == "sample":

@@ -6,9 +6,8 @@ per instance (the paper sweeps 100 to 1,000,000; the default here is sized
 for CPU-hosted NumPy execution).
 
 Neither the float dtype nor the engine tier is a field here.  The learning
-arrays are always ``float32`` (:mod:`repro.engine.train`); the platform picks
-the tier (the on-demand C kernels or the NumPy paths, bitwise identical), and
-``REPRO_NATIVE=off`` is the one process-wide switch (:mod:`repro.native`).
+arrays are always ``float32`` (:mod:`repro.engine.train`), and the engine
+has one tier, the on-demand C kernels of :mod:`repro.native`.
 
 Nor is any deployment setting: a config holds the sampler's
 hyper-parameters and nothing else.  The artifact store is an argument of

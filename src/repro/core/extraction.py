@@ -213,9 +213,3 @@ def group_to_constraint_expr(
     """
     return And(*(clause_to_expr(clause, prefix) for clause in clauses))
 
-
-def index_of_variable(name: str, prefix: str = VAR_PREFIX) -> int:
-    """Inverse of :func:`variable_name` (``"x42"`` -> 42)."""
-    if not name.startswith(prefix):
-        raise ValueError(f"variable name {name!r} does not start with prefix {prefix!r}")
-    return int(name[len(prefix):])

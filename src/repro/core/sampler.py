@@ -62,7 +62,7 @@ from repro.engine.executor import float_array
 from repro.engine.train import descend
 from repro.engine.train import learn_batch as engine_learn_batch
 from repro.utils.rng import new_rng
-from repro import obs
+from repro import native, obs
 
 _SAMPLER_ROUNDS = obs.counter(
     "repro_sampler_rounds_total",
@@ -191,6 +191,9 @@ class GradientSATSampler:
         config: Optional[SamplerConfig] = None,
         task: Optional[SamplingTask] = None,
     ) -> None:
+        # Bring the C tier up first: a host that cannot build it fails here,
+        # with BackendUnavailableError naming why, before any transform.
+        native.kernels_for(None)
         if isinstance(formula, CNF):
             transform = transform if transform is not None else transform_cnf(formula)
             formula = _Compiled(formula, transform, transform.round_plan, formula.evaluation_plan())

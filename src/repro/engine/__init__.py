@@ -1,13 +1,12 @@
-"""The compiled levelized execution engine.
+"""The compiled execution engine.
 
 This package is the single evaluation substrate behind the differentiable
 circuit core: :mod:`repro.engine.compiler` lowers a circuit cone once into a
 :class:`~repro.engine.program.CompiledProgram` — one flat op stream of
-opcode and operand-slot arrays, levelized so the C tier runs it as one loop
-and the NumPy tier as a handful of fused calls per level — and
-:mod:`repro.engine.executor` runs that program in two modes (probabilistic
-forward/backward, boolean) while :mod:`repro.engine.train` supplies the fused gradient-descent loop the
-samplers call.
+opcode and operand-slot arrays that the C tier (:mod:`repro.native`) runs as
+one loop — and :mod:`repro.engine.executor` runs that program in two modes
+(probabilistic forward/backward, boolean) while :mod:`repro.engine.train`
+supplies the fused gradient-descent loop the samplers call.
 
 The engine is the library's only evaluation path.  The per-gate autodiff
 walk it replaced lives under ``tests/oracles/`` as the reference oracle;

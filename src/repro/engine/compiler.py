@@ -1,4 +1,4 @@
-"""Compile a circuit cone into a levelized :class:`CompiledProgram`.
+"""Compile a circuit cone into a :class:`CompiledProgram`.
 
 Compilation happens once per (circuit, outputs, input order) triple; the
 resulting program is a pure-array artifact that the executor can run forever
@@ -27,12 +27,18 @@ only on its own operands, so the ops of a cone keep the levels and the
 relative emission order they would have in a lowering of the cone alone.
 :func:`compile_circuit` takes the ops of the gates in its cone, maps the
 cone's source rows to base slots (its inputs in declaration order, then one
-shared ``CONST0`` and one ``CONST1`` slot), and levelizes in one vectorised
-step: a stable ``lexsort`` on ``(level, opcode)`` renumbers every op into its
-output slot, operand references resolve through two index arrays, and the
-``(level, opcode)`` runs of the sorted stream become the block table (see
-:mod:`repro.engine.program`).  A round's learn and fill programs therefore
-lower the gates they share once, not twice.
+shared ``CONST0`` and one ``CONST1`` slot), and numbers the ops in one
+vectorised step: a stable ``lexsort`` on ``(level, opcode)`` renumbers every
+op into its output slot, and operand references resolve through two index
+arrays.  A round's learn and fill programs therefore lower the gates they
+share once, not twice.
+
+The C kernels would run emission order just as well — every op already
+follows its operands there.  The sort stays because it fixes the program's
+slot numbering and the reverse op order in which the C backward pass
+accumulates operand gradients: float32 addition is not associative, so
+another order would move the learned bits, and with them every fixed-seed
+solution stream.
 
 :func:`compiled_program_for` adds a per-circuit memo so repeated executions
 (every sampling round re-simulates the same recovered circuit) compile once.
@@ -168,7 +174,7 @@ def compile_circuit(
     output_nets: Sequence[str],
     input_order: Optional[Sequence[str]] = None,
 ) -> CompiledProgram:
-    """Lower the cone of ``output_nets`` into a levelized program.
+    """Lower the cone of ``output_nets`` into a program.
 
     ``input_order`` gives the column layout of the input matrix the program
     will read (defaults to ``circuit.inputs``); it must cover every primary
@@ -215,13 +221,11 @@ def compile_circuit(
     base_slot[const0] = const0_slot
     base_slot[const1] = const1_slot
 
-    # -- the cone's ops, in emission order; levelize: stable sort by (level,
-    # opcode), renumber into slots ---------------------------------------------------
+    # -- the cone's ops, in emission order; stable sort by (level, opcode),
+    # renumber into slots (see the module docstring for why the sort stays) -----------
     ops = np.flatnonzero(in_cone[lowered.owners])
-    levels = lowered.levels[ops]
+    ops = ops[np.lexsort((lowered.opcodes[ops], lowered.levels[ops]))]
     opcodes = lowered.opcodes[ops]
-    order = np.lexsort((opcodes, levels))
-    ops = ops[order]
     num_ops = ops.shape[0]
     op_slot = np.zeros(lowered.opcodes.shape[0], dtype=np.int64)
     op_slot[ops] = np.arange(num_base_slots, num_base_slots + num_ops)
@@ -233,12 +237,6 @@ def compile_circuit(
         slots[~is_op] = base_slot[~refs[~is_op]]
         return slots
 
-    levels, opcodes = levels[order], opcodes[order]
-    # A new block starts wherever the (level, opcode) key changes.
-    starts = np.flatnonzero((levels[1:] != levels[:-1]) | (opcodes[1:] != opcodes[:-1]))
-    block_bounds = np.zeros(1, dtype=np.int64)
-    if num_ops:
-        block_bounds = np.concatenate(([0], starts + 1, [num_ops])).astype(np.int64)
     b_slots = resolve(lowered.b_refs[ops])
     b_slots[opcodes == OP_NOT] = 0
     return CompiledProgram(
@@ -255,8 +253,6 @@ def compile_circuit(
         opcodes=opcodes,
         a_slots=resolve(lowered.a_refs[ops]),
         b_slots=b_slots,
-        block_bounds=block_bounds,
-        block_levels=levels[block_bounds[:-1]],
         output_slots=resolve(lowered.net_refs[output_rows]),
         output_nets=outputs,
     )

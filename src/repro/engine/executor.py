@@ -1,8 +1,10 @@
-"""Execute a :class:`CompiledProgram`: fused forward, backward and bool modes.
+"""Execute a :class:`CompiledProgram`: forward, backward and bool modes.
 
 The value state of one execution is a dense ``(num_slots, batch)`` matrix —
-slot-major so that every fused block writes a *contiguous* row range with one
-fused array statement.  Two execution modes share the one program:
+slot-major, so that every op reads and writes whole contiguous rows.  Each
+mode is one call into the C tier (:mod:`repro.native`), which runs the
+program's flat op stream in order; two execution modes share the one
+program:
 
 * :func:`forward` / :func:`backward` — the probabilistic relaxation in
   ``float32`` with a hand-written reverse pass.  The closed-form
@@ -16,9 +18,8 @@ fused array statement.  Two execution modes share the one program:
 
 The float modes cast their input to ``float32``, the one dtype of the
 learning arrays; the ``float64`` reference is the per-gate oracle under
-``tests/oracles/``.  When the native C tier is available
-(:mod:`repro.native`), every mode runs the program's op stream there instead
-of the per-block array statements.
+``tests/oracles/``, and the per-op NumPy loop the kernels equal bit for bit
+is ``tests/oracles/executor.py``.
 
 ``ADD`` appearing only in XOR chains (disjoint operands) is what makes the
 ``|`` / bitwise interpretations exact — see :mod:`repro.engine.program`.
@@ -26,11 +27,12 @@ of the per-block array statements.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro.engine.program import OP_ADD, OP_MUL, OP_NOT, CompiledProgram
+from repro.engine.program import CompiledProgram
+from repro.native import kernels_for
 
 
 def float_array(data) -> np.ndarray:
@@ -38,45 +40,13 @@ def float_array(data) -> np.ndarray:
     return np.asarray(data, dtype=np.float32)
 
 
-def _native_kernels():
-    """The native kernel set to engage for an execution, or ``None``.
-
-    Native execution engages exactly when the C tier builds (and
-    ``REPRO_NATIVE`` is not ``off``; see :mod:`repro.native`).
-    """
-    from repro import native
-
-    return native.kernels_for(None)
-
-
 class ForwardCache:
-    """Forward-pass state kept alive for the reverse pass.
+    """Forward-pass state kept alive for the reverse pass: the slot matrix."""
 
-    Holds the full slot matrix plus the per-block operand gathers the forward
-    pass materialised anyway — the backward pass reuses them instead of
-    re-gathering, which removes two fancy-index copies per ``MUL`` block.
-    """
+    __slots__ = ("values",)
 
-    __slots__ = ("values", "operands")
-
-    def __init__(self, values, operands: List[Optional[Tuple]]) -> None:
+    def __init__(self, values: np.ndarray) -> None:
         self.values = values
-        self.operands = operands
-
-
-class NativeForwardCache:
-    """Forward state of a native-kernel execution (no per-block gathers).
-
-    The native forward runs in place over the slot matrix, so the reverse
-    pass needs only the matrix itself plus the kernel set that produced it —
-    :func:`backward` dispatches on the cache type.
-    """
-
-    __slots__ = ("values", "kernels")
-
-    def __init__(self, values, kernels) -> None:
-        self.values = values
-        self.kernels = kernels
 
 
 def _base_values(program: CompiledProgram, batch: int, dtype, zero, one):
@@ -89,7 +59,7 @@ def _base_values(program: CompiledProgram, batch: int, dtype, zero, one):
     return values
 
 
-def forward(program: CompiledProgram, probabilities) -> Tuple[object, ForwardCache]:
+def forward(program: CompiledProgram, probabilities) -> Tuple[np.ndarray, ForwardCache]:
     """Run the probabilistic forward pass on a ``(batch, input_width)`` matrix.
 
     Returns ``(outputs, cache)`` where ``outputs`` is the ``(batch, m)``
@@ -106,42 +76,19 @@ def forward(program: CompiledProgram, probabilities) -> Tuple[object, ForwardCac
     values = _base_values(program, batch, np.float32, 0.0, 1.0)
     if program.num_inputs:
         values[: program.num_inputs] = probabilities.T[program.input_columns]
-    kernels = _native_kernels()
-    if kernels is not None:
-        # One C pass over the flat op stream; elementwise per op, so
-        # bitwise identical to the fused block path below.
-        kernels.engine_forward(program, values)
-        outputs = values[program.output_slots].T.copy()
-        return outputs, NativeForwardCache(values, kernels)
-    operands: List[Optional[Tuple]] = []
-    for opcode, out_start, out_stop, a_slots, b_slots in program.blocks:
-        out = values[out_start:out_stop]
-        a = values[a_slots]
-        if opcode == OP_MUL:
-            b = values[b_slots]
-            np.multiply(a, b, out=out)
-            operands.append((a, b))  # reused by the MUL adjoint
-        elif opcode == OP_ADD:
-            np.add(a, values[b_slots], out=out)
-            operands.append(None)
-        else:  # OP_NOT
-            np.subtract(1.0, a, out=out)
-            operands.append(None)
+    kernels_for(None).engine_forward(program, values)
     outputs = values[program.output_slots].T.copy()
-    return outputs, ForwardCache(values, operands)
+    return outputs, ForwardCache(values)
 
 
-def backward(
-    program: CompiledProgram,
-    cache: ForwardCache,
-    output_grads,
-) -> object:
+def backward(program: CompiledProgram, cache: ForwardCache, output_grads) -> np.ndarray:
     """Reverse pass: map ``dL/dY`` to ``dL/dP`` using the forward cache.
 
     ``output_grads`` is ``(batch, m)`` like the forward outputs; the result
     has the caller's input-matrix shape ``(batch, input_width)`` with zeros in
     columns outside the cone (the per-gate reference's scatter semantics).
-    Runs in ``float32``, like the forward pass that produced ``cache``.
+    Runs in ``float32``, like the forward pass that produced ``cache``;
+    operand gradients accumulate in reverse op order.
     """
     values = cache.values
     output_grads = float_array(output_grads)
@@ -153,29 +100,7 @@ def backward(
         )
     grads = np.zeros_like(values)
     program.output_plan.scatter(grads, output_grads.T)
-    if isinstance(cache, NativeForwardCache):
-        # Sequential per-op reverse accumulation; matches the block path up
-        # to accumulation order (NumPy's scatter reductions use
-        # platform-dependent accumulation orders).
-        cache.kernels.engine_backward(program, values, grads)
-        input_grads = np.zeros((batch, program.input_width), dtype=np.float32)
-        if program.num_inputs:
-            input_grads[:, program.input_columns] = grads[: program.num_inputs].T
-        return input_grads
-    blocks, plans = program.blocks, program.scatter_plans
-    for index in range(len(blocks) - 1, -1, -1):
-        opcode, out_start, out_stop, _, _ = blocks[index]
-        a_plan, b_plan = plans[index]
-        g = grads[out_start:out_stop]
-        if opcode == OP_MUL:
-            a_vals, b_vals = cache.operands[index]
-            a_plan.scatter(grads, g * b_vals)
-            b_plan.scatter(grads, g * a_vals)
-        elif opcode == OP_ADD:
-            a_plan.scatter(grads, g)
-            b_plan.scatter(grads, g)
-        else:  # OP_NOT
-            a_plan.scatter(grads, -g)
+    kernels_for(None).engine_backward(program, values, grads)
     input_grads = np.zeros((batch, program.input_width), dtype=np.float32)
     if program.num_inputs:
         input_grads[:, program.input_columns] = grads[: program.num_inputs].T
@@ -200,19 +125,5 @@ def execute_bool(program: CompiledProgram, input_matrix) -> np.ndarray:
     values = _base_values(program, batch, np.bool_, False, True)
     if program.num_inputs:
         values[: program.num_inputs] = input_matrix.T[program.input_columns]
-    kernels = _native_kernels()
-    if kernels is not None:
-        kernels.engine_execute_bool(program, values)
-        return values
-    for opcode, out_start, out_stop, a_slots, b_slots in program.blocks:
-        out = values[out_start:out_stop]
-        a = values[a_slots]
-        if opcode == OP_MUL:
-            np.logical_and(a, values[b_slots], out=out)
-        elif opcode == OP_ADD:
-            # ADD only encodes XOR-chain sums of disjoint events: OR is exact.
-            np.logical_or(a, values[b_slots], out=out)
-        else:  # OP_NOT
-            np.logical_not(a, out=out)
+    kernels_for(None).engine_execute_bool(program, values)
     return values
-

@@ -1,4 +1,4 @@
-"""The levelized, index-based program representation the compiler emits.
+"""The flat, index-based program representation the compiler emits.
 
 A :class:`CompiledProgram` is the engine's whole intermediate representation:
 the constrained cone of a :class:`~repro.circuit.netlist.Circuit`, lowered to
@@ -22,16 +22,12 @@ operands are disjoint events — which is why plain ``|`` realises it in the
 boolean execution mode and one program serves both.
 
 The program is flat: one op stream of per-op arrays (``opcodes``,
-``a_slots``, ``b_slots``), levelized so op ``i`` writes slot
-``num_slots - num_ops + i`` and reads only slots written before its own
-level.  The native C kernels run that stream as is.  A small block table
-(``block_bounds``, ``block_levels``) groups the same-opcode ops of one level
-into contiguous runs; the NumPy tier executes each run as one fused array
-statement over views of the op arrays, and builds its gradient
-:class:`ScatterPlan` s lazily on its first backward pass.  No dicts and no
-string keys survive compilation, and the program is nothing but named
-arrays plus a few scalars and names — the artifact store persists it as
-arrays (:mod:`repro.store.schema`), after checking
+``a_slots``, ``b_slots``), where op ``i`` writes slot
+``num_slots - num_ops + i`` and reads only slots below it.  The C kernels
+(:mod:`repro.native`) run that stream as is, in one in-order pass.  No dicts
+and no string keys survive compilation, and the program is nothing but
+named arrays plus a few scalars and names — the artifact store persists it
+as arrays (:mod:`repro.store.schema`), after checking
 :meth:`CompiledProgram.check` on what it read.
 """
 
@@ -53,7 +49,8 @@ OPCODE_NAMES = {OP_MUL: "mul", OP_ADD: "add", OP_NOT: "not"}
 
 @dataclass(frozen=True)
 class ScatterPlan:
-    """Precompiled gradient scatter for one operand-slot array.
+    """Precompiled gradient scatter for one slot array — the program's
+    output slots, which two aliased output nets can repeat.
 
     Buffered fancy-index accumulation (``grads[slots] += rows``) silently
     drops duplicate indices, and ``np.add.at`` — the unbuffered alternative —
@@ -105,19 +102,13 @@ ARRAY_DTYPES = {
     "opcodes": np.uint8,
     "a_slots": np.int32,
     "b_slots": np.int32,
-    "block_bounds": np.int64,
-    "block_levels": np.int32,
     "output_slots": np.int32,
 }
-
-#: One fused run of the block table as the NumPy tier executes it:
-#: ``(opcode, out_start, out_stop, a_slots view, b_slots view)``.
-Block = Tuple[int, int, int, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
 class CompiledProgram:
-    """A levelized straight-line program computing one circuit cone.
+    """A straight-line program computing one circuit cone.
 
     Slot layout (one row of the value matrix per slot):
 
@@ -127,7 +118,7 @@ class CompiledProgram:
     * ``num_inputs`` / ``num_inputs + 1`` — constant 0 / 1 slots (present
       only when :attr:`const0_slot` / :attr:`const1_slot` are ``>= 0``);
     * the remainder — op outputs: op ``i`` writes slot
-      ``first_op_slot + i``, in non-decreasing level order.
+      ``first_op_slot + i`` and reads only slots below it.
 
     BUF gates are aliased away at compile time: a buffered net shares its
     fanin's slot, exactly like a gate-by-gate walk shares the fanin value,
@@ -151,29 +142,19 @@ class CompiledProgram:
     a_slots: np.ndarray
     #: Per-op second operand slot (``int32``; 0 and never read for ``NOT``).
     b_slots: np.ndarray
-    #: Op offsets of the block table: block ``k`` is ops
-    #: ``[block_bounds[k], block_bounds[k + 1])`` (``int64``).
-    block_bounds: np.ndarray
-    #: Level of each block, non-decreasing (``int32``).
-    block_levels: np.ndarray
     #: Slot of every requested output net, in request order (``int32``).
     output_slots: np.ndarray
     output_nets: List[str]
 
     @property
     def num_ops(self) -> int:
-        """Total primitive ops (fused NumPy statements touch many at once)."""
+        """Total primitive ops."""
         return int(self.opcodes.shape[0])
 
     @property
     def first_op_slot(self) -> int:
         """The slot op 0 writes; op ``i`` writes ``first_op_slot + i``."""
         return self.num_slots - self.num_ops
-
-    @property
-    def num_levels(self) -> int:
-        """Number of distinct execution levels."""
-        return int(self.block_levels[-1]) if self.block_levels.size else 0
 
     @cached_property
     def stream_args(self) -> Tuple[int, int, int, int, int]:
@@ -192,37 +173,9 @@ class CompiledProgram:
         )
 
     @cached_property
-    def blocks(self) -> Tuple[Block, ...]:
-        """The block table as fused runs over views of the op arrays."""
-        base = self.first_op_slot
-        bounds = self.block_bounds.tolist()
-        return tuple(
-            (
-                int(self.opcodes[start]),
-                base + start,
-                base + stop,
-                self.a_slots[start:stop],
-                self.b_slots[start:stop],
-            )
-            for start, stop in zip(bounds[:-1], bounds[1:])
-        )
-
-    @cached_property
     def output_plan(self) -> ScatterPlan:
         """Gradient scatter for the output slots (handles aliased outputs)."""
         return ScatterPlan.build(self.output_slots)
-
-    @cached_property
-    def scatter_plans(self) -> Tuple[Tuple[ScatterPlan, Optional[ScatterPlan]], ...]:
-        """Per-block ``(a, b)`` gradient scatters of the NumPy tier (``b`` is
-        ``None`` for ``NOT`` blocks), built on the first NumPy backward pass."""
-        return tuple(
-            (
-                ScatterPlan.build(a_slots),
-                None if opcode == OP_NOT else ScatterPlan.build(b_slots),
-            )
-            for opcode, _, _, a_slots, b_slots in self.blocks
-        )
 
     @property
     def nbytes(self) -> int:
@@ -231,20 +184,7 @@ class CompiledProgram:
         Used by byte-bounded artifact caches (:mod:`repro.serve.cache`) to
         account for compiled state.
         """
-        return int(
-            sum(
-                array.nbytes
-                for array in (
-                    self.input_columns,
-                    self.opcodes,
-                    self.a_slots,
-                    self.b_slots,
-                    self.block_bounds,
-                    self.block_levels,
-                    self.output_slots,
-                )
-            )
-        )
+        return int(sum(getattr(self, name).nbytes for name in ARRAY_DTYPES))
 
     def describe(self) -> Dict[str, int]:
         """Compact size summary (used by reports and tests)."""
@@ -253,8 +193,6 @@ class CompiledProgram:
             "inputs": self.num_inputs,
             "outputs": len(self.output_nets),
             "ops": self.num_ops,
-            "blocks": int(self.block_levels.shape[0]),
-            "levels": self.num_levels,
         }
 
     def check(self) -> None:
@@ -266,12 +204,10 @@ class CompiledProgram:
         * the arrays are contiguous, with the dtypes and lengths above;
           opcodes are ``MUL``/``ADD``/``NOT``, and the base slots are the
           inputs plus the constants, laid out as documented;
-        * the block table covers the ops with strictly increasing bounds,
-          one opcode per block and non-decreasing levels;
-        * every operand of a block reads a slot below the block's first out
-          slot — so also below its own op's out slot — which makes the
-          C tier's in-order pass and the NumPy tier's fused blocks compute
-          the same values;
+        * op ``i`` reads only slots in ``[0, first_op_slot + i)`` — the
+          slots the C kernels' in-order pass has written (or loaded) before
+          it — with ``NOT``'s unused ``b_slots`` entry held to the same
+          bound;
         * input columns lie in ``[0, input_width)`` and output slots in
           ``[0, num_slots)``, one per output name.
         """
@@ -312,31 +248,17 @@ class CompiledProgram:
             raise ValueError("per-op arrays differ in length")
         if num_ops and int(self.opcodes.max()) > OP_NOT:
             raise ValueError("unknown opcode")
-        bounds = self.block_bounds
-        if (
-            bounds.shape[0] != self.block_levels.shape[0] + 1
-            or int(bounds[0]) != 0
-            or int(bounds[-1]) != num_ops
-            or (bounds.shape[0] > 1 and not (np.diff(bounds) > 0).all())
-        ):
-            raise ValueError("block bounds do not partition the ops")
-        levels = self.block_levels
-        if levels.size and (int(levels[0]) < 1 or not (np.diff(levels) >= 0).all()):
-            raise ValueError("block levels are not non-decreasing from 1")
-        sizes = np.diff(bounds)
-        if not (np.repeat(self.opcodes[bounds[:-1]], sizes) == self.opcodes).all():
-            raise ValueError("a block mixes opcodes")
-        block_start = base + np.repeat(bounds[:-1], sizes)
+        out_slots = np.arange(base, base + num_ops)
         if num_ops and not (
             (self.a_slots >= 0).all()
-            and (self.a_slots < block_start).all()
+            and (self.a_slots < out_slots).all()
             and (self.b_slots >= 0).all()
-            and (self.b_slots < block_start).all()
+            and (self.b_slots < out_slots).all()
         ):
-            raise ValueError("an operand reads a slot its block has not yet computed")
+            raise ValueError("an operand reads a slot its op has not yet computed")
 
     def __repr__(self) -> str:
         return (
             f"CompiledProgram(source={self.source_name!r}, slots={self.num_slots}, "
-            f"ops={self.num_ops}, blocks={len(self.block_levels)}, levels={self.num_levels})"
+            f"ops={self.num_ops})"
         )

@@ -19,12 +19,10 @@ from typing import Dict, List, Optional
 from repro.baselines.base import BaselineSampler, SamplerOutput
 from repro.baselines.cmsgen_like import CMSGenStyleSampler
 from repro.baselines.diffsampler_like import DiffSamplerStyleSampler
-from repro.baselines.quicksampler_like import QuickSamplerStyleSampler
 from repro.baselines.unigen_like import UniGenStyleSampler
 from repro.cnf.formula import CNF
 from repro.core.config import SamplerConfig
 from repro.core.sampler import GradientSATSampler
-from repro.core.solutions import SolutionSet
 from repro.core.transform import TransformResult, transform_cnf
 
 

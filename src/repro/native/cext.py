@@ -1,12 +1,12 @@
 """The C tier of :mod:`repro.native`: kernels compiled on demand with ``cc``.
 
-The hot loop NumPy cannot fuse — the engine's per-slot op dispatch — is a
-handful of small, dependency-free C functions.  Rather than shipping a build
-step, the source below is compiled *on first use* into a shared library
-(``cc`` with :data:`COMPILE_FLAGS`) under a per-user cache directory, named
-by a hash of the source *and* the flags, then loaded with :mod:`ctypes`.  A
-repeat process with the same source and flags finds the library on disk and
-pays nothing; the one-time build cost is recorded in
+The engine's forward, backward and boolean passes are a handful of small,
+dependency-free C functions.  Rather than shipping a build step, the source
+below is compiled *on first use* into a shared library (``cc`` with
+:data:`COMPILE_FLAGS`) under a per-user cache directory, named by a hash of
+the source *and* the flags, then loaded with :mod:`ctypes`.  A repeat
+process with the same source and flags finds the library on disk and pays
+nothing; the one-time build cost is recorded in
 :func:`repro.native.compile_seconds` so benchmarks and the serving layer can
 report cold-vs-warm numbers honestly.
 
@@ -19,19 +19,18 @@ local user could create it first and plant a library every repro process
 would load.
 
 No compiler, a failing compile, a failing load or an unsafe cache directory
-all degrade to "tier unavailable"
-(:class:`~repro.native.BackendUnavailableError`, which the probe in
-:mod:`repro.native` turns into the NumPy paths, keeping the reason).
+raise :class:`BackendUnavailableError` naming the failure; it is memoised,
+so a process that cannot bring the tier up fails the same way every time.
 
 Kernel inventory (all operate on caller-allocated C-contiguous buffers):
 
-* ``repro_engine_forward`` / ``repro_engine_backward`` — the levelized
-  ``float32`` program as one C loop over its flat per-op arrays (op ``i``
-  writes slot ``first + i``, so no out-slot array exists); forward is
-  elementwise and therefore bitwise identical to the NumPy block path
-  (``-ffp-contract=off`` keeps any toolchain from fusing a multiply-add),
-  backward accumulates operand gradients sequentially per op (NumPy's
-  scatter reductions use platform-dependent accumulation orders).
+* ``repro_engine_forward`` / ``repro_engine_backward`` — the ``float32``
+  program as one C loop over its flat per-op arrays (op ``i`` writes slot
+  ``first + i``, so no out-slot array exists).  Every op is one elementwise
+  statement per row, and ``-ffp-contract=off`` keeps any toolchain from
+  fusing a multiply-add, so both equal the per-op NumPy loop of
+  ``tests/oracles/executor.py`` bit for bit; backward accumulates operand
+  gradients in reverse op order.
 * ``repro_engine_execute_bool`` — the boolean execution mode of the same
   program.
 """
@@ -48,8 +47,12 @@ import time
 from pathlib import Path
 from typing import Optional
 
-from repro.native import BackendUnavailableError
 from repro import obs
+
+
+class BackendUnavailableError(ImportError):
+    """Raised when the C tier cannot be brought up on this host."""
+
 
 _COMPILE_SECONDS_METRIC = obs.counter(
     "repro_native_compile_seconds_total",
@@ -61,8 +64,8 @@ _COMPILE_SECONDS_METRIC = obs.counter(
 CACHE_DIR_ENV_VAR = "REPRO_NATIVE_CACHE_DIR"
 
 #: Compiler flags of the build.  ``-ffp-contract=off`` forbids fused
-#: multiply-adds, which would round differently from NumPy's separate
-#: multiply and add.  The library name hashes these flags with the source.
+#: multiply-adds, which would round differently from a separate multiply
+#: and add.  The library name hashes these flags with the source.
 COMPILE_FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 
 C_SOURCE = r"""
@@ -71,10 +74,10 @@ C_SOURCE = r"""
 /* ---------------- engine kernels (flat per-op straight-line program) ------------- */
 /* opcodes: 0 = MUL (a*b / &), 1 = ADD (a+b / |), 2 = NOT (1-a / ^).
    values is the (num_slots, batch) C-contiguous slot matrix; op i writes row
-   first + i and reads rows a[i] (and b[i]).  Operand rows always precede
-   output rows, so the single in-order pass reproduces the levelized block
-   schedule exactly.  Nothing here checks an index: callers pass programs
-   the compiler emitted or CompiledProgram.check accepted.                   */
+   first + i and reads rows a[i] (and b[i]), both below first + i, so one
+   in-order pass computes every op after its operands.  Nothing here checks
+   an index: callers pass programs the compiler emitted or
+   CompiledProgram.check accepted.                                          */
 
 void repro_engine_forward(float *values, int64_t batch, int64_t nops,
                           int64_t first, const uint8_t *opc, const int32_t *a,
@@ -176,7 +179,7 @@ def _cache_dir() -> Path:
 def _private_cache_dir() -> Path:
     """The cache directory, created private and checked before any use.
 
-    Raises :class:`~repro.native.BackendUnavailableError` naming the problem
+    Raises :class:`BackendUnavailableError` naming the problem
     when the path is not a real directory owned by this user, or when group
     or other users may write to it.
     """
@@ -271,9 +274,9 @@ def _build_library() -> ctypes.CDLL:
 def load_library() -> ctypes.CDLL:
     """The compiled kernel library (built and memoised on first call).
 
-    Raises :class:`~repro.native.BackendUnavailableError` when the tier
-    cannot be brought up; the failure is memoised so repeated availability
-    probes stay cheap.
+    Raises :class:`BackendUnavailableError` when the tier cannot be brought
+    up; the failure is memoised, so every later call raises it again without
+    another compile attempt.
     """
     global _lib, _load_error
     if _lib is not None:
@@ -290,11 +293,3 @@ def load_library() -> ctypes.CDLL:
         raise BackendUnavailableError(_load_error) from error
     return _lib
 
-
-def available() -> bool:
-    """Whether the C tier can be (or already was) brought up."""
-    try:
-        load_library()
-    except BackendUnavailableError:
-        return False
-    return True

@@ -4,8 +4,7 @@
 flat C-contiguous buffers.  :class:`NativeKernels` is what the engine
 executor calls: its methods take a
 :class:`~repro.engine.program.CompiledProgram` and a host NumPy slot matrix
-and work in place, bitwise-identical to the NumPy executor paths
-(gradients: up to the accumulation order of operand gradients).
+and work in place.
 
 The kernels read the program's own per-op arrays (``opcodes``, ``a_slots``,
 ``b_slots`` and the first out slot, passed as
@@ -23,19 +22,24 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.native import cext
+
 
 def _address(array: np.ndarray) -> int:
     return array.__array_interface__["data"][0]
 
 
 class NativeKernels:
-    """The C tier's engine kernels behind a program-level API."""
+    """The C tier's engine kernels behind a program-level API.
+
+    Construction loads the library (:func:`repro.native.cext.load_library`,
+    memoised) and raises :class:`~repro.native.BackendUnavailableError`
+    when it cannot.
+    """
 
     tier = "cext"
 
     def __init__(self) -> None:
-        from repro.native import cext
-
         self._lib = cext.load_library()
 
     def engine_forward(self, program, values) -> None:

@@ -335,7 +335,12 @@ class SamplingService:
     ) -> None:
         if num_workers < 0:
             raise ValueError(f"num_workers must be non-negative, got {num_workers}")
+        from repro import native
         from repro.store import resolve_store_dir
+
+        # The engine runs only on the C tier: a host that cannot build it
+        # fails here, before any job is admitted or any worker spawned.
+        native.kernels_for(None)
 
         self.num_workers = num_workers
         resolved_store = resolve_store_dir(store_dir)

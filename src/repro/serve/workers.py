@@ -228,11 +228,10 @@ def execute_task(
                 # into member records and results.json.
                 "cache_stats": cache.stats(),
                 "elapsed_seconds": time.perf_counter() - start,
-                # Which engine tier this task ran on ("python" = the NumPy
-                # paths) and any one-time kernel build cost incurred while
-                # it ran — kept out of the sampling seconds so cold and warm
-                # runs stay comparable.
-                "kernel_tier": native.active_tier() or "python",
+                # Which engine tier this task ran on and any one-time kernel
+                # build cost incurred while it ran — kept out of the sampling
+                # seconds so cold and warm runs stay comparable.
+                "kernel_tier": native.active_tier(),
                 "compile_seconds": native.compile_seconds() - compile_before,
                 "telemetry": telemetry(),
             },

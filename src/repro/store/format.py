@@ -65,8 +65,9 @@ MAGIC = b"RPRO"
 #: the ``transform`` entry is arrays too, and the pickle layout is gone.
 #: v6: entries are keyed by version 2 formula signatures (a hash of the
 #: formula's CSR arrays), so no v5 entry, keyed by a version 1 signature, is
-#: ever read as one.
-FORMAT_VERSION = 6
+#: ever read as one.  v7: a compiled program no longer stores a
+#: block table (the C kernels, its only reader now, never read one).
+FORMAT_VERSION = 7
 
 #: The dtypes an array blob may declare (native byte order).  Any
 #: other declaration is rejected before a view is made.

@@ -38,8 +38,8 @@ A checksum is not a MAC, and the C kernels index the slot matrix without
 bounds checks, so every field is validated before any object is built.
 :func:`decode_round` checks exact dtypes, lengths and names per array; each
 program's :meth:`~repro.engine.program.CompiledProgram.check` (operands
-below their own out slot, known opcodes, a consistent block table, input
-columns and output slots in range); row maps inside the variable range and
+below their own out slot, known opcodes, input columns and output slots in
+range); row maps inside the variable range and
 sized like the programs that fill them; a CNF plan whose width groups,
 clause offsets and literal columns agree; and input, defined and free rows
 that write every variable row exactly once.  :func:`decode_transform`

@@ -13,11 +13,11 @@ filesystem.
 Layout (everything lives under a format-versioned root, so incompatible
 builds can share one directory without ever mis-reading each other)::
 
-    <root>/v6/objects/<kind>/<sig[:2]>/<sig>.bin     entries
-    <root>/v6/locks/<sig>.lock                       single-flight claims
-    <root>/v6/quarantine/                            corrupt entries
+    <root>/v7/objects/<kind>/<sig[:2]>/<sig>.bin     entries
+    <root>/v7/locks/<sig>.lock                       single-flight claims
+    <root>/v7/quarantine/                            corrupt entries
 
-(``v6`` is :data:`~repro.store.format.FORMAT_VERSION`; entries an older
+(``v7`` is :data:`~repro.store.format.FORMAT_VERSION`; entries an older
 format wrote stay under their own root and are never read.)
 
 Guarantees:

@@ -116,28 +116,6 @@ def learner(request, monkeypatch):
     return request.param
 
 
-def force_numpy_tier(monkeypatch) -> None:
-    """Make the engine run its NumPy paths, as on a host where the C tier
-    does not build: the memoised tier probe (:mod:`repro.native`) reports the
-    tier unavailable until ``monkeypatch`` undoes it."""
-    from repro import native
-
-    monkeypatch.setattr(native, "_PROBE", (None, "NumPy tier forced by a test"))
-
-
-@pytest.fixture(params=["platform", "numpy"])
-def engine_tier(request, monkeypatch):
-    """Which engine tier runs in this test.
-
-    ``"platform"`` leaves the platform's pick in place (the C tier wherever
-    it builds); ``"numpy"`` forces the NumPy paths through
-    :func:`force_numpy_tier`.
-    """
-    if request.param == "numpy":
-        force_numpy_tier(monkeypatch)
-    return request.param
-
-
 @pytest.fixture
 def rng():
     """A deterministic NumPy generator for tests."""

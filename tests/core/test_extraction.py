@@ -9,7 +9,6 @@ from repro.core.extraction import (
     expression_for_literal,
     find_boolean_expression,
     group_to_constraint_expr,
-    index_of_variable,
     literal_to_expr,
     variable_name,
 )
@@ -18,15 +17,10 @@ from repro.core.extraction import (
 class TestNaming:
     def test_variable_name_roundtrip(self):
         assert variable_name(42) == "x42"
-        assert index_of_variable("x42") == 42
 
     def test_invalid_index(self):
         with pytest.raises(ValueError):
             variable_name(0)
-
-    def test_invalid_name(self):
-        with pytest.raises(ValueError):
-            index_of_variable("y3")
 
     def test_literal_to_expr(self):
         assert literal_to_expr(3) == Var("x3")

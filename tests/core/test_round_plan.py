@@ -273,7 +273,7 @@ def test_round_entry_round_trips_every_registry_instance(name):
         _assert_same_arrays(
             program,
             original,
-            ("input_columns", "opcodes", "a_slots", "b_slots", "block_bounds", "block_levels", "output_slots"),
+            ("input_columns", "opcodes", "a_slots", "b_slots", "output_slots"),
         )
     assert (loaded_cnf.num_clauses, loaded_cnf.num_empty, loaded_cnf.width_groups) == (
         cnf_plan.num_clauses,

@@ -6,8 +6,9 @@ import pytest
 from repro.circuit.builder import CircuitBuilder
 from repro.circuit.gates import GateType
 from repro.engine.compiler import CompileError, compile_circuit, compiled_program_for
-from repro.engine.program import OP_ADD, OP_MUL, OP_NOT
+from repro.engine.program import OP_ADD, OP_MUL, OP_NOT, ScatterPlan
 from tests.engine.conftest import random_circuit
+from tests.oracles.compiler import compile_blocks
 
 
 def _opcode_counts(program):
@@ -62,47 +63,50 @@ class TestLowering:
 
 class TestProgramInvariants:
     def test_blocks_are_levelized_and_contiguous(self, rng):
+        # The op stream is sorted by (level, opcode): each block of the
+        # block-based oracle compiler is one contiguous run of ops with its
+        # opcode, whose operands all lie below the run.  That order fixes
+        # the slots and the C backward's accumulation order.
         circuit = random_circuit(rng, num_gates=40)
-        program = compile_circuit(circuit, list(circuit.outputs))
+        outputs = list(circuit.outputs)
+        program = compile_circuit(circuit, outputs)
+        reference = compile_blocks(circuit, outputs, circuit.inputs)
         previous_level = 0
-        next_slot = program.num_slots - program.num_ops
-        for level, (opcode, out_start, out_stop, a_slots, b_slots) in zip(
-            program.block_levels.tolist(), program.blocks
-        ):
-            assert level >= previous_level
-            previous_level = level
-            assert out_start == next_slot
-            next_slot = out_stop
-            ops = slice(out_start - program.first_op_slot, out_stop - program.first_op_slot)
-            assert (program.opcodes[ops] == opcode).all()
+        next_slot = program.first_op_slot
+        for block in reference.blocks:
+            assert block.level >= previous_level
+            previous_level = block.level
+            assert block.out_start == next_slot
+            next_slot = block.out_start + block.size
+            ops = slice(block.out_start - program.first_op_slot, next_slot - program.first_op_slot)
+            assert (program.opcodes[ops] == block.opcode).all()
             # Operands must be computed strictly before the block's level.
-            for slots in (a_slots, b_slots):
-                for slot in slots:
-                    assert slot < out_start
+            assert (program.a_slots[ops] < block.out_start).all()
+            assert (program.b_slots[ops] < block.out_start).all()
         assert next_slot == program.num_slots
         program.check()
 
-    def test_scatter_plans_are_sound(self, rng):
+    def test_scatter_plan_is_sound(self, rng):
+        # The output plan scatters output gradients, and BUF aliasing can
+        # make two outputs share a slot: duplicate-free slot arrays take the
+        # buffered path, and the dedup path must still count every slot.
         circuit = random_circuit(rng, num_gates=60)
-        program = compile_circuit(circuit, list(circuit.outputs))
-        for (opcode, _, _, a_slots, b_slots), (a_plan, b_plan) in zip(
-            program.blocks, program.scatter_plans
+        program = compile_circuit(circuit, list(circuit.outputs) * 2)
+        for slots in (
+            program.output_slots,
+            program.output_slots[: len(circuit.outputs)],
+            rng.integers(0, program.num_slots, size=50).astype(np.int32),
         ):
-            plans = [(a_plan, a_slots)]
-            if opcode != OP_NOT:
-                plans.append((b_plan, b_slots))
+            plan = ScatterPlan.build(slots)
+            if plan.unique:
+                assert len(np.unique(slots)) == len(slots)
             else:
-                assert b_plan is None
-            for plan, slots in plans:
-                if plan.unique:
-                    assert len(np.unique(slots)) == len(slots)
-                else:
-                    # The dedup path must cover every slot exactly once in sum.
-                    grads = np.zeros((program.num_slots, 1))
-                    plan.scatter(grads, np.ones((len(slots), 1)))
-                    expected = np.zeros(program.num_slots)
-                    np.add.at(expected, slots, 1.0)
-                    assert np.array_equal(grads[:, 0], expected)
+                grads = np.zeros((program.num_slots, 1))
+                plan.scatter(grads, np.ones((len(slots), 1)))
+                expected = np.zeros(program.num_slots)
+                np.add.at(expected, slots, 1.0)
+                assert np.array_equal(grads[:, 0], expected)
+        assert not program.output_plan.unique
 
 
 class TestValidation:

@@ -2,8 +2,8 @@
 
 On every registry instance, both cones a round runs (``learn`` and
 ``fill``) compile to per-op arrays equal to a flatten of the block-based
-program (:mod:`tests.oracles.compiler`), with the same block table, slots
-and :meth:`~repro.engine.program.CompiledProgram.describe` summary, and the
+program (:mod:`tests.oracles.compiler`), with the same slots and
+:meth:`~repro.engine.program.CompiledProgram.describe` summary, and the
 result passes the load-time safety check.
 """
 
@@ -44,10 +44,6 @@ def test_flat_program_equals_the_flattened_blocks(name):
             program.first_op_slot + np.arange(program.num_ops), out_slots
         )
         assert program.describe() == reference.describe()
-        assert program.block_bounds[:-1].tolist() == [
-            block.out_start - program.first_op_slot for block in reference.blocks
-        ]
-        assert program.block_levels.tolist() == [block.level for block in reference.blocks]
         np.testing.assert_array_equal(program.output_slots, reference.output_slots)
         np.testing.assert_array_equal(program.input_columns, reference.input_columns)
         assert program.cone_inputs == reference.cone_inputs

@@ -286,16 +286,3 @@ class TestServeSubcommand:
         assert "Traceback" not in completed.stderr
         assert "unrecognized arguments: --array-backend numpy" in completed.stderr
 
-
-class TestNativeSwitch:
-    @pytest.mark.parametrize("command", ["sample", "serve"])
-    def test_bad_repro_native_is_a_one_line_error(self, fig1_path, tmp_path, command):
-        target = fig1_path
-        if command == "serve":
-            target = tmp_path / "jobs.json"
-            target.write_text(json.dumps([{"path": str(fig1_path)}]))
-        completed = run_cli(command, str(target), env_extra={"REPRO_NATIVE": "native"})
-        assert completed.returncode == 2
-        assert completed.stderr.strip().splitlines() == [
-            "repro-sat: error: $REPRO_NATIVE must be unset, 'auto' or 'off', got 'native'"
-        ]

@@ -15,6 +15,7 @@ from repro.engine.compiler import compile_circuit
 from repro.engine.executor import forward
 from repro.serve.cache import ArtifactCache
 from tests.engine.conftest import random_circuit
+from tests.oracles.compiler import compile_blocks
 
 
 def _formula():
@@ -42,7 +43,12 @@ class TestMemoisation:
         )
 
     def test_flattened_state_matches_the_blocks(self, kernels):
-        program = _program(seed=1, num_gates=20)
+        # The kernels' layout is the program's own op arrays: contiguous,
+        # in the dtypes the C loop takes, and equal to a flatten of the
+        # block-based compiler the flat program replaced.
+        circuit = random_circuit(np.random.default_rng(1), num_gates=20)
+        outputs = list(circuit.outputs)
+        program = compile_circuit(circuit, outputs)
         assert program.opcodes.dtype == np.uint8
         assert program.a_slots.dtype == program.b_slots.dtype == np.int32
         assert program.opcodes.shape == program.a_slots.shape == program.b_slots.shape
@@ -50,15 +56,15 @@ class TestMemoisation:
             array.flags.c_contiguous
             for array in (program.opcodes, program.a_slots, program.b_slots)
         )
-        position = 0
-        for opcode, out_start, out_stop, a_slots, b_slots in program.blocks:
-            stop = position + out_stop - out_start
-            assert out_start == program.first_op_slot + position
-            assert (program.opcodes[position:stop] == opcode).all()
-            np.testing.assert_array_equal(program.a_slots[position:stop], a_slots)
-            np.testing.assert_array_equal(program.b_slots[position:stop], b_slots)
-            position = stop
-        assert position == program.num_ops
+        opcodes, a_slots, b_slots, out_slots = compile_blocks(
+            circuit, outputs, circuit.inputs
+        ).flatten()
+        np.testing.assert_array_equal(program.opcodes, opcodes)
+        np.testing.assert_array_equal(program.a_slots, a_slots)
+        np.testing.assert_array_equal(program.b_slots, b_slots)
+        np.testing.assert_array_equal(
+            program.first_op_slot + np.arange(program.num_ops), out_slots
+        )
 
 
 class TestClearCaches:

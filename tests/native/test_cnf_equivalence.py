@@ -1,15 +1,13 @@
-"""CNF evaluation on hosts with the C tier, pinned to the clause-loop oracle.
+"""CNF evaluation beside the C tier, pinned to the clause-loop oracle.
 
-CNF evaluation has one implementation, the compiled NumPy plan, whichever
-engine tier the platform picks: the native CNF kernel is deleted (on the
-variable-major rows the sampler validates it did not beat the plan).  These
-checks pin the plan to ``tests/oracles/cnf.py`` with the C tier up and with
-the NumPy tier forced, and pin that no native CNF path is left to select.
+CNF evaluation has one implementation, the compiled NumPy plan: the native
+CNF kernel is deleted (on the variable-major rows the sampler validates it
+did not beat the plan), and the C tier covers the engine only.  These checks
+pin the plan to ``tests/oracles/cnf.py`` with the C tier up, and pin that no
+native CNF path is left to select.
 """
 
 from __future__ import annotations
-
-from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -18,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro import native
 from repro.cnf.formula import CNF
-from tests.native.conftest import TIER, numpy_tier
+from tests.native.conftest import TIER
 from tests.oracles.cnf import evaluate_batch_reference
 
 
@@ -27,16 +25,13 @@ def _random_matrix(seed: int, batch: int, num_variables: int) -> np.ndarray:
 
 
 def _assert_matches_oracle(formula: CNF, matrix: np.ndarray) -> None:
-    """Satisfaction equals the oracle on both tiers."""
-    expected = evaluate_batch_reference(formula, matrix)
-    for tier_context in (nullcontext, numpy_tier):
-        with tier_context():
-            result = formula.evaluate_batch(matrix)
-        assert result.dtype == np.bool_
-        np.testing.assert_array_equal(result, expected)
+    """Satisfaction equals the oracle."""
+    result = formula.evaluate_batch(matrix)
+    assert result.dtype == np.bool_
+    np.testing.assert_array_equal(result, evaluate_batch_reference(formula, matrix))
 
 
-@pytest.mark.parametrize("tier", [TIER or "missing"])
+@pytest.mark.parametrize("tier", [TIER])
 class TestHypothesisEquivalence:
     """Random CNFs over every width bucket, bitwise vs the oracle.
 
@@ -47,8 +42,6 @@ class TestHypothesisEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_random_cnfs_match_reference(self, tier, data):
-        if tier == "missing":
-            pytest.skip("no native kernel tier available on this host")
         num_variables = data.draw(st.integers(1, 14), label="num_variables")
         clauses = data.draw(
             st.lists(

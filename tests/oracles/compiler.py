@@ -13,7 +13,7 @@ resolved operands one op at a time and packaged each ``(level, opcode)`` run
 as an ``OpBlock`` of its own index arrays; the C tier then flattened the
 blocks back into per-op arrays on first use.  :func:`compile_blocks` keeps
 that algorithm verbatim as the reference the vectorised levelize is tested
-against.
+against: the library's op arrays must equal :meth:`BlockProgram.flatten`.
 """
 
 from __future__ import annotations
@@ -174,12 +174,7 @@ def compile_circuit_reference(
         slots[temp] = op_slot[~slots[temp]]
         return slots.astype(np.int32)
 
-    levels, opcodes = levels[order], opcodes[order]
-    # A new block starts wherever the (level, opcode) key changes.
-    starts = np.flatnonzero((levels[1:] != levels[:-1]) | (opcodes[1:] != opcodes[:-1]))
-    block_bounds = np.zeros(1, dtype=np.int64)
-    if num_ops:
-        block_bounds = np.concatenate(([0], starts + 1, [num_ops])).astype(np.int64)
+    opcodes = opcodes[order]
     b_slots = resolve(lowering.b_ops)[order]
     b_slots[opcodes == OP_NOT] = 0
     return CompiledProgram(
@@ -196,8 +191,6 @@ def compile_circuit_reference(
         opcodes=opcodes,
         a_slots=resolve(lowering.a_ops)[order],
         b_slots=b_slots,
-        block_bounds=block_bounds,
-        block_levels=levels[block_bounds[:-1]],
         output_slots=resolve([net_ref[name] for name in outputs]),
         output_nets=outputs,
     )
@@ -236,8 +229,6 @@ class BlockProgram:
             "inputs": self.num_inputs,
             "outputs": len(self.output_nets),
             "ops": sum(block.size for block in self.blocks),
-            "blocks": len(self.blocks),
-            "levels": 0 if not self.blocks else self.blocks[-1].level,
         }
 
     def flatten(self):

@@ -50,9 +50,7 @@ def fig1():
 
 
 class TestInlineService:
-    def test_round_only_store_hit_never_unpickles(
-        self, tmp_path, fig1, engine_tier, monkeypatch
-    ):
+    def test_round_only_store_hit_never_unpickles(self, tmp_path, fig1, monkeypatch):
         # Every store entry is fields plus arrays, so nothing a store load
         # does unpickles.  With unpickling made to fail, each store-backed
         # path yields the rows a run without a store yields, bit for bit: a

@@ -177,8 +177,7 @@ class TestSamplerEquivalence:
 
 #: SHA-256 of the ``uint8`` solution matrix (251 x 1680) of s15850a_3_2 under
 #: ``SamplerConfig(seed=7, batch_size=128, max_rounds=3)``, 200 solutions.
-#: Identical on the float32 engine — on the platform's tier and on the NumPy
-#: tier forced (the ``engine_tier`` fixture) — and on the reference
+#: Identical on the float32 engine (the C kernels) and on the reference
 #: interpreter oracle in float64 and in float32.  Only the rows are pinned:
 #: the losses go through SIMD ``exp`` and can differ in the last bits
 #: across CPUs.
@@ -192,17 +191,9 @@ def s15850a():
     return get_instance("s15850a_3_2").build_cnf()
 
 
-@pytest.mark.parametrize(
-    ("learner", "engine_tier"),
-    [
-        pytest.param("engine", "platform", id="engine"),
-        pytest.param("engine", "numpy", id="engine-numpy_tier"),
-        pytest.param("interpreter", "platform", id="interpreter"),
-    ],
-    indirect=True,
-)
+@pytest.mark.parametrize("learner", ["engine", "interpreter"], indirect=True)
 @pytest.mark.parametrize("spec", ["numpy", "numpy:float32"])
-def test_golden_solution_stream(s15850a, spec, learner, engine_tier, monkeypatch):
+def test_golden_solution_stream(s15850a, spec, learner, monkeypatch):
     """``spec`` is a retired dtype spec: left in ``REPRO_ARRAY_BACKEND`` it
     changes nothing, and the interpreter oracle learns in the dtype it
     named (``numpy`` = float64)."""
