@@ -27,6 +27,28 @@ from typing import Dict, Optional, Tuple, get_args, get_type_hints
 from repro.utils.validation import check_non_negative, check_positive
 
 
+#: The largest sampling matrix a job may ask for, in cells: variables times
+#: batch rows.  2^28 cells is a 256 MiB bool matrix; the largest registry
+#: instance (s35932, 2,220 variables) at the default batch of 2,048 needs
+#: 4.5M.
+MAX_BATCH_CELLS = 2**28
+
+
+class AdmissionError(ValueError):
+    """A job's ``num_variables × batch_size`` exceeds :data:`MAX_BATCH_CELLS`."""
+
+
+def check_admission(num_variables: int, batch_size: int) -> None:
+    """Refuse, before anything is built, a job whose sampling matrix would
+    exceed :data:`MAX_BATCH_CELLS`."""
+    cells = num_variables * batch_size
+    if cells > MAX_BATCH_CELLS:
+        raise AdmissionError(
+            f"job refused: {num_variables} variables x batch {batch_size} = "
+            f"{cells} cells exceeds the admission bound of {MAX_BATCH_CELLS} cells"
+        )
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     """Hyper-parameters of :class:`repro.core.sampler.GradientSATSampler`.

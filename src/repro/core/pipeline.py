@@ -17,7 +17,7 @@ from typing import Callable, Dict, Optional, Union
 
 from repro.cnf.dimacs import parse_dimacs, parse_dimacs_file
 from repro.cnf.formula import CNF
-from repro.core.config import SamplerConfig
+from repro.core.config import SamplerConfig, check_admission
 from repro.core.sampler import GradientSATSampler, SampleResult
 from repro.core.task import SamplingTask
 from repro.core.transform import TransformResult, transform_cnf
@@ -130,6 +130,7 @@ def sample_cnf(
             formula = load_formula(source)
             if task is not None:
                 formula = task.apply_to(formula)
+            check_admission(formula.num_variables, (config or SamplerConfig()).batch_size)
             transform_start = time.perf_counter()
             if transform is None:
                 from repro.store import open_store

@@ -243,15 +243,16 @@ def library_stem() -> str:
 
 def _build_library() -> ctypes.CDLL:
     global _compile_seconds
-    compiler = _find_compiler()
-    if compiler is None:
-        raise BackendUnavailableError(
-            "native C tier unavailable: no C compiler (cc/gcc/clang) on PATH"
-        )
     stem = library_stem()
     cache_dir = _private_cache_dir()
     library_path = cache_dir / f"{stem}.so"
     if not library_path.exists():
+        # A built library needs no compiler: look for one only to build.
+        compiler = _find_compiler()
+        if compiler is None:
+            raise BackendUnavailableError(
+                "native C tier unavailable: no C compiler (cc/gcc/clang) on PATH"
+            )
         start = time.perf_counter()
         source_path = cache_dir / f"{stem}.c"
         source_path.write_text(C_SOURCE)

@@ -86,7 +86,6 @@ class TelemetryAggregator:
         self._pid = os.getpid()
         #: Latest cumulative metrics dump per foreign (pid, worker) source.
         self._worker_metrics: Dict[Any, Dict[str, Dict[str, Any]]] = {}
-        self._absorbed_spans = 0
 
     def absorb(self, payload: Optional[Dict[str, Any]]) -> None:
         """Fold one snapshot payload in (``None`` payloads are ignored).
@@ -104,20 +103,10 @@ class TelemetryAggregator:
             local = tracer()
             for span_record in snapshot.spans:
                 local.record(span_record)
-            self._absorbed_spans += len(snapshot.spans)
         if snapshot.metrics:
             # Latest-wins per source: counters are cumulative per process.
             key = (snapshot.pid, snapshot.worker_id)
             self._worker_metrics[key] = snapshot.metrics
-
-    @property
-    def absorbed_spans(self) -> int:
-        """How many foreign span records were re-recorded locally."""
-        return self._absorbed_spans
-
-    def worker_sources(self) -> List[Any]:
-        """The foreign ``(pid, worker_id)`` sources seen so far."""
-        return sorted(self._worker_metrics)
 
     def merged_registry(self) -> MetricsRegistry:
         """A fresh registry: this process's metrics + every worker's latest."""

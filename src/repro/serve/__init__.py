@@ -7,7 +7,8 @@ the way CDCL portfolio solvers organise work — a scheduler above the
 sampler, not inside it:
 
 * :class:`SamplingService` — submit jobs, stream results, synchronous API
-  (:mod:`repro.serve.service`);
+  (:mod:`repro.serve.service`), one scheduler core driving an inline slot
+  or a worker pool (:mod:`repro.serve.core`);
 * :class:`SamplingJob` and the JSON/JSONL manifest format
   (:mod:`repro.serve.jobs`);
 * request coalescing and warm-artifact dispatch (:mod:`repro.serve.queue`);

@@ -114,7 +114,7 @@ class Dispatcher:
         :data:`SPILL_THRESHOLD` tasks — then the work spills (the cold worker
         will recompile once, after which both are warm and the formula's
         traffic parallelises).  Raises :class:`RuntimeError` when every
-        slot is offline (the service checks :attr:`has_online` first).
+        slot is offline (the scheduler core checks :attr:`has_online` first).
         """
         candidates = [
             index for index, state in enumerate(self._workers) if state.online
@@ -168,10 +168,6 @@ class Dispatcher:
     def set_online(self, worker: int) -> None:
         """Return a (respawned) slot to the dispatch rotation."""
         self._workers[worker].online = True
-
-    def is_online(self, worker: int) -> bool:
-        """Whether the slot currently receives work."""
-        return self._workers[worker].online
 
     @property
     def has_online(self) -> bool:

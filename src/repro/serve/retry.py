@@ -4,9 +4,10 @@ A :class:`RetryPolicy` governs what the service does when a task *fails* —
 its worker died mid-task, or the task raised (e.g. a transient artifact
 build error).  Failed attempts are re-dispatched with exponential backoff
 until the attempt budget runs out; a task whose failures kept *killing
-workers* is then quarantined as ``poisoned`` (see
-:meth:`repro.serve.service.SamplingService._record_task_failure`) so one
-pathological formula cannot grind the pool through its restart budget.
+workers* is then quarantined as ``poisoned`` (the decision is
+:meth:`repro.serve.core.SchedulerCore._fail`, the same for inline and
+pooled jobs) so one pathological formula cannot grind the pool through its
+restart budget.  Inline, a retry runs at once, without its backoff.
 
 There is one policy per service: ``SamplingService(retry=RetryPolicy(...))``,
 or ``repro-sat serve --retry SPEC`` (parsed by :func:`parse_retry_spec`).

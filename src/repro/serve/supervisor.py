@@ -2,7 +2,7 @@
 
 :class:`WorkerSupervisor` is the *policy* half of pool fault tolerance —
 pure bookkeeping over monotonic timestamps, no processes, fully
-unit-testable.  The service (:mod:`repro.serve.service`) feeds it worker
+unit-testable.  The scheduler core (:mod:`repro.serve.core`) feeds it worker
 deaths and asks which slots are due a respawn; the supervisor answers with
 exponential per-slot backoff (a slot that keeps crashing waits longer each
 time, resetting once a task completes on it) and a restart budget per
@@ -12,9 +12,9 @@ would keep killing replacements, and the rest of the pool is better off
 without the churn).  The bounds are module constants: one policy serves
 every pool.
 
-Respawn mechanics — process creation, cache re-priming through the
-persistent store, task requeueing — live in the service; see
-:meth:`repro.serve.service.SamplingService._respawn`.
+The core requeues a dead slot's tasks and emits the respawn; the
+service's pool driver starts the process, whose cache re-primes through the
+persistent store.
 """
 
 from __future__ import annotations

@@ -5,9 +5,11 @@ job.  Tasks are plain picklable dictionaries (built by the service) and all
 execution goes through :func:`execute_task`, which both deployment modes
 share:
 
-* the **inline** mode (``num_workers=0``) calls it directly in the service
-  process — deterministic, dependency-free, what tests and small scripts
-  use;
+* the **inline** driver (``num_workers=0``) calls it directly in the
+  service process, as slot 0 of the service's scheduler core: the core's
+  dispatches queue there and run in submit order while a caller waits, and
+  a cancel fills the set its ``should_stop`` reads — deterministic,
+  dependency-free, what tests and small scripts use;
 * the **process pool** runs :func:`worker_main` in ``spawn``-started
   subprocesses.  ``spawn`` (never ``fork``) keeps the workers safe in the
   presence of threaded native libraries and makes the pool behave
@@ -23,7 +25,7 @@ store-loaded artifact never decodes its formula or transform here.
 Results stream back as ``(kind, task_key, payload)`` messages: a
 ``"round"`` message per sampling round carrying the round's new unique
 solutions as a boolean matrix, then one terminal ``"done"`` or ``"error"``.
-Inline execution hands the matrix straight to the service; a pool worker
+Inline execution hands the matrix straight to the core; a pool worker
 bit-packs it with :func:`pack_rows` for the single shared result queue, and
 the service unpacks it with :func:`unpack_rows` as it reads the queue.
 Message order per task is the emission order (one queue, one producer
@@ -51,13 +53,9 @@ from repro.cnf.formula import CNF
 from repro.core.sampler import GradientSATSampler
 from repro.core.task import SamplingTask
 from repro.serve.cache import ArtifactCache, DEFAULT_MAX_BYTES, DEFAULT_MAX_ENTRIES
+from repro.serve.core import MSG_DONE, MSG_ERROR, MSG_ROUND
 from repro.serve.jobs import config_from_dict, load_source, read_source
 from repro import obs
-
-#: Message kinds a worker emits.
-MSG_ROUND = "round"
-MSG_DONE = "done"
-MSG_ERROR = "error"
 
 
 def pack_rows(matrix: np.ndarray) -> Tuple[bytes, int, int]:
@@ -141,24 +139,10 @@ def execute_task(
         if should_stop is not None and should_stop():
             tspan.set("cancelled", True)
             tspan.finish()
-            emit(
-                MSG_DONE,
-                key,
-                {
-                    "summary": None,
-                    "cancelled": True,
-                    "worker": worker_id,
-                    "cache_hit": None,
-                    "build_seconds": 0.0,
-                    "elapsed_seconds": 0.0,
-                    "kernel_tier": None,
-                    "compile_seconds": 0.0,
-                    "artifact_source": None,
-                    "telemetry": telemetry(),
-                },
-            )
+            # Skipped with no work: the member record's defaults apply.
+            emit(MSG_DONE, key, {"summary": None, "cancelled": True, "worker": worker_id,
+                                 "telemetry": telemetry()})
             return
-        start = time.perf_counter()
         compile_before = native.compile_seconds()
         task_spec = SamplingTask.from_dict(task.get("task"))
         memory_hits_before = cache.stats()["hits"]
@@ -227,7 +211,6 @@ def execute_task(
                 # transform decode the task caused is counted) — surfaced
                 # into member records and results.json.
                 "cache_stats": cache.stats(),
-                "elapsed_seconds": time.perf_counter() - start,
                 # Which engine tier this task ran on and any one-time kernel
                 # build cost incurred while it ran — kept out of the sampling
                 # seconds so cold and warm runs stay comparable.

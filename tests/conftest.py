@@ -4,11 +4,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.boolalg.expr import And, Not, Or, Var, Xor
 from repro.circuit.builder import CircuitBuilder
 from repro.cnf.dimacs import parse_dimacs
 from repro.cnf.formula import CNF
+
+#: ``--hypothesis-profile core-deep``: more and longer random programs for the
+#: serving state machine (``tests/serve/test_core_machine.py``), run by the
+#: CI chaos job; tier-1 keeps hypothesis' default profile.
+settings.register_profile("core-deep", max_examples=500, stateful_step_count=200)
 
 #: The annotated CNF of the paper's Fig. 1(a): an inverter/buffer chain feeding a
 #: mux (unconstrained path) and a second chain feeding a mux whose output is

@@ -23,6 +23,7 @@ every result must be exact or a typed error, within a time bound:
 from __future__ import annotations
 
 import json
+import os
 import re
 import time
 
@@ -177,6 +178,51 @@ def test_a_header_declaring_int32_max_variables_is_read(tmp_path):
     spec = {"path": str(path)}
     with pytest.raises(DimacsError, match="^line 1: header count 2147483648 is beyond"):
         load_source(spec, read_source(spec)[1])
+
+
+#: Submits the widest formula a header may declare and reports how its job
+#: ended, under an address-space limit (``argv[1]`` bytes) of its own.
+_ADMISSION_CHILD = """
+import json, resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (int(sys.argv[1]), int(sys.argv[1])))
+from repro.serve import SamplingService
+with SamplingService(num_workers=0, store_dir=False) as service:
+    start = time.perf_counter()
+    job_id = service.submit({"dimacs": "p cnf 2147483647 1\\n1 0\\n"}, num_solutions=4)
+    result = service.result(job_id)
+    seconds = time.perf_counter() - start
+print(json.dumps({"status": result.status, "error": result.error, "seconds": seconds}))
+"""
+
+
+def test_an_oversized_job_is_refused_before_any_build():
+    # 2^31 - 1 variables at the default batch of 2,048 is far past the
+    # admission bound: the job ends "error" at submit, naming both numbers
+    # and the bound, instead of building per-variable state until memory
+    # runs out.
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from repro.core.config import MAX_BATCH_CELLS
+
+    source_root = Path(__file__).resolve().parents[2] / "src"
+    environment = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    environment["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(source_root), environment.get("PYTHONPATH")])
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", _ADMISSION_CHILD, str(2**30)],
+        capture_output=True, text=True, timeout=120, env=environment,
+    )
+    assert completed.returncode == 0, completed.stderr
+    outcome = json.loads(completed.stdout.splitlines()[-1])
+    assert outcome["status"] == "error"
+    assert outcome["seconds"] < 2.0
+    assert outcome["error"] == (
+        f"job refused: 2147483647 variables x batch 2048 = {(2**31 - 1) * 2048} cells "
+        f"exceeds the admission bound of {MAX_BATCH_CELLS} cells"
+    )
 
 
 @pytest.mark.parametrize("reader", ["file", "path spec", "path spec with bytes"])

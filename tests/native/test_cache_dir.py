@@ -148,6 +148,25 @@ def test_sampling_without_a_compiler_fails_loudly(fig1_formula, fresh_tier, no_c
     assert fresh_tier == []
 
 
+def test_a_built_library_loads_without_a_compiler(tmp_path, monkeypatch, fresh_tier):
+    # Build once with the host's compiler, then take every compiler away:
+    # the cached library still loads, and only a fresh directory refuses.
+    cache_dir = tmp_path / "cache"
+    monkeypatch.setenv(cext.CACHE_DIR_ENV_VAR, str(cache_dir))
+    assert native.active_tier() == "cext"
+    empty = tmp_path / "bin"
+    empty.mkdir()
+    monkeypatch.setenv("PATH", str(empty))
+    monkeypatch.setattr(cext, "_lib", None)
+    assert cext._find_compiler() is None
+    assert native.kernels_for(None) is not None
+    assert fresh_tier == [str(cache_dir / _library_name())] * 2
+    monkeypatch.setattr(cext, "_lib", None)
+    monkeypatch.setenv(cext.CACHE_DIR_ENV_VAR, str(tmp_path / "fresh"))
+    with pytest.raises(native.BackendUnavailableError, match=r"no C compiler \(cc/gcc/clang\) on PATH"):
+        native.kernels_for(None)
+
+
 @pytest.mark.parametrize("command", ["sample", "serve"])
 def test_cli_without_a_compiler_is_a_one_line_error(tmp_path, no_compiler, command):
     target = tmp_path / "fig1.cnf"

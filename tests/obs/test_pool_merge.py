@@ -55,14 +55,12 @@ def traced_pool(tmp_path_factory):
             for job_id in job_ids
         }
         merged = service.merged_metrics()
-        sources = service.telemetry.worker_sources()
     finally:
         service.close()
     spans, metric_records = obs.read_trace(trace_path)
     return {
         "results": results,
         "merged": merged,
-        "sources": sources,
         "spans": spans,
         "metric_records": metric_records,
         "baseline": baseline,
@@ -76,7 +74,12 @@ class TestPoolTelemetryMerge:
             assert result.num_unique >= 8
 
     def test_worker_snapshots_arrived_from_foreign_pids(self, traced_pool):
-        sources = traced_pool["sources"]
+        # Task spans reach the service only inside worker snapshots.
+        sources = {
+            (record["pid"], record["attributes"]["worker"])
+            for record in traced_pool["spans"]
+            if record["name"] == "serve.task"
+        }
         assert len(sources) == 2  # both workers reported
         assert all(pid != os.getpid() for pid, _worker in sources)
         assert sorted(worker for _pid, worker in sources) == [0, 1]

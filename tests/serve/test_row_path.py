@@ -9,7 +9,7 @@ for the result queue.
 
 A worker killed mid-job is covered in ``tests/faults/test_supervision.py``
 (its replayed rounds must not stream again); a replay that partly overlaps
-what the dead attempt streamed is driven through the handler here.
+what the dead attempt streamed is driven through the scheduler core here.
 """
 
 import numpy as np
@@ -20,9 +20,10 @@ from repro.core import solutions as solutions_module
 from repro.core.config import SamplerConfig
 from repro.core.solutions import SolutionSet
 from repro.core.task import SamplingTask
-from repro.serve import SamplingService
+from repro.serve import RetryPolicy, SamplingJob, SamplingService
 from repro.serve import service as service_module
 from repro.serve import workers as workers_module
+from repro.serve.core import JobState, SchedulerCore
 from repro.serve.workers import MSG_DONE, MSG_ROUND
 from tests.conftest import FIG1_DIMACS
 
@@ -178,22 +179,19 @@ class TestReplayedRound:
         rng = np.random.default_rng(0)
         rows = np.unique(rng.random((8, 14)) < 0.5, axis=0)[:6]
         assert rows.shape[0] == 6
-        with SamplingService(num_workers=0) as service:
-            job_id = service.submit(fig1, num_solutions=100, config=CONFIG)
-            state = service._state(job_id)  # noqa: SLF001 - drive the handler
-            service._handle_message(  # noqa: SLF001
-                MSG_ROUND, (job_id, 0), {"rows": rows[:4].copy()}
-            )
-            # The dead attempt streamed rows 0-3; the replay sees rows 2-5.
-            state.tasks[0].attempt = 1
-            service._handle_message(  # noqa: SLF001
-                MSG_ROUND, (job_id, 0), {"rows": rows[2:].copy(), "attempt": 1}
-            )
-            service._handle_message(  # noqa: SLF001
-                MSG_DONE, (job_id, 0), {"summary": {"rounds": 2}, "attempt": 1}
-            )
-            chunks = list(service.stream(job_id))
-            result = service.result(job_id)
+        core = SchedulerCore(1, RetryPolicy(backoff_seconds=0.0))
+        job = SamplingJob.build(fig1, num_solutions=100, config=CONFIG)
+        state = JobState(job, "job-0", "sig", "digest", fig1.num_variables, start=0.0)
+        core.submit(state, now=0.0)
+        key = (state.job_id, 0)
+        core.message(MSG_ROUND, key, {"rows": rows[:4].copy(), "attempt": 0}, now=0.1)
+        # The dead attempt streamed rows 0-3; the replay sees rows 2-5.
+        core.worker_died(0, 137, now=0.2)
+        assert state.tasks[0].attempt == 1
+        core.message(MSG_ROUND, key, {"rows": rows[2:].copy(), "attempt": 1}, now=0.3)
+        core.message(MSG_DONE, key, {"summary": {"rounds": 2}, "attempt": 1}, now=0.4)
+        chunks = state.stream_buffer
+        result = core.result_of(state)
         assert [chunk.shape[0] for chunk in chunks] == [4, 2]
         assert np.array_equal(chunks[1], rows[4:])
         assert np.array_equal(np.concatenate(chunks), rows)

@@ -14,7 +14,7 @@ from repro import obs
 from repro.cnf.delta import ClauseDelta
 from repro.cnf.dimacs import DimacsError, parse_dimacs
 from repro.cnf.formula import CNF
-from repro.core.config import SamplerConfig
+from repro.core.config import MAX_BATCH_CELLS, AdmissionError, SamplerConfig, check_admission
 from repro.core.sampler import GradientSATSampler
 from repro.core.signatures import formula_signature
 from repro.core.task import SamplingTask
@@ -202,6 +202,13 @@ class TestStreaming:
         ).num_unique
 
 
+def run_manifest(service, jobs):
+    """Submit a whole manifest, then gather results in submission order (the
+    way ``repro-sat serve`` does)."""
+    job_ids = [service.submit(job) for job in jobs]
+    return [service.result(job_id) for job_id in job_ids]
+
+
 class TestErrorsAndManifests:
     def test_bad_path_job_errors_gracefully(self, service, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -221,7 +228,7 @@ class TestErrorsAndManifests:
 
         entry = {"dimacs": FIG1_DIMACS, "num_solutions": 8, "config": {"batch_size": 32}}
         jobs = parse_manifest(json.dumps([entry, dict(entry)]))
-        results = service.run_manifest(jobs)
+        results = run_manifest(service, jobs)
         assert [result.status for result in results] == ["done", "done"]
         assert results[1].coalesced_with == results[0].job_id
 
@@ -230,8 +237,8 @@ class TestErrorsAndManifests:
 
         text = json.dumps([{"dimacs": FIG1_DIMACS, "num_solutions": 4,
                             "config": {"batch_size": 32}}])
-        first = service.run_manifest(parse_manifest(text))
-        second = service.run_manifest(parse_manifest(text))
+        first = run_manifest(service, parse_manifest(text))
+        second = run_manifest(service, parse_manifest(text))
         # defaulted manifest ids are assigned by the service, so replaying
         # the same manifest on one long-lived service never collides
         assert first[0].job_id != second[0].job_id
@@ -428,3 +435,42 @@ class TestSourceMemo:
         result = service.result(service.submit(FIG1_DIMACS, num_solutions=4, config=CONFIG))
         assert result.elapsed_seconds >= 0.05
         assert result.summary["seconds"] >= 0.05
+
+
+class TestAdmission:
+    """``num_variables × batch_size`` above ``MAX_BATCH_CELLS`` is refused
+    before any build: the service's job ends ``error`` and ``sample_cnf``
+    raises the same typed error."""
+
+    def test_the_bound_admits_up_to_and_refuses_past_it(self):
+        check_admission(2**18, 2**10)  # exactly MAX_BATCH_CELLS
+        with pytest.raises(AdmissionError, match=r"262145 variables x batch 1024 = "):
+            check_admission(2**18 + 1, 2**10)
+        assert MAX_BATCH_CELLS == 2**28
+
+    def test_a_portfolio_is_judged_by_its_largest_batch(self, service):
+        text = "p cnf 300000 1\n1 0\n"
+        job_id = service.submit(
+            text, num_solutions=4, config=CONFIG,
+            portfolio=[{"batch_size": 32}, {"batch_size": 1024}],
+        )
+        state = service._state(job_id)  # noqa: SLF001 - deliberate peek
+        assert state.done and state.formula is None
+        result = service.result(job_id)
+        assert result.status == "error"
+        assert result.error == (
+            f"job refused: 300000 variables x batch 1024 = 307200000 cells "
+            f"exceeds the admission bound of {MAX_BATCH_CELLS} cells"
+        )
+        assert [member["status"] for member in result.members] == ["error", "error"]
+        assert all(member["worker"] is None for member in result.members)
+        assert service.cache_stats()["misses"] == 0  # nothing was built
+        # One member at batch 32 fits.
+        fits = service.result(service.submit(text, num_solutions=1, config=CONFIG))
+        assert fits.status == "done"
+
+    def test_sample_cnf_raises_the_same_error(self):
+        from repro.core.pipeline import sample_cnf
+
+        with pytest.raises(AdmissionError, match="exceeds the admission bound"):
+            sample_cnf("p cnf 2147483647 1\n1 0\n", num_solutions=4)

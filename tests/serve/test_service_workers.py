@@ -118,7 +118,7 @@ class TestPoolFailureModes:
             assert time.perf_counter() - start < 2.0
             # kill the worker outright: the job must finalize as poisoned
             # instead of blocking result() forever
-            service._workers[0].process.terminate()  # noqa: SLF001
+            service._driver.workers[0].process.terminate()  # noqa: SLF001
             result = service.result(job_id, timeout=TIMEOUT)
             assert result.status == "poisoned"
             assert "died" in (result.error or "")
